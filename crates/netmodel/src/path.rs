@@ -55,6 +55,48 @@ impl Route {
     pub fn hops(&self) -> usize {
         self.links.len()
     }
+
+    /// The route's cost figures without its hop lists.
+    pub fn metrics(&self) -> RouteMetrics {
+        RouteMetrics {
+            latency: self.latency,
+            bottleneck_bps: self.bottleneck_bps,
+            hops: self.links.len() as u32,
+        }
+    }
+}
+
+/// What a cost model reads off a [`Route`] — latency, bottleneck and
+/// locality — without the per-hop link and node lists. The routing
+/// tables answer it by walking a predecessor row, allocating nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RouteMetrics {
+    /// Total one-way propagation latency.
+    pub latency: SimDuration,
+    /// Bottleneck bandwidth along the route (bits/second;
+    /// `f64::INFINITY` for the empty route).
+    pub bottleneck_bps: f64,
+    /// Number of hops (zero when both endpoints are the same node).
+    pub hops: u32,
+}
+
+impl RouteMetrics {
+    /// Whether both endpoints are the same node.
+    pub fn is_local(&self) -> bool {
+        self.hops == 0
+    }
+
+    /// Round-trip milliseconds of one request moving `bytes`
+    /// (request + response) over the route: twice the propagation
+    /// latency plus the serialization time at the bottleneck.
+    pub fn rtt_ms(&self, bytes: f64) -> f64 {
+        2.0 * self.latency.as_millis_f64()
+            + if self.bottleneck_bps.is_finite() {
+                bytes * 8.0 / self.bottleneck_bps * 1000.0
+            } else {
+                0.0
+            }
+    }
 }
 
 /// Lexicographic route cost: *(insecure hops, latency ns, hops)*.
@@ -154,6 +196,61 @@ pub(crate) fn reconstruct(
         latency: SimDuration::from_nanos(dist[to.0 as usize].1),
         bottleneck_bps,
     })
+}
+
+/// [`RouteMetrics`] of the tree path to `to` in a Dijkstra tree rooted
+/// at `from` — the figures [`reconstruct`] would report, read off the
+/// predecessor chain without materializing it.
+pub(crate) fn tree_metrics(
+    net: &Network,
+    from: NodeId,
+    to: NodeId,
+    dist: &[RouteCost],
+    prev: &[Option<(NodeId, LinkId)>],
+) -> Option<RouteMetrics> {
+    if from == to {
+        return Some(Route::local(from).metrics());
+    }
+    let (_, nanos, hops) = dist[to.0 as usize];
+    if nanos == u64::MAX {
+        return None;
+    }
+    let mut bottleneck_bps = f64::INFINITY;
+    let mut cursor = to;
+    while cursor != from {
+        let (parent, link) = prev[cursor.0 as usize]?;
+        bottleneck_bps = bottleneck_bps.min(net.link(link).bandwidth_bps);
+        cursor = parent;
+    }
+    Some(RouteMetrics {
+        latency: SimDuration::from_nanos(nanos),
+        bottleneck_bps,
+        hops,
+    })
+}
+
+/// Intermediate nodes (excluding endpoints) of the tree path to `to`,
+/// in travel order — [`Route::via`] without the rest of the route.
+pub(crate) fn tree_via(
+    from: NodeId,
+    to: NodeId,
+    dist: &[RouteCost],
+    prev: &[Option<(NodeId, LinkId)>],
+) -> Option<Vec<NodeId>> {
+    if from != to && dist[to.0 as usize].1 == u64::MAX {
+        return None;
+    }
+    let mut via = Vec::new();
+    let mut cursor = to;
+    while cursor != from {
+        let (parent, _) = prev[cursor.0 as usize]?;
+        if parent != from {
+            via.push(parent);
+        }
+        cursor = parent;
+    }
+    via.reverse();
+    Some(via)
 }
 
 /// Computes the minimum-latency route from `from` to `to`, or `None` when

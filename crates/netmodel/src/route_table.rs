@@ -44,7 +44,9 @@
 
 use crate::graph::{LinkId, Network, NodeId};
 use crate::partition::PartitionView;
-use crate::path::{dijkstra_tree, reconstruct, Route, RouteCost, UNREACHED};
+use crate::path::{
+    dijkstra_tree, reconstruct, tree_metrics, tree_via, Route, RouteCost, RouteMetrics, UNREACHED,
+};
 use ps_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -339,6 +341,15 @@ impl RouteTable {
         reconstruct(net, from, to, &self.dist[slice.clone()], &self.prev[slice])
     }
 
+    /// Latency, bottleneck and hop count of [`route`](Self::route)'s
+    /// answer, read off the predecessor chain without materializing it.
+    pub fn metrics(&self, net: &Network, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
+        debug_assert!(self.is_current(net), "route table is stale");
+        let src = from.0 as usize;
+        let slice = src * self.n..(src + 1) * self.n;
+        tree_metrics(net, from, to, &self.dist[slice.clone()], &self.prev[slice])
+    }
+
     /// Whether `to` is reachable from `from`.
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
         from == to || self.dist[from.0 as usize * self.n + to.0 as usize].1 != u64::MAX
@@ -449,6 +460,40 @@ impl ScopedRoutes {
     /// The route from `from` to `to`, building `from`'s row on first
     /// use. Identical to [`RouteTable::route`] for every pair.
     pub fn route(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Route> {
+        self.with_row(net, from, |row| {
+            reconstruct(net, from, to, &row.dist, &row.prev)
+        })
+    }
+
+    /// One-way propagation latency from `from` to `to` (`None` when
+    /// unreachable), building `from`'s row on first use.
+    pub fn latency(&self, net: &Network, from: NodeId, to: NodeId) -> Option<SimDuration> {
+        if from == to {
+            return Some(SimDuration::ZERO);
+        }
+        self.with_row(net, from, |row| {
+            let ns = row.dist[to.0 as usize].1;
+            (ns != u64::MAX).then(|| SimDuration::from_nanos(ns))
+        })
+    }
+
+    /// Latency, bottleneck and hop count of [`route`](Self::route)'s
+    /// answer, building `from`'s row on first use but not the route.
+    pub fn metrics(&self, net: &Network, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
+        self.with_row(net, from, |row| {
+            tree_metrics(net, from, to, &row.dist, &row.prev)
+        })
+    }
+
+    /// Intermediate nodes (excluding endpoints) on the shortest path
+    /// from `from` to `to`, or `None` when unreachable: a walk of
+    /// `from`'s predecessor row, no [`Route`] is materialized.
+    pub fn via_nodes(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        self.with_row(net, from, |row| tree_via(from, to, &row.dist, &row.prev))
+    }
+
+    /// Reads `from`'s routing row, running its Dijkstra on first use.
+    fn with_row<R>(&self, net: &Network, from: NodeId, read: impl FnOnce(&ScopedRow) -> R) -> R {
         debug_assert!(
             self.is_current(net),
             "scoped routes are stale: built at epoch {}, network at {}",
@@ -459,44 +504,13 @@ impl ScopedRoutes {
             .rows
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let row = Self::row(&mut rows, net, self.n, from);
-        reconstruct(net, from, to, &row.dist, &row.prev)
-    }
-
-    /// One-way propagation latency from `from` to `to` (`None` when
-    /// unreachable), building `from`'s row on first use.
-    pub fn latency(&self, net: &Network, from: NodeId, to: NodeId) -> Option<SimDuration> {
-        if from == to {
-            return Some(SimDuration::ZERO);
-        }
-        let mut rows = self
-            .rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let row = Self::row(&mut rows, net, self.n, from);
-        let ns = row.dist[to.0 as usize].1;
-        (ns != u64::MAX).then(|| SimDuration::from_nanos(ns))
-    }
-
-    /// Intermediate nodes (excluding endpoints) on the shortest path
-    /// from `from` to `to`, or `None` when unreachable. Cheaper than
-    /// materializing a full [`Route`] when only the corridor matters.
-    pub fn via_nodes(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        self.route(net, from, to).map(|r| r.via)
-    }
-
-    fn row<'a>(
-        rows: &'a mut BTreeMap<u32, ScopedRow>,
-        net: &Network,
-        n: usize,
-        from: NodeId,
-    ) -> &'a ScopedRow {
-        rows.entry(from.0).or_insert_with(|| {
-            let mut dist = vec![UNREACHED; n];
-            let mut prev = vec![None; n];
+        let row = rows.entry(from.0).or_insert_with(|| {
+            let mut dist = vec![UNREACHED; self.n];
+            let mut prev = vec![None; self.n];
             dijkstra_tree(net, from, None, &mut dist, &mut prev);
             ScopedRow { dist, prev }
-        })
+        });
+        read(row)
     }
 }
 
@@ -529,7 +543,12 @@ mod tests {
         let table = RouteTable::build(&net);
         for from in net.node_ids() {
             for to in net.node_ids() {
-                assert_eq!(table.route(&net, from, to), shortest_route(&net, from, to));
+                let route = shortest_route(&net, from, to);
+                assert_eq!(table.route(&net, from, to), route);
+                assert_eq!(
+                    table.metrics(&net, from, to),
+                    route.as_ref().map(Route::metrics)
+                );
             }
         }
     }
@@ -708,8 +727,14 @@ mod tests {
         assert_eq!(scoped.rows_built(), 0, "no rows before the first query");
         for from in [NodeId(0), NodeId(2)] {
             for to in net.node_ids() {
-                assert_eq!(scoped.route(&net, from, to), table.route(&net, from, to));
+                let route = table.route(&net, from, to);
+                assert_eq!(scoped.route(&net, from, to), route);
                 assert_eq!(scoped.latency(&net, from, to), table.latency(from, to));
+                assert_eq!(
+                    scoped.metrics(&net, from, to),
+                    route.as_ref().map(Route::metrics)
+                );
+                assert_eq!(scoped.via_nodes(&net, from, to), route.map(|r| r.via));
             }
         }
         assert_eq!(scoped.rows_built(), 2, "only the queried sources");
@@ -737,6 +762,7 @@ mod tests {
         assert_eq!(table.route(&net, NodeId(0), lonely), None);
         assert!(!table.reachable(NodeId(0), lonely));
         assert_eq!(table.latency(NodeId(0), lonely), None);
+        assert_eq!(table.metrics(&net, NodeId(0), lonely), None);
         assert!(table.reachable(lonely, lonely));
     }
 }

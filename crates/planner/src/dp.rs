@@ -55,15 +55,8 @@ fn node_cost(mapper: &Mapper<'_>, component: &str, frac: f64, node: NodeId) -> f
     let cost = if mapper.request.is_preexisting(component, node, &factors) {
         0.0
     } else {
-        let origin = mapper.request.effective_origin();
-        let transfer = match mapper.route(origin, node) {
-            Some(info) if !info.route.is_local() => {
-                info.route.latency.as_millis_f64()
-                    + behavior.code_size as f64 * 8.0 / info.route.bottleneck_bps * 1000.0
-            }
-            _ => 0.0,
-        };
-        transfer + STARTUP_COST_MS
+        mapper.transfer_ms(mapper.request.effective_origin(), node, behavior.code_size)
+            + STARTUP_COST_MS
     };
     combine(mapper.objective, latency, cost) + mapper.avoidance_penalty(node)
 }
@@ -78,21 +71,17 @@ fn edge_cost(
     from: NodeId,
     to: NodeId,
 ) -> Option<f64> {
-    let info = mapper.route(from, to)?;
+    let route = mapper.route_metrics(from, to)?;
     let behavior = mapper.spec.behavior_of(child_component);
-    let bits = child_rate * (behavior.bytes_per_request + behavior.bytes_per_response) as f64 * 8.0;
-    if bits > info.route.bottleneck_bps {
+    let bytes = (behavior.bytes_per_request + behavior.bytes_per_response) as f64;
+    if child_rate * bytes * 8.0 > route.bottleneck_bps {
         return None;
     }
-    let rtt_ms = 2.0 * info.route.latency.as_millis_f64()
-        + if info.route.bottleneck_bps.is_finite() {
-            (behavior.bytes_per_request + behavior.bytes_per_response) as f64 * 8.0
-                / info.route.bottleneck_bps
-                * 1000.0
-        } else {
-            0.0
-        };
-    Some(combine(mapper.objective, child_frac * rtt_ms, 0.0))
+    Some(combine(
+        mapper.objective,
+        child_frac * route.rtt_ms(bytes),
+        0.0,
+    ))
 }
 
 fn combine(objective: Objective, latency: f64, cost: f64) -> f64 {
@@ -128,8 +117,9 @@ pub fn search(
     }
     let k = chain.len();
     let rates = mapper.rates(graph);
-    let candidates: Vec<Vec<NodeId>> = chain.iter().map(|&i| mapper.candidates(graph, i)).collect();
-    if candidates.iter().any(Vec::is_empty) {
+    let candidates: Vec<Rc<[NodeId]>> =
+        chain.iter().map(|&i| mapper.candidates(graph, i)).collect();
+    if candidates.iter().any(|c| c.is_empty()) {
         return None;
     }
 
@@ -149,7 +139,7 @@ pub fn search(
             return None;
         }
         let mut per_candidate = Vec::with_capacity(candidates[stage].len());
-        for &node in &candidates[stage] {
+        for &node in candidates[stage].iter() {
             let cpu_load = rates.node_rate[tree_idx] * behavior.cpu_per_request_ms / 1000.0;
             if cpu_load > mapper.net.node(node).cpu_speed {
                 per_candidate.push(Vec::new());
@@ -161,6 +151,7 @@ pub fn search(
                 // Leaf: provided = explicit bindings only.
                 let assignment = vec![None; graph.len()];
                 let provided = vec![None; graph.len()];
+                stats.flow_evals += 1;
                 if let Some(flow) = mapper.flow_at(graph, tree_idx, node, &assignment, &provided) {
                     here.push(Label {
                         provided: flow,
@@ -192,6 +183,7 @@ pub fn search(
                         let mut provided = vec![None; graph.len()];
                         assignment[child_tree] = Some(m);
                         provided[child_tree] = Some(Rc::new(label.provided.clone()));
+                        stats.flow_evals += 1;
                         let Some(flow) =
                             mapper.flow_at(graph, tree_idx, node, &assignment, &provided)
                         else {

@@ -40,10 +40,10 @@
 
 use crate::linkage::LinkageGraph;
 use crate::mapping::{Evaluation, Mapper};
+use crate::memo::{FlowOutcome, Verdict};
 use crate::plan::{Objective, PlanStats};
 use ps_net::NodeId;
 use ps_spec::ResolvedBindings;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -185,18 +185,26 @@ fn search_inner(
 ) -> Option<(Vec<NodeId>, Evaluation)> {
     let n = graph.len();
     let order = graph.bottom_up_order();
-    let mut candidates: Vec<Vec<NodeId>> = (0..n).map(|i| mapper.candidates(graph, i)).collect();
+    let sets: Vec<(u32, Rc<[NodeId]>)> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
+    // What the search ranges over per tree node: its whole candidate
+    // set, or — where `fixed` pins a position — the one-host slice of
+    // it, with `offset` remembering where that slice starts so verdict
+    // cells stay indexed by position in the full set.
+    let mut candidates: Vec<&[NodeId]> = sets.iter().map(|(_, nodes)| &nodes[..]).collect();
+    let mut offset = vec![0usize; n];
     if let Some(fixed) = fixed {
         // Intersecting (rather than replacing) keeps the condition-1
         // filter authoritative: a fixed node that lost its installation
         // conditions empties the set and the repair reports infeasible.
         for (idx, forced) in fixed.iter().enumerate() {
             if let Some(node) = forced {
-                candidates[idx].retain(|c| c == node);
+                let at = candidates[idx].iter().position(|c| c == node)?;
+                candidates[idx] = &candidates[idx][at..=at];
+                offset[idx] = at;
             }
         }
     }
-    if candidates.iter().any(Vec::is_empty) {
+    if candidates.iter().any(|c| c.is_empty()) {
         return None;
     }
 
@@ -284,7 +292,7 @@ fn search_inner(
             let frac = rates.fraction(idx);
             let mut costs = Vec::with_capacity(candidates[idx].len());
             let mut floors = Vec::with_capacity(candidates[idx].len());
-            for &node in &candidates[idx] {
+            for &node in candidates[idx] {
                 let mut cost = if cp > 0.0 {
                     cp * deploy_cost_lower(mapper, graph, idx, node)
                 } else {
@@ -294,12 +302,12 @@ fn search_inner(
                     cost +=
                         lp * frac * behavior.cpu_per_request_ms / mapper.net.node(node).cpu_speed;
                     if idx == 0 {
-                        if let Some(info) = mapper.route(client, node) {
-                            if !info.route.is_local() {
+                        if let Some(route) = mapper.route_metrics(client, node) {
+                            if !route.is_local() {
                                 let bytes = (behavior.bytes_per_request
                                     + behavior.bytes_per_response)
                                     as f64;
-                                cost += lp * rtt_ms(&info.route, bytes);
+                                cost += lp * route.rtt_ms(bytes);
                             }
                         }
                     }
@@ -307,8 +315,8 @@ fn search_inner(
                 costs.push(cost);
                 let floor = match anc_floor[idx] {
                     coeff if coeff > 0.0 => mapper
-                        .route(client, node)
-                        .map_or(0.0, |info| coeff * info.route.latency.as_millis_f64()),
+                        .route_metrics(client, node)
+                        .map_or(0.0, |route| coeff * route.latency.as_millis_f64()),
                     _ => 0.0,
                 };
                 floors.push(floor);
@@ -360,7 +368,9 @@ fn search_inner(
         mapper,
         graph,
         order,
+        sets: &sets,
         candidates,
+        offset,
         rates,
         suffix_bound,
         static_cost,
@@ -375,9 +385,8 @@ fn search_inner(
         incumbent: if bounding { incumbent } else { None },
         prune_ties,
         memoize: bounded,
-        flow_memo: HashMap::new(),
-        provided_interned: Vec::new(),
-        provided_id: vec![None; n],
+        context_key: Vec::new(),
+        provided_id: vec![0; n],
         assignment: vec![None; n],
         provided: vec![None; n],
         factors: vec![None; n],
@@ -387,26 +396,6 @@ fn search_inner(
     state.recurse(0, 0.0);
     state.best
 }
-
-/// Memo key for one property-flow verdict: the tree node, its candidate
-/// host, and — the only descent state the flow reads — each child's
-/// `(host, interned provided-bindings)` pair, packed into fixed slots
-/// (one `u64` per child, `u64::MAX` marking unused) so a lookup does
-/// not allocate; trees with more than two children per node spill into
-/// the overflow vector. Exact equality, no hashes of unbounded values,
-/// so a hit is guaranteed to be the same verdict.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct FlowKey {
-    idx: u32,
-    node: u32,
-    ctx: [u64; 2],
-    spill: Vec<u64>,
-}
-
-/// Memoized outcome of a property-flow check: `None` for an
-/// incompatible placement, otherwise the resolved (provided, factor)
-/// bindings pair.
-type FlowVerdict = Option<(Rc<ResolvedBindings>, Rc<ResolvedBindings>)>;
 
 fn latency_part(objective: Objective) -> f64 {
     match objective {
@@ -441,25 +430,9 @@ fn deploy_cost_lower(mapper: &Mapper<'_>, graph: &LinkageGraph, idx: usize, node
     if mapper.request.could_be_preexisting(component, node) {
         return 0.0;
     }
-    let comp = mapper.spec.behavior_of(component);
-    let transfer_ms = match mapper.route(mapper.request.effective_origin(), node) {
-        Some(info) if !info.route.is_local() => {
-            info.route.latency.as_millis_f64()
-                + comp.code_size as f64 * 8.0 / info.route.bottleneck_bps * 1000.0
-        }
-        _ => 0.0,
-    };
-    transfer_ms + crate::mapping::STARTUP_COST_MS
-}
-
-/// Round-trip milliseconds of one request over `route` carrying `bytes`.
-fn rtt_ms(route: &ps_net::Route, bytes: f64) -> f64 {
-    2.0 * route.latency.as_millis_f64()
-        + if route.bottleneck_bps.is_finite() {
-            bytes * 8.0 / route.bottleneck_bps * 1000.0
-        } else {
-            0.0
-        }
+    let code_size = mapper.spec.behavior_of(component).code_size;
+    mapper.transfer_ms(mapper.request.effective_origin(), node, code_size)
+        + crate::mapping::STARTUP_COST_MS
 }
 
 /// Lower bound of [`State::increment`] for tree node `idx` over its
@@ -468,7 +441,7 @@ fn min_increment(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     rates: &crate::load::RatePlan,
-    candidates: &[Vec<NodeId>],
+    candidates: &[&[NodeId]],
     idx: usize,
     lp: f64,
     cp: f64,
@@ -477,8 +450,8 @@ fn min_increment(
         let mut best = f64::INFINITY;
         for &a in from_set {
             for &b in to_set {
-                let rtt = match mapper.route(a, b) {
-                    Some(info) if !info.route.is_local() => rtt_ms(&info.route, bytes),
+                let rtt = match mapper.route_metrics(a, b) {
+                    Some(route) if !route.is_local() => route.rtt_ms(bytes),
                     Some(_) => 0.0,
                     None => continue,
                 };
@@ -515,11 +488,11 @@ fn min_increment(
             let cb = mapper.spec.behavior_of(&graph.nodes[child].component);
             let bytes = (cb.bytes_per_request + cb.bytes_per_response) as f64;
             bound +=
-                lp * rates.fraction(child) * min_rtt(&candidates[idx], &candidates[child], bytes);
+                lp * rates.fraction(child) * min_rtt(candidates[idx], candidates[child], bytes);
         }
         if idx == 0 {
             let bytes = (behavior.bytes_per_request + behavior.bytes_per_response) as f64;
-            bound += lp * min_rtt(&[mapper.request.client_node], &candidates[0], bytes);
+            bound += lp * min_rtt(&[mapper.request.client_node], candidates[0], bytes);
         }
     }
     bound
@@ -529,7 +502,14 @@ struct State<'a, 'b> {
     mapper: &'a Mapper<'b>,
     graph: &'a LinkageGraph,
     order: Vec<usize>,
-    candidates: Vec<Vec<NodeId>>,
+    /// Per tree node, its full candidate set and that set's id in the
+    /// mapper's plan memo.
+    sets: &'a [(u32, Rc<[NodeId]>)],
+    /// Per tree node, the slice of its set this search ranges over (all
+    /// of it unless a repair fixed the position) and where in the set
+    /// that slice starts.
+    candidates: Vec<&'a [NodeId]>,
+    offset: Vec<usize>,
     rates: crate::load::RatePlan,
     suffix_bound: Vec<f64>,
     /// Per tree node and candidate (same index as `candidates`), every
@@ -563,18 +543,19 @@ struct State<'a, 'b> {
     /// a feasible plan achieving the incumbent's value on ties (the
     /// repair sweep); see [`search_strictly_better`].
     prune_ties: bool,
-    /// Memoize property-flow verdicts per (tree node, host, child
-    /// context). The flow is a pure function of that key, and the
-    /// descent re-derives identical verdicts across every variation of
-    /// the *deeper* — already placed, irrelevant — subtree, so the hit
-    /// rate is enormous on large candidate sets. Off in the unbounded
+    /// Read property-flow verdicts from the mapper's plan memo. The
+    /// flow is a pure function of (component, host, children's hosts
+    /// and provided bindings), and the descent re-derives identical
+    /// verdicts across every variation of the *deeper* — already
+    /// placed, irrelevant — subtree and across the plan's other graphs,
+    /// so nearly every visit is a table read. Off in the unbounded
     /// oracle, which stays a from-first-principles equivalence check.
     memoize: bool,
-    flow_memo: HashMap<FlowKey, FlowVerdict>,
-    /// Distinct provided-bindings values seen this search; a child's
-    /// index in here is its part of the [`FlowKey`] context.
-    provided_interned: Vec<ResolvedBindings>,
-    provided_id: Vec<Option<u32>>,
+    /// Scratch for a flow-context key, reused across `recurse` calls.
+    context_key: Vec<u64>,
+    /// Per placed tree node, the memo's id of its provided bindings —
+    /// its part of its parent's flow context (memoized searches only).
+    provided_id: Vec<u32>,
     assignment: Vec<Option<NodeId>>,
     provided: Vec<Option<Rc<ResolvedBindings>>>,
     factors: Vec<Option<Rc<ResolvedBindings>>>,
@@ -604,8 +585,8 @@ impl State<'_, '_> {
             let Some(child_node) = self.assignment[child] else {
                 continue;
             };
-            if let Some(info) = self.mapper.route(node, child_node) {
-                cost += self.edge_w[child] * rtt_ms(&info.route, self.edge_bytes[child]);
+            if let Some(route) = self.mapper.route_metrics(node, child_node) {
+                cost += self.edge_w[child] * route.rtt_ms(self.edge_bytes[child]);
             }
         }
         cost
@@ -647,63 +628,56 @@ impl State<'_, '_> {
         true
     }
 
-    /// Property flow for `idx` at `node`, memoized by the only state it
-    /// reads: each child's `(host, provided)` pair. Bottom-up order
-    /// guarantees all children are placed (and interned) here.
-    fn flow_memoized(&mut self, idx: usize, node: NodeId) -> FlowVerdict {
-        if !self.memoize {
-            return self
-                .mapper
-                .flow_and_factors_at(self.graph, idx, node, &self.assignment, &self.provided)
-                .map(|(flow, resolved)| (Rc::new(flow), Rc::new(resolved)));
+    /// Interns the flow context of tree node `idx` — its candidate set
+    /// and each child's `(host, provided)` pair, the only descent state
+    /// the flow reads — and returns the verdict cell of the first
+    /// candidate this search ranges over; candidate `ci` reads cell
+    /// `+ ci`. Bottom-up order guarantees all children are placed.
+    fn flow_context(&mut self, idx: usize) -> Option<usize> {
+        let (set_id, set) = &self.sets[idx];
+        self.context_key.clear();
+        self.context_key.push(u64::from(*set_id));
+        for &(_, child) in &self.graph.nodes[idx].children {
+            let child_node = self.assignment[child]?;
+            self.context_key
+                .push((u64::from(child_node.0) << 32) | u64::from(self.provided_id[child]));
         }
-        let mut ctx = [u64::MAX; 2];
-        let mut spill = Vec::new();
-        for (i, &(_, child)) in self.graph.nodes[idx].children.iter().enumerate() {
-            // Bottom-up order places and interns children before their
-            // parent; a violation degrades to "infeasible here" instead
-            // of panicking on the hot path (ps-lint P001).
-            let Some(child_node) = self.assignment[child].map(|n| n.0) else {
-                debug_assert!(false, "child placed before parent");
-                return None;
-            };
-            let Some(provided_id) = self.provided_id[child] else {
-                debug_assert!(false, "child flow interned");
-                return None;
-            };
-            let packed = (u64::from(child_node) << 32) | u64::from(provided_id);
-            match ctx.get_mut(i) {
-                Some(slot) => *slot = packed,
-                None => spill.push(packed),
-            }
-        }
-        let key = FlowKey {
-            idx: idx as u32,
-            node: node.0,
-            ctx,
-            spill,
-        };
-        if let Some(cached) = self.flow_memo.get(&key) {
-            return cached.clone();
-        }
-        let result = self
+        let row = self
             .mapper
-            .flow_and_factors_at(self.graph, idx, node, &self.assignment, &self.provided)
-            .map(|(flow, resolved)| (Rc::new(flow), Rc::new(resolved)));
-        self.flow_memo.insert(key, result.clone());
-        result
+            .memo
+            .borrow_mut()
+            .flow_context(&self.context_key, set.len());
+        Some(row + self.offset[idx])
     }
 
-    /// Index of `value` in the per-search provided-bindings interner,
-    /// inserting it on first sight. The distinct-value population is
-    /// tiny (components produce the same effective bindings over and
-    /// over), so a linear scan beats hashing the bindings themselves.
-    fn intern_provided(&mut self, value: &ResolvedBindings) -> u32 {
-        if let Some(i) = self.provided_interned.iter().position(|v| v == value) {
-            return i as u32;
+    /// Property flow for `idx` at `node`: read from verdict cell `cell`
+    /// of the plan memo, computed and recorded there on first sight.
+    /// The memo-free oracle computes every visit from first principles.
+    fn flow(&mut self, idx: usize, node: NodeId, cell: usize) -> Option<FlowOutcome> {
+        if self.memoize {
+            match self.mapper.memo.borrow().verdict(cell) {
+                Verdict::Infeasible => return None,
+                Verdict::Feasible(outcome) => return Some(outcome.clone()),
+                Verdict::Unknown => {}
+            }
         }
-        self.provided_interned.push(value.clone());
-        (self.provided_interned.len() - 1) as u32
+        self.stats.flow_evals += 1;
+        let computed = self.mapper.flow_and_factors_at(
+            self.graph,
+            idx,
+            node,
+            &self.assignment,
+            &self.provided,
+        );
+        if self.memoize {
+            self.mapper.memo.borrow_mut().record_flow(cell, computed)
+        } else {
+            computed.map(|(provided, factors)| FlowOutcome {
+                provided_id: 0,
+                provided: Rc::new(provided),
+                factors: Rc::new(factors),
+            })
+        }
     }
 
     /// Best objective known anywhere: this graph's own best, improved by
@@ -779,9 +753,18 @@ impl State<'_, '_> {
             return;
         }
         let idx = self.order[pos];
-        // Iterate candidates by index: cloning the candidate vector at
-        // every visit allocated once per tree node, which the hot path
-        // cannot afford.
+        // The children are placed, so their context is the same for
+        // every candidate below: intern it once and each candidate's
+        // verdict is an array read.
+        let row = if self.memoize {
+            let Some(row) = self.flow_context(idx) else {
+                debug_assert!(false, "child placed before parent");
+                return;
+            };
+            row
+        } else {
+            0
+        };
         for ci in 0..self.candidates[idx].len() {
             let node = self.candidates[idx][ci];
             if self.identity_prune
@@ -820,26 +803,22 @@ impl State<'_, '_> {
                 self.stats.bound_prunes += 1;
                 continue;
             }
-            match self.flow_memoized(idx, node) {
-                Some((flow, resolved)) => {
-                    if self.identity_prune && !self.identity_ok(idx, node, &resolved) {
-                        self.stats.prunes += 1;
-                        continue;
-                    }
-                    if self.memoize {
-                        self.provided_id[idx] = Some(self.intern_provided(&flow));
-                    }
-                    self.assignment[idx] = Some(node);
-                    self.provided[idx] = Some(flow);
-                    self.factors[idx] = Some(resolved);
-                    self.recurse(pos + 1, partial + inc);
-                    self.assignment[idx] = None;
-                    self.provided[idx] = None;
-                    self.factors[idx] = None;
-                    self.provided_id[idx] = None;
-                }
-                None => self.stats.prunes += 1,
+            let Some(outcome) = self.flow(idx, node, row + ci) else {
+                self.stats.prunes += 1;
+                continue;
+            };
+            if self.identity_prune && !self.identity_ok(idx, node, &outcome.factors) {
+                self.stats.prunes += 1;
+                continue;
             }
+            self.assignment[idx] = Some(node);
+            self.provided_id[idx] = outcome.provided_id;
+            self.provided[idx] = Some(outcome.provided);
+            self.factors[idx] = Some(outcome.factors);
+            self.recurse(pos + 1, partial + inc);
+            self.assignment[idx] = None;
+            self.provided[idx] = None;
+            self.factors[idx] = None;
         }
     }
 }

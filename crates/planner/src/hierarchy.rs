@@ -250,7 +250,19 @@ pub fn request_signature(request: &ServiceRequest) -> u64 {
 struct HierSetup<'a> {
     mapper: Mapper<'a>,
     scoped: Arc<ScopedRoutes>,
+    /// Rows the shared `scoped` already held when this solve started.
+    rows_before: usize,
     per_region: BTreeMap<String, RegionWork>,
+}
+
+impl HierSetup<'_> {
+    /// Routing rows this solve added to the memo's shared
+    /// [`ScopedRoutes`] — its own Dijkstra work, not the running total
+    /// of every plan of the epoch. (Solves racing on one memo may count
+    /// each other's rows; the serving layer plans one at a time.)
+    fn rows_built(&self) -> u64 {
+        (self.scoped.rows_built() - self.rows_before) as u64
+    }
 }
 
 impl Planner {
@@ -309,7 +321,7 @@ impl Planner {
                 best = Some(assemble_plan(graph, &assignment, eval));
             }
         }
-        stats.route_rows_built = setup.scoped.rows_built() as u64;
+        stats.route_rows_built = setup.rows_built();
 
         let Some(mut plan) = best else {
             // The restricted universe missed every feasible mapping
@@ -485,7 +497,7 @@ impl Planner {
                 }
             }
         }
-        stats.route_rows_built = setup.scoped.rows_built() as u64;
+        stats.route_rows_built = setup.rows_built();
 
         match best {
             Some(mut plan) => {
@@ -536,6 +548,7 @@ impl Planner {
         }
         let cfg = self.config.hier.clone().unwrap_or_default();
         let scoped = memo.scoped_routes(net);
+        let rows_before = scoped.rows_built();
         let sig = request_signature(request);
 
         // Anchors: nodes every candidate plan is tethered to.
@@ -623,6 +636,7 @@ impl Planner {
         Some(HierSetup {
             mapper,
             scoped,
+            rows_before,
             per_region,
         })
     }

@@ -26,6 +26,7 @@ pub mod hierarchy;
 pub mod linkage;
 pub mod load;
 pub mod mapping;
+mod memo;
 pub mod plan;
 pub mod planner;
 pub mod pop;

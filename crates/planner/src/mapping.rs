@@ -18,14 +18,16 @@
 use crate::compat::{effective_provided, satisfies, transform_along};
 use crate::linkage::LinkageGraph;
 use crate::load::{propagate_rates, LoadModel, RatePlan};
+use crate::memo::PlanMemo;
 use crate::plan::{Objective, PlanEdge, ServiceRequest};
 use ps_net::{
-    shortest_route, Network, NodeId, PropertyTranslator, Route, RouteTable, ScopedRoutes,
+    shortest_route, Network, NodeId, PropertyTranslator, Route, RouteMetrics, RouteTable,
+    ScopedRoutes,
 };
 use ps_spec::condition::all_hold;
 use ps_spec::{Component, Environment, ResolvedBindings, ServiceSpec};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -41,16 +43,6 @@ pub const STARTUP_COST_MS: f64 = 500.0;
 /// chosen only when no mapping without it is feasible — down-weighting,
 /// not exclusion (pinned components on avoided hosts still plan).
 pub const AVOID_PENALTY: f64 = 1e6;
-
-/// Cache of materialized routes (with environments), keyed by
-/// (from, to) node indices.
-type RouteCache = RefCell<HashMap<(u32, u32), Option<Rc<RouteInfo>>>>;
-
-/// Memo of candidate sets, keyed by (component name, forced node):
-/// `enumerate_linkages_multi` emits many graphs sharing components, so
-/// the condition-1 filter over all network nodes runs once per
-/// component instead of once per graph.
-type CandidateCache = RefCell<HashMap<(String, Option<u32>), Vec<NodeId>>>;
 
 /// A route together with the environment sequence its traffic traverses.
 #[derive(Debug, Clone)]
@@ -107,8 +99,9 @@ pub struct Mapper<'a> {
     node_envs: Vec<Environment>,
     link_envs: Vec<Environment>,
     mid_envs: Vec<Environment>,
-    route_cache: RouteCache,
-    candidate_cache: CandidateCache,
+    /// Candidate sets, routes, interned bindings and flow verdicts
+    /// learned during this planning call (see [`crate::memo`]).
+    pub(crate) memo: RefCell<PlanMemo>,
     /// Shared all-pairs route table; when absent, routes fall back to
     /// on-demand Dijkstra (the pre-table behavior, kept reachable so the
     /// bench harness can measure the baseline).
@@ -119,7 +112,7 @@ pub struct Mapper<'a> {
     /// When set, condition-1 candidate enumeration is restricted to
     /// these nodes instead of the whole network (the hierarchical
     /// planner's composition universe). Must stay fixed for the
-    /// mapper's lifetime — the candidate cache keys assume it.
+    /// mapper's lifetime — the memo assumes it.
     universe: Option<Vec<NodeId>>,
 }
 
@@ -167,8 +160,7 @@ impl<'a> Mapper<'a> {
             node_envs,
             link_envs,
             mid_envs,
-            route_cache: RefCell::new(HashMap::new()),
-            candidate_cache: RefCell::new(HashMap::new()),
+            memo: RefCell::new(PlanMemo::new(net.node_count())),
             route_table: None,
             scoped_routes: None,
             universe: None,
@@ -202,15 +194,20 @@ impl<'a> Mapper<'a> {
     /// gateways, and memoized per-region shortlists). Pinned and
     /// root-colocated placements are unaffected — they are forced to a
     /// specific node regardless of the universe. Must be set before the
-    /// first candidate query and never changed: the per-component
-    /// candidate cache assumes a fixed universe.
+    /// first candidate or route query and never changed: the memo's
+    /// candidate sets and dense route index assume a fixed universe.
     pub fn with_universe(mut self, mut nodes: Vec<NodeId>) -> Self {
-        debug_assert!(
-            self.candidate_cache.borrow().is_empty(),
-            "universe must be fixed before candidates are first queried"
-        );
         nodes.sort_unstable();
         nodes.dedup();
+        // Every host a search can place on or charge a route to: the
+        // universe plus the forced placements and the two fixed route
+        // endpoints.
+        let mut domain = nodes.clone();
+        domain.extend([self.request.client_node, self.request.effective_origin()]);
+        domain.extend(self.request.pinned.values().copied());
+        domain.sort_unstable();
+        domain.dedup();
+        self.memo.get_mut().index_routes_by(&domain);
         self.universe = Some(nodes);
         self
     }
@@ -234,30 +231,61 @@ impl<'a> Mapper<'a> {
         }
     }
 
-    /// Route (with environments) between two nodes; the materialized
-    /// `RouteInfo` is cached per mapper. The route itself comes from the
-    /// shared [`RouteTable`] when one was attached (a predecessor-chain
-    /// walk, no Dijkstra), or from an on-demand [`shortest_route`] run
-    /// otherwise.
-    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Rc<RouteInfo>> {
-        if let Some(hit) = self.route_cache.borrow().get(&(from.0, to.0)) {
-            return hit.clone();
-        }
-        let raw = match (&self.scoped_routes, &self.route_table) {
-            (Some(scoped), _) => scoped.route(self.net, from, to),
-            (None, Some(table)) => table.route(self.net, from, to),
-            (None, None) => shortest_route(self.net, from, to),
+    /// Latency, bottleneck and locality of the route between two nodes —
+    /// all the cost models read — memoized in the plan memo's dense
+    /// table. Comes from the attached [`ScopedRoutes`] / [`RouteTable`]
+    /// by a predecessor-chain walk that materializes nothing, or from an
+    /// on-demand [`shortest_route`] run when neither is attached.
+    pub fn route_metrics(&self, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
+        let mut memo = self.memo.borrow_mut();
+        let Some(cell) = memo.route_cell(from, to) else {
+            return self.lookup_metrics(from, to);
         };
-        let computed = raw.map(|route| {
+        *cell
+            .metrics
+            .get_or_insert_with(|| self.lookup_metrics(from, to))
+    }
+
+    fn lookup_metrics(&self, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
+        match (&self.scoped_routes, &self.route_table) {
+            (Some(scoped), _) => scoped.metrics(self.net, from, to),
+            (None, Some(table)) => table.metrics(self.net, from, to),
+            (None, None) => shortest_route(self.net, from, to).map(|route| route.metrics()),
+        }
+    }
+
+    /// The materialized route between two nodes together with the
+    /// environments along it — what a property-flow check transforms
+    /// bindings through and a plan edge records. Memoized beside the
+    /// pair's metrics; cost models should ask
+    /// [`route_metrics`](Self::route_metrics) instead.
+    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Rc<RouteInfo>> {
+        let mut memo = self.memo.borrow_mut();
+        let mut cell = memo.route_cell(from, to);
+        if let Some(cell) = &cell {
+            if cell.info.is_some() || cell.metrics == Some(None) {
+                return cell.info.clone();
+            }
+        }
+        let info = self.lookup_route(from, to).map(|route| {
             Rc::new(RouteInfo {
                 envs: self.envs_along(&route),
                 route,
             })
         });
-        self.route_cache
-            .borrow_mut()
-            .insert((from.0, to.0), computed.clone());
-        computed
+        if let Some(cell) = &mut cell {
+            cell.metrics = Some(info.as_ref().map(|info| info.route.metrics()));
+            cell.info = info.clone();
+        }
+        info
+    }
+
+    fn lookup_route(&self, from: NodeId, to: NodeId) -> Option<Route> {
+        match (&self.scoped_routes, &self.route_table) {
+            (Some(scoped), _) => scoped.route(self.net, from, to),
+            (None, Some(table)) => table.route(self.net, from, to),
+            (None, None) => shortest_route(self.net, from, to),
+        }
     }
 
     fn envs_along(&self, route: &Route) -> Vec<Environment> {
@@ -275,9 +303,16 @@ impl<'a> Mapper<'a> {
     /// Condition 1: nodes where `component` may be instantiated for this
     /// request. Respects pinning and the root-at-client rule. Results
     /// are memoized per (component, forced-node) pair within this
-    /// mapper's lifetime — graphs emitted by one enumeration share
-    /// components, so the full-network filter runs once per component.
-    pub fn candidates(&self, graph: &LinkageGraph, idx: usize) -> Vec<NodeId> {
+    /// mapper's lifetime and handed out as a shared slice — graphs
+    /// emitted by one enumeration share components, so the full-network
+    /// filter runs once per component.
+    pub fn candidates(&self, graph: &LinkageGraph, idx: usize) -> Rc<[NodeId]> {
+        self.candidate_set(graph, idx).1
+    }
+
+    /// [`candidates`](Self::candidates) together with the set's id in
+    /// the plan memo (the component's part of a flow-verdict key).
+    pub(crate) fn candidate_set(&self, graph: &LinkageGraph, idx: usize) -> (u32, Rc<[NodeId]>) {
         let name = &graph.nodes[idx].component;
         let forced: Option<NodeId> = if let Some(&pin) = self.request.pinned.get(name) {
             Some(pin)
@@ -286,15 +321,13 @@ impl<'a> Mapper<'a> {
         } else {
             None
         };
-        let key = (name.clone(), forced.map(|n| n.0));
-        if let Some(hit) = self.candidate_cache.borrow().get(&key) {
-            return hit.clone();
+        if let Some(hit) = self.memo.borrow().candidate_set(name, forced) {
+            return hit;
         }
         let computed = self.compute_candidates(name, forced);
-        self.candidate_cache
+        self.memo
             .borrow_mut()
-            .insert(key, computed.clone());
-        computed
+            .add_candidate_set(name, forced, computed)
     }
 
     fn compute_candidates(&self, name: &str, forced: Option<NodeId>) -> Vec<NodeId> {
@@ -618,15 +651,8 @@ impl<'a> Mapper<'a> {
                             sustainable.min(info.route.bottleneck_bps / (frac * per_req_bits));
                     }
                 }
-                let rtt_ms = 2.0 * info.route.latency.as_millis_f64()
-                    + if info.route.bottleneck_bps.is_finite() {
-                        (comp.bytes_per_request + comp.bytes_per_response) as f64 * 8.0
-                            / info.route.bottleneck_bps
-                            * 1000.0
-                    } else {
-                        0.0
-                    };
-                latency_ms += frac * rtt_ms;
+                let bytes = (comp.bytes_per_request + comp.bytes_per_response) as f64;
+                latency_ms += frac * info.route.metrics().rtt_ms(bytes);
                 let interface = graph.nodes[parent]
                     .children
                     .iter()
@@ -648,19 +674,13 @@ impl<'a> Mapper<'a> {
         // free, otherwise it costs a round trip per request.
         {
             let root_behavior = self.spec.behavior_of(&graph.nodes[0].component);
-            let info = self.route(self.request.client_node, assignment[0])?;
-            if !info.route.is_local() {
+            let route = self.route_metrics(self.request.client_node, assignment[0])?;
+            if !route.is_local() {
                 let bytes =
                     (root_behavior.bytes_per_request + root_behavior.bytes_per_response) as f64;
-                let rtt_ms = 2.0 * info.route.latency.as_millis_f64()
-                    + if info.route.bottleneck_bps.is_finite() {
-                        bytes * 8.0 / info.route.bottleneck_bps * 1000.0
-                    } else {
-                        0.0
-                    };
-                latency_ms += rtt_ms;
-                if bytes > 0.0 && info.route.bottleneck_bps.is_finite() {
-                    sustainable = sustainable.min(info.route.bottleneck_bps / (bytes * 8.0));
+                latency_ms += route.rtt_ms(bytes);
+                if bytes > 0.0 && route.bottleneck_bps.is_finite() {
+                    sustainable = sustainable.min(route.bottleneck_bps / (bytes * 8.0));
                 }
             }
         }
@@ -692,14 +712,7 @@ impl<'a> Mapper<'a> {
             }
             let comp = self.spec.behavior_of(&tree_node.component);
             let node = assignment[idx];
-            let transfer_ms = match self.route(origin, node) {
-                Some(info) if !info.route.is_local() => {
-                    info.route.latency.as_millis_f64()
-                        + comp.code_size as f64 * 8.0 / info.route.bottleneck_bps * 1000.0
-                }
-                _ => 0.0,
-            };
-            cost_ms += transfer_ms + STARTUP_COST_MS;
+            cost_ms += self.transfer_ms(origin, node, comp.code_size) + STARTUP_COST_MS;
         }
 
         let objective_value = match self.objective {
@@ -727,6 +740,19 @@ impl<'a> Mapper<'a> {
             preexisting,
             edges,
         })
+    }
+
+    /// Milliseconds to ship `code_size` bytes of component code from
+    /// `origin` to `node`: one-way latency plus serialization at the
+    /// bottleneck; zero when local or unreachable.
+    pub(crate) fn transfer_ms(&self, origin: NodeId, node: NodeId, code_size: u64) -> f64 {
+        match self.route_metrics(origin, node) {
+            Some(route) if !route.is_local() => {
+                route.latency.as_millis_f64()
+                    + code_size as f64 * 8.0 / route.bottleneck_bps * 1000.0
+            }
+            _ => 0.0,
+        }
     }
 
     /// Rates for a graph under this request.

@@ -1,0 +1,219 @@
+//! The plan-scoped search memo: everything one planning call learns
+//! once and every graph search of that call reads back.
+//!
+//! A [`Mapper`](crate::Mapper) lives for exactly one planning call (one
+//! per `plan_parallel` worker) and is shared by all of that call's graph
+//! searches, so the memo it owns has the same lifetime and needs no
+//! invalidation: spec, request, node environments and routes are fixed
+//! for as long as it exists. Four tables, each keyed on exactly the
+//! inputs its value is a pure function of:
+//!
+//! | table | key | value |
+//! |---|---|---|
+//! | candidate sets | (component, forced host) | hosts passing condition 1, as a shared slice |
+//! | routes | (from, to), dense by slot | [`RouteMetrics`]; the full [`RouteInfo`] only once a flow check or the evaluator asks |
+//! | provided bindings | the bindings value itself | a small id (equal values share one id) |
+//! | flow verdicts | (candidate set, children's (host, provided id)) × candidate index | infeasible, or the provided id + bindings + factors |
+//!
+//! A verdict hit is exact, not heuristic: the key carries every input
+//! the property flow reads — the component (through its candidate set),
+//! the host, and each child's host and provided bindings (interned by
+//! full equality) — and nothing about the linkage graph, so a verdict
+//! learned while searching one graph answers every other graph of the
+//! plan that places the same component over the same children.
+
+use crate::mapping::RouteInfo;
+use ps_net::{NodeId, RouteMetrics};
+use ps_spec::ResolvedBindings;
+use std::collections::HashMap;
+use std::rc::Rc;
+
+/// What a feasible property-flow check established for one placement.
+#[derive(Debug, Clone)]
+pub(crate) struct FlowOutcome {
+    /// Id of `provided` in the memo's interner — the placement's part of
+    /// its parent's flow context. Unused (zero) in the memo-free oracle.
+    pub provided_id: u32,
+    /// Effective provided properties of the placement.
+    pub provided: Rc<ResolvedBindings>,
+    /// Its resolved factors.
+    pub factors: Rc<ResolvedBindings>,
+}
+
+/// One read of the verdict table.
+pub(crate) enum Verdict<'m> {
+    /// Never computed for this (context, candidate).
+    Unknown,
+    /// Computed: condition 2 fails.
+    Infeasible,
+    /// Computed: feasible, with this outcome.
+    Feasible(&'m FlowOutcome),
+}
+
+const UNKNOWN: u32 = 0;
+const INFEASIBLE: u32 = 1;
+/// Verdict cells at or above this value index `outcomes` (minus it).
+const FEASIBLE_BASE: u32 = 2;
+
+const NO_SLOT: u32 = u32::MAX;
+
+struct CandidateSet {
+    component: String,
+    forced: Option<NodeId>,
+    nodes: Rc<[NodeId]>,
+}
+
+/// One (from, to) entry of the dense route table.
+#[derive(Clone, Default)]
+pub(crate) struct RouteCell {
+    /// `None` until first asked; `Some(None)` when unreachable.
+    pub metrics: Option<Option<RouteMetrics>>,
+    /// The materialized route with its per-hop environments, filled
+    /// only when a property-flow check or the evaluator needs them.
+    pub info: Option<Rc<RouteInfo>>,
+}
+
+/// See the module docs.
+pub(crate) struct PlanMemo {
+    candidate_sets: Vec<CandidateSet>,
+    /// Network node → dense route-table slot: the node's position in
+    /// the universe when one is set, its own index otherwise.
+    slot: Vec<u32>,
+    /// Slots in use (the row length of `routes`).
+    side: usize,
+    /// Route rows by source slot, allocated on a source's first query.
+    routes: Vec<Option<Box<[RouteCell]>>>,
+    provided: Vec<Rc<ResolvedBindings>>,
+    /// Flow context → base of its row in `verdicts`.
+    contexts: HashMap<Vec<u64>, usize>,
+    /// Verdict rows, one cell per candidate of the context's set.
+    verdicts: Vec<u32>,
+    outcomes: Vec<FlowOutcome>,
+}
+
+impl PlanMemo {
+    /// An empty memo over a network of `nodes` nodes, routes indexed by
+    /// node.
+    pub fn new(nodes: usize) -> Self {
+        PlanMemo {
+            candidate_sets: Vec::new(),
+            slot: (0..nodes as u32).collect(),
+            side: nodes,
+            routes: vec![None; nodes],
+            provided: Vec::new(),
+            contexts: HashMap::new(),
+            verdicts: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Re-indexes the route table by position in `domain` (sorted,
+    /// deduplicated). Pairs with an endpoint outside it stay answerable
+    /// but are not memoized. Must precede the first query.
+    pub fn index_routes_by(&mut self, domain: &[NodeId]) {
+        debug_assert!(
+            self.candidate_sets.is_empty() && self.routes.iter().all(Option::is_none),
+            "the route index must be fixed before the memo is first used"
+        );
+        self.slot.fill(NO_SLOT);
+        for (position, node) in domain.iter().enumerate() {
+            self.slot[node.0 as usize] = position as u32;
+        }
+        self.side = domain.len();
+        self.routes = vec![None; domain.len()];
+    }
+
+    /// The memoized candidate set of `(component, forced)` and its id.
+    pub fn candidate_set(
+        &self,
+        component: &str,
+        forced: Option<NodeId>,
+    ) -> Option<(u32, Rc<[NodeId]>)> {
+        self.candidate_sets
+            .iter()
+            .position(|set| set.forced == forced && set.component == component)
+            .map(|id| (id as u32, Rc::clone(&self.candidate_sets[id].nodes)))
+    }
+
+    /// Stores a freshly computed candidate set.
+    pub fn add_candidate_set(
+        &mut self,
+        component: &str,
+        forced: Option<NodeId>,
+        nodes: Vec<NodeId>,
+    ) -> (u32, Rc<[NodeId]>) {
+        let nodes: Rc<[NodeId]> = nodes.into();
+        self.candidate_sets.push(CandidateSet {
+            component: component.to_string(),
+            forced,
+            nodes: Rc::clone(&nodes),
+        });
+        ((self.candidate_sets.len() - 1) as u32, nodes)
+    }
+
+    /// The route-table cell of `(from, to)`; `None` when an endpoint
+    /// lies outside the indexed domain.
+    pub fn route_cell(&mut self, from: NodeId, to: NodeId) -> Option<&mut RouteCell> {
+        let (row, column) = (self.slot[from.0 as usize], self.slot[to.0 as usize]);
+        if row == NO_SLOT || column == NO_SLOT {
+            return None;
+        }
+        let side = self.side;
+        let row = self.routes[row as usize]
+            .get_or_insert_with(|| vec![RouteCell::default(); side].into_boxed_slice());
+        Some(&mut row[column as usize])
+    }
+
+    /// Interns a flow context — `key` is the candidate-set id followed
+    /// by each child's packed `(host, provided id)` — and returns the
+    /// base of its verdict row, `width` (the set's length) cells wide.
+    pub fn flow_context(&mut self, key: &[u64], width: usize) -> usize {
+        if let Some(&base) = self.contexts.get(key) {
+            return base;
+        }
+        let base = self.verdicts.len();
+        self.verdicts.resize(base + width, UNKNOWN);
+        self.contexts.insert(key.to_vec(), base);
+        base
+    }
+
+    /// Reads verdict cell `cell` (a context base plus a candidate index).
+    pub fn verdict(&self, cell: usize) -> Verdict<'_> {
+        match self.verdicts[cell] {
+            UNKNOWN => Verdict::Unknown,
+            INFEASIBLE => Verdict::Infeasible,
+            code => Verdict::Feasible(&self.outcomes[(code - FEASIBLE_BASE) as usize]),
+        }
+    }
+
+    /// Records a computed flow — `(provided, factors)`, or `None` for an
+    /// incompatible placement — in verdict cell `cell`, interning the
+    /// provided bindings. The distinct-value population is tiny
+    /// (components produce the same effective bindings over and over),
+    /// so a linear scan beats hashing the bindings themselves.
+    pub fn record_flow(
+        &mut self,
+        cell: usize,
+        computed: Option<(ResolvedBindings, ResolvedBindings)>,
+    ) -> Option<FlowOutcome> {
+        let Some((provided, factors)) = computed else {
+            self.verdicts[cell] = INFEASIBLE;
+            return None;
+        };
+        let provided_id = match self.provided.iter().position(|v| **v == provided) {
+            Some(id) => id,
+            None => {
+                self.provided.push(Rc::new(provided));
+                self.provided.len() - 1
+            }
+        };
+        let outcome = FlowOutcome {
+            provided_id: provided_id as u32,
+            provided: Rc::clone(&self.provided[provided_id]),
+            factors: Rc::new(factors),
+        };
+        self.verdicts[cell] = FEASIBLE_BASE + self.outcomes.len() as u32;
+        self.outcomes.push(outcome.clone());
+        Some(outcome)
+    }
+}

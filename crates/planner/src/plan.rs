@@ -308,6 +308,11 @@ pub struct PlanStats {
     /// Subtrees cut by the admissible objective bound (branch-and-bound
     /// searches only; the unbounded oracle never sets this).
     pub bound_prunes: u64,
+    /// Property-flow computations the search descents actually ran:
+    /// plan-memo misses in the bounded search, every visit in the
+    /// memo-free oracle, DP and partial-order searches. Deterministic,
+    /// so it gates the memo layer machine-independently.
+    pub flow_evals: u64,
     /// Microseconds spent building the shared all-pairs route table
     /// (zero when the lazy per-mapper path was used).
     pub route_table_build_us: u64,
@@ -334,8 +339,11 @@ pub struct PlanStats {
     /// (`(composed − lower_bound) · 1e6`, saturating). Zero when
     /// refinement ran.
     pub hier_gap_micro: u64,
-    /// Lazy per-source routing rows materialized by the hierarchical
-    /// path (its substitute for the full route-table build).
+    /// Per-source routing rows (one Dijkstra each) this plan paid for:
+    /// every source for a full route-table build, the re-run sources
+    /// for a repair, and on the hierarchical path the lazy rows *this*
+    /// call added to the shared [`ScopedRoutes`](ps_net::ScopedRoutes)
+    /// — not the rows earlier plans of the epoch had already built.
     pub route_rows_built: u64,
 }
 
@@ -347,6 +355,7 @@ impl PlanStats {
         self.mappings_evaluated += other.mappings_evaluated;
         self.prunes += other.prunes;
         self.bound_prunes += other.bound_prunes;
+        self.flow_evals += other.flow_evals;
         self.route_table_build_us = self.route_table_build_us.max(other.route_table_build_us);
         self.plan_cache_hits += other.plan_cache_hits;
         self.hier_segments += other.hier_segments;

@@ -165,7 +165,7 @@ impl Planner {
         let with_table = |mapper| attach_table(mapper, &route_table);
 
         // One mapper per load model, shared across every candidate graph:
-        // credential translation and the route cache amortize over the
+        // credential translation and the plan memo amortize over the
         // whole search. The DP reasons per-component, so it gets the
         // matching load model regardless of the configuration.
         let configured_mapper = with_table(Mapper::new(
@@ -256,6 +256,7 @@ impl Planner {
         tracer.count("planner.mappings_evaluated", stats.mappings_evaluated);
         tracer.count("planner.prunes", stats.prunes);
         tracer.count("planner.bound_prunes", stats.bound_prunes);
+        tracer.count("planner.flow_evals", stats.flow_evals);
         tracer.gauge(
             "planner.route_table_build_wall_us",
             stats.route_table_build_us as f64,
@@ -457,7 +458,7 @@ impl Planner {
 
     /// Like [`plan`](Self::plan), but maps candidate linkage graphs onto
     /// the network on parallel threads. Each worker owns its own
-    /// [`Mapper`] (route caches are thread-local); results are reduced to
+    /// [`Mapper`] and with it its own plan memo; results are reduced to
     /// the same objective-optimal plan the serial path returns, with ties
     /// broken by graph order so the outcome stays deterministic.
     pub fn plan_parallel<T: PropertyTranslator + Sync + ?Sized>(

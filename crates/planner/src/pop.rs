@@ -35,8 +35,8 @@ pub fn search(
 ) -> Option<(Vec<NodeId>, Evaluation)> {
     let n = graph.len();
     let order = graph.bottom_up_order();
-    let candidates: Vec<Vec<NodeId>> = (0..n).map(|i| mapper.candidates(graph, i)).collect();
-    if candidates.iter().any(Vec::is_empty) {
+    let candidates: Vec<Rc<[NodeId]>> = (0..n).map(|i| mapper.candidates(graph, i)).collect();
+    if candidates.iter().any(|c| c.is_empty()) {
         return None;
     }
     let bounding = !matches!(mapper.objective, Objective::MaxCapacity);
@@ -46,20 +46,14 @@ pub fn search(
     // Admissible per-node lower bounds. A node's increment (see
     // [`State::increment`]) charges its own CPU plus the edges to its
     // children plus (for the root) the client edge; each term is bounded
-    // from below over the candidate sets, using the shared route cache.
+    // from below over the candidate sets, using the mapper's memoized
+    // route metrics.
     let min_rtt = |from_set: &[NodeId], to_set: &[NodeId], bytes: f64| -> f64 {
         let mut best = f64::INFINITY;
         for &a in from_set {
             for &b in to_set {
-                let rtt = match mapper.route(a, b) {
-                    Some(info) if !info.route.is_local() => {
-                        2.0 * info.route.latency.as_millis_f64()
-                            + if info.route.bottleneck_bps.is_finite() {
-                                bytes * 8.0 / info.route.bottleneck_bps * 1000.0
-                            } else {
-                                0.0
-                            }
-                    }
+                let rtt = match mapper.route_metrics(a, b) {
+                    Some(route) if !route.is_local() => route.rtt_ms(bytes),
                     Some(_) => 0.0,
                     None => continue,
                 };
@@ -137,7 +131,7 @@ struct State<'a, 'b> {
     mapper: &'a Mapper<'b>,
     graph: &'a LinkageGraph,
     order: Vec<usize>,
-    candidates: Vec<Vec<NodeId>>,
+    candidates: Vec<Rc<[NodeId]>>,
     rates: crate::load::RatePlan,
     suffix_bound: Vec<f64>,
     bounding: bool,
@@ -167,16 +161,13 @@ impl State<'_, '_> {
             lp * frac * behavior.cpu_per_request_ms / self.mapper.net.node(node).cpu_speed;
         if idx == 0 {
             // The implicit client -> root edge.
-            if let Some(info) = self.mapper.route(self.mapper.request.client_node, node) {
-                if !info.route.is_local() {
+            if let Some(route) = self
+                .mapper
+                .route_metrics(self.mapper.request.client_node, node)
+            {
+                if !route.is_local() {
                     let bytes = (behavior.bytes_per_request + behavior.bytes_per_response) as f64;
-                    let rtt = 2.0 * info.route.latency.as_millis_f64()
-                        + if info.route.bottleneck_bps.is_finite() {
-                            bytes * 8.0 / info.route.bottleneck_bps * 1000.0
-                        } else {
-                            0.0
-                        };
-                    cost += lp * rtt;
+                    cost += lp * route.rtt_ms(bytes);
                 }
             }
         }
@@ -184,19 +175,13 @@ impl State<'_, '_> {
             let Some(child_node) = self.assignment[child] else {
                 continue;
             };
-            if let Some(info) = self.mapper.route(node, child_node) {
+            if let Some(route) = self.mapper.route_metrics(node, child_node) {
                 let cb = self
                     .mapper
                     .spec
                     .behavior_of(&self.graph.nodes[child].component);
                 let bytes = (cb.bytes_per_request + cb.bytes_per_response) as f64;
-                let rtt = 2.0 * info.route.latency.as_millis_f64()
-                    + if info.route.bottleneck_bps.is_finite() {
-                        bytes * 8.0 / info.route.bottleneck_bps * 1000.0
-                    } else {
-                        0.0
-                    };
-                cost += lp * self.rates.fraction(child) * rtt;
+                cost += lp * self.rates.fraction(child) * route.rtt_ms(bytes);
             }
         }
         cost
@@ -250,7 +235,8 @@ impl State<'_, '_> {
         let idx = self.order[pos];
         // Feasible candidates with their flow results, cheapest first.
         let mut options: Vec<(f64, NodeId, ResolvedBindings)> = Vec::new();
-        for &node in &self.candidates[idx] {
+        for &node in self.candidates[idx].iter() {
+            self.stats.flow_evals += 1;
             match self
                 .mapper
                 .flow_at(self.graph, idx, node, &self.assignment, &self.provided)

@@ -105,11 +105,17 @@ fn translator() -> MappingTranslator {
 /// `as0` node hosting-capable, client drawn from the far side so the
 /// chain crosses region borders.
 fn world(seed: u64) -> (Network, NodeId, NodeId) {
+    fabric(seed, 4, 6)
+}
+
+/// [`world`] at a chosen size: `as_count` autonomous systems of
+/// `routers` routers, server in `as0`, client in the last one.
+fn fabric(seed: u64, as_count: usize, routers: usize) -> (Network, NodeId, NodeId) {
     let mut rng = Rng::seed_from_u64(seed);
     let params = HierParams {
-        as_count: 4,
+        as_count,
         router: FlatParams {
-            nodes: 6,
+            nodes: routers,
             ..FlatParams::default()
         },
         ..HierParams::default()
@@ -125,18 +131,23 @@ fn world(seed: u64) -> (Network, NodeId, NodeId) {
         .node_ids()
         .find(|&id| net.node(id).site == "as0")
         .unwrap();
+    let far_side = format!("as{}", as_count - 1);
     let client = net
         .node_ids()
-        .find(|&id| net.node(id).site == "as3")
+        .find(|&id| net.node(id).site == far_side)
         .unwrap();
     (net, client, server)
 }
 
 fn flat_planner() -> Planner {
+    flat_with(Algorithm::Exhaustive)
+}
+
+fn flat_with(algorithm: Algorithm) -> Planner {
     Planner::with_config(
         spec(),
         PlannerConfig {
-            algorithm: Algorithm::Exhaustive,
+            algorithm,
             ..PlannerConfig::default()
         },
     )
@@ -166,6 +177,7 @@ fn request(client: NodeId, server: NodeId) -> ServiceRequest {
 #[test]
 fn refined_hier_matches_flat_optimum_across_fabrics() {
     let flat = flat_planner();
+    let oracle = flat_with(Algorithm::Oracle);
     let hier = hier_planner(true);
     let translator = translator();
     let mut planned = 0u32;
@@ -176,6 +188,22 @@ fn refined_hier_matches_flat_optimum_across_fabrics() {
         let memo = HierMemo::new();
         let flat_plan = flat.plan(&net, &translator, &request);
         let hier_plan = hier.plan_hierarchical(&net, &translator, &request, &memo);
+        // Memo transparency: the memoised flat search is the memo-free
+        // oracle down to every node's host, provided properties and
+        // factors (the tunnel pair recurs across this spec's graphs
+        // over different children).
+        let oracle_plan = oracle.plan(&net, &translator, &request);
+        assert_eq!(
+            flat_plan
+                .as_ref()
+                .ok()
+                .map(|p| (p.objective_value, &p.placements)),
+            oracle_plan
+                .as_ref()
+                .ok()
+                .map(|p| (p.objective_value, &p.placements)),
+            "seed {seed}: memoised search diverged from the oracle"
+        );
         match (flat_plan, hier_plan) {
             (Ok(flat_plan), Ok(hier_plan)) => {
                 assert!(
@@ -312,4 +340,53 @@ fn region_local_change_invalidates_only_that_regions_memo() {
         return;
     }
     panic!("no fabric seed produced a composed plan with a multi-region memo");
+}
+
+/// `PlanStats::route_rows_built` is this plan's own routing work: a
+/// second plan through a shared memo reports only the rows it added to
+/// the epoch's `ScopedRoutes`, not the running total.
+#[test]
+fn plans_sharing_a_memo_report_only_their_own_routing_rows() {
+    let hier = hier_planner(false);
+    let translator = translator();
+    for seed in 0..14u64 {
+        // Large enough that the composition universe — the sources that
+        // get a row — is a small part of the fabric.
+        let (net, client, server) = fabric(4200 + seed, 5, 40);
+        let memo = HierMemo::new();
+        let Ok(first) = hier.plan_hierarchical(&net, &translator, &request(client, server), &memo)
+        else {
+            continue;
+        };
+        if first.stats.hier_segments == 0 {
+            continue;
+        }
+        let rows_after_first = memo.scoped_routes(&net).rows_built() as u64;
+        assert!(rows_after_first > 0, "seed {seed}");
+        assert_eq!(
+            first.stats.route_rows_built, rows_after_first,
+            "seed {seed}"
+        );
+
+        // The last router of the client's AS: every shortlist is a memo
+        // hit and most rows exist already, but its own source row does
+        // not.
+        let neighbour = net
+            .node_ids()
+            .filter(|&id| net.node(id).site == "as4")
+            .last()
+            .expect("as4 has routers");
+        let second = hier
+            .plan_hierarchical(&net, &translator, &request(neighbour, server), &memo)
+            .expect("the neighbour plans too");
+        let rows_after_second = memo.scoped_routes(&net).rows_built() as u64;
+        assert!(rows_after_second > rows_after_first, "seed {seed}");
+        assert_eq!(
+            second.stats.route_rows_built,
+            rows_after_second - rows_after_first,
+            "seed {seed}: the second plan must not be charged the first plan's rows"
+        );
+        return;
+    }
+    panic!("no fabric seed produced a composed plan");
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full offline verification pipeline: formatting, lints (clippy +
-# ps-lint), build, tests, bench smokes, and byte-identical determinism
-# checks for every artifact-writing bench bin. Everything runs without
+# ps-lint), build, tests (workspace and the benchmark package), bench
+# smokes, and byte-identical determinism checks for every
+# artifact-writing bench bin. Everything runs without
 # network access.
 #
 # Usage:
@@ -61,6 +62,14 @@ cargo test -q
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# `benchmark/` is a workspace of its own, so nothing above compiles it:
+# build it against the crates as they now are and run its --quick sizing
+# of every workload in both modes, so an API change cannot break the
+# measuring stick unnoticed. Shares this repo's target directory, as
+# `benchmark/run.sh` does, so the crates are not rebuilt.
+echo "==> benchmark package: cargo test --release --offline (compiles it, --quick smoke of every workload)"
+(cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$repo/target}" cargo test --release --offline -q)
 
 echo "==> bench smoke: bench_planner (writes BENCH_planner.json)"
 cargo run --release -q -p ps-bench --bin bench_planner

@@ -8,8 +8,10 @@ use partitionable_services::mail::workload::{ClusterConfig, ClusterDriver};
 use partitionable_services::mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use partitionable_services::net::brite::{hierarchical, FlatParams, HierParams};
 use partitionable_services::net::{Credentials, Network, NodeId};
-use partitionable_services::planner::ServiceRequest;
-use partitionable_services::sim::Rng;
+use partitionable_services::planner::{
+    Algorithm, HierConfig, HierMemo, Planner, PlannerConfig, ServiceRequest,
+};
+use partitionable_services::sim::{Rng, SimDuration};
 use partitionable_services::smock::{CoherencePolicy, ServiceRegistration};
 use partitionable_services::spec::Behavior;
 
@@ -164,4 +166,97 @@ fn planning_effort_stays_bounded_on_larger_networks() {
         "planning took {elapsed_ms:.0} ms — the branch-and-bound pruning regressed"
     );
     assert!(plan.stats.mappings_evaluated > 0);
+}
+
+/// A leaf host hung off `uplink` by a secure 100 µs LAN hop.
+fn leaf(net: &mut Network, name: &str, uplink: NodeId, trust: i64, domain: &str) -> NodeId {
+    let site = net.node(uplink).site.clone();
+    let credentials = Credentials::new()
+        .with("TrustRating", trust)
+        .with("Domain", domain);
+    let host = net.add_node(name, site, 1.0, credentials);
+    net.add_link(
+        uplink,
+        host,
+        SimDuration::from_micros(100),
+        1e9,
+        Credentials::new().with("Secure", true),
+    );
+    host
+}
+
+/// The machine-independent gate on the planner's plan-scoped memo: a
+/// cold hierarchical plan of the mail service on a seeded 5-AS transit
+/// fabric (partner-grade routers, company datacentre hosts in `as0` and
+/// `as1`, a partner-grade client leaf in `as4` — the repo benchmark's
+/// fabric at a fifth of its size) runs a pinned number of property-flow
+/// computations. Every verdict is computed once per planning call: 269
+/// computations answer the ~2 400 candidates that reach a flow check
+/// across the plan's 38 linkage graphs. A memo thrown away per graph
+/// (the design this one replaced) needs 853, and one keyed on more than
+/// the flow reads needs more still — the ceiling sits between.
+#[test]
+fn cold_hierarchical_plan_stays_under_the_flow_eval_ceiling() {
+    let mut rng = Rng::seed_from_u64(42).derive("flow-eval-gate");
+    let params = HierParams {
+        as_count: 5,
+        router: FlatParams {
+            nodes: 20,
+            ..FlatParams::default()
+        },
+        ..HierParams::default()
+    };
+    let mut net = hierarchical(&mut rng, &params);
+    let routers: Vec<NodeId> = net.node_ids().collect();
+    for &id in &routers {
+        net.node_mut(id).credentials = Credentials::new()
+            .with("TrustRating", 4i64)
+            .with("Domain", "partner");
+    }
+    let uplinks = |net: &Network, site: &str| -> Vec<NodeId> {
+        routers
+            .iter()
+            .copied()
+            .filter(|&n| net.node(n).site == site)
+            .collect()
+    };
+    let hq: Vec<NodeId> = uplinks(&net, "as0")
+        .into_iter()
+        .take(4)
+        .enumerate()
+        .map(|(i, router)| leaf(&mut net, &format!("hq-{i}"), router, 5, "company"))
+        .collect();
+    for (i, router) in uplinks(&net, "as1").into_iter().take(4).enumerate() {
+        leaf(&mut net, &format!("branch-{i}"), router, 3, "company");
+    }
+    let attach = *uplinks(&net, "as4").last().expect("as4 has routers");
+    let client = leaf(&mut net, "client", attach, 4, "partner");
+
+    let planner = Planner::with_config(
+        mail_spec(),
+        PlannerConfig {
+            algorithm: Algorithm::Exhaustive,
+            hier: Some(HierConfig::default()),
+            ..PlannerConfig::default()
+        },
+    );
+    let request = ServiceRequest::new(CLIENT_INTERFACE, client)
+        .rate(2.0)
+        .pin(MAIL_SERVER, hq[0])
+        .origin(hq[0])
+        .free_root()
+        .require("TrustLevel", 4i64);
+    let plan = planner
+        .plan_hierarchical(&net, &mail_translator(), &request, &HierMemo::new())
+        .expect("feasible");
+    assert!(
+        plan.stats.hier_segments > 0,
+        "the plan must compose regions"
+    );
+    assert!(plan.stats.graphs_enumerated > 1 && plan.stats.flow_evals > 0);
+    assert!(
+        plan.stats.flow_evals <= 320,
+        "{} property-flow computations for one cold plan — the plan-scoped memo regressed",
+        plan.stats.flow_evals
+    );
 }
