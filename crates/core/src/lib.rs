@@ -41,7 +41,7 @@ use ps_sim::SimTime;
 use ps_smock::{
     ComponentLogic, ConnectError, Connection, GenericServer, InstanceId, ServiceRegistration, World,
 };
-use ps_spec::{Behavior, ResolvedBindings, ServiceSpec};
+use ps_spec::{Behavior, ResolvedBindings};
 
 /// A primary instance installed with [`Framework::install_primary`]:
 /// remembered so a heal pass can re-install it after its host restarts
@@ -149,13 +149,12 @@ impl Framework {
         component: &str,
         node: NodeId,
     ) -> Result<InstanceId, ConnectError> {
-        let spec: ServiceSpec = self
+        let behavior: Behavior = self
             .server
             .lookup
             .by_name(service)
-            .map(|r| r.spec.clone())
+            .map(|r| r.spec.behavior_of(component))
             .ok_or_else(|| ConnectError::UnknownService(service.to_owned()))?;
-        let behavior: Behavior = spec.behavior_of(component);
         let env = self
             .server
             .translator

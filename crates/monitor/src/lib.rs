@@ -155,7 +155,20 @@ impl NetworkMonitor {
 
     /// Diffs `current` against the stored baseline, returning every
     /// change and advancing the baseline.
+    ///
+    /// `current` must be the network the baseline was taken from, or a
+    /// descendant of it (a clone mutated further): every mutator bumps
+    /// [`Network::epoch`], so an unmoved epoch — with unmoved node and
+    /// link counts — means nothing changed, and the poll returns without
+    /// comparing or re-baselining anything. The same contract
+    /// [`ps_net::RouteTable::is_current`] relies on.
     pub fn observe(&mut self, current: &Network) -> Vec<NetworkChange> {
+        if current.epoch() == self.baseline.epoch()
+            && current.node_count() == self.baseline.node_count()
+            && current.link_count() == self.baseline.link_count()
+        {
+            return Vec::new();
+        }
         let mut changes = Vec::new();
         for (old, new) in self.baseline.links().iter().zip(current.links()) {
             if old.latency != new.latency {
@@ -489,6 +502,80 @@ mod tests {
         let restored = monitor.observe(&after);
         assert!(restored.contains(&NetworkChange::NodeUp { node: NodeId(1) }));
         assert!(restored.contains(&NetworkChange::LinkUp { link: LinkId(0) }));
+    }
+
+    #[test]
+    fn same_epoch_poll_reports_nothing_and_keeps_the_baseline() {
+        let net = two_site_net(100);
+        let mut monitor = NetworkMonitor::new(net.clone());
+        for _ in 0..3 {
+            assert!(monitor.observe(&net).is_empty());
+        }
+        assert_eq!(monitor.baseline.epoch(), net.epoch());
+    }
+
+    #[test]
+    fn touch_reports_nothing_but_advances_the_baseline() {
+        let mut net = two_site_net(100);
+        let mut monitor = NetworkMonitor::new(net.clone());
+        net.touch();
+        assert!(monitor.observe(&net).is_empty());
+        assert_eq!(
+            monitor.baseline.epoch(),
+            net.epoch(),
+            "the next poll must take the same-epoch exit"
+        );
+    }
+
+    /// A skipped poll must not blunt the next one: after a same-epoch
+    /// poll, a change of every kind is still reported, exactly once.
+    #[test]
+    fn every_change_kind_is_seen_after_a_skipped_poll() {
+        let mut net = two_site_net(100);
+        let mut monitor = NetworkMonitor::new(net.clone());
+        let (node, link) = (NodeId(1), LinkId(0));
+        let mut poll = |net: &Network| {
+            let changes = monitor.observe(net);
+            assert!(monitor.observe(net).is_empty(), "reported twice");
+            changes
+        };
+        assert!(poll(&net).is_empty());
+
+        net.link_mut(link).latency = SimDuration::from_millis(300);
+        assert_eq!(
+            poll(&net),
+            [NetworkChange::LinkLatency {
+                link,
+                old: SimDuration::from_millis(100),
+                new: SimDuration::from_millis(300),
+            }]
+        );
+        net.link_mut(link).bandwidth_bps = 5e6;
+        let bandwidth = NetworkChange::LinkBandwidth {
+            link,
+            old: 1e7,
+            new: 5e6,
+        };
+        assert_eq!(poll(&net), [bandwidth]);
+        net.link_mut(link).credentials.set("Secure", false);
+        assert_eq!(poll(&net), [NetworkChange::LinkCredentials { link }]);
+        net.set_link_up(link, false);
+        assert_eq!(poll(&net), [NetworkChange::LinkDown { link }]);
+        net.set_link_up(link, true);
+        assert_eq!(poll(&net), [NetworkChange::LinkUp { link }]);
+        net.node_mut(node).credentials.set("TrustRating", 1i64);
+        assert_eq!(poll(&net), [NetworkChange::NodeCredentials { node }]);
+        net.node_mut(node).cpu_speed = 2.0;
+        let speed = NetworkChange::NodeSpeed {
+            node,
+            old: 1.0,
+            new: 2.0,
+        };
+        assert_eq!(poll(&net), [speed]);
+        net.set_node_up(node, false);
+        assert_eq!(poll(&net), [NetworkChange::NodeDown { node }]);
+        net.set_node_up(node, true);
+        assert_eq!(poll(&net), [NetworkChange::NodeUp { node }]);
     }
 
     #[test]

@@ -86,16 +86,35 @@ impl RouteMetrics {
         self.hops == 0
     }
 
+    /// Seconds the bottleneck link needs to put `bytes` on the wire
+    /// (zero on the empty route, whose bandwidth is infinite).
+    fn serialization_secs(&self, bytes: f64) -> f64 {
+        if self.bottleneck_bps.is_finite() {
+            bytes * 8.0 / self.bottleneck_bps
+        } else {
+            0.0
+        }
+    }
+
     /// Round-trip milliseconds of one request moving `bytes`
     /// (request + response) over the route: twice the propagation
     /// latency plus the serialization time at the bottleneck.
     pub fn rtt_ms(&self, bytes: f64) -> f64 {
-        2.0 * self.latency.as_millis_f64()
-            + if self.bottleneck_bps.is_finite() {
-                bytes * 8.0 / self.bottleneck_bps * 1000.0
-            } else {
-                0.0
-            }
+        2.0 * self.latency.as_millis_f64() + self.serialization_secs(bytes) * 1000.0
+    }
+
+    /// Virtual time to move `bytes` one way over the route: propagation
+    /// latency plus serialization at the bottleneck, zero when local.
+    pub fn transfer_time(&self, bytes: u64) -> SimDuration {
+        self.latency + SimDuration::from_secs_f64(self.serialization_secs(bytes as f64))
+    }
+
+    /// [`transfer_time`](Self::transfer_time) in the planner's unit,
+    /// fractional milliseconds, *not* rounded to the simulator's
+    /// nanosecond tick: deployment cost feeds the objective's
+    /// tie-break term, whose bits a rounding would perturb.
+    pub fn transfer_ms(&self, bytes: u64) -> f64 {
+        self.latency.as_millis_f64() + self.serialization_secs(bytes as f64) * 1000.0
     }
 }
 
@@ -311,6 +330,21 @@ mod tests {
         assert_eq!(route.latency, SimDuration::from_millis(2));
         assert_eq!(route.via, vec![NodeId(1)]);
         assert_eq!(route.bottleneck_bps, 1e6);
+    }
+
+    #[test]
+    fn transfer_is_latency_plus_serialization_at_the_bottleneck() {
+        let net = triangle();
+        let route = shortest_route(&net, NodeId(0), NodeId(2))
+            .unwrap()
+            .metrics();
+        // 2 ms of propagation + 125 kB over the 1 Mb/s hop = 1 s.
+        assert_eq!(route.transfer_time(125_000), SimDuration::from_millis(1002));
+        assert_eq!(route.transfer_ms(125_000), 1002.0);
+        assert_eq!(route.rtt_ms(125_000.0), 1004.0);
+        let local = Route::local(NodeId(0)).metrics();
+        assert_eq!(local.transfer_time(1 << 20), SimDuration::ZERO);
+        assert_eq!(local.transfer_ms(1 << 20), 0.0);
     }
 
     #[test]

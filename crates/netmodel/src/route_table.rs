@@ -485,6 +485,23 @@ impl ScopedRoutes {
         })
     }
 
+    /// Virtual time to move `bytes` from `from` to `to`
+    /// ([`RouteMetrics::transfer_time`] of the route between them):
+    /// zero when local — without materializing a row — or unreachable.
+    pub fn transfer_time(
+        &self,
+        net: &Network,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> SimDuration {
+        if from == to {
+            return SimDuration::ZERO;
+        }
+        self.metrics(net, from, to)
+            .map_or(SimDuration::ZERO, |route| route.transfer_time(bytes))
+    }
+
     /// Intermediate nodes (excluding endpoints) on the shortest path
     /// from `from` to `to`, or `None` when unreachable: a walk of
     /// `from`'s predecessor row, no [`Route`] is materialized.
@@ -734,14 +751,24 @@ mod tests {
                     scoped.metrics(&net, from, to),
                     route.as_ref().map(Route::metrics)
                 );
+                assert_eq!(
+                    scoped.transfer_time(&net, from, to, 4096),
+                    route
+                        .as_ref()
+                        .map_or(SimDuration::ZERO, |r| r.metrics().transfer_time(4096))
+                );
                 assert_eq!(scoped.via_nodes(&net, from, to), route.map(|r| r.via));
             }
         }
         assert_eq!(scoped.rows_built(), 2, "only the queried sources");
-        // Local latency never materializes a row.
+        // Local questions never materialize a row.
         assert_eq!(
             scoped.latency(&net, NodeId(3), NodeId(3)),
             Some(SimDuration::ZERO)
+        );
+        assert_eq!(
+            scoped.transfer_time(&net, NodeId(3), NodeId(3), 4096),
+            SimDuration::ZERO
         );
         assert_eq!(scoped.rows_built(), 2);
     }

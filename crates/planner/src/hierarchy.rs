@@ -36,9 +36,12 @@ use crate::exhaustive;
 use crate::linkage::{enumerate_linkages_multi, LinkageGraph};
 use crate::load::propagate_rates;
 use crate::mapping::Mapper;
-use crate::plan::{Objective, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest};
+use crate::plan::{
+    ExistingInstance, Objective, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
+};
 use crate::planner::{assemble_plan, Planner, RepairContext};
 use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, RouteTable, ScopedRoutes};
+use ps_spec::{Environment, ResolvedBindings};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -84,10 +87,21 @@ struct RegionWork {
     wall_us: u64,
 }
 
-/// Shared subplan memo for hierarchical planning: the region map, the
-/// lazy route rows, and per-region segment shortlists. One memo is
-/// typically owned by the serving layer and shared by every concurrent
-/// connect and heal pass against the same network.
+/// The serving layer's one memo: everything a connect or a heal-pass
+/// repair would otherwise re-derive against an unchanged network. One
+/// memo is owned by the generic server and shared by every connect and
+/// repair it runs. Its parts and what retires them:
+///
+/// | part | key | retired by |
+/// |---|---|---|
+/// | lazy route rows ([`ScopedRoutes`]) | source node | any network epoch change |
+/// | completed plans | the request, by value, under one live-instance set | any epoch change; a plan stored under another live set |
+/// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
+/// | region map | — | a node or link count change |
+///
+/// Every entry point runs the same epoch check first, so a row or plan
+/// of an older epoch can never answer; shortlists carry their region's
+/// epoch and outlive a change elsewhere in the fabric.
 #[derive(Debug, Default)]
 pub struct HierMemo {
     inner: Mutex<MemoInner>,
@@ -97,12 +111,55 @@ pub struct HierMemo {
 struct MemoInner {
     region_map: Option<Arc<RegionMap>>,
     scoped: Option<Arc<ScopedRoutes>>,
-    /// (region index, component, request signature) → (region epoch at
+    plans: PlanCache,
+    /// Distinct request signatures seen, compared by value; a shortlist
+    /// key names one by its index here.
+    signatures: Vec<RequestSignature>,
+    /// (region index, component, signature index) → (region epoch at
     /// solve time, shortlist). Entries whose epoch no longer matches the
     /// live region are stale and recomputed on next use.
-    shortlists: BTreeMap<(u32, String, u64), (u64, Vec<NodeId>)>,
+    shortlists: BTreeMap<ShortlistKey, (u64, Vec<NodeId>)>,
     hits: u64,
     misses: u64,
+}
+
+type ShortlistKey = (u32, String, u32);
+
+/// Completed plans of the current network epoch and one live-instance
+/// set. A hit is exact: the planner is a pure function of the network
+/// (fixed for the epoch), the registered service, the request and the
+/// attachable instances, and the entry matches all of them by value.
+#[derive(Debug, Default)]
+struct PlanCache {
+    /// The attachable instances every entry was planned against.
+    live: Vec<ExistingInstance>,
+    /// Entries bucketed by (client, rate bits) — a typed prefix of the
+    /// request, so a lookup compares few whole requests.
+    by_client: BTreeMap<(NodeId, u64), Vec<CachedPlan>>,
+}
+
+#[derive(Debug)]
+struct CachedPlan {
+    service: String,
+    request: ServiceRequest,
+    plan: Arc<Plan>,
+}
+
+impl MemoInner {
+    /// The epoch check every entry point runs: when the network moved
+    /// on, the route rows are replaced by an empty table of the new
+    /// epoch and every cached plan is dropped.
+    fn sync(&mut self, net: &Network) -> Arc<ScopedRoutes> {
+        match &self.scoped {
+            Some(scoped) if scoped.is_current(net) => Arc::clone(scoped),
+            _ => {
+                let scoped = Arc::new(ScopedRoutes::new(net));
+                self.scoped = Some(Arc::clone(&scoped));
+                self.plans.by_client.clear();
+                scoped
+            }
+        }
+    }
 }
 
 impl HierMemo {
@@ -129,19 +186,102 @@ impl HierMemo {
         }
     }
 
-    /// The cached lazy route rows for the network's current epoch,
-    /// replaced wholesale on any epoch change (rebuilding a handful of
-    /// on-demand rows is cheaper than classifying damage).
+    /// The lazy route rows for the network's current epoch, replaced
+    /// wholesale on any epoch change (rebuilding a handful of on-demand
+    /// rows is cheaper than classifying damage).
     pub fn scoped_routes(&self, net: &Network) -> Arc<ScopedRoutes> {
+        self.lock().sync(net)
+    }
+
+    /// Source rows the current epoch's route table holds (zero before
+    /// the first route question). Deterministic, so "a warm connect
+    /// runs no Dijkstra" is checkable as a count.
+    pub fn route_rows_built(&self) -> usize {
+        self.lock()
+            .scoped
+            .as_ref()
+            .map_or(0, |scoped| scoped.rows_built())
+    }
+
+    /// The plan stored for exactly this `service`, `request` and `live`
+    /// instance set at the network's current epoch.
+    pub fn cached_plan(
+        &self,
+        net: &Network,
+        service: &str,
+        request: &ServiceRequest,
+        live: &[ExistingInstance],
+    ) -> Option<Arc<Plan>> {
         let mut inner = self.lock();
-        match &inner.scoped {
-            Some(scoped) if scoped.is_current(net) => Arc::clone(scoped),
-            _ => {
-                let scoped = Arc::new(ScopedRoutes::new(net));
-                inner.scoped = Some(Arc::clone(&scoped));
-                scoped
-            }
+        inner.sync(net);
+        if inner.plans.live != live {
+            return None;
         }
+        inner
+            .plans
+            .by_client
+            .get(&(request.client_node, request.rate.to_bits()))?
+            .iter()
+            .find(|entry| entry.service == service && entry.request.same_as(request))
+            .map(|entry| Arc::clone(&entry.plan))
+    }
+
+    /// Stores a completed plan. Plans stored under another live set
+    /// could only answer if that exact set came back, so they are
+    /// swept here: the cache holds one entry per distinct request of
+    /// the current epoch and live set, however instances churn.
+    pub fn store_plan(
+        &self,
+        net: &Network,
+        service: &str,
+        request: &ServiceRequest,
+        live: Vec<ExistingInstance>,
+        plan: Arc<Plan>,
+    ) {
+        let mut inner = self.lock();
+        inner.sync(net);
+        if inner.plans.live != live {
+            inner.plans.by_client.clear();
+            inner.plans.live = live;
+        }
+        inner
+            .plans
+            .by_client
+            .entry((request.client_node, request.rate.to_bits()))
+            .or_default()
+            .push(CachedPlan {
+                service: service.to_owned(),
+                request: request.clone(),
+                plan,
+            });
+    }
+
+    /// Drops every cached plan (routes and shortlists stay).
+    pub fn clear_plans(&self) {
+        self.lock().plans.by_client.clear();
+    }
+
+    /// Number of cached plans.
+    pub fn cached_plans(&self) -> usize {
+        self.lock().plans.by_client.values().map(Vec::len).sum()
+    }
+
+    /// The index of `request`'s signature among those seen so far,
+    /// interning it on first sight. Identity is the signature's value:
+    /// two requests share shortlists only when every field the
+    /// signature carries is equal.
+    fn signature_id(&self, request: &ServiceRequest) -> u32 {
+        let signature = RequestSignature::of(request);
+        let mut inner = self.lock();
+        let at = inner
+            .signatures
+            .iter()
+            .position(|seen| *seen == signature)
+            .unwrap_or_else(|| {
+                inner.signatures.push(signature);
+                inner.signatures.len() - 1
+            });
+        at as u32
     }
 
     /// Looks up a shortlist; a hit requires the stored region epoch to
@@ -150,7 +290,7 @@ impl HierMemo {
         &self,
         net: &Network,
         region_name: &str,
-        key: &(u32, String, u64),
+        key: &ShortlistKey,
     ) -> Option<Vec<NodeId>> {
         let mut inner = self.lock();
         let live = net.region_epoch(region_name);
@@ -171,7 +311,7 @@ impl HierMemo {
         &self,
         net: &Network,
         region_name: &str,
-        key: (u32, String, u64),
+        key: ShortlistKey,
         nodes: Vec<NodeId>,
     ) {
         let epoch = net.region_epoch(region_name);
@@ -208,41 +348,37 @@ impl HierMemo {
     }
 }
 
-/// Client-independent request signature for memo keying: interfaces,
-/// request environment, requirements, degraded flag, pinning, and the
-/// attachable existing instances. The client node and request rate are
-/// deliberately excluded — shortlist membership does not depend on
-/// them, so a whole client population shares one signature.
-pub fn request_signature(request: &ServiceRequest) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut eat = |text: &str| {
-        for byte in text.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
+/// Client-independent identity of a request for shortlist keying:
+/// interfaces, request environment, requirements, degraded flag,
+/// pinning, and the attachable existing instances, compared by value.
+/// The client node and request rate are deliberately excluded —
+/// shortlist membership does not depend on them, so a whole client
+/// population shares one signature.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RequestSignature {
+    interfaces: Vec<String>,
+    request_env: Environment,
+    required: ResolvedBindings,
+    degraded: bool,
+    pinned: BTreeMap<String, NodeId>,
+    /// Sorted: the attachable instances are a set, the order they were
+    /// declared in carries nothing.
+    existing: Vec<ExistingInstance>,
+}
+
+impl RequestSignature {
+    fn of(request: &ServiceRequest) -> Self {
+        let mut existing = request.existing.clone();
+        existing.sort_unstable();
+        RequestSignature {
+            interfaces: request.interfaces.clone(),
+            request_env: request.request_env.clone(),
+            required: request.required.clone(),
+            degraded: request.degraded,
+            pinned: request.pinned.clone(),
+            existing,
         }
-        // Field separator so adjacent fields cannot alias.
-        hash ^= 0xff;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    };
-    for interface in &request.interfaces {
-        eat(interface);
     }
-    eat(&format!("{:?}", request.request_env));
-    eat(&format!("{:?}", request.required));
-    eat(if request.degraded { "degraded" } else { "-" });
-    eat(&format!("{:?}", request.pinned));
-    let mut existing: Vec<String> = request
-        .existing
-        .iter()
-        .map(|e| format!("{}@{}:{:?}", e.component, e.node, e.factors))
-        .collect();
-    existing.sort_unstable();
-    for entry in &existing {
-        eat(entry);
-    }
-    hash
 }
 
 /// Everything one hierarchical solve needs: the universe-restricted
@@ -549,7 +685,7 @@ impl Planner {
         let cfg = self.config.hier.clone().unwrap_or_default();
         let scoped = memo.scoped_routes(net);
         let rows_before = scoped.rows_built();
-        let sig = request_signature(request);
+        let sig = memo.signature_id(request);
 
         // Anchors: nodes every candidate plan is tethered to.
         let mut anchors: Vec<NodeId> = vec![request.client_node, request.effective_origin()];
@@ -809,18 +945,54 @@ mod tests {
 
     #[test]
     fn signature_ignores_client_and_rate_but_not_env() {
+        let sig = RequestSignature::of;
         let base = ServiceRequest::new("Mail", NodeId(3)).rate(2.0);
         let other_client = ServiceRequest::new("Mail", NodeId(9)).rate(7.5);
-        assert_eq!(request_signature(&base), request_signature(&other_client));
+        assert_eq!(sig(&base), sig(&other_client));
 
         let degraded = ServiceRequest::new("Mail", NodeId(3)).degraded_mode();
-        assert_ne!(request_signature(&base), request_signature(&degraded));
+        assert_ne!(sig(&base), sig(&degraded));
 
         let pinned = ServiceRequest::new("Mail", NodeId(3)).pin("MailServer", NodeId(1));
-        assert_ne!(request_signature(&base), request_signature(&pinned));
+        assert_ne!(sig(&base), sig(&pinned));
 
         let required = ServiceRequest::new("Mail", NodeId(3)).require("Confidential", true);
-        assert_ne!(request_signature(&base), request_signature(&required));
+        assert_ne!(sig(&base), sig(&required));
+
+        // Attachable instances are a set: declaration order is not
+        // part of the identity, membership is.
+        let vms = |r: ServiceRequest, n| {
+            r.existing_instance("ViewMailServer", NodeId(n), ResolvedBindings::new())
+        };
+        assert_eq!(
+            sig(&vms(vms(base.clone(), 4), 5)),
+            sig(&vms(vms(base.clone(), 5), 4))
+        );
+        assert_ne!(sig(&vms(base.clone(), 4)), sig(&vms(base.clone(), 5)));
+    }
+
+    /// Shortlists are keyed on the signature's value, not on a hash of
+    /// it: requests that differ in any signature field get their own
+    /// entries, requests that differ only outside it share one.
+    #[test]
+    fn shortlists_are_shared_by_equal_signatures_only() {
+        let mut net = Network::new();
+        let host = net.add_node("a", "as0", 1.0, ps_net::Credentials::new());
+        let memo = HierMemo::new();
+        let plain = ServiceRequest::new("Mail", NodeId(3));
+        let strict = plain.clone().require("Confidential", true);
+        let elsewhere = ServiceRequest::new("Mail", NodeId(9)).rate(7.5);
+        assert_ne!(memo.signature_id(&plain), memo.signature_id(&strict));
+        assert_eq!(memo.signature_id(&plain), memo.signature_id(&elsewhere));
+
+        let key = |request| (0, "MailServer".to_owned(), memo.signature_id(request));
+        memo.store_shortlist(&net, "as0", key(&plain), vec![host]);
+        assert_eq!(memo.shortlist(&net, "as0", &key(&strict)), None);
+        assert_eq!(
+            memo.shortlist(&net, "as0", &key(&elsewhere)),
+            Some(vec![host])
+        );
+        assert_eq!((memo.hits(), memo.misses()), (1, 1));
     }
 
     #[test]

@@ -31,14 +31,15 @@ pub mod plan;
 pub mod planner;
 pub mod pop;
 
-pub use hierarchy::{request_signature, HierConfig, HierMemo};
+pub use hierarchy::{HierConfig, HierMemo};
 pub use linkage::{
     enumerate_linkages, enumerate_linkages_multi, LinkageGraph, LinkageLimits, LinkageNode,
 };
 pub use load::{propagate_rates, LoadModel, RatePlan};
 pub use mapping::{Evaluation, Mapper, AVOID_PENALTY};
 pub use plan::{
-    Objective, Placement, Plan, PlanEdge, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
+    ExistingInstance, Objective, Placement, Plan, PlanEdge, PlanError, PlanRepairStats, PlanStats,
+    ServiceRequest,
 };
 pub use planner::{Algorithm, Planner, PlannerConfig, RepairContext};
 

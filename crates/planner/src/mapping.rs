@@ -746,13 +746,8 @@ impl<'a> Mapper<'a> {
     /// `origin` to `node`: one-way latency plus serialization at the
     /// bottleneck; zero when local or unreachable.
     pub(crate) fn transfer_ms(&self, origin: NodeId, node: NodeId, code_size: u64) -> f64 {
-        match self.route_metrics(origin, node) {
-            Some(route) if !route.is_local() => {
-                route.latency.as_millis_f64()
-                    + code_size as f64 * 8.0 / route.bottleneck_bps * 1000.0
-            }
-            _ => 0.0,
-        }
+        self.route_metrics(origin, node)
+            .map_or(0.0, |route| route.transfer_ms(code_size))
     }
 
     /// Rates for a graph under this request.

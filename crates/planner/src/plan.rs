@@ -11,7 +11,7 @@ use std::fmt;
 /// — this is how the paper's Seattle clients end up chained onto the
 /// ViewMailServer previously deployed for San Diego — and charges no
 /// deployment cost for them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ExistingInstance {
     /// Component name.
     pub component: String,
@@ -210,6 +210,38 @@ impl ServiceRequest {
         self.origin
             .or_else(|| self.pinned.values().next().copied())
             .unwrap_or(self.client_node)
+    }
+
+    /// Whether `other` is this request field for field — the identity a
+    /// plan cache keys on. `rate` compares by bit pattern, so a NaN
+    /// rate equals itself and `0.0` differs from `-0.0`: two requests
+    /// are the same only when the planner cannot tell them apart.
+    pub fn same_as(&self, other: &ServiceRequest) -> bool {
+        // Destructured so that a new field cannot be left out silently.
+        let ServiceRequest {
+            interfaces,
+            client_node,
+            rate,
+            request_env,
+            pinned,
+            origin,
+            required,
+            existing,
+            colocate_root,
+            avoided,
+            degraded,
+        } = self;
+        *client_node == other.client_node
+            && rate.to_bits() == other.rate.to_bits()
+            && *interfaces == other.interfaces
+            && *request_env == other.request_env
+            && *pinned == other.pinned
+            && *origin == other.origin
+            && *required == other.required
+            && *existing == other.existing
+            && *colocate_root == other.colocate_root
+            && *avoided == other.avoided
+            && *degraded == other.degraded
     }
 }
 

@@ -90,24 +90,25 @@ impl Default for PlannerConfig {
 /// The planning module.
 #[derive(Debug, Clone)]
 pub struct Planner {
-    /// Service specification being planned for.
-    pub spec: ServiceSpec,
+    /// Service specification being planned for (shared with whoever
+    /// registered it: a planner per connect costs no deep copy).
+    pub spec: Arc<ServiceSpec>,
     /// Configuration.
     pub config: PlannerConfig,
 }
 
 impl Planner {
     /// Creates a planner with default configuration.
-    pub fn new(spec: ServiceSpec) -> Self {
-        Planner {
-            spec,
-            config: PlannerConfig::default(),
-        }
+    pub fn new(spec: impl Into<Arc<ServiceSpec>>) -> Self {
+        Planner::with_config(spec, PlannerConfig::default())
     }
 
     /// Creates a planner with an explicit configuration.
-    pub fn with_config(spec: ServiceSpec, config: PlannerConfig) -> Self {
-        Planner { spec, config }
+    pub fn with_config(spec: impl Into<Arc<ServiceSpec>>, config: PlannerConfig) -> Self {
+        Planner {
+            spec: spec.into(),
+            config,
+        }
     }
 
     /// Enumeration limits effective for one request: a degraded-mode

@@ -13,7 +13,7 @@
 use crate::component::InstanceId;
 use crate::registry::{Blueprint, ComponentRegistry, FactoryArgs};
 use crate::world::World;
-use ps_net::{shortest_route, NodeId, PropertyTranslator};
+use ps_net::{NodeId, PropertyTranslator, ScopedRoutes};
 use ps_planner::Plan;
 use ps_sim::{SimDuration, SimTime};
 use ps_spec::ServiceSpec;
@@ -81,8 +81,11 @@ impl std::error::Error for DeployError {}
 
 /// Executes `plan` in `world`, shipping blueprints from `origin`.
 ///
-/// `translator` supplies the node environments handed to factories.
-/// Returns the deployment handle with per-graph-node instances.
+/// `translator` supplies the node environments handed to factories;
+/// `routes` (current for the world's network) prices each blueprint
+/// transfer from `origin`'s row — one Dijkstra per origin and network
+/// epoch, not per blueprint. Returns the deployment handle with
+/// per-graph-node instances.
 pub fn execute<T: PropertyTranslator + ?Sized>(
     world: &mut World,
     registry: &ComponentRegistry,
@@ -90,6 +93,7 @@ pub fn execute<T: PropertyTranslator + ?Sized>(
     spec: &ServiceSpec,
     plan: &Plan,
     origin: NodeId,
+    routes: &ScopedRoutes,
 ) -> Result<Deployment, DeployError> {
     let now = world.now();
     let n = plan.placements.len();
@@ -136,7 +140,7 @@ pub fn execute<T: PropertyTranslator + ?Sized>(
                 factors: placement.factors.clone(),
                 code_size: behavior.code_size,
             });
-            blueprint_transfer_time(world, origin, placement.node, behavior.code_size)
+            routes.transfer_time(world.network(), origin, placement.node, behavior.code_size)
         };
         let start_at = now + transfer + STARTUP_DELAY;
         ready_at = ready_at.max(start_at);
@@ -191,24 +195,4 @@ fn node_env<T: PropertyTranslator + ?Sized>(
     node: NodeId,
 ) -> ps_spec::Environment {
     translator.node_env(world.network().node(node))
-}
-
-/// Blueprint transfer time from `origin` to `node` over current routes
-/// (latency + serialization at the bottleneck), zero when local.
-pub fn blueprint_transfer_time(
-    world: &World,
-    origin: NodeId,
-    node: NodeId,
-    code_size: u64,
-) -> SimDuration {
-    if origin == node {
-        return SimDuration::ZERO;
-    }
-    match shortest_route(world.network(), origin, node) {
-        Some(route) if !route.is_local() => {
-            let ser = SimDuration::from_secs_f64(code_size as f64 * 8.0 / route.bottleneck_bps);
-            route.latency + ser
-        }
-        _ => SimDuration::ZERO,
-    }
 }

@@ -11,6 +11,7 @@ use ps_net::NodeId;
 use ps_sim::{SimDuration, SimTime};
 use ps_spec::ServiceSpec;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A registered service entry.
 #[derive(Debug, Clone)]
@@ -19,8 +20,9 @@ pub struct ServiceRegistration {
     pub name: String,
     /// Free-form attributes for discovery (`type = mail`, …).
     pub attributes: BTreeMap<String, String>,
-    /// The declarative specification uploaded at registration.
-    pub spec: ServiceSpec,
+    /// The declarative specification uploaded at registration, shared
+    /// with every planner the generic server builds for it.
+    pub spec: Arc<ServiceSpec>,
     /// Size of the generic proxy the client downloads, bytes.
     pub proxy_code_size: u64,
     /// The node the registering provider runs on, when known; lets
@@ -33,7 +35,8 @@ pub struct ServiceRegistration {
 impl ServiceRegistration {
     /// Registers `spec` under its own name with no extra attributes and a
     /// default 32 KiB proxy.
-    pub fn new(spec: ServiceSpec) -> Self {
+    pub fn new(spec: impl Into<Arc<ServiceSpec>>) -> Self {
+        let spec = spec.into();
         ServiceRegistration {
             name: spec.name.clone(),
             attributes: BTreeMap::new(),

@@ -14,16 +14,17 @@ use crate::deploy::{self, DeployError, Deployment, STARTUP_DELAY};
 use crate::lookup::{LookupService, ServiceRegistration};
 use crate::registry::ComponentRegistry;
 use crate::world::World;
-use ps_net::{shortest_route, NodeId, PropertyTranslator};
+use ps_net::{Network, NodeId, PropertyTranslator};
 use ps_planner::{
-    HierMemo, Plan, PlanError, PlanStats, Planner, PlannerConfig, RepairContext, ServiceRequest,
+    ExistingInstance, HierMemo, Plan, PlanError, PlanStats, Planner, PlannerConfig, RepairContext,
+    ServiceRequest,
 };
 use ps_sim::{SimDuration, SimTime};
+use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Arc;
 
 /// One-time connection costs (Section 4.2's "costs not reflected in
 /// Figure 7": proxy download, planning, component deployment, startup).
@@ -77,8 +78,9 @@ impl fmt::Display for OneTimeCosts {
 pub struct Connection {
     /// The root instance the client's proxy is bound to.
     pub root: InstanceId,
-    /// The plan that produced the deployment.
-    pub plan: Plan,
+    /// The plan that produced the deployment (shared with the server's
+    /// plan cache: a repeat connect hands out the same plan, not a copy).
+    pub plan: Arc<Plan>,
     /// The executed deployment.
     pub deployment: Deployment,
     /// One-time costs incurred.
@@ -122,13 +124,6 @@ impl From<DeployError> for ConnectError {
     }
 }
 
-/// Cache key for a completed planning run: service name, network epoch,
-/// and the canonical (Debug) rendering of the fully-resolved request —
-/// which embeds the client, rate, pins, requirements, *and* the
-/// live-instance snapshot the planner saw. All request maps are
-/// `BTreeMap`-backed, so the rendering is deterministic.
-type PlanCacheKey = (String, u64, String);
-
 /// The generic server: lookup service + planner + deployment engine.
 pub struct GenericServer {
     /// The attribute-based lookup service.
@@ -143,17 +138,14 @@ pub struct GenericServer {
     /// The node hosting the generic server and lookup service (and the
     /// default code origin).
     pub home: NodeId,
-    /// Memo of completed planning runs. Keyed by [`PlanCacheKey`], so a
-    /// link-condition change (epoch bump) or any instance deployment /
-    /// retirement (live-set change) makes old entries unreachable; they
-    /// are also swept eagerly on insert and by
-    /// [`GenericServer::invalidate_plans`].
-    plan_cache: Mutex<HashMap<PlanCacheKey, Plan>>,
-    /// Shared hierarchical-planning memo: the region map, lazy route
-    /// rows, and per-region segment shortlists, shared by every connect
-    /// and heal-pass repair this server runs (used only when
-    /// `planner_config.hier` is set).
-    hier_memo: HierMemo,
+    /// The serving memo, scoped to the network epoch: the lazy route
+    /// rows that answer lookup, proxy-download and blueprint transfer
+    /// times, the completed plans (keyed by value on service, request
+    /// and live-instance set), and the hierarchical planner's region
+    /// map and segment shortlists. Shared by every connect and
+    /// heal-pass repair this server runs; one epoch check inside it
+    /// retires whatever a network change made stale.
+    memo: HierMemo,
     /// Tracer for the request lifecycle (disabled by default). Each
     /// connection gets a `conn-<n>` scope tying its `lookup` / `plan` /
     /// `transfer` / `deploy` spans together for breakdown analysis.
@@ -171,8 +163,7 @@ impl GenericServer {
             translator,
             planner_config: PlannerConfig::default(),
             home,
-            plan_cache: Mutex::new(HashMap::new()),
-            hier_memo: HierMemo::new(),
+            memo: HierMemo::new(),
             tracer: Tracer::disabled(),
             next_conn: AtomicU64::new(0),
         }
@@ -192,22 +183,40 @@ impl GenericServer {
     }
 
     /// Drops every cached plan. Staleness is already prevented by the
-    /// cache key (network epoch + live-instance snapshot); this is the
+    /// cache itself (network epoch + live-instance set); this is the
     /// explicit hammer for callers that mutate state the planner cannot
     /// see, e.g. swapping component factories in the registry.
     pub fn invalidate_plans(&self) {
-        self.plan_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.memo.clear_plans();
     }
 
     /// Number of cached plans (test/diagnostic aid).
     pub fn cached_plan_count(&self) -> usize {
-        self.plan_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.memo.cached_plans()
+    }
+
+    /// Source rows (one Dijkstra each) the memo's route table holds for
+    /// the current network epoch (test/diagnostic aid: a warm connect
+    /// must leave it unchanged).
+    pub fn route_rows_built(&self) -> usize {
+        self.memo.route_rows_built()
+    }
+
+    /// Simulated transfer time of `bytes` between two nodes of `net`
+    /// (route latency + serialization at the bottleneck, zero when local
+    /// or unreachable), answered from the memo's route rows: `from`'s
+    /// row is built on first use and serves every later question of the
+    /// epoch. Equal to the memo-free [`transfer_time`] for every pair.
+    pub fn transfer_time(
+        &self,
+        net: &Network,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> SimDuration {
+        self.memo
+            .scoped_routes(net)
+            .transfer_time(net, from, to, bytes)
     }
 
     /// Registers a service (Figure 1, step 1).
@@ -255,127 +264,105 @@ impl GenericServer {
             .by_name(service)
             .ok_or_else(|| ConnectError::UnknownService(service.to_owned()))?;
 
-        let scope = format!("conn-{}", self.next_conn.fetch_add(1, Ordering::Relaxed));
+        // The scope string and span arguments are only rendered for an
+        // enabled tracer; the counter advances either way so scopes
+        // number connects, not traced connects.
+        let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
         let t0 = world.now().as_nanos();
         self.tracer.count("server.connects", 1);
-        let connect_span = self.tracer.enter_span(
-            "smock.server",
-            "connect",
-            t0,
-            vec![("scope", scope.clone().into()), ("service", service.into())],
-        );
+        let traced = self.tracer.enabled().then(|| {
+            let scope = format!("conn-{conn}");
+            let connect_span = self.tracer.enter_span(
+                "smock.server",
+                "connect",
+                t0,
+                vec![("scope", scope.clone().into()), ("service", service.into())],
+            );
+            (scope, connect_span)
+        });
+
+        // The memo's epoch check: rows, plans and shortlists that a
+        // network change made stale are gone past this point.
+        let routes = self.memo.scoped_routes(world.network());
 
         // The client's attribute query against the lookup service: one
         // small request/response exchange, modelled like any other
         // transfer (the registry itself answers instantly).
-        let lookup_rtt = 2 * transfer_time(world, request.client_node, self.home, 512).as_nanos();
-        self.tracer.span_closed(
-            "smock.server",
-            "lookup",
-            t0,
-            t0 + lookup_rtt,
-            vec![("scope", scope.clone().into())],
-        );
+        let lookup_rtt = 2 * routes
+            .transfer_time(world.network(), request.client_node, self.home, 512)
+            .as_nanos();
+        if let Some((scope, _)) = &traced {
+            self.tracer.span_closed(
+                "smock.server",
+                "lookup",
+                t0,
+                t0 + lookup_rtt,
+                vec![("scope", scope.clone().into())],
+            );
+        }
 
         // Step 2: the client downloads the generic proxy.
-        let proxy_download = transfer_time(
-            world,
+        let proxy_download = routes.transfer_time(
+            world.network(),
             self.home,
             request.client_node,
             registration.proxy_code_size,
         );
 
-        // Step 4: planning (measured in real wall-clock time; the planner
-        // actually runs here, it is not a modelled constant). Instances
-        // this server already deployed are attachable — the paper's
-        // Seattle clients chain onto San Diego's pre-deployed view server
-        // exactly this way.
-        let planner = Planner::with_config(registration.spec.clone(), self.planner_config.clone());
-        let mut request = request.clone();
-        for idx in 0..world.instance_count() {
-            let id = crate::component::InstanceId(idx as u32);
-            if world.is_retired(id) {
-                continue;
-            }
-            let info = world.instance(id);
-            if registration.spec.get_component(&info.component).is_some() {
-                request = request.existing_instance(
-                    info.component.clone(),
-                    info.node,
-                    info.factors.clone(),
-                );
-            }
-        }
-        // Wall-clock accounting only (planner actually runs here, so its
-        // host cost is real): recorded under a `_wall_` registry metric,
-        // never visible to virtual time or the event stream.
+        // Step 4: planning. The planner actually runs here, it is not a
+        // modelled constant, so its cost is host wall-clock time:
+        // recorded under a `_wall_` registry metric, never visible to
+        // virtual time or the event stream. Instances this server
+        // already deployed are attachable — the paper's Seattle clients
+        // chain onto San Diego's pre-deployed view server exactly this
+        // way — so they are part of what a plan is cached under.
         let started = ps_trace::WallTimer::start();
-        let epoch = world.network().epoch();
-        let cache_key: PlanCacheKey = (service.to_owned(), epoch, format!("{request:?}"));
+        let live = live_instances(world, &registration.spec);
         let cached = self
-            .plan_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&cache_key)
-            .cloned();
+            .memo
+            .cached_plan(world.network(), service, request, &live);
         let cache_hit = cached.is_some();
         let plan = match cached {
-            Some(mut plan) => {
-                // The cached plan was computed against the identical
-                // network epoch and live-instance set, so deployment
-                // below reuses instances exactly as the original did.
-                plan.stats.plan_cache_hits += 1;
-                plan
-            }
+            // Planned against the identical network epoch and
+            // live-instance set, so deployment below reuses instances
+            // exactly as the original did.
+            Some(plan) => plan,
             None => {
-                let plan = if let Some(ctx) = repair {
-                    self.tracer.count("server.plan_repairs", 1);
-                    if self.planner_config.hier.is_some() {
-                        planner.plan_repair_with_memo(
-                            world.network(),
-                            self.translator.as_ref(),
-                            &request,
-                            ctx,
-                            &self.hier_memo,
-                        )?
-                    } else {
-                        planner.plan_repair(
-                            world.network(),
-                            self.translator.as_ref(),
-                            &request,
-                            ctx,
-                        )?
+                let planner = Planner::with_config(
+                    Arc::clone(&registration.spec),
+                    self.planner_config.clone(),
+                );
+                let mut resolved = request.clone();
+                resolved.existing.extend(live.iter().cloned());
+                let (net, translator) = (world.network(), self.translator.as_ref());
+                let plan = match repair {
+                    Some(ctx) => {
+                        self.tracer.count("server.plan_repairs", 1);
+                        planner
+                            .plan_repair_with_memo(net, translator, &resolved, ctx, &self.memo)?
                     }
-                } else if self.planner_config.hier.is_some() {
-                    planner.plan_hierarchical(
-                        world.network(),
-                        self.translator.as_ref(),
-                        &request,
-                        &self.hier_memo,
-                    )?
-                } else if self.planner_config.threads > 1 {
-                    planner.plan_parallel(
-                        world.network(),
-                        self.translator.as_ref(),
-                        &request,
+                    None if self.planner_config.hier.is_some() => {
+                        planner.plan_hierarchical(net, translator, &resolved, &self.memo)?
+                    }
+                    None if self.planner_config.threads > 1 => planner.plan_parallel(
+                        net,
+                        translator,
+                        &resolved,
                         self.planner_config.threads,
-                    )?
-                } else {
-                    planner.plan(world.network(), self.translator.as_ref(), &request)?
+                    )?,
+                    None => planner.plan(net, translator, &resolved)?,
                 };
-                let mut cache = self
-                    .plan_cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                // Entries from older epochs can never be hit again
-                // (the epoch counter is monotonic); sweep them so the
-                // cache tracks the live topology only.
-                cache.retain(|(_, e, _), _| *e == epoch);
-                cache.insert(cache_key, plan.clone());
+                let plan = Arc::new(plan);
+                self.memo
+                    .store_plan(net, service, request, live, Arc::clone(&plan));
                 plan
             }
         };
         let planning_ms = started.elapsed_ms();
+        let plan_stats = PlanStats {
+            plan_cache_hits: plan.stats.plan_cache_hits + u64::from(cache_hit),
+            ..plan.stats
+        };
         self.tracer.count(
             if cache_hit {
                 "server.plan_cache_hits"
@@ -389,19 +376,21 @@ impl GenericServer {
         // time and carries only the deterministic search statistics; the
         // wall-clock cost goes to the registry histogram.
         self.tracer.observe("server.planning_wall_ms", planning_ms);
-        self.tracer.span_closed(
-            "smock.server",
-            "plan",
-            t0 + lookup_rtt,
-            t0 + lookup_rtt,
-            vec![
-                ("scope", scope.clone().into()),
-                ("cache_hit", cache_hit.into()),
-                ("evals", plan.stats.mappings_evaluated.into()),
-                ("prunes", plan.stats.prunes.into()),
-                ("bound_prunes", plan.stats.bound_prunes.into()),
-            ],
-        );
+        if let Some((scope, _)) = &traced {
+            self.tracer.span_closed(
+                "smock.server",
+                "plan",
+                t0 + lookup_rtt,
+                t0 + lookup_rtt,
+                vec![
+                    ("scope", scope.clone().into()),
+                    ("cache_hit", cache_hit.into()),
+                    ("evals", plan_stats.mappings_evaluated.into()),
+                    ("prunes", plan_stats.prunes.into()),
+                    ("bound_prunes", plan_stats.bound_prunes.into()),
+                ],
+            );
+        }
 
         // Step 5: deployment.
         let origin = request.origin.unwrap_or(self.home);
@@ -413,31 +402,29 @@ impl GenericServer {
             &registration.spec,
             &plan,
             origin,
+            &routes,
         )?;
         let deploy_span = deployment.ready_at.since(before);
-        let startup_ms = if deployment.created > 0 {
-            STARTUP_DELAY.as_millis_f64()
+        let startup = if deployment.created > 0 {
+            STARTUP_DELAY
         } else {
-            0.0
+            SimDuration::ZERO
         };
+        let startup_ms = startup.as_millis_f64();
         let costs = OneTimeCosts {
             proxy_download_ms: proxy_download.as_millis_f64(),
             planning_ms,
             deploy_transfer_ms: deploy_span.as_millis_f64().max(startup_ms) - startup_ms,
             startup_ms,
-            plan_stats: plan.stats,
+            plan_stats,
         };
         let ready_at = deployment.ready_at + proxy_download;
         self.tracer.observe(
             "server.connect_ms",
             ready_at.as_nanos().saturating_sub(t0) as f64 / 1e6,
         );
-        if self.tracer.enabled() {
-            let startup_ns = if deployment.created > 0 {
-                STARTUP_DELAY.as_nanos()
-            } else {
-                0
-            };
+        if let Some((scope, connect_span)) = traced {
+            let startup_ns = startup.as_nanos();
             let before_ns = before.as_nanos();
             let transfer_ns =
                 proxy_download.as_nanos() + deploy_span.as_nanos().saturating_sub(startup_ns);
@@ -459,7 +446,7 @@ impl GenericServer {
                 ready_ns - startup_ns,
                 ready_ns,
                 vec![
-                    ("scope", scope.clone().into()),
+                    ("scope", scope.into()),
                     ("created", deployment.created.into()),
                     ("reused", deployment.reused.into()),
                 ],
@@ -480,6 +467,22 @@ impl GenericServer {
             costs,
         })
     }
+}
+
+/// The instances of `spec`'s components running in `world`, in instance
+/// order: what a plan for the service may attach to.
+fn live_instances(world: &World, spec: &ServiceSpec) -> Vec<ExistingInstance> {
+    (0..world.instance_count())
+        .map(|idx| InstanceId(idx as u32))
+        .filter(|&id| !world.is_retired(id))
+        .map(|id| world.instance(id))
+        .filter(|info| spec.get_component(&info.component).is_some())
+        .map(|info| ExistingInstance {
+            component: info.component.clone(),
+            node: info.node,
+            factors: info.factors.clone(),
+        })
+        .collect()
 }
 
 impl fmt::Debug for GenericServer {
@@ -562,16 +565,10 @@ impl GenericServerPool {
     }
 }
 
-/// Simulated transfer time of `bytes` between two nodes (route latency +
-/// serialization at the bottleneck), zero when local.
+/// Simulated transfer time of `bytes` between two nodes, memo-free: one
+/// Dijkstra per call ([`World::transfer_time`]). The serving path asks
+/// [`GenericServer::transfer_time`] instead; this is the independent
+/// reference its answers are checked against.
 pub fn transfer_time(world: &World, from: NodeId, to: NodeId, bytes: u64) -> SimDuration {
-    if from == to {
-        return SimDuration::ZERO;
-    }
-    match shortest_route(world.network(), from, to) {
-        Some(route) if !route.is_local() => {
-            route.latency + SimDuration::from_secs_f64(bytes as f64 * 8.0 / route.bottleneck_bps)
-        }
-        _ => SimDuration::ZERO,
-    }
+    world.transfer_time(from, to, bytes)
 }

@@ -343,6 +343,17 @@ impl World {
         &self.state.net
     }
 
+    /// Simulated time to move `bytes` from `from` to `to` over the
+    /// current shortest route ([`ps_net::RouteMetrics::transfer_time`]),
+    /// zero when local or unreachable. Runs its own Dijkstra: the
+    /// reference for one-off questions (migration) and for checking the
+    /// generic server's memoized answers, not for a serving path.
+    pub fn transfer_time(&self, from: NodeId, to: NodeId, bytes: u64) -> ps_sim::SimDuration {
+        shortest_route(&self.state.net, from, to).map_or(ps_sim::SimDuration::ZERO, |route| {
+            route.metrics().transfer_time(bytes)
+        })
+    }
+
     /// Total messages sent so far.
     pub fn messages_sent(&self) -> u64 {
         self.state.messages_sent
@@ -534,20 +545,7 @@ impl World {
         let behavior = slot.behavior.clone();
         let linkages = slot.info.linkages.clone();
 
-        let transfer = if from_node == to_node {
-            ps_sim::SimDuration::ZERO
-        } else {
-            match shortest_route(&self.state.net, from_node, to_node) {
-                Some(route) if !route.is_local() => {
-                    route.latency
-                        + ps_sim::SimDuration::from_secs_f64(
-                            state_bytes as f64 * 8.0 / route.bottleneck_bps,
-                        )
-                }
-                _ => ps_sim::SimDuration::ZERO,
-            }
-        };
-        let live_at = self.now() + transfer;
+        let live_at = self.now() + self.transfer_time(from_node, to_node, state_bytes);
         let new = self.instantiate(component, to_node, factors, behavior, logic, live_at);
         self.state.instances[new.0 as usize].info.linkages = linkages;
         let slot = &mut self.state.instances[old.0 as usize];

@@ -169,13 +169,14 @@ fn lookup_finds_services_by_attribute() {
 fn blueprint_transfer_time_scales_with_code_size() {
     let (net, edge, dc) = network();
     let world = World::new(net);
-    let small = deploy::blueprint_transfer_time(&world, dc, edge, 10_000);
-    let large = deploy::blueprint_transfer_time(&world, dc, edge, 1_000_000);
+    let gs = server(dc);
+    let net = world.network();
+    let small = gs.transfer_time(net, dc, edge, 10_000);
+    let large = gs.transfer_time(net, dc, edge, 1_000_000);
     assert!(large > small);
-    assert_eq!(
-        deploy::blueprint_transfer_time(&world, dc, dc, 1_000_000),
-        SimDuration::ZERO
-    );
+    assert_eq!(large, world.transfer_time(dc, edge, 1_000_000));
+    assert_eq!(gs.route_rows_built(), 1, "both questions read dc's row");
+    assert_eq!(gs.transfer_time(net, dc, dc, 1_000_000), SimDuration::ZERO);
 }
 
 #[test]
@@ -330,4 +331,59 @@ fn explicit_invalidation_clears_cached_plans() {
     assert_eq!(gs.cached_plan_count(), 0);
     let after = gs.connect(&mut world, "svc", &request).unwrap();
     assert_eq!(after.costs.plan_stats.plan_cache_hits, 0);
+}
+
+/// Instance churn on a quiet network must not grow the plan cache: plans
+/// stored under a live-instance set that is gone are swept, so the cache
+/// never holds more than one plan per distinct client. Eight clients'
+/// root instances are switched on and off along a Gray code, so each of
+/// the 200 cycles presents a live set never seen before.
+#[test]
+fn plan_cache_stays_bounded_under_instance_churn_at_one_epoch() {
+    const CLIENTS: usize = 8;
+    let mut net = Network::new();
+    let dc = net.add_node("dc", "d", 1.0, Credentials::new().with("Hosting", true));
+    let edges: Vec<NodeId> = (0..CLIENTS)
+        .map(|i| {
+            let edge = net.add_node(format!("edge{i}"), "e", 1.0, Credentials::new());
+            net.add_link(
+                edge,
+                dc,
+                SimDuration::from_millis(20),
+                1e7,
+                Credentials::new().with("Secure", true),
+            );
+            edge
+        })
+        .collect();
+    let gs = server(dc);
+    let mut world = World::new(net);
+    let epoch = world.network().epoch();
+    let requests: Vec<ServiceRequest> = edges
+        .iter()
+        .map(|&edge| ServiceRequest::new("Api", edge).rate(1.0))
+        .collect();
+
+    let mut roots = [None; CLIENTS];
+    for cycle in 1..=200u32 {
+        let client = cycle.trailing_zeros() as usize % CLIENTS;
+        match roots[client].take() {
+            Some(root) => world.retire(root),
+            None => {
+                let conn = gs.connect(&mut world, "svc", &requests[client]).unwrap();
+                assert_eq!(conn.costs.plan_stats.plan_cache_hits, 0, "cycle {cycle}");
+                roots[client] = Some(conn.root);
+            }
+        }
+        // Any live client asking again plans against the new live set.
+        if let Some(live) = roots.iter().position(Option::is_some) {
+            gs.connect(&mut world, "svc", &requests[live]).unwrap();
+        }
+        assert!(
+            gs.cached_plan_count() <= CLIENTS,
+            "cycle {cycle}: {} cached plans for {CLIENTS} clients",
+            gs.cached_plan_count()
+        );
+    }
+    assert_eq!(world.network().epoch(), epoch, "the network never moved");
 }

@@ -130,7 +130,7 @@ impl fmt::Display for Bindings {
 }
 
 /// Concrete (environment-resolved) property values on an interface.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ResolvedBindings {
     entries: BTreeMap<String, PropertyValue>,
 }

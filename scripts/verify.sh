@@ -71,6 +71,13 @@ cargo test --workspace -q
 echo "==> benchmark package: cargo test --release --offline (compiles it, --quick smoke of every workload)"
 (cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$repo/target}" cargo test --release --offline -q)
 
+# Two untraced runs and one traced run of every workload at --quick
+# size: digests and every deterministic metric must come back identical,
+# so a memo or cache that makes traced != untraced or run != run fails
+# here rather than in the next benchmark.
+echo "==> benchmark check-repeat --quick (digests + deterministic metrics, 2 untraced + 1 traced)"
+bash benchmark/run.sh check-repeat --quick --seconds 1
+
 echo "==> bench smoke: bench_planner (writes BENCH_planner.json)"
 cargo run --release -q -p ps-bench --bin bench_planner
 
