@@ -1,14 +1,12 @@
-//! Planner hot-path benchmark: seed algorithm vs the optimized path.
+//! Planner hot-path benchmark: the planner's one search core on the
+//! case-study topology and progressively larger BRITE hierarchies.
 //!
-//! Measures, in one harness, the planning stack as shipped by the seed
-//! (unbounded exhaustive oracle, per-mapper lazy Dijkstra routes,
-//! serial) against the optimized stack (bounded branch-and-bound
-//! exhaustive search, one shared all-pairs [`RouteTable`] per call,
-//! `plan_parallel` workers) on the case-study topology and progressively
-//! larger BRITE hierarchies. Both configurations solve the identical
-//! multi-linkage mail-service request and must report the identical
-//! objective — the speedup is pure search/route engineering, not a
-//! different answer.
+//! Every scenario solves the identical multi-linkage mail-service
+//! request through [`Planner::plan`] — bounded branch-and-bound search,
+//! one all-pairs [`RouteTable`] per call — and reports its time,
+//! objective and deterministic search counters. (Why one algorithm,
+//! with the measurements against the alternatives: DESIGN.md "Planner
+//! performance".)
 //!
 //! Writes `BENCH_planner.json` (hand-rolled JSON, no serde in the tree)
 //! to the current directory and prints the same numbers as a table.
@@ -20,29 +18,18 @@ use ps_mail::{mail_spec, mail_translator};
 use ps_net::brite::{hierarchical, FlatParams, HierParams};
 use ps_net::casestudy::default_case_study;
 use ps_net::{Credentials, Network};
-use ps_planner::{Algorithm, PlanStats, Planner, PlannerConfig, ServiceRequest};
+use ps_planner::{PlanStats, Planner, ServiceRequest};
 use ps_sim::Rng;
 use ps_trace::{Report, WallTimer};
-use std::fmt::Write as _;
 
-/// Minimum timed repetitions per configuration (the fastest is
-/// reported). Short scenarios keep repeating until `MIN_TOTAL_MS` of
-/// measurement accumulates, which damps scheduler noise on small runs.
+/// Minimum timed repetitions per scenario (the fastest is reported).
+/// Short scenarios keep repeating until `MIN_TOTAL_MS` of measurement
+/// accumulates, which damps scheduler noise on small runs.
 const REPS: usize = 5;
-/// Repetition budget per configuration, milliseconds.
+/// Repetition budget per scenario, milliseconds.
 const MIN_TOTAL_MS: f64 = 300.0;
-/// Hard repetition cap per configuration.
+/// Hard repetition cap per scenario.
 const MAX_REPS: usize = 40;
-
-/// Planning threads for the optimized configuration: matched to the
-/// machine (capped at 4) so `plan_parallel` never pays thread overhead
-/// the hardware cannot repay — on a single-core box it runs one worker.
-fn planning_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(4)
-}
 
 struct Measurement {
     time_ms: f64,
@@ -50,39 +37,16 @@ struct Measurement {
     stats: PlanStats,
 }
 
-fn planner_for(algorithm: Algorithm, share_route_table: bool) -> Planner {
-    Planner::with_config(
-        mail_spec(),
-        PlannerConfig {
-            algorithm,
-            share_route_table,
-            ..Default::default()
-        },
-    )
-}
-
-/// Runs one configuration `REPS` times; keeps the fastest run.
-fn measure(
-    net: &Network,
-    request: &ServiceRequest,
-    algorithm: Algorithm,
-    share_route_table: bool,
-    threads: usize,
-) -> Option<Measurement> {
-    let planner = planner_for(algorithm, share_route_table);
+/// Plans one scenario at least `REPS` times; keeps the fastest run.
+fn measure(net: &Network, request: &ServiceRequest) -> Option<Measurement> {
+    let planner = Planner::new(mail_spec());
     let translator = mail_translator();
     let mut best: Option<Measurement> = None;
     let mut total_ms = 0.0;
     let mut reps = 0;
     while reps < REPS || (total_ms < MIN_TOTAL_MS && reps < MAX_REPS) {
         let start = WallTimer::start();
-        let plan = if threads > 1 {
-            planner
-                .plan_parallel(net, &translator, request, threads)
-                .ok()?
-        } else {
-            planner.plan(net, &translator, request).ok()?
-        };
+        let plan = planner.plan(net, &translator, request).ok()?;
         let time_ms = start.elapsed_ms();
         total_ms += time_ms;
         reps += 1;
@@ -98,8 +62,7 @@ fn measure(
 }
 
 /// Decorates a BRITE network with the mail service's credentials (first
-/// AS = trusted HQ, second = branch, rest = partner), mirroring the
-/// planner-ablation bench.
+/// AS = trusted HQ, second = branch, rest = partner).
 fn decorate(net: &mut Network) {
     for id in net.node_ids().collect::<Vec<_>>() {
         let site = net.node(id).site.clone();
@@ -115,26 +78,10 @@ fn decorate(net: &mut Network) {
     }
 }
 
-fn json_measurement(m: &Measurement) -> String {
-    format!(
-        "{{\"time_ms\": {:.3}, \"objective\": {:.6}, \"mappings_evaluated\": {}, \
-         \"prunes\": {}, \"bound_prunes\": {}, \"route_table_build_us\": {}}}",
-        m.time_ms,
-        m.objective,
-        m.stats.mappings_evaluated,
-        m.stats.prunes,
-        m.stats.bound_prunes,
-        m.stats.route_table_build_us,
-    )
-}
-
 fn main() {
     // Stable-artifact mode (PS_STABLE_ARTIFACTS=1): wall-clock fields
-    // are zeroed and planning runs serial — with >1 worker the shared
-    // incumbent makes prune/eval counts depend on thread timing, which
-    // would break the byte-identical double-run guarantee.
+    // are zeroed so two runs write identical JSON.
     let stable = ps_bench::stable_artifacts();
-    let threads = if stable { 1 } else { planning_threads() };
     let mut scenarios: Vec<(String, Network, ServiceRequest)> = Vec::new();
 
     let cs = default_case_study();
@@ -179,96 +126,57 @@ fn main() {
         scenarios.push((label, net, request));
     }
 
-    let mut report =
-        Report::new("Planner hot path: seed (oracle, lazy routes, serial) vs optimized");
+    let mut report = Report::new("Planner hot path: bounded search + one route table per call");
     report.line(format!(
-        "    (bounded search + shared route table + {threads} plan_parallel threads)"
-    ));
-    report.line(format!(
-        "{:<24} {:>10} {:>10} {:>8} {:>11} {:>11} {:>9}",
-        "scenario", "seed[ms]", "new[ms]", "speedup", "seed evals", "new evals", "bound cut"
+        "{:<24} {:>9} {:>11} {:>7} {:>8} {:>9} {:>10}",
+        "scenario", "time[ms]", "objective", "evals", "prunes", "bound cut", "flow evals"
     ));
 
     let mut entries = Vec::new();
-    let mut log_speedup_sum = 0.0;
-    let mut compared = 0usize;
     for (label, net, request) in &scenarios {
-        // The seed stack: unbounded oracle, per-mapper lazy Dijkstra,
-        // serial planning — the algorithm this repo shipped before the
-        // route-table/bounding work, re-run in this very harness.
-        let seed = measure(net, request, Algorithm::Oracle, false, 1);
-        // The optimized stack.
-        let new = measure(net, request, Algorithm::Exhaustive, true, threads);
-        match (seed, new) {
-            (Some(mut seed), Some(mut new)) => {
-                if stable {
-                    for m in [&mut seed, &mut new] {
-                        m.time_ms = 0.0;
-                        m.stats.route_table_build_us = 0;
-                    }
-                }
-                assert!(
-                    (seed.objective - new.objective).abs() <= 1e-6 * seed.objective.abs().max(1.0),
-                    "{label}: objectives diverged ({} vs {})",
-                    seed.objective,
-                    new.objective
-                );
-                let speedup = if stable {
-                    0.0
-                } else {
-                    seed.time_ms / new.time_ms
-                };
-                report.line(format!(
-                    "{:<24} {:>10.2} {:>10.2} {:>7.1}x {:>11} {:>11} {:>9}",
-                    label,
-                    seed.time_ms,
-                    new.time_ms,
-                    speedup,
-                    seed.stats.mappings_evaluated,
-                    new.stats.mappings_evaluated,
-                    new.stats.bound_prunes,
-                ));
-                if !stable {
-                    log_speedup_sum += speedup.ln();
-                }
-                compared += 1;
-                let mut entry = String::new();
-                write!(
-                    entry,
-                    "    {{\"scenario\": \"{label}\", \"nodes\": {}, \"speedup\": {speedup:.3},\n      \
-                     \"seed\": {},\n      \"new\": {}}}",
-                    net.node_count(),
-                    json_measurement(&seed),
-                    json_measurement(&new),
-                )
-                .expect("write to string");
-                entries.push(entry);
-            }
-            _ => {
-                report.line(format!("{label:<24} infeasible"));
-            }
+        let Some(mut m) = measure(net, request) else {
+            report.line(format!("{label:<24} infeasible"));
+            continue;
+        };
+        if stable {
+            m.time_ms = 0.0;
+            m.stats.route_table_build_us = 0;
         }
+        report.line(format!(
+            "{:<24} {:>9.2} {:>11.4} {:>7} {:>8} {:>9} {:>10}",
+            label,
+            m.time_ms,
+            m.objective,
+            m.stats.mappings_evaluated,
+            m.stats.prunes,
+            m.stats.bound_prunes,
+            m.stats.flow_evals,
+        ));
+        entries.push(format!(
+            "    {{\"scenario\": \"{label}\", \"nodes\": {}, \"time_ms\": {:.3}, \
+             \"objective\": {:.6}, \"mappings_evaluated\": {}, \"prunes\": {}, \
+             \"bound_prunes\": {}, \"flow_evals\": {}, \"work_units\": {}, \
+             \"route_table_build_us\": {}}}",
+            net.node_count(),
+            m.time_ms,
+            m.objective,
+            m.stats.mappings_evaluated,
+            m.stats.prunes,
+            m.stats.bound_prunes,
+            m.stats.flow_evals,
+            m.stats.work_units(),
+            m.stats.route_table_build_us,
+        ));
     }
 
-    let geomean = if compared > 0 && !stable {
-        (log_speedup_sum / compared as f64).exp()
-    } else {
-        0.0
-    };
-    report.line("");
-    report.kv(
-        "geometric-mean speedup",
-        format!("{geomean:.2}x over {compared} scenarios"),
-    );
-
     let json = format!(
-        "{{\n  \"bench\": \"planner_hot_path\",\n  \"threads\": {threads},\n  \
-         \"seed_config\": \"oracle + lazy per-mapper routes, serial\",\n  \
-         \"new_config\": \"bounded exhaustive + shared route table, plan_parallel\",\n  \
-         \"geomean_speedup\": {geomean:.3},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"planner_hot_path\",\n  \
+         \"config\": \"bounded exhaustive search, one route table per call, serial\",\n  \
+         \"scenarios\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
     std::fs::write("BENCH_planner.json", &json).expect("write BENCH_planner.json");
+    report.line("");
     report.kv("wrote", "BENCH_planner.json");
     println!("{report}");
 }

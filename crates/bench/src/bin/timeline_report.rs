@@ -24,7 +24,7 @@ use ps_bench::scale::{run_heal_workload_with, scale_network, HealWorkloadOptions
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator};
 use ps_net::casestudy::default_case_study;
-use ps_planner::{Algorithm, Planner, PlannerConfig, ServiceRequest};
+use ps_planner::{Planner, ServiceRequest};
 use ps_sim::SimDuration;
 use ps_smock::LeaseConfig;
 use ps_trace::{
@@ -264,21 +264,11 @@ fn region_planning_rows(registry: &Registry) -> Vec<RegionRow> {
     rows.into_values().collect()
 }
 
-/// Same thread count `bench_planner` uses for its optimized stack.
-fn planning_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// Extracts the optimized-stack `time_ms` for `scenario` from
-/// `BENCH_planner.json` by string search (no serde in the tree).
+/// Extracts the `time_ms` of `scenario` from `BENCH_planner.json` by
+/// string search (no serde in the tree).
 fn baseline_ms(json: &str, scenario: &str) -> Option<f64> {
     let at = json.find(&format!("\"scenario\": \"{scenario}\""))?;
     let tail = &json[at..];
-    let new_at = tail.find("\"new\": {")?;
-    let tail = &tail[new_at..];
     let t_at = tail.find("\"time_ms\": ")? + "\"time_ms\": ".len();
     let tail = &tail[t_at..];
     let end = tail.find([',', '}'])?;
@@ -287,7 +277,7 @@ fn baseline_ms(json: &str, scenario: &str) -> Option<f64> {
 
 /// Min-of-N planning time on the instrumented code path with the tracer
 /// and sampler left disabled — the configuration `bench_planner` labels
-/// `case-study/SanDiego` / `new`.
+/// `case-study/SanDiego`.
 fn measure_disabled_planning() -> f64 {
     let cs = default_case_study();
     let request = ServiceRequest::new(CLIENT_INTERFACE, cs.sd_client)
@@ -295,30 +285,16 @@ fn measure_disabled_planning() -> f64 {
         .pin(MAIL_SERVER, cs.mail_server)
         .origin(cs.mail_server)
         .require("TrustLevel", 4i64);
-    let planner = Planner::with_config(
-        mail_spec(),
-        PlannerConfig {
-            algorithm: Algorithm::Exhaustive,
-            share_route_table: true,
-            ..Default::default()
-        },
-    );
+    let planner = Planner::new(mail_spec());
     let translator = mail_translator();
-    let threads = planning_threads();
     let mut best = f64::INFINITY;
     let mut total_ms = 0.0;
     let mut reps = 0;
     while reps < REPS || (total_ms < MIN_TOTAL_MS && reps < MAX_REPS) {
         let start = WallTimer::start();
-        let plan = if threads > 1 {
-            planner
-                .plan_parallel(&cs.network, &translator, &request, threads)
-                .expect("plan")
-        } else {
-            planner
-                .plan(&cs.network, &translator, &request)
-                .expect("plan")
-        };
+        let plan = planner
+            .plan(&cs.network, &translator, &request)
+            .expect("plan");
         let time_ms = start.elapsed_ms();
         std::hint::black_box(plan.objective_value);
         total_ms += time_ms;

@@ -1,7 +1,7 @@
 //! # ps-bench — benchmark harness for every table and figure
 //!
 //! One module per experiment; the `src/bin/` binaries print the paper's
-//! rows/series, and `benches/` contains the Criterion timing benches.
+//! rows/series and time the hot paths (`bench_planner`, `bench_scale`).
 
 #![warn(missing_docs)]
 
@@ -19,8 +19,8 @@ pub use scale::{
 };
 
 /// Whether the bench bins should write *stable* artifacts: every
-/// wall-clock-derived field zeroed/omitted (and planning forced serial)
-/// so that two same-seed runs produce byte-identical JSON/JSONL.
+/// wall-clock-derived field zeroed/omitted so that two same-seed runs
+/// produce byte-identical JSON/JSONL.
 ///
 /// Enabled by `PS_STABLE_ARTIFACTS=1`; `scripts/verify.sh` uses it for
 /// the double-run determinism gate over every artifact-writing bin. The

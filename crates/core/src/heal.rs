@@ -12,7 +12,7 @@
 
 use crate::Framework;
 use ps_monitor::{affected_edges, NetworkChange, NetworkMonitor, ReplanDecision, Replanner};
-use ps_net::{LinkId, NodeId, PartitionView, RouteTable};
+use ps_net::{LinkId, NodeId, RouteTable};
 use ps_planner::{PlanRepairStats, Planner, RepairContext, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_smock::{ConnectError, Connection, FailReport, InstanceId, LivenessEvent, LivenessKind};
@@ -476,39 +476,30 @@ impl Framework {
         // cached table is valid as of the previous observation, and the
         // dirty sets are exactly what changed since, so delta-Dijkstra
         // repair re-runs only the affected sources.
-        if self.server.planner_config.share_route_table {
-            let net = self.world.network();
-            let table = match healer.route_table.take() {
-                Some(prior) if prior.is_current(net) => prior,
-                Some(prior) => {
-                    let mut table = Arc::unwrap_or_clone(prior);
-                    let outcome = table.repair(net, &dirty_links, &dirty_nodes);
-                    let tracer = self.server.tracer();
-                    tracer.count(
-                        if outcome.full_rebuild {
-                            "heal.route_rebuilds"
-                        } else {
-                            "heal.route_repairs"
-                        },
-                        1,
-                    );
-                    tracer.observe("heal.route_repair_wall_us", outcome.repair_micros as f64);
-                    Arc::new(table)
-                }
-                None => Arc::new(RouteTable::build(net)),
-            };
-            healer.route_table = Some(table);
-        }
-
-        // The pass's partition view: connected components over the live
-        // link set, read off the just-repaired route table when one is
-        // maintained (free), or by direct BFS otherwise.
-        let pview = match healer.route_table.as_deref() {
-            Some(table) if table.is_current(self.world.network()) => {
-                table.partition_view(self.world.network())
+        let net = self.world.network();
+        let table = match healer.route_table.take() {
+            Some(prior) if prior.is_current(net) => prior,
+            Some(prior) => {
+                let mut table = Arc::unwrap_or_clone(prior);
+                let outcome = table.repair(net, &dirty_links, &dirty_nodes);
+                let tracer = self.server.tracer();
+                tracer.count(
+                    if outcome.full_rebuild {
+                        "heal.route_rebuilds"
+                    } else {
+                        "heal.route_repairs"
+                    },
+                    1,
+                );
+                tracer.observe("heal.route_repair_wall_us", outcome.repair_micros as f64);
+                Arc::new(table)
             }
-            _ => PartitionView::of(self.world.network()),
+            None => Arc::new(RouteTable::build(net)),
         };
+        // The pass's partition view: connected components over the live
+        // link set, read off the just-repaired route table (free).
+        let pview = table.partition_view(net);
+        healer.route_table = Some(table);
 
         // Step 3: triage every managed connection. The managed list is
         // taken out of the healer so redeployments can borrow the

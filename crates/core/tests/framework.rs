@@ -2,7 +2,7 @@
 
 use ps_core::Framework;
 use ps_net::{Credentials, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::{PlannerConfig, ServiceRequest};
+use ps_planner::ServiceRequest;
 use ps_smock::{ComponentLogic, Outbox, Payload, RequestHandle, ServiceRegistration};
 use ps_spec::prelude::*;
 
@@ -63,37 +63,6 @@ fn connect_deploys_through_the_facade() {
     assert_eq!(conn.plan.graph.to_string(), "Proxy -> Service");
     assert_eq!(fw.world.instance(conn.root).node, client);
     assert_eq!(fw.world.instance(conn.deployment.instances[1]).node, host);
-}
-
-#[test]
-fn parallel_planner_config_produces_the_same_plan() {
-    let (mut fw, client, _) = build();
-    let serial = fw
-        .connect("echo", &ServiceRequest::new("Api", client))
-        .unwrap();
-    let (mut fw2, client2, _) = build();
-    fw2.planner_config(PlannerConfig {
-        threads: 4,
-        ..Default::default()
-    });
-    let parallel = fw2
-        .connect("echo", &ServiceRequest::new("Api", client2))
-        .unwrap();
-    assert_eq!(serial.plan.graph, parallel.plan.graph);
-    assert_eq!(
-        serial
-            .plan
-            .placements
-            .iter()
-            .map(|p| p.node)
-            .collect::<Vec<_>>(),
-        parallel
-            .plan
-            .placements
-            .iter()
-            .map(|p| p.node)
-            .collect::<Vec<_>>()
-    );
 }
 
 #[test]

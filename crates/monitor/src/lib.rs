@@ -19,7 +19,7 @@
 #![warn(missing_docs)]
 
 use ps_net::{shortest_route, LinkId, Network, NodeId, PropertyTranslator};
-use ps_planner::{LoadModel, Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
+use ps_planner::{Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_trace::Tracer;
 use std::fmt;
@@ -369,7 +369,6 @@ impl Replanner {
             net,
             translator,
             request,
-            LoadModel::Accumulated,
             self.planner.config.objective,
         );
         let assignment: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();

@@ -2,10 +2,10 @@
 //!
 //! Tree nodes are assigned in bottom-up order so that every parent-child
 //! property-flow check (condition 2) can run the moment the parent is
-//! placed, pruning infeasible subtrees early. On top of that, the
-//! default entry point ([`search`]) accumulates the partial objective
-//! incrementally during recursion and cuts any subtree whose admissible
-//! lower bound already exceeds the incumbent's objective:
+//! placed, pruning infeasible subtrees early. On top of that, [`search`]
+//! accumulates the partial objective incrementally during recursion and
+//! cuts any subtree whose admissible lower bound already exceeds the
+//! incumbent's objective:
 //!
 //! * the partial cost of a placement is the same per-node increment the
 //!   final evaluation charges — the latency part (CPU share +
@@ -28,15 +28,16 @@
 //! * pruning is *strict* (`partial + suffix > incumbent objective`):
 //!   a subtree is cut only when every completion is strictly worse than
 //!   the incumbent, so the surviving optimum — value *and* chosen
-//!   assignment — is identical to the unbounded oracle's. For
+//!   assignment — is identical to an unbounded descent's. For
 //!   `MaxCapacity` (non-additive, negated) bounding is disabled.
 //!
-//! The pre-bounding oracle remains reachable via [`search_unbounded`]
-//! (exposed as `Algorithm::Oracle`) for equivalence testing — the
-//! agreement suite asserts both return the same optimum.
+//! This is the planner's only search. The unbounded, memo-free descent
+//! it must agree with — value *and* placements — lives with the tests
+//! (`crates/planner/tests/reference/mod.rs`), unreachable from
+//! [`PlannerConfig`](crate::PlannerConfig).
 //!
 //! Feasibility and objective of complete assignments are computed by
-//! [`Mapper::evaluate`].
+//! the [`Mapper`]'s evaluator.
 
 use crate::linkage::LinkageGraph;
 use crate::mapping::{Evaluation, Mapper};
@@ -44,12 +45,11 @@ use crate::memo::{FlowOutcome, Verdict};
 use crate::plan::{Objective, PlanStats};
 use ps_net::NodeId;
 use ps_spec::ResolvedBindings;
+use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A monotonically decreasing objective value shared across graph
-/// searches (and across `plan_parallel` workers): the best complete
-/// mapping found so far anywhere in the planning call.
+/// A monotonically decreasing objective value shared by every graph
+/// search of one planning call: the best complete mapping found so far.
 ///
 /// Seeding later graph searches with it is exact: pruning is strict
 /// (`bound > incumbent`), every incumbent is the objective of a real
@@ -58,32 +58,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// its exact optimum, and graphs whose optimum ties or loses would have
 /// been discarded by the plan reduction anyway.
 #[derive(Debug)]
-pub struct Incumbent(AtomicU64);
+pub struct Incumbent(Cell<f64>);
 
 impl Incumbent {
     /// A fresh incumbent at +∞ (no mapping found yet).
     pub fn new() -> Self {
-        Incumbent(AtomicU64::new(f64::INFINITY.to_bits()))
+        Incumbent(Cell::new(f64::INFINITY))
     }
 
     /// The current best objective value.
     pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+        self.0.get()
     }
 
     /// Lowers the incumbent to `value` if it improves on it.
     pub fn offer(&self, value: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        while value < f64::from_bits(current) {
-            match self.0.compare_exchange_weak(
-                current,
-                value.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => current = now,
-            }
+        if value < self.0.get() {
+            self.0.set(value);
         }
     }
 }
@@ -96,93 +87,34 @@ impl Default for Incumbent {
 
 /// Searches every feasible mapping of `graph` with admissible
 /// branch-and-bound pruning, returning the best assignment and its
-/// evaluation. Exactly equivalent to [`search_unbounded`].
+/// evaluation. Prunes against `incumbent` — the best objective found
+/// across the other graphs of the same planning call — and publishes
+/// improvements back into it.
+///
+/// `fixed` is the warm-start repair solve: every tree node with
+/// `fixed[idx] = Some(node)` has its candidate set intersected down to
+/// that single node (kept only if the node still passes the mapper's
+/// condition-1 filter), so the search explores just the unfixed —
+/// failure-touched — positions, and returns `None` when a fixed
+/// placement is no longer admissible.
+///
+/// `prune_ties` is the repair sweep's confirmation search: prune with
+/// `>=` against the incumbent, cutting subtrees that cannot *strictly*
+/// beat it. Sound whenever a feasible plan achieving the incumbent's
+/// value is already in hand (the repair seed) and ties should keep it:
+/// every strictly better mapping is still found (an admissible bound
+/// `>=` the incumbent proves no completion goes below it), only
+/// equal-or-worse completions are skipped — including the plateau of
+/// equal-objective tie mappings a strict bound must evaluate one by one.
 pub fn search(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     stats: &mut PlanStats,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, true, None, None, false)
-}
-
-/// Like [`search`], but additionally prunes against `incumbent` — the
-/// best objective found across *other* graphs (and worker threads) of
-/// the same planning call — and publishes improvements back into it.
-pub fn search_seeded(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
     incumbent: &Incumbent,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, true, Some(incumbent), None, false)
-}
-
-/// Warm-start repair solve: like [`search_seeded`], but every tree node
-/// with `fixed[idx] = Some(node)` has its candidate set intersected down
-/// to that single node (kept only if the node still passes the mapper's
-/// condition-1 filter), so the search explores just the unfixed —
-/// failure-touched — positions. Returns `None` when a fixed placement is
-/// no longer admissible; any feasible result's objective is offered to
-/// `incumbent`, seeding the exact full search that follows.
-pub fn search_restricted(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    fixed: &[Option<NodeId>],
-    incumbent: &Incumbent,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    debug_assert_eq!(fixed.len(), graph.len());
-    search_inner(
-        mapper,
-        graph,
-        stats,
-        true,
-        Some(incumbent),
-        Some(fixed),
-        false,
-    )
-}
-
-/// The repair sweep's confirmation search: like [`search_seeded`], but
-/// prunes with `>=` against the incumbent, cutting subtrees that cannot
-/// *strictly* beat it. Sound whenever a feasible plan achieving the
-/// incumbent's value is already in hand (the repair seed) and ties
-/// should keep it: every strictly better mapping is still found (an
-/// admissible bound `>=` the incumbent proves no completion goes below
-/// it), only equal-or-worse completions are skipped — including the
-/// plateau of equal-objective tie mappings a strict bound must evaluate
-/// one by one. Serial use only: under a shared concurrent incumbent the
-/// returned per-graph result would depend on publication timing.
-pub fn search_strictly_better(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    incumbent: &Incumbent,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, true, Some(incumbent), None, true)
-}
-
-/// The unbounded oracle: explores the full candidate product with only
-/// property-flow pruning (the paper's "exhaustively searches for a
-/// deployment" baseline). Kept for equivalence testing and as the
-/// seed-algorithm baseline in the planner bench.
-pub fn search_unbounded(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-) -> Option<(Vec<NodeId>, Evaluation)> {
-    search_inner(mapper, graph, stats, false, None, None, false)
-}
-
-fn search_inner(
-    mapper: &Mapper<'_>,
-    graph: &LinkageGraph,
-    stats: &mut PlanStats,
-    bounded: bool,
-    incumbent: Option<&Incumbent>,
     fixed: Option<&[Option<NodeId>]>,
     prune_ties: bool,
 ) -> Option<(Vec<NodeId>, Evaluation)> {
+    debug_assert!(fixed.is_none_or(|fixed| fixed.len() == graph.len()));
     let n = graph.len();
     let order = graph.bottom_up_order();
     let sets: Vec<(u32, Rc<[NodeId]>)> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
@@ -211,7 +143,7 @@ fn search_inner(
     // `MaxCapacity` negates the sustainable rate: the objective is not an
     // additive sum of placement increments, so the bound is inadmissible
     // there and bounding is disabled.
-    let bounding = bounded && !matches!(mapper.objective, Objective::MaxCapacity);
+    let bounding = !matches!(mapper.objective, Objective::MaxCapacity);
     let rates = mapper.rates(graph);
     let lp = latency_part(mapper.objective);
     let cp = cost_part(mapper.objective);
@@ -381,10 +313,8 @@ fn search_inner(
         lp,
         same_component,
         data_view,
-        identity_prune: bounded,
-        incumbent: if bounding { incumbent } else { None },
+        incumbent,
         prune_ties,
-        memoize: bounded,
         context_key: Vec::new(),
         provided_id: vec![0; n],
         assignment: vec![None; n],
@@ -532,29 +462,16 @@ struct State<'a, 'b> {
     same_component: Vec<Vec<usize>>,
     /// Per tree node, whether its component is a data view.
     data_view: Vec<bool>,
-    /// Apply the evaluator's instance-identity rules during descent.
-    /// Disabled in the unbounded oracle, which keeps rejecting complete
-    /// assignments in the evaluator and thereby stays an independent
-    /// equivalence check on this pruning.
-    identity_prune: bool,
-    incumbent: Option<&'a Incumbent>,
+    incumbent: &'a Incumbent,
     /// Prune with `>=` instead of `>`: cut subtrees that cannot
     /// *strictly* beat the incumbent. Only sound when the caller keeps
     /// a feasible plan achieving the incumbent's value on ties (the
-    /// repair sweep); see [`search_strictly_better`].
+    /// repair sweep); see [`search`].
     prune_ties: bool,
-    /// Read property-flow verdicts from the mapper's plan memo. The
-    /// flow is a pure function of (component, host, children's hosts
-    /// and provided bindings), and the descent re-derives identical
-    /// verdicts across every variation of the *deeper* — already
-    /// placed, irrelevant — subtree and across the plan's other graphs,
-    /// so nearly every visit is a table read. Off in the unbounded
-    /// oracle, which stays a from-first-principles equivalence check.
-    memoize: bool,
     /// Scratch for a flow-context key, reused across `recurse` calls.
     context_key: Vec<u64>,
     /// Per placed tree node, the memo's id of its provided bindings —
-    /// its part of its parent's flow context (memoized searches only).
+    /// its part of its parent's flow context.
     provided_id: Vec<u32>,
     assignment: Vec<Option<NodeId>>,
     provided: Vec<Option<Rc<ResolvedBindings>>>,
@@ -651,15 +568,17 @@ impl State<'_, '_> {
     }
 
     /// Property flow for `idx` at `node`: read from verdict cell `cell`
-    /// of the plan memo, computed and recorded there on first sight.
-    /// The memo-free oracle computes every visit from first principles.
+    /// of the plan memo, computed and recorded there on first sight. The
+    /// flow is a pure function of (component, host, children's hosts and
+    /// provided bindings), and the descent re-derives identical verdicts
+    /// across every variation of the *deeper* — already placed,
+    /// irrelevant — subtree and across the plan's other graphs, so
+    /// nearly every visit is a table read.
     fn flow(&mut self, idx: usize, node: NodeId, cell: usize) -> Option<FlowOutcome> {
-        if self.memoize {
-            match self.mapper.memo.borrow().verdict(cell) {
-                Verdict::Infeasible => return None,
-                Verdict::Feasible(outcome) => return Some(outcome.clone()),
-                Verdict::Unknown => {}
-            }
+        match self.mapper.memo.borrow().verdict(cell) {
+            Verdict::Infeasible => return None,
+            Verdict::Feasible(outcome) => return Some(outcome.clone()),
+            Verdict::Unknown => {}
         }
         self.stats.flow_evals += 1;
         let computed = self.mapper.flow_and_factors_at(
@@ -669,28 +588,16 @@ impl State<'_, '_> {
             &self.assignment,
             &self.provided,
         );
-        if self.memoize {
-            self.mapper.memo.borrow_mut().record_flow(cell, computed)
-        } else {
-            computed.map(|(provided, factors)| FlowOutcome {
-                provided_id: 0,
-                provided: Rc::new(provided),
-                factors: Rc::new(factors),
-            })
-        }
+        self.mapper.memo.borrow_mut().record_flow(cell, computed)
     }
 
     /// Best objective known anywhere: this graph's own best, improved by
-    /// the cross-graph incumbent when seeded. `INFINITY` disables cuts.
+    /// the cross-graph incumbent. `INFINITY` disables cuts.
     fn threshold(&self) -> f64 {
-        let own = self
-            .best
+        self.best
             .as_ref()
-            .map_or(f64::INFINITY, |(_, b)| b.objective_value);
-        match self.incumbent {
-            Some(shared) => own.min(shared.get()),
-            None => own,
-        }
+            .map_or(f64::INFINITY, |(_, b)| b.objective_value)
+            .min(self.incumbent.get())
     }
 
     fn recurse(&mut self, pos: usize, partial: f64) {
@@ -700,7 +607,7 @@ impl State<'_, '_> {
             // objective upper-bounds its own latency part). Equal-bound
             // subtrees are still explored, so tie-breaks — including
             // MinLatency's tiny deployment-cost term — resolve exactly
-            // as in the unbounded oracle.
+            // as in an unbounded descent.
             let bound = partial + self.suffix_bound[pos];
             let t = self.threshold();
             if bound > t || (self.prune_ties && bound >= t) {
@@ -722,31 +629,24 @@ impl State<'_, '_> {
                 return;
             };
             self.stats.mappings_evaluated += 1;
-            // The bounded search hands its descent's property flow,
-            // resolved factors, and per-graph rate plan to the evaluator
-            // (one flow/configure per node already ran, rates were
-            // computed once up front); the oracle keeps the original
-            // recompute-everything path.
-            let eval = if self.bounding {
-                self.mapper.evaluate_reusing_flow(
-                    self.graph,
-                    &assignment,
-                    &self.provided,
-                    &self.factors,
-                    &self.rates,
-                )
-            } else {
-                self.mapper.evaluate(self.graph, &assignment)
-            };
+            // The descent's property flow, resolved factors, and the
+            // per-graph rate plan go to the evaluator as they are (one
+            // flow/configure per node already ran, rates were computed
+            // once up front).
+            let eval = self.mapper.evaluate_reusing_flow(
+                self.graph,
+                &assignment,
+                &self.provided,
+                &self.factors,
+                &self.rates,
+            );
             if let Some(eval) = eval {
                 let better = self
                     .best
                     .as_ref()
                     .is_none_or(|(_, b)| eval.objective_value < b.objective_value);
                 if better {
-                    if let Some(shared) = self.incumbent {
-                        shared.offer(eval.objective_value);
-                    }
+                    self.incumbent.offer(eval.objective_value);
                     self.best = Some((assignment, eval));
                 }
             }
@@ -756,21 +656,15 @@ impl State<'_, '_> {
         // The children are placed, so their context is the same for
         // every candidate below: intern it once and each candidate's
         // verdict is an array read.
-        let row = if self.memoize {
-            let Some(row) = self.flow_context(idx) else {
-                debug_assert!(false, "child placed before parent");
-                return;
-            };
-            row
-        } else {
-            0
+        let Some(row) = self.flow_context(idx) else {
+            debug_assert!(false, "child placed before parent");
+            return;
         };
         for ci in 0..self.candidates[idx].len() {
             let node = self.candidates[idx][ci];
-            if self.identity_prune
-                && self.same_component[idx]
-                    .iter()
-                    .any(|&j| self.assignment[j] == Some(node))
+            if self.same_component[idx]
+                .iter()
+                .any(|&j| self.assignment[j] == Some(node))
             {
                 // Two same-component tree nodes on one host would deploy
                 // as a single instance linked to itself — every
@@ -779,21 +673,13 @@ impl State<'_, '_> {
                 self.stats.prunes += 1;
                 continue;
             }
-            let inc = if self.bounding {
-                self.child_edge_cost(idx, node, self.static_cost[idx][ci])
-            } else {
-                0.0
-            };
+            // All zeros when bounding is off (`MaxCapacity` weighs
+            // neither latency nor cost).
+            let inc = self.child_edge_cost(idx, node, self.static_cost[idx][ci]);
             // The suffix bound and the corridor floor both underestimate
             // the remaining cost but overlap on the ancestor edge terms,
             // so they combine by max, not sum.
-            let mut remaining = self.suffix_bound[pos + 1];
-            if self.bounding {
-                let floor = self.cand_floor[idx][ci];
-                if floor > remaining {
-                    remaining = floor;
-                }
-            }
+            let remaining = self.suffix_bound[pos + 1].max(self.cand_floor[idx][ci]);
             let bound = partial + inc + remaining;
             let t = self.threshold();
             if self.bounding && (bound > t || (self.prune_ties && bound >= t)) {
@@ -807,7 +693,7 @@ impl State<'_, '_> {
                 self.stats.prunes += 1;
                 continue;
             };
-            if self.identity_prune && !self.identity_ok(idx, node, &outcome.factors) {
+            if !self.identity_ok(idx, node, &outcome.factors) {
                 self.stats.prunes += 1;
                 continue;
             }

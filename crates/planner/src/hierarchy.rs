@@ -24,59 +24,39 @@
 //! The union of those sets is the *composition universe*; the exact
 //! branch-and-bound search then runs restricted to it (same evaluator,
 //! same bounds, lazily built [`ScopedRoutes`] rows instead of a full
-//! route table). The composed objective seeds the shared incumbent for
-//! an optional **refinement sweep** over the full network
-//! ([`HierConfig::refine`]): strict-improvement pruning means the sweep
-//! only surfaces *strictly better* plans, so when it returns nothing the
-//! composed plan is provably the flat optimum. Without refinement the
-//! composed plan ships immediately and [`PlanStats::hier_gap_micro`]
-//! reports an admissible optimality-gap bound instead.
+//! route table) and the composed plan ships as it is. It is not
+//! *provably* the flat optimum — a better host may sit outside every
+//! shortlist — but it equals it bit for bit on every fabric measured,
+//! which `tests/hier_equivalence.rs` and `bench_scale` assert (DESIGN.md
+//! "Exactness, measured"). When the universe holds *no* feasible mapping
+//! the solve falls back to the flat search ([`Planner::solve`]).
 
-use crate::exhaustive;
-use crate::linkage::{enumerate_linkages_multi, LinkageGraph};
-use crate::load::propagate_rates;
+use crate::linkage::LinkageGraph;
 use crate::mapping::Mapper;
-use crate::plan::{
-    ExistingInstance, Objective, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
-};
-use crate::planner::{assemble_plan, Planner, RepairContext};
-use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, RouteTable, ScopedRoutes};
+use crate::plan::{ExistingInstance, Plan, PlanStats, ServiceRequest};
+use crate::planner::Planner;
+use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
 use ps_spec::{Environment, ResolvedBindings};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Configuration of the hierarchical planning path
-/// ([`PlannerConfig::hier`](crate::PlannerConfig)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HierConfig {
-    /// Run the exact refinement sweep over the full network after
-    /// composing (warm-started by the composed incumbent). With it the
-    /// returned optimum is provably identical to the flat search's;
-    /// without it the composed plan ships as-is and
-    /// [`PlanStats::hier_gap_micro`] carries the optimality-gap bound.
-    pub refine: bool,
-    /// Shortlist length per (region, component): how many installable
-    /// hosts each region contributes to the composition universe.
-    pub shortlist: usize,
-    /// How many of a region's gateways participate in shortlist
-    /// ranking (each ranked gateway costs one lazy Dijkstra row).
-    pub rank_gateways: usize,
-}
+/// Turns on the hierarchical planning path
+/// ([`PlannerConfig::hier`](crate::PlannerConfig)). A marker: the path
+/// has no tunables.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HierConfig {}
 
-impl Default for HierConfig {
-    fn default() -> Self {
-        HierConfig {
-            refine: false,
-            shortlist: 6,
-            rank_gateways: 4,
-        }
-    }
-}
+/// Shortlist length per (region, component): how many installable hosts
+/// each region contributes to the composition universe.
+const SHORTLIST: usize = 6;
+/// How many of a region's gateways participate in shortlist ranking
+/// (each ranked gateway costs one lazy Dijkstra row).
+const RANK_GATEWAYS: usize = 4;
 
 /// Work attributed to one region during a hierarchical solve, for the
 /// per-region trace metrics.
 #[derive(Debug, Clone, Copy, Default)]
-struct RegionWork {
+pub(crate) struct RegionWork {
     /// Segment shortlists solved (memo misses).
     segments: u64,
     /// Shortlists answered from the memo.
@@ -86,6 +66,9 @@ struct RegionWork {
     /// artifacts).
     wall_us: u64,
 }
+
+/// Per-region work of one hierarchical solve, by region name.
+pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 
 /// The serving layer's one memo: everything a connect or a heal-pass
 /// repair would otherwise re-derive against an unchanged network. One
@@ -383,12 +366,12 @@ impl RequestSignature {
 
 /// Everything one hierarchical solve needs: the universe-restricted
 /// mapper plus per-region work attribution.
-struct HierSetup<'a> {
-    mapper: Mapper<'a>,
+pub(crate) struct HierSetup<'a> {
+    pub mapper: Mapper<'a>,
     scoped: Arc<ScopedRoutes>,
     /// Rows the shared `scoped` already held when this solve started.
     rows_before: usize,
-    per_region: BTreeMap<String, RegionWork>,
+    pub per_region: RegionWorkMap,
 }
 
 impl HierSetup<'_> {
@@ -396,279 +379,17 @@ impl HierSetup<'_> {
     /// [`ScopedRoutes`] — its own Dijkstra work, not the running total
     /// of every plan of the epoch. (Solves racing on one memo may count
     /// each other's rows; the serving layer plans one at a time.)
-    fn rows_built(&self) -> u64 {
+    pub fn rows_built(&self) -> u64 {
         (self.scoped.rows_built() - self.rows_before) as u64
     }
 }
 
 impl Planner {
-    /// Hierarchical counterpart of [`Planner::plan`]: composes
-    /// per-region segment shortlists across the gateway skeleton and
-    /// searches the restricted universe, optionally refining to the
-    /// provable flat optimum (see the module docs). Falls back to the
-    /// flat path when the network has fewer than two regions or the
-    /// restricted universe turns out infeasible.
-    pub fn plan_hierarchical<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        memo: &HierMemo,
-    ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let Some(setup) = self.hier_setup(net, translator, request, &graphs, memo, &[], &mut stats)
-        else {
-            // Single-region fabric: nothing to decompose.
-            return self.plan(net, translator, request);
-        };
-
-        let incumbent = exhaustive::Incumbent::new();
-        let mut best: Option<Plan> = None;
-        for graph in &graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
-            let Some((assignment, eval)) =
-                exhaustive::search_seeded(&setup.mapper, graph, &mut stats, &incumbent)
-            else {
-                continue;
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| eval.objective_value < b.objective_value);
-            if better {
-                best = Some(assemble_plan(graph, &assignment, eval));
-            }
-        }
-        stats.route_rows_built = setup.rows_built();
-
-        let Some(mut plan) = best else {
-            // The restricted universe missed every feasible mapping
-            // (e.g. the only installable host sits outside all
-            // shortlists). Correctness over speed: re-plan flat.
-            return self.plan(net, translator, request);
-        };
-
-        let cfg = self.config.hier.clone().unwrap_or_default();
-        if cfg.refine {
-            self.refine_sweep(
-                net, translator, request, &graphs, &incumbent, &mut plan, &mut stats,
-            );
-        } else {
-            stats.hier_gap_micro = gap_micro(
-                plan.objective_value,
-                self.objective_lower_bound(net, request, &graphs),
-            );
-        }
-        plan.stats = stats;
-        self.publish_stats(&plan.stats);
-        self.publish_hier(&plan.stats, &setup.per_region);
-        Ok(plan)
-    }
-
-    /// Hierarchical counterpart of [`Planner::plan_repair`]: the repair
-    /// solve (surviving placements fixed) and the follow-up sweep both
-    /// run on the composition universe — with the old plan's hosts as
-    /// additional anchors — instead of the whole network. With
-    /// [`HierConfig::refine`] the follow-up sweep runs flat (exact
-    /// optimum, as `plan_repair`); without it the sweep stays
-    /// restricted and the gap bound is reported. Delegates to the flat
-    /// [`Planner::plan_repair`] when hierarchical planning is not
-    /// configured or the fabric has fewer than two regions.
-    pub fn plan_repair_with_memo<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        ctx: &RepairContext<'_>,
-        memo: &HierMemo,
-    ) -> Result<Plan, PlanError> {
-        if self.config.hier.is_none() {
-            return self.plan_repair(net, translator, request, ctx);
-        }
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let old = ctx.old_plan;
-        let survivors: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
-        let Some(setup) = self.hier_setup(
-            net, translator, request, &graphs, memo, &survivors, &mut stats,
-        ) else {
-            return self.plan_repair(net, translator, request, ctx);
-        };
-
-        // Which chain positions did the damage touch? (Same
-        // classification as the flat repair path.)
-        let mut affected = vec![false; old.placements.len()];
-        for (i, p) in old.placements.iter().enumerate() {
-            if !net.node(p.node).up || ctx.dirty_nodes.contains(&p.node) {
-                affected[i] = true;
-            }
-        }
-        for edge in &old.edges {
-            let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
-                || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
-            if touched {
-                affected[edge.from] = true;
-                affected[edge.to] = true;
-            }
-        }
-        if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
-            affected[0] = true;
-        }
-        let chains_resolved = affected.iter().filter(|&&a| a).count();
-        let chains_reused = affected.len() - chains_resolved;
-
-        let incumbent = exhaustive::Incumbent::new();
-        let fixed: Vec<Option<NodeId>> = affected
-            .iter()
-            .zip(&old.placements)
-            .map(|(&aff, p)| (!aff).then_some(p.node))
-            .collect();
-        let seed = graphs
-            .iter()
-            .any(|g| g == &old.graph)
-            .then(|| {
-                exhaustive::search_restricted(
-                    &setup.mapper,
-                    &old.graph,
-                    &mut stats,
-                    &fixed,
-                    &incumbent,
-                )
-            })
-            .flatten();
-        let seeded = seed.is_some();
-        let cuts_before_full = stats.bound_prunes;
-        let mut best: Option<Plan> =
-            seed.map(|(assignment, eval)| assemble_plan(&old.graph, &assignment, eval));
-
-        let cfg = self.config.hier.clone().unwrap_or_default();
-        if cfg.refine {
-            // Exact confirmation over the full network, warm-started by
-            // the repair seed (identical guarantees to `plan_repair`).
-            let mut carrier = best.take();
-            if carrier.is_none() {
-                // Nothing to refine against yet: run the plain sweep
-                // through the restricted mapper first so the incumbent
-                // is live, then confirm flat below.
-                for graph in &graphs {
-                    if !self.graph_possibly_feasible(graph, request) {
-                        continue;
-                    }
-                    if let Some((assignment, eval)) = exhaustive::search_strictly_better(
-                        &setup.mapper,
-                        graph,
-                        &mut stats,
-                        &incumbent,
-                    ) {
-                        let better = carrier
-                            .as_ref()
-                            .is_none_or(|b| eval.objective_value < b.objective_value);
-                        if better {
-                            carrier = Some(assemble_plan(graph, &assignment, eval));
-                        }
-                    }
-                }
-            }
-            if let Some(mut plan) = carrier {
-                self.refine_sweep(
-                    net, translator, request, &graphs, &incumbent, &mut plan, &mut stats,
-                );
-                best = Some(plan);
-            } else {
-                // Universe infeasible outright: exact flat repair.
-                return self.plan_repair(net, translator, request, ctx);
-            }
-        } else {
-            for graph in &graphs {
-                if !self.graph_possibly_feasible(graph, request) {
-                    stats.prunes += 1;
-                    continue;
-                }
-                let Some((assignment, eval)) = exhaustive::search_strictly_better(
-                    &setup.mapper,
-                    graph,
-                    &mut stats,
-                    &incumbent,
-                ) else {
-                    continue;
-                };
-                let better = best
-                    .as_ref()
-                    .is_none_or(|b| eval.objective_value < b.objective_value);
-                if better {
-                    best = Some(assemble_plan(graph, &assignment, eval));
-                }
-            }
-        }
-        stats.route_rows_built = setup.rows_built();
-
-        match best {
-            Some(mut plan) => {
-                if !stats.hier_refined {
-                    stats.hier_gap_micro = gap_micro(
-                        plan.objective_value,
-                        self.objective_lower_bound(net, request, &graphs),
-                    );
-                }
-                plan.stats = stats;
-                plan.repair = Some(PlanRepairStats {
-                    chains_resolved,
-                    chains_reused,
-                    seeded_bound_cuts: stats.bound_prunes - cuts_before_full,
-                    seeded,
-                });
-                self.publish_stats(&plan.stats);
-                self.publish_hier(&plan.stats, &setup.per_region);
-                let tracer = &self.config.tracer;
-                tracer.count("planner.repairs", 1);
-                tracer.count("planner.repair_chains_resolved", chains_resolved as u64);
-                tracer.count("planner.repair_chains_reused", chains_reused as u64);
-                Ok(plan)
-            }
-            // The restricted repair found nothing; the flat path is the
-            // completeness backstop.
-            None => self.plan_repair(net, translator, request, ctx),
-        }
-    }
-
     /// Builds the composition universe and its mapper. `None` when the
     /// fabric has fewer than two regions (hierarchical planning adds
     /// nothing there).
     #[allow(clippy::too_many_arguments)]
-    fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
+    pub(crate) fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
         &'a self,
         net: &'a Network,
         translator: &T,
@@ -682,7 +403,6 @@ impl Planner {
         if map.len() < 2 {
             return None;
         }
-        let cfg = self.config.hier.clone().unwrap_or_default();
         let scoped = memo.scoped_routes(net);
         let rows_before = scoped.rows_built();
         let sig = memo.signature_id(request);
@@ -719,15 +439,8 @@ impl Planner {
         // `component_fits` drives candidate filtering) and restricted to
         // the universe afterwards — `with_universe` must precede any
         // candidate query, and `component_fits` makes none.
-        let mapper = Mapper::new(
-            &self.spec,
-            net,
-            translator,
-            request,
-            self.config.load_model,
-            self.config.objective,
-        )
-        .with_scoped_routes(Arc::clone(&scoped));
+        let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
+            .with_scoped_routes(Arc::clone(&scoped));
 
         let mut components: BTreeSet<&str> = BTreeSet::new();
         for graph in graphs {
@@ -749,15 +462,7 @@ impl Planner {
                     continue;
                 }
                 let timer = ps_trace::WallTimer::start();
-                let shortlist = segment_shortlist(
-                    &mapper,
-                    net,
-                    &scoped,
-                    region,
-                    component,
-                    cfg.shortlist,
-                    cfg.rank_gateways,
-                );
+                let shortlist = segment_shortlist(&mapper, net, &scoped, region, component);
                 work.wall_us += timer.elapsed_micros();
                 work.segments += 1;
                 stats.hier_segments += 1;
@@ -777,109 +482,15 @@ impl Planner {
         })
     }
 
-    /// The exact refinement sweep: strict-improvement search over the
-    /// full network, warm-started by the composed incumbent. When it
-    /// surfaces nothing, the composed plan *is* the flat optimum (the
-    /// sweep's pruning only ever cuts completions that cannot strictly
-    /// beat the incumbent).
-    #[allow(clippy::too_many_arguments)]
-    fn refine_sweep<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        graphs: &[LinkageGraph],
-        incumbent: &exhaustive::Incumbent,
-        plan: &mut Plan,
-        stats: &mut PlanStats,
-    ) {
-        let table = Arc::new(RouteTable::build(net));
-        stats.route_table_build_us = table.build_micros();
-        let full_mapper = Mapper::new(
-            &self.spec,
-            net,
-            translator,
-            request,
-            self.config.load_model,
-            self.config.objective,
-        )
-        .with_route_table(table);
-        let cuts_before = stats.bound_prunes;
-        for graph in graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                continue;
-            }
-            let Some((assignment, eval)) =
-                exhaustive::search_strictly_better(&full_mapper, graph, stats, incumbent)
-            else {
-                continue;
-            };
-            if eval.objective_value < plan.objective_value {
-                *plan = assemble_plan(graph, &assignment, eval);
-            }
-        }
-        stats.hier_refine_cuts = stats.bound_prunes - cuts_before;
-        stats.hier_refined = true;
-        stats.hier_gap_micro = 0;
-    }
-
-    /// Cheap admissible lower bound on the flat optimum across all
-    /// viable graphs, for the unrefined gap report. For `MinLatency`
-    /// (the default objective) it charges only compute time — every
-    /// component's rate-weighted CPU cost on the fastest live node —
-    /// ignoring routing, transfer, and penalties, all of which are
-    /// non-negative. Other objectives conservatively bound at zero.
-    fn objective_lower_bound(
-        &self,
-        net: &Network,
-        request: &ServiceRequest,
-        graphs: &[LinkageGraph],
-    ) -> f64 {
-        if self.config.objective != Objective::MinLatency {
-            return 0.0;
-        }
-        let max_speed = net
-            .nodes()
-            .iter()
-            .filter(|n| n.up)
-            .map(|n| n.cpu_speed)
-            .fold(0.0_f64, f64::max)
-            .max(f64::MIN_POSITIVE);
-        let bound = graphs
-            .iter()
-            .filter(|g| self.graph_possibly_feasible(g, request))
-            .map(|graph| {
-                let rates = propagate_rates(&self.spec, graph, request.rate.max(1.0));
-                (0..graph.len())
-                    .map(|idx| {
-                        let comp = self.spec.behavior_of(&graph.nodes[idx].component);
-                        rates.fraction(idx) * comp.cpu_per_request_ms / max_speed
-                    })
-                    .sum::<f64>()
-            })
-            .fold(f64::INFINITY, f64::min);
-        if bound.is_finite() {
-            bound.max(0.0)
-        } else {
-            0.0
-        }
-    }
-
     /// Publishes hierarchical counters, including per-region plan-work
     /// attribution for `timeline_report` breakdowns.
-    fn publish_hier(&self, stats: &PlanStats, per_region: &BTreeMap<String, RegionWork>) {
+    pub(crate) fn publish_hier(&self, stats: &PlanStats, per_region: &RegionWorkMap) {
         let tracer = &self.config.tracer;
         tracer.count("planner.hier.plans", 1);
         tracer.count("planner.hier.segments", u64::from(stats.hier_segments));
         tracer.count("planner.hier.memo_hits", u64::from(stats.hier_memo_hits));
         tracer.gauge("planner.hier.universe", f64::from(stats.hier_universe));
-        tracer.count("planner.hier.refine_cuts", stats.hier_refine_cuts);
         tracer.count("planner.hier.route_rows", stats.route_rows_built);
-        if stats.hier_refined {
-            tracer.count("planner.hier.refined", 1);
-        } else {
-            tracer.gauge("planner.hier.gap_micro", stats.hier_gap_micro as f64);
-        }
         for (site, work) in per_region {
             tracer.count(&format!("planner.region.{site}.segments"), work.segments);
             tracer.count(&format!("planner.region.{site}.memo_hits"), work.hits);
@@ -893,16 +504,14 @@ impl Planner {
 /// Computes one region's shortlist for `component`: every member host
 /// passing the condition-1 filter, ranked by proximity to the region's
 /// border gateways (minimum scoped latency to any of the first
-/// `rank_gateways` gateways; ties and gateway-less regions fall back to
-/// node-id order), truncated to `limit`.
+/// [`RANK_GATEWAYS`] gateways; ties and gateway-less regions fall back to
+/// node-id order), truncated to [`SHORTLIST`].
 fn segment_shortlist(
     mapper: &Mapper<'_>,
     net: &Network,
     scoped: &ScopedRoutes,
     region: &ps_net::Region,
     component: &str,
-    limit: usize,
-    rank_gateways: usize,
 ) -> Vec<NodeId> {
     let Some(decl) = mapper.spec.get_component(component) else {
         return Vec::new();
@@ -916,7 +525,7 @@ fn segment_shortlist(
             let proximity = region
                 .gateways
                 .iter()
-                .take(rank_gateways)
+                .take(RANK_GATEWAYS)
                 .filter_map(|&gw| scoped.latency(net, gw, node))
                 .map(|latency| latency.as_nanos())
                 .min()
@@ -925,18 +534,8 @@ fn segment_shortlist(
         })
         .collect();
     fitting.sort_unstable();
-    fitting.truncate(limit);
+    fitting.truncate(SHORTLIST);
     fitting.into_iter().map(|(_, node)| node).collect()
-}
-
-/// Saturating micro-unit optimality gap: `(value − bound) · 1e6`.
-fn gap_micro(value: f64, lower_bound: f64) -> u64 {
-    let gap = (value - lower_bound).max(0.0) * 1e6;
-    if gap >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        gap as u64
-    }
 }
 
 #[cfg(test)]
@@ -993,12 +592,5 @@ mod tests {
             Some(vec![host])
         );
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
-    }
-
-    #[test]
-    fn gap_micro_saturates_and_floors() {
-        assert_eq!(gap_micro(5.0, 7.0), 0);
-        assert_eq!(gap_micro(7.0, 5.0), 2_000_000);
-        assert_eq!(gap_micro(f64::MAX, 0.0), u64::MAX);
     }
 }

@@ -13,14 +13,16 @@
 //!    environment transformation (Figure 4 rules), and load vs capacity —
 //!    and keeping the one that optimizes the global [`Objective`].
 //!
-//! Three interchangeable search algorithms implement step 2: the
-//! exhaustive oracle, a CANS-style chain [`dp`], and an IPP-style
-//! branch-and-bound solver ([`pop`]). Property tests assert they agree.
+//! One search implements step 2: [`exhaustive`], the paper's exhaustive
+//! search made fast by admissible branch-and-bound pruning and a
+//! plan-scoped memo. Every entry point — cold or warm-started repair,
+//! flat or [`hierarchy`]-composed — is a wrapper of [`Planner::solve`],
+//! and the tests hold the search to an unbounded, memo-free reference
+//! descent on value and placements.
 
 #![warn(missing_docs)]
 
 pub mod compat;
-pub mod dp;
 pub mod exhaustive;
 pub mod hierarchy;
 pub mod linkage;
@@ -29,13 +31,12 @@ pub mod mapping;
 mod memo;
 pub mod plan;
 pub mod planner;
-pub mod pop;
 
 pub use hierarchy::{HierConfig, HierMemo};
 pub use linkage::{
     enumerate_linkages, enumerate_linkages_multi, LinkageGraph, LinkageLimits, LinkageNode,
 };
-pub use load::{propagate_rates, LoadModel, RatePlan};
+pub use load::{propagate_rates, RatePlan};
 pub use mapping::{Evaluation, Mapper, AVOID_PENALTY};
 pub use plan::{
     ExistingInstance, Objective, Placement, Plan, PlanEdge, PlanError, PlanRepairStats, PlanStats,
@@ -47,7 +48,6 @@ pub use planner::{Algorithm, Planner, PlannerConfig, RepairContext};
 pub mod prelude {
     pub use crate::hierarchy::{HierConfig, HierMemo};
     pub use crate::linkage::{enumerate_linkages, LinkageGraph, LinkageLimits};
-    pub use crate::load::LoadModel;
     pub use crate::plan::{Objective, Plan, PlanError, ServiceRequest};
     pub use crate::planner::{Algorithm, Planner, PlannerConfig};
 }

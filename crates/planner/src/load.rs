@@ -68,20 +68,6 @@ impl RatePlan {
     }
 }
 
-/// How capacity is enforced during mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LoadModel {
-    /// Each component/edge is checked against its node/link in isolation.
-    /// This is the model the chain DP can reason about (its state has no
-    /// memory of sibling placements).
-    PerComponent,
-    /// Loads accumulate across all components mapped to a node and all
-    /// edges routed over a link; only whole-mapping checks can enforce
-    /// this, so it is exclusive to the exhaustive/POP planners.
-    #[default]
-    Accumulated,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

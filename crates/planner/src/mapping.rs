@@ -1,6 +1,6 @@
 //! Mapping evaluation: the three validity conditions of Section 3.3 plus
-//! objective computation, shared by the exhaustive, DP, and partial-order
-//! search algorithms.
+//! objective computation, shared by the planner's search and the
+//! replanner's still-valid check.
 //!
 //! A *mapping* assigns each linkage-graph node to a network node. The
 //! [`Mapper`] checks:
@@ -17,7 +17,7 @@
 
 use crate::compat::{effective_provided, satisfies, transform_along};
 use crate::linkage::LinkageGraph;
-use crate::load::{propagate_rates, LoadModel, RatePlan};
+use crate::load::{propagate_rates, RatePlan};
 use crate::memo::PlanMemo;
 use crate::plan::{Objective, PlanEdge, ServiceRequest};
 use ps_net::{
@@ -92,8 +92,6 @@ pub struct Mapper<'a> {
     pub net: &'a Network,
     /// The client request being planned.
     pub request: &'a ServiceRequest,
-    /// Capacity enforcement mode.
-    pub load_model: LoadModel,
     /// Optimization objective.
     pub objective: Objective,
     node_envs: Vec<Environment>,
@@ -103,8 +101,8 @@ pub struct Mapper<'a> {
     /// learned during this planning call (see [`crate::memo`]).
     pub(crate) memo: RefCell<PlanMemo>,
     /// Shared all-pairs route table; when absent, routes fall back to
-    /// on-demand Dijkstra (the pre-table behavior, kept reachable so the
-    /// bench harness can measure the baseline).
+    /// on-demand Dijkstra (what the replanner's one-off evaluation and
+    /// the tests' reference descent use).
     route_table: Option<Arc<RouteTable>>,
     /// Lazily built per-source routing rows (the hierarchical planner's
     /// substitute for a full table); consulted before `route_table`.
@@ -123,7 +121,6 @@ impl<'a> Mapper<'a> {
         net: &'a Network,
         translator: &T,
         request: &'a ServiceRequest,
-        load_model: LoadModel,
         objective: Objective,
     ) -> Self {
         let derive = |mut env: Environment| {
@@ -155,7 +152,6 @@ impl<'a> Mapper<'a> {
             spec,
             net,
             request,
-            load_model,
             objective,
             node_envs,
             link_envs,
@@ -168,8 +164,8 @@ impl<'a> Mapper<'a> {
     }
 
     /// Switches route lookups onto a shared all-pairs [`RouteTable`]
-    /// (built once per network epoch, shared read-only across worker
-    /// threads) instead of per-mapper on-demand Dijkstra.
+    /// (built once per network epoch) instead of per-mapper on-demand
+    /// Dijkstra.
     ///
     /// The table must have been built from `self.net` at its current
     /// epoch; results are bit-identical to the lazy path.
@@ -220,8 +216,8 @@ impl<'a> Mapper<'a> {
 
     /// The objective penalty for placing on `node`: [`AVOID_PENALTY`]
     /// when the request down-weights it, zero otherwise. Added per
-    /// placement by every search algorithm's cost model, and omitted
-    /// from branch-and-bound *bounds* (which therefore undershoot —
+    /// placement by the evaluator, and omitted from branch-and-bound
+    /// *bounds* (which therefore undershoot —
     /// still admissible).
     pub fn avoidance_penalty(&self, node: NodeId) -> f64 {
         if self.request.avoided.contains(&node) {
@@ -610,18 +606,10 @@ impl<'a> Mapper<'a> {
                     sustainable = sustainable.min(cap / frac);
                 }
             }
-            // Node CPU load.
-            let cpu_load = rates.node_rate[idx] * comp.cpu_per_request_ms / 1000.0;
-            match self.load_model {
-                LoadModel::PerComponent => {
-                    if cpu_load > speed {
-                        return None;
-                    }
-                }
-                LoadModel::Accumulated => {
-                    *node_cpu.entry(node.0).or_insert(0.0) += cpu_load;
-                }
-            }
+            // Node CPU load: accumulates across every component mapped
+            // to the node, checked once the whole mapping is charged.
+            *node_cpu.entry(node.0).or_insert(0.0) +=
+                rates.node_rate[idx] * comp.cpu_per_request_ms / 1000.0;
             if frac > 0.0 && comp.cpu_per_request_ms > 0.0 {
                 sustainable = sustainable.min(speed * 1000.0 / (frac * comp.cpu_per_request_ms));
             }
@@ -631,17 +619,8 @@ impl<'a> Mapper<'a> {
                 let info = self.route(assignment[parent], node)?;
                 let bits =
                     rates.edge_bits_per_sec(idx, comp.bytes_per_request, comp.bytes_per_response);
-                match self.load_model {
-                    LoadModel::PerComponent => {
-                        if bits > info.route.bottleneck_bps {
-                            return None;
-                        }
-                    }
-                    LoadModel::Accumulated => {
-                        for &l in &info.route.links {
-                            *link_bits.entry(l.0).or_insert(0.0) += bits;
-                        }
-                    }
+                for &l in &info.route.links {
+                    *link_bits.entry(l.0).or_insert(0.0) += bits;
                 }
                 if frac > 0.0 && info.route.bottleneck_bps.is_finite() {
                     let per_req_bits =
@@ -686,17 +665,14 @@ impl<'a> Mapper<'a> {
         }
 
         // Accumulated capacity checks.
-        if self.load_model == LoadModel::Accumulated {
-            for (&node, &load) in &node_cpu {
-                let speed = self.net.node(NodeId(node)).cpu_speed;
-                if load > speed {
-                    return None;
-                }
+        for (&node, &load) in &node_cpu {
+            if load > self.net.node(NodeId(node)).cpu_speed {
+                return None;
             }
-            for (&link, &bits) in &link_bits {
-                if bits > self.net.link(ps_net::LinkId(link)).bandwidth_bps {
-                    return None;
-                }
+        }
+        for (&link, &bits) in &link_bits {
+            if bits > self.net.link(ps_net::LinkId(link)).bandwidth_bps {
+                return None;
             }
         }
         if sustainable < root_rate && self.request.rate > 0.0 {

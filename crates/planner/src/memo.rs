@@ -1,9 +1,8 @@
 //! The plan-scoped search memo: everything one planning call learns
 //! once and every graph search of that call reads back.
 //!
-//! A [`Mapper`](crate::Mapper) lives for exactly one planning call (one
-//! per `plan_parallel` worker) and is shared by all of that call's graph
-//! searches, so the memo it owns has the same lifetime and needs no
+//! A [`Mapper`](crate::Mapper) lives for exactly one planning call and
+//! is shared by all of that call's graph searches, so the memo it owns has the same lifetime and needs no
 //! invalidation: spec, request, node environments and routes are fixed
 //! for as long as it exists. Four tables, each keyed on exactly the
 //! inputs its value is a pure function of:
@@ -32,7 +31,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone)]
 pub(crate) struct FlowOutcome {
     /// Id of `provided` in the memo's interner — the placement's part of
-    /// its parent's flow context. Unused (zero) in the memo-free oracle.
+    /// its parent's flow context.
     pub provided_id: u32,
     /// Effective provided properties of the placement.
     pub provided: Rc<ResolvedBindings>,

@@ -337,16 +337,14 @@ pub struct PlanStats {
     pub mappings_evaluated: u64,
     /// Partial assignments pruned.
     pub prunes: u64,
-    /// Subtrees cut by the admissible objective bound (branch-and-bound
-    /// searches only; the unbounded oracle never sets this).
+    /// Subtrees cut by the admissible objective bound.
     pub bound_prunes: u64,
-    /// Property-flow computations the search descents actually ran:
-    /// plan-memo misses in the bounded search, every visit in the
-    /// memo-free oracle, DP and partial-order searches. Deterministic,
-    /// so it gates the memo layer machine-independently.
+    /// Property-flow computations the search descents actually ran
+    /// (plan-memo misses). Deterministic, so it gates the memo layer
+    /// machine-independently.
     pub flow_evals: u64,
-    /// Microseconds spent building the shared all-pairs route table
-    /// (zero when the lazy per-mapper path was used).
+    /// Microseconds spent building (or repairing) the all-pairs route
+    /// table (zero on the hierarchical path's lazy rows).
     pub route_table_build_us: u64,
     /// Plan-cache hits recorded by the serving layer (zero inside the
     /// planner itself; `GenericServer` fills it in on a cache hit).
@@ -360,45 +358,16 @@ pub struct PlanStats {
     /// Candidate-universe size the hierarchical composition searched
     /// over (the flat path searches every node; zero there).
     pub hier_universe: u32,
-    /// Subtrees the exact refinement sweep cut against the composed
-    /// incumbent (only set when refinement ran).
-    pub hier_refine_cuts: u64,
-    /// Whether the exact refinement sweep ran — when true the reported
-    /// optimum is provably identical to the flat search's.
-    pub hier_refined: bool,
-    /// When refinement was skipped: an upper bound on the composed
-    /// plan's optimality gap, in micro-units of the objective
-    /// (`(composed − lower_bound) · 1e6`, saturating). Zero when
-    /// refinement ran.
-    pub hier_gap_micro: u64,
     /// Per-source routing rows (one Dijkstra each) this plan paid for:
     /// every source for a full route-table build, the re-run sources
     /// for a repair, and on the hierarchical path the lazy rows *this*
     /// call added to the shared [`ScopedRoutes`](ps_net::ScopedRoutes)
-    /// — not the rows earlier plans of the epoch had already built.
+    /// — not the rows earlier plans of the epoch had already built. A
+    /// hierarchical solve that fell back to flat carries both.
     pub route_rows_built: u64,
 }
 
 impl PlanStats {
-    /// Folds another run's counters into this one (graph totals are
-    /// kept from `self`; build time takes the maximum since workers
-    /// share one table).
-    pub fn absorb(&mut self, other: &PlanStats) {
-        self.mappings_evaluated += other.mappings_evaluated;
-        self.prunes += other.prunes;
-        self.bound_prunes += other.bound_prunes;
-        self.flow_evals += other.flow_evals;
-        self.route_table_build_us = self.route_table_build_us.max(other.route_table_build_us);
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.hier_segments += other.hier_segments;
-        self.hier_memo_hits += other.hier_memo_hits;
-        self.hier_universe = self.hier_universe.max(other.hier_universe);
-        self.hier_refine_cuts += other.hier_refine_cuts;
-        self.hier_refined |= other.hier_refined;
-        self.hier_gap_micro = self.hier_gap_micro.max(other.hier_gap_micro);
-        self.route_rows_built = self.route_rows_built.max(other.route_rows_built);
-    }
-
     /// Deterministic proxy for planning work: mapping evaluations and
     /// prunes weigh 1 each, every lazy routing row weighs as much as
     /// one evaluation batch (a full Dijkstra ≈ 64 evaluations at scale).

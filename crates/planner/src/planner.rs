@@ -1,75 +1,52 @@
 //! The planning facade: ties enumeration, mapping, and search together
 //! (Figure 1, step 4).
 
-use crate::dp;
-use crate::exhaustive;
-use crate::linkage::enumerate_linkages_multi;
-use crate::linkage::{LinkageGraph, LinkageLimits};
-use crate::load::LoadModel;
+use crate::exhaustive::{self, Incumbent};
+use crate::hierarchy::{HierConfig, HierMemo, RegionWorkMap};
+use crate::linkage::{enumerate_linkages_multi, LinkageGraph, LinkageLimits};
 use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{
     Objective, Placement, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
 };
-use crate::pop;
 use ps_net::{LinkId, Network, NodeId, PropertyTranslator, RouteTable};
 use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
 use std::sync::Arc;
 
-/// Which search algorithm maps linkage graphs onto the network.
+/// The search algorithm mapping linkage graphs onto the network. There
+/// is one — exhaustive search with admissible branch-and-bound pruning
+/// ([`crate::exhaustive`]) — and the enum survives only as source
+/// compatibility with the frozen `benchmark/` package, which writes
+/// `algorithm: Algorithm::Exhaustive` (see ROADMAP "Smaller items").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
-    /// Unbounded brute force with property-flow pruning only — the
-    /// pre-bounding oracle, kept reachable for equivalence testing and
-    /// baseline benchmarking.
-    Oracle,
-    /// Exhaustive search with admissible branch-and-bound pruning;
-    /// returns exactly the oracle's optimum (value and assignment).
-    Exhaustive,
-    /// Chain dynamic programming (CANS-style); non-chain graphs and the
-    /// MaxCapacity objective fall back to branch-and-bound.
-    DpChain,
-    /// Branch-and-bound plan-space search (IPP-style solver core).
-    PartialOrder,
-    /// DP for chains, branch-and-bound otherwise.
+    /// The bounded exhaustive search.
     #[default]
-    Auto,
+    Exhaustive,
 }
 
-/// Planner configuration.
+/// Planner configuration: enumeration limits, the objective, a tracer,
+/// and hierarchical planning on or off.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Linkage enumeration limits.
     pub limits: LinkageLimits,
     /// Optimization objective.
     pub objective: Objective,
-    /// Capacity enforcement mode. Note that [`Algorithm::DpChain`]
-    /// reasons per-component regardless; with `Accumulated` the final
-    /// whole-mapping check still applies to the plan it returns.
-    pub load_model: LoadModel,
-    /// Search algorithm.
+    /// No effect (one algorithm); kept for the `benchmark/` package.
     pub algorithm: Algorithm,
-    /// Worker threads for graph mapping (0 or 1 = serial). Used by
-    /// [`Planner::plan_parallel`]-aware callers such as the generic
-    /// server.
+    /// No effect (planning is serial); kept for the `benchmark/` package.
     pub threads: usize,
-    /// Build one all-pairs [`RouteTable`] per planning call and share it
-    /// (read-only) across every mapper — including all
-    /// [`Planner::plan_parallel`] workers — instead of each mapper
-    /// running its own on-demand Dijkstras. On by default; turn off to
-    /// measure the lazy baseline.
-    pub share_route_table: bool,
     /// Tracer receiving planning statistics (`planner.*` registry
     /// counters). Disabled by default; the planner emits no trace
     /// *events* because it runs in host wall-clock time, which is banned
     /// from the deterministic event stream.
     pub tracer: Tracer,
-    /// Hierarchical gateway-composed planning
-    /// ([`Planner::plan_hierarchical`]): `Some` switches the serving
-    /// layer's connect and repair paths onto region decomposition with
-    /// the per-region subplan memo. `None` (the default) keeps every
-    /// path flat.
-    pub hier: Option<crate::hierarchy::HierConfig>,
+    /// Hierarchical gateway-composed planning: `Some` switches the
+    /// serving layer's connect and repair paths onto region
+    /// decomposition with the per-region subplan memo
+    /// ([`crate::hierarchy`]). `None` (the default) keeps every path flat.
+    pub hier: Option<HierConfig>,
 }
 
 impl Default for PlannerConfig {
@@ -77,10 +54,8 @@ impl Default for PlannerConfig {
         PlannerConfig {
             limits: LinkageLimits::default(),
             objective: Objective::default(),
-            load_model: LoadModel::default(),
             algorithm: Algorithm::default(),
             threads: 0,
-            share_route_table: true,
             tracer: Tracer::disabled(),
             hier: None,
         }
@@ -114,7 +89,7 @@ impl Planner {
     /// Enumeration limits effective for one request: a degraded-mode
     /// request (partition-side healing) may detach data views from
     /// their unreachable upstream subtree.
-    pub(crate) fn effective_limits(&self, request: &ServiceRequest) -> LinkageLimits {
+    fn effective_limits(&self, request: &ServiceRequest) -> LinkageLimits {
         let mut limits = self.config.limits.clone();
         limits.allow_detached_data_views |= request.degraded;
         limits
@@ -130,10 +105,86 @@ impl Planner {
         translator: &T,
         request: &ServiceRequest,
     ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
+        self.solve(net, translator, request, None, None)
+    }
+
+    /// Warm-start plan repair: re-plans `request` after a network change,
+    /// seeding the exact search with a cheap *repair* of the surviving
+    /// plan instead of starting cold (see [`solve`](Self::solve)). The
+    /// returned objective value is exactly the from-scratch optimum; on
+    /// objective *ties* the repaired old-shape mapping wins, which
+    /// minimizes placement churn.
+    pub fn plan_repair<T: PropertyTranslator + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        ctx: &RepairContext<'_>,
+    ) -> Result<Plan, PlanError> {
+        self.solve(net, translator, request, Some(ctx), None)
+    }
+
+    /// Hierarchical counterpart of [`plan`](Self::plan): composes
+    /// per-region segment shortlists across the gateway skeleton and
+    /// searches the restricted universe (see [`crate::hierarchy`]).
+    pub fn plan_hierarchical<T: PropertyTranslator + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        memo: &HierMemo,
+    ) -> Result<Plan, PlanError> {
+        self.solve(net, translator, request, None, Some(memo))
+    }
+
+    /// Hierarchical counterpart of [`plan_repair`](Self::plan_repair):
+    /// the repair solve and the follow-up sweep both run on the
+    /// composition universe — with the old plan's hosts as additional
+    /// anchors — instead of the whole network. Flat when hierarchical
+    /// planning is not configured.
+    pub fn plan_repair_with_memo<T: PropertyTranslator + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        ctx: &RepairContext<'_>,
+        memo: &HierMemo,
+    ) -> Result<Plan, PlanError> {
+        let memo = self.config.hier.as_ref().map(|_| memo);
+        self.solve(net, translator, request, Some(ctx), memo)
+    }
+
+    /// The one solve every entry point above is a wrapper of.
+    ///
+    /// With `memo`, the search first runs on the hierarchical
+    /// composition universe (lazy route rows, shortlists from the memo);
+    /// a fabric with fewer than two regions has nothing to decompose,
+    /// and a universe that misses every feasible mapping (e.g. the only
+    /// installable host sits outside all shortlists) is no answer —
+    /// correctness over speed — so both fall through to the flat search
+    /// over the whole network and one all-pairs [`RouteTable`], carrying
+    /// the statistics of the work already done.
+    ///
+    /// With `repair`, each search is warm-started: a repair solve that
+    /// keeps every placement the damage did not touch seeds the exact
+    /// sweep over all graphs. And the flat route table is the previous
+    /// epoch's (`ctx.prior_routes`), repaired incrementally
+    /// ([`RouteTable::repair`]) from the same dirty sets instead of
+    /// rebuilt.
+    pub fn solve<T: PropertyTranslator + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        repair: Option<&RepairContext<'_>>,
+        memo: Option<&HierMemo>,
+    ) -> Result<Plan, PlanError> {
+        if let Some(unknown) = request
+            .pinned
+            .keys()
+            .find(|pinned| self.spec.get_component(pinned).is_none())
+        {
+            return Err(PlanError::UnknownPinned(unknown.clone()));
         }
         let graphs = enumerate_linkages_multi(
             &self.spec,
@@ -143,114 +194,151 @@ impl Planner {
         if graphs.is_empty() {
             return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
         }
-
         let mut stats = PlanStats {
             graphs_enumerated: graphs.len(),
             ..PlanStats::default()
         };
-        let mut best: Option<Plan> = None;
+        let fixed = repair.map(|ctx| surviving_placements(net, request, ctx));
+        let warm = repair
+            .zip(fixed.as_deref())
+            .map(|(ctx, fixed)| (ctx.old_plan, fixed));
 
-        // All-pairs routes computed once for this network epoch and
-        // shared by every mapper below.
-        let route_table = self
-            .config
-            .share_route_table
-            .then(|| Arc::new(RouteTable::build(net)));
-        if let Some(table) = &route_table {
-            stats.route_table_build_us = table.build_micros();
-            // A full build runs one Dijkstra per source; recorded so the
-            // deterministic work proxy (`PlanStats::work_units`) charges
-            // flat and hierarchical planning on the same scale.
-            stats.route_rows_built = net.node_count() as u64;
+        let mut regions = None;
+        if let Some(memo) = memo {
+            // A repair anchors the universe on the old plan's hosts too.
+            let anchors: Vec<NodeId> = repair
+                .iter()
+                .flat_map(|ctx| ctx.old_plan.placements.iter().map(|p| p.node))
+                .collect();
+            if let Some(setup) = self.hier_setup(
+                net, translator, request, &graphs, memo, &anchors, &mut stats,
+            ) {
+                let found = self.sweep(&setup.mapper, &graphs, request, warm, &mut stats);
+                stats.route_rows_built += setup.rows_built();
+                regions = Some(setup.per_region);
+                if let Some(plan) = found {
+                    return Ok(self.finish(plan, stats, regions.as_ref()));
+                }
+            }
         }
-        let with_table = |mapper| attach_table(mapper, &route_table);
 
-        // One mapper per load model, shared across every candidate graph:
-        // credential translation and the plan memo amortize over the
-        // whole search. The DP reasons per-component, so it gets the
-        // matching load model regardless of the configuration.
-        let configured_mapper = with_table(Mapper::new(
-            &self.spec,
-            net,
-            translator,
-            request,
-            self.config.load_model,
-            self.config.objective,
-        ));
-        let dp_mapper = if self.config.load_model == LoadModel::PerComponent {
-            None
-        } else {
-            Some(with_table(Mapper::new(
-                &self.spec,
-                net,
-                translator,
-                request,
-                LoadModel::PerComponent,
-                self.config.objective,
-            )))
+        // All-pairs routes, computed once for this network epoch. A full
+        // build runs one Dijkstra per source; recorded so the
+        // deterministic work proxy (`PlanStats::work_units`) charges
+        // flat and hierarchical planning on the same scale.
+        let table = match repair.and_then(|ctx| Some((ctx, ctx.prior_routes.as_ref()?))) {
+            Some((_, prior)) if prior.is_current(net) => Arc::clone(prior),
+            Some((ctx, prior)) => {
+                // Delta-Dijkstra repair of the previous epoch's table:
+                // the dirty sets are exactly the damage since it was
+                // built, so only affected sources re-run.
+                let mut table = (**prior).clone();
+                let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
+                stats.route_table_build_us = outcome.repair_micros;
+                stats.route_rows_built += outcome.sources_rebuilt as u64;
+                Arc::new(table)
+            }
+            None => {
+                let table = Arc::new(RouteTable::build(net));
+                stats.route_table_build_us = table.build_micros();
+                stats.route_rows_built += net.node_count() as u64;
+                table
+            }
         };
-
-        // Best objective found across graphs; seeds the bounded search so
-        // later graphs are cut against earlier graphs' optima.
-        let incumbent = exhaustive::Incumbent::new();
-
-        for graph in &graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
-            let use_dp = match self.config.algorithm {
-                Algorithm::Oracle | Algorithm::Exhaustive | Algorithm::PartialOrder => false,
-                Algorithm::DpChain | Algorithm::Auto => {
-                    dp::applicable(graph, self.config.objective)
-                }
-            };
-            let result = if use_dp {
-                let mapper = dp_mapper.as_ref().unwrap_or(&configured_mapper);
-                // The chain DP cannot see path-wide instance-identity
-                // constraints (no two new instances of one configuration);
-                // when its reconstruction fails final validation, fall
-                // back to the branch-and-bound solver for this graph.
-                dp::search(mapper, graph, &mut stats)
-                    .or_else(|| pop::search(&configured_mapper, graph, &mut stats))
-            } else {
-                match self.config.algorithm {
-                    Algorithm::Oracle => {
-                        exhaustive::search_unbounded(&configured_mapper, graph, &mut stats)
-                    }
-                    Algorithm::Exhaustive => {
-                        exhaustive::search_seeded(&configured_mapper, graph, &mut stats, &incumbent)
-                    }
-                    _ => pop::search(&configured_mapper, graph, &mut stats),
-                }
-            };
-            let Some((assignment, eval)) = result else {
-                continue;
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| eval.objective_value < b.objective_value);
-            if !better {
-                continue;
-            }
-            best = Some(assemble_plan(graph, &assignment, eval));
-        }
-
-        match best {
-            Some(mut plan) => {
-                plan.stats = stats;
-                self.publish_stats(&plan.stats);
-                Ok(plan)
-            }
+        // One mapper shared across every candidate graph: credential
+        // translation and the plan memo amortize over the whole search.
+        let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
+            .with_route_table(table);
+        match self.sweep(&mapper, &graphs, request, warm, &mut stats) {
+            Some(plan) => Ok(self.finish(plan, stats, regions.as_ref())),
             None => Err(PlanError::NoFeasibleMapping {
                 graphs: graphs.len(),
             }),
         }
     }
 
-    /// Folds a completed search's statistics into the configured tracer's
-    /// registry (a no-op with the default disabled tracer).
-    pub(crate) fn publish_stats(&self, stats: &PlanStats) {
+    /// Searches every viable graph through `mapper` and keeps the
+    /// objective-optimal mapping. The best objective found so far seeds
+    /// each later graph's search, so later graphs are cut against
+    /// earlier graphs' optima.
+    ///
+    /// With `warm` — the surviving plan and, per chain position, the
+    /// placement the damage did not touch — the sweep is a repair:
+    ///
+    /// 1. **Repair solve** — on the old plan's linkage graph, every
+    ///    untouched position keeps its surviving placement (candidate
+    ///    set fixed to the old node); only the touched ones are
+    ///    re-solved. Any feasible repaired mapping's objective seeds the
+    ///    incumbent. When it is infeasible (a surviving node lost its
+    ///    installation conditions), the sweep below runs unseeded —
+    ///    still exact.
+    /// 2. **Confirmation sweep** — the same search over every graph,
+    ///    pruning ties. Sound because `best` always holds a feasible
+    ///    plan achieving the incumbent's value — the seed, or the latest
+    ///    strictly-better find — and ties deliberately keep it (churn
+    ///    minimization): the sweep only needs to surface *strictly
+    ///    better* mappings, so the plateau of equal-objective
+    ///    completions is never enumerated.
+    fn sweep(
+        &self,
+        mapper: &Mapper<'_>,
+        graphs: &[LinkageGraph],
+        request: &ServiceRequest,
+        warm: Option<(&Plan, &[Option<NodeId>])>,
+        stats: &mut PlanStats,
+    ) -> Option<Plan> {
+        let incumbent = Incumbent::new();
+        // The seed must live in the current request's graph space: a
+        // plan carried over from a differently-shaped request (e.g. a
+        // degraded-mode detached chain being re-planned on the full
+        // request) would otherwise seed — and on objective could win —
+        // with a graph this request cannot legally produce.
+        let mut best = warm
+            .filter(|(old, _)| graphs.contains(&old.graph))
+            .and_then(|(old, fixed)| {
+                let (assignment, eval) =
+                    exhaustive::search(mapper, &old.graph, stats, &incumbent, Some(fixed), false)?;
+                Some(assemble_plan(&old.graph, &assignment, eval))
+            });
+        let seeded = best.is_some();
+        let cuts_before_sweep = stats.bound_prunes;
+        for graph in graphs {
+            if !self.graph_possibly_feasible(graph, request) {
+                stats.prunes += 1;
+                continue;
+            }
+            let Some((assignment, eval)) =
+                exhaustive::search(mapper, graph, stats, &incumbent, None, warm.is_some())
+            else {
+                continue;
+            };
+            let better = best
+                .as_ref()
+                .is_none_or(|b| eval.objective_value < b.objective_value);
+            if better {
+                best = Some(assemble_plan(graph, &assignment, eval));
+            }
+        }
+        let mut plan = best?;
+        if let Some((_, fixed)) = warm {
+            let chains_reused = fixed.iter().flatten().count();
+            plan.repair = Some(PlanRepairStats {
+                chains_resolved: fixed.len() - chains_reused,
+                chains_reused,
+                seeded_bound_cuts: stats.bound_prunes - cuts_before_sweep,
+                seeded,
+            });
+        }
+        Some(plan)
+    }
+
+    /// Attaches the solve's statistics to its plan and folds them into
+    /// the configured tracer's registry (a no-op with the default
+    /// disabled tracer). `regions` is the per-region work of a
+    /// hierarchical attempt, published whether or not it produced the
+    /// plan.
+    fn finish(&self, mut plan: Plan, stats: PlanStats, regions: Option<&RegionWorkMap>) -> Plan {
+        plan.stats = stats;
         let tracer = &self.config.tracer;
         tracer.count("planner.plans", 1);
         tracer.count("planner.graphs_enumerated", stats.graphs_enumerated as u64);
@@ -262,375 +350,18 @@ impl Planner {
             "planner.route_table_build_wall_us",
             stats.route_table_build_us as f64,
         );
-    }
-
-    /// Warm-start plan repair: re-plans `request` after a network change,
-    /// seeding the exact search with a cheap *repair* of the surviving
-    /// plan instead of starting cold. Two phases:
-    ///
-    /// 1. **Repair solve** — on the old plan's linkage graph, every chain
-    ///    position the damage did *not* touch keeps its surviving
-    ///    placement (candidate set fixed to the old node); only positions
-    ///    on quarantined hosts or whose edge routes crossed dirty links
-    ///    are re-solved. Any feasible repaired mapping's objective seeds
-    ///    the shared incumbent.
-    /// 2. **Exact search** — the same bounded branch-and-bound sweep over
-    ///    every candidate graph that [`plan`](Self::plan) runs (pinned to
-    ///    [`Algorithm::Exhaustive`], the incumbent-aware solver). Because
-    ///    pruning is strict (`bound > incumbent`), the seed never cuts an
-    ///    equal-or-better completion, so the returned objective value is
-    ///    exactly the from-scratch optimum — just found with most of the
-    ///    tree pre-cut.
-    ///
-    /// On objective *ties* the repaired old-shape mapping wins, which
-    /// minimizes placement churn: surviving instances stay where they
-    /// are unless strictly beaten. When the repair solve is infeasible
-    /// (a surviving node lost its installation conditions), the call
-    /// degrades to an unseeded — still exact — search.
-    ///
-    /// When `ctx.prior_routes` carries the previous epoch's route table,
-    /// it is repaired incrementally ([`RouteTable::repair`]) from the
-    /// same dirty sets instead of rebuilding all sources.
-    pub fn plan_repair<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        ctx: &RepairContext<'_>,
-    ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
+        if let Some(regions) = regions {
+            self.publish_hier(&stats, regions);
         }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
+        if let Some(repair) = &plan.repair {
+            tracer.count("planner.repairs", 1);
+            tracer.count(
+                "planner.repair_chains_resolved",
+                repair.chains_resolved as u64,
+            );
+            tracer.count("planner.repair_chains_reused", repair.chains_reused as u64);
         }
-
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            ..PlanStats::default()
-        };
-        let route_table = self.config.share_route_table.then(|| {
-            match &ctx.prior_routes {
-                Some(prior) if prior.is_current(net) => Arc::clone(prior),
-                Some(prior) => {
-                    // Delta-Dijkstra repair of the previous epoch's table:
-                    // the dirty sets below are exactly the damage since it
-                    // was built, so only affected sources re-run.
-                    let mut table = (**prior).clone();
-                    let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
-                    stats.route_table_build_us = outcome.repair_micros;
-                    stats.route_rows_built = outcome.sources_rebuilt as u64;
-                    Arc::new(table)
-                }
-                None => {
-                    let table = Arc::new(RouteTable::build(net));
-                    stats.route_table_build_us = table.build_micros();
-                    stats.route_rows_built = net.node_count() as u64;
-                    table
-                }
-            }
-        });
-        let configured_mapper = attach_table(
-            Mapper::new(
-                &self.spec,
-                net,
-                translator,
-                request,
-                self.config.load_model,
-                self.config.objective,
-            ),
-            &route_table,
-        );
-
-        // Which chain positions did the damage touch? A placement is
-        // affected when its host is down or dirty; an edge implicates
-        // both endpoints when its route crossed a dirty link or node.
-        let old = ctx.old_plan;
-        let mut affected = vec![false; old.placements.len()];
-        for (i, p) in old.placements.iter().enumerate() {
-            if !net.node(p.node).up || ctx.dirty_nodes.contains(&p.node) {
-                affected[i] = true;
-            }
-        }
-        for edge in &old.edges {
-            let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
-                || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
-            if touched {
-                affected[edge.from] = true;
-                affected[edge.to] = true;
-            }
-        }
-        if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
-            // The implicit client → root route is not recorded in the
-            // plan's edges; a free-floating root is conservatively
-            // re-solved whenever anything moved.
-            affected[0] = true;
-        }
-        let chains_resolved = affected.iter().filter(|&&a| a).count();
-        let chains_reused = affected.len() - chains_resolved;
-
-        let incumbent = exhaustive::Incumbent::new();
-
-        // Phase 1: the repair solve (fixed survivors, re-solve the rest).
-        let fixed: Vec<Option<NodeId>> = affected
-            .iter()
-            .zip(&old.placements)
-            .map(|(&aff, p)| (!aff).then_some(p.node))
-            .collect();
-        // The seed must live in the current request's graph space: a
-        // plan carried over from a differently-shaped request (e.g. a
-        // degraded-mode detached chain being re-planned on the full
-        // request) would otherwise seed — and on objective could win —
-        // with a graph this request cannot legally produce.
-        let seed = graphs
-            .iter()
-            .any(|g| g == &old.graph)
-            .then(|| {
-                exhaustive::search_restricted(
-                    &configured_mapper,
-                    &old.graph,
-                    &mut stats,
-                    &fixed,
-                    &incumbent,
-                )
-            })
-            .flatten();
-        let seeded = seed.is_some();
-        let cuts_before_full = stats.bound_prunes;
-        let mut best: Option<Plan> =
-            seed.map(|(assignment, eval)| assemble_plan(&old.graph, &assignment, eval));
-
-        // Phase 2: the exact confirmation sweep, warm-started by the
-        // repair seed. Tie-pruning (`>=` cuts) is sound here because
-        // `best` always holds a feasible plan achieving the incumbent's
-        // value — the seed, or the latest strictly-better find — and
-        // ties deliberately keep it (churn minimization): the sweep
-        // only needs to surface *strictly better* mappings, so the
-        // plateau of equal-objective completions is never enumerated.
-        for graph in &graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
-            let Some((assignment, eval)) = exhaustive::search_strictly_better(
-                &configured_mapper,
-                graph,
-                &mut stats,
-                &incumbent,
-            ) else {
-                continue;
-            };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| eval.objective_value < b.objective_value);
-            if better {
-                best = Some(assemble_plan(graph, &assignment, eval));
-            }
-        }
-
-        match best {
-            Some(mut plan) => {
-                plan.stats = stats;
-                plan.repair = Some(PlanRepairStats {
-                    chains_resolved,
-                    chains_reused,
-                    seeded_bound_cuts: stats.bound_prunes - cuts_before_full,
-                    seeded,
-                });
-                self.publish_stats(&plan.stats);
-                let tracer = &self.config.tracer;
-                tracer.count("planner.repairs", 1);
-                tracer.count("planner.repair_chains_resolved", chains_resolved as u64);
-                tracer.count("planner.repair_chains_reused", chains_reused as u64);
-                Ok(plan)
-            }
-            None => Err(PlanError::NoFeasibleMapping {
-                graphs: graphs.len(),
-            }),
-        }
-    }
-
-    /// Like [`plan`](Self::plan), but maps candidate linkage graphs onto
-    /// the network on parallel threads. Each worker owns its own
-    /// [`Mapper`] and with it its own plan memo; results are reduced to
-    /// the same objective-optimal plan the serial path returns, with ties
-    /// broken by graph order so the outcome stays deterministic.
-    pub fn plan_parallel<T: PropertyTranslator + Sync + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        threads: usize,
-    ) -> Result<Plan, PlanError> {
-        for pinned in request.pinned.keys() {
-            if self.spec.get_component(pinned).is_none() {
-                return Err(PlanError::UnknownPinned(pinned.clone()));
-            }
-        }
-        let graphs = enumerate_linkages_multi(
-            &self.spec,
-            &request.interfaces,
-            &self.effective_limits(request),
-        );
-        if graphs.is_empty() {
-            return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
-        }
-        let viable: Vec<(usize, &crate::linkage::LinkageGraph)> = graphs
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| self.graph_possibly_feasible(g, request))
-            .collect();
-        let threads = threads.max(1).min(viable.len().max(1));
-
-        // Built once, before the workers spawn; every worker's mappers
-        // share the same read-only table through the `Arc`.
-        let route_table = self
-            .config
-            .share_route_table
-            .then(|| Arc::new(RouteTable::build(net)));
-        // Shared across workers: a mapping found by any thread bounds
-        // every other thread's remaining search.
-        let incumbent = exhaustive::Incumbent::new();
-
-        struct GraphResult {
-            order: usize,
-            assignment: Vec<ps_net::NodeId>,
-            eval: crate::mapping::Evaluation,
-        }
-
-        // One slot per viable graph: the search outcome (None when the
-        // graph had no feasible mapping) plus that search's statistics —
-        // kept separately so infeasible graphs still count their work.
-        let mut per_graph: Vec<(Option<GraphResult>, PlanStats)> = Vec::new();
-        per_graph.resize_with(viable.len(), Default::default);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let incumbent = &incumbent;
-            // Round-robin distribution: consecutive graphs tend to share
-            // structure (and cost), so striping spreads the expensive
-            // ones instead of handing one worker a whole expensive run.
-            for worker in 0..threads {
-                let chunk: Vec<(usize, (usize, &crate::linkage::LinkageGraph))> = viable
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .skip(worker)
-                    .step_by(threads)
-                    .collect();
-                let worker_table = route_table.clone();
-                // ps-lint: allow(D004): the documented planner reduction — workers
-                // fill disjoint `per_graph` slots and the merge folds them in slot
-                // order, independent of thread completion order
-                handles.push(scope.spawn(move || {
-                    let with_table = |mapper| attach_table(mapper, &worker_table);
-                    let mapper = with_table(Mapper::new(
-                        &self.spec,
-                        net,
-                        translator,
-                        request,
-                        self.config.load_model,
-                        self.config.objective,
-                    ));
-                    let dp_mapper = with_table(Mapper::new(
-                        &self.spec,
-                        net,
-                        translator,
-                        request,
-                        LoadModel::PerComponent,
-                        self.config.objective,
-                    ));
-                    let mut results = Vec::with_capacity(chunk.len());
-                    for &(slot, (order, graph)) in &chunk {
-                        let mut stats = PlanStats::default();
-                        let use_dp = match self.config.algorithm {
-                            Algorithm::Oracle | Algorithm::Exhaustive | Algorithm::PartialOrder => {
-                                false
-                            }
-                            Algorithm::DpChain | Algorithm::Auto => {
-                                dp::applicable(graph, self.config.objective)
-                            }
-                        };
-                        let result = if use_dp {
-                            dp::search(&dp_mapper, graph, &mut stats)
-                                .or_else(|| pop::search(&mapper, graph, &mut stats))
-                        } else {
-                            match self.config.algorithm {
-                                Algorithm::Oracle => {
-                                    exhaustive::search_unbounded(&mapper, graph, &mut stats)
-                                }
-                                Algorithm::Exhaustive => {
-                                    exhaustive::search_seeded(&mapper, graph, &mut stats, incumbent)
-                                }
-                                _ => pop::search(&mapper, graph, &mut stats),
-                            }
-                        };
-                        results.push((
-                            slot,
-                            (
-                                result.map(|(assignment, eval)| GraphResult {
-                                    order,
-                                    assignment,
-                                    eval,
-                                }),
-                                stats,
-                            ),
-                        ));
-                    }
-                    results
-                }));
-            }
-            for handle in handles {
-                // ps-lint: allow(P001): a panicked worker thread must be
-                // re-raised here — swallowing it would return a silently
-                // truncated plan set as if it were the full search result.
-                for (slot, r) in handle.join().expect("planner worker") {
-                    per_graph[slot] = r;
-                }
-            }
-        });
-
-        let mut stats = PlanStats {
-            graphs_enumerated: graphs.len(),
-            prunes: (graphs.len() - viable.len()) as u64,
-            ..PlanStats::default()
-        };
-        if let Some(table) = &route_table {
-            stats.route_table_build_us = table.build_micros();
-            stats.route_rows_built = net.node_count() as u64;
-        }
-        let mut best: Option<GraphResult> = None;
-        for (result, graph_stats) in per_graph {
-            stats.absorb(&graph_stats);
-            let Some(result) = result else { continue };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    result.eval.objective_value < b.eval.objective_value
-                        || (result.eval.objective_value == b.eval.objective_value
-                            && result.order < b.order)
-                }
-            };
-            if better {
-                best = Some(result);
-            }
-        }
-        let Some(winner) = best else {
-            return Err(PlanError::NoFeasibleMapping {
-                graphs: graphs.len(),
-            });
-        };
-        let graph = &graphs[winner.order];
-        self.publish_stats(&stats);
-        let mut plan = assemble_plan(graph, &winner.assignment, winner.eval);
-        plan.stats = stats;
-        Ok(plan)
+        plan
     }
 
     /// Cheap structural pre-filter: a graph that uses a component with
@@ -638,12 +369,8 @@ impl Planner {
     /// when at least `m − 1` pre-existing instances of it are attachable —
     /// the instance-identity rules forbid creating two new instances of
     /// one configuration. Graphs that fail are infeasible for every
-    /// mapping, so no search algorithm needs to touch them.
-    pub(crate) fn graph_possibly_feasible(
-        &self,
-        graph: &crate::linkage::LinkageGraph,
-        request: &ServiceRequest,
-    ) -> bool {
+    /// mapping, so the search need not touch them.
+    fn graph_possibly_feasible(&self, graph: &LinkageGraph, request: &ServiceRequest) -> bool {
         use std::collections::BTreeMap;
         let mut multiplicity: BTreeMap<&str, usize> = BTreeMap::new();
         for node in &graph.nodes {
@@ -698,7 +425,7 @@ pub struct RepairContext<'p> {
 
 /// Materializes a search result as a [`Plan`] (stats and repair info are
 /// attached by the caller).
-pub(crate) fn assemble_plan(graph: &LinkageGraph, assignment: &[NodeId], eval: Evaluation) -> Plan {
+fn assemble_plan(graph: &LinkageGraph, assignment: &[NodeId], eval: Evaluation) -> Plan {
     let placements = graph
         .nodes
         .iter()
@@ -725,10 +452,35 @@ pub(crate) fn assemble_plan(graph: &LinkageGraph, assignment: &[NodeId], eval: E
     }
 }
 
-/// Attaches the shared route table (when one was built) to a mapper.
-fn attach_table<'a>(mapper: Mapper<'a>, table: &Option<Arc<RouteTable>>) -> Mapper<'a> {
-    match table {
-        Some(table) => mapper.with_route_table(Arc::clone(table)),
-        None => mapper,
+/// Which chain positions of the surviving plan the damage left alone:
+/// `Some(host)` keeps the placement fixed during the repair solve,
+/// `None` marks a position to re-solve. A placement is touched when its
+/// host is down or dirty; an edge implicates both endpoints when its
+/// route crossed a dirty link or node.
+fn surviving_placements(
+    net: &Network,
+    request: &ServiceRequest,
+    ctx: &RepairContext<'_>,
+) -> Vec<Option<NodeId>> {
+    let old = ctx.old_plan;
+    let mut fixed: Vec<Option<NodeId>> = old
+        .placements
+        .iter()
+        .map(|p| (net.node(p.node).up && !ctx.dirty_nodes.contains(&p.node)).then_some(p.node))
+        .collect();
+    for edge in &old.edges {
+        let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
+            || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
+        if touched {
+            fixed[edge.from] = None;
+            fixed[edge.to] = None;
+        }
     }
+    if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
+        // The implicit client → root route is not recorded in the
+        // plan's edges; a free-floating root is conservatively
+        // re-solved whenever anything moved.
+        fixed[0] = None;
+    }
+    fixed
 }

@@ -1,14 +1,15 @@
 //! Focused tests of the planner's mapping machinery: candidate
-//! filtering, the three validity conditions, load models, objectives,
-//! and instance-identity rules.
+//! filtering, the three validity conditions, accumulated load,
+//! objectives, and instance-identity rules.
 
 use ps_net::{Credentials, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::{
-    Algorithm, LoadModel, Objective, PlanError, Planner, PlannerConfig, ServiceRequest,
-};
+use ps_planner::{Objective, PlanError, Planner, PlannerConfig, ServiceRequest};
 use ps_sim::SimDuration;
 use ps_spec::prelude::*;
 use ps_spec::PropertyValue;
+
+#[path = "reference/mod.rs"]
+mod reference;
 
 /// Client -> (Proxy ->) Server over two sites with an insecure WAN.
 fn spec() -> ServiceSpec {
@@ -189,7 +190,6 @@ fn max_capacity_objective_reports_negated_sustainable_rate() {
     let (net, c, s) = network(true);
     let plan = planner(PlannerConfig {
         objective: Objective::MaxCapacity,
-        algorithm: Algorithm::Exhaustive,
         ..Default::default()
     })
     .plan(&net, &translator(), &request(c, s))
@@ -272,15 +272,13 @@ fn free_root_charges_the_client_edge() {
     assert!(free.deployment_cost_ms <= colocated.deployment_cost_ms);
 }
 
-#[test]
-fn accumulated_load_model_sees_shared_nodes() {
-    // Two heavy components on one node exceed its CPU only when loads
-    // accumulate. Build a chain Client -> Server with both forced onto
-    // the server node and rates near the CPU limit.
-    let heavy = ServiceSpec::new("heavy")
-        .property(Property::boolean("Hosting"))
+/// Client -> Middle -> Server where the first two stages each cost
+/// 6 ms/request: at 100 req/s that is 0.6 of a speed-1 CPU apiece.
+fn heavy_spec() -> ServiceSpec {
+    ServiceSpec::new("heavy")
         .interface(Interface::new("Api", Vec::<String>::new()))
         .interface(Interface::new("Mid", Vec::<String>::new()))
+        .interface(Interface::new("Api2", Vec::<String>::new()))
         .component(
             Component::new("Client")
                 .implements(InterfaceRef::plain("Api"))
@@ -293,43 +291,63 @@ fn accumulated_load_model_sees_shared_nodes() {
                 .requires(InterfaceRef::plain("Api2"))
                 .behavior(Behavior::new().cpu_per_request_ms(6.0)),
         )
-        .interface(Interface::new("Api2", Vec::<String>::new()))
         .component(
             Component::new("Server")
                 .implements(InterfaceRef::plain("Api2"))
                 .behavior(Behavior::new().cpu_per_request_ms(0.1)),
-        );
-    // One node only: everything lands there.
+        )
+}
+
+/// Validity condition 3 under the default configuration: loads
+/// accumulate across every component mapped to a node. (The parent's
+/// default `Auto` handed this chain to a per-component DP and planned
+/// `Ok` with 1.2 CPU load on a 1.0-speed node.)
+#[test]
+fn accumulated_load_model_sees_shared_nodes() {
+    // One node only: everything lands there. Each heavy stage alone
+    // fits (0.6), together they do not (1.2 > 1).
     let mut net = Network::new();
     let only = net.add_node("n", "s", 1.0, Credentials::new());
-    let t = MappingTranslator::new();
-    // 100 req/s x 6 ms = 0.6 load each; each alone fits, together 1.2 > 1.
     let request = ServiceRequest::new("Api", only)
         .rate(100.0)
         .pin("Server", only);
-    let per_component = Planner::with_config(
-        heavy.clone(),
-        PlannerConfig {
-            load_model: LoadModel::PerComponent,
-            algorithm: Algorithm::Exhaustive,
-            ..Default::default()
-        },
-    )
-    .plan(&net, &t, &request);
-    assert!(per_component.is_ok(), "each component fits in isolation");
-    let accumulated = Planner::with_config(
-        heavy,
-        PlannerConfig {
-            load_model: LoadModel::Accumulated,
-            algorithm: Algorithm::Exhaustive,
-            ..Default::default()
-        },
-    )
-    .plan(&net, &t, &request);
-    assert!(
-        matches!(accumulated, Err(PlanError::NoFeasibleMapping { .. })),
-        "together they exceed the node CPU"
+    let planned = Planner::with_config(heavy_spec(), PlannerConfig::default()).plan(
+        &net,
+        &MappingTranslator::new(),
+        &request,
     );
+    assert!(
+        matches!(planned, Err(PlanError::NoFeasibleMapping { .. })),
+        "together they exceed the node CPU: {planned:?}"
+    );
+}
+
+/// The same chain on two nodes: stacking all three stages on the
+/// client's node is over capacity, so the optimum splits them — the
+/// free-floating `Middle` moves next door and pays the hop.
+#[test]
+fn over_capacity_colocation_loses_to_the_split_mapping() {
+    let mut net = Network::new();
+    let near = net.add_node("near", "s", 1.0, Credentials::new());
+    let far = net.add_node("far", "s", 1.0, Credentials::new());
+    net.add_link(
+        near,
+        far,
+        SimDuration::from_millis(5),
+        1e9,
+        Credentials::new(),
+    );
+    let request = ServiceRequest::new("Api", near)
+        .rate(100.0)
+        .pin("Server", near);
+    let plan = Planner::with_config(heavy_spec(), PlannerConfig::default())
+        .plan(&net, &MappingTranslator::new(), &request)
+        .expect("the split mapping is feasible");
+    let hosts: Vec<NodeId> = plan.placements.iter().map(|p| p.node).collect();
+    assert_eq!(hosts, [near, far, near], "Client, Middle, Server");
+    // Without the capacity condition everything would sit on `near`:
+    // the split is the optimum only because colocation is invalid.
+    assert!(plan.expected_latency_ms > 12.1, "the Middle hop is paid");
 }
 
 #[test]
@@ -340,7 +358,6 @@ fn same_component_never_maps_to_one_node_twice() {
     // so only the single-pair chain survives.
     let (net, c, s) = network(false);
     let plan = planner(PlannerConfig {
-        algorithm: Algorithm::Exhaustive,
         ..Default::default()
     })
     .plan(&net, &translator(), &request(c, s))
@@ -357,7 +374,6 @@ fn same_component_never_maps_to_one_node_twice() {
 fn stats_track_search_effort() {
     let (net, c, s) = network(false);
     let plan = planner(PlannerConfig {
-        algorithm: Algorithm::Exhaustive,
         ..Default::default()
     })
     .plan(&net, &translator(), &request(c, s))
@@ -510,73 +526,32 @@ fn avoided_hosts_are_down_weighted_not_excluded() {
 }
 
 #[test]
-fn avoidance_is_respected_by_every_algorithm() {
+fn avoidance_moves_movable_placements_exactly_as_the_reference_does() {
     // On the insecure WAN the Tunnel normally colocates with the client
     // (zero-latency edge beats the 0.1 ms hop to the spare edge node);
     // avoiding the client host pays the penalty once for the colocated
     // root but must move every *movable* placement — the Tunnel — to the
-    // spare node, identically under every search algorithm.
+    // spare node, in the search core and in the reference descent alike.
     let (net, c, s) = network(false);
     let spare = NodeId(1);
     let baseline = planner(PlannerConfig::default())
         .plan(&net, &translator(), &request(c, s))
         .unwrap();
     assert_eq!(baseline.placement_of("Tunnel").unwrap().node, c);
-    let mut seen = Vec::new();
-    for algorithm in [
-        Algorithm::Oracle,
-        Algorithm::Exhaustive,
-        Algorithm::DpChain,
-        Algorithm::PartialOrder,
-        Algorithm::Auto,
-    ] {
-        let plan = planner(PlannerConfig {
-            algorithm,
-            ..Default::default()
-        })
-        .plan(&net, &translator(), &request(c, s).avoid(c))
+    let avoiding = request(c, s).avoid(c);
+    let config = PlannerConfig::default();
+    let plan = planner(config.clone())
+        .plan(&net, &translator(), &avoiding)
         .unwrap();
-        assert_eq!(
-            plan.placement_of("Tunnel").unwrap().node,
-            spare,
-            "{algorithm:?} moves the tunnel off the avoided host"
-        );
-        assert_eq!(plan.placements[0].node, c, "colocated root stays put");
-        seen.push((
-            plan.graph.to_string(),
-            plan.placements.iter().map(|p| p.node).collect::<Vec<_>>(),
-            plan.objective_value,
-        ));
-    }
-    for other in &seen[1..] {
-        assert_eq!(&seen[0], other, "all algorithms agree under avoidance");
-    }
-}
-
-#[test]
-fn parallel_planning_matches_serial() {
-    let (net, c, s) = network(false);
-    let p = planner(PlannerConfig::default());
-    let request = request(c, s);
-    let serial = p.plan(&net, &translator(), &request).unwrap();
-    for threads in [1usize, 2, 4, 16] {
-        let parallel = p
-            .plan_parallel(&net, &translator(), &request, threads)
-            .unwrap();
-        assert_eq!(parallel.graph, serial.graph, "threads={threads}");
-        assert_eq!(
-            parallel
-                .placements
-                .iter()
-                .map(|pl| pl.node)
-                .collect::<Vec<_>>(),
-            serial
-                .placements
-                .iter()
-                .map(|pl| pl.node)
-                .collect::<Vec<_>>(),
-            "threads={threads}"
-        );
-        assert!((parallel.objective_value - serial.objective_value).abs() < 1e-12);
-    }
+    assert_eq!(plan.placement_of("Tunnel").unwrap().node, spare);
+    assert_eq!(plan.placements[0].node, c, "colocated root stays put");
+    let reference = reference::plan(
+        &spec(),
+        &net,
+        &translator(),
+        &avoiding,
+        &config.limits,
+        config.objective,
+    );
+    reference::assert_agree(Some(&plan), reference.as_ref(), "under avoidance");
 }

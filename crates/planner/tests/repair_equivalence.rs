@@ -10,7 +10,7 @@
 
 use ps_net::brite::{hierarchical, FlatParams, HierParams};
 use ps_net::{LinkId, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::{Algorithm, Planner, PlannerConfig, RepairContext, ServiceRequest};
+use ps_planner::{Planner, RepairContext, ServiceRequest};
 use ps_sim::{Rng, SimDuration};
 use ps_spec::prelude::*;
 use ps_spec::PropertyValue;
@@ -132,13 +132,7 @@ fn world(seed: u64) -> (Network, NodeId, NodeId) {
 }
 
 fn planner() -> Planner {
-    Planner::with_config(
-        spec(),
-        PlannerConfig {
-            algorithm: Algorithm::Exhaustive,
-            ..PlannerConfig::default()
-        },
-    )
+    Planner::new(spec())
 }
 
 fn request(client: NodeId, server: NodeId) -> ServiceRequest {

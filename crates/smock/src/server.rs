@@ -335,24 +335,13 @@ impl GenericServer {
                 let mut resolved = request.clone();
                 resolved.existing.extend(live.iter().cloned());
                 let (net, translator) = (world.network(), self.translator.as_ref());
-                let plan = match repair {
-                    Some(ctx) => {
-                        self.tracer.count("server.plan_repairs", 1);
-                        planner
-                            .plan_repair_with_memo(net, translator, &resolved, ctx, &self.memo)?
-                    }
-                    None if self.planner_config.hier.is_some() => {
-                        planner.plan_hierarchical(net, translator, &resolved, &self.memo)?
-                    }
-                    None if self.planner_config.threads > 1 => planner.plan_parallel(
-                        net,
-                        translator,
-                        &resolved,
-                        self.planner_config.threads,
-                    )?,
-                    None => planner.plan(net, translator, &resolved)?,
-                };
-                let plan = Arc::new(plan);
+                if repair.is_some() {
+                    self.tracer.count("server.plan_repairs", 1);
+                }
+                // Region decomposition (and its shortlist memo) when
+                // hierarchical planning is configured, flat otherwise.
+                let hier = self.planner_config.hier.as_ref().map(|_| &self.memo);
+                let plan = Arc::new(planner.solve(net, translator, &resolved, repair, hier)?);
                 self.memo
                     .store_plan(net, service, request, live, Arc::clone(&plan));
                 plan

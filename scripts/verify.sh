@@ -88,6 +88,13 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 cargo run --release -q -p ps-bench --bin trace_report -- "$tmpdir/trace_smoke.jsonl"
 
+# timeline_report follows for the same reason: its <5% disabled-sampler
+# guard reads the same baseline, and a sub-millisecond plan measured
+# minutes later, after bench_scale has heated the machine, drifts
+# further than the guard allows.
+echo "==> timeline smoke: timeline_report (writes BENCH_timeline.json + overhead guard)"
+cargo run --release -q -p ps-bench --bin timeline_report
+
 echo "==> chaos smoke: chaos_recovery (writes BENCH_chaos.json)"
 cargo run --release -q -p ps-bench --bin chaos_recovery -- 42 "$tmpdir/chaos_smoke.jsonl"
 
@@ -101,49 +108,31 @@ cargo run --release -q -p ps-bench --bin chaos_partition -- 42 "$tmpdir/partitio
 echo "==> scale smoke: bench_scale (writes BENCH_scale.json)"
 cargo run --release -q -p ps-bench --bin bench_scale
 
-# timeline_report runs after bench_planner for the same reason as
-# trace_report: its <5% disabled-sampler overhead guard compares
-# against a same-machine, same-session baseline.
-echo "==> timeline smoke: timeline_report (writes BENCH_timeline.json + overhead guard)"
-cargo run --release -q -p ps-bench --bin timeline_report
-
 # Determinism gate: every artifact-writing bench bin runs twice under
-# PS_STABLE_ARTIFACTS=1 (wall-clock fields zeroed, planner pinned to one
-# thread) from separate scratch CWDs; every artifact must come back
-# byte-identical. The published BENCH_*.json in the repo root keep real
-# timings — only these scratch copies are normalized.
-echo "==> determinism: bench_planner (stable mode, 2 runs, cmp JSON)"
-mkdir -p "$tmpdir/pa" "$tmpdir/pb"
-(cd "$tmpdir/pa" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/bench_planner" > /dev/null)
-(cd "$tmpdir/pb" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/bench_planner" > /dev/null)
-cmp "$tmpdir/pa/BENCH_planner.json" "$tmpdir/pb/BENCH_planner.json"
+# PS_STABLE_ARTIFACTS=1 (wall-clock fields zeroed) from separate scratch
+# CWDs; every artifact must come back byte-identical. The published
+# BENCH_*.json in the repo root keep real timings — only these scratch
+# copies are normalized.
+#
+#   stable_twice <dir> <artifact[,artifact…]> <bin> [args…]
+stable_twice() {
+    local dir="$1" artifacts="$2" bin="$3" run artifact
+    shift 3
+    echo "==> determinism: $bin (stable mode, 2 runs, cmp ${artifacts//,/ + })"
+    for run in a b; do
+        mkdir -p "$tmpdir/$dir$run"
+        (cd "$tmpdir/$dir$run" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/$bin" "$@" > /dev/null)
+    done
+    for artifact in ${artifacts//,/ }; do
+        cmp "$tmpdir/${dir}a/$artifact" "$tmpdir/${dir}b/$artifact"
+    done
+}
 
-echo "==> determinism: trace_report (stable mode, 2 runs, cmp JSON + JSONL)"
-mkdir -p "$tmpdir/ta" "$tmpdir/tb"
-(cd "$tmpdir/ta" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/trace_report" trace.jsonl > /dev/null)
-(cd "$tmpdir/tb" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/trace_report" trace.jsonl > /dev/null)
-cmp "$tmpdir/ta/BENCH_trace.json" "$tmpdir/tb/BENCH_trace.json"
-cmp "$tmpdir/ta/trace.jsonl" "$tmpdir/tb/trace.jsonl"
-
-echo "==> determinism: chaos_recovery (stable mode, 2 runs, cmp JSON + JSONL)"
-mkdir -p "$tmpdir/ca" "$tmpdir/cb"
-(cd "$tmpdir/ca" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/chaos_recovery" 42 chaos.jsonl > /dev/null)
-(cd "$tmpdir/cb" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/chaos_recovery" 42 chaos.jsonl > /dev/null)
-cmp "$tmpdir/ca/BENCH_chaos.json" "$tmpdir/cb/BENCH_chaos.json"
-cmp "$tmpdir/ca/chaos.jsonl" "$tmpdir/cb/chaos.jsonl"
-
-echo "==> determinism: chaos_partition (stable mode, 2 runs, cmp JSON + JSONL)"
-mkdir -p "$tmpdir/na" "$tmpdir/nb"
-(cd "$tmpdir/na" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/chaos_partition" 42 partition.jsonl > /dev/null)
-(cd "$tmpdir/nb" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/chaos_partition" 42 partition.jsonl > /dev/null)
-cmp "$tmpdir/na/BENCH_partition.json" "$tmpdir/nb/BENCH_partition.json"
-cmp "$tmpdir/na/partition.jsonl" "$tmpdir/nb/partition.jsonl"
-
-echo "==> determinism: bench_scale (stable mode, 2 runs, cmp JSON)"
-mkdir -p "$tmpdir/sa" "$tmpdir/sb"
-(cd "$tmpdir/sa" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/bench_scale" > /dev/null)
-(cd "$tmpdir/sb" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/bench_scale" > /dev/null)
-cmp "$tmpdir/sa/BENCH_scale.json" "$tmpdir/sb/BENCH_scale.json"
+stable_twice p BENCH_planner.json bench_planner
+stable_twice t BENCH_trace.json,trace.jsonl trace_report trace.jsonl
+stable_twice c BENCH_chaos.json,chaos.jsonl chaos_recovery 42 chaos.jsonl
+stable_twice n BENCH_partition.json,partition.jsonl chaos_partition 42 partition.jsonl
+stable_twice s BENCH_scale.json bench_scale
 
 # Hierarchical-planning perf-regression guard. Wall clocks are zeroed
 # in stable mode, so the gate rides the deterministic work ratio
@@ -164,10 +153,6 @@ if ! awk -v s="$hier_speedup" 'BEGIN { exit !(s >= 5.0) }'; then
 fi
 echo "    work speedup at 1013 nodes: ${hier_speedup}x"
 
-echo "==> determinism: timeline_report (stable mode, 2 runs, cmp JSON)"
-mkdir -p "$tmpdir/la" "$tmpdir/lb"
-(cd "$tmpdir/la" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/timeline_report" > /dev/null)
-(cd "$tmpdir/lb" && PS_STABLE_ARTIFACTS=1 "$repo/target/release/timeline_report" > /dev/null)
-cmp "$tmpdir/la/BENCH_timeline.json" "$tmpdir/lb/BENCH_timeline.json"
+stable_twice l BENCH_timeline.json timeline_report
 
 echo "==> verify OK"

@@ -9,7 +9,7 @@ use partitionable_services::mail::{mail_spec, mail_translator, register_mail_com
 use partitionable_services::net::brite::{hierarchical, FlatParams, HierParams};
 use partitionable_services::net::{Credentials, Network, NodeId};
 use partitionable_services::planner::{
-    Algorithm, HierConfig, HierMemo, Planner, PlannerConfig, ServiceRequest,
+    HierConfig, HierMemo, Planner, PlannerConfig, ServiceRequest,
 };
 use partitionable_services::sim::{Rng, SimDuration};
 use partitionable_services::smock::{CoherencePolicy, ServiceRegistration};
@@ -235,7 +235,6 @@ fn cold_hierarchical_plan_stays_under_the_flow_eval_ceiling() {
     let planner = Planner::with_config(
         mail_spec(),
         PlannerConfig {
-            algorithm: Algorithm::Exhaustive,
             hier: Some(HierConfig::default()),
             ..PlannerConfig::default()
         },

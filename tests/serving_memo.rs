@@ -7,7 +7,7 @@ use partitionable_services::mail::spec::names::*;
 use partitionable_services::mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use partitionable_services::net::brite::{hierarchical, FlatParams, HierParams};
 use partitionable_services::net::{shortest_route, Credentials, Network, NodeId};
-use partitionable_services::planner::{Algorithm, HierConfig, PlannerConfig, ServiceRequest};
+use partitionable_services::planner::{HierConfig, PlannerConfig, ServiceRequest};
 use partitionable_services::sim::{Rng, SimDuration, SimTime};
 use partitionable_services::smock::deploy::STARTUP_DELAY;
 use partitionable_services::smock::{
@@ -99,8 +99,6 @@ fn fabric(seed: u64, leaves_per_as: usize) -> (Framework, Vec<NodeId>) {
     let server = hq[0];
     let mut fw = Framework::new(net, server, Box::new(mail_translator()));
     fw.planner_config(PlannerConfig {
-        algorithm: Algorithm::Exhaustive,
-        threads: 1,
         hier: Some(HierConfig::default()),
         ..PlannerConfig::default()
     });
