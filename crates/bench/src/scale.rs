@@ -921,9 +921,9 @@ pub fn run_heal_workload_with(
     let timer = WallTimer::start();
     let nodes = net.node_count();
     let mut framework = Framework::new(net, server, Box::new(mail_translator()));
-    // Without a shared route table every route query during planning and
-    // healing pays an on-demand Dijkstra; at 1000 routers that turns one
-    // connect into minutes of work.
+    // Routes belong to the server's memo: lazy rows under `hier`, one
+    // all-pairs table per epoch when flat, shared by the connect and
+    // every heal-pass redeploy of that epoch.
     framework.planner_config(PlannerConfig {
         hier: options.hier.then(HierConfig::default),
         ..PlannerConfig::default()

@@ -12,14 +12,13 @@
 
 use crate::Framework;
 use ps_monitor::{affected_edges, NetworkChange, NetworkMonitor, ReplanDecision, Replanner};
-use ps_net::{LinkId, NodeId, RouteTable};
+use ps_net::{LinkId, NodeId, PartitionView};
 use ps_planner::{PlanRepairStats, Planner, RepairContext, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_smock::{ConnectError, Connection, FailReport, InstanceId, LivenessEvent, LivenessKind};
 use ps_spec::ServiceSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// Handle to a connection under self-healing management (index into the
 /// framework's managed list; stable for the framework's lifetime).
@@ -72,28 +71,24 @@ enum RedeployMode {
 }
 
 /// One heal pass's batched damage, shared by every redeploy it issues:
-/// the dirty sets feed warm-start plan repair, `prior_routes` the
-/// incremental route-table repair, and `suspects` the placement
-/// down-weighting of half-expired hosts.
+/// the dirty sets feed warm-start plan repair and `suspects` the
+/// placement down-weighting of half-expired hosts. Routes are not part
+/// of it: each redeploy plans on the server memo's.
 struct PassDamage<'a> {
     dirty_nodes: &'a [NodeId],
     dirty_links: &'a [LinkId],
-    prior_routes: Option<Arc<RouteTable>>,
     suspects: &'a [NodeId],
 }
 
 /// The healing state: a snapshot-diffing monitor plus the managed
-/// connections.
+/// connections. It keeps no routing state — a pass that redeploys
+/// nothing runs no Dijkstra.
 pub(crate) struct Healer {
     pub(crate) monitor: NetworkMonitor,
     pub(crate) managed: Vec<Managed>,
-    /// All-pairs route table carried across heal passes and repaired
-    /// incrementally (delta-Dijkstra over the pass's batched dirty sets)
-    /// instead of rebuilt per replan. Valid as of the last pass's
-    /// monitor observation; the monitor diff is complete with respect to
-    /// everything the route metric reads (link liveness / latency /
-    /// credentials, node liveness), so unaffected rows stay exact.
-    pub(crate) route_table: Option<Arc<RouteTable>>,
+    /// The live network's connected components, recomputed (one BFS)
+    /// only when the network epoch moved since the last pass.
+    pub(crate) partitions: Option<PartitionView>,
     /// Hosts whose instance leases expired recently, mapped to the
     /// virtual time their suspicion ends (one full detection window
     /// after the expiry). Redeploys down-weight these hosts so the
@@ -151,6 +146,10 @@ pub struct HealReport {
     pub hier_memo_hits: u64,
     /// Region segments actually solved (memo misses) this pass.
     pub hier_segments: u64,
+    /// Dijkstra source rows this pass caused: its planned redeploys'
+    /// [`ps_planner::PlanStats::route_rows_built`] plus its consults'
+    /// fresh solves'; 0 for a pass that plans nothing.
+    pub route_rows_built: u64,
 }
 
 /// Why a managed connection could not be healed this pass. Typed so the
@@ -204,6 +203,7 @@ impl HealReport {
             repair: PlanRepairStats::default(),
             hier_memo_hits: 0,
             hier_segments: 0,
+            route_rows_built: 0,
         }
     }
 
@@ -254,7 +254,7 @@ impl Framework {
         Healer {
             monitor,
             managed: Vec::new(),
-            route_table: None,
+            partitions: None,
             suspects: BTreeMap::new(),
         }
     }
@@ -447,8 +447,8 @@ impl Framework {
         // Batch everything this pass learned — liveness verdicts and
         // monitor diffs alike — into one dirty node/link set: each
         // touched connection then gets exactly one (warm-started) repair
-        // solve per pass, and the route table one repair total, no
-        // matter how many concurrent events piled up since the last one.
+        // solve per pass, no matter how many concurrent events piled up
+        // since the last one.
         let mut dirty_nodes: BTreeSet<NodeId> = dead_nodes.clone();
         dirty_nodes.extend(report.restored.iter().copied());
         let mut dirty_links: BTreeSet<LinkId> = BTreeSet::new();
@@ -472,34 +472,13 @@ impl Framework {
         let dirty_nodes: Vec<NodeId> = dirty_nodes.into_iter().collect();
         let dirty_links: Vec<LinkId> = dirty_links.into_iter().collect();
 
-        // Maintain the shared all-pairs route table incrementally: the
-        // cached table is valid as of the previous observation, and the
-        // dirty sets are exactly what changed since, so delta-Dijkstra
-        // repair re-runs only the affected sources.
-        let net = self.world.network();
-        let table = match healer.route_table.take() {
-            Some(prior) if prior.is_current(net) => prior,
-            Some(prior) => {
-                let mut table = Arc::unwrap_or_clone(prior);
-                let outcome = table.repair(net, &dirty_links, &dirty_nodes);
-                let tracer = self.server.tracer();
-                tracer.count(
-                    if outcome.full_rebuild {
-                        "heal.route_rebuilds"
-                    } else {
-                        "heal.route_repairs"
-                    },
-                    1,
-                );
-                tracer.observe("heal.route_repair_wall_us", outcome.repair_micros as f64);
-                Arc::new(table)
-            }
-            None => Arc::new(RouteTable::build(net)),
-        };
         // The pass's partition view: connected components over the live
-        // link set, read off the just-repaired route table (free).
-        let pview = table.partition_view(net);
-        healer.route_table = Some(table);
+        // link set, recomputed only when the network moved on.
+        let net = self.world.network();
+        let pview = match healer.partitions.take() {
+            Some(view) if view.epoch() == net.epoch() => view,
+            _ => PartitionView::of(net),
+        };
 
         // Step 3: triage every managed connection. The managed list is
         // taken out of the healer so redeployments can borrow the
@@ -584,7 +563,7 @@ impl Framework {
                         && !affected_edges(&managed[idx].connection.plan, &report.changes)
                             .is_empty() =>
                 {
-                    match self.consult_replanner(now, &managed[idx]) {
+                    match self.consult_replanner(&mut report, &managed[idx]) {
                         Some(ReplanDecision::Redeploy { .. }) => true,
                         Some(ReplanDecision::Infeasible(_)) => {
                             report.infeasible.push(idx);
@@ -604,7 +583,6 @@ impl Framework {
             let damage = PassDamage {
                 dirty_nodes: &dirty_nodes,
                 dirty_links: &dirty_links,
-                prior_routes: healer.route_table.clone(),
                 suspects: &suspects,
             };
             match self.redeploy_managed(&managed, idx, &damage, &mode) {
@@ -631,6 +609,9 @@ impl Framework {
                     }
                     report.hier_memo_hits += connection.plan.stats.hier_memo_hits as u64;
                     report.hier_segments += connection.plan.stats.hier_segments as u64;
+                    if connection.costs.plan_stats.plan_cache_hits == 0 {
+                        report.route_rows_built += connection.plan.stats.route_rows_built;
+                    }
                     managed[idx].connection = connection;
                     managed[idx].degraded = false;
                     match mode {
@@ -677,6 +658,7 @@ impl Framework {
             }
         }
         healer.managed = managed;
+        healer.partitions = Some(pview);
         self.healer = Some(healer);
 
         let tracer = self.server.tracer().clone();
@@ -699,6 +681,7 @@ impl Framework {
             tracer.count("heal.seeded_bound_cuts", report.repair.seeded_bound_cuts);
             tracer.count("heal.region_memo_hits", report.hier_memo_hits);
             tracer.count("heal.region_segments", report.hier_segments);
+            tracer.count("heal.route_rows_built", report.route_rows_built);
             tracer.instant(
                 "core",
                 "heal",
@@ -720,20 +703,23 @@ impl Framework {
     }
 
     /// Asks a [`Replanner`] whether a managed connection's plan should
-    /// be replaced under the current network. `None` when the service's
-    /// registration disappeared (e.g. purged with its crashed home).
-    fn consult_replanner(&self, now: SimTime, m: &Managed) -> Option<ReplanDecision> {
+    /// be replaced under the current network, charging the rows its
+    /// fresh solve built to `report`. The fresh optimum is priced on the
+    /// path that would redeploy the connection but never enters the plan
+    /// cache: the redeploy stays a warm repair, whose tie-breaks keep the
+    /// old shape. `None` when the service's registration disappeared
+    /// (e.g. purged with its crashed home).
+    fn consult_replanner(&self, report: &mut HealReport, m: &Managed) -> Option<ReplanDecision> {
         let spec = self.server.lookup.by_name(&m.service)?.spec.clone();
+        let net = self.world.network();
+        let fresh = self.server.plan_uncached(net, &spec, &m.request, None);
+        report.route_rows_built += fresh.as_ref().map_or(0, |p| p.stats.route_rows_built);
         let planner = Planner::with_config(spec, self.server.planner_config.clone());
         let mut replanner = Replanner::new(planner);
         replanner.set_tracer(self.server.tracer().clone());
-        Some(replanner.evaluate_at(
-            now,
-            self.world.network(),
-            self.server.translator.as_ref(),
-            &m.request,
-            &m.connection.plan,
-        ))
+        let translator = self.server.translator.as_ref();
+        let old = &m.connection.plan;
+        Some(replanner.decide_at(report.at, net, translator, &m.request, old, fresh))
     }
 
     /// Re-plans and re-deploys `managed[idx]`, retiring instances only
@@ -775,12 +761,11 @@ impl Framework {
                 // the chain positions the pass's batched damage touched)
                 // instead of planning from scratch; exact same
                 // objective, found faster.
-                let ctx = RepairContext {
-                    old_plan: &managed[idx].connection.plan,
-                    dirty_nodes: damage.dirty_nodes.to_vec(),
-                    dirty_links: damage.dirty_links.to_vec(),
-                    prior_routes: damage.prior_routes.clone(),
-                };
+                let ctx = RepairContext::new(
+                    &managed[idx].connection.plan,
+                    damage.dirty_nodes.to_vec(),
+                    damage.dirty_links.to_vec(),
+                );
                 self.server
                     .connect_repair(&mut self.world, &service, &request, &ctx)?
             }

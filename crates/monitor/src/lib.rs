@@ -355,13 +355,27 @@ impl Replanner {
         self.tracer = tracer;
     }
 
-    /// Evaluates `old` under the (possibly changed) network and decides.
+    /// Evaluates `old` under the (possibly changed) network and decides,
+    /// pricing the fresh optimum with a flat [`Planner::plan`].
     pub fn evaluate<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
         old: &Plan,
+    ) -> ReplanDecision {
+        let fresh = self.planner.plan(net, translator, request);
+        self.decide(net, translator, request, old, fresh)
+    }
+
+    /// The decision given the `fresh` optimum for `request` on `net`.
+    fn decide<T: PropertyTranslator + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        old: &Plan,
+        fresh: Result<Plan, PlanError>,
     ) -> ReplanDecision {
         // Revalidate the old assignment in place.
         let mapper = Mapper::new(
@@ -373,8 +387,6 @@ impl Replanner {
         );
         let assignment: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
         let still_valid = mapper.evaluate(&old.graph, &assignment);
-
-        let fresh = self.planner.plan(net, translator, request);
         match (still_valid, fresh) {
             (Some(current), Ok(better)) => {
                 if current.objective_value <= better.objective_value * self.degradation_factor {
@@ -410,7 +422,23 @@ impl Replanner {
         request: &ServiceRequest,
         old: &Plan,
     ) -> ReplanDecision {
-        let decision = self.evaluate(net, translator, request, old);
+        let fresh = self.planner.plan(net, translator, request);
+        self.decide_at(now, net, translator, request, old, fresh)
+    }
+
+    /// Like [`evaluate_at`](Self::evaluate_at), with the fresh optimum
+    /// supplied by the caller — the healer prices it on the serving
+    /// path that would redeploy the connection, not a flat plan.
+    pub fn decide_at<T: PropertyTranslator + ?Sized>(
+        &self,
+        now: SimTime,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        old: &Plan,
+        fresh: Result<Plan, PlanError>,
+    ) -> ReplanDecision {
+        let decision = self.decide(net, translator, request, old, fresh);
         if self.tracer.enabled() {
             let mut fields: ps_trace::Fields = Vec::new();
             let kind = match &decision {

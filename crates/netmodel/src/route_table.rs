@@ -17,8 +17,7 @@
 //!
 //! ## Incremental repair
 //!
-//! A full build is `n` Dijkstra runs; at a thousand routers that is the
-//! dominant cost of every heal pass even when a single link flapped.
+//! A full build is `n` Dijkstra runs even when a single link flapped.
 //! [`RouteTable::repair`] instead classifies each *source* as affected
 //! or not by the reported changes and re-runs Dijkstra only for the
 //! affected sources (delta-Dijkstra at source granularity — exactly
@@ -43,7 +42,6 @@
 //! is cheap, so the fallback costs one extra `O(n · deg)` pass.
 
 use crate::graph::{LinkId, Network, NodeId};
-use crate::partition::PartitionView;
 use crate::path::{
     dijkstra_tree, reconstruct, tree_metrics, tree_via, Route, RouteCost, RouteMetrics, UNREACHED,
 };
@@ -353,36 +351,6 @@ impl RouteTable {
     /// Whether `to` is reachable from `from`.
     pub fn reachable(&self, from: NodeId, to: NodeId) -> bool {
         from == to || self.dist[from.0 as usize * self.n + to.0 as usize].1 != u64::MAX
-    }
-
-    /// The connected components of the live subgraph, derived from this
-    /// table's reachability matrix (identical to
-    /// [`PartitionView::of`]`(net)` when the table is current). After a
-    /// [`repair`](Self::repair) pass has re-run only the affected
-    /// sources, this hands the healer partition detection without
-    /// another graph traversal: one scan of the distance rows.
-    pub fn partition_view(&self, net: &Network) -> PartitionView {
-        debug_assert!(self.is_current(net), "partition view needs a current table");
-        let mut membership: Vec<Option<usize>> = vec![None; self.n];
-        let mut count = 0;
-        for source in 0..self.n {
-            let node = NodeId(source as u32);
-            if membership[source].is_some() || !net.node(node).up {
-                continue;
-            }
-            let index = count;
-            count += 1;
-            membership[source] = Some(index);
-            // Reachability is symmetric (links are bidirectional), so
-            // one row labels the whole component.
-            for (target, slot) in membership.iter_mut().enumerate().skip(source + 1) {
-                let other = NodeId(target as u32);
-                if slot.is_none() && net.node(other).up && self.reachable(node, other) {
-                    *slot = Some(index);
-                }
-            }
-        }
-        PartitionView::from_membership(membership, self.epoch)
     }
 
     /// One-way propagation latency from `from` to `to`, without

@@ -35,7 +35,7 @@ use crate::linkage::LinkageGraph;
 use crate::mapping::Mapper;
 use crate::plan::{ExistingInstance, Plan, PlanStats, ServiceRequest};
 use crate::planner::Planner;
-use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
+use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, RouteTable, ScopedRoutes};
 use ps_spec::{Environment, ResolvedBindings};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -78,13 +78,14 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | part | key | retired by |
 /// |---|---|---|
 /// | lazy route rows ([`ScopedRoutes`]) | source node | any network epoch change |
+/// | flat route table ([`RouteTable`]) | — | any network epoch change |
 /// | completed plans | the request, by value, under one live-instance set | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
 ///
-/// Every entry point runs the same epoch check first, so a row or plan
-/// of an older epoch can never answer; shortlists carry their region's
-/// epoch and outlive a change elsewhere in the fabric.
+/// Every entry point runs the same epoch check first, so a row, table
+/// or plan of an older epoch can never answer; shortlists carry their
+/// region's epoch and outlive a change elsewhere in the fabric.
 #[derive(Debug, Default)]
 pub struct HierMemo {
     inner: Mutex<MemoInner>,
@@ -94,6 +95,8 @@ pub struct HierMemo {
 struct MemoInner {
     region_map: Option<Arc<RegionMap>>,
     scoped: Option<Arc<ScopedRoutes>>,
+    /// The epoch's all-pairs table, present once a flat solve asked.
+    flat: Option<Arc<RouteTable>>,
     plans: PlanCache,
     /// Distinct request signatures seen, compared by value; a shortlist
     /// key names one by its index here.
@@ -131,13 +134,14 @@ struct CachedPlan {
 impl MemoInner {
     /// The epoch check every entry point runs: when the network moved
     /// on, the route rows are replaced by an empty table of the new
-    /// epoch and every cached plan is dropped.
+    /// epoch and the all-pairs table and every cached plan are dropped.
     fn sync(&mut self, net: &Network) -> Arc<ScopedRoutes> {
         match &self.scoped {
             Some(scoped) if scoped.is_current(net) => Arc::clone(scoped),
             _ => {
                 let scoped = Arc::new(ScopedRoutes::new(net));
                 self.scoped = Some(Arc::clone(&scoped));
+                self.flat = None;
                 self.plans.by_client.clear();
                 scoped
             }
@@ -176,14 +180,30 @@ impl HierMemo {
         self.lock().sync(net)
     }
 
-    /// Source rows the current epoch's route table holds (zero before
-    /// the first route question). Deterministic, so "a warm connect
-    /// runs no Dijkstra" is checkable as a count.
+    /// The all-pairs route table of the network's current epoch and
+    /// whether this call built it (the epoch's first flat solve does).
+    /// Only ever current or rebuilt, never repaired from an older one.
+    pub(crate) fn route_table(&self, net: &Network) -> (Arc<RouteTable>, bool) {
+        let mut inner = self.lock();
+        inner.sync(net);
+        match &inner.flat {
+            Some(table) => (Arc::clone(table), false),
+            None => {
+                let table = Arc::new(RouteTable::build(net));
+                inner.flat = Some(Arc::clone(&table));
+                (table, true)
+            }
+        }
+    }
+
+    /// Dijkstra source rows the memo holds for its epoch: the lazy rows
+    /// plus, once a flat solve built it, every source of the all-pairs
+    /// table (zero before the first route question). Deterministic, so
+    /// "a warm connect runs no Dijkstra" is checkable as a count.
     pub fn route_rows_built(&self) -> usize {
-        self.lock()
-            .scoped
-            .as_ref()
-            .map_or(0, |scoped| scoped.rows_built())
+        let inner = self.lock();
+        let lazy = inner.scoped.as_ref().map_or(0, |s| s.rows_built());
+        lazy + inner.flat.as_ref().map_or(0, |table| table.node_count())
     }
 
     /// The plan stored for exactly this `service`, `request` and `live`

@@ -124,9 +124,10 @@ impl Planner {
         self.solve(net, translator, request, Some(ctx), None)
     }
 
-    /// Hierarchical counterpart of [`plan`](Self::plan): composes
-    /// per-region segment shortlists across the gateway skeleton and
-    /// searches the restricted universe (see [`crate::hierarchy`]).
+    /// [`plan`](Self::plan) on a serving memo's routes: under
+    /// [`PlannerConfig::hier`] it composes per-region segment shortlists
+    /// across the gateway skeleton and searches the restricted universe
+    /// (see [`crate::hierarchy`]).
     pub fn plan_hierarchical<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
@@ -137,40 +138,27 @@ impl Planner {
         self.solve(net, translator, request, None, Some(memo))
     }
 
-    /// Hierarchical counterpart of [`plan_repair`](Self::plan_repair):
-    /// the repair solve and the follow-up sweep both run on the
-    /// composition universe — with the old plan's hosts as additional
-    /// anchors — instead of the whole network. Flat when hierarchical
-    /// planning is not configured.
-    pub fn plan_repair_with_memo<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        ctx: &RepairContext<'_>,
-        memo: &HierMemo,
-    ) -> Result<Plan, PlanError> {
-        let memo = self.config.hier.as_ref().map(|_| memo);
-        self.solve(net, translator, request, Some(ctx), memo)
-    }
-
     /// The one solve every entry point above is a wrapper of.
     ///
-    /// With `memo`, the search first runs on the hierarchical
-    /// composition universe (lazy route rows, shortlists from the memo);
-    /// a fabric with fewer than two regions has nothing to decompose,
-    /// and a universe that misses every feasible mapping (e.g. the only
-    /// installable host sits outside all shortlists) is no answer —
-    /// correctness over speed — so both fall through to the flat search
-    /// over the whole network and one all-pairs [`RouteTable`], carrying
-    /// the statistics of the work already done.
+    /// `memo` is the serving memo that owns the epoch's routes. With
+    /// one and [`PlannerConfig::hier`] set, the search first runs on the
+    /// hierarchical composition universe (lazy route rows, shortlists
+    /// from the memo); a fabric with fewer than two regions has nothing
+    /// to decompose, and a universe that misses every feasible mapping
+    /// (e.g. the only installable host sits outside all shortlists) is
+    /// no answer — correctness over speed — so both fall through to the
+    /// flat search over the whole network and one all-pairs
+    /// [`RouteTable`], carrying the statistics of the work already done.
+    /// The flat search reads the memo's table — built by the epoch's
+    /// first flat solve, which alone is charged for it — and without a
+    /// memo builds and charges its own.
     ///
     /// With `repair`, each search is warm-started: a repair solve that
     /// keeps every placement the damage did not touch seeds the exact
-    /// sweep over all graphs. And the flat route table is the previous
-    /// epoch's (`ctx.prior_routes`), repaired incrementally
-    /// ([`RouteTable::repair`]) from the same dirty sets instead of
-    /// rebuilt.
+    /// sweep over all graphs. A memo-less caller may also hand in the
+    /// previous epoch's table (`ctx.prior_routes`) to have it repaired
+    /// incrementally ([`RouteTable::repair`]) from the same dirty sets
+    /// instead of rebuilt; no serving path does.
     pub fn solve<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
@@ -204,7 +192,7 @@ impl Planner {
             .map(|(ctx, fixed)| (ctx.old_plan, fixed));
 
         let mut regions = None;
-        if let Some(memo) = memo {
+        if let Some(memo) = memo.filter(|_| self.config.hier.is_some()) {
             // A repair anchors the universe on the old plan's hosts too.
             let anchors: Vec<NodeId> = repair
                 .iter()
@@ -226,9 +214,11 @@ impl Planner {
         // build runs one Dijkstra per source; recorded so the
         // deterministic work proxy (`PlanStats::work_units`) charges
         // flat and hierarchical planning on the same scale.
-        let table = match repair.and_then(|ctx| Some((ctx, ctx.prior_routes.as_ref()?))) {
-            Some((_, prior)) if prior.is_current(net) => Arc::clone(prior),
-            Some((ctx, prior)) => {
+        let prior = repair.and_then(|ctx| Some((ctx, ctx.prior_routes.as_ref()?)));
+        let (table, built) = match (memo, prior) {
+            (Some(memo), _) => memo.route_table(net),
+            (None, Some((_, prior))) if prior.is_current(net) => (Arc::clone(prior), false),
+            (None, Some((ctx, prior))) => {
                 // Delta-Dijkstra repair of the previous epoch's table:
                 // the dirty sets are exactly the damage since it was
                 // built, so only affected sources re-run.
@@ -236,15 +226,14 @@ impl Planner {
                 let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
                 stats.route_table_build_us = outcome.repair_micros;
                 stats.route_rows_built += outcome.sources_rebuilt as u64;
-                Arc::new(table)
+                (Arc::new(table), false)
             }
-            None => {
-                let table = Arc::new(RouteTable::build(net));
-                stats.route_table_build_us = table.build_micros();
-                stats.route_rows_built += net.node_count() as u64;
-                table
-            }
+            (None, None) => (Arc::new(RouteTable::build(net)), true),
         };
+        if built {
+            stats.route_table_build_us = table.build_micros();
+            stats.route_rows_built += net.node_count() as u64;
+        }
         // One mapper shared across every candidate graph: credential
         // translation and the plan memo amortize over the whole search.
         let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
@@ -417,10 +406,23 @@ pub struct RepairContext<'p> {
     /// Links whose state (up/down, latency, bandwidth, credentials)
     /// changed since `old_plan` was made.
     pub dirty_links: Vec<LinkId>,
-    /// The route table from before the change; repaired incrementally
-    /// from the dirty sets instead of rebuilt (used as-is when already
-    /// current). `None` falls back to a full build.
+    /// The route table from before the change, for a memo-less solve to
+    /// repair incrementally from the dirty sets instead of rebuilding
+    /// (used as-is when already current). `None` — what every serving
+    /// path passes — reads the memo's table or builds one.
     pub prior_routes: Option<Arc<RouteTable>>,
+}
+
+impl<'p> RepairContext<'p> {
+    /// The damage since `old_plan` was made, with no prior route table.
+    pub fn new(old_plan: &'p Plan, dirty_nodes: Vec<NodeId>, dirty_links: Vec<LinkId>) -> Self {
+        RepairContext {
+            old_plan,
+            dirty_nodes,
+            dirty_links,
+            prior_routes: None,
+        }
+    }
 }
 
 /// Materializes a search result as a [`Plan`] (stats and repair info are

@@ -434,3 +434,40 @@ fn infeasible_universe_falls_back_flat_and_keeps_its_accounting() {
         u64::from(hier.stats.hier_segments)
     );
 }
+
+/// A flat planner handed a memo reads the epoch's all-pairs table from
+/// it: the first solve builds and is charged every source, later solves
+/// of the epoch are charged none and return what a memo-less `plan`
+/// returns, and an epoch change retires the table with the lazy rows.
+#[test]
+fn flat_solves_of_one_epoch_share_the_memos_route_table() {
+    let flat = flat_planner();
+    let translator = translator();
+    let (mut net, client, server) = world(42);
+    let request = request(client, server);
+    let n = net.node_count() as u64;
+    let memo = HierMemo::new();
+    let solve = |net: &Network| {
+        flat.plan_hierarchical(net, &translator, &request, &memo)
+            .expect("feasible")
+    };
+
+    let alone = flat.plan(&net, &translator, &request).expect("feasible");
+    let (first, second) = (solve(&net), solve(&net));
+    assert_eq!(
+        (alone.stats.route_rows_built, first.stats.route_rows_built),
+        (n, n)
+    );
+    assert_eq!(second.stats.route_rows_built, 0);
+    assert_eq!(first.stats.hier_segments, 0, "no `hier`, no composition");
+    for plan in [&first, &second] {
+        assert_eq!(
+            (plan.objective_value, &plan.placements, &plan.edges),
+            (alone.objective_value, &alone.placements, &alone.edges)
+        );
+    }
+    assert_eq!(memo.route_rows_built() as u64, n);
+
+    net.touch();
+    assert_eq!(solve(&net).stats.route_rows_built, n, "a new epoch");
+}

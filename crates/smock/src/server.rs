@@ -195,9 +195,9 @@ impl GenericServer {
         self.memo.cached_plans()
     }
 
-    /// Source rows (one Dijkstra each) the memo's route table holds for
-    /// the current network epoch (test/diagnostic aid: a warm connect
-    /// must leave it unchanged).
+    /// Source rows (one Dijkstra each) the memo holds for the current
+    /// network epoch, lazy rows and flat table alike (test/diagnostic
+    /// aid: a warm connect must leave it unchanged).
     pub fn route_rows_built(&self) -> usize {
         self.memo.route_rows_built()
     }
@@ -237,11 +237,11 @@ impl GenericServer {
 
     /// Like [`connect`](Self::connect), but warm-starts planning from a
     /// surviving plan ([`Planner::plan_repair`]): the healer hands in the
-    /// batched dirty sets of one heal pass plus the incrementally
-    /// repaired route table, and planning re-solves only the touched
-    /// chain positions before the exact (seeded) sweep. The plan cache
-    /// still short-circuits when an identical request was already planned
-    /// at this epoch.
+    /// batched dirty sets of one heal pass, and planning re-solves only
+    /// the touched chain positions before the exact (seeded) sweep, on
+    /// the memo's routes of the current epoch like any other connect.
+    /// The plan cache still short-circuits when an identical request was
+    /// already planned at this epoch.
     pub fn connect_repair(
         &self,
         world: &mut World,
@@ -250,6 +250,24 @@ impl GenericServer {
         repair: &RepairContext<'_>,
     ) -> Result<Connection, ConnectError> {
         self.connect_inner(world, service, request, Some(repair))
+    }
+
+    /// One planning call on this server's configured path — hierarchical
+    /// or flat per [`PlannerConfig::hier`], on the memo's routes of the
+    /// current epoch — that neither reads nor stores the plan cache.
+    /// [`connect`](Self::connect) runs it on a cache miss; the healer's
+    /// keep/redeploy consult prices a fresh optimum with it and leaves
+    /// the redeploy that may follow a warm repair.
+    pub fn plan_uncached(
+        &self,
+        net: &Network,
+        spec: &Arc<ServiceSpec>,
+        request: &ServiceRequest,
+        repair: Option<&RepairContext<'_>>,
+    ) -> Result<Plan, PlanError> {
+        let planner = Planner::with_config(Arc::clone(spec), self.planner_config.clone());
+        let translator = self.translator.as_ref();
+        planner.solve(net, translator, request, repair, Some(&self.memo))
     }
 
     fn connect_inner(
@@ -328,20 +346,14 @@ impl GenericServer {
             // exactly as the original did.
             Some(plan) => plan,
             None => {
-                let planner = Planner::with_config(
-                    Arc::clone(&registration.spec),
-                    self.planner_config.clone(),
-                );
                 let mut resolved = request.clone();
                 resolved.existing.extend(live.iter().cloned());
-                let (net, translator) = (world.network(), self.translator.as_ref());
+                let net = world.network();
                 if repair.is_some() {
                     self.tracer.count("server.plan_repairs", 1);
                 }
-                // Region decomposition (and its shortlist memo) when
-                // hierarchical planning is configured, flat otherwise.
-                let hier = self.planner_config.hier.as_ref().map(|_| &self.memo);
-                let plan = Arc::new(planner.solve(net, translator, &resolved, repair, hier)?);
+                let plan =
+                    Arc::new(self.plan_uncached(net, &registration.spec, &resolved, repair)?);
                 self.memo
                     .store_plan(net, service, request, live, Arc::clone(&plan));
                 plan
