@@ -25,6 +25,12 @@
 //!   at least the minimum path fraction times the client → `m` round
 //!   trip — so candidates far from the client ↔ pinned-server corridor
 //!   are cut before any property-flow work;
+//! * before any of that arithmetic a candidate is dropped when the plan
+//!   memo's instance-identity table shows it clashing with an
+//!   already-placed same-component tree node, and a graph that repeats
+//!   a component more often than its candidates' factor classes admit
+//!   is never descended at all — both exact: every completion would be
+//!   rejected by the evaluator's identity rules;
 //! * pruning is *strict* (`partial + suffix > incumbent objective`):
 //!   a subtree is cut only when every completion is strictly worse than
 //!   the incumbent, so the surviving optimum — value *and* chosen
@@ -40,8 +46,8 @@
 //! the [`Mapper`]'s evaluator.
 
 use crate::linkage::LinkageGraph;
-use crate::mapping::{Evaluation, Mapper};
-use crate::memo::{FlowOutcome, Verdict};
+use crate::mapping::{Evaluation, Mapper, STARTUP_COST_MS};
+use crate::memo::{CandidateSet, FlowOutcome, Identity, Verdict};
 use crate::plan::{Objective, PlanStats};
 use ps_net::NodeId;
 use ps_spec::ResolvedBindings;
@@ -115,14 +121,21 @@ pub fn search(
     prune_ties: bool,
 ) -> Option<(Vec<NodeId>, Evaluation)> {
     debug_assert!(fixed.is_none_or(|fixed| fixed.len() == graph.len()));
+    if !multiplicity_feasible(mapper, graph) {
+        // Skipped unsearched, and counted so `work_units` sees it.
+        stats.prunes += 1;
+        return None;
+    }
     let n = graph.len();
     let order = graph.bottom_up_order();
-    let sets: Vec<(u32, Rc<[NodeId]>)> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
+    let sets: Vec<CandidateSet> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
     // What the search ranges over per tree node: its whole candidate
     // set, or — where `fixed` pins a position — the one-host slice of
     // it, with `offset` remembering where that slice starts so verdict
-    // cells stay indexed by position in the full set.
-    let mut candidates: Vec<&[NodeId]> = sets.iter().map(|(_, nodes)| &nodes[..]).collect();
+    // cells stay indexed by position in the full set. `identity` is the
+    // same slice of the set's instance-identity row.
+    let mut candidates: Vec<&[NodeId]> = sets.iter().map(|set| &set.nodes[..]).collect();
+    let mut identity: Vec<&[Identity]> = sets.iter().map(|set| &set.identity[..]).collect();
     let mut offset = vec![0usize; n];
     if let Some(fixed) = fixed {
         // Intersecting (rather than replacing) keeps the condition-1
@@ -132,6 +145,7 @@ pub fn search(
             if let Some(node) = forced {
                 let at = candidates[idx].iter().position(|c| c == node)?;
                 candidates[idx] = &candidates[idx][at..=at];
+                identity[idx] = &identity[idx][at..=at];
                 offset[idx] = at;
             }
         }
@@ -148,11 +162,33 @@ pub fn search(
     let lp = latency_part(mapper.objective);
     let cp = cost_part(mapper.objective);
 
+    // Per tree node and candidate, the weighted lower bound of the
+    // deployment cost the evaluator charges: zero when the placement
+    // might attach to a pinned/existing instance (`attachable`; whether
+    // the factors match too is the evaluator's question), else exactly
+    // its term — code transfer from the effective origin plus startup.
+    let origin = mapper.request.effective_origin();
+    let deploy_lb: Vec<Vec<f64>> = (0..n)
+        .map(|idx| {
+            let size = mapper
+                .spec
+                .behavior_of(&graph.nodes[idx].component)
+                .code_size;
+            let hosts = candidates[idx].iter().zip(identity[idx]);
+            hosts
+                .map(|(&node, id)| match bounding && cp > 0.0 && !id.attachable {
+                    true => cp * (mapper.transfer_ms(origin, node, size) + STARTUP_COST_MS),
+                    false => 0.0,
+                })
+                .collect()
+        })
+        .collect();
+
     // Admissible per-tree-node lower bounds over each candidate set,
     // mirroring the increments charged during recursion.
     let suffix_bound = if bounding && (lp > 0.0 || cp > 0.0) {
         let lower_bound: Vec<f64> = (0..n)
-            .map(|idx| min_increment(mapper, graph, &rates, &candidates, idx, lp, cp))
+            .map(|idx| min_increment(mapper, graph, &rates, &candidates, &deploy_lb[idx], idx, lp))
             .collect();
         let mut suffix = vec![0.0; order.len() + 1];
         for pos in (0..order.len()).rev() {
@@ -224,12 +260,8 @@ pub fn search(
             let frac = rates.fraction(idx);
             let mut costs = Vec::with_capacity(candidates[idx].len());
             let mut floors = Vec::with_capacity(candidates[idx].len());
-            for &node in candidates[idx] {
-                let mut cost = if cp > 0.0 {
-                    cp * deploy_cost_lower(mapper, graph, idx, node)
-                } else {
-                    0.0
-                };
+            for (&node, &deploy) in candidates[idx].iter().zip(&deploy_lb[idx]) {
+                let mut cost = deploy;
                 if lp > 0.0 {
                     cost +=
                         lp * frac * behavior.cpu_per_request_ms / mapper.net.node(node).cpu_speed;
@@ -275,11 +307,8 @@ pub fn search(
         })
         .collect();
 
-    // Same-component sibling lists for descent-time instance-identity
-    // pruning: a pair violation (same node, or duplicate fresh factors)
-    // holds in every completion, so the subtree can be cut the moment
-    // the second instance is placed instead of evaluating every leaf
-    // under it. Empty for graphs whose components are all distinct.
+    // Same-component sibling lists for the instance-identity rules.
+    // Empty for graphs whose components are all distinct.
     let same_component: Vec<Vec<usize>> = (0..n)
         .map(|i| {
             (0..n)
@@ -313,11 +342,13 @@ pub fn search(
         lp,
         same_component,
         data_view,
+        identity,
         incumbent,
         prune_ties,
         context_key: Vec::new(),
         provided_id: vec![0; n],
         assignment: vec![None; n],
+        placed: vec![Identity::default(); n],
         provided: vec![None; n],
         factors: vec![None; n],
         best: None,
@@ -350,31 +381,66 @@ fn cost_part(objective: Objective) -> f64 {
     }
 }
 
-/// Lower bound of the deployment cost [`Mapper::evaluate`] charges for
-/// placing `idx` at `node`: zero when the placement might attach to a
-/// pinned/existing instance (the factor match isn't known yet during
-/// descent), else the code transfer from the effective origin plus the
-/// startup charge — exactly the evaluator's per-placement term.
-fn deploy_cost_lower(mapper: &Mapper<'_>, graph: &LinkageGraph, idx: usize, node: NodeId) -> f64 {
-    let component = &graph.nodes[idx].component;
-    if mapper.request.could_be_preexisting(component, node) {
-        return 0.0;
+/// The multiplicity bound of the instance-identity rules: whether the
+/// graph's repeated components could all be placed at once. Among a
+/// component's candidate hosts, same-class placements must sit on
+/// distinct hosts and at most one of them may be new, so a class admits
+/// at most `min(hosts, 1 + preexisting hosts)` of them — and exactly one
+/// when the component is a data view, whose same-class replicas never
+/// coexist. A graph asking for more occurrences than its classes admit
+/// has no feasible mapping. Admissible, not exact: it ignores which
+/// occurrence may take which host.
+fn multiplicity_feasible(mapper: &Mapper<'_>, graph: &LinkageGraph) -> bool {
+    let component = |idx: usize| &graph.nodes[idx].component;
+    for first in 0..graph.len() {
+        // Once per repeated component, at its first occurrence.
+        let repeats = (first + 1..graph.len()).filter(|&idx| component(idx) == component(first));
+        if repeats.clone().next().is_none()
+            || (0..first).any(|idx| component(idx) == component(first))
+        {
+            continue;
+        }
+        // The occurrences' sets differ only by forced placement; a host
+        // in several of them has one identity and counts once.
+        let mut hosts: Vec<(Identity, NodeId)> = Vec::new();
+        for idx in std::iter::once(first).chain(repeats.clone()) {
+            let set = mapper.candidate_set(graph, idx);
+            hosts.extend(set.identity.iter().copied().zip(set.nodes.iter().copied()));
+        }
+        hosts.sort_unstable();
+        hosts.dedup();
+        let data_view = mapper
+            .spec
+            .get_component(component(first))
+            .is_some_and(|c| c.is_data_view());
+        let capacity: usize = hosts
+            .chunk_by(|a, b| a.0.class == b.0.class)
+            .map(|class| match data_view {
+                true => 1,
+                false => {
+                    let preexisting = class.iter().filter(|(id, _)| id.preexisting).count();
+                    class.len().min(1 + preexisting)
+                }
+            })
+            .sum();
+        if 1 + repeats.count() > capacity {
+            return false;
+        }
     }
-    let code_size = mapper.spec.behavior_of(component).code_size;
-    mapper.transfer_ms(mapper.request.effective_origin(), node, code_size)
-        + crate::mapping::STARTUP_COST_MS
+    true
 }
 
 /// Lower bound of [`State::increment`] for tree node `idx` over its
-/// whole candidate set (children range over theirs too).
+/// whole candidate set (children range over theirs too); `deploy_lb` is
+/// the node's row of weighted deployment-cost lower bounds.
 fn min_increment(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     rates: &crate::load::RatePlan,
     candidates: &[&[NodeId]],
+    deploy_lb: &[f64],
     idx: usize,
     lp: f64,
-    cp: f64,
 ) -> f64 {
     let min_rtt = |from_set: &[NodeId], to_set: &[NodeId], bytes: f64| -> f64 {
         let mut best = f64::INFINITY;
@@ -404,12 +470,9 @@ fn min_increment(
     // admissible and is tighter than summing independent minima.
     let min_node = candidates[idx]
         .iter()
-        .map(|&node| {
-            let mut inc = lp * frac * behavior.cpu_per_request_ms / mapper.net.node(node).cpu_speed;
-            if cp > 0.0 {
-                inc += cp * deploy_cost_lower(mapper, graph, idx, node);
-            }
-            inc
+        .zip(deploy_lb)
+        .map(|(&node, &deploy)| {
+            lp * frac * behavior.cpu_per_request_ms / mapper.net.node(node).cpu_speed + deploy
         })
         .fold(f64::INFINITY, f64::min);
     let mut bound = min_node;
@@ -434,7 +497,7 @@ struct State<'a, 'b> {
     order: Vec<usize>,
     /// Per tree node, its full candidate set and that set's id in the
     /// mapper's plan memo.
-    sets: &'a [(u32, Rc<[NodeId]>)],
+    sets: &'a [CandidateSet],
     /// Per tree node, the slice of its set this search ranges over (all
     /// of it unless a repair fixed the position) and where in the set
     /// that slice starts.
@@ -462,6 +525,9 @@ struct State<'a, 'b> {
     same_component: Vec<Vec<usize>>,
     /// Per tree node, whether its component is a data view.
     data_view: Vec<bool>,
+    /// Per tree node and candidate (same index as `candidates`), the
+    /// plan memo's instance-identity entry.
+    identity: Vec<&'a [Identity]>,
     incumbent: &'a Incumbent,
     /// Prune with `>=` instead of `>`: cut subtrees that cannot
     /// *strictly* beat the incumbent. Only sound when the caller keeps
@@ -474,6 +540,8 @@ struct State<'a, 'b> {
     /// its part of its parent's flow context.
     provided_id: Vec<u32>,
     assignment: Vec<Option<NodeId>>,
+    /// Per placed tree node, the identity entry of its host.
+    placed: Vec<Identity>,
     provided: Vec<Option<Rc<ResolvedBindings>>>,
     factors: Vec<Option<Rc<ResolvedBindings>>>,
     best: Option<(Vec<NodeId>, Evaluation)>,
@@ -509,40 +577,22 @@ impl State<'_, '_> {
         cost
     }
 
-    /// The evaluator's instance-identity rules, applied to the pair of
-    /// `idx` placed at `node` (with `resolved` factors) and every
-    /// already-placed same-component tree node: a plan may create at
-    /// most one *new* instance per (component, factors) configuration,
-    /// and same-configured data views never chain. Any violation here
-    /// holds in every completion of the current partial assignment.
-    fn identity_ok(&self, idx: usize, node: NodeId, resolved: &ResolvedBindings) -> bool {
-        let component = &self.graph.nodes[idx].component;
-        for &j in &self.same_component[idx] {
-            let Some(other) = self.assignment[j] else {
-                continue;
-            };
-            let Some(other_factors) = &self.factors[j] else {
-                continue;
-            };
-            if **other_factors != *resolved {
-                continue;
-            }
-            if self.data_view[idx] {
-                return false;
-            }
-            let pre_new = self
-                .mapper
-                .request
-                .is_preexisting(component, node, resolved);
-            let pre_old = self
-                .mapper
-                .request
-                .is_preexisting(component, other, other_factors);
-            if !pre_new && !pre_old {
-                return false;
-            }
-        }
-        true
+    /// The evaluator's instance-identity rules, applied to `idx` placed
+    /// at `node` (identity entry `id`) against every already-placed
+    /// same-component tree node: two on one host would deploy as a
+    /// single instance linked to itself, a plan may create at most one
+    /// *new* instance per (component, factors) configuration, and
+    /// same-configured data views never chain. Any violation here holds
+    /// in every completion of the current partial assignment.
+    fn identity_clash(&self, idx: usize, node: NodeId, id: Identity) -> bool {
+        self.same_component[idx].iter().any(|&j| {
+            self.assignment[j].is_some_and(|other| {
+                let placed = self.placed[j];
+                other == node
+                    || (placed.class == id.class
+                        && (self.data_view[idx] || !(placed.preexisting || id.preexisting)))
+            })
+        })
     }
 
     /// Interns the flow context of tree node `idx` — its candidate set
@@ -551,9 +601,9 @@ impl State<'_, '_> {
     /// candidate this search ranges over; candidate `ci` reads cell
     /// `+ ci`. Bottom-up order guarantees all children are placed.
     fn flow_context(&mut self, idx: usize) -> Option<usize> {
-        let (set_id, set) = &self.sets[idx];
+        let set = &self.sets[idx];
         self.context_key.clear();
-        self.context_key.push(u64::from(*set_id));
+        self.context_key.push(u64::from(set.id));
         for &(_, child) in &self.graph.nodes[idx].children {
             let child_node = self.assignment[child]?;
             self.context_key
@@ -563,7 +613,7 @@ impl State<'_, '_> {
             .mapper
             .memo
             .borrow_mut()
-            .flow_context(&self.context_key, set.len());
+            .flow_context(&self.context_key, set.nodes.len());
         Some(row + self.offset[idx])
     }
 
@@ -662,14 +712,10 @@ impl State<'_, '_> {
         };
         for ci in 0..self.candidates[idx].len() {
             let node = self.candidates[idx][ci];
-            if self.same_component[idx]
-                .iter()
-                .any(|&j| self.assignment[j] == Some(node))
-            {
-                // Two same-component tree nodes on one host would deploy
-                // as a single instance linked to itself — every
-                // completion is infeasible, skip before paying for the
-                // bound or property flow.
+            let id = self.identity[idx][ci];
+            if self.identity_clash(idx, node, id) {
+                // Every completion is infeasible: skip before paying for
+                // the bound or property flow.
                 self.stats.prunes += 1;
                 continue;
             }
@@ -693,11 +739,8 @@ impl State<'_, '_> {
                 self.stats.prunes += 1;
                 continue;
             };
-            if !self.identity_ok(idx, node, &outcome.factors) {
-                self.stats.prunes += 1;
-                continue;
-            }
             self.assignment[idx] = Some(node);
+            self.placed[idx] = id;
             self.provided_id[idx] = outcome.provided_id;
             self.provided[idx] = Some(outcome.provided);
             self.factors[idx] = Some(outcome.factors);

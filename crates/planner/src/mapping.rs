@@ -18,7 +18,7 @@
 use crate::compat::{effective_provided, satisfies, transform_along};
 use crate::linkage::LinkageGraph;
 use crate::load::{propagate_rates, RatePlan};
-use crate::memo::PlanMemo;
+use crate::memo::{CandidateSet, Identity, PlanMemo};
 use crate::plan::{Objective, PlanEdge, ServiceRequest};
 use ps_net::{
     shortest_route, Network, NodeId, PropertyTranslator, Route, RouteMetrics, RouteTable,
@@ -303,12 +303,13 @@ impl<'a> Mapper<'a> {
     /// emitted by one enumeration share components, so the full-network
     /// filter runs once per component.
     pub fn candidates(&self, graph: &LinkageGraph, idx: usize) -> Rc<[NodeId]> {
-        self.candidate_set(graph, idx).1
+        self.candidate_set(graph, idx).nodes
     }
 
-    /// [`candidates`](Self::candidates) together with the set's id in
-    /// the plan memo (the component's part of a flow-verdict key).
-    pub(crate) fn candidate_set(&self, graph: &LinkageGraph, idx: usize) -> (u32, Rc<[NodeId]>) {
+    /// [`candidates`](Self::candidates) as the plan memo holds them:
+    /// with the set's id (the component's part of a flow-verdict key)
+    /// and each candidate's instance-identity entry.
+    pub(crate) fn candidate_set(&self, graph: &LinkageGraph, idx: usize) -> CandidateSet {
         let name = &graph.nodes[idx].component;
         let forced: Option<NodeId> = if let Some(&pin) = self.request.pinned.get(name) {
             Some(pin)
@@ -320,39 +321,56 @@ impl<'a> Mapper<'a> {
         if let Some(hit) = self.memo.borrow().candidate_set(name, forced) {
             return hit;
         }
-        let computed = self.compute_candidates(name, forced);
-        self.memo
-            .borrow_mut()
-            .add_candidate_set(name, forced, computed)
+        // Down nodes never host components: a pinned-on-down-node
+        // request yields no candidates and the plan comes back infeasible.
+        let decl = self.spec.get_component(name);
+        let admit = |node: NodeId| {
+            if !self.net.node(node).up {
+                return None;
+            }
+            Some((node, self.factors_on(decl?, node)?))
+        };
+        let admitted: Vec<(NodeId, ResolvedBindings)> = match (forced, &self.universe) {
+            (Some(node), _) => admit(node).into_iter().collect(),
+            (None, Some(universe)) => universe.iter().copied().filter_map(admit).collect(),
+            (None, None) => self.net.node_ids().filter_map(admit).collect(),
+        };
+        let request = self.request;
+        let pinned = request.pinned.get(name);
+        let mut memo = self.memo.borrow_mut();
+        let (nodes, identity) = admitted
+            .into_iter()
+            .map(|(node, factors)| {
+                let attachable = pinned == Some(&node)
+                    || request
+                        .existing
+                        .iter()
+                        .any(|e| e.node == node && e.component == *name);
+                let identity = Identity {
+                    // Only an attachable host can match factors too.
+                    preexisting: attachable && request.is_preexisting(name, node, &factors),
+                    attachable,
+                    class: memo.factor_class(factors),
+                };
+                (node, identity)
+            })
+            .unzip();
+        memo.add_candidate_set(name, forced, nodes, identity)
     }
 
-    fn compute_candidates(&self, name: &str, forced: Option<NodeId>) -> Vec<NodeId> {
-        let Some(decl) = self.spec.get_component(name) else {
-            return Vec::new();
-        };
-        // Down nodes never host components: a pinned-on-down-node request
-        // yields no candidates and the plan comes back infeasible.
-        let check =
-            |node: NodeId| -> bool { self.net.node(node).up && self.component_fits(decl, node) };
-        match forced {
-            Some(node) => {
-                if check(node) {
-                    vec![node]
-                } else {
-                    Vec::new()
-                }
-            }
-            None => match &self.universe {
-                Some(universe) => universe.iter().copied().filter(|&n| check(n)).collect(),
-                None => self.net.node_ids().filter(|&n| check(n)).collect(),
-            },
+    /// The factors `decl` resolves to on `node`, when its conditions
+    /// hold there and its configuration resolves (condition 1).
+    fn factors_on(&self, decl: &Component, node: NodeId) -> Option<ResolvedBindings> {
+        let env = self.node_env(node);
+        if !all_hold(&decl.conditions, env) {
+            return None;
         }
+        decl.configure(env).ok().map(|config| config.factors)
     }
 
     /// Whether `decl`'s conditions hold and its factors resolve on `node`.
     pub fn component_fits(&self, decl: &Component, node: NodeId) -> bool {
-        let env = self.node_env(node);
-        all_hold(&decl.conditions, env) && decl.configure(env).is_ok()
+        self.factors_on(decl, node).is_some()
     }
 
     /// Computes the effective provided properties of graph node `idx`

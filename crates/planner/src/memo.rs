@@ -4,12 +4,13 @@
 //! A [`Mapper`](crate::Mapper) lives for exactly one planning call and
 //! is shared by all of that call's graph searches, so the memo it owns has the same lifetime and needs no
 //! invalidation: spec, request, node environments and routes are fixed
-//! for as long as it exists. Four tables, each keyed on exactly the
+//! for as long as it exists. Five tables, each keyed on exactly the
 //! inputs its value is a pure function of:
 //!
 //! | table | key | value |
 //! |---|---|---|
 //! | candidate sets | (component, forced host) | hosts passing condition 1, as a shared slice |
+//! | instance identity | candidate-set id × candidate index | the candidate's factor class (equal factors share one id) + preexisting and attachable bits |
 //! | routes | (from, to), dense by slot | [`RouteMetrics`]; the full [`RouteInfo`] only once a flow check or the evaluator asks |
 //! | provided bindings | the bindings value itself | a small id (equal values share one id) |
 //! | flow verdicts | (candidate set, children's (host, provided id)) × candidate index | infeasible, or the provided id + bindings + factors |
@@ -56,10 +57,27 @@ const FEASIBLE_BASE: u32 = 2;
 
 const NO_SLOT: u32 = u32::MAX;
 
-struct CandidateSet {
-    component: String,
-    forced: Option<NodeId>,
-    nodes: Rc<[NodeId]>,
+/// What the instance-identity rules read of one candidate host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Identity {
+    /// Id of the factors the component resolves to on the host; equal
+    /// factor values share one id across every set of the plan.
+    pub class: u32,
+    /// The placement would attach to a pinned/existing instance
+    /// ([`ServiceRequest::is_preexisting`](crate::ServiceRequest::is_preexisting)).
+    pub preexisting: bool,
+    /// Some pinned/existing instance of the component lives on the
+    /// host, whatever its factors (the bound then charges no deployment).
+    pub attachable: bool,
+}
+
+/// One memoized candidate set: its id (the component's part of a
+/// flow-verdict key), the hosts, and per host its [`Identity`].
+#[derive(Clone)]
+pub(crate) struct CandidateSet {
+    pub id: u32,
+    pub nodes: Rc<[NodeId]>,
+    pub identity: Rc<[Identity]>,
 }
 
 /// One (from, to) entry of the dense route table.
@@ -74,7 +92,10 @@ pub(crate) struct RouteCell {
 
 /// See the module docs.
 pub(crate) struct PlanMemo {
-    candidate_sets: Vec<CandidateSet>,
+    /// Sets by id, each under its (component, forced host) key.
+    candidate_sets: Vec<(String, Option<NodeId>, CandidateSet)>,
+    /// Distinct resolved factor values; an [`Identity::class`] indexes it.
+    factor_classes: Vec<ResolvedBindings>,
     /// Network node → dense route-table slot: the node's position in
     /// the universe when one is set, its own index otherwise.
     slot: Vec<u32>,
@@ -96,6 +117,7 @@ impl PlanMemo {
     pub fn new(nodes: usize) -> Self {
         PlanMemo {
             candidate_sets: Vec::new(),
+            factor_classes: Vec::new(),
             slot: (0..nodes as u32).collect(),
             side: nodes,
             routes: vec![None; nodes],
@@ -122,32 +144,46 @@ impl PlanMemo {
         self.routes = vec![None; domain.len()];
     }
 
-    /// The memoized candidate set of `(component, forced)` and its id.
-    pub fn candidate_set(
-        &self,
-        component: &str,
-        forced: Option<NodeId>,
-    ) -> Option<(u32, Rc<[NodeId]>)> {
+    /// The memoized candidate set of `(component, forced)`.
+    pub fn candidate_set(&self, component: &str, forced: Option<NodeId>) -> Option<CandidateSet> {
         self.candidate_sets
             .iter()
-            .position(|set| set.forced == forced && set.component == component)
-            .map(|id| (id as u32, Rc::clone(&self.candidate_sets[id].nodes)))
+            .find(|(name, at, _)| *at == forced && name == component)
+            .map(|(_, _, set)| set.clone())
     }
 
-    /// Stores a freshly computed candidate set.
+    /// Interns a candidate's resolved factors into its class id. Like
+    /// provided bindings, the distinct-value population is tiny, so a
+    /// linear scan beats hashing the bindings themselves.
+    pub fn factor_class(&mut self, factors: ResolvedBindings) -> u32 {
+        let class = match self.factor_classes.iter().position(|f| *f == factors) {
+            Some(class) => class,
+            None => {
+                self.factor_classes.push(factors);
+                self.factor_classes.len() - 1
+            }
+        };
+        class as u32
+    }
+
+    /// Stores a freshly computed candidate set, `identity[i]` describing
+    /// `nodes[i]`.
     pub fn add_candidate_set(
         &mut self,
         component: &str,
         forced: Option<NodeId>,
         nodes: Vec<NodeId>,
-    ) -> (u32, Rc<[NodeId]>) {
-        let nodes: Rc<[NodeId]> = nodes.into();
-        self.candidate_sets.push(CandidateSet {
-            component: component.to_string(),
-            forced,
-            nodes: Rc::clone(&nodes),
-        });
-        ((self.candidate_sets.len() - 1) as u32, nodes)
+        identity: Vec<Identity>,
+    ) -> CandidateSet {
+        debug_assert_eq!(nodes.len(), identity.len());
+        let set = CandidateSet {
+            id: self.candidate_sets.len() as u32,
+            nodes: nodes.into(),
+            identity: identity.into(),
+        };
+        self.candidate_sets
+            .push((component.to_string(), forced, set.clone()));
+        set
     }
 
     /// The route-table cell of `(from, to)`; `None` when an endpoint

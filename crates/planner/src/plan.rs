@@ -192,19 +192,6 @@ impl ServiceRequest {
             .any(|e| e.component == component && e.node == node && &e.factors == factors)
     }
 
-    /// Whether `(component, node)` *might* be preexisting under some
-    /// resolved factors — [`Self::is_preexisting`] without the factor
-    /// match. Used by the search bound to lower-bound deployment cost
-    /// before a placement's factors are resolved: charging zero whenever
-    /// this holds never overestimates what the evaluator will charge.
-    pub fn could_be_preexisting(&self, component: &str, node: NodeId) -> bool {
-        self.pinned.get(component) == Some(&node)
-            || self
-                .existing
-                .iter()
-                .any(|e| e.component == component && e.node == node)
-    }
-
     /// The effective code origin.
     pub fn effective_origin(&self) -> NodeId {
         self.origin

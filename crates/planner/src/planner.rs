@@ -201,7 +201,7 @@ impl Planner {
             if let Some(setup) = self.hier_setup(
                 net, translator, request, &graphs, memo, &anchors, &mut stats,
             ) {
-                let found = self.sweep(&setup.mapper, &graphs, request, warm, &mut stats);
+                let found = self.sweep(&setup.mapper, &graphs, warm, &mut stats);
                 stats.route_rows_built += setup.rows_built();
                 regions = Some(setup.per_region);
                 if let Some(plan) = found {
@@ -238,7 +238,7 @@ impl Planner {
         // translation and the plan memo amortize over the whole search.
         let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
             .with_route_table(table);
-        match self.sweep(&mapper, &graphs, request, warm, &mut stats) {
+        match self.sweep(&mapper, &graphs, warm, &mut stats) {
             Some(plan) => Ok(self.finish(plan, stats, regions.as_ref())),
             None => Err(PlanError::NoFeasibleMapping {
                 graphs: graphs.len(),
@@ -246,10 +246,12 @@ impl Planner {
         }
     }
 
-    /// Searches every viable graph through `mapper` and keeps the
+    /// Searches every graph through `mapper` and keeps the
     /// objective-optimal mapping. The best objective found so far seeds
     /// each later graph's search, so later graphs are cut against
-    /// earlier graphs' optima.
+    /// earlier graphs' optima; a graph repeating a component more often
+    /// than the instance-identity rules allow is skipped by the search
+    /// itself before any bound is built.
     ///
     /// With `warm` — the surviving plan and, per chain position, the
     /// placement the damage did not touch — the sweep is a repair:
@@ -272,7 +274,6 @@ impl Planner {
         &self,
         mapper: &Mapper<'_>,
         graphs: &[LinkageGraph],
-        request: &ServiceRequest,
         warm: Option<(&Plan, &[Option<NodeId>])>,
         stats: &mut PlanStats,
     ) -> Option<Plan> {
@@ -292,10 +293,6 @@ impl Planner {
         let seeded = best.is_some();
         let cuts_before_sweep = stats.bound_prunes;
         for graph in graphs {
-            if !self.graph_possibly_feasible(graph, request) {
-                stats.prunes += 1;
-                continue;
-            }
             let Some((assignment, eval)) =
                 exhaustive::search(mapper, graph, stats, &incumbent, None, warm.is_some())
             else {
@@ -351,44 +348,6 @@ impl Planner {
             tracer.count("planner.repair_chains_reused", repair.chains_reused as u64);
         }
         plan
-    }
-
-    /// Cheap structural pre-filter: a graph that uses a component with
-    /// environment-independent configuration `m` times can only be mapped
-    /// when at least `m − 1` pre-existing instances of it are attachable —
-    /// the instance-identity rules forbid creating two new instances of
-    /// one configuration. Graphs that fail are infeasible for every
-    /// mapping, so the search need not touch them.
-    fn graph_possibly_feasible(&self, graph: &LinkageGraph, request: &ServiceRequest) -> bool {
-        use std::collections::BTreeMap;
-        let mut multiplicity: BTreeMap<&str, usize> = BTreeMap::new();
-        for node in &graph.nodes {
-            *multiplicity.entry(node.component.as_str()).or_insert(0) += 1;
-        }
-        for (component, &count) in &multiplicity {
-            if count < 2 {
-                continue;
-            }
-            let Some(decl) = self.spec.get_component(component) else {
-                return false;
-            };
-            if decl.is_env_dependent() {
-                // Factored per node: distinct configurations may coexist.
-                continue;
-            }
-            let existing = request
-                .existing
-                .iter()
-                .filter(|e| e.component == *component)
-                .map(|e| e.node)
-                .collect::<std::collections::BTreeSet<_>>()
-                .len()
-                + usize::from(request.pinned.contains_key(*component));
-            if count > existing + 1 {
-                return false;
-            }
-        }
-        true
     }
 }
 

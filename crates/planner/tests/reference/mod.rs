@@ -58,6 +58,24 @@ impl Descent<'_> {
     }
 }
 
+/// The reference optimum of one graph: every host per tree node and the
+/// mapping's evaluation, `None` when no mapping of it is feasible.
+pub fn search_graph(
+    mapper: &Mapper<'_>,
+    graph: &LinkageGraph,
+) -> Option<(Vec<NodeId>, Evaluation)> {
+    let mut descent = Descent {
+        mapper,
+        graph,
+        order: graph.bottom_up_order(),
+        assignment: vec![None; graph.len()],
+        provided: vec![None; graph.len()],
+        best: None,
+    };
+    descent.descend(0);
+    descent.best
+}
+
 /// Plans `request` by exhaustive descent; `None` when nothing is feasible.
 pub fn plan<T: PropertyTranslator + ?Sized>(
     spec: &ServiceSpec,
@@ -70,16 +88,7 @@ pub fn plan<T: PropertyTranslator + ?Sized>(
     let mapper = Mapper::new(spec, net, translator, request, objective);
     let mut best: Option<Optimum> = None;
     for graph in enumerate_linkages_multi(spec, &request.interfaces, limits) {
-        let mut descent = Descent {
-            mapper: &mapper,
-            graph: &graph,
-            order: graph.bottom_up_order(),
-            assignment: vec![None; graph.len()],
-            provided: vec![None; graph.len()],
-            best: None,
-        };
-        descent.descend(0);
-        if let Some((assignment, eval)) = descent.best {
+        if let Some((assignment, eval)) = search_graph(&mapper, &graph) {
             if best
                 .as_ref()
                 .is_none_or(|(_, _, b)| eval.objective_value < b.objective_value)

@@ -285,3 +285,121 @@ fn untouched_plan_seeds_the_repair() {
     let stats = repaired.repair.unwrap();
     assert!(stats.seeded, "untouched plan must seed the search");
 }
+
+/// A repair that keeps one of two same-component placements fixed: the
+/// old plan chains a tier-2 `View` onto a tier-3 one, the damage touches
+/// only the upstream view's edge to the server, and the downstream view
+/// stays pinned on its host — the *second* entry of the view's candidate
+/// set, so its instance-identity entry must be read through the fixed
+/// slice's offset. Read from the set's start instead, the pinned view
+/// would take the upstream host's factor class, clash with it, and the
+/// repair would come back unseeded.
+#[test]
+fn a_repair_pins_a_same_component_sibling_at_its_own_candidate_slot() {
+    let tiered = |level: ValueExpr| {
+        Bindings::new()
+            .bind_lit("Secure", true)
+            .bind("Level", level)
+    };
+    let traffic = || Behavior::new().message_bytes(1000, 1000);
+    let spec = ServiceSpec::new("tiers")
+        .property(Property::boolean("Secure"))
+        .property(Property::interval("Level", 1, 9))
+        .property(Property::interval("Tier", 0, 3))
+        .interface(Interface::new("Api", ["Secure", "Level"]))
+        .component(
+            Component::new("Client")
+                .implements(InterfaceRef::plain("Front"))
+                .requires(InterfaceRef::with_bindings(
+                    "Api",
+                    tiered(ValueExpr::lit(1i64)),
+                ))
+                .behavior(traffic().cpu_per_request_ms(0.1)),
+        )
+        .interface(Interface::new("Front", Vec::<String>::new()))
+        .component(
+            Component::new("Server")
+                .implements(InterfaceRef::with_bindings(
+                    "Api",
+                    tiered(ValueExpr::lit(9i64)),
+                ))
+                .behavior(traffic().cpu_per_request_ms(1.0)),
+        )
+        .component(
+            Component::view("View", "Server", ViewKind::Data)
+                .factors(Bindings::new().bind_env("Level", "Node.Tier"))
+                .implements(InterfaceRef::with_bindings(
+                    "Api",
+                    tiered(ValueExpr::env("Node.Tier")),
+                ))
+                .requires(InterfaceRef::with_bindings(
+                    "Api",
+                    tiered(ValueExpr::env("Node.Tier")),
+                ))
+                .condition(Condition::in_range("Node.Tier", 1, 3))
+                .behavior(traffic().cpu_per_request_ms(0.1).rrf(0.2)),
+        )
+        .rule(ModificationRule::boolean_and("Secure"));
+    let translator = translator().node_mapping(Mapping::Copy {
+        credential: "Tier".into(),
+        property: "Tier".into(),
+        default: PropertyValue::Int(0),
+    });
+
+    // server (n0) —40 ms— tier 3 (n1) —40 ms— tier 2 (n2) —1 ms— client (n3)
+    let mut net = Network::new();
+    let nodes: Vec<NodeId> = [0i64, 3, 2, 0]
+        .iter()
+        .enumerate()
+        .map(|(i, &tier)| {
+            let credentials = ps_net::Credentials::new().with("Tier", tier);
+            net.add_node(format!("n{i}"), format!("site{i}"), 1.0, credentials)
+        })
+        .collect();
+    let links: Vec<LinkId> = [40, 40, 1]
+        .iter()
+        .zip(nodes.windows(2))
+        .map(|(&ms, pair)| {
+            let secure = ps_net::Credentials::new().with("Secure", true);
+            net.add_link(pair[0], pair[1], SimDuration::from_millis(ms), 1e8, secure)
+        })
+        .collect();
+
+    let planner = Planner::new(spec);
+    let request = ServiceRequest::new("Front", nodes[3])
+        .pin("Server", nodes[0])
+        .origin(nodes[0]);
+    let old = planner
+        .plan(&net, &translator, &request)
+        .expect("the line is plannable");
+    let hosts = |plan: &ps_planner::Plan| -> Vec<(String, NodeId)> {
+        plan.placements
+            .iter()
+            .map(|p| (p.component.clone(), p.node))
+            .collect()
+    };
+    let chained = [("Client", 3), ("View", 2), ("View", 1), ("Server", 0)]
+        .map(|(component, at)| (component.to_string(), nodes[at]));
+    assert_eq!(
+        hosts(&old),
+        chained,
+        "a tier-2 view chained onto a tier-3 one"
+    );
+
+    net.link_mut(links[0]).latency = SimDuration::from_millis(60);
+    let ctx = RepairContext::new(&old, vec![], vec![links[0]]);
+    let repaired = planner
+        .plan_repair(&net, &translator, &request, &ctx)
+        .expect("repair succeeds");
+    let fresh = planner
+        .plan(&net, &translator, &request)
+        .expect("fresh plan succeeds");
+    assert_eq!(repaired.objective_value, fresh.objective_value);
+    assert_eq!(repaired.placements, fresh.placements);
+    let stats = repaired.repair.expect("repaired plan carries stats");
+    assert_eq!(
+        (stats.seeded, stats.chains_reused, stats.chains_resolved),
+        (true, 2, 2),
+        "client and downstream view stay fixed, upstream view and server re-solve"
+    );
+}

@@ -13,8 +13,11 @@ use partitionable_services::net::casestudy::default_case_study;
 use partitionable_services::net::{
     shortest_route, CaseStudy, Credentials, LinkId, Network, NodeId, PartitionView, RouteTable,
 };
-use partitionable_services::planner::{HierConfig, Planner, PlannerConfig, ServiceRequest};
+use partitionable_services::planner::{
+    ExistingInstance, HierConfig, HierMemo, Plan, PlanStats, Planner, PlannerConfig, ServiceRequest,
+};
 use partitionable_services::sim::{ChaosConfig, FaultPlan, Rng, SimDuration, SimTime};
+use partitionable_services::smock::component::InstanceId;
 use partitionable_services::smock::deploy::STARTUP_DELAY;
 use partitionable_services::smock::{
     CoherencePolicy, ConnectError, Connection, LeaseConfig, ServiceRegistration,
@@ -761,4 +764,89 @@ fn a_flat_heal_pass_builds_one_table_for_all_its_redeploys() {
         })
         .collect();
     assert_eq!(charged, vec![nodes, 0]);
+}
+
+/// The instances a plan for the mail service may attach to, as the
+/// server resolves them into a request: every live instance, in
+/// instance order.
+fn live_instances(fw: &Framework) -> Vec<ExistingInstance> {
+    (0..fw.world.instance_count())
+        .map(|idx| InstanceId(idx as u32))
+        .filter(|&id| !fw.world.is_retired(id))
+        .map(|id| fw.world.instance(id))
+        .map(|info| ExistingInstance {
+            component: info.component.clone(),
+            node: info.node,
+            factors: info.factors.clone(),
+        })
+        .collect()
+}
+
+/// The cold-connect work gate. With nine instances live, a cold connect
+/// from the farthest leaf searches 38 graphs over a 30-host universe;
+/// the instance-identity table keeps that under [`COLD_WORK_CEILING`]
+/// deterministic work units (9 836 as written; 33 817 when identity was
+/// tested after the bound and the flow read). The same solve on a fresh
+/// memo does the same search, and the flat memo-less planner returns the
+/// same plan.
+#[test]
+fn a_cold_connect_over_live_instances_stays_under_the_work_ceiling() {
+    const COLD_WORK_CEILING: u64 = 11_000;
+    let run = || {
+        let (mut fw, leaves) = fabric(42, 4);
+        let server = fw.server.home;
+        let mut warm = leaves.iter();
+        while live_instances(&fw).len() < 8 {
+            let leaf = *warm.next().expect("warm-up leaves left");
+            fw.connect("mail", &request(server, leaf))
+                .expect("feasible");
+        }
+        let far = *leaves.last().expect("leaves");
+        let mut resolved = request(server, far);
+        resolved.existing.extend(live_instances(&fw));
+        let cold = fw.connect("mail", &request(server, far)).expect("feasible");
+        assert_eq!(cold.costs.plan_stats.plan_cache_hits, 0, "a cold connect");
+        (fw, resolved, cold.plan)
+    };
+    let (fw, resolved, plan) = run();
+    let (_, _, again) = run();
+    // Wall-clock aside, the statistics are a pure function of the seed.
+    let counts = |plan: &Plan| PlanStats {
+        route_table_build_us: 0,
+        ..plan.stats
+    };
+    assert_eq!(counts(&plan), counts(&again));
+
+    let net = fw.world.network();
+    let hier = PlannerConfig {
+        hier: Some(HierConfig::default()),
+        ..PlannerConfig::default()
+    };
+    let fresh = Planner::with_config(mail_spec(), hier)
+        .plan_hierarchical(net, &mail_translator(), &resolved, &HierMemo::new())
+        .expect("feasible");
+    let searched = |plan: &Plan| {
+        let s = plan.stats;
+        (s.mappings_evaluated, s.prunes, s.bound_prunes, s.flow_evals)
+    };
+    assert_eq!(searched(&plan), searched(&fresh));
+    let flat = Planner::new(mail_spec())
+        .plan(net, &mail_translator(), &resolved)
+        .expect("feasible");
+    for other in [&fresh, &flat] {
+        assert_eq!(plan.objective_value, other.objective_value);
+        assert_eq!(
+            (&plan.graph, &plan.placements),
+            (&other.graph, &other.placements)
+        );
+    }
+
+    assert!(resolved.existing.len() >= 8);
+    assert!(
+        plan.stats.work_units() < COLD_WORK_CEILING,
+        "cold connect over {} live instances: {} work units ({:?})",
+        resolved.existing.len(),
+        plan.stats.work_units(),
+        plan.stats
+    );
 }
