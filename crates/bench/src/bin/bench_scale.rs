@@ -1,14 +1,12 @@
 //! Thousand-node scaling benchmark: calendar event queue, incremental
-//! route-table repair, and warm-start plan repair.
+//! route-table repair, and flat vs hierarchical cold planning.
 //!
 //! For each world size (100, 250, 500, 1000 routers) this measures:
 //!
 //! * route-table delta repair after a single link change vs a full
 //!   rebuild (sampled-equivalent by construction);
-//! * a warm-start `plan_repair` seeded with the surviving plan and
-//!   pre-damage route table vs a cold from-scratch `plan` after a
-//!   placement node dies — identical objectives asserted, placement
-//!   churn reported.
+//! * a flat cold plan vs the hierarchical gateway-composed one, cold
+//!   and memo-warm — identical objectives asserted.
 //!
 //! It also drives the calendar event queue at steady state for an
 //! events/second figure, and runs the full self-healing stack through
@@ -20,8 +18,8 @@
 //! zeroed so same-seed double runs are byte-identical.
 
 use ps_bench::scale::{
-    measure_engine_throughput, measure_hier_plan, measure_replan, measure_route_repair,
-    run_heal_workload, run_open_loop, scale_network, OpenLoopConfig,
+    measure_engine_throughput, measure_hier_plan, measure_route_repair, run_heal_workload,
+    run_open_loop, scale_network, OpenLoopConfig,
 };
 use ps_trace::{Report, Tracer};
 use std::fmt::Write as _;
@@ -47,7 +45,7 @@ fn main() {
     } else {
         ENGINE_EVENTS
     };
-    let mut report = Report::new("Thousand-node scaling: route repair + warm-start replanning");
+    let mut report = Report::new("Thousand-node scaling: route repair + hierarchical planning");
     let mut entries = Vec::new();
 
     // Engine throughput through the calendar queue.
@@ -66,24 +64,14 @@ fn main() {
 
     report.line("");
     report.line(format!(
-        "{:<8} {:>9} {:>11} {:>11} {:>8} {:>10} {:>10} {:>8} {:>6}",
-        "routers",
-        "rt build",
-        "rt rebuild",
-        "rt repair",
-        "rt spdup",
-        "cold plan",
-        "warm plan",
-        "spdup",
-        "churn"
+        "{:<8} {:>9} {:>11} {:>11} {:>8}",
+        "routers", "rt build", "rt rebuild", "rt repair", "rt spdup"
     ));
 
     let mut hier_lines = Vec::new();
     for &routers in &WORLDS {
         let (mut net, server, client) = scale_network(routers, SEED + routers as u64);
 
-        eprintln!("[bench_scale] {routers} routers: replan...");
-        let mut replan = measure_replan(&mut net.clone(), server, client, reps);
         eprintln!("[bench_scale] {routers} routers: hierarchical plan...");
         let mut hier = measure_hier_plan(&net, server, client, reps);
         eprintln!("[bench_scale] {routers} routers: route repair...");
@@ -92,29 +80,21 @@ fn main() {
             !route.full_rebuild,
             "{routers} routers: single-link repair fell back to a full rebuild"
         );
-        if !stable {
+        if !stable && routers >= 1000 {
             assert!(
-                replan.warm_us < replan.cold_us,
-                "{routers} routers: warm repair ({}us) did not beat cold replan ({}us)",
-                replan.warm_us,
-                replan.cold_us
+                route.speedup() >= 10.0,
+                "single-link route repair speedup {:.1}x below 10x at {routers} routers",
+                route.speedup()
             );
-            if routers >= 1000 {
-                assert!(
-                    route.speedup() >= 10.0,
-                    "single-link route repair speedup {:.1}x below 10x at {routers} routers",
-                    route.speedup()
-                );
-                assert!(
-                    hier.wall_speedup() >= 5.0,
-                    "hierarchical cold plan speedup {:.1}x below 5x at {} nodes \
-                     (flat {}us vs hier {}us)",
-                    hier.wall_speedup(),
-                    hier.nodes,
-                    hier.flat_us,
-                    hier.hier_cold_us
-                );
-            }
+            assert!(
+                hier.wall_speedup() >= 5.0,
+                "hierarchical cold plan speedup {:.1}x below 5x at {} nodes \
+                 (flat {}us vs hier {}us)",
+                hier.wall_speedup(),
+                hier.nodes,
+                hier.flat_us,
+                hier.hier_cold_us
+            );
         }
         // The composed plan ships unrefined because it reaches the flat
         // optimum on every world here; a shortfall is a finding.
@@ -126,32 +106,21 @@ fn main() {
             hier.flat_objective
         );
 
-        let (route_speedup, replan_speedup, hier_wall_speedup) = if stable {
+        let (route_speedup, hier_wall_speedup) = if stable {
             route.build_us = 0;
             route.repair_us = 0;
             route.rebuild_us = 0;
-            replan.cold_us = 0;
-            replan.warm_us = 0;
             hier.flat_us = 0;
             hier.hier_cold_us = 0;
             hier.hier_warm_us = 0;
-            (0.0, 0.0, 0.0)
+            (0.0, 0.0)
         } else {
-            (route.speedup(), replan.speedup(), hier.wall_speedup())
+            (route.speedup(), hier.wall_speedup())
         };
 
         report.line(format!(
-            "{:<8} {:>8}u {:>10}u {:>10}u {:>7.1}x {:>9}u {:>9}u {:>7.1}x {:>3}/{}",
-            route.nodes,
-            route.build_us,
-            route.rebuild_us,
-            route.repair_us,
-            route_speedup,
-            replan.cold_us,
-            replan.warm_us,
-            replan_speedup,
-            replan.churn_moved,
-            replan.placements,
+            "{:<8} {:>8}u {:>10}u {:>10}u {:>7.1}x",
+            route.nodes, route.build_us, route.rebuild_us, route.repair_us, route_speedup,
         ));
         hier_lines.push(format!(
             "{:<8} {:>8} {:>10}u {:>10}u {:>10}u {:>7.1}x {:>8.1}x {:>5} {:>5} {:>8}",
@@ -173,10 +142,6 @@ fn main() {
             "    {{\"routers\": {}, \"links\": {},\n      \
              \"route\": {{\"build_us\": {}, \"rebuild_us\": {}, \"repair_us\": {}, \
              \"speedup\": {:.3}, \"sources_rebuilt\": {}, \"sources_total\": {}}},\n      \
-             \"replan\": {{\"cold_us\": {}, \"warm_us\": {}, \"speedup\": {:.3}, \
-             \"objective\": {:.6}, \"churn_moved\": {}, \"placements\": {}, \
-             \"chains_resolved\": {}, \"chains_reused\": {}, \"seeded_bound_cuts\": {}, \
-             \"seeded\": {}}},\n      \
              \"hier\": {{\"regions\": {}, \"flat_us\": {}, \"cold_us\": {}, \"warm_us\": {}, \
              \"wall_speedup\": {:.3}, \"work_flat\": {}, \"work_hier\": {}, \
              \"work_speedup\": {:.3}, \"flat_objective\": {:.6}, \"hier_objective\": {:.6}, \
@@ -189,16 +154,6 @@ fn main() {
             route_speedup,
             route.sources_rebuilt,
             route.sources_total,
-            replan.cold_us,
-            replan.warm_us,
-            replan_speedup,
-            replan.objective,
-            replan.churn_moved,
-            replan.placements,
-            replan.repair.chains_resolved,
-            replan.repair.chains_reused,
-            replan.repair.seeded_bound_cuts,
-            replan.repair.seeded,
             hier.regions,
             hier.flat_us,
             hier.hier_cold_us,
@@ -253,16 +208,13 @@ fn main() {
     report.kv(
         "heal @1000 routers",
         format!(
-            "crash detected {} ms, recovered {} ms (virtual), {} passes, {} replans, \
-             chains {} re-solved / {} reused",
+            "crash detected {} ms, recovered {} ms (virtual), {} passes, {} replans",
             heal.detected_ms
                 .map_or_else(|| "-".into(), |v| format!("{v:.0}")),
             heal.recovered_ms
                 .map_or_else(|| "-".into(), |v| format!("{v:.0}")),
             heal.heal_passes,
             heal.replans,
-            heal.repair.chains_resolved,
-            heal.repair.chains_reused,
         ),
     );
 
@@ -329,8 +281,7 @@ fn main() {
          \"events_per_sec\": {:.0}}},\n  \"worlds\": [\n{}\n  ],\n  \
          \"heal_1000\": {{\"nodes\": {}, \"crashed\": {}, \"heal_passes\": {}, \
          \"replans\": {}, \"infeasible\": {}, \"detected_ms\": {}, \"recovered_ms\": {}, \
-         \"chains_resolved\": {}, \"chains_reused\": {}, \"seeded_bound_cuts\": {}, \
-         \"seeded\": {}, \"wall_ms\": {:.3}}},\n  \
+         \"wall_ms\": {:.3}}},\n  \
          \"open_loop\": {{\"clients\": {}, \"arrivals\": {}, \"distinct_clients\": {}, \
          \"attach_routers\": {}, \"plans\": {}, \"cache_hits\": {}, \"memo_hits\": {}, \
          \"memo_misses\": {}, \"virtual_hours\": {:.3}, \"peak_hour_arrivals\": {}, \
@@ -347,10 +298,6 @@ fn main() {
         heal.infeasible,
         opt(heal.detected_ms),
         opt(heal.recovered_ms),
-        heal.repair.chains_resolved,
-        heal.repair.chains_reused,
-        heal.repair.seeded_bound_cuts,
-        heal.repair.seeded,
         heal.wall_ms,
         open_loop.clients,
         open_loop.arrivals,

@@ -7,44 +7,24 @@
 //! sampled utilization series. Writes `BENCH_timeline.json`.
 //!
 //! Also sweeps the lease detection interval (heartbeat / duration) to
-//! show the failure-detection-latency vs renewal-traffic tradeoff, and
-//! doubles as the sampler overhead guard: with the sampler and tracer
-//! left disabled (the default), the instrumented planning hot path must
-//! stay within 5% of the freshly-measured `BENCH_planner.json` baseline
-//! for the same scenario. Run `bench_planner` first.
+//! show the failure-detection-latency vs renewal-traffic tradeoff.
 //!
-//! Every value in `BENCH_timeline.json` except the overhead guard is
-//! virtual-time derived, so two same-seed runs are byte-identical; in
-//! stable-artifact mode (`PS_STABLE_ARTIFACTS=1`) the wall-clock guard
-//! is skipped and the field written as `null`, which `verify.sh` checks
-//! with a double-run `cmp`.
+//! Every value in `BENCH_timeline.json` except the per-region planning
+//! wall time is virtual-time derived, so two same-seed runs are
+//! byte-identical; in stable-artifact mode (`PS_STABLE_ARTIFACTS=1`)
+//! that field is written as `null`, which `verify.sh` checks with a
+//! double-run `cmp`.
 
 use ps_bench::chaos::{run_chaos, ChaosBenchConfig, ChaosOutcome};
 use ps_bench::scale::{run_heal_workload_with, scale_network, HealWorkloadOptions};
-use ps_mail::spec::names::*;
-use ps_mail::{mail_spec, mail_translator};
-use ps_net::casestudy::default_case_study;
-use ps_planner::{Planner, ServiceRequest};
 use ps_sim::SimDuration;
 use ps_smock::LeaseConfig;
 use ps_trace::{
     scope_critical_path, Event, HealTimeline, Registry, Report, SamplerConfig, SeriesSummary,
-    Tracer, WallTimer,
+    Tracer,
 };
 use std::fmt::Write as _;
 
-/// Minimum timed repetitions for the overhead guard (fastest kept).
-const REPS: usize = 5;
-/// Repetition budget, milliseconds.
-const MIN_TOTAL_MS: f64 = 300.0;
-/// Hard repetition cap.
-const MAX_REPS: usize = 40;
-/// Allowed overhead of the instrumented (sampler- and tracer-disabled)
-/// planning path over the `bench_planner` baseline.
-const MAX_OVERHEAD: f64 = 0.05;
-/// Absolute slack (ms) so sub-millisecond baselines don't flake on
-/// scheduler noise.
-const ABS_SLACK_MS: f64 = 0.25;
 /// Wire bytes charged per lease renewal (spec id + instance id + MAC,
 /// roughly a UDP heartbeat).
 const RENEWAL_BYTES: u64 = 256;
@@ -264,46 +244,6 @@ fn region_planning_rows(registry: &Registry) -> Vec<RegionRow> {
     rows.into_values().collect()
 }
 
-/// Extracts the `time_ms` of `scenario` from `BENCH_planner.json` by
-/// string search (no serde in the tree).
-fn baseline_ms(json: &str, scenario: &str) -> Option<f64> {
-    let at = json.find(&format!("\"scenario\": \"{scenario}\""))?;
-    let tail = &json[at..];
-    let t_at = tail.find("\"time_ms\": ")? + "\"time_ms\": ".len();
-    let tail = &tail[t_at..];
-    let end = tail.find([',', '}'])?;
-    tail[..end].trim().parse().ok()
-}
-
-/// Min-of-N planning time on the instrumented code path with the tracer
-/// and sampler left disabled — the configuration `bench_planner` labels
-/// `case-study/SanDiego`.
-fn measure_disabled_planning() -> f64 {
-    let cs = default_case_study();
-    let request = ServiceRequest::new(CLIENT_INTERFACE, cs.sd_client)
-        .rate(2.0)
-        .pin(MAIL_SERVER, cs.mail_server)
-        .origin(cs.mail_server)
-        .require("TrustLevel", 4i64);
-    let planner = Planner::new(mail_spec());
-    let translator = mail_translator();
-    let mut best = f64::INFINITY;
-    let mut total_ms = 0.0;
-    let mut reps = 0;
-    while reps < REPS || (total_ms < MIN_TOTAL_MS && reps < MAX_REPS) {
-        let start = WallTimer::start();
-        let plan = planner
-            .plan(&cs.network, &translator, &request)
-            .expect("plan");
-        let time_ms = start.elapsed_ms();
-        std::hint::black_box(plan.objective_value);
-        total_ms += time_ms;
-        reps += 1;
-        best = best.min(time_ms);
-    }
-    best
-}
-
 /// One detection-interval sweep point: a chaos run under the given lease
 /// parameters, reduced workload so the sweep stays quick.
 fn sweep_point(heartbeat_ms: u64, duration_ms: u64) -> ChaosOutcome {
@@ -325,16 +265,6 @@ fn sweep_point(heartbeat_ms: u64, duration_ms: u64) -> ChaosOutcome {
 fn main() {
     let stable = ps_bench::stable_artifacts();
     let mut report = Report::new("ps-trace timeline report: heal phases, percentiles, series");
-
-    // Measure the overhead-guard timing first, before the heavy legs
-    // heat the machine — the `bench_planner` baseline was taken at
-    // process start too, so this keeps the comparison apples-to-apples.
-    let disabled_ms = if stable {
-        None
-    } else {
-        eprintln!("[timeline_report] overhead guard timing...");
-        Some(measure_disabled_planning())
-    };
 
     // ---- Leg 1: the 9-node chaos workload, fully instrumented. ----
     eprintln!("[timeline_report] chaos workload...");
@@ -523,51 +453,6 @@ fn main() {
         ));
     }
 
-    // ---- Overhead guard: sampler+tracer disabled vs bench_planner. ----
-    // In stable mode the guard (pure wall-clock) is skipped and written
-    // as null — the determinism check covers content, not timing.
-    report.section("overhead guard (sampler+tracer disabled vs bench_planner baseline)");
-    let overhead_json = if let Some(disabled_ms) = disabled_ms {
-        report.kv("disabled_ms", format!("{disabled_ms:.3}"));
-        let baseline = std::fs::read_to_string("BENCH_planner.json")
-            .ok()
-            .and_then(|json| baseline_ms(&json, "case-study/SanDiego"));
-        match baseline {
-            Some(base) => {
-                let ratio = disabled_ms / base;
-                report.kv("baseline_ms", format!("{base:.3}"));
-                report.kv("ratio", format!("{ratio:.3}"));
-                assert!(
-                    disabled_ms <= base * (1.0 + MAX_OVERHEAD) + ABS_SLACK_MS,
-                    "sampler overhead guard failed: disabled-sampler planning took \
-                     {disabled_ms:.3} ms vs baseline {base:.3} ms (>{:.0}% + {ABS_SLACK_MS} ms slack)",
-                    MAX_OVERHEAD * 100.0
-                );
-                report.kv(
-                    "verdict",
-                    format!(
-                        "PASS (within {:.0}% + {ABS_SLACK_MS} ms slack)",
-                        MAX_OVERHEAD * 100.0
-                    ),
-                );
-                format!(
-                    "{{\"baseline_ms\": {base:.3}, \"disabled_ms\": {disabled_ms:.3}, \
-                     \"ratio\": {ratio:.3}, \"max_overhead\": {MAX_OVERHEAD}}}"
-                )
-            }
-            None => {
-                report.kv(
-                    "verdict",
-                    "SKIPPED (no BENCH_planner.json baseline; run bench_planner first)",
-                );
-                format!("{{\"baseline_ms\": null, \"disabled_ms\": {disabled_ms:.3}}}")
-            }
-        }
-    } else {
-        report.kv("verdict", "SKIPPED (stable-artifact mode)");
-        "null".to_owned()
-    };
-
     let mut json = String::new();
     write!(
         json,
@@ -580,7 +465,7 @@ fn main() {
          \"lease_renewal_bytes\": {},\n    \"timeline\": {},\n    \
          \"critical_paths\": [\n      {}\n    ],\n    \
          \"percentiles\": {},\n    \"series\": {},\n    \"regions\": {}\n  }},\n  \
-         \"sweep\": [\n{}\n  ],\n  \"overhead\": {}\n}}\n",
+         \"sweep\": [\n{}\n  ]\n}}\n",
         chaos.seed,
         chaos.heal_passes,
         chaos.lease_renewal_bytes,
@@ -598,7 +483,6 @@ fn main() {
         series_json(&scale_out.series),
         regions_json,
         sweep_json.join(",\n"),
-        overhead_json,
     )
     .expect("write to string");
     std::fs::write("BENCH_timeline.json", &json).expect("write BENCH_timeline.json");

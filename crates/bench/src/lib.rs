@@ -13,9 +13,8 @@ pub mod scenarios;
 pub use chaos::{outcome_json, run_chaos, ChaosBenchConfig, ChaosOutcome, DriverStats};
 pub use partition::{partition_json, run_partition, PartitionBenchConfig, PartitionOutcome};
 pub use scale::{
-    measure_engine_throughput, measure_replan, measure_route_repair, run_heal_workload,
-    run_heal_workload_with, scale_network, EngineMeasure, HealWorkloadOptions, HealWorkloadOutcome,
-    ReplanMeasure, RouteRepairMeasure,
+    measure_engine_throughput, measure_route_repair, run_heal_workload, run_heal_workload_with,
+    scale_network, EngineMeasure, HealWorkloadOptions, HealWorkloadOutcome, RouteRepairMeasure,
 };
 
 /// Whether the bench bins should write *stable* artifacts: every

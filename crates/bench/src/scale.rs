@@ -1,17 +1,13 @@
 //! Thousand-node scaling studies backing the `bench_scale` binary.
 //!
-//! Four measurements over progressively larger BRITE hierarchies:
+//! Three measurements over progressively larger BRITE hierarchies:
 //!
 //! 1. **Engine throughput** — events/second through the calendar event
 //!    queue under a steady self-rescheduling load.
 //! 2. **Route-table repair** — microseconds to delta-repair an
 //!    all-pairs [`RouteTable`] after a single link change vs rebuilding
 //!    it from scratch, with a sampled equivalence check.
-//! 3. **Warm vs cold replanning** — wall time of
-//!    [`Planner::plan_repair`] seeded from the surviving plan (and the
-//!    pre-damage route table) vs a from-scratch [`Planner::plan`],
-//!    asserting identical objectives and reporting placement churn.
-//! 4. **Heal workload** — a chaos-style crash-and-recover run of the
+//! 3. **Heal workload** — a chaos-style crash-and-recover run of the
 //!    full self-healing stack on the same topology, all outcomes
 //!    virtual-time derived.
 //!
@@ -19,26 +15,20 @@
 //! mode; the remaining fields are deterministic for a fixed seed.
 //!
 //! [`RouteTable`]: ps_net::RouteTable
-//! [`Planner::plan`]: ps_planner::Planner::plan
-//! [`Planner::plan_repair`]: ps_planner::Planner::plan_repair
 
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use ps_net::brite::{hierarchical, FlatParams, HierParams};
 use ps_net::{Credentials, LinkId, Network, NodeId, RouteTable};
-use ps_planner::{
-    HierConfig, HierMemo, Plan, PlanRepairStats, Planner, PlannerConfig, RepairContext,
-    ServiceRequest,
-};
+use ps_planner::{HierConfig, HierMemo, Plan, Planner, PlannerConfig, ServiceRequest};
 use ps_sim::{Engine, FaultPlan, Rng, SimDuration, SimTime};
 use ps_smock::{CoherencePolicy, LeaseConfig, LivenessKind, RetryPolicy, ServiceRegistration};
 use ps_trace::{SamplerConfig, SeriesSummary, Tracer, WallTimer};
-use std::sync::Arc;
 
 /// Hosting-capable nodes per site — kept constant as the topology
 /// grows so the planner's installation-condition candidate sets stay
-/// fixed and the scaling curves isolate route/queue/search-seeding
+/// fixed and the scaling curves isolate route/queue/search
 /// work, the way a real deployment has a handful of datacenters inside
 /// a large transit fabric.
 const HOSTS_PER_SITE: usize = 6;
@@ -315,138 +305,6 @@ pub fn measure_route_repair(net: &mut Network, reps: usize, seed: u64) -> RouteR
         full_rebuild: outcome.full_rebuild,
         sources_rebuilt: outcome.sources_rebuilt,
         sources_total: outcome.sources_total,
-    }
-}
-
-/// Warm-start vs cold replanning after damage.
-#[derive(Debug, Clone)]
-pub struct ReplanMeasure {
-    /// Nodes in the network.
-    pub nodes: usize,
-    /// From-scratch replan, microseconds (wall; zeroed in stable mode).
-    pub cold_us: u64,
-    /// Warm-start repair (including its share of delta route-table
-    /// repair), microseconds (wall; zeroed in stable mode).
-    pub warm_us: u64,
-    /// The common optimal objective both paths must reach.
-    pub objective: f64,
-    /// Placements that moved between the old plan and the repaired one.
-    pub churn_moved: usize,
-    /// Placements in the repaired plan.
-    pub placements: usize,
-    /// Warm-start statistics from the repaired plan.
-    pub repair: PlanRepairStats,
-}
-
-impl ReplanMeasure {
-    /// Cold-to-warm speedup (0 when timings are zeroed).
-    pub fn speedup(&self) -> f64 {
-        if self.warm_us == 0 {
-            0.0
-        } else {
-            self.cold_us as f64 / self.warm_us as f64
-        }
-    }
-}
-
-/// Counts placements of `new` that differ from `old` at the same
-/// linkage-graph position (component moved to another node). Shape
-/// changes count every unmatched placement as moved.
-fn churn(old: &Plan, new: &Plan) -> usize {
-    new.placements
-        .iter()
-        .filter(|p| {
-            !old.placements
-                .iter()
-                .any(|q| q.component == p.component && q.node == p.node)
-        })
-        .count()
-}
-
-/// Plans on the healthy network, quarantines a mid-chain placement
-/// node (falling back to a route via-node when the whole chain sits on
-/// the client and pinned server), then times a cold from-scratch
-/// replan against a warm [`Planner::plan_repair`] seeded with the
-/// surviving plan and the pre-damage route table. Asserts both reach
-/// the identical objective.
-///
-/// [`Planner::plan_repair`]: ps_planner::Planner::plan_repair
-pub fn measure_replan(
-    net: &mut Network,
-    server: NodeId,
-    client: NodeId,
-    reps: usize,
-) -> ReplanMeasure {
-    let planner = scale_planner();
-    let translator = mail_translator();
-    let request = scale_request(server, client);
-    let old = planner
-        .plan(net, &translator, &request)
-        .expect("healthy plan");
-    let prior_routes = Arc::new(RouteTable::build(net));
-
-    // Damage: kill a mid-chain placement node; fall back to a route
-    // via-node so the damage always forces the planner to act.
-    let victim = old
-        .placements
-        .iter()
-        .map(|p| p.node)
-        .find(|&n| n != client && n != server)
-        .or_else(|| {
-            old.edges
-                .iter()
-                .flat_map(|e| e.route.via.iter().copied())
-                .find(|&n| n != client && n != server)
-        })
-        .expect("a quarantinable node in the plan");
-    net.set_node_up(victim, false);
-
-    let mut cold_us = u64::MAX;
-    let mut cold = None;
-    for _ in 0..reps {
-        let timer = WallTimer::start();
-        let plan = planner
-            .plan(net, &translator, &request)
-            .expect("cold replan");
-        cold_us = cold_us.min(timer.elapsed_micros());
-        cold = Some(plan);
-    }
-    let cold = cold.expect("at least one cold rep");
-
-    let mut warm_us = u64::MAX;
-    let mut warm = None;
-    for _ in 0..reps {
-        let ctx = RepairContext {
-            old_plan: &old,
-            dirty_nodes: vec![victim],
-            dirty_links: Vec::new(),
-            prior_routes: Some(prior_routes.clone()),
-        };
-        let timer = WallTimer::start();
-        let plan = planner
-            .plan_repair(net, &translator, &request, &ctx)
-            .expect("warm repair");
-        warm_us = warm_us.min(timer.elapsed_micros());
-        warm = Some(plan);
-    }
-    let warm = warm.expect("at least one warm rep");
-
-    assert!(
-        (cold.objective_value - warm.objective_value).abs()
-            <= 1e-6 * cold.objective_value.abs().max(1.0),
-        "warm repair diverged from cold replan: {} vs {}",
-        warm.objective_value,
-        cold.objective_value
-    );
-
-    ReplanMeasure {
-        nodes: net.node_count(),
-        cold_us,
-        warm_us,
-        objective: warm.objective_value,
-        churn_moved: churn(&old, &warm),
-        placements: warm.placements.len(),
-        repair: warm.repair.expect("repaired plan carries stats"),
     }
 }
 
@@ -873,8 +731,6 @@ pub struct HealWorkloadOutcome {
     /// Virtual time after which the managed plan avoided the crashed
     /// node, ms.
     pub recovered_ms: Option<f64>,
-    /// Warm-start statistics aggregated over all healing passes.
-    pub repair: PlanRepairStats,
     /// Wall time of the whole run, milliseconds (zeroed in stable
     /// mode by the caller).
     pub wall_ms: f64,
@@ -993,7 +849,6 @@ pub fn run_heal_workload_with(
     let mut replans = 0;
     let mut infeasible = 0;
     let mut heal_passes = 0;
-    let mut repair = PlanRepairStats::default();
     framework.run_until(crash_at);
     let mut now = crash_at;
     while now < horizon {
@@ -1003,7 +858,6 @@ pub fn run_heal_workload_with(
         heal_passes += 1;
         replans += report.recovered.len();
         infeasible += report.infeasible.len();
-        repair += report.repair;
         for event in &report.liveness {
             if let LivenessKind::NodeDown { node } = event.kind {
                 if node == victim && detected_at.is_none() {
@@ -1052,7 +906,6 @@ pub fn run_heal_workload_with(
         infeasible,
         detected_ms: detected_at.map(ms),
         recovered_ms: recovered_at.map(ms),
-        repair,
         wall_ms: timer.elapsed_ms(),
         lease_renewal_bytes,
         series,

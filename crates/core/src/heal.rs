@@ -7,13 +7,16 @@
 //! pass quarantines nodes the leases declared dead (flipping the
 //! network's `up` flag, which monitoring *can* see), diffs the network
 //! through `ps-monitor`, and re-plans every managed connection that was
-//! touched — reusing surviving instances and rewiring their linkages, so
+//! touched — the same `GenericServer::connect` a client's first request
+//! runs, which reuses surviving instances and rewires their linkages, so
 //! service resumes without any manual `connect`.
 
 use crate::Framework;
-use ps_monitor::{affected_edges, NetworkChange, NetworkMonitor, ReplanDecision, Replanner};
-use ps_net::{LinkId, NodeId, PartitionView};
-use ps_planner::{PlanRepairStats, Planner, RepairContext, ServiceRequest};
+use ps_monitor::{
+    affected_edges, plan_delta, NetworkChange, NetworkMonitor, ReplanDecision, Replanner,
+};
+use ps_net::{NodeId, PartitionView};
+use ps_planner::{Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_smock::{ConnectError, Connection, FailReport, InstanceId, LivenessEvent, LivenessKind};
 use ps_spec::ServiceSpec;
@@ -64,20 +67,10 @@ enum RedeployMode {
         /// Partition-view epoch the chain is tagged with.
         epoch: u64,
     },
-    /// The partition closed: re-plan the original request cold (the
-    /// merged world's optimum, not a repair of the degraded chain), and
-    /// resync-then-retire duplicate degraded data views.
+    /// The partition closed: re-plan the original request (the merged
+    /// world's optimum), and resync-then-retire duplicate degraded data
+    /// views.
     Reconcile,
-}
-
-/// One heal pass's batched damage, shared by every redeploy it issues:
-/// the dirty sets feed warm-start plan repair and `suspects` the
-/// placement down-weighting of half-expired hosts. Routes are not part
-/// of it: each redeploy plans on the server memo's.
-struct PassDamage<'a> {
-    dirty_nodes: &'a [NodeId],
-    dirty_links: &'a [LinkId],
-    suspects: &'a [NodeId],
 }
 
 /// The healing state: a snapshot-diffing monitor plus the managed
@@ -135,21 +128,25 @@ pub struct HealReport {
     pub primaries_restored: Vec<InstanceId>,
     /// Re-deployments that failed outright (deploy errors and the like).
     pub failed: Vec<(ManagedId, HealError)>,
-    /// Warm-start repair statistics aggregated over this pass's
-    /// successful redeployments (zeros when no repair-planned redeploy
-    /// happened — e.g. all replans were plan-cache hits).
-    pub repair: PlanRepairStats,
-    /// Per-region shortlist memo hits across this pass's redeploys
-    /// (non-zero only when the server plans hierarchically). Because
-    /// every redeploy goes through the server's shared [`ps_planner::HierMemo`],
-    /// one connection's segment solve is the next connection's hit.
-    pub hier_memo_hits: u64,
-    /// Region segments actually solved (memo misses) this pass.
-    pub hier_segments: u64,
+    /// Placement churn of this pass's successful redeployments. The
+    /// field exists for the frozen `benchmark/` package, which reads it
+    /// into `planner.repair_chains_reused_ratio`.
+    pub repair: PlacementChurn,
     /// Dijkstra source rows this pass caused: its planned redeploys'
     /// [`ps_planner::PlanStats::route_rows_built`] plus its consults'
     /// fresh solves'; 0 for a pass that plans nothing.
     pub route_rows_built: u64,
+}
+
+/// How much of the old plans a pass's redeploys kept, counted from
+/// [`plan_delta`]`(old, new)` per successful redeploy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlacementChurn {
+    /// Placements of the new plans the old plans already had (same
+    /// component, host and factors).
+    pub chains_reused: usize,
+    /// Placements of the new plans that are new.
+    pub chains_resolved: usize,
 }
 
 /// Why a managed connection could not be healed this pass. Typed so the
@@ -200,9 +197,7 @@ impl HealReport {
             retired: Vec::new(),
             primaries_restored: Vec::new(),
             failed: Vec::new(),
-            repair: PlanRepairStats::default(),
-            hier_memo_hits: 0,
-            hier_segments: 0,
+            repair: PlacementChurn::default(),
             route_rows_built: 0,
         }
     }
@@ -444,34 +439,6 @@ impl Framework {
         // Step 2: the monitor's view of what changed.
         report.changes = healer.monitor.observe_at(now, self.world.network());
 
-        // Batch everything this pass learned — liveness verdicts and
-        // monitor diffs alike — into one dirty node/link set: each
-        // touched connection then gets exactly one (warm-started) repair
-        // solve per pass, no matter how many concurrent events piled up
-        // since the last one.
-        let mut dirty_nodes: BTreeSet<NodeId> = dead_nodes.clone();
-        dirty_nodes.extend(report.restored.iter().copied());
-        let mut dirty_links: BTreeSet<LinkId> = BTreeSet::new();
-        for change in &report.changes {
-            match change {
-                NetworkChange::LinkLatency { link, .. }
-                | NetworkChange::LinkBandwidth { link, .. }
-                | NetworkChange::LinkCredentials { link }
-                | NetworkChange::LinkDown { link }
-                | NetworkChange::LinkUp { link } => {
-                    dirty_links.insert(*link);
-                }
-                NetworkChange::NodeCredentials { node }
-                | NetworkChange::NodeSpeed { node, .. }
-                | NetworkChange::NodeDown { node }
-                | NetworkChange::NodeUp { node } => {
-                    dirty_nodes.insert(*node);
-                }
-            }
-        }
-        let dirty_nodes: Vec<NodeId> = dirty_nodes.into_iter().collect();
-        let dirty_links: Vec<LinkId> = dirty_links.into_iter().collect();
-
         // The pass's partition view: connected components over the live
         // link set, recomputed only when the network moved on.
         let net = self.world.network();
@@ -580,12 +547,7 @@ impl Framework {
             if !must_redeploy {
                 continue;
             }
-            let damage = PassDamage {
-                dirty_nodes: &dirty_nodes,
-                dirty_links: &dirty_links,
-                suspects: &suspects,
-            };
-            match self.redeploy_managed(&managed, idx, &damage, &mode) {
+            match self.redeploy_managed(&managed, idx, &suspects, &mode) {
                 Ok((connection, retired)) => {
                     let ready_ns = connection.ready_at.as_nanos();
                     let tracer = self.server.tracer();
@@ -604,11 +566,9 @@ impl Framework {
                         ready_ns,
                         vec![("conn", (idx as u64).into())],
                     );
-                    if let Some(r) = connection.plan.repair {
-                        report.repair += r;
-                    }
-                    report.hier_memo_hits += connection.plan.stats.hier_memo_hits as u64;
-                    report.hier_segments += connection.plan.stats.hier_segments as u64;
+                    let delta = plan_delta(&managed[idx].connection.plan, &connection.plan);
+                    report.repair.chains_reused += delta.kept.len();
+                    report.repair.chains_resolved += delta.added.len();
                     if connection.costs.plan_stats.plan_cache_hits == 0 {
                         report.route_rows_built += connection.plan.stats.route_rows_built;
                     }
@@ -673,14 +633,6 @@ impl Framework {
                 "heal.primaries_restored",
                 report.primaries_restored.len() as u64,
             );
-            // Mirror of `planner.*` PlanStats publication: the repair
-            // aggregates ride the trace stream so churn numbers are
-            // reconstructible from the JSONL alone.
-            tracer.count("heal.chains_resolved", report.repair.chains_resolved as u64);
-            tracer.count("heal.chains_reused", report.repair.chains_reused as u64);
-            tracer.count("heal.seeded_bound_cuts", report.repair.seeded_bound_cuts);
-            tracer.count("heal.region_memo_hits", report.hier_memo_hits);
-            tracer.count("heal.region_segments", report.hier_segments);
             tracer.count("heal.route_rows_built", report.route_rows_built);
             tracer.instant(
                 "core",
@@ -693,9 +645,6 @@ impl Framework {
                     ("recovered", report.recovered.len().into()),
                     ("abandoned", report.abandoned.len().into()),
                     ("infeasible", report.infeasible.len().into()),
-                    ("chains_resolved", report.repair.chains_resolved.into()),
-                    ("chains_reused", report.repair.chains_reused.into()),
-                    ("seeded_cuts", report.repair.seeded_bound_cuts.into()),
                 ],
             );
         }
@@ -706,13 +655,14 @@ impl Framework {
     /// be replaced under the current network, charging the rows its
     /// fresh solve built to `report`. The fresh optimum is priced on the
     /// path that would redeploy the connection but never enters the plan
-    /// cache: the redeploy stays a warm repair, whose tie-breaks keep the
-    /// old shape. `None` when the service's registration disappeared
-    /// (e.g. purged with its crashed home).
+    /// cache: it is solved over the stored request as the [`Replanner`]
+    /// prices it, without the server's live instances, so it is not the
+    /// plan a connect of that request deploys. `None` when the service's
+    /// registration disappeared (e.g. purged with its crashed home).
     fn consult_replanner(&self, report: &mut HealReport, m: &Managed) -> Option<ReplanDecision> {
         let spec = self.server.lookup.by_name(&m.service)?.spec.clone();
         let net = self.world.network();
-        let fresh = self.server.plan_uncached(net, &spec, &m.request, None);
+        let fresh = self.server.plan_uncached(net, &spec, &m.request);
         report.route_rows_built += fresh.as_ref().map_or(0, |p| p.stats.route_rows_built);
         let planner = Planner::with_config(spec, self.server.planner_config.clone());
         let mut replanner = Replanner::new(planner);
@@ -731,7 +681,7 @@ impl Framework {
         &mut self,
         managed: &[Managed],
         idx: usize,
-        damage: &PassDamage<'_>,
+        suspects: &[NodeId],
         mode: &RedeployMode,
     ) -> Result<(Connection, Vec<InstanceId>), ConnectError> {
         let service = managed[idx].service.clone();
@@ -739,7 +689,7 @@ impl Framework {
         // The effective request never mutates the stored one: suspect
         // avoidance and degraded-mode flags apply to this redeploy only.
         let mut request = original.clone();
-        for &n in damage.suspects {
+        for &n in suspects {
             request = request.avoid(n);
         }
         if let RedeployMode::Degraded { .. } = mode {
@@ -748,28 +698,7 @@ impl Framework {
             // the client's own side of the cut.
             request = request.degraded_mode().origin(original.client_node);
         }
-        let new = match mode {
-            RedeployMode::Reconcile => {
-                // Merged components re-plan once, cold: the degraded
-                // chain is the wrong seed (its detached graph is not in
-                // the full request's graph space), and the acceptance
-                // bar is convergence to the cold-plan optimum.
-                self.server.connect(&mut self.world, &service, &request)?
-            }
-            _ => {
-                // Warm-start: repair the surviving plan (re-solving only
-                // the chain positions the pass's batched damage touched)
-                // instead of planning from scratch; exact same
-                // objective, found faster.
-                let ctx = RepairContext::new(
-                    &managed[idx].connection.plan,
-                    damage.dirty_nodes.to_vec(),
-                    damage.dirty_links.to_vec(),
-                );
-                self.server
-                    .connect_repair(&mut self.world, &service, &request, &ctx)?
-            }
-        };
+        let new = self.server.connect(&mut self.world, &service, &request)?;
         let mut in_use: BTreeSet<InstanceId> = new.deployment.instances.iter().copied().collect();
         for (other, m) in managed.iter().enumerate() {
             if other != idx && !m.abandoned {

@@ -33,7 +33,7 @@
 
 mod heal;
 
-pub use heal::{HealError, HealReport, ManagedId};
+pub use heal::{HealError, HealReport, ManagedId, PlacementChurn};
 
 use ps_net::{Network, NodeId, PropertyTranslator};
 use ps_planner::{PlannerConfig, ServiceRequest};

@@ -113,9 +113,10 @@ fn stage_clock() -> std::time::Instant {
     std::time::Instant::now()
 }
 
-/// Analyzes a set of already-loaded files (label, source). Exposed so
-/// fixture tests can drive the full pipeline — including the semantic
-/// passes with a custom P001 entry set — without touching the
+/// Analyzes a set of already-loaded files (label, source) with
+/// `entries` as the P001 entry set (none: P001 audits nothing). Exposed
+/// so fixture tests can drive the full pipeline — including the
+/// semantic passes with their own entry set — without touching the
 /// filesystem.
 pub fn analyze_sources(files: &[(String, String)], entries: &[&str]) -> WorkspaceAnalysis {
     let t_total = stage_clock();
@@ -148,7 +149,9 @@ pub fn analyze_sources(files: &[(String, String)], entries: &[&str]) -> Workspac
 
     let t = stage_clock();
     for sf in semantic::run_passes(&graph, &units, entries) {
-        per_file[sf.file].push(sf.finding);
+        if let Some(findings) = per_file.get_mut(sf.file) {
+            findings.push(sf.finding);
+        }
     }
     let passes_us = t.elapsed().as_micros() as u64;
 
@@ -202,7 +205,7 @@ pub fn analyze_workspace(root: &Path) -> WorkspaceAnalysis {
             .into_owned();
         files.push((label, source));
     }
-    analyze_sources(&files, &[])
+    analyze_sources(&files, semantic::HOT_PATH_ENTRIES)
 }
 
 /// Scans the whole workspace: [`analyze_workspace`] without the

@@ -6,7 +6,7 @@
 //! cargo run -p ps-lint -- --root <dir>      # scan a different root
 //! cargo run -p ps-lint -- --format json     # machine-readable report (stable field order)
 //! cargo run -p ps-lint -- --format github   # GitHub workflow annotations
-//! cargo run -p ps-lint -- file.rs ...       # scan specific files
+//! cargo run -p ps-lint -- file.rs ...       # scan specific files (no P001)
 //! ```
 
 use std::path::PathBuf;
@@ -87,6 +87,7 @@ fn main() -> ExitCode {
                 }
             }
         }
+        // P001's entry set only resolves against the whole workspace.
         ps_lint::analyze_sources(&sources, &[])
     };
     let reports = &analysis.reports;

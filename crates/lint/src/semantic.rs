@@ -33,7 +33,7 @@ pub const HOT_PATH_ENTRIES: &[&str] = &[
     "GenericServerPool::connect",
     "World::run",
     "World::run_until",
-    "Planner::plan_repair",
+    "Planner::solve",
 ];
 
 /// Self types whose methods count as N001 sinks: trace emission
@@ -50,17 +50,13 @@ pub struct SemanticFinding {
     pub finding: Finding,
 }
 
-/// Runs all three passes. `entries` overrides [`HOT_PATH_ENTRIES`] when
-/// non-empty (fixture tests inject their own entry set).
+/// Runs all three passes. `entries` is the P001 entry set: the
+/// workspace run passes [`HOT_PATH_ENTRIES`], fixture tests their own,
+/// and every entry must resolve.
 pub fn run_passes(graph: &Graph, units: &[FileUnit], entries: &[&str]) -> Vec<SemanticFinding> {
     let mut out = Vec::new();
     pass_n001(graph, units, &mut out);
-    let entries = if entries.is_empty() {
-        HOT_PATH_ENTRIES
-    } else {
-        entries
-    };
-    pass_p001(graph, entries, &mut out);
+    pass_p001(graph, units, entries, &mut out);
     pass_r001(graph, &mut out);
     out
 }
@@ -235,15 +231,36 @@ fn witness_chain(
 // ---------------------------------------------------------------------
 
 /// Forward reachability from the hot-path entry set; every
-/// panic-capable site in the cone fires with an entry→site chain.
-fn pass_p001(graph: &Graph, entries: &[&str], out: &mut Vec<SemanticFinding>) {
+/// panic-capable site in the cone fires with an entry→site chain. An
+/// entry matching no non-test fn is itself a finding: a renamed or
+/// deleted entry would otherwise shrink the audited cone in silence.
+fn pass_p001(graph: &Graph, units: &[FileUnit], entries: &[&str], out: &mut Vec<SemanticFinding>) {
     let mut reach: Vec<bool> = vec![false; graph.nodes.len()];
     // parent[n] = (caller, line of the call in caller) for chain print.
     let mut parent: Vec<Option<(usize, u32)>> = vec![None; graph.nodes.len()];
     let mut queue: Vec<usize> = Vec::new();
 
     for entry in entries {
-        for e in graph.find(entry) {
+        let defs = graph.find(entry);
+        if defs.iter().all(|&e| is_test_node(graph, units, e)) {
+            // The fault is in the entry set, not at a source line:
+            // reported at the head of the first file, where no allow
+            // can cover it.
+            out.push(SemanticFinding {
+                file: 0,
+                finding: Finding {
+                    rule: "P001",
+                    line: 0,
+                    message: format!(
+                        "hot-path entry `{entry}` matches no non-test fn: \
+                         fix the P001 entry set, its panic cone is not audited"
+                    ),
+                    chain: vec![(*entry).to_owned()],
+                    suppressed: false,
+                },
+            });
+        }
+        for e in defs {
             if !reach[e] {
                 reach[e] = true;
                 queue.push(e);
@@ -413,7 +430,7 @@ mod tests {
             "#,
         )]);
         let g = Graph::build(&u);
-        let findings = run_passes(&g, &u, &["no_entry"]);
+        let findings = run_passes(&g, &u, &[]);
         let n001: Vec<_> = findings
             .iter()
             .filter(|f| f.finding.rule == "N001")
@@ -447,7 +464,7 @@ mod tests {
             "#,
         )]);
         let g = Graph::build(&u);
-        let findings = run_passes(&g, &u, &["no_entry"]);
+        let findings = run_passes(&g, &u, &[]);
         let n001: Vec<_> = findings
             .iter()
             .filter(|f| f.finding.rule == "N001")
@@ -501,7 +518,7 @@ mod tests {
             "#,
         )]);
         let g = Graph::build(&u);
-        let findings = run_passes(&g, &u, &["no_entry"]);
+        let findings = run_passes(&g, &u, &[]);
         let r001: Vec<_> = findings
             .iter()
             .filter(|f| f.finding.rule == "R001")
@@ -529,7 +546,7 @@ mod tests {
             "#,
         )]);
         let g = Graph::build(&u);
-        let findings = run_passes(&g, &u, &["no_entry"]);
+        let findings = run_passes(&g, &u, &[]);
         assert!(findings.is_empty());
     }
 }

@@ -183,6 +183,20 @@ fn p001_allow_silences_reachable_panic() {
     assert_eq!(report.allows[0].used, 1);
 }
 
+/// A renamed or deleted entry must not shrink the audited cone in
+/// silence: the unresolved name is an unsuppressed finding of its own.
+#[test]
+fn p001_entry_that_resolves_to_nothing_is_a_finding() {
+    let entries = ["Framework::heal", "Framework::heal_renamed"];
+    let report = analyze_fixture("p001_bad.rs", &entries);
+    let unresolved: Vec<_> = report
+        .unsuppressed()
+        .filter(|f| f.rule == "P001" && f.line == 0)
+        .collect();
+    assert_eq!(unresolved.len(), 1, "one of the two entries resolves");
+    assert!(unresolved[0].message.contains("`Framework::heal_renamed`"));
+}
+
 #[test]
 fn r001_fires_on_result_drop_but_not_fmt_macro() {
     let report = analyze_fixture("r001_bad.rs", &[]);

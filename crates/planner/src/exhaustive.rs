@@ -96,31 +96,12 @@ impl Default for Incumbent {
 /// evaluation. Prunes against `incumbent` — the best objective found
 /// across the other graphs of the same planning call — and publishes
 /// improvements back into it.
-///
-/// `fixed` is the warm-start repair solve: every tree node with
-/// `fixed[idx] = Some(node)` has its candidate set intersected down to
-/// that single node (kept only if the node still passes the mapper's
-/// condition-1 filter), so the search explores just the unfixed —
-/// failure-touched — positions, and returns `None` when a fixed
-/// placement is no longer admissible.
-///
-/// `prune_ties` is the repair sweep's confirmation search: prune with
-/// `>=` against the incumbent, cutting subtrees that cannot *strictly*
-/// beat it. Sound whenever a feasible plan achieving the incumbent's
-/// value is already in hand (the repair seed) and ties should keep it:
-/// every strictly better mapping is still found (an admissible bound
-/// `>=` the incumbent proves no completion goes below it), only
-/// equal-or-worse completions are skipped — including the plateau of
-/// equal-objective tie mappings a strict bound must evaluate one by one.
 pub fn search(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     stats: &mut PlanStats,
     incumbent: &Incumbent,
-    fixed: Option<&[Option<NodeId>]>,
-    prune_ties: bool,
 ) -> Option<(Vec<NodeId>, Evaluation)> {
-    debug_assert!(fixed.is_none_or(|fixed| fixed.len() == graph.len()));
     if !multiplicity_feasible(mapper, graph) {
         // Skipped unsearched, and counted so `work_units` sees it.
         stats.prunes += 1;
@@ -129,27 +110,10 @@ pub fn search(
     let n = graph.len();
     let order = graph.bottom_up_order();
     let sets: Vec<CandidateSet> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
-    // What the search ranges over per tree node: its whole candidate
-    // set, or — where `fixed` pins a position — the one-host slice of
-    // it, with `offset` remembering where that slice starts so verdict
-    // cells stay indexed by position in the full set. `identity` is the
-    // same slice of the set's instance-identity row.
-    let mut candidates: Vec<&[NodeId]> = sets.iter().map(|set| &set.nodes[..]).collect();
-    let mut identity: Vec<&[Identity]> = sets.iter().map(|set| &set.identity[..]).collect();
-    let mut offset = vec![0usize; n];
-    if let Some(fixed) = fixed {
-        // Intersecting (rather than replacing) keeps the condition-1
-        // filter authoritative: a fixed node that lost its installation
-        // conditions empties the set and the repair reports infeasible.
-        for (idx, forced) in fixed.iter().enumerate() {
-            if let Some(node) = forced {
-                let at = candidates[idx].iter().position(|c| c == node)?;
-                candidates[idx] = &candidates[idx][at..=at];
-                identity[idx] = &identity[idx][at..=at];
-                offset[idx] = at;
-            }
-        }
-    }
+    // Per tree node, its candidate hosts and the matching row of the
+    // set's instance-identity table.
+    let candidates: Vec<&[NodeId]> = sets.iter().map(|set| &set.nodes[..]).collect();
+    let identity: Vec<&[Identity]> = sets.iter().map(|set| &set.identity[..]).collect();
     if candidates.iter().any(|c| c.is_empty()) {
         return None;
     }
@@ -331,7 +295,6 @@ pub fn search(
         order,
         sets: &sets,
         candidates,
-        offset,
         rates,
         suffix_bound,
         static_cost,
@@ -344,7 +307,6 @@ pub fn search(
         data_view,
         identity,
         incumbent,
-        prune_ties,
         context_key: Vec::new(),
         provided_id: vec![0; n],
         assignment: vec![None; n],
@@ -370,8 +332,7 @@ fn latency_part(objective: Objective) -> f64 {
 /// MinLatency's deterministic tie-break coefficient — it must match the
 /// evaluator's ([`Mapper::evaluate`]) so the accumulated partial at a
 /// complete assignment equals the full objective when no preexisting
-/// factor mismatch occurs; this is what lets the `>=` sweep of
-/// [`search_strictly_better`] cut the plateau of latency-tied mappings.
+/// factor mismatch occurs.
 fn cost_part(objective: Objective) -> f64 {
     match objective {
         Objective::MinLatency => 1e-9,
@@ -498,11 +459,8 @@ struct State<'a, 'b> {
     /// Per tree node, its full candidate set and that set's id in the
     /// mapper's plan memo.
     sets: &'a [CandidateSet],
-    /// Per tree node, the slice of its set this search ranges over (all
-    /// of it unless a repair fixed the position) and where in the set
-    /// that slice starts.
+    /// Per tree node, the hosts of its set.
     candidates: Vec<&'a [NodeId]>,
-    offset: Vec<usize>,
     rates: crate::load::RatePlan,
     suffix_bound: Vec<f64>,
     /// Per tree node and candidate (same index as `candidates`), every
@@ -529,11 +487,6 @@ struct State<'a, 'b> {
     /// plan memo's instance-identity entry.
     identity: Vec<&'a [Identity]>,
     incumbent: &'a Incumbent,
-    /// Prune with `>=` instead of `>`: cut subtrees that cannot
-    /// *strictly* beat the incumbent. Only sound when the caller keeps
-    /// a feasible plan achieving the incumbent's value on ties (the
-    /// repair sweep); see [`search`].
-    prune_ties: bool,
     /// Scratch for a flow-context key, reused across `recurse` calls.
     context_key: Vec<u64>,
     /// Per placed tree node, the memo's id of its provided bindings —
@@ -597,9 +550,9 @@ impl State<'_, '_> {
 
     /// Interns the flow context of tree node `idx` — its candidate set
     /// and each child's `(host, provided)` pair, the only descent state
-    /// the flow reads — and returns the verdict cell of the first
-    /// candidate this search ranges over; candidate `ci` reads cell
-    /// `+ ci`. Bottom-up order guarantees all children are placed.
+    /// the flow reads — and returns the verdict cell of the set's first
+    /// candidate; candidate `ci` reads cell `+ ci`. Bottom-up order
+    /// guarantees all children are placed.
     fn flow_context(&mut self, idx: usize) -> Option<usize> {
         let set = &self.sets[idx];
         self.context_key.clear();
@@ -609,12 +562,8 @@ impl State<'_, '_> {
             self.context_key
                 .push((u64::from(child_node.0) << 32) | u64::from(self.provided_id[child]));
         }
-        let row = self
-            .mapper
-            .memo
-            .borrow_mut()
-            .flow_context(&self.context_key, set.nodes.len());
-        Some(row + self.offset[idx])
+        let mut memo = self.mapper.memo.borrow_mut();
+        Some(memo.flow_context(&self.context_key, set.nodes.len()))
     }
 
     /// Property flow for `idx` at `node`: read from verdict cell `cell`
@@ -659,8 +608,7 @@ impl State<'_, '_> {
             // MinLatency's tiny deployment-cost term — resolve exactly
             // as in an unbounded descent.
             let bound = partial + self.suffix_bound[pos];
-            let t = self.threshold();
-            if bound > t || (self.prune_ties && bound >= t) {
+            if bound > self.threshold() {
                 self.stats.bound_prunes += 1;
                 return;
             }
@@ -727,11 +675,9 @@ impl State<'_, '_> {
             // so they combine by max, not sum.
             let remaining = self.suffix_bound[pos + 1].max(self.cand_floor[idx][ci]);
             let bound = partial + inc + remaining;
-            let t = self.threshold();
-            if self.bounding && (bound > t || (self.prune_ties && bound >= t)) {
+            if self.bounding && bound > self.threshold() {
                 // This placement already costs more than a known complete
-                // mapping (or, in tie-pruning mode, cannot strictly beat
-                // one) — skip it before paying for property flow.
+                // mapping — skip it before paying for property flow.
                 self.stats.bound_prunes += 1;
                 continue;
             }

@@ -70,10 +70,10 @@ pub(crate) struct RegionWork {
 /// Per-region work of one hierarchical solve, by region name.
 pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 
-/// The serving layer's one memo: everything a connect or a heal-pass
-/// repair would otherwise re-derive against an unchanged network. One
-/// memo is owned by the generic server and shared by every connect and
-/// repair it runs. Its parts and what retires them:
+/// The serving layer's one memo: everything a connect (a client's
+/// first, or a heal pass's redeploy) would otherwise re-derive against
+/// an unchanged network. One memo is owned by the generic server and
+/// shared by every connect it runs. Its parts and what retires them:
 ///
 /// | part | key | retired by |
 /// |---|---|---|
@@ -408,7 +408,6 @@ impl Planner {
     /// Builds the composition universe and its mapper. `None` when the
     /// fabric has fewer than two regions (hierarchical planning adds
     /// nothing there).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
         &'a self,
         net: &'a Network,
@@ -416,7 +415,6 @@ impl Planner {
         request: &'a ServiceRequest,
         graphs: &[LinkageGraph],
         memo: &HierMemo,
-        extra_anchors: &[NodeId],
         stats: &mut PlanStats,
     ) -> Option<HierSetup<'a>> {
         let map = memo.region_map(net);
@@ -431,7 +429,6 @@ impl Planner {
         let mut anchors: Vec<NodeId> = vec![request.client_node, request.effective_origin()];
         anchors.extend(request.pinned.values().copied());
         anchors.extend(request.existing.iter().map(|e| e.node));
-        anchors.extend(extra_anchors.iter().copied());
         anchors.sort_unstable();
         anchors.dedup();
 

@@ -15,10 +15,11 @@
 //!
 //! One search implements step 2: [`exhaustive`], the paper's exhaustive
 //! search made fast by admissible branch-and-bound pruning and a
-//! plan-scoped memo. Every entry point — cold or warm-started repair,
-//! flat or [`hierarchy`]-composed — is a wrapper of [`Planner::solve`],
-//! and the tests hold the search to an unbounded, memo-free reference
-//! descent on value and placements.
+//! plan-scoped memo. Both entry points — flat [`Planner::plan`] and
+//! [`hierarchy`]-composed [`Planner::plan_hierarchical`] — wrap one
+//! private solve, a replan after damage is the same call as a first
+//! plan, and the tests hold the search to an unbounded, memo-free
+//! reference descent on value and placements.
 
 #![warn(missing_docs)]
 
@@ -39,10 +40,9 @@ pub use linkage::{
 pub use load::{propagate_rates, RatePlan};
 pub use mapping::{Evaluation, Mapper, AVOID_PENALTY};
 pub use plan::{
-    ExistingInstance, Objective, Placement, Plan, PlanEdge, PlanError, PlanRepairStats, PlanStats,
-    ServiceRequest,
+    ExistingInstance, Objective, Placement, Plan, PlanEdge, PlanError, PlanStats, ServiceRequest,
 };
-pub use planner::{Algorithm, Planner, PlannerConfig, RepairContext};
+pub use planner::{Algorithm, Planner, PlannerConfig};
 
 /// Convenience prelude for planner users.
 pub mod prelude {

@@ -309,10 +309,6 @@ pub struct Plan {
     pub sustainable_rate: f64,
     /// Search statistics.
     pub stats: PlanStats,
-    /// Warm-start repair statistics — `Some` when this plan came from
-    /// [`Planner::plan_repair`](crate::Planner::plan_repair), `None` for
-    /// from-scratch plans.
-    pub repair: Option<PlanRepairStats>,
 }
 
 /// Search statistics for a planning run.
@@ -330,8 +326,9 @@ pub struct PlanStats {
     /// (plan-memo misses). Deterministic, so it gates the memo layer
     /// machine-independently.
     pub flow_evals: u64,
-    /// Microseconds spent building (or repairing) the all-pairs route
-    /// table (zero on the hierarchical path's lazy rows).
+    /// Microseconds spent building the all-pairs route table (zero when
+    /// the serving memo already held it, and on the hierarchical path's
+    /// lazy rows).
     pub route_table_build_us: u64,
     /// Plan-cache hits recorded by the serving layer (zero inside the
     /// planner itself; `GenericServer` fills it in on a cache hit).
@@ -346,11 +343,11 @@ pub struct PlanStats {
     /// over (the flat path searches every node; zero there).
     pub hier_universe: u32,
     /// Per-source routing rows (one Dijkstra each) this plan paid for:
-    /// every source for a full route-table build, the re-run sources
-    /// for a repair, and on the hierarchical path the lazy rows *this*
-    /// call added to the shared [`ScopedRoutes`](ps_net::ScopedRoutes)
-    /// — not the rows earlier plans of the epoch had already built. A
-    /// hierarchical solve that fell back to flat carries both.
+    /// every source for a full route-table build, and on the
+    /// hierarchical path the lazy rows *this* call added to the shared
+    /// [`ScopedRoutes`](ps_net::ScopedRoutes) — not the rows earlier
+    /// plans of the epoch had already built. A hierarchical solve that
+    /// fell back to flat carries both.
     pub route_rows_built: u64,
 }
 
@@ -363,38 +360,6 @@ impl PlanStats {
     /// depend on wall clocks.
     pub fn work_units(&self) -> u64 {
         self.mappings_evaluated + self.prunes + self.bound_prunes + 64 * self.route_rows_built
-    }
-}
-
-/// Statistics of one warm-start plan repair
-/// ([`Planner::plan_repair`](crate::Planner::plan_repair)), mirroring
-/// [`PlanStats`]: deterministic counts only (no wall clock), so they may
-/// flow into trace events and stable bench artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanRepairStats {
-    /// Chain positions of the old plan that failures touched and the
-    /// repair re-solved.
-    pub chains_resolved: usize,
-    /// Chain positions kept fixed on their surviving placements during
-    /// the repair solve.
-    pub chains_reused: usize,
-    /// Subtrees the exact follow-up search cut against the
-    /// repair-seeded incumbent (bound prunes recorded after seeding).
-    pub seeded_bound_cuts: u64,
-    /// Whether the restricted repair solve found a feasible mapping to
-    /// seed the incumbent with (when false, the repair degraded to a
-    /// from-scratch search).
-    pub seeded: bool,
-}
-
-impl std::ops::AddAssign for PlanRepairStats {
-    /// Aggregates repair runs (e.g. every redeploy of one healing
-    /// pass): counts add, `seeded` holds if any run was seeded.
-    fn add_assign(&mut self, other: PlanRepairStats) {
-        self.chains_resolved += other.chains_resolved;
-        self.chains_reused += other.chains_reused;
-        self.seeded_bound_cuts += other.seeded_bound_cuts;
-        self.seeded |= other.seeded;
     }
 }
 

@@ -5,10 +5,8 @@ use crate::exhaustive::{self, Incumbent};
 use crate::hierarchy::{HierConfig, HierMemo, RegionWorkMap};
 use crate::linkage::{enumerate_linkages_multi, LinkageGraph, LinkageLimits};
 use crate::mapping::{Evaluation, Mapper};
-use crate::plan::{
-    Objective, Placement, Plan, PlanError, PlanRepairStats, PlanStats, ServiceRequest,
-};
-use ps_net::{LinkId, Network, NodeId, PropertyTranslator, RouteTable};
+use crate::plan::{Objective, Placement, Plan, PlanError, PlanStats, ServiceRequest};
+use ps_net::{Network, NodeId, PropertyTranslator, RouteTable};
 use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
 use std::sync::Arc;
@@ -43,9 +41,9 @@ pub struct PlannerConfig {
     /// from the deterministic event stream.
     pub tracer: Tracer,
     /// Hierarchical gateway-composed planning: `Some` switches the
-    /// serving layer's connect and repair paths onto region
-    /// decomposition with the per-region subplan memo
-    /// ([`crate::hierarchy`]). `None` (the default) keeps every path flat.
+    /// serving layer's connect path onto region decomposition with the
+    /// per-region subplan memo ([`crate::hierarchy`]). `None` (the
+    /// default) keeps every path flat.
     pub hier: Option<HierConfig>,
 }
 
@@ -105,23 +103,7 @@ impl Planner {
         translator: &T,
         request: &ServiceRequest,
     ) -> Result<Plan, PlanError> {
-        self.solve(net, translator, request, None, None)
-    }
-
-    /// Warm-start plan repair: re-plans `request` after a network change,
-    /// seeding the exact search with a cheap *repair* of the surviving
-    /// plan instead of starting cold (see [`solve`](Self::solve)). The
-    /// returned objective value is exactly the from-scratch optimum; on
-    /// objective *ties* the repaired old-shape mapping wins, which
-    /// minimizes placement churn.
-    pub fn plan_repair<T: PropertyTranslator + ?Sized>(
-        &self,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        ctx: &RepairContext<'_>,
-    ) -> Result<Plan, PlanError> {
-        self.solve(net, translator, request, Some(ctx), None)
+        self.solve(net, translator, request, None)
     }
 
     /// [`plan`](Self::plan) on a serving memo's routes: under
@@ -135,10 +117,10 @@ impl Planner {
         request: &ServiceRequest,
         memo: &HierMemo,
     ) -> Result<Plan, PlanError> {
-        self.solve(net, translator, request, None, Some(memo))
+        self.solve(net, translator, request, Some(memo))
     }
 
-    /// The one solve every entry point above is a wrapper of.
+    /// The one solve both entry points above are wrappers of.
     ///
     /// `memo` is the serving memo that owns the epoch's routes. With
     /// one and [`PlannerConfig::hier`] set, the search first runs on the
@@ -152,19 +134,11 @@ impl Planner {
     /// The flat search reads the memo's table — built by the epoch's
     /// first flat solve, which alone is charged for it — and without a
     /// memo builds and charges its own.
-    ///
-    /// With `repair`, each search is warm-started: a repair solve that
-    /// keeps every placement the damage did not touch seeds the exact
-    /// sweep over all graphs. A memo-less caller may also hand in the
-    /// previous epoch's table (`ctx.prior_routes`) to have it repaired
-    /// incrementally ([`RouteTable::repair`]) from the same dirty sets
-    /// instead of rebuilt; no serving path does.
-    pub fn solve<T: PropertyTranslator + ?Sized>(
+    fn solve<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
-        repair: Option<&RepairContext<'_>>,
         memo: Option<&HierMemo>,
     ) -> Result<Plan, PlanError> {
         if let Some(unknown) = request
@@ -186,22 +160,13 @@ impl Planner {
             graphs_enumerated: graphs.len(),
             ..PlanStats::default()
         };
-        let fixed = repair.map(|ctx| surviving_placements(net, request, ctx));
-        let warm = repair
-            .zip(fixed.as_deref())
-            .map(|(ctx, fixed)| (ctx.old_plan, fixed));
 
         let mut regions = None;
         if let Some(memo) = memo.filter(|_| self.config.hier.is_some()) {
-            // A repair anchors the universe on the old plan's hosts too.
-            let anchors: Vec<NodeId> = repair
-                .iter()
-                .flat_map(|ctx| ctx.old_plan.placements.iter().map(|p| p.node))
-                .collect();
-            if let Some(setup) = self.hier_setup(
-                net, translator, request, &graphs, memo, &anchors, &mut stats,
-            ) {
-                let found = self.sweep(&setup.mapper, &graphs, warm, &mut stats);
+            if let Some(setup) =
+                self.hier_setup(net, translator, request, &graphs, memo, &mut stats)
+            {
+                let found = self.sweep(&setup.mapper, &graphs, &mut stats);
                 stats.route_rows_built += setup.rows_built();
                 regions = Some(setup.per_region);
                 if let Some(plan) = found {
@@ -214,21 +179,9 @@ impl Planner {
         // build runs one Dijkstra per source; recorded so the
         // deterministic work proxy (`PlanStats::work_units`) charges
         // flat and hierarchical planning on the same scale.
-        let prior = repair.and_then(|ctx| Some((ctx, ctx.prior_routes.as_ref()?)));
-        let (table, built) = match (memo, prior) {
-            (Some(memo), _) => memo.route_table(net),
-            (None, Some((_, prior))) if prior.is_current(net) => (Arc::clone(prior), false),
-            (None, Some((ctx, prior))) => {
-                // Delta-Dijkstra repair of the previous epoch's table:
-                // the dirty sets are exactly the damage since it was
-                // built, so only affected sources re-run.
-                let mut table = (**prior).clone();
-                let outcome = table.repair(net, &ctx.dirty_links, &ctx.dirty_nodes);
-                stats.route_table_build_us = outcome.repair_micros;
-                stats.route_rows_built += outcome.sources_rebuilt as u64;
-                (Arc::new(table), false)
-            }
-            (None, None) => (Arc::new(RouteTable::build(net)), true),
+        let (table, built) = match memo {
+            Some(memo) => memo.route_table(net),
+            None => (Arc::new(RouteTable::build(net)), true),
         };
         if built {
             stats.route_table_build_us = table.build_micros();
@@ -238,7 +191,7 @@ impl Planner {
         // translation and the plan memo amortize over the whole search.
         let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
             .with_route_table(table);
-        match self.sweep(&mapper, &graphs, warm, &mut stats) {
+        match self.sweep(&mapper, &graphs, &mut stats) {
             Some(plan) => Ok(self.finish(plan, stats, regions.as_ref())),
             None => Err(PlanError::NoFeasibleMapping {
                 graphs: graphs.len(),
@@ -247,54 +200,21 @@ impl Planner {
     }
 
     /// Searches every graph through `mapper` and keeps the
-    /// objective-optimal mapping. The best objective found so far seeds
-    /// each later graph's search, so later graphs are cut against
-    /// earlier graphs' optima; a graph repeating a component more often
-    /// than the instance-identity rules allow is skipped by the search
-    /// itself before any bound is built.
-    ///
-    /// With `warm` — the surviving plan and, per chain position, the
-    /// placement the damage did not touch — the sweep is a repair:
-    ///
-    /// 1. **Repair solve** — on the old plan's linkage graph, every
-    ///    untouched position keeps its surviving placement (candidate
-    ///    set fixed to the old node); only the touched ones are
-    ///    re-solved. Any feasible repaired mapping's objective seeds the
-    ///    incumbent. When it is infeasible (a surviving node lost its
-    ///    installation conditions), the sweep below runs unseeded —
-    ///    still exact.
-    /// 2. **Confirmation sweep** — the same search over every graph,
-    ///    pruning ties. Sound because `best` always holds a feasible
-    ///    plan achieving the incumbent's value — the seed, or the latest
-    ///    strictly-better find — and ties deliberately keep it (churn
-    ///    minimization): the sweep only needs to surface *strictly
-    ///    better* mappings, so the plateau of equal-objective
-    ///    completions is never enumerated.
+    /// objective-optimal mapping (the first found, on ties). The best
+    /// objective found so far seeds each later graph's search, so later
+    /// graphs are cut against earlier graphs' optima; a graph repeating
+    /// a component more often than the instance-identity rules allow is
+    /// skipped by the search itself before any bound is built.
     fn sweep(
         &self,
         mapper: &Mapper<'_>,
         graphs: &[LinkageGraph],
-        warm: Option<(&Plan, &[Option<NodeId>])>,
         stats: &mut PlanStats,
     ) -> Option<Plan> {
         let incumbent = Incumbent::new();
-        // The seed must live in the current request's graph space: a
-        // plan carried over from a differently-shaped request (e.g. a
-        // degraded-mode detached chain being re-planned on the full
-        // request) would otherwise seed — and on objective could win —
-        // with a graph this request cannot legally produce.
-        let mut best = warm
-            .filter(|(old, _)| graphs.contains(&old.graph))
-            .and_then(|(old, fixed)| {
-                let (assignment, eval) =
-                    exhaustive::search(mapper, &old.graph, stats, &incumbent, Some(fixed), false)?;
-                Some(assemble_plan(&old.graph, &assignment, eval))
-            });
-        let seeded = best.is_some();
-        let cuts_before_sweep = stats.bound_prunes;
+        let mut best: Option<Plan> = None;
         for graph in graphs {
-            let Some((assignment, eval)) =
-                exhaustive::search(mapper, graph, stats, &incumbent, None, warm.is_some())
+            let Some((assignment, eval)) = exhaustive::search(mapper, graph, stats, &incumbent)
             else {
                 continue;
             };
@@ -305,17 +225,7 @@ impl Planner {
                 best = Some(assemble_plan(graph, &assignment, eval));
             }
         }
-        let mut plan = best?;
-        if let Some((_, fixed)) = warm {
-            let chains_reused = fixed.iter().flatten().count();
-            plan.repair = Some(PlanRepairStats {
-                chains_resolved: fixed.len() - chains_reused,
-                chains_reused,
-                seeded_bound_cuts: stats.bound_prunes - cuts_before_sweep,
-                seeded,
-            });
-        }
-        Some(plan)
+        best
     }
 
     /// Attaches the solve's statistics to its plan and folds them into
@@ -339,53 +249,12 @@ impl Planner {
         if let Some(regions) = regions {
             self.publish_hier(&stats, regions);
         }
-        if let Some(repair) = &plan.repair {
-            tracer.count("planner.repairs", 1);
-            tracer.count(
-                "planner.repair_chains_resolved",
-                repair.chains_resolved as u64,
-            );
-            tracer.count("planner.repair_chains_reused", repair.chains_reused as u64);
-        }
         plan
     }
 }
 
-/// What changed since a plan was made — the input to
-/// [`Planner::plan_repair`]. Built by one heal pass from *all* liveness
-/// events and monitor diffs observed since the last pass, so concurrent
-/// failures batch into a single repair solve per connection.
-#[derive(Debug, Clone)]
-pub struct RepairContext<'p> {
-    /// The surviving plan to repair.
-    pub old_plan: &'p Plan,
-    /// Nodes whose liveness or credentials changed (quarantined, restored,
-    /// re-rated) since `old_plan` was made.
-    pub dirty_nodes: Vec<NodeId>,
-    /// Links whose state (up/down, latency, bandwidth, credentials)
-    /// changed since `old_plan` was made.
-    pub dirty_links: Vec<LinkId>,
-    /// The route table from before the change, for a memo-less solve to
-    /// repair incrementally from the dirty sets instead of rebuilding
-    /// (used as-is when already current). `None` — what every serving
-    /// path passes — reads the memo's table or builds one.
-    pub prior_routes: Option<Arc<RouteTable>>,
-}
-
-impl<'p> RepairContext<'p> {
-    /// The damage since `old_plan` was made, with no prior route table.
-    pub fn new(old_plan: &'p Plan, dirty_nodes: Vec<NodeId>, dirty_links: Vec<LinkId>) -> Self {
-        RepairContext {
-            old_plan,
-            dirty_nodes,
-            dirty_links,
-            prior_routes: None,
-        }
-    }
-}
-
-/// Materializes a search result as a [`Plan`] (stats and repair info are
-/// attached by the caller).
+/// Materializes a search result as a [`Plan`] (stats are attached by
+/// the caller).
 fn assemble_plan(graph: &LinkageGraph, assignment: &[NodeId], eval: Evaluation) -> Plan {
     let placements = graph
         .nodes
@@ -409,39 +278,5 @@ fn assemble_plan(graph: &LinkageGraph, assignment: &[NodeId], eval: Evaluation) 
         deployment_cost_ms: eval.cost_ms,
         sustainable_rate: eval.sustainable_rate,
         stats: PlanStats::default(),
-        repair: None,
     }
-}
-
-/// Which chain positions of the surviving plan the damage left alone:
-/// `Some(host)` keeps the placement fixed during the repair solve,
-/// `None` marks a position to re-solve. A placement is touched when its
-/// host is down or dirty; an edge implicates both endpoints when its
-/// route crossed a dirty link or node.
-fn surviving_placements(
-    net: &Network,
-    request: &ServiceRequest,
-    ctx: &RepairContext<'_>,
-) -> Vec<Option<NodeId>> {
-    let old = ctx.old_plan;
-    let mut fixed: Vec<Option<NodeId>> = old
-        .placements
-        .iter()
-        .map(|p| (net.node(p.node).up && !ctx.dirty_nodes.contains(&p.node)).then_some(p.node))
-        .collect();
-    for edge in &old.edges {
-        let touched = edge.route.links.iter().any(|l| ctx.dirty_links.contains(l))
-            || edge.route.via.iter().any(|n| ctx.dirty_nodes.contains(n));
-        if touched {
-            fixed[edge.from] = None;
-            fixed[edge.to] = None;
-        }
-    }
-    if !request.colocate_root && (!ctx.dirty_nodes.is_empty() || !ctx.dirty_links.is_empty()) {
-        // The implicit client → root route is not recorded in the
-        // plan's edges; a free-floating root is conservatively
-        // re-solved whenever anything moved.
-        fixed[0] = None;
-    }
-    fixed
 }

@@ -16,8 +16,7 @@ use crate::registry::ComponentRegistry;
 use crate::world::World;
 use ps_net::{Network, NodeId, PropertyTranslator};
 use ps_planner::{
-    ExistingInstance, HierMemo, Plan, PlanError, PlanStats, Planner, PlannerConfig, RepairContext,
-    ServiceRequest,
+    ExistingInstance, HierMemo, Plan, PlanError, PlanStats, Planner, PlannerConfig, ServiceRequest,
 };
 use ps_sim::{SimDuration, SimTime};
 use ps_spec::ServiceSpec;
@@ -142,8 +141,8 @@ pub struct GenericServer {
     /// rows that answer lookup, proxy-download and blueprint transfer
     /// times, the completed plans (keyed by value on service, request
     /// and live-instance set), and the hierarchical planner's region
-    /// map and segment shortlists. Shared by every connect and
-    /// heal-pass repair this server runs; one epoch check inside it
+    /// map and segment shortlists. Shared by every connect this server
+    /// runs, heal-pass redeploys included; one epoch check inside it
     /// retires whatever a network change made stale.
     memo: HierMemo,
     /// Tracer for the request lifecycle (disabled by default). Each
@@ -224,58 +223,30 @@ impl GenericServer {
         self.lookup.register(registration);
     }
 
-    /// Serves a client connection end to end: proxy download, planning,
-    /// deployment, proxy swap.
-    pub fn connect(
-        &self,
-        world: &mut World,
-        service: &str,
-        request: &ServiceRequest,
-    ) -> Result<Connection, ConnectError> {
-        self.connect_inner(world, service, request, None)
-    }
-
-    /// Like [`connect`](Self::connect), but warm-starts planning from a
-    /// surviving plan ([`Planner::plan_repair`]): the healer hands in the
-    /// batched dirty sets of one heal pass, and planning re-solves only
-    /// the touched chain positions before the exact (seeded) sweep, on
-    /// the memo's routes of the current epoch like any other connect.
-    /// The plan cache still short-circuits when an identical request was
-    /// already planned at this epoch.
-    pub fn connect_repair(
-        &self,
-        world: &mut World,
-        service: &str,
-        request: &ServiceRequest,
-        repair: &RepairContext<'_>,
-    ) -> Result<Connection, ConnectError> {
-        self.connect_inner(world, service, request, Some(repair))
-    }
-
     /// One planning call on this server's configured path — hierarchical
     /// or flat per [`PlannerConfig::hier`], on the memo's routes of the
     /// current epoch — that neither reads nor stores the plan cache.
     /// [`connect`](Self::connect) runs it on a cache miss; the healer's
-    /// keep/redeploy consult prices a fresh optimum with it and leaves
-    /// the redeploy that may follow a warm repair.
+    /// keep/redeploy consult prices a fresh optimum with it — of the
+    /// stored request, without the live instances a connect resolves
+    /// into it, so not a plan the cache may hand to a connect.
     pub fn plan_uncached(
         &self,
         net: &Network,
         spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
-        repair: Option<&RepairContext<'_>>,
     ) -> Result<Plan, PlanError> {
         let planner = Planner::with_config(Arc::clone(spec), self.planner_config.clone());
-        let translator = self.translator.as_ref();
-        planner.solve(net, translator, request, repair, Some(&self.memo))
+        planner.plan_hierarchical(net, self.translator.as_ref(), request, &self.memo)
     }
 
-    fn connect_inner(
+    /// Serves a client connection end to end: proxy download, planning,
+    /// deployment, proxy swap. A heal pass's redeploy is this same call.
+    pub fn connect(
         &self,
         world: &mut World,
         service: &str,
         request: &ServiceRequest,
-        repair: Option<&RepairContext<'_>>,
     ) -> Result<Connection, ConnectError> {
         let registration = self
             .lookup
@@ -349,11 +320,7 @@ impl GenericServer {
                 let mut resolved = request.clone();
                 resolved.existing.extend(live.iter().cloned());
                 let net = world.network();
-                if repair.is_some() {
-                    self.tracer.count("server.plan_repairs", 1);
-                }
-                let plan =
-                    Arc::new(self.plan_uncached(net, &registration.spec, &resolved, repair)?);
+                let plan = Arc::new(self.plan_uncached(net, &registration.spec, &resolved)?);
                 self.memo
                     .store_plan(net, service, request, live, Arc::clone(&plan));
                 plan

@@ -226,7 +226,7 @@ fn manual_fail_node_reports_and_replans_around_the_host() {
 /// while the node still looks up — its remaining expiries are in
 /// flight. Redeploying a replacement chain onto that host would court
 /// an immediate second failure, so the healer holds it suspect for one
-/// detection window and down-weights it in the repair solve. The
+/// detection window and down-weights it in the redeploy's solve. The
 /// eventual `NodeDown` verdict supersedes the suspicion (quarantine
 /// already excludes the host).
 #[test]
