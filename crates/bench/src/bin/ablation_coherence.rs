@@ -2,6 +2,8 @@
 //! San Diego deployment under write-through, count-limited, time-driven,
 //! and no propagation.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::{run_custom_policy, Fig7Config};
 use ps_sim::SimDuration;
 use ps_smock::CoherencePolicy;

@@ -6,6 +6,8 @@
 //! across the WAN scales with cache size — the trade-off a re-planner
 //! weighs against redeploying an empty replica that must re-warm.
 
+#![forbid(unsafe_code)]
+
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::workload::{ClusterConfig, ClusterDriver};

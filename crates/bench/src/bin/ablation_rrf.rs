@@ -8,6 +8,8 @@
 //! latencies shows the crossover moving: the slower the link, the worse
 //! a cache must be before it loses.
 
+#![forbid(unsafe_code)]
+
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator};
 use ps_net::casestudy::default_case_study;

@@ -7,6 +7,8 @@
 //! absorbs an order of magnitude more, and each deployment's latency
 //! stays flat until its own knee.
 
+#![forbid(unsafe_code)]
+
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::workload::ClusterConfig;

@@ -8,6 +8,8 @@
 //! toward the no-cache ceiling — the run-time enforcement of the
 //! trust-level storage policy.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::{run_scenario_with_policy, Fig7Config, Scenario};
 use ps_smock::CoherencePolicy;
 use ps_trace::Report;

@@ -13,6 +13,8 @@
 //!
 //! [`RouteTable`]: ps_net::RouteTable
 
+#![forbid(unsafe_code)]
+
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator};
 use ps_net::brite::{hierarchical, FlatParams, HierParams};

@@ -17,6 +17,8 @@
 //! Under `PS_STABLE_ARTIFACTS=1` every wall-clock-derived field is
 //! zeroed so same-seed double runs are byte-identical.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::scale::{
     measure_engine_throughput, measure_hier_plan, measure_route_repair, run_heal_workload,
     run_open_loop, scale_network, OpenLoopConfig,

@@ -12,6 +12,8 @@
 //! instances retired. Pass `JSONL_PATH` to also dump the trace stream;
 //! two same-seed runs write byte-identical JSON and JSONL.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::partition::{partition_json, run_partition, PartitionBenchConfig};
 use ps_trace::{Report, Tracer};
 

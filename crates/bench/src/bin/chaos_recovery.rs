@@ -10,6 +10,8 @@
 //! `connect` calls. Pass `JSONL_PATH` to also dump the full trace
 //! stream; two same-seed runs write byte-identical JSON and JSONL.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::chaos::{outcome_json, run_chaos, ChaosBenchConfig};
 use ps_trace::{Report, Tracer};
 

@@ -4,6 +4,8 @@
 //! back to the programmatic specification, validates it, and shows the
 //! Confidentiality modification rule in action.
 
+#![forbid(unsafe_code)]
+
 use ps_mail::{mail_spec, MAIL_SPEC_DSL};
 use ps_spec::{parse_spec, print_spec, PropertyValue};
 use ps_trace::Report;

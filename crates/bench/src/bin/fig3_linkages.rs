@@ -4,6 +4,8 @@
 //! the mail specification and prints them, with the Figure 3 chains
 //! highlighted.
 
+#![forbid(unsafe_code)]
+
 use ps_mail::mail_spec;
 use ps_planner::{enumerate_linkages, LinkageLimits};
 use ps_trace::Report;

@@ -1,6 +1,8 @@
 //! Figure 5: the three-site case-study topology, plus a BRITE-style
 //! generated topology for comparison.
 
+#![forbid(unsafe_code)]
+
 use ps_net::brite::{hierarchical, HierParams};
 use ps_net::casestudy::default_case_study;
 use ps_net::shortest_route;

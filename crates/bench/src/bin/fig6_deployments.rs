@@ -2,6 +2,8 @@
 //! three sites, following the paper's timeline (New York, then San
 //! Diego, then Seattle, each seeing the earlier deployments).
 
+#![forbid(unsafe_code)]
+
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator};
 use ps_net::casestudy::default_case_study;

@@ -5,6 +5,8 @@
 //! Prints the mean send latency per scenario per client count, the
 //! group structure the paper highlights, and the receive latencies.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::{Fig7Config, Scenario};
 use ps_trace::Report;
 

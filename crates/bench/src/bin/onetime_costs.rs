@@ -5,6 +5,8 @@
 //! (JVM class loading over emulated links); our planning runs for real
 //! (host wall-clock) while transfer/startup costs are simulated.
 
+#![forbid(unsafe_code)]
+
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};

@@ -15,6 +15,8 @@
 //! that field is written as `null`, which `verify.sh` checks with a
 //! double-run `cmp`.
 
+#![forbid(unsafe_code)]
+
 use ps_bench::chaos::{run_chaos, ChaosBenchConfig, ChaosOutcome};
 use ps_bench::scale::{run_heal_workload_with, scale_network, HealWorkloadOptions};
 use ps_sim::SimDuration;

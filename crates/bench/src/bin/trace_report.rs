@@ -14,6 +14,8 @@
 //! live in the metrics registry only), which `verify.sh` checks with
 //! `cmp`.
 
+#![forbid(unsafe_code)]
+
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::workload::{ClusterConfig, ClusterDriver};

@@ -4,6 +4,7 @@
 //! rows/series and time the hot paths (`bench_planner`, `bench_scale`).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod partition;

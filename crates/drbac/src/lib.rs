@@ -22,6 +22,7 @@
 //!   service-independent replacement for hand-written translators.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use ps_net::{Link, Node, PropertyTranslator};
 use ps_sim::SimTime;

@@ -24,6 +24,8 @@
 //! line above (or the same line), and `ps-lint --list-allows` prints the
 //! complete exception inventory for review.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod lexer;
 pub mod parser;

@@ -9,6 +9,8 @@
 //! cargo run -p ps-lint -- file.rs ...       # scan specific files (no P001)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -124,25 +124,21 @@ impl AccountStore {
     /// Returns `false` (without storing) when the body claims to be
     /// encrypted for someone other than the sender — a protocol error.
     pub fn deliver(&mut self, mut message: MailMessage) -> bool {
-        match &message.encrypted_for {
-            Some(user) if *user != message.from => return false,
-            Some(_) => {
-                // Re-encrypt sender-key ciphertext under the recipient key.
-                let nonce = Keyring::nonce(message.id);
-                let sender_key = self.keyring.key(&message.from, message.sensitivity);
-                let plain = chacha20::decrypt(&sender_key, &nonce, &message.body);
-                let recipient_key = self.keyring.key(&message.to, message.sensitivity);
-                message.body = chacha20::encrypt(&recipient_key, &nonce, &plain);
-                message.encrypted_for = Some(message.to.clone());
+        let nonce = Keyring::nonce(message.id);
+        if let Some(user) = &message.encrypted_for {
+            if *user != message.from {
+                return false;
             }
-            None => {
-                // Plaintext submission: encrypt at rest for the recipient.
-                let nonce = Keyring::nonce(message.id);
-                let key = self.keyring.key(&message.to, message.sensitivity);
-                message.body = chacha20::encrypt(&key, &nonce, &message.body);
-                message.encrypted_for = Some(message.to.clone());
-            }
+            // Re-key in place: the sender's keystream comes off here and
+            // the recipient's goes on below, two XORs over the same bytes.
+            let sender_key = self.keyring.key(&message.from, message.sensitivity);
+            chacha20::apply_in_place(&sender_key, &nonce, &mut message.body);
         }
+        // A plaintext submission arrives here untouched and is encrypted
+        // at rest for the recipient like any other.
+        let recipient_key = self.keyring.key(&message.to, message.sensitivity);
+        chacha20::apply_in_place(&recipient_key, &nonce, &mut message.body);
+        message.encrypted_for = Some(message.to.clone());
         let recipient = message.to.clone();
         self.create_account(recipient).inbox.deliver(message);
         self.delivered += 1;
@@ -207,6 +203,31 @@ mod tests {
         assert_ne!(stored.body, body);
         // Bob can open it with his key.
         assert_eq!(s.open_body(stored).unwrap(), body);
+    }
+
+    #[test]
+    fn in_place_rekey_equals_decrypt_then_encrypt() {
+        let sens = Sensitivity(2);
+        for len in [0usize, 63, 64, 65, 1_024, 3_072] {
+            let mut s = store();
+            let nonce = Keyring::nonce(7);
+            let alice_key = s.keyring().key("alice", sens);
+            let bob_key = s.keyring().key("bob", sens);
+            let plain: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+            let sealed = chacha20::encrypt(&alice_key, &nonce, &plain);
+            let mut msg = MailMessage::new(7, "alice", "bob", "s", sealed.clone(), sens);
+            msg.encrypted_for = Some("alice".into());
+
+            assert!(s.deliver(msg));
+            let stored = &s.account("bob").unwrap().inbox.messages()[0];
+            let opened = chacha20::decrypt(&alice_key, &nonce, &sealed);
+            assert_eq!(opened, plain);
+            assert_eq!(
+                stored.body,
+                chacha20::encrypt(&bob_key, &nonce, &opened),
+                "{len} bytes"
+            );
+        }
     }
 
     #[test]

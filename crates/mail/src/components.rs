@@ -161,8 +161,7 @@ impl ComponentLogic for MailServerLogic {
         let Some(op) = payload.get::<MailOp>() else {
             return;
         };
-        let op = op.clone();
-        let reply = self.apply(out, &op);
+        let reply = self.apply(out, op);
         out.reply(req, reply_payload(reply));
     }
 
@@ -170,11 +169,10 @@ impl ComponentLogic for MailServerLogic {
 
     fn on_notify(&mut self, out: &mut Outbox, payload: &Payload) {
         if let Some(op) = payload.get::<MailOp>() {
-            let op = op.clone();
             // Notifies have no reply channel, but a denial here means a
             // replicated op was rejected on this copy — surface it as a
             // counter rather than dropping the reply on the floor.
-            if let MailReply::Denied { .. } = self.apply(out, &op) {
+            if let MailReply::Denied { .. } = self.apply(out, op) {
                 out.tracer().count("mail.notify_denied", 1);
             }
         }
@@ -204,9 +202,10 @@ const FLUSH_TIMER_TAG: u64 = 1;
 enum Pending {
     /// Forwarded client operation: relay the reply.
     Client(RequestHandle),
-    /// A coherence flush awaiting its SyncAck; carries the flushed batch
-    /// so a failed flush (upstream cut mid-transfer) can restore it.
-    Flush(Vec<MailMessage>),
+    /// A coherence flush awaiting its SyncAck; shares the `SyncBatch`
+    /// payload that went upstream so a failed flush (upstream cut
+    /// mid-transfer) can restore the batch from it.
+    Flush(Payload),
     /// A receive pull: cache the result, then relay it.
     ReceivePull { req: RequestHandle, user: String },
 }
@@ -311,12 +310,12 @@ impl ViewMailServerLogic {
                 ("msgs", batch.len().into()),
             ],
         );
-        let op = MailOp::SyncBatch {
+        let flush = op_payload(MailOp::SyncBatch {
             origin: out.self_id(),
-            messages: batch.clone(),
-        };
-        let token = self.token(Pending::Flush(batch));
-        out.call(0, op_payload(op), token);
+            messages: batch,
+        });
+        let token = self.token(Pending::Flush(flush.clone()));
+        out.call(0, flush, token);
     }
 
     /// Under a time-driven policy, arms a one-shot flush timer when none
@@ -441,11 +440,11 @@ impl ComponentLogic for ViewMailServerLogic {
         let Some(op) = payload.get::<MailOp>() else {
             return;
         };
-        match op.clone() {
+        match op {
             MailOp::Send(m) => {
                 self.ensure_scope(out, &m.from);
                 if m.sensitivity.storable_at(self.trust_level) {
-                    self.absorb(out, req, m);
+                    self.absorb(out, req, m.clone());
                 } else if Self::detached(out) {
                     // Degraded mode cannot bypass upstream, and storing
                     // here would violate the sensitivity constraint.
@@ -458,17 +457,17 @@ impl ComponentLogic for ViewMailServerLogic {
                 } else {
                     // Too sensitive for this node: synchronous bypass.
                     let token = self.token(Pending::Client(req));
-                    out.call(0, op_payload(MailOp::Send(m)), token);
+                    out.call(0, op_payload(op.clone()), token);
                 }
             }
             MailOp::Receive { user } => {
-                self.ensure_scope(out, &user);
+                self.ensure_scope(out, user);
                 if Self::detached(out) {
                     // The local cache is the only reachable truth;
                     // staleness cannot be resolved across the cut.
-                    let messages = if self.cached.has_account(&user) {
+                    let messages = if self.cached.has_account(user) {
                         self.cached
-                            .account_mut(&user)
+                            .account_mut(user)
                             .expect("checked")
                             .fetch_new()
                             .to_vec()
@@ -476,10 +475,10 @@ impl ComponentLogic for ViewMailServerLogic {
                         Vec::new()
                     };
                     out.reply(req, reply_payload(MailReply::NewMail { messages }));
-                } else if !self.stale.contains(&user) && self.cached.has_account(&user) {
+                } else if !self.stale.contains(user) && self.cached.has_account(user) {
                     let messages = self
                         .cached
-                        .account_mut(&user)
+                        .account_mut(user)
                         .expect("checked")
                         .fetch_new()
                         .to_vec();
@@ -489,12 +488,12 @@ impl ComponentLogic for ViewMailServerLogic {
                         req,
                         user: user.clone(),
                     });
-                    out.call(0, op_payload(MailOp::Receive { user }), token);
+                    out.call(0, op_payload(op.clone()), token);
                 }
             }
-            MailOp::SyncBatch { origin, messages } => {
+            MailOp::SyncBatch { messages, .. } => {
                 // A downstream replica's flush: cache locally, pass on.
-                for m in &messages {
+                for m in messages {
                     if m.sensitivity.storable_at(self.trust_level) {
                         self.cached.deliver(m.clone());
                     }
@@ -503,14 +502,14 @@ impl ComponentLogic for ViewMailServerLogic {
                     // Absorb the downstream batch into local state and
                     // acknowledge; it rides this replica's own
                     // `pending_batch` upstream at reconciliation.
-                    self.pending_batch.extend(messages);
+                    self.pending_batch.extend(messages.iter().cloned());
                     out.reply(req, reply_payload(MailReply::SyncAck));
                     return;
                 }
                 let token = self.token(Pending::Client(req));
-                out.call(0, op_payload(MailOp::SyncBatch { origin, messages }), token);
+                out.call(0, op_payload(op.clone()), token);
             }
-            other @ (MailOp::AddressBook { .. } | MailOp::RegisterReplica { .. }) => {
+            MailOp::AddressBook { .. } | MailOp::RegisterReplica { .. } => {
                 if Self::detached(out) {
                     out.reply(
                         req,
@@ -521,7 +520,7 @@ impl ComponentLogic for ViewMailServerLogic {
                     return;
                 }
                 let token = self.token(Pending::Client(req));
-                out.call(0, op_payload(other), token);
+                out.call(0, op_payload(op.clone()), token);
             }
             MailOp::Secure { .. } => {
                 out.reply(
@@ -564,14 +563,14 @@ impl ComponentLogic for ViewMailServerLogic {
                     }),
                 );
             }
-            Some(Pending::Flush(batch)) => {
+            Some(Pending::Flush(flush)) => {
                 // The flush was lost to a cut: put the batch back at the
                 // front of the pending window so reconciliation (or a later
                 // retry) still drains every write in order.
                 self.coherence.end_flush();
-                let mut restored = batch;
-                restored.extend(std::mem::take(&mut self.pending_batch));
-                self.pending_batch = restored;
+                if let Some(MailOp::SyncBatch { messages, .. }) = flush.get::<MailOp>() {
+                    self.pending_batch.splice(0..0, messages.iter().cloned());
+                }
                 self.arm_timer(out);
                 self.drain_blocked(out);
             }
@@ -670,30 +669,32 @@ impl ComponentLogic for MailClientLogic {
         let Some(op) = payload.get::<MailOp>() else {
             return;
         };
-        match op.clone() {
-            MailOp::Send(mut m) => {
-                if m.encrypted_for.is_none() {
-                    // Client-side encryption under the sender's
-                    // per-sensitivity key.
-                    let key = self.keyring.key(&m.from, m.sensitivity);
-                    m.body = chacha20::encrypt(&key, &Keyring::nonce(m.id), &m.body);
-                    m.encrypted_for = Some(m.from.clone());
-                }
-                self.forward(out, req, MailOp::Send(m));
+        match op {
+            MailOp::Send(m) if m.encrypted_for.is_none() => {
+                // Client-side encryption under the sender's
+                // per-sensitivity key: the sealed copy is the only one.
+                let key = self.keyring.key(&m.from, m.sensitivity);
+                let body = chacha20::encrypt(&key, &Keyring::nonce(m.id), &m.body);
+                let mut sealed = MailMessage::new(
+                    m.id,
+                    m.from.clone(),
+                    m.to.clone(),
+                    m.subject.clone(),
+                    body,
+                    m.sensitivity,
+                );
+                sealed.encrypted_for = Some(m.from.clone());
+                self.forward(out, req, MailOp::Send(sealed));
             }
-            MailOp::AddressBook { user } => {
-                if self.restricted {
-                    out.reply(
-                        req,
-                        reply_payload(MailReply::Denied {
-                            reason: "address book unavailable in restricted client".into(),
-                        }),
-                    );
-                } else {
-                    self.forward(out, req, MailOp::AddressBook { user });
-                }
+            MailOp::AddressBook { .. } if self.restricted => {
+                out.reply(
+                    req,
+                    reply_payload(MailReply::Denied {
+                        reason: "address book unavailable in restricted client".into(),
+                    }),
+                );
             }
-            other => self.forward(out, req, other),
+            other => self.forward(out, req, other.clone()),
         }
     }
 
@@ -718,6 +719,17 @@ impl ComponentLogic for MailClientLogic {
 
 // ------------------------------------------------------------ enc / dec
 
+/// The next envelope id of the instance `out` belongs to. Every
+/// encryptor and decryptor shares the one channel key, so the id (the
+/// nonce) carries the sealing instance in its high half: chains deployed
+/// side by side, or a heal's replacement chain, never reuse a keystream.
+/// `counter` advances by two; its parity separates the two directions.
+fn envelope_id(out: &Outbox, counter: &mut u64) -> u64 {
+    let id = u64::from(out.self_id().0) << 32 | *counter;
+    *counter += 2;
+    id
+}
+
 /// The encrypting end of a confidential channel.
 pub struct EncryptorLogic {
     channel: Key,
@@ -737,11 +749,10 @@ impl EncryptorLogic {
         }
     }
 
-    fn seal_op(&mut self, op: &MailOp) -> MailOp {
-        let envelope_id = self.next_envelope;
-        self.next_envelope += 2;
-        let plain = encode_op(op);
-        let ciphertext = chacha20::encrypt(&self.channel, &Keyring::nonce(envelope_id), &plain);
+    fn seal_op(&mut self, out: &Outbox, op: &MailOp) -> MailOp {
+        let envelope_id = envelope_id(out, &mut self.next_envelope);
+        let mut ciphertext = encode_op(op);
+        chacha20::apply_in_place(&self.channel, &Keyring::nonce(envelope_id), &mut ciphertext);
         MailOp::Secure {
             envelope_id,
             ciphertext,
@@ -754,7 +765,7 @@ impl ComponentLogic for EncryptorLogic {
         let Some(op) = payload.get::<MailOp>() else {
             return;
         };
-        let sealed = self.seal_op(&op.clone());
+        let sealed = self.seal_op(out, op);
         let token = self.next_token;
         self.next_token += 1;
         self.pending.insert(token, req);
@@ -788,7 +799,7 @@ impl ComponentLogic for EncryptorLogic {
 
     fn on_notify(&mut self, out: &mut Outbox, payload: &Payload) {
         if let Some(op) = payload.get::<MailOp>() {
-            let sealed = self.seal_op(&op.clone());
+            let sealed = self.seal_op(out, op);
             out.notify(0, op_payload(sealed));
         }
     }
@@ -858,10 +869,9 @@ impl ComponentLogic for DecryptorLogic {
         let Some(reply) = payload.get::<MailReply>() else {
             return;
         };
-        let envelope_id = self.next_envelope;
-        self.next_envelope += 2;
-        let plain = encode_reply(reply);
-        let ciphertext = chacha20::encrypt(&self.channel, &Keyring::nonce(envelope_id), &plain);
+        let envelope_id = envelope_id(out, &mut self.next_envelope);
+        let mut ciphertext = encode_reply(reply);
+        chacha20::apply_in_place(&self.channel, &Keyring::nonce(envelope_id), &mut ciphertext);
         out.reply(
             req,
             reply_payload(MailReply::Secure {

@@ -26,6 +26,7 @@
 //!   component registry.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod accounts;
 pub mod components;

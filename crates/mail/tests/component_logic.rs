@@ -8,12 +8,14 @@ use ps_mail::components::{
 use ps_mail::crypto::keyring::Keyring;
 use ps_mail::message::{MailMessage, Sensitivity};
 use ps_mail::payload::{MailOp, MailReply};
+use ps_mail::spec::names;
 use ps_net::{Credentials, Network, NodeId};
 use ps_sim::{SimDuration, SimTime};
 use ps_smock::{
-    CoherencePolicy, ComponentLogic, InstanceId, Outbox, Payload, RequestHandle, World,
+    CoherencePolicy, ComponentLogic, ComponentRegistry, FactoryArgs, InstanceId, Outbox, Payload,
+    RequestHandle, World,
 };
-use ps_spec::{Behavior, ResolvedBindings};
+use ps_spec::{Behavior, Environment, ResolvedBindings};
 
 /// Sends a scripted sequence of ops (waiting for each reply) and records
 /// the replies.
@@ -148,6 +150,80 @@ fn encryptor_decryptor_relay_transparently() {
         }
         other => panic!("expected new mail, got {other:?}"),
     }
+}
+
+/// Sits on the wire between an encryptor and its decryptor: records each
+/// operation it is asked to carry and relays it (and the reply) unchanged.
+#[derive(Default)]
+struct Tap {
+    seen: Vec<MailOp>,
+    pending: Vec<RequestHandle>,
+}
+
+impl ComponentLogic for Tap {
+    fn on_request(&mut self, out: &mut Outbox, req: RequestHandle, p: &Payload) {
+        self.seen.push(p.get::<MailOp>().expect("mail op").clone());
+        self.pending.push(req);
+        out.call(0, p.clone(), self.pending.len() as u64 - 1);
+    }
+    fn on_response(&mut self, out: &mut Outbox, token: u64, p: &Payload) {
+        out.reply(self.pending[token as usize], p.clone());
+    }
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+#[test]
+fn channels_built_by_one_registration_never_share_a_nonce() {
+    // Every Encryptor/Decryptor the registry builds holds the same
+    // channel key, so two chains side by side (or a heal's replacement
+    // chain) may not number their envelopes alike.
+    let mut registry = ComponentRegistry::new();
+    ps_mail::register_mail_components(&mut registry, keyring(), CoherencePolicy::None);
+    let build = |component: &str, node: NodeId| {
+        let (factors, env) = (ResolvedBindings::new(), Environment::new());
+        let args = FactoryArgs {
+            component,
+            node,
+            factors: &factors,
+            env: &env,
+        };
+        registry.create(&args).expect("registered")
+    };
+    let mut rig = Rig::new();
+    let (near, far) = (rig.near, rig.far);
+    let server = rig.add(far, build(names::MAIL_SERVER, far));
+    let op = MailOp::Send(msg(1, "alice", "bob", 1));
+    let mut chains = Vec::new();
+    for _ in 0..2 {
+        let dec = rig.add(far, build(names::DECRYPTOR, far));
+        let tap = rig.add(far, Box::new(Tap::default()));
+        let enc = rig.add(near, build(names::ENCRYPTOR, near));
+        let probe = rig.add(near, Box::new(Probe::new(vec![op.clone()])));
+        rig.world.wire(probe, vec![enc]);
+        rig.world.wire(enc, vec![tap]);
+        rig.world.wire(tap, vec![dec]);
+        rig.world.wire(dec, vec![server]);
+        chains.push((probe, tap));
+    }
+    rig.world.run();
+
+    let mut sealed = Vec::new();
+    for (probe, tap) in chains {
+        // The matching decryptor opened the envelope: the send went through.
+        assert_eq!(rig.probe_replies(probe), vec![MailReply::Ack]);
+        let tap = rig.world.logic_mut(tap).as_any().unwrap();
+        match &tap.downcast_ref::<Tap>().unwrap().seen[..] {
+            [MailOp::Secure {
+                envelope_id,
+                ciphertext,
+            }] => sealed.push((*envelope_id, ciphertext.clone())),
+            other => panic!("expected one envelope, got {other:?}"),
+        }
+    }
+    assert_ne!(sealed[0].0, sealed[1].0, "same key, same nonce");
+    assert_ne!(sealed[0].1, sealed[1].1, "same plaintext, same keystream");
 }
 
 #[test]

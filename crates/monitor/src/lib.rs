@@ -17,6 +17,7 @@
 //!   degraded beyond a configurable factor.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use ps_net::{shortest_route, LinkId, Network, NodeId, PropertyTranslator};
 use ps_planner::{Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};

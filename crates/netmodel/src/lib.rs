@@ -20,6 +20,7 @@
 //! * [`casestudy`] — the exact Figure 5 three-site topology.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod brite;
 pub mod casestudy;

@@ -22,6 +22,7 @@
 //! reference descent on value and placements.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compat;
 pub mod exhaustive;

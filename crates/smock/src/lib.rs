@@ -26,6 +26,7 @@
 //! * [`world`] / [`component`] — the simulated execution substrate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coherence;
 pub mod component;

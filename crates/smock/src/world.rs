@@ -21,9 +21,14 @@ use ps_sim::{
 use ps_spec::{Behavior, ResolvedBindings};
 use ps_trace::{Sampler, SamplerConfig, Tracer};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
+
+/// `(link, direction)` per hop of a route; direction 0 = a->b, 1 = b->a.
+/// Shared between the memo and every envelope travelling the route.
+type Hops = Rc<[(ps_net::LinkId, u8)]>;
 
 /// Directed hop sequence memo per (from, to) node pair.
-type RouteMemo = HashMap<(u32, u32), Option<Vec<(ps_net::LinkId, u8)>>>;
+type RouteMemo = HashMap<(u32, u32), Option<Hops>>;
 
 /// Events driving the world.
 #[derive(Debug)]
@@ -61,8 +66,7 @@ struct Envelope {
     kind: Kind,
     from: InstanceId,
     to: InstanceId,
-    /// `(link, direction)` per hop; direction 0 = a->b, 1 = b->a.
-    hops: Vec<(ps_net::LinkId, u8)>,
+    hops: Hops,
     hop: usize,
     payload: Payload,
 }
@@ -139,6 +143,8 @@ struct State {
     /// Memoized directed hop sequences per (from, to) node pair;
     /// invalidated whenever link conditions change.
     route_cache: RouteMemo,
+    /// The empty route every same-node delivery shares.
+    no_hops: Hops,
     /// Host liveness (false = crashed). Distinct from the *network*'s
     /// `up` flags: a crashed host keeps routing intact and stays
     /// invisible to monitoring until its leases expire.
@@ -209,6 +215,7 @@ impl World {
                 metrics: BTreeMap::new(),
                 messages_sent: 0,
                 route_cache: HashMap::new(),
+                no_hops: Rc::new([]),
                 node_up,
                 loss,
                 rng: Rng::seed_from_u64(0),
@@ -1081,13 +1088,13 @@ fn charge_lease_renewals_inner(state: &mut State, upto: SimTime) {
                         at = link.other(at).expect("route links are connected");
                         hops.push((l, dir));
                     }
-                    hops
+                    hops.into()
                 })
             });
         let Some(hops) = cached.clone() else {
             continue; // Home unreachable: renewals are lost, not carried.
         };
-        for (l, dir) in hops {
+        for &(l, dir) in hops.iter() {
             state.links[l.0 as usize][dir as usize]
                 .charge_background(count, traffic.bytes_per_renewal);
         }
@@ -1519,12 +1526,21 @@ fn apply_actions(
                 engine.schedule(delay, Event::Timer { instance, tag });
             }
             Action::Measure { metric, value } => {
-                let entry = state
-                    .metrics
-                    .entry(metric.to_owned())
-                    .or_insert_with(|| (Summary::new(), Percentiles::new()));
-                entry.0.record(value);
-                entry.1.record(value);
+                // The `String` key is built the first time a metric is
+                // seen, not once per completed operation.
+                let record = |entry: &mut (Summary, Percentiles)| {
+                    entry.0.record(value);
+                    entry.1.record(value);
+                };
+                match state.metrics.get_mut(metric) {
+                    Some(entry) => record(entry),
+                    None => record(
+                        state
+                            .metrics
+                            .entry(metric.to_owned())
+                            .or_insert_with(|| (Summary::new(), Percentiles::new())),
+                    ),
+                }
             }
         }
     }
@@ -1544,7 +1560,7 @@ fn send(
     let from_node = state.instances[from.0 as usize].info.node;
     let to_node = state.instances[to.0 as usize].info.node;
     let hops = if from_node == to_node {
-        Vec::new()
+        state.no_hops.clone()
     } else {
         let cached = state
             .route_cache
@@ -1566,7 +1582,7 @@ fn send(
                         at = link.other(at).expect("route links are connected");
                         hops.push((l, dir));
                     }
-                    hops
+                    hops.into()
                 })
             });
         match cached {

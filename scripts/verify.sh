@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full offline verification pipeline: formatting, lints (clippy +
-# ps-lint), build, tests (workspace and the benchmark package), bench
-# smokes, and byte-identical determinism checks for every
-# artifact-writing bench bin. Everything runs without
-# network access.
+# ps-lint, the unsafe fence), build, tests (workspace, ps-mail again in
+# release, and the benchmark package), bench smokes, and byte-identical
+# determinism checks for every artifact-writing bench bin. Everything
+# runs without network access.
 #
 # Usage:
 #   scripts/verify.sh              # full pipeline
@@ -22,6 +22,23 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# The workspace has one `unsafe` block: the AVX2 dispatch in ps-mail's
+# ChaCha20. Every crate root forbids unsafe code (ps-mail denies it), so
+# the compiler refuses a second site outside ps-mail; inside it, a second
+# `allow(unsafe_code)` must be a reviewed edit of this count, not drift.
+echo "==> unsafe fence (every crate root fenced, allow(unsafe_code) exactly once)"
+for root in src/lib.rs crates/*/src/lib.rs crates/*/src/main.rs crates/*/src/bin/*.rs; do
+    if ! grep -q '^#!\[\(forbid\|deny\)(unsafe_code)\]$' "$root"; then
+        echo "$root lacks #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+unsafe_allows="$(grep -r 'allow(unsafe_code)' crates src --include='*.rs' | wc -l)"
+if [[ "$unsafe_allows" -ne 1 ]]; then
+    echo "allow(unsafe_code) occurs $unsafe_allows times under crates/ src/, expected exactly 1" >&2
+    exit 1
+fi
 
 echo "==> ps-lint (token rules + call-graph semantic passes)"
 cargo run --release -q -p ps-lint
@@ -62,6 +79,11 @@ cargo test -q
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+# The wide ChaCha20 body is written for the optimiser: hold it to the
+# scalar reference in the build that ships, not only in the debug one.
+echo "==> cargo test -p ps-mail --release -q"
+cargo test -p ps-mail --release -q
 
 # `benchmark/` is a workspace of its own, so nothing above compiles it:
 # build it against the crates as they now are and run its --quick sizing

@@ -36,6 +36,8 @@
 //! assert_eq!(plan.graph.to_string(), "MailClient -> MailServer");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ps_core as core;
 pub use ps_drbac as drbac;
 pub use ps_mail as mail;

@@ -4,13 +4,22 @@
 //! primary) actually arrive, decrypt, and stay coherent.
 
 use partitionable_services::core::Framework;
-use partitionable_services::mail::components::{MailServerLogic, ViewMailServerLogic};
+use partitionable_services::mail::components::{
+    MailClientLogic, MailServerLogic, ViewMailServerLogic,
+};
 use partitionable_services::mail::spec::names::*;
 use partitionable_services::mail::workload::{ClusterConfig, ClusterDriver};
-use partitionable_services::mail::{mail_spec, mail_translator, register_mail_components, Keyring};
+use partitionable_services::mail::{
+    mail_spec, mail_translator, register_mail_components, AccountStore, Keyring,
+};
 use partitionable_services::net::casestudy::{default_case_study, CaseStudy};
+use partitionable_services::net::{Credentials, Network};
 use partitionable_services::planner::ServiceRequest;
-use partitionable_services::smock::{CoherencePolicy, Connection, InstanceId, ServiceRegistration};
+use partitionable_services::sim::{Rng, SimDuration, SimTime};
+use partitionable_services::smock::{
+    CoherencePolicy, ComponentLogic, Connection, InstanceId, RetryPolicy, ServiceRegistration,
+    World,
+};
 use partitionable_services::spec::Behavior;
 
 fn setup(policy: CoherencePolicy) -> (Framework, CaseStudy, InstanceId) {
@@ -42,33 +51,80 @@ fn connect_site(
     fw.connect("mail", &request).expect("connects")
 }
 
+/// Instantiates `logic` on `node` at `start`, wired to `linkages`.
+fn place(
+    world: &mut World,
+    node: ps_net::NodeId,
+    logic: Box<dyn ComponentLogic>,
+    linkages: Vec<InstanceId>,
+    start: SimTime,
+) -> InstanceId {
+    let id = world.instantiate("x", node, Default::default(), Behavior::new(), logic, start);
+    world.wire(id, linkages);
+    id
+}
+
 fn drive(
     fw: &mut Framework,
     node: ps_net::NodeId,
     root: InstanceId,
     config: ClusterConfig,
-    start: partitionable_services::sim::SimTime,
+    start: SimTime,
 ) -> InstanceId {
-    let driver = ClusterDriver::new(config);
-    let id = fw.world.instantiate(
-        "driver",
-        node,
-        Default::default(),
-        Behavior::new(),
-        Box::new(driver),
-        start,
-    );
-    fw.world.wire(id, vec![root]);
-    id
+    let driver = Box::new(ClusterDriver::new(config));
+    place(&mut fw.world, node, driver, vec![root], start)
+}
+
+fn logic<T: 'static>(world: &mut World, id: InstanceId) -> &T {
+    world
+        .logic_mut(id)
+        .as_any()
+        .expect("opted in")
+        .downcast_ref::<T>()
+        .expect("is the expected component")
 }
 
 fn server_logic(fw: &mut Framework, primary: InstanceId) -> &MailServerLogic {
-    fw.world
-        .logic_mut(primary)
-        .as_any()
-        .expect("opted in")
-        .downcast_ref::<MailServerLogic>()
-        .expect("is the mail server")
+    logic(&mut fw.world, primary)
+}
+
+/// The plaintext bodies a `ClusterDriver` built from `config` sends, in
+/// send order: the same `Rng` draws as `ClusterDriver::issue` (length,
+/// bytes, sensitivity). Message `config.id_base + i` carries body `i`.
+fn driver_plaintexts(config: &ClusterConfig) -> Vec<Vec<u8>> {
+    let mut rng = Rng::seed_from_u64(config.seed);
+    let (lo, hi) = config.body_bytes;
+    let (slo, shi) = config.sensitivity;
+    (0..config.sends)
+        .map(|_| {
+            let len = lo + rng.next_below((hi - lo + 1) as u64) as usize;
+            let body = (0..len).map(|_| rng.next_u64() as u8).collect();
+            rng.range_inclusive(slo as i64, shi as i64);
+            body
+        })
+        .collect()
+}
+
+/// `user`'s inbox in `store` is exactly messages `first_id..` in id
+/// order, each opening to the plaintext the driver generated for it.
+fn assert_inbox_opens_to(store: &AccountStore, user: &str, first_id: u64, plain: &[Vec<u8>]) {
+    let inbox = store
+        .account(user)
+        .expect("account exists")
+        .inbox
+        .messages();
+    assert_eq!(inbox.len(), plain.len());
+    for (i, (m, expected)) in inbox.iter().zip(plain).enumerate() {
+        assert_eq!(m.id, first_id + i as u64, "send order");
+        assert_eq!(m.encrypted_for.as_deref(), Some(user));
+        assert_ne!(&m.body, expected, "stored body is ciphertext");
+        assert_eq!(
+            &store.open_body(m).expect("decrypts"),
+            expected,
+            "id {}",
+            m.id
+        );
+    }
 }
 
 #[test]
@@ -78,47 +134,135 @@ fn messages_survive_the_full_encrypted_chain() {
 
     // 25 sends from alice to bob through the cached, encrypted chain;
     // the count limit forces at least two flushes to the primary.
-    let driver = drive(
-        &mut fw,
-        cs.sd_client,
-        conn.root,
-        ClusterConfig {
-            sends: 25,
-            receives: 0,
-            ..ClusterConfig::paper("alice", "bob", 1 << 40)
-        },
-        conn.ready_at,
-    );
+    let config = ClusterConfig {
+        sends: 25,
+        receives: 0,
+        ..ClusterConfig::paper("alice", "bob", 1 << 40)
+    };
+    let plain = driver_plaintexts(&config);
+    let view = conn.deployment.instances[conn
+        .plan
+        .placement_of(VIEW_MAIL_SERVER)
+        .expect("cache deployed")
+        .graph_index];
+    let driver = drive(&mut fw, cs.sd_client, conn.root, config, conn.ready_at);
     fw.run();
 
-    let d = fw
-        .world
-        .logic_mut(driver)
-        .as_any()
-        .unwrap()
-        .downcast_ref::<ClusterDriver>()
-        .unwrap();
+    let d: &ClusterDriver = logic(&mut fw.world, driver);
     assert!(d.is_done());
     assert_eq!(d.denied, 0);
 
     // The primary received the flushed batches: 20 of the 25 (two full
     // windows of 10); the remaining 5 still sit unpropagated at the view.
-    let server = server_logic(&mut fw, primary);
-    let store = server.store();
+    // Every stored message was re-keyed for bob and opens to the bytes
+    // the driver generated, at the primary and in the view's cache alike.
+    let store = server_logic(&mut fw, primary).store();
     assert_eq!(
         store.delivered(),
         20,
         "two flush windows reached the primary"
     );
-    let bob = store.account("bob").expect("bob's account exists");
-    assert_eq!(bob.inbox.len(), 20);
-    // Every stored message was re-encrypted for bob and decrypts cleanly.
-    for m in bob.inbox.messages() {
-        assert_eq!(m.encrypted_for.as_deref(), Some("bob"));
-        let body = store.open_body(m).expect("decrypts");
-        assert!(!body.is_empty());
-        assert_ne!(body, m.body, "stored body is ciphertext");
+    assert_inbox_opens_to(store, "bob", 1 << 40, &plain[..20]);
+    let cached = logic::<ViewMailServerLogic>(&mut fw.world, view).cached();
+    assert_inbox_opens_to(cached, "bob", 1 << 40, &plain);
+}
+
+/// A flush whose request dies on a cut link comes back through the
+/// view's `on_error`, which restores the batch from the `SyncBatch`
+/// payload it shares with the world's retry machinery. Nothing the
+/// clients were told was sent may be lost, duplicated or reordered by
+/// that round trip.
+#[test]
+fn a_flush_lost_to_a_cut_link_is_restored_and_delivered_once_in_order() {
+    // near --20ms-- mid --10ms-- far: the flush is still crossing the
+    // first link when the second one goes down.
+    let mut net = Network::new();
+    let near = net.add_node("near", "edge", 1.0, Credentials::new());
+    let mid = net.add_node("mid", "core", 1.0, Credentials::new());
+    let far = net.add_node("far", "dc", 1.0, Credentials::new());
+    let ms = SimDuration::from_millis;
+    net.add_link(near, mid, ms(20), 1e8, Credentials::new());
+    let cut = net.add_link(mid, far, ms(10), 1e8, Credentials::new());
+    let mut world = World::new(net);
+    world.enable_retry(RetryPolicy {
+        max_attempts: 2,
+        timeout: ms(200),
+        backoff_multiplier: 1.0,
+        deadline: None,
+    });
+    let kr = Keyring::new(7);
+    let primary = Box::new(MailServerLogic::new(kr.clone()));
+    let primary = place(&mut world, far, primary, vec![], SimTime::ZERO);
+    let policy = CoherencePolicy::CountLimit(5);
+    let view = Box::new(ViewMailServerLogic::new(3, kr.clone(), policy));
+    let view = place(&mut world, near, view, vec![primary], SimTime::ZERO);
+    let client = Box::new(MailClientLogic::full(kr));
+    let client = place(&mut world, near, client, vec![view], SimTime::ZERO);
+
+    // Before the cut: 9 sends, so the fifth starts a flush and the other
+    // four wait in the window without filling it (a blocked send would
+    // time out and be retried into a duplicate — the retry policy's
+    // at-least-once contract, not what this case is about).
+    let base = 1u64 << 40;
+    let before = ClusterConfig {
+        sends: 9,
+        receives: 0,
+        ..ClusterConfig::paper("alice", "bob", base)
+    };
+    let after = ClusterConfig {
+        sends: 13,
+        ..ClusterConfig::paper("alice", "bob", base + 9)
+    };
+    let mut plain = driver_plaintexts(&before);
+    plain.extend(driver_plaintexts(&after));
+    let first = Box::new(ClusterDriver::new(before));
+    let first = place(&mut world, near, first, vec![client], SimTime::ZERO);
+    while !logic::<ViewMailServerLogic>(&mut world, view)
+        .coherence()
+        .flush_in_flight()
+    {
+        world.run_until(world.now() + ms(1));
     }
+    world.set_link_state(cut, false);
+
+    // Both attempts die at `mid`; 400 ms after the flush began the view
+    // is told, and with no sixth update in the window nothing re-flushes.
+    world.run_until(world.now() + ms(450));
+    assert!(logic::<ClusterDriver>(&mut world, first).is_done());
+    let v: &ViewMailServerLogic = logic(&mut world, view);
+    assert_eq!(v.coherence().flushes(), 1);
+    assert!(!v.coherence().flush_in_flight(), "on_error ended the flush");
+    assert_eq!(
+        logic::<MailServerLogic>(&mut world, primary)
+            .store()
+            .delivered(),
+        0,
+        "the lost flush never reached the primary"
+    );
+
+    // Link back, workload continues: the next send completes a window,
+    // and the flush it starts carries the restored batch in front.
+    world.set_link_state(cut, true);
+    let (second, now) = (Box::new(ClusterDriver::new(after)), world.now());
+    let second = place(&mut world, near, second, vec![client], now);
+    world.run();
+
+    for driver in [first, second] {
+        let d: &ClusterDriver = logic(&mut world, driver);
+        assert!(d.is_done());
+        assert_eq!((d.denied, d.lost), (0, 0), "every send was acknowledged");
+    }
+    // All 22 acknowledged sends are in the view's cache; the first 20
+    // reached the primary exactly once and in send order (the restored
+    // five rode in front of the next five, then two more windows), the
+    // last two wait in the view's batch.
+    let v: &ViewMailServerLogic = logic(&mut world, view);
+    assert_eq!(v.coherence().flushes(), 4, "one lost, three delivered");
+    assert_eq!(v.coherence().unpropagated(), 2);
+    assert_inbox_opens_to(v.cached(), "bob", base, &plain);
+    let store = logic::<MailServerLogic>(&mut world, primary).store();
+    assert_eq!(store.delivered(), 20);
+    assert_inbox_opens_to(store, "bob", base, &plain[..20]);
 }
 
 #[test]
