@@ -130,8 +130,15 @@ fn main() {
 
     let mut report = Report::new("Planner hot path: bounded search + one route table per call");
     report.line(format!(
-        "{:<24} {:>9} {:>11} {:>7} {:>8} {:>9} {:>10}",
-        "scenario", "time[ms]", "objective", "evals", "prunes", "bound cut", "flow evals"
+        "{:<24} {:>9} {:>11} {:>7} {:>8} {:>9} {:>10} {:>11}",
+        "scenario",
+        "time[ms]",
+        "objective",
+        "evals",
+        "prunes",
+        "bound cut",
+        "flow evals",
+        "bound cells"
     ));
 
     let mut entries = Vec::new();
@@ -145,7 +152,7 @@ fn main() {
             m.stats.route_table_build_us = 0;
         }
         report.line(format!(
-            "{:<24} {:>9.2} {:>11.4} {:>7} {:>8} {:>9} {:>10}",
+            "{:<24} {:>9.2} {:>11.4} {:>7} {:>8} {:>9} {:>10} {:>11}",
             label,
             m.time_ms,
             m.objective,
@@ -153,12 +160,13 @@ fn main() {
             m.stats.prunes,
             m.stats.bound_prunes,
             m.stats.flow_evals,
+            m.stats.bound_cells,
         ));
         entries.push(format!(
             "    {{\"scenario\": \"{label}\", \"nodes\": {}, \"time_ms\": {:.3}, \
              \"objective\": {:.6}, \"mappings_evaluated\": {}, \"prunes\": {}, \
-             \"bound_prunes\": {}, \"flow_evals\": {}, \"work_units\": {}, \
-             \"route_table_build_us\": {}}}",
+             \"bound_prunes\": {}, \"flow_evals\": {}, \"bound_cells\": {}, \
+             \"work_units\": {}, \"route_table_build_us\": {}}}",
             net.node_count(),
             m.time_ms,
             m.objective,
@@ -166,6 +174,7 @@ fn main() {
             m.stats.prunes,
             m.stats.bound_prunes,
             m.stats.flow_evals,
+            m.stats.bound_cells,
             m.stats.work_units(),
             m.stats.route_table_build_us,
         ));

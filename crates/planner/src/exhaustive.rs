@@ -18,20 +18,26 @@
 //! * the remaining-suffix bound takes, per unplaced tree node, the
 //!   minimum increment over its whole candidate set — an underestimate
 //!   of whatever the search will actually commit to;
-//! * a *corridor floor* tightens that suffix where its per-edge minima
-//!   collapse to ~0: placing any non-root tree node at host `m` leaves
-//!   the whole ancestor edge chain back to the client uncharged
-//!   (bottom-up order), and by the triangle inequality that chain costs
-//!   at least the minimum path fraction times the client → `m` round
-//!   trip — so candidates far from the client ↔ pinned-server corridor
-//!   are cut before any property-flow work;
+//! * the *chain bound* tightens that suffix where its independent
+//!   per-edge minima collapse to ~0 — deep in the tree, where bottom-up
+//!   order starts. Placing a non-root tree node at host `m` leaves its
+//!   whole ancestor chain unplaced and every edge up to the root
+//!   uncharged, so every completion still pays at least the cheapest
+//!   *joint* placement of those ancestors: their node terms plus each
+//!   edge of the path, the lowest edge ending at `m`. That minimum is a
+//!   top-down min-plus pass over the candidate sets
+//!   ([`State::build_chain_bound`]) reading the very terms the descent
+//!   charges. On a chain the ancestors are everything unplaced, so it is
+//!   the exact optimum of the problem with property flow, identity and
+//!   load relaxed; on a tree the off-path branches add ≥ 0, so it stays
+//!   admissible and combines with the suffix bound by max;
 //! * before any of that arithmetic a candidate is dropped when the plan
 //!   memo's instance-identity table shows it clashing with an
 //!   already-placed same-component tree node, and a graph that repeats
 //!   a component more often than its candidates' factor classes admit
 //!   is never descended at all — both exact: every completion would be
 //!   rejected by the evaluator's identity rules;
-//! * pruning is *strict* (`partial + suffix > incumbent objective`):
+//! * pruning is *strict* (`partial + remaining > incumbent objective`):
 //!   a subtree is cut only when every completion is strictly worse than
 //!   the incumbent, so the surviving optimum — value *and* chosen
 //!   assignment — is identical to an unbounded descent's. For
@@ -107,218 +113,18 @@ pub fn search(
         stats.prunes += 1;
         return None;
     }
-    let n = graph.len();
-    let order = graph.bottom_up_order();
-    let sets: Vec<CandidateSet> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
-    // Per tree node, its candidate hosts and the matching row of the
-    // set's instance-identity table.
-    let candidates: Vec<&[NodeId]> = sets.iter().map(|set| &set.nodes[..]).collect();
-    let identity: Vec<&[Identity]> = sets.iter().map(|set| &set.identity[..]).collect();
-    if candidates.iter().any(|c| c.is_empty()) {
-        return None;
-    }
-
-    // `MaxCapacity` negates the sustainable rate: the objective is not an
-    // additive sum of placement increments, so the bound is inadmissible
-    // there and bounding is disabled.
-    let bounding = !matches!(mapper.objective, Objective::MaxCapacity);
-    let rates = mapper.rates(graph);
-    let lp = latency_part(mapper.objective);
-    let cp = cost_part(mapper.objective);
-
-    // Per tree node and candidate, the weighted lower bound of the
-    // deployment cost the evaluator charges: zero when the placement
-    // might attach to a pinned/existing instance (`attachable`; whether
-    // the factors match too is the evaluator's question), else exactly
-    // its term — code transfer from the effective origin plus startup.
-    let origin = mapper.request.effective_origin();
-    let deploy_lb: Vec<Vec<f64>> = (0..n)
-        .map(|idx| {
-            let size = mapper
-                .spec
-                .behavior_of(&graph.nodes[idx].component)
-                .code_size;
-            let hosts = candidates[idx].iter().zip(identity[idx]);
-            hosts
-                .map(|(&node, id)| match bounding && cp > 0.0 && !id.attachable {
-                    true => cp * (mapper.transfer_ms(origin, node, size) + STARTUP_COST_MS),
-                    false => 0.0,
-                })
-                .collect()
-        })
-        .collect();
-
-    // Admissible per-tree-node lower bounds over each candidate set,
-    // mirroring the increments charged during recursion.
-    let suffix_bound = if bounding && (lp > 0.0 || cp > 0.0) {
-        let lower_bound: Vec<f64> = (0..n)
-            .map(|idx| min_increment(mapper, graph, &rates, &candidates, &deploy_lb[idx], idx, lp))
-            .collect();
-        let mut suffix = vec![0.0; order.len() + 1];
-        for pos in (0..order.len()).rev() {
-            suffix[pos] = suffix[pos + 1] + lower_bound[order[pos]];
-        }
-        suffix
-    } else {
-        vec![0.0; order.len() + 1]
-    };
-
-    // Corridor-floor coefficients: placing tree node `idx` at host `m`
-    // commits every completion to still pay the — bottom-up order, so
-    // entirely uncharged — ancestor edge chain client → root → … → idx.
-    // That directed walk ends at `m`, so by the triangle inequality of
-    // shortest-path latencies its one-way latency sum is at least
-    // `d(client, m)`, each edge weighted by at least the minimum flow
-    // fraction along the path (the client edge carries fraction 1) and
-    // doubled by the evaluator's round-trip charge. `anc_floor[idx] *
-    // d(client, m)` is therefore an admissible remaining-cost floor that
-    // stays non-zero deep in the fabric, where the per-edge candidate
-    // minima underlying `suffix_bound` collapse to ~0 — it is what cuts
-    // roaming candidates far from the client ↔ pinned-server corridor
-    // before any property-flow work. Zero for the root (its client edge
-    // is charged in its own increment).
-    let anc_floor: Vec<f64> = if bounding && lp > 0.0 {
-        let mut parent = vec![usize::MAX; n];
-        for i in 0..n {
-            for &(_, child) in &graph.nodes[i].children {
-                parent[child] = i;
-            }
-        }
-        (0..n)
-            .map(|idx| {
-                if idx == 0 {
-                    return 0.0;
-                }
-                let mut fmin = 1.0f64;
-                let mut v = idx;
-                while v != 0 {
-                    if v == usize::MAX {
-                        // Disconnected from the root: no ancestor chain
-                        // to charge for.
-                        return 0.0;
-                    }
-                    fmin = fmin.min(rates.fraction(v));
-                    v = parent[v];
-                }
-                lp * 2.0 * fmin
-            })
-            .collect()
-    } else {
-        vec![0.0; n]
-    };
-
-    // Node-only objective terms, resolved per candidate once so the
-    // descent's hot loop reads two array slots instead of re-running
-    // route-cache lookups at every visit: `static_cost` carries the
-    // deployment-cost part, the CPU share, and (for the root) the
-    // client edge — summed in exactly the order [`State::increment`]
-    // historically charged them, keeping the accumulated partial
-    // bit-identical — and `cand_floor` carries the corridor floor,
-    // `anc_floor[idx] * d(client, candidate)`.
-    let (static_cost, cand_floor) = if bounding && (lp > 0.0 || cp > 0.0) {
-        let client = mapper.request.client_node;
-        let mut static_cost = Vec::with_capacity(n);
-        let mut cand_floor = Vec::with_capacity(n);
-        for idx in 0..n {
-            let behavior = mapper.spec.behavior_of(&graph.nodes[idx].component);
-            let frac = rates.fraction(idx);
-            let mut costs = Vec::with_capacity(candidates[idx].len());
-            let mut floors = Vec::with_capacity(candidates[idx].len());
-            for (&node, &deploy) in candidates[idx].iter().zip(&deploy_lb[idx]) {
-                let mut cost = deploy;
-                if lp > 0.0 {
-                    cost +=
-                        lp * frac * behavior.cpu_per_request_ms / mapper.net.node(node).cpu_speed;
-                    if idx == 0 {
-                        if let Some(route) = mapper.route_metrics(client, node) {
-                            if !route.is_local() {
-                                let bytes = (behavior.bytes_per_request
-                                    + behavior.bytes_per_response)
-                                    as f64;
-                                cost += lp * route.rtt_ms(bytes);
-                            }
-                        }
-                    }
-                }
-                costs.push(cost);
-                let floor = match anc_floor[idx] {
-                    coeff if coeff > 0.0 => mapper
-                        .route_metrics(client, node)
-                        .map_or(0.0, |route| coeff * route.latency.as_millis_f64()),
-                    _ => 0.0,
-                };
-                floors.push(floor);
-            }
-            static_cost.push(costs);
-            cand_floor.push(floors);
-        }
-        (static_cost, cand_floor)
-    } else {
-        // Shape-matched zeros: the descent indexes these whenever it
-        // bounds, even for objectives with no latency or cost part.
-        let zeros: Vec<Vec<f64>> = candidates.iter().map(|c| vec![0.0; c.len()]).collect();
-        (zeros.clone(), zeros)
-    };
-
-    // Per tree node, the latency weight × fraction and request+response
-    // bytes its parent edge is charged with — read by the descent for
-    // edges to already-placed children.
-    let edge_w: Vec<f64> = (0..n).map(|idx| lp * rates.fraction(idx)).collect();
-    let edge_bytes: Vec<f64> = (0..n)
-        .map(|idx| {
-            let b = mapper.spec.behavior_of(&graph.nodes[idx].component);
-            (b.bytes_per_request + b.bytes_per_response) as f64
-        })
-        .collect();
-
-    // Same-component sibling lists for the instance-identity rules.
-    // Empty for graphs whose components are all distinct.
-    let same_component: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .filter(|&j| j != i && graph.nodes[j].component == graph.nodes[i].component)
-                .collect()
-        })
-        .collect();
-    let data_view: Vec<bool> = (0..n)
-        .map(|i| {
-            mapper
-                .spec
-                .get_component(&graph.nodes[i].component)
-                .is_some_and(|c| c.is_data_view())
-        })
-        .collect();
-
-    let mut state = State {
-        mapper,
-        graph,
-        order,
-        sets: &sets,
-        candidates,
-        rates,
-        suffix_bound,
-        static_cost,
-        cand_floor,
-        edge_w,
-        edge_bytes,
-        bounding,
-        lp,
-        same_component,
-        data_view,
-        identity,
-        incumbent,
-        context_key: Vec::new(),
-        provided_id: vec![0; n],
-        assignment: vec![None; n],
-        placed: vec![Identity::default(); n],
-        provided: vec![None; n],
-        factors: vec![None; n],
-        best: None,
-        stats,
-    };
+    let mut state = State::new(mapper, graph, stats, incumbent)?;
     state.recurse(0, 0.0);
     state.best
 }
+
+/// Scale of every chain-bound value. The bound sums a mapping's
+/// objective terms in another order than the descent's partial does;
+/// twelve digits of slack are ~10⁴ times that rounding, so the bound of
+/// a mapping can never be lifted past its own objective and cut a tie,
+/// and ~10⁵ times smaller than the closest objectives the planner tells
+/// apart (`MinLatency`'s `1e-9 · cost` tie-break).
+const CHAIN_MARGIN: f64 = 1.0 - 1e-12;
 
 fn latency_part(objective: Objective) -> f64 {
     match objective {
@@ -456,22 +262,23 @@ struct State<'a, 'b> {
     mapper: &'a Mapper<'b>,
     graph: &'a LinkageGraph,
     order: Vec<usize>,
-    /// Per tree node, its full candidate set and that set's id in the
-    /// mapper's plan memo.
-    sets: &'a [CandidateSet],
-    /// Per tree node, the hosts of its set.
-    candidates: Vec<&'a [NodeId]>,
+    /// Per tree node, its candidate set as the plan memo holds it: the
+    /// set's id, the hosts, and per host its instance-identity entry.
+    sets: Vec<CandidateSet>,
     rates: crate::load::RatePlan,
     suffix_bound: Vec<f64>,
-    /// Per tree node and candidate (same index as `candidates`), every
-    /// node-only objective term precomputed: deployment cost, own CPU
-    /// share, and (for the root) the client edge — summed in the same
-    /// order the evaluator charges them, so partials stay bit-identical.
+    /// Per descent position, the summed minimum increments of the tree
+    /// nodes placed before it: the least partial that can arrive there.
+    placed_bound: Vec<f64>,
+    /// Per tree node and candidate (same index as the set's hosts),
+    /// every node-only objective term precomputed: deployment cost, own
+    /// CPU share, and (for the root) the client edge — summed in the
+    /// same order the evaluator charges them, so partials stay
+    /// bit-identical.
     static_cost: Vec<Vec<f64>>,
-    /// Per tree node and candidate, the corridor floor: the
-    /// ancestor-path coefficient × the client → candidate shortest-path
-    /// latency (0 where the ancestor chain contributes nothing).
-    cand_floor: Vec<Vec<f64>>,
+    /// Per tree node and candidate, the chain bound (module docs);
+    /// empty until [`State::build_chain_bound`] ran.
+    chain_bound: Vec<Vec<f64>>,
     /// Per tree node, the weight its parent edge carries in the
     /// objective: latency weight × request fraction.
     edge_w: Vec<f64>,
@@ -483,9 +290,6 @@ struct State<'a, 'b> {
     same_component: Vec<Vec<usize>>,
     /// Per tree node, whether its component is a data view.
     data_view: Vec<bool>,
-    /// Per tree node and candidate (same index as `candidates`), the
-    /// plan memo's instance-identity entry.
-    identity: Vec<&'a [Identity]>,
     incumbent: &'a Incumbent,
     /// Scratch for a flow-context key, reused across `recurse` calls.
     context_key: Vec<u64>,
@@ -501,7 +305,167 @@ struct State<'a, 'b> {
     stats: &'a mut PlanStats,
 }
 
-impl State<'_, '_> {
+impl<'a, 'b> State<'a, 'b> {
+    /// Resolves the candidate sets of `graph` and every per-candidate
+    /// term the descent reads; `None` when some tree node has no
+    /// candidate host.
+    fn new(
+        mapper: &'a Mapper<'b>,
+        graph: &'a LinkageGraph,
+        stats: &'a mut PlanStats,
+        incumbent: &'a Incumbent,
+    ) -> Option<Self> {
+        let n = graph.len();
+        let order = graph.bottom_up_order();
+        let sets: Vec<CandidateSet> = (0..n).map(|i| mapper.candidate_set(graph, i)).collect();
+        let candidates: Vec<&[NodeId]> = sets.iter().map(|set| &set.nodes[..]).collect();
+        if candidates.iter().any(|c| c.is_empty()) {
+            return None;
+        }
+
+        // `MaxCapacity` negates the sustainable rate: the objective is not
+        // an additive sum of placement increments, so the bound is
+        // inadmissible there and bounding is disabled.
+        let bounding = !matches!(mapper.objective, Objective::MaxCapacity);
+        let rates = mapper.rates(graph);
+        let lp = latency_part(mapper.objective);
+        let cp = cost_part(mapper.objective);
+
+        // Per tree node and candidate, the weighted lower bound of the
+        // deployment cost the evaluator charges: zero when the placement
+        // might attach to a pinned/existing instance (`attachable`;
+        // whether the factors match too is the evaluator's question),
+        // else exactly its term — code transfer from the effective
+        // origin plus startup.
+        let origin = mapper.request.effective_origin();
+        let deploy_lb: Vec<Vec<f64>> = (0..n)
+            .map(|idx| {
+                let size = mapper
+                    .spec
+                    .behavior_of(&graph.nodes[idx].component)
+                    .code_size;
+                let hosts = candidates[idx].iter().zip(&sets[idx].identity[..]);
+                hosts
+                    .map(|(&node, id)| match bounding && cp > 0.0 && !id.attachable {
+                        true => cp * (mapper.transfer_ms(origin, node, size) + STARTUP_COST_MS),
+                        false => 0.0,
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // Admissible per-tree-node lower bounds over each candidate set,
+        // mirroring the increments charged during recursion, summed over
+        // what is still to place and over what already is.
+        let mut suffix_bound = vec![0.0; n + 1];
+        let mut placed_bound = vec![0.0; n + 1];
+        if bounding && (lp > 0.0 || cp > 0.0) {
+            let least: Vec<f64> = (0..n)
+                .map(|idx| {
+                    min_increment(mapper, graph, &rates, &candidates, &deploy_lb[idx], idx, lp)
+                })
+                .collect();
+            for pos in (0..n).rev() {
+                suffix_bound[pos] = suffix_bound[pos + 1] + least[order[pos]];
+            }
+            for pos in 0..n {
+                placed_bound[pos + 1] = placed_bound[pos] + least[order[pos]];
+            }
+        }
+
+        // Node-only objective terms, resolved per candidate once so the
+        // descent's hot loop reads an array slot instead of re-running
+        // route-cache lookups at every visit: the deployment-cost part,
+        // the CPU share, and (for the root) the client edge — summed in
+        // exactly the order the increment historically charged them,
+        // keeping the accumulated partial bit-identical. All zeros for
+        // an objective with no latency or cost part.
+        let client = mapper.request.client_node;
+        let static_cost: Vec<Vec<f64>> = (0..n)
+            .map(|idx| {
+                let behavior = mapper.spec.behavior_of(&graph.nodes[idx].component);
+                let frac = rates.fraction(idx);
+                let hosts = candidates[idx].iter().zip(&deploy_lb[idx]);
+                hosts
+                    .map(|(&node, &deploy)| {
+                        let mut cost = deploy;
+                        if lp > 0.0 {
+                            let speed = mapper.net.node(node).cpu_speed;
+                            cost += lp * frac * behavior.cpu_per_request_ms / speed;
+                            if idx == 0 {
+                                if let Some(route) = mapper.route_metrics(client, node) {
+                                    if !route.is_local() {
+                                        let bytes = (behavior.bytes_per_request
+                                            + behavior.bytes_per_response)
+                                            as f64;
+                                        cost += lp * route.rtt_ms(bytes);
+                                    }
+                                }
+                            }
+                        }
+                        cost
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // Per tree node, the latency weight × fraction and
+        // request+response bytes its parent edge is charged with — read
+        // by the descent for edges to already-placed children.
+        let edge_w: Vec<f64> = (0..n).map(|idx| lp * rates.fraction(idx)).collect();
+        let edge_bytes: Vec<f64> = (0..n)
+            .map(|idx| {
+                let b = mapper.spec.behavior_of(&graph.nodes[idx].component);
+                (b.bytes_per_request + b.bytes_per_response) as f64
+            })
+            .collect();
+
+        // Same-component sibling lists for the instance-identity rules.
+        // Empty for graphs whose components are all distinct.
+        let same_component: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| j != i && graph.nodes[j].component == graph.nodes[i].component)
+                    .collect()
+            })
+            .collect();
+        let data_view: Vec<bool> = (0..n)
+            .map(|i| {
+                mapper
+                    .spec
+                    .get_component(&graph.nodes[i].component)
+                    .is_some_and(|c| c.is_data_view())
+            })
+            .collect();
+
+        Some(State {
+            mapper,
+            graph,
+            order,
+            sets,
+            rates,
+            suffix_bound,
+            placed_bound,
+            static_cost,
+            chain_bound: Vec::new(),
+            edge_w,
+            edge_bytes,
+            bounding,
+            lp,
+            same_component,
+            data_view,
+            incumbent,
+            context_key: Vec::new(),
+            provided_id: vec![0; n],
+            assignment: vec![None; n],
+            placed: vec![Identity::default(); n],
+            provided: vec![None; n],
+            factors: vec![None; n],
+            best: None,
+            stats,
+        })
+    }
+
     /// The dynamic half of the incremental objective cost of placing
     /// `idx` at `node`: the edges to its already-placed — thanks to
     /// bottom-up order — children. Everything node-only (CPU share,
@@ -599,6 +563,99 @@ impl State<'_, '_> {
             .min(self.incumbent.get())
     }
 
+    /// Fills `chain_bound`, top-down, for cuts against `threshold` or
+    /// anything lower — the descent calls it once, the first time it
+    /// holds the objective of a feasible mapping. The cell of tree node
+    /// `idx` at host `m` is the least, over its parent's cells, of the
+    /// parent's node terms, the parent's own cell and the edge between
+    /// the two hosts; parents are scanned in ascending cost and the scan
+    /// ends at the first that alone costs the running best, the edge
+    /// being non-negative.
+    ///
+    /// A cell is only worth that scan while an O(1) estimate of a whole
+    /// mapping through it stays within the threshold: the least partial
+    /// that can arrive at its position, its node terms, and the larger of
+    /// the suffix bound and the *corridor floor* — the uncharged walk
+    /// client → root → … → `m` is at least `d(client, m)` long by the
+    /// triangle inequality, each edge weighted by no less than the
+    /// smallest flow fraction on the path and charged as a round trip.
+    /// Cells the estimate rules out stay at +∞ unscanned: every mapping
+    /// through one is strictly worse than a known one, so the descent
+    /// cuts them and deeper rows skip them as parents. Without the
+    /// filter two whole-network sets in sequence cost their product.
+    fn build_chain_bound(&mut self, threshold: f64) {
+        let n = self.graph.len();
+        let parents = self.graph.parents();
+        let client = self.mapper.request.client_node;
+        let mut rows: Vec<Vec<f64>> = vec![Vec::new(); n];
+        // Smallest flow fraction on the path from the root.
+        let mut thinnest = vec![1.0f64; n];
+        // The parent's cells as (node terms + own cell, host), ascending.
+        let mut scan: Vec<(f64, NodeId)> = Vec::new();
+        for pos in (0..n).rev() {
+            let idx = self.order[pos];
+            let mut corridor = 0.0;
+            if let Some(parent) = parents[idx] {
+                thinnest[idx] = thinnest[parent].min(self.rates.fraction(idx));
+                corridor = self.lp * 2.0 * thinnest[idx];
+                scan.clear();
+                let cells = self.static_cost[parent].iter().zip(&rows[parent]);
+                let hosts = self.sets[parent].nodes.iter();
+                let costed = cells
+                    .zip(hosts)
+                    .map(|((own, above), &host)| (own + above, host));
+                scan.extend(costed.filter(|(cost, _)| cost.is_finite()));
+                scan.sort_by(|a, b| a.0.total_cmp(&b.0));
+            }
+            let mut row = Vec::with_capacity(self.sets[idx].nodes.len());
+            for (&node, own) in self.sets[idx].nodes.iter().zip(&self.static_cost[idx]) {
+                let mut floor = 0.0;
+                if corridor > 0.0 {
+                    self.stats.bound_cells += 1;
+                    if let Some(route) = self.mapper.route_metrics(client, node) {
+                        floor = corridor * route.latency.as_millis_f64();
+                    }
+                }
+                let least = self.placed_bound[pos] + own + self.suffix_bound[pos + 1].max(floor);
+                if least * CHAIN_MARGIN > threshold {
+                    row.push(f64::INFINITY);
+                    continue;
+                }
+                if parents[idx].is_none() {
+                    row.push(0.0);
+                    continue;
+                }
+                let mut best = f64::INFINITY;
+                for &(above, from) in &scan {
+                    if above >= best {
+                        break;
+                    }
+                    self.stats.bound_cells += 1;
+                    // No route: the pair fails every completion's flow.
+                    if let Some(route) = self.mapper.route_metrics(from, node) {
+                        let edge = self.edge_w[idx] * route.rtt_ms(self.edge_bytes[idx]);
+                        best = best.min(above + edge);
+                    }
+                }
+                row.push(best);
+            }
+            rows[idx] = row;
+        }
+        for cell in rows.iter_mut().flatten() {
+            *cell *= CHAIN_MARGIN;
+        }
+        self.chain_bound = rows;
+    }
+
+    /// Admissible estimate of what placing `idx` (descent position
+    /// `pos`) on its candidate `ci` leaves to pay. The suffix bound and
+    /// the chain bound overlap on the ancestors' terms, so they combine
+    /// by max, not sum.
+    fn remaining(&self, pos: usize, idx: usize, ci: usize) -> f64 {
+        let chain = self.chain_bound.get(idx).map_or(0.0, |row| row[ci]);
+        self.suffix_bound[pos + 1].max(chain)
+    }
+
     fn recurse(&mut self, pos: usize, partial: f64) {
         if self.bounding {
             // Strict comparison: cut only subtrees whose every completion
@@ -658,9 +715,9 @@ impl State<'_, '_> {
             debug_assert!(false, "child placed before parent");
             return;
         };
-        for ci in 0..self.candidates[idx].len() {
-            let node = self.candidates[idx][ci];
-            let id = self.identity[idx][ci];
+        for ci in 0..self.sets[idx].nodes.len() {
+            let node = self.sets[idx].nodes[ci];
+            let id = self.sets[idx].identity[ci];
             if self.identity_clash(idx, node, id) {
                 // Every completion is infeasible: skip before paying for
                 // the bound or property flow.
@@ -670,12 +727,14 @@ impl State<'_, '_> {
             // All zeros when bounding is off (`MaxCapacity` weighs
             // neither latency nor cost).
             let inc = self.child_edge_cost(idx, node, self.static_cost[idx][ci]);
-            // The suffix bound and the corridor floor both underestimate
-            // the remaining cost but overlap on the ancestor edge terms,
-            // so they combine by max, not sum.
-            let remaining = self.suffix_bound[pos + 1].max(self.cand_floor[idx][ci]);
-            let bound = partial + inc + remaining;
-            if self.bounding && bound > self.threshold() {
+            let threshold = self.threshold();
+            // Edges cost nothing without a latency part: the chain would
+            // repeat the suffix bound.
+            if self.chain_bound.is_empty() && self.lp > 0.0 && threshold.is_finite() {
+                self.build_chain_bound(threshold);
+            }
+            let bound = partial + inc + self.remaining(pos, idx, ci);
+            if self.bounding && bound > threshold {
                 // This placement already costs more than a known complete
                 // mapping — skip it before paying for property flow.
                 self.stats.bound_prunes += 1;
@@ -695,5 +754,326 @@ impl State<'_, '_> {
             self.provided[idx] = None;
             self.factors[idx] = None;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{enumerate_linkages, LinkageLimits, ServiceRequest};
+    use ps_net::{Credentials, Mapping, MappingTranslator, Network};
+    use ps_sim::{Rng, SimDuration};
+    use ps_spec::prelude::*;
+
+    fn secure(level: i64) -> Bindings {
+        Bindings::new()
+            .bind_lit("Secure", true)
+            .bind_lit("Level", level)
+    }
+
+    /// Client → Relay* → Server, the shape of the agreement tests'
+    /// `random_spec`: relays re-assert security and thin the flow by `rrf`.
+    fn chain_spec(relays: usize, rrf: f64) -> ServiceSpec {
+        let mut spec = ServiceSpec::new("gen")
+            .property(Property::boolean("Secure"))
+            .property(Property::interval("Level", 1, 9))
+            .interface(Interface::new("Api", ["Secure", "Level"]))
+            .rule(ModificationRule::boolean_and("Secure"))
+            .component(
+                Component::new("Server")
+                    .implements(InterfaceRef::with_bindings("Api", secure(9)))
+                    .behavior(
+                        Behavior::new()
+                            .cpu_per_request_ms(1.0)
+                            .message_bytes(1024, 1024),
+                    ),
+            )
+            .component(
+                Component::new("Client")
+                    .implements(InterfaceRef::with_bindings(
+                        "Api",
+                        Bindings::new().bind_lit("Level", 1i64),
+                    ))
+                    .requires(InterfaceRef::with_bindings("Api", secure(2)))
+                    .behavior(
+                        Behavior::new()
+                            .cpu_per_request_ms(0.2)
+                            .message_bytes(1024, 1024),
+                    ),
+            );
+        for i in 0..relays {
+            spec = spec.component(
+                Component::new(format!("Relay{i}"))
+                    .implements(InterfaceRef::with_bindings(
+                        "Api",
+                        Bindings::new().bind_lit("Secure", true),
+                    ))
+                    .requires(InterfaceRef::with_bindings("Api", secure(1)))
+                    .behavior(
+                        Behavior::new()
+                            .cpu_per_request_ms(0.5)
+                            .rrf(rrf)
+                            .code_size(40_000 * (i as u64 + 1))
+                            .message_bytes(1024, 512),
+                    ),
+            );
+        }
+        spec
+    }
+
+    /// [`chain_spec`] whose server fans out to three backends, the shape
+    /// of the agreement tests' `fanout_spec`: `Store` directly or through
+    /// a cache, `Index`, and a roaming `Auth`.
+    fn tree_spec(rrf: f64) -> ServiceSpec {
+        let mut spec = chain_spec(1, rrf);
+        for leaf in ["Store", "Index", "Auth"] {
+            spec = spec
+                .interface(Interface::new(leaf, ["Secure", "Level"]))
+                .component(
+                    Component::new(format!("{leaf}Server"))
+                        .implements(InterfaceRef::with_bindings(leaf, secure(9)))
+                        .behavior(
+                            Behavior::new()
+                                .cpu_per_request_ms(0.3)
+                                .message_bytes(512, 512),
+                        ),
+                );
+        }
+        spec.component(
+            Component::new("StoreCache")
+                .implements(InterfaceRef::with_bindings("Store", secure(5)))
+                .requires(InterfaceRef::with_bindings("Store", secure(1)))
+                .behavior(
+                    Behavior::new()
+                        .cpu_per_request_ms(0.1)
+                        .rrf(0.25)
+                        .message_bytes(512, 512),
+                ),
+        )
+        .component(
+            Component::new("Server")
+                .implements(InterfaceRef::with_bindings("Api", secure(9)))
+                .requires(InterfaceRef::with_bindings("Store", secure(1)))
+                .requires(InterfaceRef::with_bindings("Index", secure(1)))
+                .requires(InterfaceRef::with_bindings("Auth", secure(1)))
+                .behavior(
+                    Behavior::new()
+                        .cpu_per_request_ms(1.0)
+                        .message_bytes(1024, 1024),
+                ),
+        )
+    }
+
+    /// Two or three two-host sites on a secure line of seeded WAN
+    /// latencies, plus `island`, a host no link reaches: a candidate
+    /// like any other whose every route is `None`.
+    fn island_net(rng: &mut Rng) -> (Network, Vec<NodeId>) {
+        let mut net = Network::new();
+        let mut hosts = Vec::new();
+        let trusted = || Credentials::new().with("Secure", true);
+        for site in 0..2 + rng.next_below(2) {
+            for n in 0..2 {
+                let speed = 1.0 + rng.next_below(3) as f64;
+                let name = format!("s{site}n{n}");
+                hosts.push(net.add_node(name, format!("site{site}"), speed, Credentials::new()));
+            }
+            let (a, b) = (hosts[hosts.len() - 2], hosts[hosts.len() - 1]);
+            net.add_link(a, b, SimDuration::from_micros(100), 1e8, trusted());
+            if site > 0 {
+                let wan = SimDuration::from_millis(5 + rng.next_below(120));
+                let bandwidth = 8e6 + rng.next_below(64) as f64 * 1e6;
+                net.add_link(hosts[hosts.len() - 4], a, wan, bandwidth, trusted());
+            }
+        }
+        net.add_node("island", "nowhere", 2.0, Credentials::new());
+        (net, hosts)
+    }
+
+    fn translator() -> MappingTranslator {
+        MappingTranslator::new()
+            .link_mapping(Mapping::Copy {
+                credential: "Secure".into(),
+                property: "Secure".into(),
+                default: ps_spec::PropertyValue::Bool(false),
+            })
+            .node_mapping(Mapping::Constant {
+                property: "Secure".into(),
+                value: ps_spec::PropertyValue::Bool(true),
+            })
+    }
+
+    /// `partial + remaining` as [`State::recurse`] computes it at every
+    /// depth of the descent path that ends in `hosts`.
+    fn bounds_along(state: &mut State<'_, '_>, hosts: &[NodeId]) -> Vec<f64> {
+        let mut partial = 0.0;
+        let mut bounds = Vec::new();
+        for pos in 0..state.order.len() {
+            let idx = state.order[pos];
+            let at = |&host: &NodeId| host == hosts[idx];
+            let ci = state.sets[idx]
+                .nodes
+                .iter()
+                .position(at)
+                .expect("candidate");
+            let inc = state.child_edge_cost(idx, hosts[idx], state.static_cost[idx][ci]);
+            bounds.push(partial + inc + state.remaining(pos, idx, ci));
+            partial += inc;
+            state.assignment[idx] = Some(hosts[idx]);
+        }
+        state.assignment.fill(None);
+        bounds
+    }
+
+    /// Every complete assignment over the candidate sets the evaluator
+    /// accepts, with its objective.
+    fn feasible_mappings(
+        mapper: &Mapper<'_>,
+        graph: &LinkageGraph,
+        sets: &[CandidateSet],
+    ) -> Vec<(Vec<NodeId>, f64)> {
+        let mut found = Vec::new();
+        let mut pick = vec![0usize; sets.len()];
+        loop {
+            let hosts: Vec<NodeId> = pick.iter().zip(sets).map(|(&i, s)| s.nodes[i]).collect();
+            if let Some(eval) = mapper.evaluate(graph, &hosts) {
+                found.push((hosts, eval.objective_value));
+            }
+            let mut digit = 0;
+            loop {
+                if digit == pick.len() {
+                    return found;
+                }
+                pick[digit] += 1;
+                if pick[digit] < sets[digit].nodes.len() {
+                    break;
+                }
+                pick[digit] = 0;
+                digit += 1;
+            }
+        }
+    }
+
+    /// Rebuilds the chain bound against `threshold` and asserts, along
+    /// the descent path of every mapping within it, that `partial +
+    /// remaining` never exceeds the mapping's objective. Returns how
+    /// many paths start on an exact bound.
+    fn assert_no_overshoot(
+        state: &mut State<'_, '_>,
+        mappings: &[(Vec<NodeId>, f64)],
+        threshold: f64,
+        context: &str,
+    ) -> usize {
+        if state.lp > 0.0 {
+            state.build_chain_bound(threshold);
+        }
+        let mut exact = 0;
+        for (hosts, value) in mappings.iter().filter(|m| m.1 <= threshold) {
+            let bounds = bounds_along(state, hosts);
+            // The descent's own partial rounds within a few ulps of the
+            // evaluator's sum.
+            let ceiling = value * (1.0 + 8.0 * f64::EPSILON);
+            for (pos, bound) in bounds.iter().enumerate() {
+                assert!(
+                    *bound <= ceiling,
+                    "{context} {hosts:?}: bound {bound} at depth {pos} overshoots {value}"
+                );
+            }
+            exact += usize::from(bounds[0] >= value * (1.0 - 1e-9));
+        }
+        exact
+    }
+
+    /// The bound never overshoots: along the descent path of every
+    /// feasible mapping — chains and fan-out trees, every bounded
+    /// objective, rows built unfiltered and against the worst and the
+    /// best feasible objective — `partial + remaining` stays at or
+    /// below the mapping's objective at each depth. The requests carry
+    /// what makes the bound undershoot rather than match: an avoided
+    /// host (its penalty is in no bound), a live relay whose factors do
+    /// not match (attachable, so the bound charges it no deployment, yet
+    /// deployed), and the unreachable island among the candidates.
+    #[test]
+    fn the_bound_never_overshoots_a_feasible_mapping() {
+        let objectives = [
+            Objective::MinLatency,
+            Objective::MinCost,
+            Objective::Weighted {
+                latency_weight: 1.0,
+                cost_weight: 0.01,
+            },
+        ];
+        let limits = LinkageLimits {
+            max_repeats: 1,
+            max_depth: 6,
+            max_graphs: 64,
+            ..LinkageLimits::default()
+        };
+        let translator = translator();
+        let (mut paths, mut exact, mut penalised, mut mismatched) = (0, 0, 0, 0);
+        for case in 0..12u64 {
+            let mut rng = Rng::seed_from_u64(case).derive("chain-bound");
+            let (net, hosts) = island_net(&mut rng);
+            let island = net.find_node("island").expect("exists");
+            let rrf = *rng.choose(&[0.1, 0.5, 1.0]);
+            let tree = case % 4 == 3;
+            let spec = match tree {
+                true => tree_spec(rrf),
+                false => chain_spec(1 + (case % 2) as usize, rrf),
+            };
+            let (avoided, live) = (*rng.choose(&hosts), *rng.choose(&hosts));
+            let mut other_factors = ps_spec::ResolvedBindings::new();
+            other_factors.insert("Level", ps_spec::PropertyValue::Int(7));
+            let client = *hosts.last().expect("hosts");
+            let mut request = ServiceRequest::new("Api", client)
+                .rate(2.0)
+                .pin("Server", hosts[0])
+                .origin(hosts[0])
+                .avoid(avoided)
+                .existing_instance("Relay0", live, other_factors);
+            if tree {
+                request = request
+                    .pin("StoreServer", hosts[2])
+                    .pin("IndexServer", hosts[2]);
+            }
+            if case % 2 == 1 {
+                request = request.free_root();
+            }
+            let graphs = enumerate_linkages(&spec, "Api", &limits);
+            for (objective, graph) in objectives
+                .iter()
+                .flat_map(|o| graphs.iter().map(move |g| (*o, g)))
+            {
+                let context = format!("case {case} {objective:?} {graph}");
+                let mapper = Mapper::new(&spec, &net, &translator, &request, objective);
+                let (mut stats, incumbent) = (PlanStats::default(), Incumbent::new());
+                let mut state = State::new(&mapper, graph, &mut stats, &incumbent)
+                    .expect("every component has a candidate");
+                let roams = |set: &CandidateSet| set.nodes.len() > 1;
+                let on_island = |set: &CandidateSet| set.nodes.contains(&island);
+                assert!(state.sets.iter().all(|set| !roams(set) || on_island(set)));
+
+                let mappings = feasible_mappings(&mapper, graph, &state.sets);
+                let values = || mappings.iter().map(|(_, value)| *value);
+                let (best, worst) = (
+                    values().fold(f64::INFINITY, f64::min),
+                    values().fold(0.0, f64::max),
+                );
+                for threshold in [f64::INFINITY, worst, best] {
+                    exact += assert_no_overshoot(&mut state, &mappings, threshold, &context);
+                }
+                let relay = graph.nodes.iter().position(|n| n.component == "Relay0");
+                for (hosts, _) in &mappings {
+                    paths += 1;
+                    penalised += usize::from(hosts.contains(&avoided));
+                    mismatched += usize::from(relay.map(|idx| hosts[idx]) == Some(live));
+                }
+            }
+        }
+        assert!(
+            paths > 2_000 && exact > 50 && penalised > 200 && mismatched > 100,
+            "the generator went vacuous: {paths} feasible mappings, {exact} paths starting on \
+             an exact bound, {penalised} over the avoided host, {mismatched} over the \
+             mismatched live relay"
+        );
     }
 }

@@ -411,7 +411,7 @@ impl Planner {
     pub(crate) fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
         &'a self,
         net: &'a Network,
-        translator: &T,
+        translator: &'a T,
         request: &'a ServiceRequest,
         graphs: &[LinkageGraph],
         memo: &HierMemo,

@@ -26,7 +26,7 @@ use ps_net::{
 };
 use ps_spec::condition::all_hold;
 use ps_spec::{Component, Environment, ResolvedBindings, ServiceSpec};
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -84,6 +84,15 @@ type DescentArtifacts<'d> = (
     &'d RatePlan,
 );
 
+/// One lazily translated environment of a [`Mapper`], by index into the
+/// network's node or link list.
+#[derive(Clone, Copy)]
+enum EnvSlot {
+    Host(usize),
+    Hop(usize),
+    Link(usize),
+}
+
 /// The shared mapping evaluator.
 pub struct Mapper<'a> {
     /// The service specification.
@@ -94,9 +103,13 @@ pub struct Mapper<'a> {
     pub request: &'a ServiceRequest,
     /// Optimization objective.
     pub objective: Objective,
-    node_envs: Vec<Environment>,
-    link_envs: Vec<Environment>,
-    mid_envs: Vec<Environment>,
+    /// Translated environments, derived on a slot's first read: a
+    /// planning call reads a few dozen of a fabric's thousands. A node
+    /// has two — as a host (request context merged) and as a hop.
+    node_envs: Vec<OnceCell<Environment>>,
+    link_envs: Vec<OnceCell<Environment>>,
+    mid_envs: Vec<OnceCell<Environment>>,
+    translate: Box<dyn Fn(EnvSlot) -> Environment + 'a>,
     /// Candidate sets, routes, interned bindings and flow verdicts
     /// learned during this planning call (see [`crate::memo`]).
     pub(crate) memo: RefCell<PlanMemo>,
@@ -115,47 +128,38 @@ pub struct Mapper<'a> {
 }
 
 impl<'a> Mapper<'a> {
-    /// Builds a mapper, translating every node's credentials once.
+    /// Builds a mapper. Credentials are translated per node and link
+    /// the first time a search or a route reads them.
     pub fn new<T: PropertyTranslator + ?Sized>(
         spec: &'a ServiceSpec,
         net: &'a Network,
-        translator: &T,
+        translator: &'a T,
         request: &'a ServiceRequest,
         objective: Objective,
     ) -> Self {
-        let derive = |mut env: Environment| {
+        let translate = move |slot: EnvSlot| {
+            let mut env = match slot {
+                EnvSlot::Host(node) => {
+                    let mut env = translator.node_env(&net.nodes()[node]);
+                    env.merge(&request.request_env);
+                    env
+                }
+                EnvSlot::Hop(node) => translator.node_env(&net.nodes()[node]),
+                EnvSlot::Link(link) => translator.link_env(&net.links()[link]),
+            };
             spec.derived.extend(&mut env);
             env
         };
-        let node_envs = net
-            .nodes()
-            .iter()
-            .map(|n| {
-                let mut env = translator.node_env(n);
-                env.merge(&request.request_env);
-                derive(env)
-            })
-            .collect();
-        // Route environments depend on the translator too; capture them
-        // eagerly per link/node pair as routes are materialized.
-        let link_envs: Vec<Environment> = net
-            .links()
-            .iter()
-            .map(|l| derive(translator.link_env(l)))
-            .collect();
-        let mid_envs: Vec<Environment> = net
-            .nodes()
-            .iter()
-            .map(|n| derive(translator.node_env(n)))
-            .collect();
+        let unread = |slots: usize| vec![OnceCell::new(); slots];
         Mapper {
             spec,
             net,
             request,
             objective,
-            node_envs,
-            link_envs,
-            mid_envs,
+            node_envs: unread(net.node_count()),
+            link_envs: unread(net.links().len()),
+            mid_envs: unread(net.node_count()),
+            translate: Box::new(translate),
             memo: RefCell::new(PlanMemo::new(net.node_count())),
             route_table: None,
             scoped_routes: None,
@@ -211,7 +215,17 @@ impl<'a> Mapper<'a> {
     /// Deployment environment of a network node (credentials translated,
     /// request context merged).
     pub fn node_env(&self, node: NodeId) -> &Environment {
-        &self.node_envs[node.0 as usize]
+        self.env(EnvSlot::Host(node.0 as usize))
+    }
+
+    /// The environment of `slot`, translated on its first read.
+    fn env(&self, slot: EnvSlot) -> &Environment {
+        let cell = match slot {
+            EnvSlot::Host(node) => &self.node_envs[node],
+            EnvSlot::Hop(node) => &self.mid_envs[node],
+            EnvSlot::Link(link) => &self.link_envs[link],
+        };
+        cell.get_or_init(|| (self.translate)(slot))
     }
 
     /// The objective penalty for placing on `node`: [`AVOID_PENALTY`]
@@ -288,9 +302,9 @@ impl<'a> Mapper<'a> {
         let mut envs = Vec::with_capacity(route.links.len() + route.via.len());
         let mut via = route.via.iter();
         for &link in &route.links {
-            envs.push(self.link_envs[link.0 as usize].clone());
+            envs.push(self.env(EnvSlot::Link(link.0 as usize)).clone());
             if let Some(&mid) = via.next() {
-                envs.push(self.mid_envs[mid.0 as usize].clone());
+                envs.push(self.env(EnvSlot::Hop(mid.0 as usize)).clone());
             }
         }
         envs

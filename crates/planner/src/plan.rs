@@ -326,6 +326,10 @@ pub struct PlanStats {
     /// (plan-memo misses). Deterministic, so it gates the memo layer
     /// machine-independently.
     pub flow_evals: u64,
+    /// Route-pair reads made while building the searches' chain-bound
+    /// rows ([`crate::exhaustive`]) — the bound's own work, deterministic
+    /// like the visits it saves.
+    pub bound_cells: u64,
     /// Microseconds spent building the all-pairs route table (zero when
     /// the serving memo already held it, and on the hierarchical path's
     /// lazy rows).
@@ -354,12 +358,21 @@ pub struct PlanStats {
 impl PlanStats {
     /// Deterministic proxy for planning work: mapping evaluations and
     /// prunes weigh 1 each, every lazy routing row weighs as much as
-    /// one evaluation batch (a full Dijkstra ≈ 64 evaluations at scale).
-    /// Stable-mode bench artifacts compare flat vs hierarchical work
-    /// through this single number, so the perf-regression guard does not
-    /// depend on wall clocks.
+    /// one evaluation batch (a full Dijkstra ≈ 64 evaluations at scale),
+    /// and four chain-bound pair reads weigh one visit — measured in the
+    /// repo benchmark's cold plans, a read (one memoised route lookup and
+    /// a multiply-add) costs 23–32 ns against 130–135 ns per visit, a
+    /// ratio of 4.2–5.6 charged at its expensive end (on the flat
+    /// 1013-router plan, 59 ns against 1.3 µs). Stable-mode bench
+    /// artifacts compare flat vs hierarchical work through this single
+    /// number, so the perf-regression guard does not depend on wall
+    /// clocks, and a bound that reads more than it cuts shows up in it.
     pub fn work_units(&self) -> u64 {
-        self.mappings_evaluated + self.prunes + self.bound_prunes + 64 * self.route_rows_built
+        self.mappings_evaluated
+            + self.prunes
+            + self.bound_prunes
+            + 64 * self.route_rows_built
+            + self.bound_cells / 4
     }
 }
 

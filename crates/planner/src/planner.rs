@@ -242,6 +242,7 @@ impl Planner {
         tracer.count("planner.prunes", stats.prunes);
         tracer.count("planner.bound_prunes", stats.bound_prunes);
         tracer.count("planner.flow_evals", stats.flow_evals);
+        tracer.count("planner.bound_cells", stats.bound_cells);
         tracer.gauge(
             "planner.route_table_build_wall_us",
             stats.route_table_build_us as f64,

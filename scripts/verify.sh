@@ -151,13 +151,19 @@ stable_twice s BENCH_scale.json bench_scale
 
 # Hierarchical-planning perf-regression guard. Wall clocks are zeroed
 # in stable mode, so the gate rides the deterministic work ratio
-# (mappings + prunes + weighted Dijkstra rows, flat / hierarchical)
-# for the 1013-node world: seed-stable, machine-independent, and far
-# above the floor today (~18x), so a real regression — a blown-up
-# candidate universe or a dead memo — trips it while noise cannot.
+# (mappings + prunes + weighted Dijkstra rows and chain-bound pair
+# reads, flat / hierarchical) for the 1013-node world: seed-stable,
+# machine-independent, and far above the floor today (~29x), so a real
+# regression — a blown-up candidate universe or a dead memo — trips it
+# while noise cannot.
+#
+#   at_1013 <field>   the field's value in the stable 1013-router entry
+at_1013() {
+    grep -o '"routers": 1013.*' -z "$tmpdir/sa/BENCH_scale.json" \
+        | tr -d '\0' | grep -o "\"$1\": [0-9.]*" | head -n1 | grep -o '[0-9.]*$'
+}
 echo "==> perf guard: hierarchical work speedup at 1013 nodes (>= 5x)"
-hier_speedup="$(grep -o '"routers": 1013.*' -z "$tmpdir/sa/BENCH_scale.json" \
-    | tr -d '\0' | grep -o '"work_speedup": [0-9.]*' | head -n1 | grep -o '[0-9.]*$')"
+hier_speedup="$(at_1013 work_speedup)"
 if [[ -z "$hier_speedup" ]]; then
     echo "BENCH_scale.json has no work_speedup entry for the 1013-node world" >&2
     exit 1
@@ -167,6 +173,17 @@ if ! awk -v s="$hier_speedup" 'BEGIN { exit !(s >= 5.0) }'; then
     exit 1
 fi
 echo "    work speedup at 1013 nodes: ${hier_speedup}x"
+
+# The chain bound must pay for itself on the flat path too: its pair
+# reads are part of work_units, and flat work at 1013 routers stays at
+# or below what the search cost before the bound existed.
+echo "==> perf guard: flat work at 1013 nodes (<= 82950)"
+work_flat="$(at_1013 work_flat)"
+if [[ -z "$work_flat" ]] || (( work_flat > 82950 )); then
+    echo "flat work at 1013 nodes is '${work_flat}', above the 82950 units the search cost without the chain bound" >&2
+    exit 1
+fi
+echo "    flat work at 1013 nodes: ${work_flat}"
 
 stable_twice l BENCH_timeline.json timeline_report
 

@@ -784,14 +784,16 @@ fn live_instances(fw: &Framework) -> Vec<ExistingInstance> {
 
 /// The cold-connect work gate. With nine instances live, a cold connect
 /// from the farthest leaf searches 38 graphs over a 30-host universe;
-/// the instance-identity table keeps that under [`COLD_WORK_CEILING`]
-/// deterministic work units (9 836 as written; 33 817 when identity was
-/// tested after the bound and the flow read). The same solve on a fresh
-/// memo does the same search, and the flat memo-less planner returns the
-/// same plan.
+/// the instance-identity table and the chain bound keep that under
+/// [`COLD_WORK_CEILING`] deterministic work units (4 066 as written:
+/// 2 991 visits, 7 routing rows, and 2 508 chain-bound pair reads at a
+/// quarter each; 9 836 under the corridor floor the chain bound
+/// replaced, 33 817 when identity was tested after the bound and the
+/// flow read). The same solve on a fresh memo does the same search, and
+/// the flat memo-less planner returns the same plan.
 #[test]
 fn a_cold_connect_over_live_instances_stays_under_the_work_ceiling() {
-    const COLD_WORK_CEILING: u64 = 11_000;
+    const COLD_WORK_CEILING: u64 = 4_600;
     let run = || {
         let (mut fw, leaves) = fabric(42, 4);
         let server = fw.server.home;
