@@ -244,7 +244,7 @@ impl Framework {
 
     /// A fresh healer baselined on the current network.
     fn new_healer(&self) -> Healer {
-        let mut monitor = NetworkMonitor::new(self.world.network().clone());
+        let mut monitor = NetworkMonitor::of(self.world.network());
         monitor.set_tracer(self.server.tracer().clone());
         Healer {
             monitor,

@@ -19,7 +19,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use ps_net::{shortest_route, LinkId, Network, NodeId, PropertyTranslator};
+use ps_net::{shortest_route, Link, LinkId, Network, Node, NodeId, PropertyTranslator, Touch};
 use ps_planner::{Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_trace::Tracer;
@@ -122,17 +122,34 @@ pub struct FlowInfo {
 }
 
 /// Snapshot-diffing network monitor.
+///
+/// The baseline is a copy of the network's nodes and links as of the
+/// last poll. A poll compares only the elements the network's journal
+/// says were touched since ([`Network::touched_since`]), scanning every
+/// element only when the journal no longer reaches back that far, and
+/// overwrites only the baseline elements that changed.
 #[derive(Debug, Clone)]
 pub struct NetworkMonitor {
-    baseline: Network,
+    nodes: Vec<Node>,
+    links: Vec<Link>,
+    /// The network epoch the baseline reflects.
+    epoch: u64,
     tracer: Tracer,
 }
 
 impl NetworkMonitor {
     /// Starts monitoring from a baseline snapshot.
     pub fn new(baseline: Network) -> Self {
+        NetworkMonitor::of(&baseline)
+    }
+
+    /// Starts monitoring `net` from its current state, copying its nodes
+    /// and links once.
+    pub fn of(net: &Network) -> Self {
         NetworkMonitor {
-            baseline,
+            nodes: net.nodes().to_vec(),
+            links: net.links().to_vec(),
+            epoch: net.epoch(),
             tracer: Tracer::disabled(),
         }
     }
@@ -155,68 +172,68 @@ impl NetworkMonitor {
     }
 
     /// Diffs `current` against the stored baseline, returning every
-    /// change and advancing the baseline.
+    /// change — links by id, then nodes by id — and advancing the
+    /// baseline. Elements added since the last poll join the baseline
+    /// unreported.
     ///
     /// `current` must be the network the baseline was taken from, or a
     /// descendant of it (a clone mutated further): every mutator bumps
-    /// [`Network::epoch`], so an unmoved epoch — with unmoved node and
-    /// link counts — means nothing changed, and the poll returns without
-    /// comparing or re-baselining anything. The same contract
-    /// [`ps_net::RouteTable::is_current`] relies on.
+    /// [`Network::epoch`] and journals what it touched, so an unmoved
+    /// epoch — with unmoved node and link counts — means nothing
+    /// changed, and a moved one names the elements worth comparing.
+    /// The same contract [`ps_net::ScopedRoutes::carried`] relies on.
     pub fn observe(&mut self, current: &Network) -> Vec<NetworkChange> {
-        if current.epoch() == self.baseline.epoch()
-            && current.node_count() == self.baseline.node_count()
-            && current.link_count() == self.baseline.link_count()
+        if current.epoch() == self.epoch
+            && current.node_count() == self.nodes.len()
+            && current.link_count() == self.links.len()
         {
             return Vec::new();
         }
+        let shared_links = self.links.len().min(current.link_count());
+        let shared_nodes = self.nodes.len().min(current.node_count());
+        let (links, nodes) = match current.touched_since(self.epoch) {
+            Some(touched) => {
+                let (mut links, mut nodes) = (Vec::new(), Vec::new());
+                for touch in touched {
+                    match touch {
+                        Touch::Link(id) if (id.0 as usize) < shared_links => links.push(id.0),
+                        Touch::Node(id) if (id.0 as usize) < shared_nodes => nodes.push(id.0),
+                        _ => {}
+                    }
+                }
+                links.sort_unstable();
+                links.dedup();
+                nodes.sort_unstable();
+                nodes.dedup();
+                (links, nodes)
+            }
+            None => (
+                (0..shared_links as u32).collect(),
+                (0..shared_nodes as u32).collect(),
+            ),
+        };
         let mut changes = Vec::new();
-        for (old, new) in self.baseline.links().iter().zip(current.links()) {
-            if old.latency != new.latency {
-                changes.push(NetworkChange::LinkLatency {
-                    link: new.id,
-                    old: old.latency,
-                    new: new.latency,
-                });
-            }
-            if old.bandwidth_bps != new.bandwidth_bps {
-                changes.push(NetworkChange::LinkBandwidth {
-                    link: new.id,
-                    old: old.bandwidth_bps,
-                    new: new.bandwidth_bps,
-                });
-            }
-            if old.credentials != new.credentials {
-                changes.push(NetworkChange::LinkCredentials { link: new.id });
-            }
-            if old.up != new.up {
-                changes.push(if new.up {
-                    NetworkChange::LinkUp { link: new.id }
-                } else {
-                    NetworkChange::LinkDown { link: new.id }
-                });
+        for id in links {
+            let (old, new) = (&mut self.links[id as usize], current.link(LinkId(id)));
+            if *old != *new {
+                link_changes(old, new, &mut changes);
+                *old = new.clone();
             }
         }
-        for (old, new) in self.baseline.nodes().iter().zip(current.nodes()) {
-            if old.credentials != new.credentials {
-                changes.push(NetworkChange::NodeCredentials { node: new.id });
-            }
-            if old.cpu_speed != new.cpu_speed {
-                changes.push(NetworkChange::NodeSpeed {
-                    node: new.id,
-                    old: old.cpu_speed,
-                    new: new.cpu_speed,
-                });
-            }
-            if old.up != new.up {
-                changes.push(if new.up {
-                    NetworkChange::NodeUp { node: new.id }
-                } else {
-                    NetworkChange::NodeDown { node: new.id }
-                });
+        for id in nodes {
+            let (old, new) = (&mut self.nodes[id as usize], current.node(NodeId(id)));
+            if *old != *new {
+                node_changes(old, new, &mut changes);
+                *old = new.clone();
             }
         }
-        self.baseline = current.clone();
+        self.links.truncate(current.link_count());
+        self.links
+            .extend_from_slice(&current.links()[shared_links..]);
+        self.nodes.truncate(current.node_count());
+        self.nodes
+            .extend_from_slice(&current.nodes()[shared_nodes..]);
+        self.epoch = current.epoch();
         changes
     }
 
@@ -249,6 +266,55 @@ impl NetworkMonitor {
             }
         }
         changes
+    }
+}
+
+/// The reported differences between two states of one link.
+fn link_changes(old: &Link, new: &Link, changes: &mut Vec<NetworkChange>) {
+    if old.latency != new.latency {
+        changes.push(NetworkChange::LinkLatency {
+            link: new.id,
+            old: old.latency,
+            new: new.latency,
+        });
+    }
+    if old.bandwidth_bps != new.bandwidth_bps {
+        changes.push(NetworkChange::LinkBandwidth {
+            link: new.id,
+            old: old.bandwidth_bps,
+            new: new.bandwidth_bps,
+        });
+    }
+    if old.credentials != new.credentials {
+        changes.push(NetworkChange::LinkCredentials { link: new.id });
+    }
+    if old.up != new.up {
+        changes.push(if new.up {
+            NetworkChange::LinkUp { link: new.id }
+        } else {
+            NetworkChange::LinkDown { link: new.id }
+        });
+    }
+}
+
+/// The reported differences between two states of one node.
+fn node_changes(old: &Node, new: &Node, changes: &mut Vec<NetworkChange>) {
+    if old.credentials != new.credentials {
+        changes.push(NetworkChange::NodeCredentials { node: new.id });
+    }
+    if old.cpu_speed != new.cpu_speed {
+        changes.push(NetworkChange::NodeSpeed {
+            node: new.id,
+            old: old.cpu_speed,
+            new: new.cpu_speed,
+        });
+    }
+    if old.up != new.up {
+        changes.push(if new.up {
+            NetworkChange::NodeUp { node: new.id }
+        } else {
+            NetworkChange::NodeDown { node: new.id }
+        });
     }
 }
 
@@ -535,24 +601,133 @@ mod tests {
     #[test]
     fn same_epoch_poll_reports_nothing_and_keeps_the_baseline() {
         let net = two_site_net(100);
-        let mut monitor = NetworkMonitor::new(net.clone());
+        let mut monitor = NetworkMonitor::of(&net);
         for _ in 0..3 {
             assert!(monitor.observe(&net).is_empty());
         }
-        assert_eq!(monitor.baseline.epoch(), net.epoch());
+        assert_eq!(monitor.epoch, net.epoch());
     }
 
+    /// A bare epoch bump changes nothing to report, and the baseline it
+    /// advances to still prices the next real change from the right
+    /// starting point.
     #[test]
     fn touch_reports_nothing_but_advances_the_baseline() {
         let mut net = two_site_net(100);
-        let mut monitor = NetworkMonitor::new(net.clone());
+        let mut monitor = NetworkMonitor::of(&net);
         net.touch();
         assert!(monitor.observe(&net).is_empty());
-        assert_eq!(
-            monitor.baseline.epoch(),
-            net.epoch(),
-            "the next poll must take the same-epoch exit"
-        );
+        assert!(monitor.observe(&net).is_empty());
+        net.touch();
+        net.link_mut(LinkId(0)).latency = SimDuration::from_millis(250);
+        net.touch();
+        let latency = NetworkChange::LinkLatency {
+            link: LinkId(0),
+            old: SimDuration::from_millis(100),
+            new: SimDuration::from_millis(250),
+        };
+        assert_eq!(monitor.observe(&net), [latency]);
+        assert!(monitor.observe(&net).is_empty());
+    }
+
+    /// The diff the monitor computed before it kept a journal-driven
+    /// baseline: scan every shared element against a full clone of the
+    /// network, then re-baseline on a clone.
+    fn clone_and_scan(baseline: &mut Network, current: &Network) -> Vec<NetworkChange> {
+        if current.epoch() == baseline.epoch()
+            && current.node_count() == baseline.node_count()
+            && current.link_count() == baseline.link_count()
+        {
+            return Vec::new();
+        }
+        let mut changes = Vec::new();
+        for (old, new) in baseline.links().iter().zip(current.links()) {
+            link_changes(old, new, &mut changes);
+        }
+        for (old, new) in baseline.nodes().iter().zip(current.nodes()) {
+            node_changes(old, new, &mut changes);
+        }
+        *baseline = current.clone();
+        changes
+    }
+
+    /// Over seeded mutation sequences of every kind — some polled after
+    /// each step, some skipped across hundreds of epochs, past the end
+    /// of the network's journal — `observe` returns exactly what the
+    /// clone-and-scan diff returns.
+    #[test]
+    fn observe_matches_clone_and_scan_over_random_mutations() {
+        use ps_sim::Rng;
+        for seed in 0..40u64 {
+            let mut rng = Rng::seed_from_u64(seed).derive("monitor-equivalence");
+            let mut net = Network::new();
+            for i in 0..6 {
+                net.add_node(
+                    format!("n{i}"),
+                    format!("s{}", i % 2),
+                    1.0,
+                    Credentials::new(),
+                );
+            }
+            for i in 0..8u32 {
+                let (a, b) = (NodeId(i % 6), NodeId((i * 5 + 1) % 6));
+                let b = if a == b { NodeId((b.0 + 1) % 6) } else { b };
+                net.add_link(a, b, SimDuration::from_millis(5), 1e7, Credentials::new());
+            }
+            let mut monitor = NetworkMonitor::of(&net);
+            let mut reference = net.clone();
+            for step in 0..60 {
+                let burst = match rng.next_below(4) {
+                    0 => 300,
+                    1 => 1,
+                    _ => 1 + rng.next_below(6),
+                };
+                for _ in 0..burst {
+                    let link = LinkId(rng.next_below(net.link_count() as u64) as u32);
+                    let node = NodeId(rng.next_below(net.node_count() as u64) as u32);
+                    match rng.next_below(9) {
+                        0 => net.set_link_up(link, rng.next_below(2) == 0),
+                        1 => net.set_node_up(node, rng.next_below(2) == 0),
+                        2 => {
+                            net.link_mut(link).latency =
+                                SimDuration::from_millis(1 + rng.next_below(4))
+                        }
+                        3 => net.link_mut(link).bandwidth_bps = 1e6 * rng.next_below(3) as f64,
+                        4 => {
+                            let secure = rng.next_below(2) == 0;
+                            net.link_mut(link).credentials.set("Secure", secure);
+                        }
+                        5 => {
+                            let trust = rng.next_below(3) as i64;
+                            net.node_mut(node).credentials.set("TrustRating", trust);
+                        }
+                        6 => net.node_mut(node).cpu_speed = 1.0 + rng.next_below(2) as f64,
+                        7 => net.touch(),
+                        _ if rng.next_below(20) == 0 => {
+                            let added =
+                                net.add_node(format!("x{step}"), "s0", 1.0, Credentials::new());
+                            net.add_link(
+                                node,
+                                added,
+                                SimDuration::from_millis(2),
+                                1e7,
+                                Credentials::new(),
+                            );
+                        }
+                        _ => {
+                            // Touched, but written back unchanged.
+                            let latency = net.link(link).latency;
+                            net.link_mut(link).latency = latency;
+                        }
+                    }
+                }
+                assert_eq!(
+                    monitor.observe(&net),
+                    clone_and_scan(&mut reference, &net),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
     }
 
     /// A skipped poll must not blunt the next one: after a same-epoch
@@ -560,7 +735,7 @@ mod tests {
     #[test]
     fn every_change_kind_is_seen_after_a_skipped_poll() {
         let mut net = two_site_net(100);
-        let mut monitor = NetworkMonitor::new(net.clone());
+        let mut monitor = NetworkMonitor::of(&net);
         let (node, link) = (NodeId(1), LinkId(0));
         let mut poll = |net: &Network| {
             let changes = monitor.observe(net);

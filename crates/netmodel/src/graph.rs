@@ -9,7 +9,7 @@
 
 use ps_sim::SimDuration;
 use ps_spec::{Environment, PropertyValue};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Index of a node in a [`Network`].
@@ -93,19 +93,43 @@ impl Link {
     }
 }
 
+/// What one epoch bump of a [`Network`] may have changed, as recorded in
+/// its journal (see [`Network::touched_since`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Touch {
+    /// A node's state (up flag, credentials, speed) may have changed.
+    Node(NodeId),
+    /// A link was added, or its state (up flag, latency, bandwidth,
+    /// credentials) may have changed.
+    Link(LinkId),
+    /// A node was added: every node-indexed artifact is the wrong size.
+    Structure,
+    /// An explicit [`Network::touch`]: no element changed.
+    Nothing,
+}
+
+/// How many epoch bumps the journal remembers. A consumer further
+/// behind than this rebuilds instead of carrying its state forward.
+const JOURNAL_LEN: usize = 256;
+
 /// The network graph.
 ///
 /// The graph carries a monotonically increasing *epoch* counter, bumped
 /// by every mutating accessor (`add_node`, `add_link`, `node_mut`,
-/// `link_mut`). Derived artifacts such as [`crate::RouteTable`] record
-/// the epoch they were built at and compare it against the live graph
-/// to detect staleness without diffing the topology.
+/// `link_mut`, `set_node_up`, `set_link_up`, `touch`). Derived artifacts
+/// such as [`crate::RouteTable`] record the epoch they were built at and
+/// compare it against the live graph to detect staleness without
+/// diffing the topology; a journal of what the last bumps touched lets
+/// them carry forward what a change provably left alone.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
     nodes: Vec<Node>,
     links: Vec<Link>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
     epoch: u64,
+    /// What each of the last (up to [`JOURNAL_LEN`]) epoch bumps
+    /// touched, oldest first; the last entry is the current epoch's.
+    journal: VecDeque<Touch>,
     /// Per-site mutation epochs: a site's counter is bumped whenever a
     /// node in the site, or a link with an endpoint in the site, changes.
     /// Region-scoped caches (hierarchical subplan memos) key on these so
@@ -117,7 +141,7 @@ pub struct Network {
 impl PartialEq for Network {
     /// Structural equality: two networks are equal when their nodes and
     /// links match, regardless of how many mutations produced them (the
-    /// epoch counter is deliberately excluded).
+    /// epoch counter and its journal are deliberately excluded).
     fn eq(&self, other: &Self) -> bool {
         self.nodes == other.nodes && self.links == other.links
     }
@@ -147,7 +171,7 @@ impl Network {
             up: true,
         });
         self.adjacency.push(Vec::new());
-        self.epoch += 1;
+        self.bump(Touch::Structure);
         self.bump_node_site(id);
         id
     }
@@ -176,7 +200,7 @@ impl Network {
         });
         self.adjacency[a.0 as usize].push((b, id));
         self.adjacency[b.0 as usize].push((a, id));
-        self.epoch += 1;
+        self.bump(Touch::Link(id));
         self.bump_link_sites(id);
         id
     }
@@ -185,6 +209,28 @@ impl Network {
     /// artifacts (route tables, plan caches) can detect staleness.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// What the epoch bumps after `epoch` touched, oldest first: one
+    /// [`Touch`] per bump, so an element may appear more than once.
+    /// `None` when the journal no longer reaches back that far, or when
+    /// `epoch` is not one of this network's past epochs — the caller
+    /// then rebuilds whatever it derived. Like the epoch itself, this
+    /// assumes the caller's state was derived from this network or an
+    /// ancestor it was cloned from.
+    pub fn touched_since(&self, epoch: u64) -> Option<impl Iterator<Item = Touch> + '_> {
+        let behind = usize::try_from(self.epoch.checked_sub(epoch)?).ok()?;
+        let skip = self.journal.len().checked_sub(behind)?;
+        Some(self.journal.iter().skip(skip).copied())
+    }
+
+    /// Advances the epoch, journaling what the new epoch touched.
+    fn bump(&mut self, touch: Touch) {
+        self.epoch += 1;
+        if self.journal.len() == JOURNAL_LEN {
+            self.journal.pop_front();
+        }
+        self.journal.push_back(touch);
     }
 
     /// The per-site region epoch (see the `site_epochs` field). Sites
@@ -226,7 +272,7 @@ impl Network {
     /// a mutable borrow, so any credential or speed edit invalidates
     /// derived route tables and plan caches.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.epoch += 1;
+        self.bump(Touch::Node(id));
         self.bump_node_site(id);
         &mut self.nodes[id.0 as usize]
     }
@@ -239,7 +285,7 @@ impl Network {
     /// Mutable link by id. Conservatively bumps the epoch (see
     /// [`Network::node_mut`]).
     pub fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        self.epoch += 1;
+        self.bump(Touch::Link(id));
         self.bump_link_sites(id);
         &mut self.links[id.0 as usize]
     }
@@ -250,7 +296,7 @@ impl Network {
     /// flipped: derived route tables and plan caches keyed on the epoch
     /// must still be invalidated.
     pub fn touch(&mut self) {
-        self.epoch += 1;
+        self.bump(Touch::Nothing);
         // The external change could concern any site: bump them all so
         // region-scoped caches are invalidated alongside global ones.
         for counter in self.site_epochs.values_mut() {
@@ -264,7 +310,7 @@ impl Network {
     pub fn set_node_up(&mut self, id: NodeId, up: bool) {
         if self.nodes[id.0 as usize].up != up {
             self.nodes[id.0 as usize].up = up;
-            self.epoch += 1;
+            self.bump(Touch::Node(id));
             self.bump_node_site(id);
         }
     }
@@ -274,7 +320,7 @@ impl Network {
     pub fn set_link_up(&mut self, id: LinkId, up: bool) {
         if self.links[id.0 as usize].up != up {
             self.links[id.0 as usize].up = up;
-            self.epoch += 1;
+            self.bump(Touch::Link(id));
             self.bump_link_sites(id);
         }
     }
@@ -445,6 +491,42 @@ mod tests {
         net.touch();
         assert_eq!(net.region_epoch("s1"), e1 + 3);
         assert_eq!(net.region_epoch("s2"), e2 + 2);
+    }
+
+    #[test]
+    fn journal_names_what_each_bump_touched() {
+        let mut net = simple();
+        let start = net.epoch();
+        assert_eq!(net.touched_since(start).map(Iterator::count), Some(0));
+        net.set_node_up(NodeId(0), false);
+        net.set_node_up(NodeId(0), false); // no-op: no bump, no entry
+        net.touch();
+        net.link_mut(LinkId(1)).latency = SimDuration::from_millis(7);
+        net.add_node("d", "s2", 1.0, Credentials::new());
+        let touched: Vec<Touch> = net.touched_since(start).unwrap().collect();
+        assert_eq!(
+            touched,
+            [
+                Touch::Node(NodeId(0)),
+                Touch::Nothing,
+                Touch::Link(LinkId(1)),
+                Touch::Structure
+            ]
+        );
+        assert!(
+            net.touched_since(net.epoch() + 1).is_none(),
+            "a future epoch"
+        );
+
+        for _ in 0..JOURNAL_LEN {
+            net.touch();
+        }
+        assert!(net.touched_since(start).is_none(), "beyond the journal");
+        let oldest = net.epoch() - JOURNAL_LEN as u64;
+        assert_eq!(
+            net.touched_since(oldest).map(Iterator::count),
+            Some(JOURNAL_LEN)
+        );
     }
 
     #[test]

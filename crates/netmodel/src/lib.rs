@@ -11,7 +11,9 @@
 //! * [`shortest_route`] — policy-aware routing (insecure hops, then
 //!   latency) used to map component linkages onto multi-hop paths;
 //! * [`RouteTable`] — an immutable all-pairs route table built once per
-//!   [`Network`] epoch and shared read-only across planner workers;
+//!   [`Network`] epoch and shared read-only across planner workers, and
+//!   [`ScopedRoutes`], its lazy per-source counterpart, whose rows are
+//!   carried across the changes that provably leave them exact;
 //! * [`PropertyTranslator`] / [`MappingTranslator`] — the credential →
 //!   service-property translation machinery;
 //! * [`brite`] — BRITE-style topology generators (Waxman,
@@ -32,7 +34,7 @@ pub mod route_table;
 pub mod translate;
 
 pub use casestudy::{default_case_study, CaseStudy};
-pub use graph::{Credentials, Link, LinkId, Network, Node, NodeId};
+pub use graph::{Credentials, Link, LinkId, Network, Node, NodeId, Touch};
 pub use partition::PartitionView;
 pub use path::{routes_from, shortest_route, Route, RouteMetrics};
 pub use regions::{Region, RegionMap};
@@ -43,7 +45,7 @@ pub use translate::{Mapping, MappingTranslator, PropertyTranslator};
 pub mod prelude {
     pub use crate::brite::{barabasi_albert, hierarchical, waxman, FlatParams, HierParams};
     pub use crate::casestudy::{build as build_case_study, default_case_study, CaseStudy};
-    pub use crate::graph::{Credentials, Link, LinkId, Network, Node, NodeId};
+    pub use crate::graph::{Credentials, Link, LinkId, Network, Node, NodeId, Touch};
     pub use crate::partition::PartitionView;
     pub use crate::path::{routes_from, shortest_route, Route, RouteMetrics};
     pub use crate::regions::{Region, RegionMap};

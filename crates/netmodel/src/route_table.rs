@@ -15,39 +15,216 @@
 //! compares it against the live graph, so callers rebuild exactly when
 //! the topology or a credential changed.
 //!
-//! ## Incremental repair
+//! ## Carrying rows across a change
 //!
-//! A full build is `n` Dijkstra runs even when a single link flapped.
-//! [`RouteTable::repair`] instead classifies each *source* as affected
-//! or not by the reported changes and re-runs Dijkstra only for the
-//! affected sources (delta-Dijkstra at source granularity — exactly
-//! equivalent to a full rebuild, including deterministic tie-breaks,
-//! because each rebuilt tree is produced by the very same
-//! `dijkstra_tree`). A source `s` is affected when:
+//! A Dijkstra row built before a change is often still exactly what a
+//! fresh run would produce after it, or differs only at the entry of a
+//! host that went down or came back. `carry_row` is the one check of
+//! that, shared by [`RouteTable::repair`] (which names the touched
+//! elements itself) and [`ScopedRoutes::carried`] (which reads them off
+//! the network's journal, [`Network::touched_since`]). A row is exact
+//! when every reached node's entry is its best offer from a live
+//! neighbour, ties going to the offer `dijkstra_tree` relaxes first —
+//! pop order `(cost, node id)` of the offering node, then the link's
+//! position in that node's adjacency list (parallel links tie) — and
+//! no live neighbour offers an unreached node anything. Only conditions
+//! that mention a touched element can have changed, so the check
+//! patches the touched nodes' own entries and re-tests exactly those:
 //!
-//! - a touched link is a tree edge of `s`'s old tree (the link may have
-//!   worsened or vanished), or
-//! - relaxing a touched (live) link against `s`'s *old* distances gives
-//!   a cost `<=` the recorded cost at either endpoint (the link may
-//!   now offer a better route, or an equal-cost one that changes the
-//!   deterministic predecessor choice), or
-//! - a touched node that went down is *internal* to `s`'s tree (some
-//!   neighbour's tree parent is that node); if it was a leaf the row is
-//!   patched in place (`UNREACHED`) without re-running anything, or
-//! - a touched node came (back) up and one of its incident links passes
-//!   the relaxation test above.
+//! - the source itself touched: not carried;
+//! - a touched node now down: becomes unreached (its edges are dead, so
+//!   a tree child it had fails the next rule);
+//! - a touched node now up: takes its first-popped best offer from its
+//!   live neighbours (none of which may itself be touched);
+//! - every edge of a touched link or at a touched node, both ways: a
+//!   tree edge must still be live and produce exactly its child's cost
+//!   (from a parent whose cost did not move, unless the child's entry
+//!   was itself re-derived); any other live edge must offer strictly
+//!   more than the child's cost, or an equal cost that Dijkstra would
+//!   relax after the child's tree edge.
 //!
-//! When more than [`REPAIR_DAMAGE_THRESHOLD`] of sources are affected
-//! the repair falls back to a full rebuild — the classification sweep
-//! is cheap, so the fallback costs one extra `O(n · deg)` pass.
+//! [`RouteTable::repair`] re-runs Dijkstra for the sources that fail
+//! and falls back to a full rebuild when more than
+//! [`REPAIR_DAMAGE_THRESHOLD`] of them do.
 
-use crate::graph::{LinkId, Network, NodeId};
+use crate::graph::{LinkId, Network, NodeId, Touch};
 use crate::path::{
     dijkstra_tree, reconstruct, tree_metrics, tree_via, Route, RouteCost, RouteMetrics, UNREACHED,
 };
 use ps_sim::SimDuration;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+
+/// One predecessor-row entry: the last tree edge into a node.
+type Pred = Option<(NodeId, LinkId)>;
+
+/// A rewrite of one entry of a carried row.
+type Patch = (NodeId, RouteCost, Pred);
+
+/// The elements a run of network changes touched, sorted and
+/// deduplicated.
+#[derive(Debug)]
+struct Damage {
+    nodes: Vec<NodeId>,
+    links: Vec<LinkId>,
+}
+
+impl Damage {
+    fn new(mut nodes: Vec<NodeId>, mut links: Vec<LinkId>) -> Self {
+        nodes.sort_unstable();
+        nodes.dedup();
+        links.sort_unstable();
+        links.dedup();
+        Damage { nodes, links }
+    }
+
+    /// What `net` journaled since `epoch`: `None` when the journal does
+    /// not reach back that far or a node was added.
+    fn since(net: &Network, epoch: u64) -> Option<Self> {
+        let (mut nodes, mut links) = (Vec::new(), Vec::new());
+        for touch in net.touched_since(epoch)? {
+            match touch {
+                Touch::Node(id) => nodes.push(id),
+                Touch::Link(id) => links.push(id),
+                Touch::Structure => return None,
+                Touch::Nothing => {}
+            }
+        }
+        Some(Damage::new(nodes, links))
+    }
+
+    fn touched(&self, node: NodeId) -> Option<usize> {
+        self.nodes.binary_search(&node).ok()
+    }
+}
+
+/// The cost `dijkstra_tree` would offer across `link` from a node
+/// reached at `from` (`None` when that node is unreached).
+fn relax(net: &Network, from: RouteCost, link: LinkId) -> Option<RouteCost> {
+    let (wan, nanos, hops) = from;
+    (nanos != u64::MAX).then(|| {
+        (
+            wan + u32::from(!net.link_secure(link)),
+            nanos.saturating_add(net.link(link).latency.as_nanos()),
+            hops + 1,
+        )
+    })
+}
+
+/// When `dijkstra_tree` relaxes `link` out of `node` (reached at
+/// `cost`): nodes pop in `(cost, id)` order, and a popped node relaxes
+/// its links in adjacency order. The first of equal offers wins.
+fn relax_order(
+    net: &Network,
+    cost: RouteCost,
+    node: NodeId,
+    link: LinkId,
+) -> (RouteCost, u32, usize) {
+    let position = net
+        .neighbours(node)
+        .iter()
+        .position(|&(_, l)| l == link)
+        .unwrap_or(usize::MAX);
+    (cost, node.0, position)
+}
+
+/// Whether the Dijkstra row rooted at `src` — exact on the network as
+/// it stood before `damage` — can be carried onto `net`, the network
+/// after it: the entry rewrites that make it exactly what
+/// `dijkstra_tree` would now produce, or `None` when that cannot be
+/// certified and the row must be re-run. The rules are in the module
+/// documentation.
+fn carry_row(
+    net: &Network,
+    src: NodeId,
+    dist: &[RouteCost],
+    prev: &[Pred],
+    damage: &Damage,
+) -> Option<Vec<Patch>> {
+    if damage.touched(src).is_some() {
+        return None;
+    }
+    let up = |node: NodeId| net.node(node).up;
+    let mut patches = Vec::with_capacity(damage.nodes.len());
+    for &node in &damage.nodes {
+        if !up(node) {
+            // Its tree children, if any, fail the dead-tree-edge rule
+            // below.
+            patches.push((node, UNREACHED, None));
+            continue;
+        }
+        let mut best: Option<(RouteCost, (RouteCost, u32, usize), Pred)> = None;
+        for &(from, link) in net.neighbours(node) {
+            if !net.link(link).up || !up(from) {
+                continue;
+            }
+            if damage.touched(from).is_some() {
+                return None;
+            }
+            let cost = dist[from.0 as usize];
+            let Some(offer) = relax(net, cost, link) else {
+                continue;
+            };
+            let order = relax_order(net, cost, from, link);
+            if best.is_none_or(|(c, o, _)| (offer, order) < (c, o)) {
+                best = Some((offer, order, Some((from, link))));
+            }
+        }
+        patches.push(best.map_or((node, UNREACHED, None), |(cost, _, pred)| {
+            (node, cost, pred)
+        }));
+    }
+
+    let entry = |node: NodeId| match damage.touched(node) {
+        Some(i) => (patches[i].1, patches[i].2),
+        None => (dist[node.0 as usize], prev[node.0 as usize]),
+    };
+    // The conditions on `link` as an edge into `to`.
+    let edge_holds = |from: NodeId, to: NodeId, link: LinkId| {
+        let (to_cost, to_pred) = entry(to);
+        let (from_cost, _) = entry(from);
+        let offer = if net.link(link).up && up(from) && up(to) {
+            relax(net, from_cost, link)
+        } else {
+            None
+        };
+        let tree = to_pred == Some((from, link));
+        match offer {
+            None => !tree,
+            Some(offer) if tree => {
+                offer == to_cost
+                    && (damage.touched(to).is_some() || from_cost == dist[from.0 as usize])
+            }
+            Some(offer) => {
+                offer > to_cost
+                    || (offer == to_cost
+                        && to_pred.is_some_and(|(p, pl)| {
+                            relax_order(net, entry(p).0, p, pl)
+                                < relax_order(net, from_cost, from, link)
+                        }))
+            }
+        }
+    };
+    let link_holds = |link: LinkId| {
+        let l = net.link(link);
+        edge_holds(l.a, l.b, link) && edge_holds(l.b, l.a, link)
+    };
+    let holds = damage.links.iter().all(|&link| link_holds(link))
+        && damage.nodes.iter().all(|&node| {
+            net.neighbours(node)
+                .iter()
+                .all(|&(_, link)| link_holds(link))
+        });
+    holds.then_some(patches)
+}
+
+/// Writes a carried row's entry rewrites.
+fn apply(patches: &[Patch], dist: &mut [RouteCost], prev: &mut [Pred]) {
+    for &(node, cost, pred) in patches {
+        dist[node.0 as usize] = cost;
+        prev[node.0 as usize] = pred;
+    }
+}
 
 /// Fraction of sources above which [`RouteTable::repair`] rebuilds the
 /// whole table instead of repairing per-source (numerator/denominator).
@@ -162,30 +339,23 @@ impl RouteTable {
         if net.node_count() != n {
             return self.rebuild_all(net, started);
         }
-        let affected = self.classify_affected(net, touched_links, touched_nodes);
+        let carried = self.classify(net, touched_links, touched_nodes);
 
-        let sources_rebuilt = affected.iter().filter(|&&a| a).count();
+        let sources_rebuilt = carried.iter().filter(|c| c.is_none()).count();
         let (num, den) = REPAIR_DAMAGE_THRESHOLD;
         if sources_rebuilt * den > n * num {
             return self.rebuild_all(net, started);
         }
 
-        // Patch unaffected rows: a down node becomes unreachable as a
-        // leaf without disturbing the rest of the tree.
-        for &node in touched_nodes {
-            if !net.node(node).up {
-                for (s, _) in affected.iter().enumerate().filter(|&(_, &a)| !a) {
-                    self.dist[s * n + node.0 as usize] = UNREACHED;
-                    self.prev[s * n + node.0 as usize] = None;
-                }
+        let rows = self
+            .dist
+            .chunks_mut(n.max(1))
+            .zip(self.prev.chunks_mut(n.max(1)));
+        for (s, (patches, (d, p))) in carried.into_iter().zip(rows).enumerate() {
+            match patches {
+                Some(patches) => apply(&patches, d, p),
+                None => dijkstra_tree(net, NodeId(s as u32), None, d, p),
             }
-        }
-        for (s, _) in affected.iter().enumerate().filter(|&(_, &a)| a) {
-            let (d, p) = (
-                &mut self.dist[s * n..(s + 1) * n],
-                &mut self.prev[s * n..(s + 1) * n],
-            );
-            dijkstra_tree(net, NodeId(s as u32), None, d, p);
         }
         self.epoch = net.epoch();
         self.generation += 1;
@@ -213,88 +383,29 @@ impl RouteTable {
         if net.node_count() != self.n {
             return self.n;
         }
-        self.classify_affected(net, touched_links, touched_nodes)
+        self.classify(net, touched_links, touched_nodes)
             .iter()
-            .filter(|&&a| a)
+            .filter(|c| c.is_none())
             .count()
     }
 
-    /// Per-source affected classification shared by
-    /// [`RouteTable::repair`] and [`RouteTable::affected_sources`]: a
-    /// source must re-run when its old tree used a touched element or a
-    /// touched element could now improve (or tie) its row.
-    fn classify_affected(
+    /// Per-source [`carry_row`] verdicts shared by [`RouteTable::repair`]
+    /// and [`RouteTable::affected_sources`]: the entry rewrites that
+    /// carry each row, `None` for a row that must re-run.
+    fn classify(
         &self,
         net: &Network,
         touched_links: &[LinkId],
         touched_nodes: &[NodeId],
-    ) -> Vec<bool> {
-        let n = self.n;
-        // Relaxes `link` from `from` against a source's old distances;
-        // `None` when `from` was unreached.
-        let relax = |row: &[RouteCost], from: NodeId, link_id: LinkId| -> Option<RouteCost> {
-            let (w, d, h) = row[from.0 as usize];
-            if d == u64::MAX {
-                return None;
-            }
-            let link = net.link(link_id);
-            Some((
-                w + u32::from(!net.link_secure(link_id)),
-                d.saturating_add(link.latency.as_nanos()),
-                h + 1,
-            ))
-        };
-        // Whether a live link could improve (or tie) a source's row.
-        let link_improves = |row: &[RouteCost], link_id: LinkId| -> bool {
-            let link = net.link(link_id);
-            if !link.up || !net.node(link.a).up || !net.node(link.b).up {
-                return false;
-            }
-            let better = |from: NodeId, to: NodeId| {
-                relax(row, from, link_id).is_some_and(|cand| cand <= row[to.0 as usize])
-            };
-            better(link.a, link.b) || better(link.b, link.a)
-        };
-        // Whether a touched link is a tree edge of the source's old tree.
-        let tree_uses = |row_prev: &[Option<(NodeId, LinkId)>], link_id: LinkId| -> bool {
-            let link = net.link(link_id);
-            row_prev[link.b.0 as usize] == Some((link.a, link_id))
-                || row_prev[link.a.0 as usize] == Some((link.b, link_id))
-        };
-
-        let mut affected = vec![false; n];
-        for &NodeId(d) in touched_nodes {
-            // The touched node's own tree is always re-run (cheap: a
-            // down source yields an all-UNREACHED row immediately).
-            affected[d as usize] = true;
-        }
-        for (s, slot) in affected.iter_mut().enumerate() {
-            if *slot {
-                continue;
-            }
-            let row = &self.dist[s * n..(s + 1) * n];
-            let row_prev = &self.prev[s * n..(s + 1) * n];
-            let hit = touched_nodes.iter().any(|&node| {
-                if net.node(node).up {
-                    // Restarted node: new routes can only enter through
-                    // an incident link, so the relaxation test on them
-                    // catches every improvement or tie.
-                    net.neighbours(node)
-                        .iter()
-                        .any(|&(_, link_id)| link_improves(row, link_id))
-                } else {
-                    // Down node: only sources routing *through* it need
-                    // a re-run; leaves are patched below.
-                    net.neighbours(node)
-                        .iter()
-                        .any(|&(v, _)| row_prev[v.0 as usize].is_some_and(|(p, _)| p == node))
-                }
-            }) || touched_links
-                .iter()
-                .any(|&link_id| tree_uses(row_prev, link_id) || link_improves(row, link_id));
-            *slot = hit;
-        }
-        affected
+    ) -> Vec<Option<Vec<Patch>>> {
+        let damage = Damage::new(touched_nodes.to_vec(), touched_links.to_vec());
+        let n = self.n.max(1);
+        self.dist
+            .chunks(n)
+            .zip(self.prev.chunks(n))
+            .enumerate()
+            .map(|(s, (dist, prev))| carry_row(net, NodeId(s as u32), dist, prev, &damage))
+            .collect()
     }
 
     /// Full-rebuild fallback for [`RouteTable::repair`]; keeps the
@@ -378,20 +489,30 @@ impl RouteTable {
 /// actually touched.
 ///
 /// Staleness mirrors [`RouteTable::is_current`]: the structure records
-/// the build epoch and callers must discard it when the network moves
-/// on (there is no incremental repair — rebuilding a handful of lazy
-/// rows is cheaper than classifying damage).
+/// the epoch it reflects and must not answer once the network moved on.
+/// [`ScopedRoutes::carried`] then moves every row the changes provably
+/// left exact (the [module-level](self) certificate) into a table of the
+/// new epoch and drops the rest: on the heal path almost every row
+/// survives a host crash or link flap, at the cost of a check linear in
+/// the touched elements' degrees instead of a Dijkstra run.
 #[derive(Debug)]
 pub struct ScopedRoutes {
     epoch: u64,
     n: usize,
-    rows: Mutex<BTreeMap<u32, ScopedRow>>,
+    rows: Mutex<Rows>,
+}
+
+#[derive(Debug, Default)]
+struct Rows {
+    by_source: BTreeMap<u32, ScopedRow>,
+    /// Dijkstra runs this table made; carried rows are not counted.
+    built: usize,
 }
 
 #[derive(Debug)]
 struct ScopedRow {
     dist: Vec<RouteCost>,
-    prev: Vec<Option<(NodeId, LinkId)>>,
+    prev: Vec<Pred>,
 }
 
 impl ScopedRoutes {
@@ -401,8 +522,42 @@ impl ScopedRoutes {
         ScopedRoutes {
             epoch: net.epoch(),
             n: net.node_count(),
-            rows: Mutex::new(BTreeMap::new()),
+            rows: Mutex::new(Rows::default()),
         }
+    }
+
+    /// This table moved to `net`'s current epoch: every row the changes
+    /// journaled since [`epoch`](Self::epoch) provably left equal to a
+    /// fresh Dijkstra run is kept (patched at touched nodes' own
+    /// entries), every other row is dropped and rebuilt on next use.
+    /// Nothing is kept when a node was added or the journal no longer
+    /// reaches back to this table's epoch. `net` must be the network
+    /// this table was built on, or a descendant of it.
+    pub fn carried(self, net: &Network) -> ScopedRoutes {
+        let mut carried = ScopedRoutes::new(net);
+        let damage = (self.n == net.node_count())
+            .then(|| Damage::since(net, self.epoch))
+            .flatten();
+        if let Some(damage) = damage {
+            let rows = self
+                .rows
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner);
+            carried
+                .rows
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .by_source = rows
+                .by_source
+                .into_iter()
+                .filter_map(|(src, mut row)| {
+                    let patches = carry_row(net, NodeId(src), &row.dist, &row.prev, &damage)?;
+                    apply(&patches, &mut row.dist, &mut row.prev);
+                    Some((src, row))
+                })
+                .collect();
+        }
+        carried
     }
 
     /// The network epoch this table reflects.
@@ -415,14 +570,15 @@ impl ScopedRoutes {
         self.epoch == net.epoch() && self.n == net.node_count()
     }
 
-    /// Number of source rows materialized so far. Deterministic for a
-    /// deterministic query sequence, so it doubles as the planner's
-    /// routing-work metric in stable-mode artifacts.
+    /// Dijkstra rows this table has run — rows it holds because they
+    /// were [carried](Self::carried) cost none and are not counted.
+    /// Deterministic for a deterministic query sequence, so it doubles
+    /// as the planner's routing-work metric in stable-mode artifacts.
     pub fn rows_built(&self) -> usize {
         self.rows
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+            .unwrap_or_else(PoisonError::into_inner)
+            .built
     }
 
     /// The route from `from` to `to`, building `from`'s row on first
@@ -485,14 +641,13 @@ impl ScopedRoutes {
             self.epoch,
             net.epoch()
         );
-        let mut rows = self
-            .rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let row = rows.entry(from.0).or_insert_with(|| {
+        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
+        let Rows { by_source, built } = &mut *rows;
+        let row = by_source.entry(from.0).or_insert_with(|| {
             let mut dist = vec![UNREACHED; self.n];
             let mut prev = vec![None; self.n];
             dijkstra_tree(net, from, None, &mut dist, &mut prev);
+            *built += 1;
             ScopedRow { dist, prev }
         });
         read(row)

@@ -77,14 +77,15 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 ///
 /// | part | key | retired by |
 /// |---|---|---|
-/// | lazy route rows ([`ScopedRoutes`]) | source node | any network epoch change |
+/// | lazy route rows ([`ScopedRoutes`]) | source node | an epoch change that touched the row ([`ScopedRoutes::carried`]) |
 /// | flat route table ([`RouteTable`]) | — | any network epoch change |
 /// | completed plans | the request, by value, under one live-instance set | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
 ///
-/// Every entry point runs the same epoch check first, so a row, table
-/// or plan of an older epoch can never answer; shortlists carry their
+/// Every entry point runs the same epoch check first, so a table or
+/// plan of an older epoch can never answer, and a route row answers
+/// only once certified exact for the new one; shortlists carry their
 /// region's epoch and outlive a change elsewhere in the fabric.
 #[derive(Debug, Default)]
 pub struct HierMemo {
@@ -133,13 +134,21 @@ struct CachedPlan {
 
 impl MemoInner {
     /// The epoch check every entry point runs: when the network moved
-    /// on, the route rows are replaced by an empty table of the new
-    /// epoch and the all-pairs table and every cached plan are dropped.
+    /// on, the route rows the changes left exact are carried into a
+    /// table of the new epoch ([`ScopedRoutes::carried`]; all of them
+    /// are dropped if a solve still holds the old table), and the
+    /// all-pairs table and every cached plan are dropped.
     fn sync(&mut self, net: &Network) -> Arc<ScopedRoutes> {
-        match &self.scoped {
-            Some(scoped) if scoped.is_current(net) => Arc::clone(scoped),
-            _ => {
-                let scoped = Arc::new(ScopedRoutes::new(net));
+        match self.scoped.take() {
+            Some(scoped) if scoped.is_current(net) => {
+                self.scoped = Some(Arc::clone(&scoped));
+                scoped
+            }
+            stale => {
+                let scoped = Arc::new(match stale.map(Arc::try_unwrap) {
+                    Some(Ok(stale)) => stale.carried(net),
+                    _ => ScopedRoutes::new(net),
+                });
                 self.scoped = Some(Arc::clone(&scoped));
                 self.flat = None;
                 self.plans.by_client.clear();
@@ -173,9 +182,10 @@ impl HierMemo {
         }
     }
 
-    /// The lazy route rows for the network's current epoch, replaced
-    /// wholesale on any epoch change (rebuilding a handful of on-demand
-    /// rows is cheaper than classifying damage).
+    /// The lazy route rows for the network's current epoch. On an epoch
+    /// change the rows the change provably left exact are carried over
+    /// ([`ScopedRoutes::carried`]) and the rest are rebuilt on first use:
+    /// a host crash or link flap leaves most rows untouched.
     pub fn scoped_routes(&self, net: &Network) -> Arc<ScopedRoutes> {
         self.lock().sync(net)
     }
@@ -196,10 +206,11 @@ impl HierMemo {
         }
     }
 
-    /// Dijkstra source rows the memo holds for its epoch: the lazy rows
-    /// plus, once a flat solve built it, every source of the all-pairs
-    /// table (zero before the first route question). Deterministic, so
-    /// "a warm connect runs no Dijkstra" is checkable as a count.
+    /// Dijkstra source rows the memo ran for its epoch: the lazy rows
+    /// it built (not those it carried from an earlier epoch) plus, once
+    /// a flat solve built it, every source of the all-pairs table (zero
+    /// before the first route question). Deterministic, so "a warm
+    /// connect runs no Dijkstra" is checkable as a count.
     pub fn route_rows_built(&self) -> usize {
         let inner = self.lock();
         let lazy = inner.scoped.as_ref().map_or(0, |s| s.rows_built());

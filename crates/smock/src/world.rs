@@ -13,7 +13,7 @@ use crate::component::{
 use crate::fault::{
     DetectionMode, FailReport, InvokeError, LeaseConfig, LivenessEvent, LivenessKind, RetryPolicy,
 };
-use ps_net::{shortest_route, Network, NodeId};
+use ps_net::{shortest_route, Network, NodeId, ScopedRoutes};
 use ps_sim::{
     CpuModel, Engine, FaultKind, FaultPlan, LinkModel, Percentiles, Rng, SimDuration, SimTime,
     Summary,
@@ -27,7 +27,8 @@ use std::rc::Rc;
 /// Shared between the memo and every envelope travelling the route.
 type Hops = Rc<[(ps_net::LinkId, u8)]>;
 
-/// Directed hop sequence memo per (from, to) node pair.
+/// Directed hop sequence memo per (from, to) node pair, read off the
+/// world's route rows.
 type RouteMemo = HashMap<(u32, u32), Option<Hops>>;
 
 /// Events driving the world.
@@ -140,8 +141,13 @@ struct State {
     next_req: u64,
     metrics: BTreeMap<String, (Summary, Percentiles)>,
     messages_sent: u64,
-    /// Memoized directed hop sequences per (from, to) node pair;
-    /// invalidated whenever link conditions change.
+    /// Shortest-path rows per sending node, carried across every network
+    /// change that leaves them exact ([`refresh_routes`]).
+    routes: ScopedRoutes,
+    /// Dijkstra rows earlier epochs' `routes` ran.
+    route_rows_retired: usize,
+    /// Memoized directed hop sequences per (from, to) node pair; re-read
+    /// off `routes` after every network change.
     route_cache: RouteMemo,
     /// The empty route every same-node delivery shares.
     no_hops: Hops,
@@ -201,10 +207,13 @@ impl World {
             .collect();
         let node_up = vec![true; net.node_count()];
         let loss = vec![None; net.link_count()];
+        let routes = ScopedRoutes::new(&net);
         World {
             engine: Engine::new(),
             state: State {
                 net,
+                routes,
+                route_rows_retired: 0,
                 links,
                 cpus,
                 instances: Vec::new(),
@@ -361,6 +370,13 @@ impl World {
         })
     }
 
+    /// Dijkstra rows the world's message routing has run since it was
+    /// built: one per sending node per epoch whose changes the node's
+    /// row did not survive (deterministic, so tests pin it as a count).
+    pub fn route_rows_built(&self) -> usize {
+        self.state.route_rows_retired + self.state.routes.rows_built()
+    }
+
     /// Total messages sent so far.
     pub fn messages_sent(&self) -> u64 {
         self.state.messages_sent
@@ -504,7 +520,7 @@ impl World {
             direction.latency = latency;
             direction.bandwidth_bps = bandwidth_bps;
         }
-        self.state.route_cache.clear();
+        refresh_routes(&mut self.state);
     }
 
     /// Changes a link's credentials mid-run (e.g. a secure leased line
@@ -516,13 +532,14 @@ impl World {
     ) {
         self.state.net.link_mut(link).credentials = credentials;
         // Security credentials participate in the routing metric.
-        self.state.route_cache.clear();
+        refresh_routes(&mut self.state);
     }
 
     /// Changes a node's credentials mid-run (e.g. a trust revocation the
     /// monitoring layer reports).
     pub fn update_node_credentials(&mut self, node: NodeId, credentials: ps_net::Credentials) {
         self.state.net.node_mut(node).credentials = credentials;
+        refresh_routes(&mut self.state);
     }
 
     /// Migrates an instance's state to a new instance on `to_node`
@@ -650,7 +667,7 @@ impl World {
     /// the network epoch, invalidating route tables and plan caches.
     pub fn quarantine_node(&mut self, node: NodeId) {
         self.state.net.set_node_up(node, false);
-        self.state.route_cache.clear();
+        refresh_routes(&mut self.state);
     }
 
     /// Takes a link down or brings it back up. Unlike a host crash this
@@ -1070,28 +1087,7 @@ fn charge_lease_renewals_inner(state: &mut State, upto: SimTime) {
         }
     }
     for (node, count) in per_node {
-        let from = NodeId(node);
-        let cached = state
-            .route_cache
-            .entry((from.0, traffic.home.0))
-            .or_insert_with(|| {
-                shortest_route(&state.net, from, traffic.home).map(|route| {
-                    let mut hops = Vec::with_capacity(route.links.len());
-                    let mut at = from;
-                    for &l in &route.links {
-                        let link = state.net.link(l);
-                        let dir = if link.a == at { 0u8 } else { 1u8 };
-                        // ps-lint: allow(P001): Dijkstra emits connected
-                        // link sequences; silently mis-walking a broken
-                        // route would deliver traffic to the wrong node,
-                        // which is worse than crashing.
-                        at = link.other(at).expect("route links are connected");
-                        hops.push((l, dir));
-                    }
-                    hops.into()
-                })
-            });
-        let Some(hops) = cached.clone() else {
+        let Some(hops) = hops_between(state, NodeId(node), traffic.home) else {
             continue; // Home unreachable: renewals are lost, not carried.
         };
         for &(l, dir) in hops.iter() {
@@ -1366,7 +1362,7 @@ fn restart_node_inner(engine: &mut Engine<Event>, state: &mut State, node: NodeI
     // an unconditional epoch event.
     state.net.set_node_up(node, true);
     state.net.touch();
-    state.route_cache.clear();
+    refresh_routes(state);
     state.down_pending.remove(&node.0);
     let now = engine.now();
     engine.tracer().instant(
@@ -1393,7 +1389,7 @@ fn set_link_state_inner(
         return;
     }
     state.net.set_link_up(link, up);
-    state.route_cache.clear();
+    refresh_routes(state);
     state.pending_liveness.push(LivenessEvent {
         at: engine.now(),
         kind: if up {
@@ -1402,6 +1398,54 @@ fn set_link_state_inner(
             LivenessKind::LinkDown { link }
         },
     });
+}
+
+/// Moves the world's routes to the network's current epoch: the one
+/// step every network mutation ends with. Rows the change provably left
+/// exact are carried ([`ScopedRoutes::carried`]); the pair memo is
+/// re-read off them on next use.
+fn refresh_routes(state: &mut State) {
+    let stale = std::mem::replace(&mut state.routes, ScopedRoutes::new(&state.net));
+    state.route_rows_retired += stale.rows_built();
+    state.routes = stale.carried(&state.net);
+    state.route_cache.clear();
+}
+
+/// The directed hops of the shortest route from `from` to `to`, `None`
+/// when unreachable: one memo lookup, walking `from`'s route row on a
+/// miss. Message sends and lease-renewal charging both route here.
+fn hops_between(state: &mut State, from: NodeId, to: NodeId) -> Option<Hops> {
+    let State {
+        net,
+        routes,
+        route_cache,
+        ..
+    } = state;
+    route_cache
+        .entry((from.0, to.0))
+        .or_insert_with(|| {
+            routes.route(net, from, to).map(|route| {
+                // Annotate each link with its traversal direction so
+                // each direction of a full-duplex link queues
+                // independently.
+                let mut at = from;
+                route
+                    .links
+                    .iter()
+                    .map(|&l| {
+                        let link = net.link(l);
+                        let dir = if link.a == at { 0u8 } else { 1u8 };
+                        // ps-lint: allow(P001): Dijkstra emits connected
+                        // link sequences; silently mis-walking a broken
+                        // route would deliver traffic to the wrong node,
+                        // which is worse than crashing.
+                        at = link.other(at).expect("route links are connected");
+                        (l, dir)
+                    })
+                    .collect()
+            })
+        })
+        .clone()
 }
 
 /// Runs `on_peers_retired` on every surviving instance so components
@@ -1562,31 +1606,8 @@ fn send(
     let hops = if from_node == to_node {
         state.no_hops.clone()
     } else {
-        let cached = state
-            .route_cache
-            .entry((from_node.0, to_node.0))
-            .or_insert_with(|| {
-                shortest_route(&state.net, from_node, to_node).map(|route| {
-                    // Annotate each link with its traversal direction so
-                    // each direction of a full-duplex link queues
-                    // independently.
-                    let mut hops = Vec::with_capacity(route.links.len());
-                    let mut at = from_node;
-                    for &l in &route.links {
-                        let link = state.net.link(l);
-                        let dir = if link.a == at { 0u8 } else { 1u8 };
-                        // ps-lint: allow(P001): Dijkstra emits connected
-                        // link sequences; silently mis-walking a broken
-                        // route would deliver traffic to the wrong node,
-                        // which is worse than crashing.
-                        at = link.other(at).expect("route links are connected");
-                        hops.push((l, dir));
-                    }
-                    hops.into()
-                })
-            });
-        match cached {
-            Some(hops) => hops.clone(),
+        match hops_between(state, from_node, to_node) {
+            Some(hops) => hops,
             None => {
                 // Unreachable destination: message dropped.
                 engine.tracer().count("world.drops", 1);

@@ -371,6 +371,8 @@ struct HealRun {
     epoch_passes: usize,
     /// Sum of `HealReport::route_rows_built` over the run.
     rows_built: u64,
+    /// Dijkstra rows the world's message routing ran over the run.
+    world_rows: usize,
     /// Dijkstra sources a healer-kept all-pairs table would have run:
     /// one build, then a `RouteTable::repair` from the pass's dirty sets
     /// at every pass that found the epoch moved (the policy before the
@@ -408,6 +410,10 @@ fn heal_run(seed: u64) -> HealRun {
     let server = fw.server.home;
     fw.enable_self_healing();
     fw.world.enable_leases(LeaseConfig::default());
+    // Renewals are charged along each instance host's route to the
+    // server, so the world routes across every epoch of the schedule
+    // (without moving any virtual-time outcome).
+    fw.world.account_lease_traffic(server, 64);
     fw.world.set_fault_seed(seed);
 
     let net = fw.world.network();
@@ -472,6 +478,7 @@ fn heal_run(seed: u64) -> HealRun {
         passes: Vec::new(),
         epoch_passes: 0,
         rows_built: 0,
+        world_rows: 0,
         rows_maintained: nodes as u64,
     };
     let mut maintained = RouteTable::build(fw.world.network());
@@ -546,6 +553,7 @@ fn heal_run(seed: u64) -> HealRun {
     // seeds tried); what the run-time promises is a chain the flat
     // replanner would keep: still valid, within its degradation factor.
     assert!(fw.suspected_hosts().is_empty());
+    run.world_rows = fw.world.route_rows_built();
     let net = fw.world.network();
     let flat = Replanner::new(Planner::new(mail_spec()));
     for (&id, r) in managed.iter().zip(&requests) {
@@ -572,22 +580,33 @@ fn heal_run(seed: u64) -> HealRun {
 /// The machine-independent gate on the heal path (the benchmark's
 /// `crash_heal` claim as counts): a pass that plans nothing runs no
 /// Dijkstra, the whole schedule's routing work is a fraction of what
-/// per-epoch table maintenance cost, and the run repeats exactly.
+/// per-epoch table maintenance cost and is pinned — route rows carried
+/// across the faults that left them exact are not re-run — and the run
+/// repeats exactly.
 #[test]
 fn heal_passes_that_plan_nothing_run_no_dijkstra() {
-    for seed in [42, 46] {
+    // (seed, the server memo's Dijkstra rows, the world's). Before rows
+    // were carried across epochs the memo ran 80 and 231 rows, and the
+    // world 18 and 12 single-pair Dijkstras.
+    for (seed, server_rows, world_rows) in [(42, 76, 16), (46, 229, 8)] {
         let run = heal_run(seed);
         let replans: usize = run.passes.iter().map(|p| p.recovered.len()).sum();
         println!(
             "seed {seed}: {replans} replans, heal.route_rows_built {} over {} passes \
-             ({} epoch-changing); a healer-kept table ran {} sources",
+             ({} epoch-changing); a healer-kept table ran {} sources; the world ran {} rows",
             run.rows_built,
             run.passes.len(),
             run.epoch_passes,
-            run.rows_maintained
+            run.rows_maintained,
+            run.world_rows
         );
         assert!(replans >= 4, "seed {seed}: the schedule must force replans");
         assert!(run.rows_built > 0 && run.rows_built < run.rows_maintained);
+        assert_eq!(
+            (run.rows_built, run.world_rows),
+            (server_rows, world_rows),
+            "seed {seed}: Dijkstra rows of the schedule"
+        );
         if seed == 46 {
             assert!(
                 run.passes
