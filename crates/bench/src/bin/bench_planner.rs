@@ -2,16 +2,17 @@
 //! case-study topology and progressively larger BRITE hierarchies.
 //!
 //! Every scenario solves the identical multi-linkage mail-service
-//! request through [`Planner::plan`] — bounded branch-and-bound search,
-//! one all-pairs [`RouteTable`] per call — and reports its time,
-//! objective and deterministic search counters. (Why one algorithm,
+//! request through [`Planner::plan`] — bounded branch-and-bound search
+//! over a fresh [`ScopedRoutes`] per call, a Dijkstra row per source the
+//! search asks about — and reports its time, objective and deterministic
+//! search and routing counters. (Why one algorithm,
 //! with the measurements against the alternatives: DESIGN.md "Planner
 //! performance".)
 //!
 //! Writes `BENCH_planner.json` (hand-rolled JSON, no serde in the tree)
 //! to the current directory and prints the same numbers as a table.
 //!
-//! [`RouteTable`]: ps_net::RouteTable
+//! [`ScopedRoutes`]: ps_net::ScopedRoutes
 
 #![forbid(unsafe_code)]
 
@@ -128,7 +129,7 @@ fn main() {
         scenarios.push((label, net, request));
     }
 
-    let mut report = Report::new("Planner hot path: bounded search + one route table per call");
+    let mut report = Report::new("Planner hot path: bounded search + lazy route rows per call");
     report.line(format!(
         "{:<24} {:>9} {:>11} {:>7} {:>8} {:>9} {:>10} {:>11}",
         "scenario",
@@ -149,7 +150,6 @@ fn main() {
         };
         if stable {
             m.time_ms = 0.0;
-            m.stats.route_table_build_us = 0;
         }
         report.line(format!(
             "{:<24} {:>9.2} {:>11.4} {:>7} {:>8} {:>9} {:>10} {:>11}",
@@ -166,7 +166,7 @@ fn main() {
             "    {{\"scenario\": \"{label}\", \"nodes\": {}, \"time_ms\": {:.3}, \
              \"objective\": {:.6}, \"mappings_evaluated\": {}, \"prunes\": {}, \
              \"bound_prunes\": {}, \"flow_evals\": {}, \"bound_cells\": {}, \
-             \"work_units\": {}, \"route_table_build_us\": {}}}",
+             \"work_units\": {}, \"route_rows_built\": {}}}",
             net.node_count(),
             m.time_ms,
             m.objective,
@@ -176,13 +176,13 @@ fn main() {
             m.stats.flow_evals,
             m.stats.bound_cells,
             m.stats.work_units(),
-            m.stats.route_table_build_us,
+            m.stats.route_rows_built,
         ));
     }
 
     let json = format!(
         "{{\n  \"bench\": \"planner_hot_path\",\n  \
-         \"config\": \"bounded exhaustive search, one route table per call, serial\",\n  \
+         \"config\": \"bounded exhaustive search, lazy route rows per call, serial\",\n  \
          \"scenarios\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

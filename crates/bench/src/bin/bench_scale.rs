@@ -1,16 +1,10 @@
-//! Thousand-node scaling benchmark: calendar event queue, incremental
-//! route-table repair, and flat vs hierarchical cold planning.
+//! Thousand-node scaling benchmark: flat vs hierarchical cold planning.
 //!
-//! For each world size (100, 250, 500, 1000 routers) this measures:
-//!
-//! * route-table delta repair after a single link change vs a full
-//!   rebuild (sampled-equivalent by construction);
-//! * a flat cold plan vs the hierarchical gateway-composed one, cold
-//!   and memo-warm — identical objectives asserted.
-//!
-//! It also drives the calendar event queue at steady state for an
-//! events/second figure, and runs the full self-healing stack through
-//! a chaos-style crash-and-recover workload on the 1000-router world.
+//! For each world size (100, 250, 500, 1000 routers) this measures a
+//! flat cold plan against the hierarchical gateway-composed one, cold
+//! and memo-warm — identical objectives asserted. It also runs the full
+//! self-healing stack through a chaos-style crash-and-recover workload
+//! and an open-loop client population on the 1000-router world.
 //!
 //! Writes `BENCH_scale.json` (hand-rolled JSON, no serde in the tree)
 //! to the current directory and prints the same numbers as a table.
@@ -20,8 +14,7 @@
 #![forbid(unsafe_code)]
 
 use ps_bench::scale::{
-    measure_engine_throughput, measure_hier_plan, measure_route_repair, run_heal_workload,
-    run_open_loop, scale_network, OpenLoopConfig,
+    measure_hier_plan, run_heal_workload, run_open_loop, scale_network, OpenLoopConfig,
 };
 use ps_trace::{Report, Tracer};
 use std::fmt::Write as _;
@@ -30,64 +23,24 @@ use std::fmt::Write as _;
 const WORLDS: [usize; 4] = [100, 250, 500, 1000];
 /// Timed repetitions per measurement (fastest run reported).
 const REPS: usize = 5;
-/// Events pushed through the engine-throughput measurement.
-const ENGINE_EVENTS: u64 = 1_000_000;
-/// Concurrent events in flight during the throughput measurement.
-const ENGINE_WIDTH: usize = 4_096;
 /// Seed for all topologies and workloads.
 const SEED: u64 = 7_000;
 
 fn main() {
     let stable = ps_bench::stable_artifacts();
     // Stable runs zero every wall-clock field, so repeated timing reps
-    // and the long throughput drive would only burn verify time.
+    // would only burn verify time.
     let reps = if stable { 1 } else { REPS };
-    let engine_events = if stable {
-        ENGINE_EVENTS / 10
-    } else {
-        ENGINE_EVENTS
-    };
-    let mut report = Report::new("Thousand-node scaling: route repair + hierarchical planning");
+    let mut report = Report::new("Thousand-node scaling: hierarchical planning");
     let mut entries = Vec::new();
-
-    // Engine throughput through the calendar queue.
-    let mut engine = measure_engine_throughput(engine_events, ENGINE_WIDTH, SEED);
-    if stable {
-        engine.wall_ms = 0.0;
-        engine.events_per_sec = 0.0;
-    }
-    report.kv(
-        "event queue",
-        format!(
-            "{} events, {:.0} events/sec",
-            engine.events, engine.events_per_sec
-        ),
-    );
-
-    report.line("");
-    report.line(format!(
-        "{:<8} {:>9} {:>11} {:>11} {:>8}",
-        "routers", "rt build", "rt rebuild", "rt repair", "rt spdup"
-    ));
 
     let mut hier_lines = Vec::new();
     for &routers in &WORLDS {
-        let (mut net, server, client) = scale_network(routers, SEED + routers as u64);
+        let (net, server, client) = scale_network(routers, SEED + routers as u64);
 
         eprintln!("[bench_scale] {routers} routers: hierarchical plan...");
         let mut hier = measure_hier_plan(&net, server, client, reps);
-        eprintln!("[bench_scale] {routers} routers: route repair...");
-        let mut route = measure_route_repair(&mut net, reps, SEED);
-        assert!(
-            !route.full_rebuild,
-            "{routers} routers: single-link repair fell back to a full rebuild"
-        );
         if !stable && routers >= 1000 {
-            assert!(
-                route.speedup() >= 10.0,
-                "single-link route repair speedup {:.1}x below 10x at {routers} routers",
-                route.speedup()
-            );
             assert!(
                 hier.wall_speedup() >= 5.0,
                 "hierarchical cold plan speedup {:.1}x below 5x at {} nodes \
@@ -108,22 +61,15 @@ fn main() {
             hier.flat_objective
         );
 
-        let (route_speedup, hier_wall_speedup) = if stable {
-            route.build_us = 0;
-            route.repair_us = 0;
-            route.rebuild_us = 0;
+        let hier_wall_speedup = if stable {
             hier.flat_us = 0;
             hier.hier_cold_us = 0;
             hier.hier_warm_us = 0;
-            (0.0, 0.0)
+            0.0
         } else {
-            (route.speedup(), hier.wall_speedup())
+            hier.wall_speedup()
         };
 
-        report.line(format!(
-            "{:<8} {:>8}u {:>10}u {:>10}u {:>7.1}x",
-            route.nodes, route.build_us, route.rebuild_us, route.repair_us, route_speedup,
-        ));
         hier_lines.push(format!(
             "{:<8} {:>8} {:>10}u {:>10}u {:>10}u {:>7.1}x {:>8.1}x {:>5} {:>5} {:>8}",
             hier.nodes,
@@ -142,20 +88,12 @@ fn main() {
         write!(
             entry,
             "    {{\"routers\": {}, \"links\": {},\n      \
-             \"route\": {{\"build_us\": {}, \"rebuild_us\": {}, \"repair_us\": {}, \
-             \"speedup\": {:.3}, \"sources_rebuilt\": {}, \"sources_total\": {}}},\n      \
              \"hier\": {{\"regions\": {}, \"flat_us\": {}, \"cold_us\": {}, \"warm_us\": {}, \
              \"wall_speedup\": {:.3}, \"work_flat\": {}, \"work_hier\": {}, \
              \"work_speedup\": {:.3}, \"flat_objective\": {:.6}, \"hier_objective\": {:.6}, \
              \"segments\": {}, \"warm_memo_hits\": {}, \"universe\": {}}}}}",
-            route.nodes,
-            route.links,
-            route.build_us,
-            route.rebuild_us,
-            route.repair_us,
-            route_speedup,
-            route.sources_rebuilt,
-            route.sources_total,
+            hier.nodes,
+            net.link_count(),
             hier.regions,
             hier.flat_us,
             hier.hier_cold_us,
@@ -174,7 +112,6 @@ fn main() {
         entries.push(entry);
     }
 
-    report.line("");
     report.line(format!(
         "{:<8} {:>8} {:>11} {:>11} {:>11} {:>8} {:>9} {:>5} {:>5} {:>8}",
         "nodes",
@@ -279,8 +216,7 @@ fn main() {
 
     let opt = |v: Option<f64>| v.map_or_else(|| "null".to_owned(), |v| format!("{v:.3}"));
     let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"engine\": {{\"events\": {}, \"wall_ms\": {:.3}, \
-         \"events_per_sec\": {:.0}}},\n  \"worlds\": [\n{}\n  ],\n  \
+        "{{\n  \"bench\": \"scale\",\n  \"worlds\": [\n{}\n  ],\n  \
          \"heal_1000\": {{\"nodes\": {}, \"crashed\": {}, \"heal_passes\": {}, \
          \"replans\": {}, \"infeasible\": {}, \"detected_ms\": {}, \"recovered_ms\": {}, \
          \"wall_ms\": {:.3}}},\n  \
@@ -289,9 +225,6 @@ fn main() {
          \"memo_misses\": {}, \"virtual_hours\": {:.3}, \"peak_hour_arrivals\": {}, \
          \"trough_hour_arrivals\": {}, \"wall_ms\": {:.3}, \"connects_per_sec\": {:.0}, \
          \"plan_p50_ms\": {:.4}, \"plan_p99_ms\": {:.4}, \"plan_max_ms\": {:.4}}}\n}}\n",
-        engine.events,
-        engine.wall_ms,
-        engine.events_per_sec,
         entries.join(",\n"),
         heal.nodes,
         heal.crashed.0,

@@ -50,7 +50,7 @@ fn main() {
         "evals",
         "prunes",
         "boundcut",
-        "table[µs]",
+        "rows",
         "hits"
     ));
     for (site, client, trust) in [
@@ -78,7 +78,7 @@ fn main() {
             c.plan_stats.mappings_evaluated,
             c.plan_stats.prunes,
             c.plan_stats.bound_prunes,
-            c.plan_stats.route_table_build_us,
+            c.plan_stats.route_rows_built,
             c.plan_stats.plan_cache_hits,
         ));
     }

@@ -14,8 +14,8 @@ pub mod scenarios;
 pub use chaos::{outcome_json, run_chaos, ChaosBenchConfig, ChaosOutcome, DriverStats};
 pub use partition::{partition_json, run_partition, PartitionBenchConfig, PartitionOutcome};
 pub use scale::{
-    measure_engine_throughput, measure_route_repair, run_heal_workload, run_heal_workload_with,
-    scale_network, EngineMeasure, HealWorkloadOptions, HealWorkloadOutcome, RouteRepairMeasure,
+    run_heal_workload, run_heal_workload_with, scale_network, HealWorkloadOptions,
+    HealWorkloadOutcome,
 };
 
 /// Whether the bench bins should write *stable* artifacts: every

@@ -1,28 +1,25 @@
-//! Thousand-node scaling studies backing the `bench_scale` binary.
+//! Thousand-node scaling studies backing the `bench_scale` binary, over
+//! progressively larger BRITE hierarchies:
 //!
-//! Three measurements over progressively larger BRITE hierarchies:
-//!
-//! 1. **Engine throughput** — events/second through the calendar event
-//!    queue under a steady self-rescheduling load.
-//! 2. **Route-table repair** — microseconds to delta-repair an
-//!    all-pairs [`RouteTable`] after a single link change vs rebuilding
-//!    it from scratch, with a sampled equivalence check.
-//! 3. **Heal workload** — a chaos-style crash-and-recover run of the
+//! 1. **Flat vs hierarchical planning** — a cold flat plan against the
+//!    gateway-composed one, cold and memo-warm, in wall time and in
+//!    deterministic work units.
+//! 2. **Heal workload** — a chaos-style crash-and-recover run of the
 //!    full self-healing stack on the same topology, all outcomes
 //!    virtual-time derived.
+//! 3. **Open loop** — a client population against the hierarchical
+//!    planner.
 //!
 //! Everything wall-clock derived is zeroed by the caller in stable
 //! mode; the remaining fields are deterministic for a fixed seed.
-//!
-//! [`RouteTable`]: ps_net::RouteTable
 
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use ps_net::brite::{hierarchical, FlatParams, HierParams};
-use ps_net::{Credentials, LinkId, Network, NodeId, RouteTable};
+use ps_net::{Credentials, Network, NodeId};
 use ps_planner::{HierConfig, HierMemo, Plan, Planner, PlannerConfig, ServiceRequest};
-use ps_sim::{Engine, FaultPlan, Rng, SimDuration, SimTime};
+use ps_sim::{FaultPlan, Rng, SimDuration, SimTime};
 use ps_smock::{CoherencePolicy, LeaseConfig, LivenessKind, RetryPolicy, ServiceRegistration};
 use ps_trace::{SamplerConfig, SeriesSummary, Tracer, WallTimer};
 
@@ -44,9 +41,8 @@ const HOSTS_PER_SITE: usize = 6;
 /// and `as1` (the branch office, TrustRating 3, company) over secure
 /// LAN links — the way a real deployment attaches datacenter machines
 /// to a transit fabric. Because hosts are leaves, a host crash dirties
-/// only its own shortest-path tree, which is exactly the damage
-/// profile [`RouteTable::repair`] patches without re-running Dijkstra
-/// anywhere else.
+/// only its own shortest-path tree: every other route row is carried
+/// across it without re-running Dijkstra.
 /// Returns `(network, server_node, client_node)`.
 pub fn scale_network(routers: usize, seed: u64) -> (Network, NodeId, NodeId) {
     let as_count = 5;
@@ -142,170 +138,6 @@ pub fn scale_request(server: NodeId, client: NodeId) -> ServiceRequest {
 
 fn scale_planner() -> Planner {
     Planner::new(mail_spec())
-}
-
-/// Engine-throughput measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineMeasure {
-    /// Events processed.
-    pub events: u64,
-    /// Wall time, milliseconds (zeroed in stable mode by the caller).
-    pub wall_ms: f64,
-    /// Throughput (zeroed in stable mode by the caller).
-    pub events_per_sec: f64,
-}
-
-/// Drives the calendar event queue with a steady self-rescheduling
-/// load: `width` events in flight, each pop scheduling a successor at
-/// a seeded pseudo-random offset (1µs..50ms — spanning in-bucket,
-/// cross-bucket, and overflow distances) until `total` events have
-/// been processed.
-pub fn measure_engine_throughput(total: u64, width: usize, seed: u64) -> EngineMeasure {
-    let mut engine: Engine<u64> = Engine::new();
-    let mut rng = Rng::seed_from_u64(seed);
-    for i in 0..width as u64 {
-        let at = SimTime::from_nanos(1_000 + rng.next_below(50_000_000));
-        engine.schedule_at(at, i);
-    }
-    let timer = WallTimer::start();
-    let mut rng_state = rng;
-    let mut processed = 0u64;
-    engine.run(&mut processed, |engine, processed, event| {
-        *processed += 1;
-        if *processed + (width as u64) <= total {
-            let delay = SimDuration::from_nanos(1_000 + rng_state.next_below(50_000_000));
-            engine.schedule(delay, event);
-        }
-    });
-    let wall_ms = timer.elapsed_ms();
-    EngineMeasure {
-        events: processed,
-        wall_ms,
-        events_per_sec: if wall_ms > 0.0 {
-            processed as f64 / (wall_ms / 1_000.0)
-        } else {
-            0.0
-        },
-    }
-}
-
-/// Route-table repair vs rebuild after a single link change.
-#[derive(Debug, Clone, Copy)]
-pub struct RouteRepairMeasure {
-    /// Nodes in the network.
-    pub nodes: usize,
-    /// Links in the network.
-    pub links: usize,
-    /// Initial full build, microseconds (wall; zeroed in stable mode).
-    pub build_us: u64,
-    /// Delta repair after one link latency change, microseconds (wall;
-    /// zeroed in stable mode).
-    pub repair_us: u64,
-    /// Full rebuild on the damaged network, microseconds (wall; zeroed
-    /// in stable mode).
-    pub rebuild_us: u64,
-    /// Whether the repair fell back to a full rebuild (it must not,
-    /// for a single link).
-    pub full_rebuild: bool,
-    /// Dijkstra sources the repair re-ran.
-    pub sources_rebuilt: usize,
-    /// Total sources in the table.
-    pub sources_total: usize,
-}
-
-impl RouteRepairMeasure {
-    /// Rebuild-to-repair speedup (0 when timings are zeroed).
-    pub fn speedup(&self) -> f64 {
-        if self.repair_us == 0 {
-            0.0
-        } else {
-            self.rebuild_us as f64 / self.repair_us as f64
-        }
-    }
-}
-
-/// Times a single-link latency change through [`RouteTable::repair`]
-/// vs [`RouteTable::build`], best of `reps` runs each, and checks the
-/// repaired table against the rebuilt one on a sample of node pairs.
-pub fn measure_route_repair(net: &mut Network, reps: usize, seed: u64) -> RouteRepairMeasure {
-    let mut build_us = u64::MAX;
-    let mut base = RouteTable::build(net);
-    for _ in 0..reps {
-        let timer = WallTimer::start();
-        base = RouteTable::build(net);
-        build_us = build_us.min(timer.elapsed_micros());
-    }
-
-    // Damage: an 8x latency hit on one link. An arbitrary link can
-    // carry a large share of the shortest-path trees (an inter-AS
-    // trunk pushes `repair` over its damage threshold into the
-    // full-rebuild path by design, and even a mid-tier link can sit in
-    // a double-digit percentage of trees) — so scan deterministically
-    // from the middle of the link array for a link whose damage stays
-    // genuinely localized (at most 1/32 of sources affected), the case
-    // the delta repair targets. The scan uses the classification-only
-    // `affected_sources` dry run, so rejected candidates never pay for
-    // actual Dijkstra re-runs. The threshold fallback itself is
-    // covered by the ps-netmodel property tests.
-    let n = net.node_count();
-    let links = net.link_count() as u32;
-    let mut victim = None;
-    for offset in 0..links {
-        let cand = LinkId((links / 2 + offset) % links);
-        let old_latency = net.link(cand).latency;
-        net.link_mut(cand).latency =
-            SimDuration::from_nanos(old_latency.as_nanos().saturating_mul(8).max(1_000_000));
-        if base.affected_sources(net, &[cand], &[]) <= (n / 32).max(2) {
-            victim = Some(cand);
-            break;
-        }
-        net.link_mut(cand).latency = old_latency;
-    }
-    let victim = victim.expect("a link whose damage stays under the repair threshold");
-
-    let mut repair_us = u64::MAX;
-    let mut repaired = base.clone();
-    let mut outcome = None;
-    for _ in 0..reps {
-        let mut table = base.clone();
-        let timer = WallTimer::start();
-        let o = table.repair(net, &[victim], &[]);
-        repair_us = repair_us.min(timer.elapsed_micros());
-        repaired = table;
-        outcome = Some(o);
-    }
-    let outcome = outcome.expect("at least one repair rep");
-
-    let mut rebuild_us = u64::MAX;
-    let mut rebuilt = RouteTable::build(net);
-    for _ in 0..reps {
-        let timer = WallTimer::start();
-        rebuilt = RouteTable::build(net);
-        rebuild_us = rebuild_us.min(timer.elapsed_micros());
-    }
-
-    // Sampled equivalence: repaired costs must match the full rebuild.
-    let mut rng = Rng::seed_from_u64(seed ^ 0x5ca1e);
-    for _ in 0..256 {
-        let a = NodeId(rng.next_below(net.node_count() as u64) as u32);
-        let b = NodeId(rng.next_below(net.node_count() as u64) as u32);
-        assert_eq!(
-            repaired.latency(a, b),
-            rebuilt.latency(a, b),
-            "repaired table diverges from full rebuild at {a} -> {b}"
-        );
-    }
-
-    RouteRepairMeasure {
-        nodes: net.node_count(),
-        links: net.link_count(),
-        build_us,
-        repair_us,
-        rebuild_us,
-        full_rebuild: outcome.full_rebuild,
-        sources_rebuilt: outcome.sources_rebuilt,
-        sources_total: outcome.sources_total,
-    }
 }
 
 /// Flat vs hierarchical cold planning on one world.
@@ -777,9 +609,9 @@ pub fn run_heal_workload_with(
     let timer = WallTimer::start();
     let nodes = net.node_count();
     let mut framework = Framework::new(net, server, Box::new(mail_translator()));
-    // Routes belong to the server's memo: lazy rows under `hier`, one
-    // all-pairs table per epoch when flat, shared by the connect and
-    // every heal-pass redeploy of that epoch.
+    // Routes belong to the server's memo: lazy rows, flat or `hier`,
+    // shared by the connect and every heal-pass redeploy and carried
+    // across the epochs that left them exact.
     framework.planner_config(PlannerConfig {
         hier: options.hier.then(HierConfig::default),
         ..PlannerConfig::default()

@@ -22,6 +22,7 @@ use ps_smock::{ConnectError, Connection, FailReport, InstanceId, LivenessEvent, 
 use ps_spec::ServiceSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Handle to a connection under self-healing management (index into the
 /// framework's managed list; stable for the framework's lifetime).
@@ -133,8 +134,9 @@ pub struct HealReport {
     /// into `planner.repair_chains_reused_ratio`.
     pub repair: PlacementChurn,
     /// Dijkstra source rows this pass caused: its planned redeploys'
-    /// [`ps_planner::PlanStats::route_rows_built`] plus its consults'
-    /// fresh solves'; 0 for a pass that plans nothing.
+    /// [`ps_planner::PlanStats::route_rows_built`] plus the rows its
+    /// consults added to the server memo; 0 for a pass that plans
+    /// nothing.
     pub route_rows_built: u64,
 }
 
@@ -652,24 +654,36 @@ impl Framework {
     }
 
     /// Asks a [`Replanner`] whether a managed connection's plan should
-    /// be replaced under the current network, charging the rows its
-    /// fresh solve built to `report`. The fresh optimum is priced on the
-    /// path that would redeploy the connection but never enters the plan
-    /// cache: it is solved over the stored request as the [`Replanner`]
-    /// prices it, without the server's live instances, so it is not the
-    /// plan a connect of that request deploys. `None` when the service's
-    /// registration disappeared (e.g. purged with its crashed home).
+    /// be replaced under the current network, charging the route rows
+    /// the consult added to the server memo to `report`. The fresh
+    /// optimum is priced on the path that would redeploy the connection
+    /// but never enters the plan cache: it is solved over the stored
+    /// request as the [`Replanner`] prices it, without the server's live
+    /// instances, so it is not the plan a connect of that request
+    /// deploys. The old plan is revalidated on the memo's rows too.
+    /// `None` when the service's registration disappeared (e.g. purged
+    /// with its crashed home).
     fn consult_replanner(&self, report: &mut HealReport, m: &Managed) -> Option<ReplanDecision> {
         let spec = self.server.lookup.by_name(&m.service)?.spec.clone();
         let net = self.world.network();
+        let routes = self.server.routes(net);
+        let rows_before = routes.rows_built();
         let fresh = self.server.plan_uncached(net, &spec, &m.request);
-        report.route_rows_built += fresh.as_ref().map_or(0, |p| p.stats.route_rows_built);
         let planner = Planner::with_config(spec, self.server.planner_config.clone());
         let mut replanner = Replanner::new(planner);
         replanner.set_tracer(self.server.tracer().clone());
         let translator = self.server.translator.as_ref();
-        let old = &m.connection.plan;
-        Some(replanner.decide_at(report.at, net, translator, &m.request, old, fresh))
+        let decision = replanner.decide_at(
+            report.at,
+            net,
+            translator,
+            &m.request,
+            &m.connection.plan,
+            fresh,
+            Arc::clone(&routes),
+        );
+        report.route_rows_built += (routes.rows_built() - rows_before) as u64;
+        Some(decision)
     }
 
     /// Re-plans and re-deploys `managed[idx]`, retiring instances only

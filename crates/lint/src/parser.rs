@@ -57,7 +57,7 @@ pub struct Import {
     pub module: Vec<String>,
     /// Locally visible name (last segment, or the `as` rename).
     pub alias: String,
-    /// Full path segments (`["ps_net", "RouteTable"]`).
+    /// Full path segments (`["ps_net", "ScopedRoutes"]`).
     pub path: Vec<String>,
 }
 
@@ -625,7 +625,7 @@ mod tests {
 
     #[test]
     fn use_groups_and_renames() {
-        let src = "use ps_net::{Network, route::{build as mk, RouteTable}};\nuse std::fmt;\n";
+        let src = "use ps_net::{Network, route::{build as mk, ScopedRoutes}};\nuse std::fmt;\n";
         let p = parse("crates/core/src/lib.rs", src);
         let mut pairs: Vec<(String, Vec<String>)> = p
             .imports
@@ -640,7 +640,7 @@ mod tests {
         assert!(pairs
             .iter()
             .any(|(a, p)| a == "mk" && p.ends_with(&["route".to_owned(), "build".to_owned()])));
-        assert!(pairs.iter().any(|(a, _)| a == "RouteTable"));
+        assert!(pairs.iter().any(|(a, _)| a == "ScopedRoutes"));
         assert!(pairs.iter().any(|(a, _)| a == "fmt"));
     }
 

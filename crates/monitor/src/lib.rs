@@ -19,11 +19,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use ps_net::{shortest_route, Link, LinkId, Network, Node, NodeId, PropertyTranslator, Touch};
+use ps_net::{
+    shortest_route, Link, LinkId, Network, Node, NodeId, PropertyTranslator, ScopedRoutes, Touch,
+};
 use ps_planner::{Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_trace::Tracer;
 use std::fmt;
+use std::sync::Arc;
 
 /// A detected change in the network.
 #[derive(Debug, Clone, PartialEq)]
@@ -432,10 +435,12 @@ impl Replanner {
         old: &Plan,
     ) -> ReplanDecision {
         let fresh = self.planner.plan(net, translator, request);
-        self.decide(net, translator, request, old, fresh)
+        let routes = Arc::new(ScopedRoutes::new(net));
+        self.decide(net, translator, request, old, fresh, routes)
     }
 
-    /// The decision given the `fresh` optimum for `request` on `net`.
+    /// The decision given the `fresh` optimum for `request` on `net`,
+    /// revalidating `old` on `routes` (current for `net`).
     fn decide<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
@@ -443,6 +448,7 @@ impl Replanner {
         request: &ServiceRequest,
         old: &Plan,
         fresh: Result<Plan, PlanError>,
+        routes: Arc<ScopedRoutes>,
     ) -> ReplanDecision {
         // Revalidate the old assignment in place.
         let mapper = Mapper::new(
@@ -451,6 +457,7 @@ impl Replanner {
             translator,
             request,
             self.planner.config.objective,
+            routes,
         );
         let assignment: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
         let still_valid = mapper.evaluate(&old.graph, &assignment);
@@ -490,12 +497,16 @@ impl Replanner {
         old: &Plan,
     ) -> ReplanDecision {
         let fresh = self.planner.plan(net, translator, request);
-        self.decide_at(now, net, translator, request, old, fresh)
+        let routes = Arc::new(ScopedRoutes::new(net));
+        self.decide_at(now, net, translator, request, old, fresh, routes)
     }
 
     /// Like [`evaluate_at`](Self::evaluate_at), with the fresh optimum
-    /// supplied by the caller — the healer prices it on the serving
-    /// path that would redeploy the connection, not a flat plan.
+    /// and the routes `old` is revalidated on supplied by the caller —
+    /// the healer prices the optimum on the serving path that would
+    /// redeploy the connection and revalidates on the serving memo's
+    /// rows, so a consult runs no Dijkstra of its own.
+    #[allow(clippy::too_many_arguments)]
     pub fn decide_at<T: PropertyTranslator + ?Sized>(
         &self,
         now: SimTime,
@@ -504,8 +515,9 @@ impl Replanner {
         request: &ServiceRequest,
         old: &Plan,
         fresh: Result<Plan, PlanError>,
+        routes: Arc<ScopedRoutes>,
     ) -> ReplanDecision {
-        let decision = self.decide(net, translator, request, old, fresh);
+        let decision = self.decide(net, translator, request, old, fresh, routes);
         if self.tracer.enabled() {
             let mut fields: ps_trace::Fields = Vec::new();
             let kind = match &decision {

@@ -117,7 +117,7 @@ const JOURNAL_LEN: usize = 256;
 /// The graph carries a monotonically increasing *epoch* counter, bumped
 /// by every mutating accessor (`add_node`, `add_link`, `node_mut`,
 /// `link_mut`, `set_node_up`, `set_link_up`, `touch`). Derived artifacts
-/// such as [`crate::RouteTable`] record the epoch they were built at and
+/// such as [`crate::ScopedRoutes`] record the epoch they were built at and
 /// compare it against the live graph to detect staleness without
 /// diffing the topology; a journal of what the last bumps touched lets
 /// them carry forward what a change provably left alone.

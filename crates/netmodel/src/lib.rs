@@ -10,10 +10,11 @@
 //!   nodes and links;
 //! * [`shortest_route`] — policy-aware routing (insecure hops, then
 //!   latency) used to map component linkages onto multi-hop paths;
-//! * [`RouteTable`] — an immutable all-pairs route table built once per
-//!   [`Network`] epoch and shared read-only across planner workers, and
-//!   [`ScopedRoutes`], its lazy per-source counterpart, whose rows are
-//!   carried across the changes that provably leave them exact;
+//! * [`ScopedRoutes`] — the planner's and serving path's route rows,
+//!   one Dijkstra tree per source built on first use and carried across
+//!   the changes that provably leave it exact, and [`RouteTable`], the
+//!   same rows for every source at once (the tests' and benchmark
+//!   probes' all-pairs reference);
 //! * [`PropertyTranslator`] / [`MappingTranslator`] — the credential →
 //!   service-property translation machinery;
 //! * [`brite`] — BRITE-style topology generators (Waxman,

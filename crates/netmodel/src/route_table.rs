@@ -1,18 +1,16 @@
-//! A shared all-pairs route table (one Dijkstra tree per source).
+//! Route tables built from per-source Dijkstra trees.
 //!
-//! The planner's hot path asks for routes between many node pairs, for
-//! many candidate mappings, across many worker threads. Re-running
-//! Dijkstra per query (or keeping a per-worker memo) repeats the same
-//! work once per worker; instead, [`RouteTable::build`] computes every
-//! source's shortest-path tree once and stores the predecessor links in
-//! flat arrays. The table is immutable afterwards — share it across
-//! threads behind an [`std::sync::Arc`] and answer route queries by
-//! walking the predecessor chain (allocation happens only for the
-//! returned [`Route`], not during lookup bookkeeping).
+//! [`ScopedRoutes`] is the one route source of the planner and the
+//! serving path: it runs a source's shortest-path tree on the source's
+//! first question, stores the predecessor links, and answers route
+//! queries by walking the predecessor chain (allocation happens only for
+//! a returned [`Route`]). [`RouteTable`] is the same rows built for
+//! every source at once; no client path reads it — it stays as the
+//! all-pairs reference for tests and the benchmark's route-table probes.
 //!
-//! Staleness is detected through the [`Network`] epoch counter: the
-//! table records `net.epoch()` at build time and [`RouteTable::is_current`]
-//! compares it against the live graph, so callers rebuild exactly when
+//! Staleness is detected through the [`Network`] epoch counter: a table
+//! records `net.epoch()` at build time and `is_current` compares it
+//! against the live graph, so callers rebuild (or carry) exactly when
 //! the topology or a credential changed.
 //!
 //! ## Carrying rows across a change
@@ -262,8 +260,6 @@ pub struct RouteTable {
     prev: Vec<Option<(NodeId, LinkId)>>,
     /// Cost matrix, same indexing (`UNREACHED` when disconnected).
     dist: Vec<RouteCost>,
-    /// Wall-clock time spent building, in microseconds.
-    build_micros: u64,
     /// Number of [`RouteTable::repair`] passes applied since the full
     /// build (0 for a freshly built table).
     generation: u64,
@@ -273,10 +269,6 @@ impl RouteTable {
     /// Builds the table from the network's current state: one full
     /// Dijkstra per source node.
     pub fn build(net: &Network) -> Self {
-        // Wall-clock accounting only: `build_micros` flows into
-        // `PlanStats` / registry `_wall_` metrics and is never consulted
-        // by any virtual-time or planning decision.
-        let started = ps_trace::WallTimer::start();
         let n = net.node_count();
         let mut prev = vec![None; n * n];
         let mut dist = vec![UNREACHED; n * n];
@@ -292,7 +284,6 @@ impl RouteTable {
             n,
             prev,
             dist,
-            build_micros: started.elapsed_micros(),
             generation: 0,
         }
     }
@@ -339,7 +330,14 @@ impl RouteTable {
         if net.node_count() != n {
             return self.rebuild_all(net, started);
         }
-        let carried = self.classify(net, touched_links, touched_nodes);
+        let damage = Damage::new(touched_nodes.to_vec(), touched_links.to_vec());
+        let carried: Vec<Option<Vec<Patch>>> = self
+            .dist
+            .chunks(n.max(1))
+            .zip(self.prev.chunks(n.max(1)))
+            .enumerate()
+            .map(|(s, (dist, prev))| carry_row(net, NodeId(s as u32), dist, prev, &damage))
+            .collect();
 
         let sources_rebuilt = carried.iter().filter(|c| c.is_none()).count();
         let (num, den) = REPAIR_DAMAGE_THRESHOLD;
@@ -367,47 +365,6 @@ impl RouteTable {
         }
     }
 
-    /// Dry-run damage assessment: how many sources a
-    /// [`RouteTable::repair`] with these dirty sets would re-run
-    /// Dijkstra for, without mutating the table. Returns `n` (every
-    /// source) when the node count changed. Callers use this to decide
-    /// between scheduling a repair and a rebuild — or, in benches, to
-    /// find damage that stays localized — at classification cost
-    /// (linear in sources) instead of paying for the repair itself.
-    pub fn affected_sources(
-        &self,
-        net: &Network,
-        touched_links: &[LinkId],
-        touched_nodes: &[NodeId],
-    ) -> usize {
-        if net.node_count() != self.n {
-            return self.n;
-        }
-        self.classify(net, touched_links, touched_nodes)
-            .iter()
-            .filter(|c| c.is_none())
-            .count()
-    }
-
-    /// Per-source [`carry_row`] verdicts shared by [`RouteTable::repair`]
-    /// and [`RouteTable::affected_sources`]: the entry rewrites that
-    /// carry each row, `None` for a row that must re-run.
-    fn classify(
-        &self,
-        net: &Network,
-        touched_links: &[LinkId],
-        touched_nodes: &[NodeId],
-    ) -> Vec<Option<Vec<Patch>>> {
-        let damage = Damage::new(touched_nodes.to_vec(), touched_links.to_vec());
-        let n = self.n.max(1);
-        self.dist
-            .chunks(n)
-            .zip(self.prev.chunks(n))
-            .enumerate()
-            .map(|(s, (dist, prev))| carry_row(net, NodeId(s as u32), dist, prev, &damage))
-            .collect()
-    }
-
     /// Full-rebuild fallback for [`RouteTable::repair`]; keeps the
     /// repair-generation lineage so stale-read diagnostics can tell a
     /// repaired table from a fresh one.
@@ -421,11 +378,6 @@ impl RouteTable {
             sources_total: self.n,
             repair_micros: started.elapsed_micros(),
         }
-    }
-
-    /// Wall-clock build time in microseconds.
-    pub fn build_micros(&self) -> u64 {
-        self.build_micros
     }
 
     /// Number of nodes covered.

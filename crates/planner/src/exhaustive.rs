@@ -761,9 +761,10 @@ impl<'a, 'b> State<'a, 'b> {
 mod tests {
     use super::*;
     use crate::{enumerate_linkages, LinkageLimits, ServiceRequest};
-    use ps_net::{Credentials, Mapping, MappingTranslator, Network};
+    use ps_net::{Credentials, Mapping, MappingTranslator, Network, ScopedRoutes};
     use ps_sim::{Rng, SimDuration};
     use ps_spec::prelude::*;
+    use std::sync::Arc;
 
     fn secure(level: i64) -> Bindings {
         Bindings::new()
@@ -1039,12 +1040,14 @@ mod tests {
                 request = request.free_root();
             }
             let graphs = enumerate_linkages(&spec, "Api", &limits);
+            let routes = Arc::new(ScopedRoutes::new(&net));
             for (objective, graph) in objectives
                 .iter()
                 .flat_map(|o| graphs.iter().map(move |g| (*o, g)))
             {
                 let context = format!("case {case} {objective:?} {graph}");
-                let mapper = Mapper::new(&spec, &net, &translator, &request, objective);
+                let routes = Arc::clone(&routes);
+                let mapper = Mapper::new(&spec, &net, &translator, &request, objective, routes);
                 let (mut stats, incumbent) = (PlanStats::default(), Incumbent::new());
                 let mut state = State::new(&mapper, graph, &mut stats, &incumbent)
                     .expect("every component has a candidate");

@@ -1,9 +1,9 @@
 //! Hierarchical gateway-composed planning.
 //!
 //! The flat planner maps every chain onto the *whole* network: at a
-//! thousand routers the candidate sets, the suffix bounds, and the
-//! all-pairs route table all pay for nodes the optimal plan will never
-//! touch. This module exploits the fabric's region structure (BRITE AS
+//! thousand routers the candidate sets, the bounds, and the routing rows
+//! from every roaming candidate all pay for nodes the optimal plan will
+//! never touch. This module exploits the fabric's region structure (BRITE AS
 //! ids / case-study sites, exposed as [`RegionMap`]) to decompose the
 //! solve:
 //!
@@ -23,8 +23,8 @@
 //!
 //! The union of those sets is the *composition universe*; the exact
 //! branch-and-bound search then runs restricted to it (same evaluator,
-//! same bounds, lazily built [`ScopedRoutes`] rows instead of a full
-//! route table) and the composed plan ships as it is. It is not
+//! same bounds, the same lazily built [`ScopedRoutes`] rows) and the
+//! composed plan ships as it is. It is not
 //! *provably* the flat optimum — a better host may sit outside every
 //! shortlist — but it equals it bit for bit on every fabric measured,
 //! which `tests/hier_equivalence.rs` and `bench_scale` assert (DESIGN.md
@@ -35,7 +35,7 @@ use crate::linkage::LinkageGraph;
 use crate::mapping::Mapper;
 use crate::plan::{ExistingInstance, Plan, PlanStats, ServiceRequest};
 use crate::planner::Planner;
-use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, RouteTable, ScopedRoutes};
+use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
 use ps_spec::{Environment, ResolvedBindings};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -78,13 +78,12 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | part | key | retired by |
 /// |---|---|---|
 /// | lazy route rows ([`ScopedRoutes`]) | source node | an epoch change that touched the row ([`ScopedRoutes::carried`]) |
-/// | flat route table ([`RouteTable`]) | — | any network epoch change |
 /// | completed plans | the request, by value, under one live-instance set | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
 ///
-/// Every entry point runs the same epoch check first, so a table or
-/// plan of an older epoch can never answer, and a route row answers
+/// Every entry point runs the same epoch check first, so a plan of an
+/// older epoch can never answer, and a route row answers
 /// only once certified exact for the new one; shortlists carry their
 /// region's epoch and outlive a change elsewhere in the fabric.
 #[derive(Debug, Default)]
@@ -96,8 +95,6 @@ pub struct HierMemo {
 struct MemoInner {
     region_map: Option<Arc<RegionMap>>,
     scoped: Option<Arc<ScopedRoutes>>,
-    /// The epoch's all-pairs table, present once a flat solve asked.
-    flat: Option<Arc<RouteTable>>,
     plans: PlanCache,
     /// Distinct request signatures seen, compared by value; a shortlist
     /// key names one by its index here.
@@ -136,8 +133,8 @@ impl MemoInner {
     /// The epoch check every entry point runs: when the network moved
     /// on, the route rows the changes left exact are carried into a
     /// table of the new epoch ([`ScopedRoutes::carried`]; all of them
-    /// are dropped if a solve still holds the old table), and the
-    /// all-pairs table and every cached plan are dropped.
+    /// are dropped if a solve still holds the old table), and every
+    /// cached plan is dropped.
     fn sync(&mut self, net: &Network) -> Arc<ScopedRoutes> {
         match self.scoped.take() {
             Some(scoped) if scoped.is_current(net) => {
@@ -150,7 +147,6 @@ impl MemoInner {
                     _ => ScopedRoutes::new(net),
                 });
                 self.scoped = Some(Arc::clone(&scoped));
-                self.flat = None;
                 self.plans.by_client.clear();
                 scoped
             }
@@ -190,31 +186,12 @@ impl HierMemo {
         self.lock().sync(net)
     }
 
-    /// The all-pairs route table of the network's current epoch and
-    /// whether this call built it (the epoch's first flat solve does).
-    /// Only ever current or rebuilt, never repaired from an older one.
-    pub(crate) fn route_table(&self, net: &Network) -> (Arc<RouteTable>, bool) {
-        let mut inner = self.lock();
-        inner.sync(net);
-        match &inner.flat {
-            Some(table) => (Arc::clone(table), false),
-            None => {
-                let table = Arc::new(RouteTable::build(net));
-                inner.flat = Some(Arc::clone(&table));
-                (table, true)
-            }
-        }
-    }
-
-    /// Dijkstra source rows the memo ran for its epoch: the lazy rows
-    /// it built (not those it carried from an earlier epoch) plus, once
-    /// a flat solve built it, every source of the all-pairs table (zero
-    /// before the first route question). Deterministic, so "a warm
-    /// connect runs no Dijkstra" is checkable as a count.
+    /// Dijkstra source rows the memo ran for its epoch: the rows it
+    /// built, not those it carried from an earlier epoch (zero before the
+    /// first route question). Deterministic, so "a warm connect runs no
+    /// Dijkstra" is checkable as a count.
     pub fn route_rows_built(&self) -> usize {
-        let inner = self.lock();
-        let lazy = inner.scoped.as_ref().map_or(0, |s| s.rows_built());
-        lazy + inner.flat.as_ref().map_or(0, |table| table.node_count())
+        self.lock().scoped.as_ref().map_or(0, |s| s.rows_built())
     }
 
     /// The plan stored for exactly this `service`, `request` and `live`
@@ -399,26 +376,13 @@ impl RequestSignature {
 /// mapper plus per-region work attribution.
 pub(crate) struct HierSetup<'a> {
     pub mapper: Mapper<'a>,
-    scoped: Arc<ScopedRoutes>,
-    /// Rows the shared `scoped` already held when this solve started.
-    rows_before: usize,
     pub per_region: RegionWorkMap,
 }
 
-impl HierSetup<'_> {
-    /// Routing rows this solve added to the memo's shared
-    /// [`ScopedRoutes`] — its own Dijkstra work, not the running total
-    /// of every plan of the epoch. (Solves racing on one memo may count
-    /// each other's rows; the serving layer plans one at a time.)
-    pub fn rows_built(&self) -> u64 {
-        (self.scoped.rows_built() - self.rows_before) as u64
-    }
-}
-
 impl Planner {
-    /// Builds the composition universe and its mapper. `None` when the
-    /// fabric has fewer than two regions (hierarchical planning adds
-    /// nothing there).
+    /// Builds the composition universe and its mapper over the memo's
+    /// route rows of the epoch. `None` when the fabric has fewer than two
+    /// regions (hierarchical planning adds nothing there).
     pub(crate) fn hier_setup<'a, T: PropertyTranslator + ?Sized>(
         &'a self,
         net: &'a Network,
@@ -433,7 +397,6 @@ impl Planner {
             return None;
         }
         let scoped = memo.scoped_routes(net);
-        let rows_before = scoped.rows_built();
         let sig = memo.signature_id(request);
 
         // Anchors: nodes every candidate plan is tethered to.
@@ -467,8 +430,14 @@ impl Planner {
         // `component_fits` drives candidate filtering) and restricted to
         // the universe afterwards — `with_universe` must precede any
         // candidate query, and `component_fits` makes none.
-        let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
-            .with_scoped_routes(Arc::clone(&scoped));
+        let mapper = Mapper::new(
+            &self.spec,
+            net,
+            translator,
+            request,
+            self.config.objective,
+            Arc::clone(&scoped),
+        );
 
         let mut components: BTreeSet<&str> = BTreeSet::new();
         for graph in graphs {
@@ -502,12 +471,7 @@ impl Planner {
         let universe: Vec<NodeId> = universe.into_iter().collect();
         stats.hier_universe = universe.len() as u32;
         let mapper = mapper.with_universe(universe);
-        Some(HierSetup {
-            mapper,
-            scoped,
-            rows_before,
-            per_region,
-        })
+        Some(HierSetup { mapper, per_region })
     }
 
     /// Publishes hierarchical counters, including per-region plan-work

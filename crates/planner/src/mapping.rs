@@ -20,10 +20,7 @@ use crate::linkage::LinkageGraph;
 use crate::load::{propagate_rates, RatePlan};
 use crate::memo::{CandidateSet, Identity, PlanMemo};
 use crate::plan::{Objective, PlanEdge, ServiceRequest};
-use ps_net::{
-    shortest_route, Network, NodeId, PropertyTranslator, Route, RouteMetrics, RouteTable,
-    ScopedRoutes,
-};
+use ps_net::{Network, NodeId, PropertyTranslator, Route, RouteMetrics, ScopedRoutes};
 use ps_spec::condition::all_hold;
 use ps_spec::{Component, Environment, ResolvedBindings, ServiceSpec};
 use std::cell::{OnceCell, RefCell};
@@ -113,13 +110,10 @@ pub struct Mapper<'a> {
     /// Candidate sets, routes, interned bindings and flow verdicts
     /// learned during this planning call (see [`crate::memo`]).
     pub(crate) memo: RefCell<PlanMemo>,
-    /// Shared all-pairs route table; when absent, routes fall back to
-    /// on-demand Dijkstra (what the replanner's one-off evaluation and
-    /// the tests' reference descent use).
-    route_table: Option<Arc<RouteTable>>,
-    /// Lazily built per-source routing rows (the hierarchical planner's
-    /// substitute for a full table); consulted before `route_table`.
-    scoped_routes: Option<Arc<ScopedRoutes>>,
+    /// The per-source routing rows every route question is answered
+    /// from, built on a source's first question (usually the serving
+    /// memo's, shared with every other solve of the network epoch).
+    routes: Arc<ScopedRoutes>,
     /// When set, condition-1 candidate enumeration is restricted to
     /// these nodes instead of the whole network (the hierarchical
     /// planner's composition universe). Must stay fixed for the
@@ -128,7 +122,8 @@ pub struct Mapper<'a> {
 }
 
 impl<'a> Mapper<'a> {
-    /// Builds a mapper. Credentials are translated per node and link
+    /// Builds a mapper reading its routes from `routes`, which must be
+    /// current for `net`. Credentials are translated per node and link
     /// the first time a search or a route reads them.
     pub fn new<T: PropertyTranslator + ?Sized>(
         spec: &'a ServiceSpec,
@@ -136,7 +131,9 @@ impl<'a> Mapper<'a> {
         translator: &'a T,
         request: &'a ServiceRequest,
         objective: Objective,
+        routes: Arc<ScopedRoutes>,
     ) -> Self {
+        debug_assert!(routes.is_current(net), "scoped routes are stale");
         let translate = move |slot: EnvSlot| {
             let mut env = match slot {
                 EnvSlot::Host(node) => {
@@ -161,32 +158,9 @@ impl<'a> Mapper<'a> {
             mid_envs: unread(net.node_count()),
             translate: Box::new(translate),
             memo: RefCell::new(PlanMemo::new(net.node_count())),
-            route_table: None,
-            scoped_routes: None,
+            routes,
             universe: None,
         }
-    }
-
-    /// Switches route lookups onto a shared all-pairs [`RouteTable`]
-    /// (built once per network epoch) instead of per-mapper on-demand
-    /// Dijkstra.
-    ///
-    /// The table must have been built from `self.net` at its current
-    /// epoch; results are bit-identical to the lazy path.
-    pub fn with_route_table(mut self, table: Arc<RouteTable>) -> Self {
-        debug_assert!(table.is_current(self.net), "route table is stale");
-        self.route_table = Some(table);
-        self
-    }
-
-    /// Switches route lookups onto lazily built per-source rows
-    /// ([`ScopedRoutes`]) — bit-identical answers to a full table, but
-    /// only the sources actually queried pay for a Dijkstra run. Takes
-    /// precedence over an attached [`RouteTable`].
-    pub fn with_scoped_routes(mut self, routes: Arc<ScopedRoutes>) -> Self {
-        debug_assert!(routes.is_current(self.net), "scoped routes are stale");
-        self.scoped_routes = Some(routes);
-        self
     }
 
     /// Restricts condition-1 candidate enumeration to `nodes` (the
@@ -243,24 +217,14 @@ impl<'a> Mapper<'a> {
 
     /// Latency, bottleneck and locality of the route between two nodes —
     /// all the cost models read — memoized in the plan memo's dense
-    /// table. Comes from the attached [`ScopedRoutes`] / [`RouteTable`]
-    /// by a predecessor-chain walk that materializes nothing, or from an
-    /// on-demand [`shortest_route`] run when neither is attached.
+    /// table. Read off `from`'s [`ScopedRoutes`] row by a
+    /// predecessor-chain walk that materializes nothing.
     pub fn route_metrics(&self, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
+        let lookup = || self.routes.metrics(self.net, from, to);
         let mut memo = self.memo.borrow_mut();
-        let Some(cell) = memo.route_cell(from, to) else {
-            return self.lookup_metrics(from, to);
-        };
-        *cell
-            .metrics
-            .get_or_insert_with(|| self.lookup_metrics(from, to))
-    }
-
-    fn lookup_metrics(&self, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
-        match (&self.scoped_routes, &self.route_table) {
-            (Some(scoped), _) => scoped.metrics(self.net, from, to),
-            (None, Some(table)) => table.metrics(self.net, from, to),
-            (None, None) => shortest_route(self.net, from, to).map(|route| route.metrics()),
+        match memo.route_cell(from, to) {
+            Some(cell) => *cell.metrics.get_or_insert_with(lookup),
+            None => lookup(),
         }
     }
 
@@ -277,7 +241,7 @@ impl<'a> Mapper<'a> {
                 return cell.info.clone();
             }
         }
-        let info = self.lookup_route(from, to).map(|route| {
+        let info = self.routes.route(self.net, from, to).map(|route| {
             Rc::new(RouteInfo {
                 envs: self.envs_along(&route),
                 route,
@@ -288,14 +252,6 @@ impl<'a> Mapper<'a> {
             cell.info = info.clone();
         }
         info
-    }
-
-    fn lookup_route(&self, from: NodeId, to: NodeId) -> Option<Route> {
-        match (&self.scoped_routes, &self.route_table) {
-            (Some(scoped), _) => scoped.route(self.net, from, to),
-            (None, Some(table)) => table.route(self.net, from, to),
-            (None, None) => shortest_route(self.net, from, to),
-        }
     }
 
     fn envs_along(&self, route: &Route) -> Vec<Environment> {

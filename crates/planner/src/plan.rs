@@ -330,10 +330,6 @@ pub struct PlanStats {
     /// rows ([`crate::exhaustive`]) — the bound's own work, deterministic
     /// like the visits it saves.
     pub bound_cells: u64,
-    /// Microseconds spent building the all-pairs route table (zero when
-    /// the serving memo already held it, and on the hierarchical path's
-    /// lazy rows).
-    pub route_table_build_us: u64,
     /// Plan-cache hits recorded by the serving layer (zero inside the
     /// planner itself; `GenericServer` fills it in on a cache hit).
     pub plan_cache_hits: u64,
@@ -347,11 +343,9 @@ pub struct PlanStats {
     /// over (the flat path searches every node; zero there).
     pub hier_universe: u32,
     /// Per-source routing rows (one Dijkstra each) this plan paid for:
-    /// every source for a full route-table build, and on the
-    /// hierarchical path the lazy rows *this* call added to the shared
-    /// [`ScopedRoutes`](ps_net::ScopedRoutes) — not the rows earlier
-    /// plans of the epoch had already built. A hierarchical solve that
-    /// fell back to flat carries both.
+    /// the rows *this* call added to the [`ScopedRoutes`](ps_net::ScopedRoutes)
+    /// it read, flat or hierarchical — not the rows earlier plans of the
+    /// epoch had already built or carried.
     pub route_rows_built: u64,
 }
 

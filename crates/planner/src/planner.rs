@@ -6,7 +6,7 @@ use crate::hierarchy::{HierConfig, HierMemo, RegionWorkMap};
 use crate::linkage::{enumerate_linkages_multi, LinkageGraph, LinkageLimits};
 use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{Objective, Placement, Plan, PlanError, PlanStats, ServiceRequest};
-use ps_net::{Network, NodeId, PropertyTranslator, RouteTable};
+use ps_net::{Network, NodeId, PropertyTranslator, ScopedRoutes};
 use ps_spec::ServiceSpec;
 use ps_trace::Tracer;
 use std::sync::Arc;
@@ -122,18 +122,17 @@ impl Planner {
 
     /// The one solve both entry points above are wrappers of.
     ///
-    /// `memo` is the serving memo that owns the epoch's routes. With
-    /// one and [`PlannerConfig::hier`] set, the search first runs on the
-    /// hierarchical composition universe (lazy route rows, shortlists
-    /// from the memo); a fabric with fewer than two regions has nothing
-    /// to decompose, and a universe that misses every feasible mapping
-    /// (e.g. the only installable host sits outside all shortlists) is
-    /// no answer — correctness over speed — so both fall through to the
-    /// flat search over the whole network and one all-pairs
-    /// [`RouteTable`], carrying the statistics of the work already done.
-    /// The flat search reads the memo's table — built by the epoch's
-    /// first flat solve, which alone is charged for it — and without a
-    /// memo builds and charges its own.
+    /// Every route the solve reads comes from one [`ScopedRoutes`]: the
+    /// serving memo's rows of the epoch when there is a memo, a fresh
+    /// table otherwise, built a source row at a time as the search asks.
+    /// With a memo and [`PlannerConfig::hier`] set, the search first runs
+    /// on the hierarchical composition universe (shortlists from the
+    /// memo); a fabric with fewer than two regions has nothing to
+    /// decompose, and a universe that misses every feasible mapping (e.g.
+    /// the only installable host sits outside all shortlists) is no
+    /// answer — correctness over speed — so both fall through to the flat
+    /// search over the whole network, on the same rows and carrying the
+    /// statistics of the work already done.
     fn solve<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
@@ -160,38 +159,40 @@ impl Planner {
             graphs_enumerated: graphs.len(),
             ..PlanStats::default()
         };
+        let routes = memo.map_or_else(
+            || Arc::new(ScopedRoutes::new(net)),
+            |memo| memo.scoped_routes(net),
+        );
+        let rows_before = routes.rows_built();
 
         let mut regions = None;
+        let mut found = None;
         if let Some(memo) = memo.filter(|_| self.config.hier.is_some()) {
             if let Some(setup) =
                 self.hier_setup(net, translator, request, &graphs, memo, &mut stats)
             {
-                let found = self.sweep(&setup.mapper, &graphs, &mut stats);
-                stats.route_rows_built += setup.rows_built();
+                found = self.sweep(&setup.mapper, &graphs, &mut stats);
                 regions = Some(setup.per_region);
-                if let Some(plan) = found {
-                    return Ok(self.finish(plan, stats, regions.as_ref()));
-                }
             }
         }
-
-        // All-pairs routes, computed once for this network epoch. A full
-        // build runs one Dijkstra per source; recorded so the
-        // deterministic work proxy (`PlanStats::work_units`) charges
-        // flat and hierarchical planning on the same scale.
-        let (table, built) = match memo {
-            Some(memo) => memo.route_table(net),
-            None => (Arc::new(RouteTable::build(net)), true),
-        };
-        if built {
-            stats.route_table_build_us = table.build_micros();
-            stats.route_rows_built += net.node_count() as u64;
+        if found.is_none() {
+            // One mapper shared across every candidate graph: credential
+            // translation and the plan memo amortize over the whole search.
+            let mapper = Mapper::new(
+                &self.spec,
+                net,
+                translator,
+                request,
+                self.config.objective,
+                Arc::clone(&routes),
+            );
+            found = self.sweep(&mapper, &graphs, &mut stats);
         }
-        // One mapper shared across every candidate graph: credential
-        // translation and the plan memo amortize over the whole search.
-        let mapper = Mapper::new(&self.spec, net, translator, request, self.config.objective)
-            .with_route_table(table);
-        match self.sweep(&mapper, &graphs, &mut stats) {
+        // The rows this solve added, not those earlier solves of the
+        // epoch built or carried. (Solves racing on one memo may count
+        // each other's rows; the serving layer plans one at a time.)
+        stats.route_rows_built = (routes.rows_built() - rows_before) as u64;
+        match found {
             Some(plan) => Ok(self.finish(plan, stats, regions.as_ref())),
             None => Err(PlanError::NoFeasibleMapping {
                 graphs: graphs.len(),
@@ -243,10 +244,6 @@ impl Planner {
         tracer.count("planner.bound_prunes", stats.bound_prunes);
         tracer.count("planner.flow_evals", stats.flow_evals);
         tracer.count("planner.bound_cells", stats.bound_cells);
-        tracer.gauge(
-            "planner.route_table_build_wall_us",
-            stats.route_table_build_us as f64,
-        );
         if let Some(regions) = regions {
             self.publish_hier(&stats, regions);
         }

@@ -411,8 +411,9 @@ fn infeasible_universe_falls_back_flat_and_keeps_its_accounting() {
             ..PlannerConfig::default()
         },
     );
+    let memo = HierMemo::new();
     let hier = hier_planner
-        .plan_hierarchical(&net, &translator, &request, &HierMemo::new())
+        .plan_hierarchical(&net, &translator, &request, &memo)
         .expect("the fall-back plans");
     assert_eq!(
         (hier.objective_value, &hier.placements),
@@ -422,9 +423,11 @@ fn infeasible_universe_falls_back_flat_and_keeps_its_accounting() {
         hier.stats.hier_segments > 0,
         "the restricted attempt's segments"
     );
-    assert!(
-        hier.stats.route_rows_built > net.node_count() as u64,
-        "the full table's rows plus the restricted attempt's lazy ones"
+    // One table served both attempts: the plan is charged every row it
+    // holds, the restricted attempt's and the fall-back's.
+    assert_eq!(
+        hier.stats.route_rows_built,
+        memo.scoped_routes(&net).rows_built() as u64
     );
     assert!(hier.stats.work_units() >= flat.stats.work_units());
     let registry = tracer.registry().unwrap();
@@ -435,39 +438,48 @@ fn infeasible_universe_falls_back_flat_and_keeps_its_accounting() {
     );
 }
 
-/// A flat planner handed a memo reads the epoch's all-pairs table from
-/// it: the first solve builds and is charged every source, later solves
-/// of the epoch are charged none and return what a memo-less `plan`
-/// returns, and an epoch change retires the table with the lazy rows.
+/// A flat planner handed a memo reads the memo's rows: the first solve
+/// builds at most a row per source, a second solve of the epoch none,
+/// and neither a bare epoch bump nor a leaf host's crash makes the next
+/// solve rebuild what the change left exact. Every solve returns what a
+/// memo-less `plan` returns.
 #[test]
-fn flat_solves_of_one_epoch_share_the_memos_route_table() {
+fn flat_solves_on_a_memo_rebuild_no_row_a_change_left_exact() {
     let flat = flat_planner();
     let translator = translator();
     let (mut net, client, server) = world(42);
+    // A leaf host off the client's router: its crash touches no other
+    // source's shortest-path tree.
+    let leaf = net.add_node(
+        "leaf",
+        net.node(client).site.clone(),
+        1.0,
+        Default::default(),
+    );
+    let secure = ps_net::Credentials::new().with("Secure", true);
+    net.add_link(client, leaf, SimDuration::from_millis(1), 1e8, secure);
     let request = request(client, server);
     let n = net.node_count() as u64;
     let memo = HierMemo::new();
     let solve = |net: &Network| {
-        flat.plan_hierarchical(net, &translator, &request, &memo)
-            .expect("feasible")
-    };
-
-    let alone = flat.plan(&net, &translator, &request).expect("feasible");
-    let (first, second) = (solve(&net), solve(&net));
-    assert_eq!(
-        (alone.stats.route_rows_built, first.stats.route_rows_built),
-        (n, n)
-    );
-    assert_eq!(second.stats.route_rows_built, 0);
-    assert_eq!(first.stats.hier_segments, 0, "no `hier`, no composition");
-    for plan in [&first, &second] {
+        let plan = flat
+            .plan_hierarchical(net, &translator, &request, &memo)
+            .expect("feasible");
+        let alone = flat.plan(net, &translator, &request).expect("feasible");
         assert_eq!(
             (plan.objective_value, &plan.placements, &plan.edges),
             (alone.objective_value, &alone.placements, &alone.edges)
         );
-    }
-    assert_eq!(memo.route_rows_built() as u64, n);
+        assert_eq!(plan.stats.hier_segments, 0, "no `hier`, no composition");
+        plan.stats.route_rows_built
+    };
 
+    let first = solve(&net);
+    assert!(first > 0 && first <= n, "{first} rows on {n} nodes");
+    assert_eq!(solve(&net), 0, "the epoch's rows are built");
     net.touch();
-    assert_eq!(solve(&net).stats.route_rows_built, n, "a new epoch");
+    assert_eq!(solve(&net), 0, "a bare epoch bump leaves every row exact");
+    // Only the leaf's own row is dropped, and a down host is no source.
+    net.set_node_up(leaf, false);
+    assert_eq!(solve(&net), 0, "a leaf crash leaves every other row exact");
 }

@@ -1,19 +1,20 @@
 //! The reference the planner's search core is held to: the paper's
 //! "exhaustively searches" taken literally. Bottom-up descent over the
 //! full candidate product, [`Mapper::flow_at`] pruning, [`Mapper::evaluate`]
-//! at the leaves — no bounds, no memoised verdicts, no incumbent, on-demand
-//! routes; first strictly better mapping wins, in graph then candidate
-//! order. Shares nothing with `ps_planner::exhaustive` but the [`Mapper`],
+//! at the leaves — no bounds, no memoised verdicts, no incumbent, routes
+//! from a fresh table of its own; first strictly better mapping wins, in
+//! graph then candidate order. Shares nothing with `ps_planner::exhaustive` but the [`Mapper`],
 //! and lives with the tests (`#[path]`-included), unreachable from
 //! `PlannerConfig`.
 
-use ps_net::{Network, NodeId, PropertyTranslator};
+use ps_net::{Network, NodeId, PropertyTranslator, ScopedRoutes};
 use ps_planner::{
     enumerate_linkages_multi, Evaluation, LinkageGraph, LinkageLimits, Mapper, Objective, Plan,
     ServiceRequest,
 };
 use ps_spec::{ResolvedBindings, ServiceSpec};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// The reference optimum: the graph, each tree node's host, and the
 /// evaluation of that mapping.
@@ -85,7 +86,8 @@ pub fn plan<T: PropertyTranslator + ?Sized>(
     limits: &LinkageLimits,
     objective: Objective,
 ) -> Option<Optimum> {
-    let mapper = Mapper::new(spec, net, translator, request, objective);
+    let routes = Arc::new(ScopedRoutes::new(net));
+    let mapper = Mapper::new(spec, net, translator, request, objective, routes);
     let mut best: Option<Optimum> = None;
     for graph in enumerate_linkages_multi(spec, &request.interfaces, limits) {
         if let Some((assignment, eval)) = search_graph(&mapper, &graph) {

@@ -14,7 +14,7 @@ use crate::deploy::{self, DeployError, Deployment, STARTUP_DELAY};
 use crate::lookup::{LookupService, ServiceRegistration};
 use crate::registry::ComponentRegistry;
 use crate::world::World;
-use ps_net::{Network, NodeId, PropertyTranslator};
+use ps_net::{Network, NodeId, PropertyTranslator, ScopedRoutes};
 use ps_planner::{
     ExistingInstance, HierMemo, Plan, PlanError, PlanStats, Planner, PlannerConfig, ServiceRequest,
 };
@@ -39,8 +39,7 @@ pub struct OneTimeCosts {
     /// Component startup, ms (simulated; includes initialization).
     pub startup_ms: f64,
     /// Planner search statistics for this connection (mappings
-    /// evaluated, prune counts, route-table build time, plan-cache
-    /// hits).
+    /// evaluated, prune counts, routing rows built, plan-cache hits).
     pub plan_stats: PlanStats,
 }
 
@@ -56,7 +55,7 @@ impl fmt::Display for OneTimeCosts {
         write!(
             f,
             "proxy {:.1} ms + planning {:.3} ms + deploy {:.1} ms + startup {:.1} ms = {:.1} ms \
-             ({} evals, {} prunes, {} bound cuts, table {} µs, {} cache hits)",
+             ({} evals, {} prunes, {} bound cuts, rows {}, {} cache hits)",
             self.proxy_download_ms,
             self.planning_ms,
             self.deploy_transfer_ms,
@@ -65,7 +64,7 @@ impl fmt::Display for OneTimeCosts {
             self.plan_stats.mappings_evaluated,
             self.plan_stats.prunes,
             self.plan_stats.bound_prunes,
-            self.plan_stats.route_table_build_us,
+            self.plan_stats.route_rows_built,
             self.plan_stats.plan_cache_hits,
         )
     }
@@ -194,11 +193,18 @@ impl GenericServer {
         self.memo.cached_plans()
     }
 
-    /// Source rows (one Dijkstra each) the memo holds for the current
-    /// network epoch, lazy rows and flat table alike (test/diagnostic
-    /// aid: a warm connect must leave it unchanged).
+    /// Source rows (one Dijkstra each) the memo built for the current
+    /// network epoch, not counting rows carried from an earlier one
+    /// (test/diagnostic aid: a warm connect must leave it unchanged).
     pub fn route_rows_built(&self) -> usize {
         self.memo.route_rows_built()
+    }
+
+    /// The memo's route rows for `net`'s current epoch: the one route
+    /// source every plan, transfer time and plan revalidation of the
+    /// epoch reads.
+    pub fn routes(&self, net: &Network) -> Arc<ScopedRoutes> {
+        self.memo.scoped_routes(net)
     }
 
     /// Simulated transfer time of `bytes` between two nodes of `net`
@@ -213,9 +219,7 @@ impl GenericServer {
         to: NodeId,
         bytes: u64,
     ) -> SimDuration {
-        self.memo
-            .scoped_routes(net)
-            .transfer_time(net, from, to, bytes)
+        self.routes(net).transfer_time(net, from, to, bytes)
     }
 
     /// Registers a service (Figure 1, step 1).
@@ -272,7 +276,7 @@ impl GenericServer {
 
         // The memo's epoch check: rows, plans and shortlists that a
         // network change made stale are gone past this point.
-        let routes = self.memo.scoped_routes(world.network());
+        let routes = self.routes(world.network());
 
         // The client's attribute query against the lookup service: one
         // small request/response exchange, modelled like any other

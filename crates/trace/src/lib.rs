@@ -14,7 +14,7 @@
 //!   banned from event fields by convention.
 //! - **Metrics** ([`Registry`]): named counters, gauges, and log-bucketed
 //!   percentile histograms behind one handle. This is where *host*-time
-//!   measurements (planning wall-clock, route-table build time) belong,
+//!   measurements (planning wall-clock, per-region plan time) belong,
 //!   since the registry is reported separately and makes no determinism
 //!   promise.
 //! - **Time series** ([`Sampler`]): ring-buffered, zero-suppressed

@@ -428,7 +428,7 @@ mod tests {
         let r = Registry::new();
         r.inc("server.connects", 2);
         r.observe("server.planning_wall_ms", 3.7);
-        r.observe("planner.route_table_build_wall_us", 12.0);
+        r.inc("planner.region.as0.plan_wall_us", 12);
         let full = r.to_json();
         assert!(full.contains("planning_wall_ms"));
         let stable = r.to_json_deterministic();

@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn wall_metric_convention() {
         assert!(is_wall_metric("server.planning_wall_ms"));
-        assert!(is_wall_metric("planner.route_table_build_wall_us"));
+        assert!(is_wall_metric("planner.region.as0.plan_wall_us"));
         assert!(!is_wall_metric("server.connects"));
         assert!(!is_wall_metric("cpu.0.busy_ms"));
     }

@@ -7,7 +7,7 @@
 //! deterministic seeded loops over `ps_sim::Rng`, so every failure is
 //! reproducible from the printed case number.
 
-use ps_net::{Credentials, Network, NodeId};
+use ps_net::{Credentials, Network, NodeId, ScopedRoutes};
 use ps_planner::exhaustive::{self, Incumbent};
 use ps_planner::{
     enumerate_linkages, LinkageGraph, LinkageLimits, Mapper, Objective, PlanError, PlanStats,
@@ -16,6 +16,7 @@ use ps_planner::{
 use ps_sim::{Rng, SimDuration};
 use ps_spec::prelude::*;
 use ps_spec::{PropertyValue, ResolvedBindings};
+use std::sync::Arc;
 
 #[path = "../crates/planner/tests/reference/mod.rs"]
 mod reference;
@@ -602,7 +603,17 @@ fn search_one_graph(
     graph: &LinkageGraph,
 ) -> (Found, PlanStats) {
     let translator = translator();
-    let mapper = || Mapper::new(spec, net, &translator, request, Objective::MinLatency);
+    let mapper = || {
+        let routes = Arc::new(ScopedRoutes::new(net));
+        Mapper::new(
+            spec,
+            net,
+            &translator,
+            request,
+            Objective::MinLatency,
+            routes,
+        )
+    };
     let mut stats = PlanStats::default();
     let core = exhaustive::search(&mapper(), graph, &mut stats, &Incumbent::new());
     let reference = reference::search_graph(&mapper(), graph);
@@ -712,7 +723,6 @@ fn a_repeated_relay_needs_a_live_instance_to_attach_to() {
         PlanStats {
             graphs_enumerated: once.stats.graphs_enumerated + repeating,
             prunes: once.stats.prunes + repeating as u64,
-            route_table_build_us: twice.stats.route_table_build_us,
             ..once.stats
         }
     );
@@ -765,7 +775,15 @@ fn objective_over(
     middle: NodeId,
 ) -> f64 {
     let translator = translator();
-    let mapper = Mapper::new(spec, net, &translator, request, Objective::MinLatency);
+    let routes = Arc::new(ScopedRoutes::new(net));
+    let mapper = Mapper::new(
+        spec,
+        net,
+        &translator,
+        request,
+        Objective::MinLatency,
+        routes,
+    );
     let hosts = [request.client_node, middle, request.pinned["Server"]];
     let eval = mapper.evaluate(chain, &hosts).expect("feasible");
     eval.objective_value
