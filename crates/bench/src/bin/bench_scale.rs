@@ -4,7 +4,7 @@
 //! flat cold plan against the hierarchical gateway-composed one, cold
 //! and memo-warm — identical objectives asserted. It also runs the full
 //! self-healing stack through a chaos-style crash-and-recover workload
-//! and an open-loop client population on the 1000-router world.
+//! on the 1000-router world.
 //!
 //! Writes `BENCH_scale.json` (hand-rolled JSON, no serde in the tree)
 //! to the current directory and prints the same numbers as a table.
@@ -13,9 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use ps_bench::scale::{
-    measure_hier_plan, run_heal_workload, run_open_loop, scale_network, OpenLoopConfig,
-};
+use ps_bench::scale::{measure_hier_plan, run_heal_workload, scale_network, HealWorkloadOptions};
 use ps_trace::{Report, Tracer};
 use std::fmt::Write as _;
 
@@ -135,7 +133,14 @@ fn main() {
     eprintln!("[bench_scale] {routers} routers: heal workload...");
     let (net, server, client) = scale_network(routers, SEED + routers as u64);
     let tracer = Tracer::disabled();
-    let mut heal = run_heal_workload(net, server, client, SEED, &tracer);
+    let mut heal = run_heal_workload(
+        net,
+        server,
+        client,
+        SEED,
+        &tracer,
+        &HealWorkloadOptions::default(),
+    );
     assert!(
         heal.recovered_ms.is_some(),
         "1000-router heal workload did not recover within the horizon"
@@ -157,74 +162,12 @@ fn main() {
         ),
     );
 
-    // Open-loop client population against the hierarchical planner on
-    // the largest world: Poisson arrivals thinned to a diurnal profile,
-    // heavy-tailed session popularity over 100k+ logical clients.
-    eprintln!("[bench_scale] {routers} routers: open-loop population...");
-    let (mut ol_net, ol_server, _ol_client) = scale_network(routers, SEED + routers as u64);
-    let ol_cfg = OpenLoopConfig::from_env(SEED, stable);
-    let (ol_tracer, _ol_sink) = Tracer::memory();
-    let mut open_loop = run_open_loop(&mut ol_net, ol_server, &ol_cfg, &ol_tracer);
-    assert!(
-        open_loop.plans > 0 && open_loop.cache_hits > 0,
-        "open-loop run must both plan and hit its plan cache \
-         ({} plans, {} cache hits)",
-        open_loop.plans,
-        open_loop.cache_hits
-    );
-    if stable {
-        open_loop.wall_ms = 0.0;
-        open_loop.connects_per_sec = 0.0;
-        open_loop.plan_p50_ms = 0.0;
-        open_loop.plan_p99_ms = 0.0;
-        open_loop.plan_max_ms = 0.0;
-    }
-    report.line("");
-    report.kv(
-        "open loop",
-        format!(
-            "{} arrivals over {} logical clients ({} seen) on {} attach routers, \
-             {:.1} virtual hours",
-            open_loop.arrivals,
-            open_loop.clients,
-            open_loop.distinct_clients,
-            open_loop.attach_routers,
-            open_loop.virtual_hours,
-        ),
-    );
-    report.kv(
-        "open loop served",
-        format!(
-            "{} plans + {} cache hits, region memo {} hits / {} segments, \
-             {:.0} connects/sec, plan p50 {:.2}ms p99 {:.2}ms",
-            open_loop.plans,
-            open_loop.cache_hits,
-            open_loop.memo_hits,
-            open_loop.memo_misses,
-            open_loop.connects_per_sec,
-            open_loop.plan_p50_ms,
-            open_loop.plan_p99_ms,
-        ),
-    );
-    report.kv(
-        "open loop diurnal",
-        format!(
-            "peak hour {} arrivals, trough hour {}",
-            open_loop.peak_hour_arrivals, open_loop.trough_hour_arrivals,
-        ),
-    );
-
     let opt = |v: Option<f64>| v.map_or_else(|| "null".to_owned(), |v| format!("{v:.3}"));
     let json = format!(
         "{{\n  \"bench\": \"scale\",\n  \"worlds\": [\n{}\n  ],\n  \
          \"heal_1000\": {{\"nodes\": {}, \"crashed\": {}, \"heal_passes\": {}, \
          \"replans\": {}, \"infeasible\": {}, \"detected_ms\": {}, \"recovered_ms\": {}, \
-         \"wall_ms\": {:.3}}},\n  \
-         \"open_loop\": {{\"clients\": {}, \"arrivals\": {}, \"distinct_clients\": {}, \
-         \"attach_routers\": {}, \"plans\": {}, \"cache_hits\": {}, \"memo_hits\": {}, \
-         \"memo_misses\": {}, \"virtual_hours\": {:.3}, \"peak_hour_arrivals\": {}, \
-         \"trough_hour_arrivals\": {}, \"wall_ms\": {:.3}, \"connects_per_sec\": {:.0}, \
-         \"plan_p50_ms\": {:.4}, \"plan_p99_ms\": {:.4}, \"plan_max_ms\": {:.4}}}\n}}\n",
+         \"wall_ms\": {:.3}}}\n}}\n",
         entries.join(",\n"),
         heal.nodes,
         heal.crashed.0,
@@ -234,22 +177,6 @@ fn main() {
         opt(heal.detected_ms),
         opt(heal.recovered_ms),
         heal.wall_ms,
-        open_loop.clients,
-        open_loop.arrivals,
-        open_loop.distinct_clients,
-        open_loop.attach_routers,
-        open_loop.plans,
-        open_loop.cache_hits,
-        open_loop.memo_hits,
-        open_loop.memo_misses,
-        open_loop.virtual_hours,
-        open_loop.peak_hour_arrivals,
-        open_loop.trough_hour_arrivals,
-        open_loop.wall_ms,
-        open_loop.connects_per_sec,
-        open_loop.plan_p50_ms,
-        open_loop.plan_p99_ms,
-        open_loop.plan_max_ms,
     );
     std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
     report.kv("wrote", "BENCH_scale.json");

@@ -7,34 +7,13 @@
 
 #![forbid(unsafe_code)]
 
-use ps_core::Framework;
-use ps_mail::spec::names::*;
-use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
+use ps_bench::harness::{case_study_sites, mail_framework, site_request};
 use ps_net::casestudy::default_case_study;
-use ps_planner::ServiceRequest;
-use ps_smock::{CoherencePolicy, ServiceRegistration};
-use ps_trace::Report;
+use ps_trace::{Report, Tracer};
 
 fn main() {
     let cs = default_case_study();
-    let mut framework = Framework::new(
-        cs.network.clone(),
-        cs.mail_server,
-        Box::new(mail_translator()),
-    );
-    register_mail_components(
-        &mut framework.server.registry,
-        Keyring::new(1),
-        CoherencePolicy::CountLimit(500),
-    );
-    framework.register_service(
-        ServiceRegistration::new(mail_spec())
-            .attribute("type", "mail")
-            .proxy_code_size(32 * 1024),
-    );
-    framework
-        .install_primary("mail", MAIL_SERVER, cs.mail_server)
-        .expect("primary");
+    let mut framework = mail_framework(cs.network.clone(), cs.mail_server, &Tracer::disabled());
 
     let mut report = Report::new("One-time connection costs per site (Section 4.2)");
     report.line(format!(
@@ -53,17 +32,10 @@ fn main() {
         "rows",
         "hits"
     ));
-    for (site, client, trust) in [
-        ("NewYork", cs.ny_client, 4i64),
-        ("SanDiego", cs.sd_client, 4),
-        ("Seattle", cs.seattle_client, 1),
-    ] {
-        let request = ServiceRequest::new(CLIENT_INTERFACE, client)
-            .rate(5.0)
-            .pin(MAIL_SERVER, cs.mail_server)
-            .origin(cs.mail_server)
-            .require("TrustLevel", trust);
-        let connection = framework.connect("mail", &request).expect("connect");
+    for (site, client, trust) in case_study_sites(&cs) {
+        let connection = framework
+            .connect("mail", &site_request(&cs, client, trust))
+            .expect("connect");
         let c = &connection.costs;
         report.line(format!(
             "{:<10} {:>12.1} {:>12.3} {:>12.1} {:>12.1} {:>12.1} {:>9} {:>7} {:>7} {:>7} {:>9} {:>9} {:>6}",

@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 
 use ps_bench::chaos::{run_chaos, ChaosBenchConfig, ChaosOutcome};
-use ps_bench::scale::{run_heal_workload_with, scale_network, HealWorkloadOptions};
+use ps_bench::scale::{run_heal_workload, scale_network, HealWorkloadOptions};
 use ps_sim::SimDuration;
 use ps_smock::LeaseConfig;
 use ps_trace::{
@@ -326,14 +326,13 @@ fn main() {
     let (scale_tracer, scale_sink) = Tracer::memory();
     // Same topology + workload seeds as bench_scale's heal leg.
     let (net, server, client) = scale_network(1000, 8000);
-    let scale_out = run_heal_workload_with(
+    let scale_out = run_heal_workload(
         net,
         server,
         client,
         7000,
         &scale_tracer,
         &HealWorkloadOptions {
-            lease: None,
             sampler: Some(SamplerConfig::default()),
             lease_renewal_bytes: RENEWAL_BYTES,
             settle: Some(SimDuration::from_secs(30)),

@@ -16,14 +16,8 @@
 
 #![forbid(unsafe_code)]
 
-use ps_core::Framework;
-use ps_mail::spec::names::*;
-use ps_mail::workload::{ClusterConfig, ClusterDriver};
-use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
+use ps_bench::harness::{case_study_sites, mail_framework, site_request, spawn_driver};
 use ps_net::casestudy::default_case_study;
-use ps_planner::ServiceRequest;
-use ps_smock::{CoherencePolicy, ServiceRegistration};
-use ps_spec::{Behavior, ResolvedBindings};
 use ps_trace::{breakdowns, closed_spans, Event, Metric, Report, Tracer};
 use std::fmt::Write as _;
 
@@ -38,67 +32,27 @@ struct ConnInfo {
 /// per site so `invoke` spans flow through the deployed pipelines.
 fn traced_run(tracer: &Tracer) -> Vec<ConnInfo> {
     let cs = default_case_study();
-    let mut framework = Framework::new(
-        cs.network.clone(),
-        cs.mail_server,
-        Box::new(mail_translator()),
-    );
-    framework.set_tracer(tracer.clone());
-    register_mail_components(
-        &mut framework.server.registry,
-        Keyring::new(1),
-        CoherencePolicy::CountLimit(500),
-    );
-    framework.register_service(
-        ServiceRegistration::new(mail_spec())
-            .attribute("type", "mail")
-            .proxy_code_size(32 * 1024),
-    );
-    framework
-        .install_primary("mail", MAIL_SERVER, cs.mail_server)
-        .expect("primary");
-
+    let mut framework = mail_framework(cs.network.clone(), cs.mail_server, tracer);
     let mut connections = Vec::new();
-    for (i, (site, client, trust)) in [
-        ("NewYork", cs.ny_client, 4i64),
-        ("SanDiego", cs.sd_client, 4),
-        ("Seattle", cs.seattle_client, 1),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let request = ServiceRequest::new(CLIENT_INTERFACE, client)
-            .rate(5.0)
-            .pin(MAIL_SERVER, cs.mail_server)
-            .origin(cs.mail_server)
-            .require("TrustLevel", trust);
-        let connection = framework.connect("mail", &request).expect("connect");
+    for (i, (site, client, trust)) in case_study_sites(&cs).into_iter().enumerate() {
+        let connection = framework
+            .connect("mail", &site_request(&cs, client, trust))
+            .expect("connect");
         connections.push(ConnInfo {
             site,
             scope: format!("conn-{i}"),
             root: connection.root.0 as u64,
         });
-
         // A small per-site workload driving the freshly-built pipeline.
-        let driver = ClusterDriver::new(ClusterConfig {
-            user: format!("user-{site}"),
-            peers: vec![format!("user-{site}")],
-            sends: 25,
-            receives: 5,
-            body_bytes: (1024, 3072),
-            sensitivity: (1, 2),
-            id_base: (i as u64 + 1) << 40,
-            seed: 42 ^ (i as u64).wrapping_mul(0x9E37_79B9),
-        });
-        let id = framework.world.instantiate(
-            format!("driver-{site}"),
+        spawn_driver(
+            &mut framework.world,
+            site,
             client,
-            ResolvedBindings::new(),
-            Behavior::new(),
-            Box::new(driver),
-            framework.world.now(),
+            connection.root,
+            (25, 5),
+            (i as u64 + 1) << 40,
+            42 ^ (i as u64).wrapping_mul(0x9E37_79B9),
         );
-        framework.world.wire(id, vec![connection.root]);
     }
 
     framework.run();

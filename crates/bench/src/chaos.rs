@@ -5,31 +5,33 @@
 //! (trust 1), which chains onto San Diego's freshly deployed
 //! `ViewMailServer` exactly as in Figure 6. Both connections go under
 //! self-healing management, retry policies and leases are switched on,
-//! and a [`FaultPlan`] crashes the San Diego client node mid-workload
-//! (optionally adding randomized-but-seeded WAN link flaps and loss
-//! windows). The San Diego connection dies with its client; the Seattle
-//! connection loses the mid-chain instances it was sharing and must be
-//! re-planned and re-deployed by [`Framework::heal`] — with **zero**
-//! manual `connect` calls — for its driver to finish the workload.
+//! and a [`FaultPlan`] crashes the San Diego client node mid-workload,
+//! adding randomized-but-seeded WAN link flaps and a loss window. The
+//! San Diego connection dies with its client; the Seattle connection
+//! loses the mid-chain instances it was sharing and must be re-planned
+//! and re-deployed by [`Framework::heal`](ps_core::Framework::heal) —
+//! with **zero** manual `connect` calls — for its driver to finish the
+//! workload.
 //!
 //! Everything reported in [`ChaosOutcome`] is virtual-time or
 //! event-count derived; two runs with the same [`ChaosBenchConfig`]
 //! produce byte-identical [`outcome_json`] and byte-identical trace
 //! JSONL streams.
 
-use ps_core::Framework;
-use ps_mail::spec::names::*;
-use ps_mail::workload::{ClusterConfig, ClusterDriver};
-use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
-use ps_net::{default_case_study, CaseStudy, NodeId};
-use ps_planner::ServiceRequest;
-use ps_sim::{ChaosConfig, FaultPlan, SimDuration, SimTime};
-use ps_smock::{
-    CoherencePolicy, InstanceId, LeaseConfig, LivenessKind, RetryPolicy, ServiceRegistration, World,
+use crate::harness::{
+    close_json, connect_pair, counters, drain, driver, driver_stats, enable_telemetry,
+    healing_mail_framework, ms, opt_ms, opt_span_ms, DriverStats, HealLoop,
 };
-use ps_spec::{Behavior, ResolvedBindings};
-use ps_trace::{Metric, SamplerConfig, SeriesSummary, Tracer};
+use ps_net::{default_case_study, CaseStudy, NodeId};
+use ps_sim::{ChaosConfig, FaultPlan, SimDuration, SimTime};
+use ps_smock::LeaseConfig;
+use ps_trace::{SamplerConfig, SeriesSummary, Tracer};
 use std::fmt::Write as _;
+
+/// Give up waiting for the Seattle driver after this much virtual time.
+const HORIZON: SimTime = SimTime::from_nanos(300_000_000_000);
+/// Healing-pass cadence after the crash.
+const HEAL_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// Parameters of one chaos-recovery run.
 #[derive(Debug, Clone)]
@@ -38,18 +40,10 @@ pub struct ChaosBenchConfig {
     pub seed: u64,
     /// When the San Diego client node crashes.
     pub crash_at: SimTime,
-    /// Give up waiting for the Seattle driver after this much virtual
-    /// time.
-    pub horizon: SimTime,
-    /// Healing-pass cadence after the crash.
-    pub heal_period: SimDuration,
     /// Seattle workload size (sends / receives).
     pub seattle_ops: (u32, u32),
     /// San Diego workload size (sends / receives).
     pub sd_ops: (u32, u32),
-    /// Also draw randomized WAN link flaps and a loss window from the
-    /// seed (the crash alone is injected either way).
-    pub extra_chaos: bool,
     /// Lease parameters (the failure-detection interval): shorter
     /// heartbeats detect faster but renew more often.
     pub lease: LeaseConfig,
@@ -65,31 +59,13 @@ impl Default for ChaosBenchConfig {
         ChaosBenchConfig {
             seed: 42,
             crash_at: SimTime::from_nanos(1_000_000_000),
-            horizon: SimTime::from_nanos(300_000_000_000),
-            heal_period: SimDuration::from_secs(1),
             seattle_ops: (3000, 150),
             sd_ops: (3000, 150),
-            extra_chaos: true,
             lease: LeaseConfig::default(),
             sampler: None,
             lease_renewal_bytes: 0,
         }
     }
-}
-
-/// Closed-loop driver statistics extracted after the run.
-#[derive(Debug, Clone, Copy)]
-pub struct DriverStats {
-    /// Operations that completed with a reply.
-    pub completed: usize,
-    /// Operations completed before the crash fired.
-    pub completed_before_crash: usize,
-    /// Operations the retry policy gave up on.
-    pub lost: u32,
-    /// Replies that came back `Denied`.
-    pub denied: u32,
-    /// Whether the driver finished its whole workload.
-    pub done: bool,
 }
 
 /// Everything a chaos-recovery run measures (virtual-time derived only —
@@ -152,92 +128,22 @@ impl ChaosOutcome {
     }
 }
 
-pub(crate) fn driver_stats(world: &mut World, id: InstanceId, before_crash: usize) -> DriverStats {
-    let driver = world
-        .logic_mut(id)
-        .as_any()
-        .and_then(|a| a.downcast_ref::<ClusterDriver>())
-        .expect("cluster driver");
-    DriverStats {
-        completed: driver.completed.len(),
-        completed_before_crash: before_crash,
-        lost: driver.lost,
-        denied: driver.denied,
-        done: driver.is_done(),
-    }
-}
-
-pub(crate) fn completed_now(world: &mut World, id: InstanceId) -> usize {
-    world
-        .logic_mut(id)
-        .as_any()
-        .and_then(|a| a.downcast_ref::<ClusterDriver>())
-        .expect("cluster driver")
-        .completed
-        .len()
-}
-
-pub(crate) fn spawn_driver(
-    world: &mut World,
-    site: &str,
-    node: NodeId,
-    root: InstanceId,
-    ops: (u32, u32),
-    id_base: u64,
-    seed: u64,
-) -> InstanceId {
-    let driver = ClusterDriver::new(ClusterConfig {
-        user: format!("user-{site}"),
-        peers: vec![format!("user-{site}")],
-        sends: ops.0,
-        receives: ops.1,
-        body_bytes: (1024, 3072),
-        sensitivity: (1, 2),
-        id_base,
-        seed,
-    });
-    let id = world.instantiate(
-        format!("driver-{site}"),
-        node,
-        ResolvedBindings::new(),
-        Behavior::new(),
-        Box::new(driver),
-        world.now(),
-    );
-    world.wire(id, vec![root]);
-    id
-}
-
 /// The fault schedule: a deterministic crash of the San Diego client
-/// node, plus (optionally) seeded WAN link flaps and a loss window on
-/// the New York – Seattle link.
+/// node, plus seeded WAN link flaps and a loss window on the New York –
+/// Seattle link.
 fn build_fault_plan(config: &ChaosBenchConfig, cs: &CaseStudy) -> FaultPlan {
     let mut plan = FaultPlan::new();
     plan.crash(config.crash_at, cs.sd_client.0);
-    if !config.extra_chaos {
-        return plan;
-    }
-    let ny_sd = cs
-        .network
-        .link_between(cs.ny_gateway, cs.sd_gateway)
-        .expect("NY-SD WAN link")
-        .id;
-    let sea_sd = cs
-        .network
-        .link_between(cs.seattle_gateway, cs.sd_gateway)
-        .expect("SEA-SD WAN link")
-        .id;
-    let ny_sea = cs
-        .network
-        .link_between(cs.ny_gateway, cs.seattle_gateway)
-        .expect("NY-SEA WAN link")
-        .id;
+    let link = |a, b| cs.network.link_between(a, b).expect("WAN link").id.0;
+    let ny_sd = link(cs.ny_gateway, cs.sd_gateway);
+    let sea_sd = link(cs.seattle_gateway, cs.sd_gateway);
+    let ny_sea = link(cs.ny_gateway, cs.seattle_gateway);
     // Flaps on the San Diego WAN legs, well after recovery has begun.
     let window = ChaosConfig {
         start: config.crash_at + SimDuration::from_secs(15),
         horizon: config.crash_at + SimDuration::from_secs(60),
         crashable_nodes: Vec::new(),
-        flappable_links: vec![ny_sd.0, sea_sd.0],
+        flappable_links: vec![ny_sd, sea_sd],
         node_crashes: 0,
         link_flaps: 2,
         loss_windows: 0,
@@ -253,7 +159,7 @@ fn build_fault_plan(config: &ChaosBenchConfig, cs: &CaseStudy) -> FaultPlan {
     // One loss window on the live New York – Seattle path, exercising
     // the retry machinery without severing the route.
     let loss = ChaosConfig {
-        flappable_links: vec![ny_sea.0],
+        flappable_links: vec![ny_sea],
         node_crashes: 0,
         link_flaps: 0,
         loss_windows: 1,
@@ -273,95 +179,32 @@ fn build_fault_plan(config: &ChaosBenchConfig, cs: &CaseStudy) -> FaultPlan {
 /// handle to capture the event stream.
 pub fn run_chaos(config: &ChaosBenchConfig, tracer: &Tracer) -> ChaosOutcome {
     let cs = default_case_study();
-    let mut framework = Framework::new(
+    let mut framework = healing_mail_framework(
         cs.network.clone(),
         cs.mail_server,
-        Box::new(mail_translator()),
+        tracer,
+        config.seed,
+        config.lease,
     );
-    framework.enable_self_healing();
-    framework.set_tracer(tracer.clone());
-    register_mail_components(
-        &mut framework.server.registry,
-        Keyring::new(1),
-        CoherencePolicy::CountLimit(500),
-    );
-    framework.register_service(
-        ServiceRegistration::new(mail_spec())
-            .attribute("type", "mail")
-            .proxy_code_size(32 * 1024)
-            .home_node(cs.mail_server),
-    );
+    enable_telemetry(&mut framework, config.sampler, config.lease_renewal_bytes);
     framework
-        .install_primary("mail", MAIL_SERVER, cs.mail_server)
-        .expect("primary");
-
-    // Fault machinery: bounded retries on every invoke, leases as the
-    // failure detector, and the seeded fault schedule.
-    framework.world.enable_retry(RetryPolicy {
-        max_attempts: 3,
-        timeout: SimDuration::from_secs(2),
-        backoff_multiplier: 2.0,
-        deadline: None,
-    });
-    framework.world.enable_leases(config.lease);
-    framework.world.set_fault_seed(config.seed);
-    if let Some(sampler) = config.sampler {
-        framework.enable_sampler(sampler);
-    }
-    if config.lease_renewal_bytes > 0 {
-        framework.account_lease_traffic(config.lease_renewal_bytes);
-    }
-    let plan = build_fault_plan(config, &cs);
-    framework.world.install_fault_plan(&plan);
-
-    // San Diego connects first, deploying the shared view chain...
-    let sd_request = ServiceRequest::new(CLIENT_INTERFACE, cs.sd_client)
-        .rate(5.0)
-        .pin(MAIL_SERVER, cs.mail_server)
-        .origin(cs.mail_server)
-        .require("TrustLevel", 4i64);
-    let sd_conn = framework.connect("mail", &sd_request).expect("SD connect");
-    let sd_root = sd_conn.root;
-    let sd_handle = framework.manage("mail", sd_request, sd_conn);
-
-    // ...then Seattle chains onto it (Figure 6's partner-site request).
-    let sea_request = ServiceRequest::new(CLIENT_INTERFACE, cs.seattle_client)
-        .rate(5.0)
-        .pin(MAIL_SERVER, cs.mail_server)
-        .origin(cs.mail_server)
-        .require("TrustLevel", 1i64);
-    let sea_conn = framework
-        .connect("mail", &sea_request)
-        .expect("Seattle connect");
-    let sea_root = sea_conn.root;
-    let sea_handle = framework.manage("mail", sea_request, sea_conn);
-
-    let sd_driver = spawn_driver(
-        &mut framework.world,
-        "SanDiego",
-        cs.sd_client,
-        sd_root,
+        .world
+        .install_fault_plan(&build_fault_plan(config, &cs));
+    let (sd, sea) = connect_pair(
+        &mut framework,
+        &cs,
+        config.seed,
         config.sd_ops,
-        1 << 40,
-        config.seed ^ 0x5D,
-    );
-    let sea_driver = spawn_driver(
-        &mut framework.world,
-        "Seattle",
-        cs.seattle_client,
-        sea_root,
         config.seattle_ops,
-        2 << 40,
-        config.seed ^ 0x5EA,
     );
 
     // Phase 1: the healthy workload up to the crash.
     framework.run_until(config.crash_at);
-    let sea_before_crash = completed_now(&mut framework.world, sea_driver);
-    let sd_before_crash = completed_now(&mut framework.world, sd_driver);
+    let sea_before_crash = driver(&mut framework.world, sea.driver).completed.len();
+    let sd_before_crash = driver(&mut framework.world, sd.driver).completed.len();
 
-    // Phase 2: the healing loop — step, heal, repeat until the Seattle
-    // driver finishes or the horizon runs out. No manual `connect`.
+    // Phase 2: the healing loop until the Seattle driver finishes or the
+    // horizon runs out. No manual `connect`.
     //
     // An early pass can see only part of the crashed node's lease
     // expiries: the connection is then re-deployed on partial knowledge
@@ -371,127 +214,61 @@ pub fn run_chaos(config: &ChaosBenchConfig, tracer: &Tracer) -> ChaosOutcome {
     // premature attempt; `recovered_at` records the first redeploy made
     // at or after the `NodeDown` verdict, i.e. with the failed node
     // quarantined.
-    let mut detected_at = None;
     let mut first_redeploy_at = None;
     let mut recovered_at = None;
     let mut recovery_ready_at = None;
-    let mut replans = 0;
-    let mut infeasible = 0;
-    let mut heal_passes = 0;
-    let mut quarantined = Vec::new();
-    let mut now = config.crash_at;
-    while now < config.horizon {
-        now += config.heal_period;
-        framework.run_until(now);
-        let report = framework.heal();
-        heal_passes += 1;
-        for event in &report.liveness {
-            if let LivenessKind::NodeDown { node } = event.kind {
-                if node == cs.sd_client && detected_at.is_none() {
-                    detected_at = Some(event.at);
-                }
-            }
-        }
-        quarantined.extend(report.quarantined.iter().copied());
-        replans += report.recovered.len();
-        infeasible += report.infeasible.len();
-        if report.recovered.contains(&sea_handle) && first_redeploy_at.is_none() {
+    let mut heal = HealLoop::new(config.crash_at, HEAL_PERIOD);
+    heal.run(&mut framework, HORIZON, |framework, report, tally| {
+        if report.recovered.contains(&sea.handle) && first_redeploy_at.is_none() {
             first_redeploy_at = Some(report.at);
         }
         // Recovery is complete once the failed node is known-dead and
         // the (re-deployed) Seattle plan no longer touches any
         // quarantined node.
-        if detected_at.is_some() && recovered_at.is_none() && first_redeploy_at.is_some() {
-            let healthy = framework.managed_connection(sea_handle).is_some_and(|c| {
-                c.plan
+        if tally.detected(cs.sd_client).is_some()
+            && recovered_at.is_none()
+            && first_redeploy_at.is_some()
+        {
+            if let Some(c) = framework.managed_connection(sea.handle) {
+                let healthy = c
+                    .plan
                     .placements
                     .iter()
-                    .all(|p| !quarantined.contains(&p.node))
-            });
-            if healthy {
-                recovered_at = Some(report.at);
-                recovery_ready_at = framework.managed_connection(sea_handle).map(|c| c.ready_at);
+                    .all(|p| !tally.quarantined.contains(&p.node));
+                if healthy {
+                    recovered_at = Some(report.at);
+                    recovery_ready_at = Some(c.ready_at);
+                }
             }
         }
         // Exit only once the Seattle connection has been re-deployed
         // AND its driver has finished: the crash guts Seattle's
         // mid-chain (its view path shares San Diego's instances), and
         // the run must demonstrate both detection and repair.
-        let done = framework
-            .world
-            .logic_mut(sea_driver)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<ClusterDriver>())
-            .is_some_and(|d| d.is_done());
-        if done && recovered_at.is_some() {
-            break;
-        }
-    }
+        recovered_at.is_some() && driver(&mut framework.world, sea.driver).is_done()
+    });
     // Drain whatever is still in flight (stray retries, fault events).
-    framework.run();
-    framework.world.charge_lease_renewals();
-    if config.sampler.is_some() {
-        framework.world.sample_now();
-    }
-    let series = framework
-        .world
-        .sampler()
-        .map(|s| s.summaries())
-        .unwrap_or_default();
-    let lease_renewal_bytes = framework.world.lease_renewal_bytes();
-
-    let sd_abandoned = framework.managed_connection(sd_handle).is_none();
-    let seattle = driver_stats(&mut framework.world, sea_driver, sea_before_crash);
-    let sd = driver_stats(&mut framework.world, sd_driver, sd_before_crash);
-
-    let mut counters = Vec::new();
-    if let Some(registry) = tracer.registry() {
-        for (name, metric) in registry.snapshot() {
-            let keep = name.starts_with("world.")
-                || name.starts_with("heal.")
-                || name.starts_with("replan.")
-                || name.starts_with("monitor.")
-                || name == "server.connects";
-            if !keep {
-                continue;
-            }
-            if let Metric::Counter(c) = metric {
-                counters.push((name, c));
-            }
-        }
-        counters.sort();
-    }
+    let (series, lease_renewal_bytes) = drain(&mut framework, None);
 
     ChaosOutcome {
         seed: config.seed,
         crash_at: config.crash_at,
-        detected_at,
+        detected_at: heal.detected(cs.sd_client),
         first_redeploy_at,
         recovered_at,
         recovery_ready_at,
-        sd_abandoned,
-        replans,
-        infeasible,
-        heal_passes,
-        quarantined,
-        seattle,
-        sd,
-        counters,
+        sd_abandoned: framework.managed_connection(sd.handle).is_none(),
+        replans: heal.replans,
+        infeasible: heal.infeasible,
+        heal_passes: heal.passes,
+        quarantined: heal.quarantined,
+        seattle: driver_stats(&mut framework.world, sea.driver, sea_before_crash),
+        sd: driver_stats(&mut framework.world, sd.driver, sd_before_crash),
+        counters: counters(tracer),
         messages: framework.world.messages_sent(),
         completed_at: framework.world.now(),
         lease_renewal_bytes,
         series,
-    }
-}
-
-fn ms(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1_000_000.0
-}
-
-fn opt_ms(t: Option<SimTime>) -> String {
-    match t {
-        Some(t) => format!("{:.3}", ms(t)),
-        None => "null".to_owned(),
     }
 }
 
@@ -515,8 +292,7 @@ pub fn outcome_json(o: &ChaosOutcome) -> String {
     let _ = writeln!(
         json,
         "  \"detection_latency_ms\": {},",
-        o.detection_latency()
-            .map_or("null".to_owned(), |d| format!("{:.3}", d.as_millis_f64()))
+        opt_span_ms(o.detection_latency())
     );
     let _ = writeln!(json, "  \"recovery\": {{");
     let _ = writeln!(
@@ -533,8 +309,7 @@ pub fn outcome_json(o: &ChaosOutcome) -> String {
     let _ = writeln!(
         json,
         "    \"latency_ms\": {},",
-        o.recovery_latency()
-            .map_or("null".to_owned(), |d| format!("{:.3}", d.as_millis_f64()))
+        opt_span_ms(o.recovery_latency())
     );
     let _ = writeln!(json, "    \"replans\": {},", o.replans);
     let _ = writeln!(json, "    \"infeasible\": {},", o.infeasible);
@@ -545,17 +320,7 @@ pub fn outcome_json(o: &ChaosOutcome) -> String {
     let _ = writeln!(json, "  \"sd_abandoned\": {},", o.sd_abandoned);
     let _ = writeln!(json, "  \"seattle\": {},", driver_json(&o.seattle));
     let _ = writeln!(json, "  \"sd\": {},", driver_json(&o.sd));
-    let _ = writeln!(json, "  \"counters\": {{");
-    let counter_lines: Vec<String> = o
-        .counters
-        .iter()
-        .map(|(name, value)| format!("    \"{name}\": {value}"))
-        .collect();
-    let _ = writeln!(json, "{}", counter_lines.join(",\n"));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"messages\": {},", o.messages);
-    let _ = writeln!(json, "  \"completed_at_ms\": {:.3}", ms(o.completed_at));
-    let _ = writeln!(json, "}}");
+    close_json(&mut json, &o.counters, o.messages, o.completed_at);
     json
 }
 
@@ -563,20 +328,16 @@ pub fn outcome_json(o: &ChaosOutcome) -> String {
 mod tests {
     use super::*;
 
-    /// A small config so the scenario stays test-sized.
-    pub(crate) fn quick_config(seed: u64) -> ChaosBenchConfig {
-        ChaosBenchConfig {
-            seed,
+    #[test]
+    fn chaos_run_recovers_the_seattle_connection() {
+        let config = ChaosBenchConfig {
+            seed: 7,
             crash_at: SimTime::from_nanos(50_000_000),
             seattle_ops: (60, 5),
             sd_ops: (60, 5),
             ..ChaosBenchConfig::default()
-        }
-    }
-
-    #[test]
-    fn chaos_run_recovers_the_seattle_connection() {
-        let outcome = run_chaos(&quick_config(7), &Tracer::disabled());
+        };
+        let outcome = run_chaos(&config, &Tracer::disabled());
         assert!(outcome.sd_abandoned, "SD client node crashed");
         assert!(outcome.replans >= 1, "Seattle must be re-deployed");
         assert!(outcome.detected_at.is_some(), "leases detect the crash");
@@ -585,15 +346,5 @@ mod tests {
             outcome.seattle.completed > outcome.seattle.completed_before_crash,
             "operations complete after the crash (service restored)"
         );
-    }
-
-    #[test]
-    fn same_seed_runs_serialize_identically() {
-        let (tracer_a, _sink_a) = Tracer::memory();
-        let (tracer_b, _sink_b) = Tracer::memory();
-        let a = run_chaos(&quick_config(11), &tracer_a);
-        let b = run_chaos(&quick_config(11), &tracer_b);
-        assert_eq!(outcome_json(&a), outcome_json(&b));
-        assert_eq!(_sink_a.to_jsonl(), _sink_b.to_jsonl());
     }
 }

@@ -2,21 +2,22 @@
 //!
 //! One module per experiment; the `src/bin/` binaries print the paper's
 //! rows/series and time the hot paths (`bench_planner`, `bench_scale`).
+//! The fault scenarios share one service assembly and one heal loop,
+//! [`harness`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod harness;
 pub mod partition;
 pub mod scale;
 pub mod scenarios;
 
-pub use chaos::{outcome_json, run_chaos, ChaosBenchConfig, ChaosOutcome, DriverStats};
+pub use chaos::{outcome_json, run_chaos, ChaosBenchConfig, ChaosOutcome};
+pub use harness::DriverStats;
 pub use partition::{partition_json, run_partition, PartitionBenchConfig, PartitionOutcome};
-pub use scale::{
-    run_heal_workload, run_heal_workload_with, scale_network, HealWorkloadOptions,
-    HealWorkloadOutcome,
-};
+pub use scale::{run_heal_workload, scale_network, HealWorkloadOptions, HealWorkloadOutcome};
 
 /// Whether the bench bins should write *stable* artifacts: every
 /// wall-clock-derived field zeroed/omitted so that two same-seed runs

@@ -17,18 +17,23 @@
 //! derived; two runs with the same [`PartitionBenchConfig`] produce
 //! byte-identical [`partition_json`] and byte-identical trace JSONL.
 
-use crate::chaos::{completed_now, driver_stats, spawn_driver, DriverStats};
+use crate::harness::{
+    close_json, connect_pair, counters, driver, driver_stats, healing_mail_framework, ms, opt_ms,
+    opt_span_ms, DriverStats, HealLoop,
+};
 use ps_core::Framework;
-use ps_mail::spec::names::*;
-use ps_mail::workload::ClusterDriver;
-use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use ps_net::casestudy::SEATTLE;
 use ps_net::default_case_study;
-use ps_planner::ServiceRequest;
 use ps_sim::{FaultPlan, SimDuration, SimTime};
-use ps_smock::{CoherencePolicy, LeaseConfig, RetryPolicy, ServiceRegistration};
-use ps_trace::{Metric, Tracer};
+use ps_smock::LeaseConfig;
+use ps_trace::Tracer;
 use std::fmt::Write as _;
+
+/// Give up waiting for reconciliation / drivers after this much virtual
+/// time.
+const HORIZON: SimTime = SimTime::from_nanos(300_000_000_000);
+/// Healing-pass cadence from the split onward.
+const HEAL_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// Parameters of one partition/reconcile run.
 #[derive(Debug, Clone)]
@@ -39,17 +44,10 @@ pub struct PartitionBenchConfig {
     pub split_at: SimTime,
     /// When the legs are restored.
     pub restore_at: SimTime,
-    /// Give up waiting for reconciliation / drivers after this much
-    /// virtual time.
-    pub horizon: SimTime,
-    /// Healing-pass cadence from the split onward.
-    pub heal_period: SimDuration,
     /// Seattle workload size (sends / receives).
     pub seattle_ops: (u32, u32),
     /// San Diego workload size (sends / receives).
     pub sd_ops: (u32, u32),
-    /// Lease parameters (failure detection).
-    pub lease: LeaseConfig,
 }
 
 impl Default for PartitionBenchConfig {
@@ -58,11 +56,8 @@ impl Default for PartitionBenchConfig {
             seed: 42,
             split_at: SimTime::from_nanos(2_000_000_000),
             restore_at: SimTime::from_nanos(32_000_000_000),
-            horizon: SimTime::from_nanos(300_000_000_000),
-            heal_period: SimDuration::from_millis(500),
             seattle_ops: (3000, 150),
             sd_ops: (3000, 150),
-            lease: LeaseConfig::default(),
         }
     }
 }
@@ -133,37 +128,13 @@ impl PartitionOutcome {
 /// Runs the partition scenario.
 pub fn run_partition(config: &PartitionBenchConfig, tracer: &Tracer) -> PartitionOutcome {
     let cs = default_case_study();
-    let mut framework = Framework::new(
+    let mut framework = healing_mail_framework(
         cs.network.clone(),
         cs.mail_server,
-        Box::new(mail_translator()),
+        tracer,
+        config.seed,
+        LeaseConfig::default(),
     );
-    framework.enable_self_healing();
-    framework.set_tracer(tracer.clone());
-    register_mail_components(
-        &mut framework.server.registry,
-        Keyring::new(1),
-        CoherencePolicy::CountLimit(500),
-    );
-    framework.register_service(
-        ServiceRegistration::new(mail_spec())
-            .attribute("type", "mail")
-            .proxy_code_size(32 * 1024)
-            .home_node(cs.mail_server),
-    );
-    framework
-        .install_primary("mail", MAIL_SERVER, cs.mail_server)
-        .expect("primary");
-
-    framework.world.enable_retry(RetryPolicy {
-        max_attempts: 3,
-        timeout: SimDuration::from_secs(2),
-        backoff_multiplier: 2.0,
-        deadline: None,
-    });
-    framework.world.enable_leases(config.lease);
-    framework.world.set_fault_seed(config.seed);
-
     // The correlated fault domain: every WAN leg of the Seattle gateway,
     // down at the split and back at the restore.
     let legs = cs.wan_leg_domain(SEATTLE);
@@ -171,146 +142,64 @@ pub fn run_partition(config: &PartitionBenchConfig, tracer: &Tracer) -> Partitio
     plan.domain_down(config.split_at, &legs);
     plan.domain_up(config.restore_at, &legs);
     framework.world.install_fault_plan(&plan);
-
-    // San Diego connects first, deploying the shared view chain...
-    let sd_request = ServiceRequest::new(CLIENT_INTERFACE, cs.sd_client)
-        .rate(5.0)
-        .pin(MAIL_SERVER, cs.mail_server)
-        .origin(cs.mail_server)
-        .require("TrustLevel", 4i64);
-    let sd_conn = framework.connect("mail", &sd_request).expect("SD connect");
-    let sd_root = sd_conn.root;
-    let sd_handle = framework.manage("mail", sd_request, sd_conn);
-
-    // ...then Seattle chains onto it.
-    let sea_request = ServiceRequest::new(CLIENT_INTERFACE, cs.seattle_client)
-        .rate(5.0)
-        .pin(MAIL_SERVER, cs.mail_server)
-        .origin(cs.mail_server)
-        .require("TrustLevel", 1i64);
-    let sea_conn = framework
-        .connect("mail", &sea_request)
-        .expect("Seattle connect");
-    let sea_root = sea_conn.root;
-    let initial_latency_ms = sea_conn.plan.expected_latency_ms;
-    let sea_handle = framework.manage("mail", sea_request, sea_conn);
-
-    let sd_driver = spawn_driver(
-        &mut framework.world,
-        "SanDiego",
-        cs.sd_client,
-        sd_root,
+    let (sd, sea) = connect_pair(
+        &mut framework,
+        &cs,
+        config.seed,
         config.sd_ops,
-        1 << 40,
-        config.seed ^ 0x5D,
-    );
-    let sea_driver = spawn_driver(
-        &mut framework.world,
-        "Seattle",
-        cs.seattle_client,
-        sea_root,
         config.seattle_ops,
-        2 << 40,
-        config.seed ^ 0x5EA,
     );
+    let sea_latency = |framework: &Framework| {
+        framework
+            .managed_connection(sea.handle)
+            .map(|c| c.plan.expected_latency_ms)
+    };
+    let initial_latency_ms = sea_latency(&framework).expect("Seattle connection");
+    let completed = |framework: &mut Framework| {
+        [sea.driver, sd.driver].map(|id| driver(&mut framework.world, id).completed.len())
+    };
 
     // Phase 1: the healthy workload up to the split.
     framework.run_until(config.split_at);
-    let sea_at_split = completed_now(&mut framework.world, sea_driver);
-    let sd_at_split = completed_now(&mut framework.world, sd_driver);
-
-    let mut degraded_at = None;
-    let mut degraded_epoch = None;
-    let mut degraded_latency_ms = None;
-    let mut reconciled_at = None;
-    let mut reconciled_latency_ms = None;
-    let mut heal_passes = 0;
-    let mut replans = 0;
-    let mut infeasible = 0;
-    let mut retired = 0;
+    let [sea_at_split, sd_at_split] = completed(&mut framework);
 
     // Phase 2: the split window. Healing passes recognize the cut and
     // deploy the degraded per-component chain for Seattle; San Diego
     // keeps its full chain (its routes never crossed the severed legs).
-    let mut now = config.split_at;
-    while now < config.restore_at {
-        now = (now + config.heal_period).min(config.restore_at);
-        framework.run_until(now);
-        if now >= config.restore_at {
-            // The restore events fire *at* `restore_at`; the pass that
-            // observes the merge belongs to phase 3.
-            break;
-        }
-        let report = framework.heal();
-        heal_passes += 1;
-        replans += report.recovered.len();
-        infeasible += report.infeasible.len();
-        retired += report.retired.len();
-        if report.degraded.contains(&sea_handle) && degraded_at.is_none() {
+    // The restore events fire *at* `restore_at`, so the loop takes no
+    // pass there: the pass that observes the merge belongs to phase 3.
+    let mut degraded_at = None;
+    let mut degraded_epoch = None;
+    let mut degraded_latency_ms = None;
+    let mut heal = HealLoop::new(config.split_at, HEAL_PERIOD);
+    heal.run(&mut framework, config.restore_at, |framework, report, _| {
+        if report.degraded.contains(&sea.handle) && degraded_at.is_none() {
             degraded_at = Some(report.at);
-            degraded_epoch = framework.managed_partition_epoch(sea_handle);
-            degraded_latency_ms = framework
-                .managed_connection(sea_handle)
-                .map(|c| c.plan.expected_latency_ms);
+            degraded_epoch = framework.managed_partition_epoch(sea.handle);
+            degraded_latency_ms = sea_latency(framework);
         }
-    }
-    let sea_at_restore = completed_now(&mut framework.world, sea_driver);
-    let sd_at_restore = completed_now(&mut framework.world, sd_driver);
+        false
+    });
+    let [sea_at_restore, sd_at_restore] = completed(&mut framework);
 
     // Phase 3: the merge. The next healing pass sees the closed
     // partition and reconciles Seattle back onto the cold-plan chain,
     // draining the detached view's buffered writes before retiring it.
-    while now < config.horizon {
-        now += config.heal_period;
-        framework.run_until(now);
-        let report = framework.heal();
-        heal_passes += 1;
-        replans += report.recovered.len();
-        infeasible += report.infeasible.len();
-        retired += report.retired.len();
-        if report.reconciled.contains(&sea_handle) && reconciled_at.is_none() {
+    let mut reconciled_at = None;
+    let mut reconciled_latency_ms = None;
+    heal.run(&mut framework, HORIZON, |framework, report, _| {
+        if report.reconciled.contains(&sea.handle) && reconciled_at.is_none() {
             reconciled_at = Some(report.at);
-            reconciled_latency_ms = framework
-                .managed_connection(sea_handle)
-                .map(|c| c.plan.expected_latency_ms);
+            reconciled_latency_ms = sea_latency(framework);
         }
-        let both_done = [sea_driver, sd_driver].iter().all(|&id| {
-            framework
-                .world
-                .logic_mut(id)
-                .as_any()
-                .and_then(|a| a.downcast_ref::<ClusterDriver>())
-                .is_some_and(|d| d.is_done())
-        });
-        if reconciled_at.is_some() && both_done {
-            break;
-        }
-    }
+        reconciled_at.is_some()
+            && [sea.driver, sd.driver]
+                .iter()
+                .all(|&id| driver(&mut framework.world, id).is_done())
+    });
     // Drain whatever is still in flight.
     framework.run();
 
-    let seattle = driver_stats(&mut framework.world, sea_driver, sea_at_split);
-    let sd = driver_stats(&mut framework.world, sd_driver, sd_at_split);
-
-    let mut counters = Vec::new();
-    if let Some(registry) = tracer.registry() {
-        for (name, metric) in registry.snapshot() {
-            let keep = name.starts_with("world.")
-                || name.starts_with("heal.")
-                || name.starts_with("replan.")
-                || name.starts_with("monitor.")
-                || name == "server.connects";
-            if !keep {
-                continue;
-            }
-            if let Metric::Counter(c) = metric {
-                counters.push((name, c));
-            }
-        }
-        counters.sort();
-    }
-
-    let _ = sd_handle;
     PartitionOutcome {
         seed: config.seed,
         split_at: config.split_at,
@@ -318,31 +207,20 @@ pub fn run_partition(config: &PartitionBenchConfig, tracer: &Tracer) -> Partitio
         degraded_at,
         degraded_epoch,
         reconciled_at,
-        heal_passes,
-        replans,
-        infeasible,
-        retired,
-        seattle,
-        sd,
+        heal_passes: heal.passes,
+        replans: heal.replans,
+        infeasible: heal.infeasible,
+        retired: heal.retired,
+        seattle: driver_stats(&mut framework.world, sea.driver, sea_at_split),
+        sd: driver_stats(&mut framework.world, sd.driver, sd_at_split),
         seattle_during_split: sea_at_restore - sea_at_split,
         sd_during_split: sd_at_restore - sd_at_split,
         initial_latency_ms,
         degraded_latency_ms,
         reconciled_latency_ms,
-        counters,
+        counters: counters(tracer),
         messages: framework.world.messages_sent(),
         completed_at: framework.world.now(),
-    }
-}
-
-fn ms(t: SimTime) -> f64 {
-    t.as_nanos() as f64 / 1_000_000.0
-}
-
-fn opt_ms(t: Option<SimTime>) -> String {
-    match t {
-        Some(t) => format!("{:.3}", ms(t)),
-        None => "null".to_owned(),
     }
 }
 
@@ -376,8 +254,7 @@ pub fn partition_json(o: &PartitionOutcome) -> String {
     let _ = writeln!(
         json,
         "    \"latency_after_split_ms\": {},",
-        o.degraded_latency()
-            .map_or("null".to_owned(), |d| format!("{:.3}", d.as_millis_f64()))
+        opt_span_ms(o.degraded_latency())
     );
     let _ = writeln!(
         json,
@@ -396,8 +273,7 @@ pub fn partition_json(o: &PartitionOutcome) -> String {
     let _ = writeln!(
         json,
         "    \"latency_after_restore_ms\": {},",
-        o.reconcile_latency()
-            .map_or("null".to_owned(), |d| format!("{:.3}", d.as_millis_f64()))
+        opt_span_ms(o.reconcile_latency())
     );
     let _ = writeln!(
         json,
@@ -420,17 +296,7 @@ pub fn partition_json(o: &PartitionOutcome) -> String {
         driver_json(&o.seattle, o.seattle_during_split)
     );
     let _ = writeln!(json, "  \"sd\": {},", driver_json(&o.sd, o.sd_during_split));
-    let _ = writeln!(json, "  \"counters\": {{");
-    let counter_lines: Vec<String> = o
-        .counters
-        .iter()
-        .map(|(name, value)| format!("    \"{name}\": {value}"))
-        .collect();
-    let _ = writeln!(json, "{}", counter_lines.join(",\n"));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"messages\": {},", o.messages);
-    let _ = writeln!(json, "  \"completed_at_ms\": {:.3}", ms(o.completed_at));
-    let _ = writeln!(json, "}}");
+    close_json(&mut json, &o.counters, o.messages, o.completed_at);
     json
 }
 
@@ -438,21 +304,16 @@ pub fn partition_json(o: &PartitionOutcome) -> String {
 mod tests {
     use super::*;
 
-    /// A small config so the scenario stays test-sized.
-    pub(crate) fn quick_config(seed: u64) -> PartitionBenchConfig {
-        PartitionBenchConfig {
-            seed,
+    #[test]
+    fn both_sides_are_served_and_the_merge_reconciles() {
+        let config = PartitionBenchConfig {
+            seed: 7,
             split_at: SimTime::from_nanos(50_000_000),
             restore_at: SimTime::from_nanos(5_000_000_000),
             seattle_ops: (60, 5),
             sd_ops: (60, 5),
-            ..PartitionBenchConfig::default()
-        }
-    }
-
-    #[test]
-    fn both_sides_are_served_and_the_merge_reconciles() {
-        let o = run_partition(&quick_config(7), &Tracer::disabled());
+        };
+        let o = run_partition(&config, &Tracer::disabled());
         // Majority side: the cut never touches the NY-SD leg.
         assert_eq!(o.sd.lost, 0, "majority side must lose nothing");
         assert!(o.sd_during_split > 0, "majority side keeps operating");
@@ -478,15 +339,5 @@ mod tests {
         );
         assert!(o.seattle.done, "Seattle finishes its workload");
         assert!(o.sd.done, "San Diego finishes its workload");
-    }
-
-    #[test]
-    fn same_seed_runs_serialize_identically() {
-        let (tracer_a, sink_a) = Tracer::memory();
-        let (tracer_b, sink_b) = Tracer::memory();
-        let a = run_partition(&quick_config(11), &tracer_a);
-        let b = run_partition(&quick_config(11), &tracer_b);
-        assert_eq!(partition_json(&a), partition_json(&b));
-        assert_eq!(sink_a.to_jsonl(), sink_b.to_jsonl());
     }
 }

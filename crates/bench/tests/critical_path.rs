@@ -4,12 +4,8 @@
 //! lookup round trip for San Diego), and the path segmentation must
 //! cover the whole connect interval.
 
-use ps_core::Framework;
-use ps_mail::spec::names::*;
-use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
+use ps_bench::harness::{case_study_sites, mail_framework, site_request};
 use ps_net::casestudy::default_case_study;
-use ps_planner::ServiceRequest;
-use ps_smock::{CoherencePolicy, ServiceRegistration};
 use ps_trace::{scope_critical_path, Tracer};
 
 /// Connects the three case-study sites under a memory tracer and
@@ -17,36 +13,11 @@ use ps_trace::{scope_critical_path, Tracer};
 fn traced_connects() -> Vec<ps_trace::Event> {
     let (tracer, sink) = Tracer::memory();
     let cs = default_case_study();
-    let mut framework = Framework::new(
-        cs.network.clone(),
-        cs.mail_server,
-        Box::new(mail_translator()),
-    );
-    framework.set_tracer(tracer);
-    register_mail_components(
-        &mut framework.server.registry,
-        Keyring::new(1),
-        CoherencePolicy::CountLimit(500),
-    );
-    framework.register_service(
-        ServiceRegistration::new(mail_spec())
-            .attribute("type", "mail")
-            .proxy_code_size(32 * 1024),
-    );
-    framework
-        .install_primary("mail", MAIL_SERVER, cs.mail_server)
-        .expect("primary");
-    for (client, trust) in [
-        (cs.ny_client, 4i64),
-        (cs.sd_client, 4),
-        (cs.seattle_client, 1),
-    ] {
-        let request = ServiceRequest::new(CLIENT_INTERFACE, client)
-            .rate(5.0)
-            .pin(MAIL_SERVER, cs.mail_server)
-            .origin(cs.mail_server)
-            .require("TrustLevel", trust);
-        framework.connect("mail", &request).expect("connect");
+    let mut framework = mail_framework(cs.network.clone(), cs.mail_server, &tracer);
+    for (_, client, trust) in case_study_sites(&cs) {
+        framework
+            .connect("mail", &site_request(&cs, client, trust))
+            .expect("connect");
     }
     framework.run();
     sink.events()

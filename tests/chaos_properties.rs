@@ -309,7 +309,6 @@ fn same_seed_partition_runs_produce_identical_artifacts() {
         restore_at: SimTime::from_nanos(5_000_000_000),
         seattle_ops: (60, 5),
         sd_ops: (60, 5),
-        ..PartitionBenchConfig::default()
     };
     let (tracer_a, sink_a) = partitionable_services::trace::Tracer::memory();
     let (tracer_b, sink_b) = partitionable_services::trace::Tracer::memory();
