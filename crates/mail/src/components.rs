@@ -204,8 +204,9 @@ enum Pending {
     Client(RequestHandle),
     /// A coherence flush awaiting its SyncAck; shares the `SyncBatch`
     /// payload that went upstream so a failed flush (upstream cut
-    /// mid-transfer) can restore the batch from it.
-    Flush(Payload),
+    /// mid-transfer) can restore the batch from it, and keeps the
+    /// `(messages, bytes)` tally it took off the coherence counters.
+    Flush { sync: Payload, tally: (u32, u64) },
     /// A receive pull: cache the result, then relay it.
     ReceivePull { req: RequestHandle, user: String },
 }
@@ -295,10 +296,7 @@ impl ViewMailServerLogic {
     }
 
     fn start_flush(&mut self, out: &mut Outbox) {
-        // ps-lint: allow(R001): the returned batch counters are tracked
-        // separately here via `pending_batch` (the view keeps the actual
-        // messages, not just counts); the call is for its state reset.
-        let _ = self.coherence.begin_flush(out.now());
+        let tally = self.coherence.begin_flush(out.now());
         let batch = std::mem::take(&mut self.pending_batch);
         out.tracer().count("coherence.flushes", 1);
         out.tracer().instant(
@@ -314,7 +312,10 @@ impl ViewMailServerLogic {
             origin: out.self_id(),
             messages: batch,
         });
-        let token = self.token(Pending::Flush(flush.clone()));
+        let token = self.token(Pending::Flush {
+            sync: flush.clone(),
+            tally,
+        });
         out.call(0, flush, token);
     }
 
@@ -538,8 +539,8 @@ impl ComponentLogic for ViewMailServerLogic {
             Some(Pending::Client(req)) => {
                 out.reply(req, payload.clone());
             }
-            Some(Pending::Flush(_)) => {
-                self.coherence.end_flush();
+            Some(Pending::Flush { .. }) => {
+                self.coherence.end_flush(Ok(()));
                 self.drain_blocked(out);
             }
             Some(Pending::ReceivePull { req, user }) => {
@@ -563,12 +564,13 @@ impl ComponentLogic for ViewMailServerLogic {
                     }),
                 );
             }
-            Some(Pending::Flush(flush)) => {
+            Some(Pending::Flush { sync, tally }) => {
                 // The flush was lost to a cut: put the batch back at the
-                // front of the pending window so reconciliation (or a later
-                // retry) still drains every write in order.
-                self.coherence.end_flush();
-                if let Some(MailOp::SyncBatch { messages, .. }) = flush.get::<MailOp>() {
+                // front of the pending window, and its tally back on the
+                // coherence counters, so the next window (or timer period)
+                // re-flushes every write in order.
+                self.coherence.end_flush(Err(tally));
+                if let Some(MailOp::SyncBatch { messages, .. }) = sync.get::<MailOp>() {
                     self.pending_batch.splice(0..0, messages.iter().cloned());
                 }
                 self.arm_timer(out);

@@ -125,9 +125,17 @@ impl ReplicaCoherence {
         batch
     }
 
-    /// Marks the flush acknowledged.
-    pub fn end_flush(&mut self) {
+    /// Marks the flush finished. `Err(batch)` — the flush failed and the
+    /// caller kept its updates — re-records the `(messages, bytes)` that
+    /// [`begin_flush`](Self::begin_flush) returned, so the policy sees
+    /// them as unpropagated again: a count limit counts them toward the
+    /// next window and a time-driven timer is due for them.
+    pub fn end_flush(&mut self, outcome: Result<(), (u32, u64)>) {
         self.flush_in_flight = false;
+        if let Err((messages, bytes)) = outcome {
+            self.unpropagated += messages;
+            self.unpropagated_bytes += bytes;
+        }
     }
 
     /// Whether a flush is awaiting acknowledgement.
@@ -278,7 +286,7 @@ mod tests {
         assert_eq!(rc.record_update(100), FlushDecision::Accumulate);
         assert_eq!(rc.record_update(100), FlushDecision::Accumulate);
         assert_eq!(rc.record_update(100), FlushDecision::Block);
-        rc.end_flush();
+        rc.end_flush(Ok(()));
         assert!(!rc.flush_in_flight());
         assert_eq!(rc.unpropagated(), 3);
     }
@@ -289,7 +297,7 @@ mod tests {
         assert_eq!(rc.record_update(10), FlushDecision::Flush);
         assert_eq!(rc.begin_flush(SimTime::ZERO), (1, 10));
         assert_eq!(rc.record_update(10), FlushDecision::Block);
-        rc.end_flush();
+        rc.end_flush(Ok(()));
         assert_eq!(rc.record_update(10), FlushDecision::Flush);
     }
 
@@ -311,9 +319,25 @@ mod tests {
         assert!(rc.timer_due(SimTime::from_nanos(500_000_000)));
         assert_eq!(rc.begin_flush(SimTime::from_nanos(500_000_000)), (1, 1));
         assert!(!rc.timer_due(SimTime::from_nanos(999_000_000)));
-        rc.end_flush();
+        rc.end_flush(Ok(()));
         // Nothing unpropagated -> not due.
         assert!(!rc.timer_due(SimTime::from_nanos(2_000_000_000)));
+    }
+
+    #[test]
+    fn a_failed_flush_is_unpropagated_again() {
+        let mut rc =
+            ReplicaCoherence::new(CoherencePolicy::TimeDriven(SimDuration::from_millis(500)));
+        rc.record_update(10);
+        rc.record_update(20);
+        let batch = rc.begin_flush(SimTime::from_nanos(500_000_000));
+        assert_eq!(batch, (2, 30));
+        rc.record_update(5);
+        rc.end_flush(Err(batch));
+        assert_eq!(rc.unpropagated(), 3, "restored batch plus the later update");
+        // The restored batch makes the next period due with no new update.
+        assert!(rc.timer_due(SimTime::from_nanos(1_000_000_000)));
+        assert_eq!(rc.begin_flush(SimTime::from_nanos(1_000_000_000)), (3, 35));
     }
 
     #[test]

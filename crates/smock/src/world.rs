@@ -31,15 +31,15 @@ type Hops = Rc<[(ps_net::LinkId, u8)]>;
 /// world's route rows.
 type RouteMemo = HashMap<(u32, u32), Option<Hops>>;
 
-/// Events driving the world.
-#[derive(Debug)]
+/// Events driving the world. A message in flight is owned by exactly one
+/// pending event, which carries its envelope from hop to hop.
 enum Event {
-    /// A message is ready to enter hop `envelope.hop` of its route.
-    Hop { msg: u64 },
+    /// A message is ready to enter hop `env.hop` of its route.
+    Hop { env: Box<Envelope> },
     /// A message arrived at its destination node (CPU not yet charged).
-    Deliver { msg: u64 },
+    Deliver { env: Box<Envelope> },
     /// CPU service for a delivered message completed; run the handler.
-    Process { msg: u64 },
+    Process { env: Box<Envelope> },
     /// A component timer fired.
     Timer { instance: InstanceId, tag: u64 },
     /// Instance start callback.
@@ -131,13 +131,10 @@ struct State {
     links: Vec<[LinkModel; 2]>,
     cpus: Vec<CpuModel>,
     instances: Vec<InstanceSlot>,
-    envelopes: HashMap<u64, Envelope>,
     /// Keyed by request id. `BTreeMap` because the crash handler and
     /// caller-forwarding paths *iterate* it and the visit order reaches
-    /// the trace stream (ps-lint D001); `envelopes` stays a `HashMap`
-    /// since it is only ever accessed by key.
+    /// the trace stream (ps-lint D001).
     pending: BTreeMap<u64, PendingRequest>,
-    next_msg: u64,
     next_req: u64,
     metrics: BTreeMap<String, (Summary, Percentiles)>,
     messages_sent: u64,
@@ -217,9 +214,7 @@ impl World {
                 links,
                 cpus,
                 instances: Vec::new(),
-                envelopes: HashMap::new(),
                 pending: BTreeMap::new(),
-                next_msg: 0,
                 next_req: 0,
                 metrics: BTreeMap::new(),
                 messages_sent: 0,
@@ -779,15 +774,9 @@ fn handle(engine: &mut Engine<Event>, state: &mut State, event: Event) {
                 logic.on_timer(out, tag)
             });
         }
-        Event::Hop { msg } => {
+        Event::Hop { mut env } => {
             let now = engine.now();
-            let Some(((link, dir), bytes)) = state
-                .envelopes
-                .get(&msg)
-                .map(|e| (e.hops[e.hop], e.payload.wire_bytes))
-            else {
-                return;
-            };
+            let (link, dir) = env.hops[env.hop];
             // A downed link, a crashed endpoint host, or an active loss
             // window kills the message at this hop.
             let l = state.net.link(link);
@@ -798,7 +787,6 @@ fn handle(engine: &mut Engine<Event>, state: &mut State, event: Event) {
                 None => false,
             };
             if !endpoints_up || lossy {
-                let env = state.envelopes.remove(&msg).expect("envelope exists");
                 engine.tracer().count(
                     if lossy && endpoints_up {
                         "world.loss_drops"
@@ -819,61 +807,27 @@ fn handle(engine: &mut Engine<Event>, state: &mut State, event: Event) {
                 );
                 return;
             }
-            let arrival = state.links[link.0 as usize][dir as usize].transmit(now, bytes);
-            let env = state.envelopes.get_mut(&msg).expect("envelope exists");
+            let arrival =
+                state.links[link.0 as usize][dir as usize].transmit(now, env.payload.wire_bytes);
             env.hop += 1;
             let next = if env.hop == env.hops.len() {
-                Event::Deliver { msg }
+                Event::Deliver { env }
             } else {
-                Event::Hop { msg }
+                Event::Hop { env }
             };
             engine.schedule_at(arrival, next);
         }
-        Event::Deliver { msg } => {
+        Event::Deliver { env } => {
             let now = engine.now();
-            let Some((to, kind)) = state.envelopes.get(&msg).map(|e| (e.to, e.kind)) else {
-                return;
-            };
-            // Migrated away? Forward the envelope along; retired with no
-            // forwarding address? Drop it.
-            let slot = &state.instances[to.0 as usize];
-            if slot.retired {
-                match slot.forward {
-                    Some(target) => {
-                        // Charge the forwarding hop from the *old*
-                        // instance's node to the new one (`to` still
-                        // names the old instance, whose node is intact).
-                        let env = state.envelopes.remove(&msg).expect("present");
-                        engine.tracer().count("world.forwards", 1);
-                        engine.tracer().instant(
-                            "smock.world",
-                            "forward",
-                            now.as_nanos(),
-                            vec![
-                                ("from", env.from.0.into()),
-                                ("to", to.0.into()),
-                                ("target", target.0.into()),
-                            ],
-                        );
-                        send(engine, state, to, target, env.kind, env.payload);
-                    }
-                    None => {
-                        let env = state.envelopes.remove(&msg).expect("present");
-                        engine.tracer().count("world.drops", 1);
-                        engine.tracer().instant(
-                            "smock.world",
-                            "drop",
-                            now.as_nanos(),
-                            vec![("from", env.from.0.into()), ("to", to.0.into())],
-                        );
-                    }
-                }
+            let to = env.to;
+            if state.instances[to.0 as usize].retired {
+                redirect(engine, state, *env, true);
                 return;
             }
             // Requests and notifies charge the component's per-request
             // CPU; responses are charged to the caller implicitly via its
             // own follow-on work.
-            let cpu_ms = match kind {
+            let cpu_ms = match env.kind {
                 Kind::Request { .. } | Kind::Notify => {
                     state.instances[to.0 as usize].behavior.cpu_per_request_ms
                 }
@@ -885,33 +839,15 @@ fn handle(engine: &mut Engine<Event>, state: &mut State, event: Event) {
             } else {
                 now
             };
-            engine.schedule_at(done, Event::Process { msg });
+            engine.schedule_at(done, Event::Process { env });
         }
-        Event::Process { msg } => {
-            let Some(env) = state.envelopes.remove(&msg) else {
-                return;
-            };
+        Event::Process { env } => {
             let to = env.to;
             // The target may have migrated (or crashed) between this
             // message's CPU scheduling and now: forward or drop, exactly
             // as at delivery time.
-            let slot = &state.instances[to.0 as usize];
-            if slot.retired {
-                match slot.forward {
-                    Some(target) => {
-                        engine.tracer().count("world.forwards", 1);
-                        send(engine, state, to, target, env.kind, env.payload);
-                    }
-                    None => {
-                        engine.tracer().count("world.drops", 1);
-                        engine.tracer().instant(
-                            "smock.world",
-                            "drop",
-                            engine.now().as_nanos(),
-                            vec![("from", env.from.0.into()), ("to", to.0.into())],
-                        );
-                    }
-                }
+            if state.instances[to.0 as usize].retired {
+                redirect(engine, state, *env, false);
                 return;
             }
             match env.kind {
@@ -1522,16 +1458,22 @@ fn apply_actions(
                 let provider = state.instances[instance.0 as usize].info.linkages[linkage];
                 let req = state.next_req;
                 state.next_req += 1;
-                let span = engine.tracer().enter_span(
-                    "smock.world",
-                    "invoke",
-                    engine.now().as_nanos(),
-                    vec![
-                        ("from", instance.0.into()),
-                        ("to", provider.0.into()),
-                        ("req", req.into()),
-                    ],
-                );
+                // The field list is built only for a tracer that keeps it.
+                let tracer = engine.tracer();
+                let span = if tracer.enabled() {
+                    tracer.enter_span(
+                        "smock.world",
+                        "invoke",
+                        engine.now().as_nanos(),
+                        vec![
+                            ("from", instance.0.into()),
+                            ("to", provider.0.into()),
+                            ("req", req.into()),
+                        ],
+                    )
+                } else {
+                    0
+                };
                 state.pending.insert(
                     req,
                     PendingRequest {
@@ -1625,31 +1567,44 @@ fn send(
     if !hops.is_empty() {
         engine.tracer().count("world.hops", hops.len() as u64);
     }
-    let msg = state.next_msg;
-    state.next_msg += 1;
-    let first = if hops.is_empty() {
-        Event::Deliver { msg }
-    } else {
-        Event::Hop { msg }
-    };
-    state.envelopes.insert(
-        msg,
-        Envelope {
-            kind,
-            from,
-            to,
-            hops,
-            hop: 0,
-            payload,
-        },
-    );
+    let env = Box::new(Envelope {
+        kind,
+        from,
+        to,
+        hops,
+        hop: 0,
+        payload,
+    });
     // Local delivery costs a small constant (in-process invocation).
-    let delay = if from_node == to_node {
-        SimDuration::from_micros(20)
+    if from_node == to_node {
+        engine.schedule(SimDuration::from_micros(20), Event::Deliver { env });
     } else {
-        SimDuration::ZERO
-    };
-    engine.schedule(delay, first);
+        engine.schedule(SimDuration::ZERO, Event::Hop { env });
+    }
+}
+
+/// A message reached a retired instance: re-send it from there to the
+/// forwarding target a migration left (the *old* instance's node is
+/// intact, so the forwarding hop is charged from it), or drop it. Only a
+/// forward caught at delivery is traced as an instant.
+fn redirect(engine: &mut Engine<Event>, state: &mut State, env: Envelope, at_delivery: bool) {
+    let tracer = engine.tracer();
+    let now = engine.now().as_nanos();
+    let (from, to) = (env.from.0.into(), env.to.0.into());
+    match state.instances[env.to.0 as usize].forward {
+        Some(target) => {
+            tracer.count("world.forwards", 1);
+            if at_delivery {
+                let fields = vec![("from", from), ("to", to), ("target", target.0.into())];
+                tracer.instant("smock.world", "forward", now, fields);
+            }
+            send(engine, state, env.to, target, env.kind, env.payload);
+        }
+        None => {
+            tracer.count("world.drops", 1);
+            tracer.instant("smock.world", "drop", now, vec![("from", from), ("to", to)]);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full offline verification pipeline: formatting, lints (clippy +
 # ps-lint, the unsafe fence), build, tests (workspace, ps-mail again in
-# release, and the benchmark package), bench smokes, and byte-identical
-# determinism checks for every artifact-writing bench bin. Everything
+# release, and the benchmark package), bench smokes, byte-identical
+# determinism checks for every artifact-writing bench bin, and the
+# stable-mode event streams against their pinned digests. Everything
 # runs without network access.
 #
 # Usage:
@@ -148,6 +149,19 @@ stable_twice t BENCH_trace.json,trace.jsonl trace_report trace.jsonl
 stable_twice c BENCH_chaos.json,chaos.jsonl chaos_recovery 42 chaos.jsonl
 stable_twice n BENCH_partition.json,partition.jsonl chaos_partition 42 partition.jsonl
 stable_twice s BENCH_scale.json bench_scale
+
+# Same seed => same bytes across commits, not only across two runs of
+# one build: the stable-mode event streams must hash to the digests
+# pinned in scripts/event_streams.sha256. A change that moves a stream on
+# purpose updates the pin and says why in CHANGES.md.
+echo "==> determinism: event streams match scripts/event_streams.sha256"
+while read -r pinned stream; do
+    actual="$(sha256sum "$tmpdir"/?a/"$stream" | cut -d' ' -f1)"
+    if [[ "$actual" != "$pinned" ]]; then
+        echo "$stream hashes to $actual, pinned $pinned" >&2
+        exit 1
+    fi
+done < scripts/event_streams.sha256
 
 # Hierarchical-planning perf-regression guard. Wall clocks are zeroed
 # in stable mode, so the gate rides the deterministic work ratio

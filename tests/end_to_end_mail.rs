@@ -167,20 +167,28 @@ fn messages_survive_the_full_encrypted_chain() {
     assert_inbox_opens_to(cached, "bob", 1 << 40, &plain);
 }
 
-/// A flush whose request dies on a cut link comes back through the
-/// view's `on_error`, which restores the batch from the `SyncBatch`
-/// payload it shares with the world's retry machinery. Nothing the
-/// clients were told was sent may be lost, duplicated or reordered by
-/// that round trip.
-#[test]
-fn a_flush_lost_to_a_cut_link_is_restored_and_delivered_once_in_order() {
-    // near --20ms-- mid --10ms-- far: the flush is still crossing the
-    // first link when the second one goes down.
+fn ms(ms: u64) -> SimDuration {
+    SimDuration::from_millis(ms)
+}
+
+/// The chain the lost-flush cases run on, all fresh at time zero.
+struct CutChain {
+    world: World,
+    /// The mid–far link the cases cut while a flush crosses near–mid.
+    cut: ps_net::LinkId,
+    near: ps_net::NodeId,
+    primary: InstanceId,
+    view: InstanceId,
+    client: InstanceId,
+}
+
+/// near --20ms-- mid --10ms-- far, with the primary at `far` and a view
+/// under `policy` plus a client at `near`; two 200 ms attempts per call.
+fn cut_chain(policy: CoherencePolicy) -> CutChain {
     let mut net = Network::new();
     let near = net.add_node("near", "edge", 1.0, Credentials::new());
     let mid = net.add_node("mid", "core", 1.0, Credentials::new());
     let far = net.add_node("far", "dc", 1.0, Credentials::new());
-    let ms = SimDuration::from_millis;
     net.add_link(near, mid, ms(20), 1e8, Credentials::new());
     let cut = net.add_link(mid, far, ms(10), 1e8, Credentials::new());
     let mut world = World::new(net);
@@ -193,11 +201,53 @@ fn a_flush_lost_to_a_cut_link_is_restored_and_delivered_once_in_order() {
     let kr = Keyring::new(7);
     let primary = Box::new(MailServerLogic::new(kr.clone()));
     let primary = place(&mut world, far, primary, vec![], SimTime::ZERO);
-    let policy = CoherencePolicy::CountLimit(5);
     let view = Box::new(ViewMailServerLogic::new(3, kr.clone(), policy));
     let view = place(&mut world, near, view, vec![primary], SimTime::ZERO);
     let client = Box::new(MailClientLogic::full(kr));
     let client = place(&mut world, near, client, vec![view], SimTime::ZERO);
+    CutChain {
+        world,
+        cut,
+        near,
+        primary,
+        view,
+        client,
+    }
+}
+
+/// Runs until the view has a flush in flight, then cuts mid–far: the
+/// flush is still crossing near–mid, so both attempts die at `mid` and
+/// 400 ms after it began the view's `on_error` hears of it.
+fn lose_next_flush(chain: &mut CutChain) {
+    while !logic::<ViewMailServerLogic>(&mut chain.world, chain.view)
+        .coherence()
+        .flush_in_flight()
+    {
+        chain.world.run_until(chain.world.now() + ms(1));
+    }
+    chain.world.set_link_state(chain.cut, false);
+    chain.world.run_until(chain.world.now() + ms(450));
+    let v: &ViewMailServerLogic = logic(&mut chain.world, chain.view);
+    assert_eq!(v.coherence().flushes(), 1);
+    assert!(!v.coherence().flush_in_flight(), "on_error ended the flush");
+    let primary = logic::<MailServerLogic>(&mut chain.world, chain.primary);
+    assert_eq!(
+        primary.store().delivered(),
+        0,
+        "the lost flush never reached the primary"
+    );
+    chain.world.set_link_state(chain.cut, true);
+}
+
+/// A flush whose request dies on a cut link comes back through the
+/// view's `on_error`, which restores the batch from the `SyncBatch`
+/// payload it shares with the world's retry machinery and the batch's
+/// tally to the coherence counters. Nothing the clients were told was
+/// sent may be lost, duplicated or reordered by that round trip.
+#[test]
+fn a_flush_lost_to_a_cut_link_is_restored_and_delivered_once_in_order() {
+    let mut chain = cut_chain(CoherencePolicy::CountLimit(5));
+    let (near, client) = (chain.near, chain.client);
 
     // Before the cut: 9 sends, so the fifth starts a flush and the other
     // four wait in the window without filling it (a blocked send would
@@ -216,53 +266,88 @@ fn a_flush_lost_to_a_cut_link_is_restored_and_delivered_once_in_order() {
     let mut plain = driver_plaintexts(&before);
     plain.extend(driver_plaintexts(&after));
     let first = Box::new(ClusterDriver::new(before));
-    let first = place(&mut world, near, first, vec![client], SimTime::ZERO);
-    while !logic::<ViewMailServerLogic>(&mut world, view)
-        .coherence()
-        .flush_in_flight()
-    {
-        world.run_until(world.now() + ms(1));
-    }
-    world.set_link_state(cut, false);
+    let first = place(&mut chain.world, near, first, vec![client], SimTime::ZERO);
+    lose_next_flush(&mut chain);
+    let world = &mut chain.world;
+    assert!(logic::<ClusterDriver>(world, first).is_done());
+    // The restored five count again beside the four that waited: nine
+    // unpropagated, over the limit, but a count-limit flush starts only
+    // on an update, so nothing re-flushes until the workload resumes.
+    let v: &ViewMailServerLogic = logic(world, chain.view);
+    assert_eq!(v.coherence().unpropagated(), 9);
 
-    // Both attempts die at `mid`; 400 ms after the flush began the view
-    // is told, and with no sixth update in the window nothing re-flushes.
-    world.run_until(world.now() + ms(450));
-    assert!(logic::<ClusterDriver>(&mut world, first).is_done());
-    let v: &ViewMailServerLogic = logic(&mut world, view);
-    assert_eq!(v.coherence().flushes(), 1);
-    assert!(!v.coherence().flush_in_flight(), "on_error ended the flush");
-    assert_eq!(
-        logic::<MailServerLogic>(&mut world, primary)
-            .store()
-            .delivered(),
-        0,
-        "the lost flush never reached the primary"
-    );
-
-    // Link back, workload continues: the next send completes a window,
-    // and the flush it starts carries the restored batch in front.
-    world.set_link_state(cut, true);
+    // Workload continues: its first send makes ten unpropagated and
+    // flushes all ten in send order, restored batch in front.
     let (second, now) = (Box::new(ClusterDriver::new(after)), world.now());
-    let second = place(&mut world, near, second, vec![client], now);
+    let second = place(world, near, second, vec![client], now);
     world.run();
 
     for driver in [first, second] {
-        let d: &ClusterDriver = logic(&mut world, driver);
+        let d: &ClusterDriver = logic(world, driver);
         assert!(d.is_done());
         assert_eq!((d.denied, d.lost), (0, 0), "every send was acknowledged");
     }
     // All 22 acknowledged sends are in the view's cache; the first 20
-    // reached the primary exactly once and in send order (the restored
-    // five rode in front of the next five, then two more windows), the
-    // last two wait in the view's batch.
-    let v: &ViewMailServerLogic = logic(&mut world, view);
+    // reached the primary exactly once and in send order (ten, then two
+    // windows of five), the last two wait in the view's batch — and the
+    // tally says so.
+    let v: &ViewMailServerLogic = logic(world, chain.view);
     assert_eq!(v.coherence().flushes(), 4, "one lost, three delivered");
     assert_eq!(v.coherence().unpropagated(), 2);
     assert_inbox_opens_to(v.cached(), "bob", base, &plain);
-    let store = logic::<MailServerLogic>(&mut world, primary).store();
+    let store = logic::<MailServerLogic>(world, chain.primary).store();
     assert_eq!(store.delivered(), 20);
     assert_inbox_opens_to(store, "bob", base, &plain[..20]);
+}
+
+/// Under a time-driven policy the flush timer re-arms while a batch waits
+/// at the view. A failed flush whose tally was not restored left the
+/// timer never due again yet always re-armed, so the world never went
+/// quiescent. With the tally restored the next period re-flushes the
+/// batch, and the world drains within a small event budget.
+#[test]
+fn a_time_driven_view_reflushes_a_lost_batch_and_goes_quiescent() {
+    let mut chain = cut_chain(CoherencePolicy::TimeDriven(ms(100)));
+    let (near, client) = (chain.near, chain.client);
+    let base = 1u64 << 40;
+    let config = ClusterConfig {
+        sends: 6,
+        receives: 0,
+        ..ClusterConfig::paper("alice", "bob", base)
+    };
+    let plain = driver_plaintexts(&config);
+    let driver = Box::new(ClusterDriver::new(config));
+    let driver = place(&mut chain.world, near, driver, vec![client], SimTime::ZERO);
+    // The first period's timer flushes all six; that flush is lost.
+    lose_next_flush(&mut chain);
+    let world = &mut chain.world;
+    let d: &ClusterDriver = logic(world, driver);
+    assert!(d.is_done());
+    assert_eq!((d.denied, d.lost), (0, 0), "every send was acknowledged");
+    let v: &ViewMailServerLogic = logic(world, chain.view);
+    assert_eq!(v.coherence().unpropagated(), 6, "the lost batch is pending");
+
+    // Budget: one timer, one two-hop flush and its reply — ten events
+    // today. The old livelock spent one timer event per 100 ms period,
+    // 36 000 in this hour, and never drained.
+    const BUDGET: u64 = 50;
+    let start = world.events_processed();
+    world.run_until(world.now() + SimDuration::from_secs(3600));
+    let used = world.events_processed() - start;
+    assert!(used <= BUDGET, "{used} events after the link came back");
+    world.run();
+    assert_eq!(
+        world.events_processed() - start,
+        used,
+        "quiescent: nothing was left queued"
+    );
+
+    let v: &ViewMailServerLogic = logic(world, chain.view);
+    assert_eq!(v.coherence().flushes(), 2, "one lost, one delivered");
+    assert_eq!(v.coherence().unpropagated(), 0);
+    let store = logic::<MailServerLogic>(world, chain.primary).store();
+    assert_eq!(store.delivered(), 6);
+    assert_inbox_opens_to(store, "bob", base, &plain);
 }
 
 #[test]
