@@ -15,18 +15,19 @@
 //!
 //! Everything reported in [`ChaosOutcome`] is virtual-time or
 //! event-count derived; two runs with the same [`ChaosBenchConfig`]
-//! produce byte-identical [`outcome_json`] and byte-identical trace
+//! produce identical [`ChaosOutcome::record`]s and byte-identical trace
 //! JSONL streams.
 
+use crate::cli::Args;
 use crate::harness::{
-    close_json, connect_pair, counters, drain, driver, driver_stats, enable_telemetry,
-    healing_mail_framework, ms, opt_ms, opt_span_ms, DriverStats, HealLoop,
+    at_ms, close_record, connect_pair, counters, drain, driver, driver_record, driver_stats,
+    enable_telemetry, healing_mail_framework, ms, span_ms, DriverStats, HealLoop,
 };
+use crate::record::{num, Artifact, Record};
 use ps_net::{default_case_study, CaseStudy, NodeId};
 use ps_sim::{ChaosConfig, FaultPlan, SimDuration, SimTime};
 use ps_smock::LeaseConfig;
 use ps_trace::{SamplerConfig, SeriesSummary, Tracer};
-use std::fmt::Write as _;
 
 /// Give up waiting for the Seattle driver after this much virtual time.
 const HORIZON: SimTime = SimTime::from_nanos(300_000_000_000);
@@ -125,6 +126,33 @@ impl ChaosOutcome {
     /// Detection latency (crash to lease-expiry verdict).
     pub fn detection_latency(&self) -> Option<SimDuration> {
         Some(self.detected_at?.since(self.crash_at))
+    }
+
+    /// The `BENCH_chaos.json` record.
+    pub fn record(&self) -> Record {
+        let recovery = Record::new()
+            .with("first_redeploy_at_ms", at_ms(self.first_redeploy_at))
+            .with("recovered_at_ms", at_ms(self.recovered_at))
+            .with("ready_at_ms", at_ms(self.recovery_ready_at))
+            .with("latency_ms", span_ms(self.recovery_latency()))
+            .with("replans", self.replans)
+            .with("infeasible", self.infeasible)
+            .with("heal_passes", self.heal_passes)
+            .with(
+                "quarantined",
+                self.quarantined.iter().map(|n| n.0).collect::<Vec<_>>(),
+            );
+        let record = Record::new()
+            .with("bench", "chaos_recovery")
+            .with("seed", self.seed)
+            .with("crash_at_ms", num(ms(self.crash_at), 3))
+            .with("detected_at_ms", at_ms(self.detected_at))
+            .with("detection_latency_ms", span_ms(self.detection_latency()))
+            .with("recovery", recovery)
+            .with("sd_abandoned", self.sd_abandoned)
+            .with("seattle", driver_record(&self.seattle, "crash", None))
+            .with("sd", driver_record(&self.sd, "crash", None));
+        close_record(record, &self.counters, self.messages, self.completed_at)
     }
 }
 
@@ -272,56 +300,45 @@ pub fn run_chaos(config: &ChaosBenchConfig, tracer: &Tracer) -> ChaosOutcome {
     }
 }
 
-fn driver_json(d: &DriverStats) -> String {
-    format!(
-        "{{\"completed\": {}, \"completed_before_crash\": {}, \"lost\": {}, \
-         \"denied\": {}, \"done\": {}}}",
-        d.completed, d.completed_before_crash, d.lost, d.denied, d.done
-    )
-}
+/// `ps-bench chaos [SEED] [JSONL]`: the chaos-recovery run at `SEED`
+/// (default 42), checked for automatic recovery; writes
+/// `BENCH_chaos.json` and, given `JSONL`, the trace event stream.
+pub fn command(args: &Args) -> Result<Artifact, String> {
+    let seed = args.int(0, "SEED", 42)?;
+    let (tracer, sink) = Tracer::memory();
+    let outcome = run_chaos(
+        &ChaosBenchConfig {
+            seed,
+            ..ChaosBenchConfig::default()
+        },
+        &tracer,
+    );
+    // The headline claim: automatic recovery. The crash kills the San
+    // Diego connection outright (its client died) and guts the Seattle
+    // connection's mid-chain; healing must restore Seattle to service
+    // without any manual reconnect.
+    assert!(outcome.sd_abandoned, "SD connection should be abandoned");
+    assert!(
+        outcome.detected_at.is_some(),
+        "lease expiry should detect the crash"
+    );
+    assert!(outcome.replans >= 1, "healer should redeploy Seattle");
+    assert!(
+        outcome.seattle.done,
+        "Seattle workload should finish after recovery"
+    );
+    assert!(
+        outcome.seattle.completed > outcome.seattle.completed_before_crash,
+        "Seattle should complete operations after the crash"
+    );
 
-/// Serializes an outcome as deterministic JSON (hand-rolled; no serde in
-/// the tree). Same-seed runs produce byte-identical strings.
-pub fn outcome_json(o: &ChaosOutcome) -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"chaos_recovery\",");
-    let _ = writeln!(json, "  \"seed\": {},", o.seed);
-    let _ = writeln!(json, "  \"crash_at_ms\": {:.3},", ms(o.crash_at));
-    let _ = writeln!(json, "  \"detected_at_ms\": {},", opt_ms(o.detected_at));
-    let _ = writeln!(
-        json,
-        "  \"detection_latency_ms\": {},",
-        opt_span_ms(o.detection_latency())
-    );
-    let _ = writeln!(json, "  \"recovery\": {{");
-    let _ = writeln!(
-        json,
-        "    \"first_redeploy_at_ms\": {},",
-        opt_ms(o.first_redeploy_at)
-    );
-    let _ = writeln!(json, "    \"recovered_at_ms\": {},", opt_ms(o.recovered_at));
-    let _ = writeln!(
-        json,
-        "    \"ready_at_ms\": {},",
-        opt_ms(o.recovery_ready_at)
-    );
-    let _ = writeln!(
-        json,
-        "    \"latency_ms\": {},",
-        opt_span_ms(o.recovery_latency())
-    );
-    let _ = writeln!(json, "    \"replans\": {},", o.replans);
-    let _ = writeln!(json, "    \"infeasible\": {},", o.infeasible);
-    let _ = writeln!(json, "    \"heal_passes\": {},", o.heal_passes);
-    let quarantined: Vec<String> = o.quarantined.iter().map(|n| format!("{}", n.0)).collect();
-    let _ = writeln!(json, "    \"quarantined\": [{}]", quarantined.join(", "));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"sd_abandoned\": {},", o.sd_abandoned);
-    let _ = writeln!(json, "  \"seattle\": {},", driver_json(&o.seattle));
-    let _ = writeln!(json, "  \"sd\": {},", driver_json(&o.sd));
-    close_json(&mut json, &o.counters, o.messages, o.completed_at);
-    json
+    let record = outcome.record();
+    let mut artifact = Artifact::new("Chaos recovery: crash, detect, heal");
+    artifact.file("BENCH_chaos.json", record);
+    if let Some(path) = args.get(1) {
+        artifact.stream(path, sink.to_jsonl());
+    }
+    Ok(artifact)
 }
 
 #[cfg(test)]

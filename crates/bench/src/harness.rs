@@ -1,14 +1,15 @@
 //! The heal-scenario harness the fault scenarios share (`chaos`,
-//! `partition`, the scale heal workload) and the case-study bins reuse:
+//! `partition`, the scale heal workload) and the case-study commands reuse:
 //! one mail-service assembly, the case study's San Diego + Seattle pair,
 //! one `run_until; heal` loop with its pass tally, one cluster-driver
-//! accessor, and the counter dump and JSON helpers of the artifacts.
+//! accessor, and the counter dump and record helpers of the artifacts.
 //!
 //! This is the §6 loop as the benches drive it — monitoring reports a
 //! change, the planner re-runs, the run-time redeploys — on a fixed
 //! virtual-time cadence. What a scenario observes on top of the tally
 //! stays in the closure it hands to [`HealLoop::run`].
 
+use crate::record::{num, Record, Value};
 use ps_core::{Framework, HealReport, ManagedId};
 use ps_mail::spec::names::*;
 use ps_mail::workload::{ClusterConfig, ClusterDriver};
@@ -21,7 +22,6 @@ use ps_smock::{
 };
 use ps_spec::{Behavior, ResolvedBindings};
 use ps_trace::{Metric, SamplerConfig, SeriesSummary, Tracer};
-use std::fmt::Write as _;
 
 /// The mail service on `network`: its components registered, the
 /// service registered with a 32 KiB proxy and homed on `server`, the
@@ -110,14 +110,21 @@ pub(crate) fn drain(
     (series, framework.world.lease_renewal_bytes())
 }
 
+/// The mail request every bench plans: `client` onto the `MailServer`
+/// pinned at `server` at `rate` requests/s, with `TrustLevel` `trust`
+/// required.
+pub fn mail_request(client: NodeId, server: NodeId, trust: i64, rate: f64) -> ServiceRequest {
+    ServiceRequest::new(CLIENT_INTERFACE, client)
+        .rate(rate)
+        .pin(MAIL_SERVER, server)
+        .origin(server)
+        .require("TrustLevel", trust)
+}
+
 /// A case-study site's mail request: `client` onto the pinned New York
 /// `MailServer` at 5 requests/s, with `TrustLevel` `trust` required.
 pub fn site_request(cs: &CaseStudy, client: NodeId, trust: i64) -> ServiceRequest {
-    ServiceRequest::new(CLIENT_INTERFACE, client)
-        .rate(5.0)
-        .pin(MAIL_SERVER, cs.mail_server)
-        .origin(cs.mail_server)
-        .require("TrustLevel", trust)
+    mail_request(client, cs.mail_server, trust, 5.0)
 }
 
 /// The three §4.2 client sites in connect order: name, client node and
@@ -369,35 +376,50 @@ pub(crate) fn ms(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1_000_000.0
 }
 
-/// An optional instant as JSON milliseconds (`null` when absent).
-pub(crate) fn opt_ms(t: Option<SimTime>) -> String {
-    t.map_or_else(|| "null".to_owned(), |t| format!("{:.3}", ms(t)))
+/// Virtual nanoseconds as a millisecond figure, 4 decimals.
+pub(crate) fn ns_ms(ns: u64) -> Value {
+    num(ns as f64 / 1_000_000.0, 4)
 }
 
-/// An optional duration as JSON milliseconds (`null` when absent).
-pub(crate) fn opt_span_ms(d: Option<SimDuration>) -> String {
-    d.map_or_else(
-        || "null".to_owned(),
-        |d| format!("{:.3}", d.as_millis_f64()),
-    )
+/// An optional instant as a virtual-millisecond figure.
+pub(crate) fn at_ms(t: Option<SimTime>) -> Value {
+    t.map(|t| num(ms(t), 3)).into()
 }
 
-/// The closing lines every scenario artifact shares: the counter
+/// An optional duration as a virtual-millisecond figure.
+pub(crate) fn span_ms(d: Option<SimDuration>) -> Value {
+    d.map(|d| num(d.as_millis_f64(), 3)).into()
+}
+
+/// A driver's figures: `completed`, `completed_before_<fault>`, then
+/// `completed_during_<fault>` when given, `lost`, `denied` and `done`.
+pub(crate) fn driver_record(d: &DriverStats, fault: &str, during: Option<usize>) -> Record {
+    let mut record = Record::new().with("completed", d.completed).with(
+        format!("completed_before_{fault}"),
+        d.completed_before_crash,
+    );
+    if let Some(during) = during {
+        record.push(format!("completed_during_{fault}"), during);
+    }
+    record
+        .with("lost", d.lost)
+        .with("denied", d.denied)
+        .with("done", d.done)
+}
+
+/// The closing figures every scenario record shares: the counter
 /// object, messages carried and the completion time.
-pub(crate) fn close_json(
-    json: &mut String,
+pub(crate) fn close_record(
+    record: Record,
     counters: &[(String, u64)],
     messages: u64,
     completed_at: SimTime,
-) {
-    let lines: Vec<String> = counters
+) -> Record {
+    let counters = counters
         .iter()
-        .map(|(name, value)| format!("    \"{name}\": {value}"))
-        .collect();
-    let _ = writeln!(json, "  \"counters\": {{");
-    let _ = writeln!(json, "{}", lines.join(",\n"));
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"messages\": {messages},");
-    let _ = writeln!(json, "  \"completed_at_ms\": {:.3}", ms(completed_at));
-    let _ = writeln!(json, "}}");
+        .fold(Record::new(), |r, (name, value)| r.with(name, *value));
+    record
+        .with("counters", counters)
+        .with("messages", messages)
+        .with("completed_at_ms", num(ms(completed_at), 3))
 }

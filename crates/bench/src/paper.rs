@@ -1,0 +1,364 @@
+//! The paper's figures and its one-time cost table as `ps-bench`
+//! commands: `fig2` (with Figure 4), `fig3`, `fig5`, `fig6`, `fig7` and
+//! `onetime`.
+
+use crate::cli::Args;
+use crate::harness::{case_study_sites, mail_framework, mail_request, site_request};
+use crate::record::{num, wall_num, Artifact, Record};
+use crate::scenarios::{figure7_sweep, render_figure7, Fig7Config, Scenario};
+use ps_mail::{mail_spec, mail_translator, MAIL_SPEC_DSL};
+use ps_net::brite::{hierarchical, HierParams};
+use ps_net::casestudy::default_case_study;
+use ps_net::shortest_route;
+use ps_planner::{enumerate_linkages, LinkageLimits, Plan, Planner};
+use ps_sim::Rng;
+use ps_smock::OneTimeCosts;
+use ps_spec::{parse_spec, print_spec, PropertyValue};
+use ps_trace::Tracer;
+
+/// `ps-bench fig2`: the paper-style DSL text of the mail service, proof
+/// that it parses back to the programmatic specification, and the
+/// Confidentiality modification rule (Figure 4) applied.
+pub fn fig2(_: &Args) -> Result<Artifact, String> {
+    let spec = mail_spec();
+    spec.validate().expect("mail spec is valid");
+    let parsed = parse_spec("mail", MAIL_SPEC_DSL).expect("DSL parses");
+    assert_eq!(parsed, spec, "DSL text and programmatic spec agree");
+
+    let mut artifact = Artifact::new("Figure 2: declarative specification of the mail service");
+    artifact
+        .line(print_spec(&spec))
+        .line("DSL text parses to an identical specification: OK")
+        .section("Figure 4: property modification rules");
+    let rule = spec.rules.get("Confidentiality").expect("rule exists");
+    for row in &rule.rows {
+        artifact.line(format!("  {row}"));
+    }
+    artifact.line("").line("Applying the rule:");
+    let (t, f) = (PropertyValue::Bool(true), PropertyValue::Bool(false));
+    for (input, env) in [(&t, &t), (&t, &f), (&f, &t), (&f, &f)] {
+        artifact.line(format!(
+            "  In: {input}  x  Env: {env}  =>  Out: {}",
+            rule.apply(input, env)
+        ));
+    }
+    artifact.section("spec size").show(
+        Record::new()
+            .with("properties", spec.properties.len())
+            .with("interfaces", spec.interfaces.len())
+            .with("components", spec.components.len())
+            .with("rules", spec.rules.len()),
+    );
+    Ok(artifact)
+}
+
+/// `ps-bench fig3`: every linkage graph the planner's first step
+/// enumerates for a `ClientInterface` request, then the Seattle chains
+/// that repetition allows.
+pub fn fig3(_: &Args) -> Result<Artifact, String> {
+    let spec = mail_spec();
+    let mut artifact = Artifact::new("Figure 3: valid component chains (max one repeat)");
+    let limits = LinkageLimits {
+        max_repeats: 1,
+        max_depth: 8,
+        max_graphs: 10_000,
+        ..LinkageLimits::default()
+    };
+    let graphs = enumerate_linkages(&spec, "ClientInterface", &limits);
+    for g in &graphs {
+        artifact.line(format!("  {g}"));
+    }
+    artifact.line(format!(
+        "\n  {} chains; all start at a client component and end at MailServer",
+        graphs.len()
+    ));
+
+    artifact.section("With component repetition (the Seattle chains)");
+    let graphs = enumerate_linkages(&spec, "ClientInterface", &LinkageLimits::default());
+    let chained: Vec<_> = graphs
+        .iter()
+        .filter(|g| g.to_string().matches("ViewMailServer").count() >= 2)
+        .collect();
+    artifact.line(format!(
+        "  {} total graphs, of which {} chain two view servers, e.g.:",
+        graphs.len(),
+        chained.len()
+    ));
+    for g in chained.iter().take(4) {
+        artifact.line(format!("    {g}"));
+    }
+    Ok(artifact)
+}
+
+/// `ps-bench fig5 [--dot]`: the three-site case-study topology and a
+/// BRITE-style generated one for comparison; `--dot` prints graphviz
+/// only.
+pub fn fig5(args: &Args) -> Result<Artifact, String> {
+    let cs = default_case_study();
+    let net = &cs.network;
+    if args.flag("--dot") {
+        return Ok(Artifact::raw(net.to_dot()));
+    }
+    let mut artifact = Artifact::new("Figure 5: case-study network topology");
+    artifact.section("nodes");
+    for node in net.nodes() {
+        artifact.line(format!(
+            "  {:8} site={:9} trust={} domain={}",
+            node.name,
+            node.site,
+            net.trust_rating(node.id).unwrap_or(0),
+            node.credentials
+                .get("Domain")
+                .map(|v| v.to_string())
+                .unwrap_or_default()
+        ));
+    }
+    artifact.section("links");
+    for link in net.links() {
+        artifact.line(format!(
+            "  {} -- {}  {:>7.0} ms  {:>6.0} Mb/s  {}",
+            net.node(link.a).name,
+            net.node(link.b).name,
+            link.latency.as_millis_f64(),
+            link.bandwidth_bps / 1e6,
+            if net.link_secure(link.id) {
+                "secure"
+            } else {
+                "INSECURE"
+            }
+        ));
+    }
+
+    artifact.section("inter-site routes");
+    for (from, to, label) in [
+        (cs.sd_client, cs.mail_server, "SanDiego -> NewYork"),
+        (cs.seattle_client, cs.mail_server, "Seattle -> NewYork"),
+        (cs.seattle_client, cs.sd_client, "Seattle -> SanDiego"),
+    ] {
+        let route = shortest_route(net, from, to).expect("connected");
+        artifact.line(format!(
+            "  {label:22} {} hops, {:.0} ms, bottleneck {:.0} Mb/s",
+            route.hops(),
+            route.latency.as_millis_f64(),
+            route.bottleneck_bps / 1e6
+        ));
+    }
+
+    artifact.section("BRITE-style generated topology (hierarchical, seed 7)");
+    let generated = hierarchical(&mut Rng::seed_from_u64(7), &HierParams::default());
+    let secure = generated
+        .links()
+        .iter()
+        .filter(|l| generated.link_secure(l.id))
+        .count();
+    artifact.line(format!(
+        "  {} nodes, {} links ({} secure intra-AS, {} insecure inter-AS), connected: {}",
+        generated.node_count(),
+        generated.link_count(),
+        secure,
+        generated.link_count() - secure,
+        generated.is_connected()
+    ));
+    Ok(artifact)
+}
+
+/// `ps-bench fig6 [--dot]`: the deployments the planner generates for
+/// clients at the three sites in the paper's order (New York, San
+/// Diego, Seattle), each seeing the earlier deployments; `--dot` adds
+/// each plan as graphviz.
+pub fn fig6(args: &Args) -> Result<Artifact, String> {
+    let cs = default_case_study();
+    let planner = Planner::new(mail_spec());
+    let translator = mail_translator();
+    let mut existing: Vec<Plan> = Vec::new();
+    let mut artifact = Artifact::new("Figure 6: dynamically deployed components");
+    for (site, client, trust) in case_study_sites(&cs) {
+        let mut request = mail_request(client, cs.mail_server, trust, 2.0);
+        for plan in &existing {
+            request = request.with_existing_plan(plan);
+        }
+        let plan = planner
+            .plan(&cs.network, &translator, &request)
+            .expect("feasible deployment");
+        artifact.section(format!("client request from {site}"));
+        for p in &plan.placements {
+            artifact.line(format!(
+                "  {:16} @ {:10} {}{}",
+                p.component,
+                cs.network.node(p.node).name,
+                if p.factors.is_empty() {
+                    String::new()
+                } else {
+                    format!("[{}] ", p.factors)
+                },
+                if p.preexisting {
+                    "(existing)"
+                } else {
+                    "(deployed)"
+                }
+            ));
+        }
+        artifact.line(format!(
+            "  expected latency {:8.3} ms | deploy cost {:8.1} ms | sustainable {:7.1} req/s",
+            plan.expected_latency_ms, plan.deployment_cost_ms, plan.sustainable_rate
+        ));
+        artifact.line(format!(
+            "  search: {} graphs, {} mappings evaluated, {} prunes",
+            plan.stats.graphs_enumerated, plan.stats.mappings_evaluated, plan.stats.prunes
+        ));
+        if args.flag("--dot") {
+            artifact.line(format!("--- graphviz ---\n{}", plan.to_dot(&cs.network)));
+        }
+        existing.push(plan);
+    }
+    Ok(artifact)
+}
+
+/// `ps-bench fig7 [MSGS] [SEED]`: mean client-perceived send latency of
+/// the nine scenarios at 1–5 clients (defaults 2000 sends, seed 42),
+/// the log-scale chart, the recorded planning costs and the paper's
+/// three shape checks.
+pub fn fig7(args: &Args) -> Result<Artifact, String> {
+    let msgs: u32 = args.int(0, "MSGS", 2000)?;
+    let seed: u64 = args.int(1, "SEED", 42)?;
+    let base = Fig7Config {
+        msgs_per_client: msgs,
+        seed,
+        ..Default::default()
+    };
+    let results = figure7_sweep(5, &base);
+    let mean_of = |s: Scenario, c: usize| -> f64 {
+        results
+            .iter()
+            .find(|r| r.scenario == s && r.clients == c)
+            .map_or(f64::NAN, |r| r.send.mean())
+    };
+
+    let mut artifact = Artifact::new("Figure 7: average client-perceived send latency [ms]");
+    artifact.line(format!(
+        "(workload: {msgs} sends + 10 receives per client cluster, seed {seed}; \
+         columns = client count)\n"
+    ));
+    artifact.table(
+        Scenario::ALL
+            .iter()
+            .map(|&s| {
+                (1..=5usize).fold(
+                    Record::new()
+                        .with("scenario", s.to_string())
+                        .with("g", u64::from(s.paper_group())),
+                    |r, c| r.with(c.to_string(), num(mean_of(s, c), 3)),
+                )
+            })
+            .collect(),
+    );
+    artifact.line("").line(render_figure7(&results, 5));
+
+    // Planning-time claims are backed by recorded counters: the one-time
+    // costs of the planner-driven (dynamic) scenarios at 1 client.
+    artifact
+        .section("recorded one-time planning costs (dynamic scenarios, 1 client)")
+        .table(
+            results
+                .iter()
+                .filter(|r| r.clients == 1)
+                .filter_map(|r| {
+                    Some(costs_row(
+                        "scenario",
+                        r.scenario.to_string(),
+                        r.plan_costs.as_ref()?,
+                    ))
+                })
+                .collect(),
+        );
+
+    // The paper's three observations, checked on the data.
+    artifact.section("shape checks (the paper's three key points)");
+    // 1. Dynamic == static counterparts.
+    let max_gap = [
+        (Scenario::DF, Scenario::SF),
+        (Scenario::DS0, Scenario::SS0),
+        (Scenario::DS500, Scenario::SS500),
+        (Scenario::DS1000, Scenario::SS1000),
+    ]
+    .iter()
+    .flat_map(|&(d, s)| (1..=5).map(move |c| (d, s, c)))
+    .map(|(d, s, c)| (mean_of(d, c) - mean_of(s, c)).abs() / mean_of(s, c).max(1e-9))
+    .fold(0.0f64, f64::max);
+    artifact.line(format!(
+        "1. dynamic vs static overhead: max relative gap {:.2}% (paper: virtually indistinguishable)",
+        max_gap * 100.0
+    ));
+    // 2. Caching before the slow link vs the naive static deployment.
+    let speedup = mean_of(Scenario::SS, 1) / mean_of(Scenario::DS0, 1);
+    artifact.line(format!(
+        "2. automatic caching gain: SS / DS0 = {speedup:.0}x at 1 client (paper: orders of magnitude)"
+    ));
+    // 3. Remote ~ local to the extent the coherence protocol permits.
+    artifact.line(format!(
+        "3. remote vs local access: DF {:.2} ms vs DS0 {:.2} / DS1000 {:.2} / DS500 {:.2} ms",
+        mean_of(Scenario::DF, 1),
+        mean_of(Scenario::DS0, 1),
+        mean_of(Scenario::DS1000, 1),
+        mean_of(Scenario::DS500, 1),
+    ));
+    let g1 = mean_of(Scenario::DS0, 5).max(mean_of(Scenario::DF, 5));
+    let g2 = mean_of(Scenario::DS1000, 5);
+    let g3 = mean_of(Scenario::DS500, 5);
+    let g4 = mean_of(Scenario::SS, 5);
+    let ordered = g1 < g2 && g2 < g3 && g3 < g4;
+    artifact.line(format!(
+        "group ordering at 5 clients: {g1:.2} < {g2:.2} < {g3:.2} < {g4:.2} : {}",
+        if ordered {
+            "OK (matches Figure 7)"
+        } else {
+            "MISMATCH"
+        }
+    ));
+    Ok(artifact)
+}
+
+/// A connection's one-time costs as a table row labelled `label` under
+/// `key`: simulated transfer and startup, host-timed planning, and the
+/// planner's recorded search counters.
+fn costs_row(key: &str, label: String, c: &OneTimeCosts) -> Record {
+    Record::new()
+        .with(key, label)
+        .with("proxy_ms", num(c.proxy_download_ms, 1))
+        .with("plan_ms", wall_num(c.planning_ms, 3))
+        .with("deploy_ms", num(c.deploy_transfer_ms, 1))
+        .with("startup_ms", num(c.startup_ms, 1))
+        .with("total_ms", wall_num(c.total_ms(), 1))
+        .with("evals", c.plan_stats.mappings_evaluated)
+        .with("prunes", c.plan_stats.prunes)
+        .with("boundcut", c.plan_stats.bound_prunes)
+        .with("rows", c.plan_stats.route_rows_built)
+        .with("hits", c.plan_stats.plan_cache_hits)
+}
+
+/// `ps-bench onetime`: Section 4.2's one-time costs per client site —
+/// proxy download, planning, component deployment and startup. The
+/// paper reports them summing to roughly 10 seconds on its testbed (JVM
+/// class loading over emulated links); planning here runs for real on
+/// the host while transfer and startup are simulated.
+pub fn onetime(_: &Args) -> Result<Artifact, String> {
+    let cs = default_case_study();
+    let mut framework = mail_framework(cs.network.clone(), cs.mail_server, &Tracer::disabled());
+    let rows: Vec<Record> = case_study_sites(&cs)
+        .into_iter()
+        .map(|(site, client, trust)| {
+            let connection = framework
+                .connect("mail", &site_request(&cs, client, trust))
+                .expect("connect");
+            costs_row("site", site.to_owned(), &connection.costs)
+                .with("created", connection.deployment.created)
+                .with("reused", connection.deployment.reused)
+        })
+        .collect();
+    let mut artifact = Artifact::new("One-time connection costs per site (Section 4.2)");
+    artifact.table(rows).line("").line(
+        "(paper: ~10 s total on a 1 GHz P3 with JVM class loading; the shape —\n\
+         transfer-dominated, incurred once per connection — is the comparison point)",
+    );
+    Ok(artifact)
+}

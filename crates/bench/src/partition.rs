@@ -15,19 +15,21 @@
 //!
 //! Everything in [`PartitionOutcome`] is virtual-time or event-count
 //! derived; two runs with the same [`PartitionBenchConfig`] produce
-//! byte-identical [`partition_json`] and byte-identical trace JSONL.
+//! identical [`PartitionOutcome::record`]s and byte-identical trace
+//! JSONL.
 
+use crate::cli::Args;
 use crate::harness::{
-    close_json, connect_pair, counters, driver, driver_stats, healing_mail_framework, ms, opt_ms,
-    opt_span_ms, DriverStats, HealLoop,
+    at_ms, close_record, connect_pair, counters, driver, driver_record, driver_stats,
+    healing_mail_framework, ms, span_ms, DriverStats, HealLoop,
 };
+use crate::record::{num, Artifact, Record, Value};
 use ps_core::Framework;
 use ps_net::casestudy::SEATTLE;
 use ps_net::default_case_study;
 use ps_sim::{FaultPlan, SimDuration, SimTime};
 use ps_smock::LeaseConfig;
 use ps_trace::Tracer;
-use std::fmt::Write as _;
 
 /// Give up waiting for reconciliation / drivers after this much virtual
 /// time.
@@ -122,6 +124,44 @@ impl PartitionOutcome {
     /// happened.
     pub fn degraded_latency(&self) -> Option<SimDuration> {
         Some(self.degraded_at?.since(self.split_at))
+    }
+
+    /// The `BENCH_partition.json` record.
+    pub fn record(&self) -> Record {
+        let plan_ms = |v: Option<f64>| Value::from(v.map(|v| num(v, 6)));
+        let degraded = Record::new()
+            .with("at_ms", at_ms(self.degraded_at))
+            .with("latency_after_split_ms", span_ms(self.degraded_latency()))
+            .with("epoch", self.degraded_epoch)
+            .with("plan_latency_ms", plan_ms(self.degraded_latency_ms));
+        let reconcile = Record::new()
+            .with("at_ms", at_ms(self.reconciled_at))
+            .with(
+                "latency_after_restore_ms",
+                span_ms(self.reconcile_latency()),
+            )
+            .with("plan_latency_ms", plan_ms(self.reconciled_latency_ms))
+            .with("initial_plan_latency_ms", num(self.initial_latency_ms, 6))
+            .with("retired", self.retired);
+        let record = Record::new()
+            .with("bench", "chaos_partition")
+            .with("seed", self.seed)
+            .with("split_at_ms", num(ms(self.split_at), 3))
+            .with("restore_at_ms", num(ms(self.restore_at), 3))
+            .with("degraded", degraded)
+            .with("reconcile", reconcile)
+            .with("heal_passes", self.heal_passes)
+            .with("replans", self.replans)
+            .with("infeasible", self.infeasible)
+            .with(
+                "seattle",
+                driver_record(&self.seattle, "split", Some(self.seattle_during_split)),
+            )
+            .with(
+                "sd",
+                driver_record(&self.sd, "split", Some(self.sd_during_split)),
+            );
+        close_record(record, &self.counters, self.messages, self.completed_at)
     }
 }
 
@@ -224,80 +264,58 @@ pub fn run_partition(config: &PartitionBenchConfig, tracer: &Tracer) -> Partitio
     }
 }
 
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.6}"),
-        None => "null".to_owned(),
+/// `ps-bench partition [SEED] [JSONL]`: the partition run at `SEED`
+/// (default 42), checked for serving both sides and reconciling; writes
+/// `BENCH_partition.json` and, given `JSONL`, the trace event stream.
+pub fn command(args: &Args) -> Result<Artifact, String> {
+    let seed = args.int(0, "SEED", 42)?;
+    let (tracer, sink) = Tracer::memory();
+    let outcome = run_partition(
+        &PartitionBenchConfig {
+            seed,
+            ..PartitionBenchConfig::default()
+        },
+        &tracer,
+    );
+    // The headline claims: during the split *both* sides are served —
+    // the majority untouched, the minority on a local degraded chain —
+    // and the merge reconciles back to the cold-plan optimum with the
+    // duplicates retired and nothing lost on the majority side.
+    assert_eq!(outcome.sd.lost, 0, "majority side must lose nothing");
+    assert!(
+        outcome.sd_during_split > 0,
+        "majority side keeps operating through the split"
+    );
+    assert!(
+        outcome.degraded_at.is_some(),
+        "minority side should get a degraded chain"
+    );
+    assert!(
+        outcome.seattle_during_split > 0,
+        "minority side should be served during the split"
+    );
+    assert!(
+        outcome.reconciled_at.is_some(),
+        "the merge should reconcile"
+    );
+    assert!(
+        outcome.retired > 0,
+        "reconcile should retire the degraded duplicates"
+    );
+    if let Some(reconciled) = outcome.reconciled_latency_ms {
+        assert!(
+            (reconciled - outcome.initial_latency_ms).abs() < 1e-9,
+            "reconciled plan should converge to the cold-plan optimum"
+        );
     }
-}
 
-fn driver_json(d: &DriverStats, during_split: usize) -> String {
-    format!(
-        "{{\"completed\": {}, \"completed_before_split\": {}, \
-         \"completed_during_split\": {}, \"lost\": {}, \"denied\": {}, \
-         \"done\": {}}}",
-        d.completed, d.completed_before_crash, during_split, d.lost, d.denied, d.done
-    )
-}
-
-/// Serializes an outcome as deterministic JSON (hand-rolled; no serde in
-/// the tree). Same-seed runs produce byte-identical strings.
-pub fn partition_json(o: &PartitionOutcome) -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"chaos_partition\",");
-    let _ = writeln!(json, "  \"seed\": {},", o.seed);
-    let _ = writeln!(json, "  \"split_at_ms\": {:.3},", ms(o.split_at));
-    let _ = writeln!(json, "  \"restore_at_ms\": {:.3},", ms(o.restore_at));
-    let _ = writeln!(json, "  \"degraded\": {{");
-    let _ = writeln!(json, "    \"at_ms\": {},", opt_ms(o.degraded_at));
-    let _ = writeln!(
-        json,
-        "    \"latency_after_split_ms\": {},",
-        opt_span_ms(o.degraded_latency())
-    );
-    let _ = writeln!(
-        json,
-        "    \"epoch\": {},",
-        o.degraded_epoch
-            .map_or("null".to_owned(), |e| e.to_string())
-    );
-    let _ = writeln!(
-        json,
-        "    \"plan_latency_ms\": {}",
-        opt_f64(o.degraded_latency_ms)
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"reconcile\": {{");
-    let _ = writeln!(json, "    \"at_ms\": {},", opt_ms(o.reconciled_at));
-    let _ = writeln!(
-        json,
-        "    \"latency_after_restore_ms\": {},",
-        opt_span_ms(o.reconcile_latency())
-    );
-    let _ = writeln!(
-        json,
-        "    \"plan_latency_ms\": {},",
-        opt_f64(o.reconciled_latency_ms)
-    );
-    let _ = writeln!(
-        json,
-        "    \"initial_plan_latency_ms\": {:.6},",
-        o.initial_latency_ms
-    );
-    let _ = writeln!(json, "    \"retired\": {}", o.retired);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"heal_passes\": {},", o.heal_passes);
-    let _ = writeln!(json, "  \"replans\": {},", o.replans);
-    let _ = writeln!(json, "  \"infeasible\": {},", o.infeasible);
-    let _ = writeln!(
-        json,
-        "  \"seattle\": {},",
-        driver_json(&o.seattle, o.seattle_during_split)
-    );
-    let _ = writeln!(json, "  \"sd\": {},", driver_json(&o.sd, o.sd_during_split));
-    close_json(&mut json, &o.counters, o.messages, o.completed_at);
-    json
+    let record = outcome.record();
+    let mut artifact = Artifact::new("Partition: split, serve both sides, reconcile");
+    artifact.file("BENCH_partition.json", record);
+    if let Some(path) = args.get(1) {
+        artifact.stream(path, sink.to_jsonl());
+    }
+    Ok(artifact)
 }
 
 #[cfg(test)]

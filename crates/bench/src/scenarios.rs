@@ -18,12 +18,12 @@
 //! EXPERIMENTS.md records the shape criteria rather than absolute
 //! milliseconds.
 
+use crate::harness::mail_request;
 use ps_core::Framework;
 use ps_mail::spec::names::*;
 use ps_mail::workload::{ClusterConfig, ClusterDriver, RECEIVE_METRIC, SEND_METRIC};
 use ps_mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use ps_net::casestudy::{self, CaseStudy};
-use ps_planner::ServiceRequest;
 use ps_sim::{SimTime, Summary};
 use ps_smock::{
     CoherencePolicy, ComponentRegistry, FactoryArgs, InstanceId, OneTimeCosts, ServiceRegistration,
@@ -166,37 +166,41 @@ pub struct ScenarioResult {
     pub plan_costs: Option<OneTimeCosts>,
 }
 
-/// Runs one scenario and collects latencies.
-pub fn run_scenario(scenario: Scenario, config: &Fig7Config) -> ScenarioResult {
-    run_scenario_with_policy(scenario, scenario.policy(), config)
-}
-
-/// Runs the dynamic slow-connection scenario under an arbitrary
-/// coherence policy (the coherence-policy ablation).
-pub fn run_custom_policy(policy: CoherencePolicy, config: &Fig7Config) -> ScenarioResult {
-    run_scenario_with_policy(Scenario::DS0, policy, config)
-}
-
-/// Workhorse behind [`run_scenario`] / [`run_custom_policy`].
-pub fn run_scenario_with_policy(
-    scenario: Scenario,
-    policy: CoherencePolicy,
-    config: &Fig7Config,
-) -> ScenarioResult {
+/// The case study with the mail service registered, its components
+/// keyed from `key_seed` and its views kept coherent by `policy`, and
+/// the primary `MailServer` installed in New York.
+pub(crate) fn case_study_mail(key_seed: u64, policy: CoherencePolicy) -> (CaseStudy, Framework) {
     let cs = casestudy::default_case_study();
-    let keyring = Keyring::new(config.seed);
-
     let mut framework = Framework::new(
         cs.network.clone(),
         cs.mail_server,
         Box::new(mail_translator()),
     );
-    register_mail_components(&mut framework.server.registry, keyring.clone(), policy);
+    register_mail_components(
+        &mut framework.server.registry,
+        Keyring::new(key_seed),
+        policy,
+    );
     framework.register_service(ServiceRegistration::new(mail_spec()).attribute("type", "mail"));
     framework
         .install_primary("mail", MAIL_SERVER, cs.mail_server)
         .expect("primary installs");
+    (cs, framework)
+}
 
+/// Runs one scenario and collects latencies.
+pub fn run_scenario(scenario: Scenario, config: &Fig7Config) -> ScenarioResult {
+    run_scenario_with_policy(scenario, scenario.policy(), config)
+}
+
+/// Runs `scenario` with its views kept coherent by `policy` instead of
+/// the scenario's own (the coherence and sensitivity ablations).
+pub fn run_scenario_with_policy(
+    scenario: Scenario,
+    policy: CoherencePolicy,
+    config: &Fig7Config,
+) -> ScenarioResult {
+    let (cs, mut framework) = case_study_mail(config.seed, policy);
     let client_node = if scenario.is_fast() {
         cs.ny_client
     } else {
@@ -206,11 +210,7 @@ pub fn run_scenario_with_policy(
     // Obtain the client-facing root instance.
     let mut plan_costs = None;
     let root: InstanceId = if scenario.is_dynamic() {
-        let request = ServiceRequest::new(CLIENT_INTERFACE, client_node)
-            .rate(config.clients as f64 * 5.0)
-            .pin(MAIL_SERVER, cs.mail_server)
-            .origin(cs.mail_server)
-            .require("TrustLevel", 4i64);
+        let request = mail_request(client_node, cs.mail_server, 4, config.clients as f64 * 5.0);
         let connection = framework.connect("mail", &request).expect("plan + deploy");
         plan_costs = Some(connection.costs);
         connection.root
@@ -275,7 +275,7 @@ pub fn run_scenario_with_policy(
 
 /// Hand-builds the static deployments (the paper's hand-generated
 /// baselines). Returns the client-facing root instance.
-fn build_static(
+pub(crate) fn build_static(
     world: &mut World,
     registry: &ComponentRegistry,
     spec: &ServiceSpec,

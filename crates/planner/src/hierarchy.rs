@@ -27,7 +27,7 @@
 //! composed plan ships as it is. It is not
 //! *provably* the flat optimum — a better host may sit outside every
 //! shortlist — but it equals it bit for bit on every fabric measured,
-//! which `tests/hier_equivalence.rs` and `bench_scale` assert (DESIGN.md
+//! which `tests/hier_equivalence.rs` and `ps-bench scale` assert (DESIGN.md
 //! "Exactness, measured"). When the universe holds *no* feasible mapping
 //! the solve falls back to the flat search ([`Planner::solve`]).
 
@@ -475,7 +475,7 @@ impl Planner {
     }
 
     /// Publishes hierarchical counters, including per-region plan-work
-    /// attribution for `timeline_report` breakdowns.
+    /// attribution for `ps-bench timeline` breakdowns.
     pub(crate) fn publish_hier(&self, stats: &PlanStats, per_region: &RegionWorkMap) {
         let tracer = &self.config.tracer;
         tracer.count("planner.hier.plans", 1);

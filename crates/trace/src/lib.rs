@@ -20,12 +20,11 @@
 //! - **Time series** ([`Sampler`]): ring-buffered, zero-suppressed
 //!   virtual-time series sampled on a fixed cadence by the simulation
 //!   host (link utilization, CPU busy, queue depth, live instances).
-//! - **Analysis** ([`breakdown`], [`critical`], [`timeline`],
-//!   [`Report`]): reconstruct per-request latency breakdowns (the
-//!   paper's Figure 7 decomposition: lookup / plan / transfer / deploy /
-//!   invoke), extract span-tree critical paths, audit heal timelines
-//!   (detection → quarantine → redeploy), and render human-readable
-//!   reports.
+//! - **Analysis** ([`breakdown`], [`critical`], [`timeline`]):
+//!   reconstruct per-request latency breakdowns (the paper's Figure 7
+//!   decomposition: lookup / plan / transfer / deploy / invoke), extract
+//!   span-tree critical paths, and audit heal timelines (detection →
+//!   quarantine → redeploy).
 //!
 //! The default [`Tracer`] is disabled — a `None` handle whose every call
 //! is a single branch — so instrumented hot paths cost nothing when
@@ -52,7 +51,6 @@ pub mod breakdown;
 pub mod critical;
 pub mod event;
 pub mod registry;
-pub mod report;
 pub mod sampler;
 pub mod sink;
 pub mod timeline;
@@ -63,7 +61,6 @@ pub use breakdown::{breakdowns, closed_spans, Breakdown, ClosedSpan, PhaseAgg};
 pub use critical::{critical_paths, scope_critical_path, CriticalPath, Segment};
 pub use event::{Event, EventKind, FieldValue, Fields};
 pub use registry::{Histogram, Metric, Registry};
-pub use report::Report;
 pub use sampler::{Sampler, SamplerConfig, Series, SeriesSummary};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
 pub use timeline::{HealPass, HealTimeline, Incident};
@@ -75,7 +72,6 @@ pub mod prelude {
     pub use crate::breakdown::{breakdowns, Breakdown};
     pub use crate::event::{Event, EventKind, FieldValue, Fields};
     pub use crate::registry::Registry;
-    pub use crate::report::Report;
     pub use crate::sink::{JsonlSink, MemorySink, NullSink, Sink};
     pub use crate::tracer::{SpanGuard, Tracer};
 }

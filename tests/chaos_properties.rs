@@ -24,8 +24,9 @@ use partitionable_services::smock::{
     CoherencePolicy, InstanceId, LeaseConfig, RetryPolicy, ServiceRegistration,
 };
 use partitionable_services::spec::Behavior;
-use ps_bench::chaos::{outcome_json, run_chaos, ChaosBenchConfig};
-use ps_bench::partition::{partition_json, run_partition, PartitionBenchConfig};
+use ps_bench::chaos::{run_chaos, ChaosBenchConfig};
+use ps_bench::partition::{run_partition, PartitionBenchConfig};
+use ps_bench::Mode;
 
 enum Fault {
     Crash(NodeId),
@@ -315,8 +316,8 @@ fn same_seed_partition_runs_produce_identical_artifacts() {
     let a = run_partition(&config, &tracer_a);
     let b = run_partition(&config, &tracer_b);
     assert_eq!(
-        partition_json(&a),
-        partition_json(&b),
+        a.record().to_json(Mode::Measured),
+        b.record().to_json(Mode::Measured),
         "BENCH_partition.json must be byte-identical for one seed"
     );
     assert_eq!(
@@ -328,7 +329,10 @@ fn same_seed_partition_runs_produce_identical_artifacts() {
     // A different seed perturbs the workload draws.
     let other = PartitionBenchConfig { seed: 24, ..config };
     let c = run_partition(&other, &partitionable_services::trace::Tracer::disabled());
-    assert_ne!(partition_json(&a), partition_json(&c));
+    assert_ne!(
+        a.record().to_json(Mode::Measured),
+        c.record().to_json(Mode::Measured)
+    );
 }
 
 #[test]
@@ -345,8 +349,8 @@ fn same_seed_chaos_runs_produce_identical_artifacts() {
     let a = run_chaos(&config, &tracer_a);
     let b = run_chaos(&config, &tracer_b);
     assert_eq!(
-        outcome_json(&a),
-        outcome_json(&b),
+        a.record().to_json(Mode::Measured),
+        b.record().to_json(Mode::Measured),
         "BENCH_chaos.json must be byte-identical for one seed"
     );
     assert_eq!(
@@ -358,5 +362,8 @@ fn same_seed_chaos_runs_produce_identical_artifacts() {
     // A different seed perturbs the workload and fault draws.
     let other = ChaosBenchConfig { seed: 24, ..config };
     let c = run_chaos(&other, &partitionable_services::trace::Tracer::disabled());
-    assert_ne!(outcome_json(&a), outcome_json(&c));
+    assert_ne!(
+        a.record().to_json(Mode::Measured),
+        c.record().to_json(Mode::Measured)
+    );
 }
