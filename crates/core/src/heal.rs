@@ -13,7 +13,8 @@
 
 use crate::Framework;
 use ps_monitor::{
-    affected_edges, plan_delta, NetworkChange, NetworkMonitor, ReplanDecision, Replanner,
+    affected_edges, plan_delta, FreshOptimum, NetworkChange, NetworkMonitor, ReplanDecision,
+    Replanner,
 };
 use ps_net::{NodeId, PartitionView};
 use ps_planner::{Planner, ServiceRequest};
@@ -668,19 +669,21 @@ impl Framework {
         let net = self.world.network();
         let routes = self.server.routes(net);
         let rows_before = routes.rows_built();
-        let fresh = self.server.plan_uncached(net, &spec, &m.request);
+        let fresh = FreshOptimum {
+            plan: self.server.plan_uncached(net, &spec, &m.request),
+            routes: Arc::clone(&routes),
+        };
         let planner = Planner::with_config(spec, self.server.planner_config.clone());
         let mut replanner = Replanner::new(planner);
         replanner.set_tracer(self.server.tracer().clone());
         let translator = self.server.translator.as_ref();
-        let decision = replanner.decide_at(
+        let decision = replanner.decide(
             report.at,
             net,
             translator,
             &m.request,
             &m.connection.plan,
             fresh,
-            Arc::clone(&routes),
         );
         report.route_rows_built += (routes.rows_built() - rows_before) as u64;
         Some(decision)

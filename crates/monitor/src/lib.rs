@@ -399,6 +399,17 @@ pub enum ReplanDecision {
     Infeasible(PlanError),
 }
 
+/// A fresh optimum for a request and the routes it was priced on. The
+/// old plan is revalidated on the same routes, so both sides of the
+/// comparison read one network.
+#[derive(Debug)]
+pub struct FreshOptimum {
+    /// The optimum, or why there is none.
+    pub plan: Result<Plan, PlanError>,
+    /// The routes the optimum was priced on.
+    pub routes: Arc<ScopedRoutes>,
+}
+
 /// Re-planning policy: revalidate, then replace when invalid or degraded.
 pub struct Replanner {
     /// The planner used for replacement plans.
@@ -420,60 +431,66 @@ impl Replanner {
         }
     }
 
-    /// Installs a tracer (see [`evaluate_at`](Self::evaluate_at)).
+    /// Installs a tracer (see [`decide`](Self::decide)).
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    /// Evaluates `old` under the (possibly changed) network and decides,
-    /// pricing the fresh optimum with a flat [`Planner::plan`].
+    /// Evaluates `old` under the (possibly changed) network at virtual
+    /// time `now` and decides, pricing the fresh optimum with a flat
+    /// [`Planner::plan`] and revalidating `old` on routes of its own.
     pub fn evaluate<T: PropertyTranslator + ?Sized>(
         &self,
+        now: SimTime,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
         old: &Plan,
     ) -> ReplanDecision {
-        let fresh = self.planner.plan(net, translator, request);
-        let routes = Arc::new(ScopedRoutes::new(net));
-        self.decide(net, translator, request, old, fresh, routes)
+        let fresh = FreshOptimum {
+            plan: self.planner.plan(net, translator, request),
+            routes: Arc::new(ScopedRoutes::new(net)),
+        };
+        self.decide(now, net, translator, request, old, fresh)
     }
 
-    /// The decision given the `fresh` optimum for `request` on `net`,
-    /// revalidating `old` on `routes` (current for `net`).
-    fn decide<T: PropertyTranslator + ?Sized>(
+    /// The decision given the `fresh` optimum for `request` on `net`:
+    /// `old` is revalidated on `fresh.routes` (current for `net`) and
+    /// kept while valid and within [`degradation_factor`] of the
+    /// optimum. The healer supplies an optimum priced on the serving
+    /// path that would redeploy the connection, with the serving memo's
+    /// rows, so its consult runs no Dijkstra of its own. With a tracer
+    /// installed, the decision is stamped as a `replan` instant at `now`
+    /// and counted as `replan.keep` / `replan.redeploy` /
+    /// `replan.infeasible`.
+    ///
+    /// [`degradation_factor`]: Self::degradation_factor
+    pub fn decide<T: PropertyTranslator + ?Sized>(
         &self,
+        now: SimTime,
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
         old: &Plan,
-        fresh: Result<Plan, PlanError>,
-        routes: Arc<ScopedRoutes>,
+        fresh: FreshOptimum,
     ) -> ReplanDecision {
-        // Revalidate the old assignment in place.
         let mapper = Mapper::new(
             &self.planner.spec,
             net,
             translator,
             request,
             self.planner.config.objective,
-            routes,
+            fresh.routes,
         );
         let assignment: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
         let still_valid = mapper.evaluate(&old.graph, &assignment);
-        match (still_valid, fresh) {
-            (Some(current), Ok(better)) => {
-                if current.objective_value <= better.objective_value * self.degradation_factor {
-                    ReplanDecision::Keep
-                } else {
-                    let delta = plan_delta(old, &better);
-                    ReplanDecision::Redeploy {
-                        plan: Box::new(better),
-                        delta,
-                    }
-                }
+        let decision = match (still_valid, fresh.plan) {
+            (Some(current), Ok(better))
+                if current.objective_value <= better.objective_value * self.degradation_factor =>
+            {
+                ReplanDecision::Keep
             }
-            (None, Ok(better)) => {
+            (_, Ok(better)) => {
                 let delta = plan_delta(old, &better);
                 ReplanDecision::Redeploy {
                     plan: Box::new(better),
@@ -482,42 +499,7 @@ impl Replanner {
             }
             (Some(_), Err(_)) => ReplanDecision::Keep,
             (None, Err(e)) => ReplanDecision::Infeasible(e),
-        }
-    }
-
-    /// Like [`evaluate`](Self::evaluate), stamping the decision as a
-    /// `replan.decision` trace event at virtual time `now` and counting
-    /// it in the registry.
-    pub fn evaluate_at<T: PropertyTranslator + ?Sized>(
-        &self,
-        now: SimTime,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        old: &Plan,
-    ) -> ReplanDecision {
-        let fresh = self.planner.plan(net, translator, request);
-        let routes = Arc::new(ScopedRoutes::new(net));
-        self.decide_at(now, net, translator, request, old, fresh, routes)
-    }
-
-    /// Like [`evaluate_at`](Self::evaluate_at), with the fresh optimum
-    /// and the routes `old` is revalidated on supplied by the caller —
-    /// the healer prices the optimum on the serving path that would
-    /// redeploy the connection and revalidates on the serving memo's
-    /// rows, so a consult runs no Dijkstra of its own.
-    #[allow(clippy::too_many_arguments)]
-    pub fn decide_at<T: PropertyTranslator + ?Sized>(
-        &self,
-        now: SimTime,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        old: &Plan,
-        fresh: Result<Plan, PlanError>,
-        routes: Arc<ScopedRoutes>,
-    ) -> ReplanDecision {
-        let decision = self.decide(net, translator, request, old, fresh, routes);
+        };
         if self.tracer.enabled() {
             let mut fields: ps_trace::Fields = Vec::new();
             let kind = match &decision {

@@ -6,21 +6,46 @@
 //! scheduling order (a monotone sequence number breaks ties), which keeps
 //! runs deterministic.
 
-use crate::calendar::{CalendarQueue, Scheduled};
 use crate::time::{SimDuration, SimTime};
 use ps_trace::Tracer;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
+/// A pending event, ordered by `(at, seq)` so same-instant events keep
+/// FIFO scheduling order.
+#[derive(Debug)]
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+impl<E> Eq for Scheduled<E> {}
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at, self.seq).cmp(&(other.at, other.seq))
+    }
+}
 
 /// A discrete-event simulation engine.
 ///
-/// Pending events live in a two-tier [`CalendarQueue`] (near-future
-/// bucket wheel plus far-future overflow heap) that preserves the exact
-/// `(at, seq)` pop order of a binary heap at `O(1)` amortized cost per
-/// event instead of `O(log pending)`.
+/// Pending events live in one min-heap keyed by `(at, seq)`: events pop
+/// in time order, FIFO among events scheduled for the same instant.
 #[derive(Debug)]
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<E>,
+    queue: BinaryHeap<Reverse<Scheduled<E>>>,
     processed: u64,
     tracer: Tracer,
 }
@@ -37,7 +62,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             processed: 0,
             tracer: Tracer::disabled(),
         }
@@ -86,12 +111,12 @@ impl<E> Engine<E> {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { at, seq, event });
+        self.queue.push(Reverse(Scheduled { at, seq, event }));
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn step(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.queue.pop()?;
+        let Reverse(entry) = self.queue.pop()?;
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         self.processed += 1;
@@ -106,39 +131,24 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Runs until the queue drains or the clock passes `deadline`
-    /// (exclusive). Events scheduled after the deadline stay queued.
+    /// Runs every event due at or before `deadline`; later events stay
+    /// queued, and the clock ends on `deadline` (or stays put if it is
+    /// already past it).
     pub fn run_until<S>(
         &mut self,
         deadline: SimTime,
         state: &mut S,
         mut handler: impl FnMut(&mut Self, &mut S, E),
     ) {
-        while let Some(head_at) = self.queue.min_time() {
-            if head_at > deadline {
-                break;
-            }
+        while self
+            .queue
+            .peek()
+            .is_some_and(|Reverse(head)| head.at <= deadline)
+        {
             let (_, event) = self.step().expect("peeked entry must pop");
             handler(self, state, event);
         }
-        self.now = self
-            .now
-            .max(deadline.min(self.queue.min_time().unwrap_or(deadline)));
-    }
-
-    /// Runs at most `max_events` events.
-    pub fn run_steps<S>(
-        &mut self,
-        max_events: u64,
-        state: &mut S,
-        mut handler: impl FnMut(&mut Self, &mut S, E),
-    ) {
-        for _ in 0..max_events {
-            match self.step() {
-                Some((_, event)) => handler(self, state, event),
-                None => break,
-            }
-        }
+        self.now = self.now.max(deadline);
     }
 }
 
@@ -166,6 +176,31 @@ mod tests {
         let mut order = Vec::new();
         engine.run(&mut order, |_, order, e| order.push(e));
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+
+        // Same-instant events scheduled from inside handlers queue behind
+        // the ones scheduled beforehand, in their own scheduling order,
+        // and a handler's later event still fires in time order.
+        for i in 10..13 {
+            engine.schedule(SimDuration::from_millis(1), i);
+        }
+        engine.schedule(SimDuration::from_secs(60), 40);
+        engine.schedule(SimDuration::from_secs(10), 41);
+        order.clear();
+        engine.run(&mut order, |engine, order, e| {
+            order.push(e);
+            match e {
+                10 => {
+                    engine.schedule(SimDuration::ZERO, 20);
+                    engine.schedule(SimDuration::ZERO, 21);
+                    engine.schedule(SimDuration::from_secs(30), 30);
+                }
+                11 => engine.schedule(SimDuration::ZERO, 22),
+                20 => engine.schedule(SimDuration::ZERO, 23),
+                _ => {}
+            }
+        });
+        assert_eq!(order, vec![10, 11, 12, 20, 21, 22, 23, 41, 30, 40]);
+        assert_eq!(engine.now(), SimTime::from_nanos(60_005_000_000));
     }
 
     #[test]
@@ -185,16 +220,30 @@ mod tests {
 
     #[test]
     fn run_until_stops_at_deadline() {
+        let deadline = SimTime::from_nanos(25_000_000);
         let mut engine: Engine<u32> = Engine::new();
-        for ms in [10u64, 20, 30, 40] {
+        for ms in [10u64, 20, 25, 30, 40] {
             engine.schedule(SimDuration::from_millis(ms), ms as u32);
         }
         let mut seen = Vec::new();
-        engine.run_until(SimTime::from_nanos(25_000_000), &mut seen, |_, seen, e| {
+        engine.run_until(deadline, &mut seen, |engine, seen, e| {
+            seen.push(e);
+            if e == 20 {
+                // Lands exactly on the deadline, behind the event at 25.
+                engine.schedule(SimDuration::from_millis(5), 26);
+            }
+        });
+        // Events at the deadline fire, later ones stay queued, and the
+        // clock ends on the deadline rather than on the last event.
+        assert_eq!(seen, vec![10, 20, 25, 26]);
+        assert_eq!(engine.pending(), 2);
+        assert_eq!(engine.now(), deadline);
+        engine.run_until(SimTime::from_nanos(35_000_000), &mut seen, |_, seen, e| {
             seen.push(e)
         });
-        assert_eq!(seen, vec![10, 20]);
-        assert_eq!(engine.pending(), 2);
+        assert_eq!(seen, vec![10, 20, 25, 26, 30]);
+        assert_eq!(engine.pending(), 1);
+        assert_eq!(engine.now(), SimTime::from_nanos(35_000_000));
     }
 
     #[test]
@@ -231,37 +280,5 @@ mod tests {
         // On-time scheduling never counts.
         engine.schedule(SimDuration::from_millis(1), 3);
         assert_eq!(clamped(&engine), 1);
-    }
-
-    #[test]
-    fn deep_future_events_round_trip_through_overflow() {
-        // Exercises the calendar wheel's overflow tier end-to-end: a mix
-        // of near (in-wheel) and far (overflow) timers plus follow-ons
-        // scheduled from handlers must fire in exact time order.
-        let mut engine: Engine<u64> = Engine::new();
-        for (i, secs) in [0u64, 10, 1, 60, 3].iter().enumerate() {
-            engine.schedule(SimDuration::from_secs(*secs), i as u64);
-        }
-        let mut order = Vec::new();
-        engine.run(&mut order, |engine, order: &mut Vec<u64>, e| {
-            order.push(e);
-            if e == 2 {
-                engine.schedule(SimDuration::from_secs(30), 99);
-            }
-        });
-        assert_eq!(order, vec![0, 2, 4, 1, 99, 3]);
-        assert_eq!(engine.now().as_secs_f64(), 60.0);
-    }
-
-    #[test]
-    fn run_steps_limits_work() {
-        let mut engine: Engine<u32> = Engine::new();
-        for i in 0..10 {
-            engine.schedule(SimDuration::from_millis(i as u64), i);
-        }
-        let mut n = 0u32;
-        engine.run_steps(3, &mut n, |_, n, _| *n += 1);
-        assert_eq!(n, 3);
-        assert_eq!(engine.pending(), 7);
     }
 }

@@ -4,9 +4,11 @@
 //! shaped by a Click modular-router configuration (Section 4). This crate
 //! is that substrate's stand-in: a deterministic virtual-time engine
 //! ([`Engine`]) with store-and-forward link models ([`LinkModel`]) and
-//! FIFO CPU models ([`CpuModel`]), plus the measurement machinery
-//! ([`stats`]) and a version-stable random-number generator ([`Rng`])
-//! that make every experiment exactly reproducible from a seed.
+//! FIFO CPU models ([`CpuModel`]), plus running summaries and exact
+//! percentiles ([`stats`]) and a version-stable random-number generator
+//! ([`Rng`]) that make every experiment exactly reproducible from a
+//! seed. The engine keeps pending events in one binary heap ordered by
+//! firing time, ties in scheduling order.
 //!
 //! ```
 //! use ps_sim::prelude::*;
@@ -25,7 +27,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod calendar;
 pub mod engine;
 pub mod fault;
 pub mod resources;
@@ -38,7 +39,7 @@ pub use fault::{ChaosConfig, FaultDomain, FaultEvent, FaultKind, FaultPlan};
 pub use ps_trace::Tracer;
 pub use resources::{CpuModel, LinkModel};
 pub use rng::Rng;
-pub use stats::{LogHistogram, Percentiles, Summary, TimeSeries};
+pub use stats::{Percentiles, Summary};
 pub use time::{SimDuration, SimTime};
 
 /// Convenience prelude for simulation users.
@@ -47,7 +48,7 @@ pub mod prelude {
     pub use crate::fault::{ChaosConfig, FaultDomain, FaultEvent, FaultKind, FaultPlan};
     pub use crate::resources::{CpuModel, LinkModel};
     pub use crate::rng::Rng;
-    pub use crate::stats::{LogHistogram, Percentiles, Summary, TimeSeries};
+    pub use crate::stats::{Percentiles, Summary};
     pub use crate::time::{SimDuration, SimTime};
     pub use ps_trace::Tracer;
 }

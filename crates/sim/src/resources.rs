@@ -59,13 +59,6 @@ impl LinkModel {
         self.next_free + self.latency
     }
 
-    /// Arrival time a transmission *would* have, without reserving the
-    /// link (used by the planner's load estimates).
-    pub fn peek_transmit(&self, now: SimTime, bytes: u64) -> SimTime {
-        let start = now.max(self.next_free);
-        start + self.serialization(bytes) + self.latency
-    }
-
     /// Charges `count` background transmissions of `bytes` each (e.g.
     /// lease renewals) to the link's utilization accounting — bytes,
     /// transmission count, and serialization busy time — without
@@ -102,12 +95,11 @@ impl LinkModel {
         self.busy
     }
 
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / horizon.as_secs_f64()
+    /// Busy time accrued by `now`: [`busy_time`](Self::busy_time) less
+    /// the backlog still queued past `now`, since a transmission's
+    /// serialization is charged when it is submitted.
+    pub fn busy_accrued(&self, now: SimTime) -> SimDuration {
+        self.busy.saturating_sub(self.next_free.since(now))
     }
 }
 
@@ -168,12 +160,11 @@ impl CpuModel {
         self.busy
     }
 
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / horizon.as_secs_f64()
+    /// Busy time accrued by `now`: [`busy_time`](Self::busy_time) less
+    /// the jobs still queued or running past `now`, since a job's service
+    /// time is charged when it is submitted.
+    pub fn busy_accrued(&self, now: SimTime) -> SimDuration {
+        self.busy.saturating_sub(self.next_free.since(now))
     }
 }
 
@@ -213,15 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_reserve() {
-        let mut link = LinkModel::new(SimDuration::ZERO, 8e6);
-        let peeked = link.peek_transmit(SimTime::ZERO, 1_000_000);
-        let real = link.transmit(SimTime::ZERO, 1_000_000);
-        assert_eq!(peeked, real);
-        assert_eq!(link.transmissions(), 1);
-    }
-
-    #[test]
     fn background_charge_never_delays_foreground() {
         let mut charged = LinkModel::new(SimDuration::ZERO, 8e6);
         let mut clean = charged.clone();
@@ -247,9 +229,20 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_busy_fraction() {
+    fn accrued_busy_excludes_the_queued_backlog() {
         let mut link = LinkModel::new(SimDuration::ZERO, 8e6);
-        link.transmit(SimTime::ZERO, 1_000_000); // busy 1s
-        assert!((link.utilization(SimTime::from_nanos(2_000_000_000)) - 0.5).abs() < 1e-9);
+        link.transmit(SimTime::ZERO, 1_000_000); // busy 0..1s
+        link.transmit(SimTime::ZERO, 1_000_000); // queued, busy 1..2s
+        let at_ms = |ms: u64| link.busy_accrued(SimTime::from_nanos(ms * 1_000_000));
+        assert_eq!(at_ms(0), SimDuration::ZERO);
+        assert_eq!(at_ms(500), SimDuration::from_millis(500));
+        assert_eq!(at_ms(2_000), SimDuration::from_secs(2));
+        assert_eq!(at_ms(5_000), SimDuration::from_secs(2));
+        let mut cpu = CpuModel::new(1.0);
+        cpu.execute(SimTime::ZERO, 10.0);
+        assert_eq!(
+            cpu.busy_accrued(SimTime::from_nanos(4_000_000)),
+            SimDuration::from_millis(4)
+        );
     }
 }

@@ -1,5 +1,5 @@
-//! Measurement collection: running summaries, percentile samplers, and
-//! log-scale histograms for latency distributions.
+//! Measurement collection: running summaries and exact percentile
+//! samplers for latency distributions.
 
 use std::fmt;
 
@@ -167,57 +167,6 @@ impl Percentiles {
     }
 }
 
-/// Power-of-two bucketed histogram for positive values (latencies).
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    /// `buckets[i]` counts values in `[2^(i-1), 2^i)` of the base unit;
-    /// bucket 0 counts values below 1.
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    /// Creates an empty histogram covering up to 2^63 units.
-    pub fn new() -> Self {
-        LogHistogram {
-            buckets: vec![0; 64],
-            count: 0,
-        }
-    }
-
-    /// Records a value (units are caller-defined; negative values clamp
-    /// to bucket 0).
-    pub fn record(&mut self, value: f64) {
-        let idx = if value < 1.0 {
-            0
-        } else {
-            (value.log2().floor() as usize + 1).min(self.buckets.len() - 1)
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Iterates `(bucket_upper_bound, count)` for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (2f64.powi(i as i32), c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,115 +220,5 @@ mod tests {
     #[test]
     fn empty_percentiles_are_none() {
         assert_eq!(Percentiles::new().quantile(0.5), None);
-    }
-
-    #[test]
-    fn log_histogram_buckets() {
-        let mut h = LogHistogram::new();
-        h.record(0.5); // bucket 0
-        h.record(1.0); // [1,2)
-        h.record(3.0); // [2,4)
-        h.record(3.9);
-        let buckets: Vec<_> = h.iter().collect();
-        assert_eq!(h.count(), 4);
-        assert_eq!(buckets, vec![(1.0, 1), (2.0, 1), (4.0, 2)]);
-    }
-}
-
-/// Fixed-window time series: observations are bucketed by timestamp into
-/// windows of equal width, each summarized online. Useful for
-/// latency-over-time views (e.g. watching coherence flush spikes or an
-/// adaptation event).
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    window: crate::time::SimDuration,
-    windows: Vec<Summary>,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given window width.
-    pub fn new(window: crate::time::SimDuration) -> Self {
-        assert!(window.as_nanos() > 0, "window must be positive");
-        TimeSeries {
-            window,
-            windows: Vec::new(),
-        }
-    }
-
-    /// Records `value` observed at `at`.
-    pub fn record(&mut self, at: crate::time::SimTime, value: f64) {
-        let idx = (at.as_nanos() / self.window.as_nanos()) as usize;
-        if idx >= self.windows.len() {
-            self.windows.resize_with(idx + 1, Summary::new);
-        }
-        self.windows[idx].record(value);
-    }
-
-    /// The window width.
-    pub fn window(&self) -> crate::time::SimDuration {
-        self.window
-    }
-
-    /// Number of windows (including empty gaps).
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Iterates `(window start, summary)` for non-empty windows.
-    pub fn iter(&self) -> impl Iterator<Item = (crate::time::SimTime, &Summary)> {
-        let width = self.window;
-        self.windows
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.count() > 0)
-            .map(move |(i, s)| {
-                (
-                    crate::time::SimTime::from_nanos(i as u64 * width.as_nanos()),
-                    s,
-                )
-            })
-    }
-
-    /// Mean per window (`None` for empty windows), in window order.
-    pub fn means(&self) -> Vec<Option<f64>> {
-        self.windows
-            .iter()
-            .map(|s| (s.count() > 0).then(|| s.mean()))
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod timeseries_tests {
-    use super::*;
-    use crate::time::{SimDuration, SimTime};
-
-    #[test]
-    fn observations_land_in_their_windows() {
-        let mut ts = TimeSeries::new(SimDuration::from_millis(100));
-        ts.record(SimTime::from_nanos(10_000_000), 1.0); // window 0
-        ts.record(SimTime::from_nanos(150_000_000), 3.0); // window 1
-        ts.record(SimTime::from_nanos(160_000_000), 5.0); // window 1
-        ts.record(SimTime::from_nanos(950_000_000), 7.0); // window 9
-        assert_eq!(ts.len(), 10);
-        let means = ts.means();
-        assert_eq!(means[0], Some(1.0));
-        assert_eq!(means[1], Some(4.0));
-        assert_eq!(means[2], None);
-        assert_eq!(means[9], Some(7.0));
-        let non_empty: Vec<_> = ts.iter().collect();
-        assert_eq!(non_empty.len(), 3);
-        assert_eq!(non_empty[1].0, SimTime::from_nanos(100_000_000));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_window_is_rejected() {
-        let _ = TimeSeries::new(SimDuration::ZERO);
     }
 }

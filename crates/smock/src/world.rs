@@ -104,9 +104,14 @@ struct InstanceSlot {
 /// delta series diff against.
 struct SamplerState {
     sampler: Sampler,
+    prev_at: SimTime,
     prev_link_bytes: u64,
     prev_events: u64,
     prev_lease_bytes: u64,
+    /// Accrued busy time per link direction (`2 * link + dir`) and per
+    /// CPU at the previous tick.
+    prev_link_busy: Vec<SimDuration>,
+    prev_cpu_busy: Vec<SimDuration>,
 }
 
 /// Analytic lease-renewal traffic accounting: renewals are charged to
@@ -292,17 +297,22 @@ impl World {
     }
 
     /// Enables the time-series sampler: aggregate world metrics (link
-    /// utilization, CPU busy, event-queue depth, live instances,
+    /// and CPU utilization, event-queue depth, live instances,
     /// lease-renewal bytes) are snapshotted on the first event dispatched
-    /// at or after each virtual-time cadence boundary. Sampling schedules
-    /// no events of its own, so it cannot alter the simulation's
-    /// timeline; the series count is fixed regardless of world size.
+    /// at or after each virtual-time cadence boundary. Utilization is per
+    /// window: busy time accrued since the previous tick (queued backlog
+    /// excluded) over the window's length. Sampling schedules no events
+    /// of its own, so it cannot alter the simulation's timeline; the
+    /// series count is fixed regardless of world size.
     pub fn enable_sampler(&mut self, config: SamplerConfig) {
         self.state.sampler = Some(SamplerState {
             sampler: Sampler::new(config),
+            prev_at: SimTime::ZERO,
             prev_link_bytes: 0,
             prev_events: 0,
             prev_lease_bytes: 0,
+            prev_link_busy: vec![SimDuration::ZERO; self.state.links.len() * 2],
+            prev_cpu_busy: vec![SimDuration::ZERO; self.state.cpus.len()],
         });
     }
 
@@ -925,10 +935,17 @@ fn take_sample(engine: &Engine<Event>, state: &mut State, force: bool) {
         return;
     }
     charge_lease_renewals_inner(state, now);
-    let horizon = now.as_secs_f64();
-    let util = |busy: SimDuration| {
-        if horizon > 0.0 {
-            busy.as_secs_f64() / horizon
+    let window = now.since(ss.prev_at);
+    ss.prev_at = now;
+    // Lease renewals are charged as background busy time outside the
+    // shaping queue, so they may overlap a link's foreground work: a
+    // window counts them into its idle time only. A zero-length window
+    // (a forced sample on a tick's instant) reads zero.
+    let util = |accrued: SimDuration, prev: &mut SimDuration| {
+        let busy = accrued.saturating_sub(*prev).min(window);
+        *prev = accrued;
+        if window > SimDuration::ZERO {
+            busy.as_secs_f64() / window.as_secs_f64()
         } else {
             0.0
         }
@@ -937,22 +954,20 @@ fn take_sample(engine: &Engine<Event>, state: &mut State, force: bool) {
     let mut link_util_max = 0.0f64;
     let mut link_bytes = 0u64;
     let mut links_active = 0u64;
-    for pair in &state.links {
-        for link in pair {
-            link_bytes += link.bytes_carried();
-            if link.transmissions() > 0 {
-                links_active += 1;
-            }
-            let u = util(link.busy_time());
-            link_util_sum += u;
-            link_util_max = link_util_max.max(u);
+    for (link, prev) in state.links.iter().flatten().zip(&mut ss.prev_link_busy) {
+        link_bytes += link.bytes_carried();
+        if link.transmissions() > 0 {
+            links_active += 1;
         }
+        let u = util(link.busy_accrued(now), prev);
+        link_util_sum += u;
+        link_util_max = link_util_max.max(u);
     }
     let link_dirs = (state.links.len() * 2).max(1) as f64;
     let mut cpu_util_sum = 0.0;
     let mut cpu_util_max = 0.0f64;
-    for cpu in &state.cpus {
-        let u = util(cpu.busy_time());
+    for (cpu, prev) in state.cpus.iter().zip(&mut ss.prev_cpu_busy) {
+        let u = util(cpu.busy_accrued(now), prev);
         cpu_util_sum += u;
         cpu_util_max = cpu_util_max.max(u);
     }
@@ -1765,6 +1780,82 @@ mod tests {
         assert_eq!(live.summary().last, 2.0);
         let processed = sampler.series("events.processed").expect("series");
         assert!(processed.summary().sum > 0.0);
+    }
+
+    /// Queues two 1 MB requests at start, then ticks a timer every
+    /// 50 ms so samples land while the link and the server's CPU work
+    /// off their backlog.
+    struct Backlog {
+        ticks: u32,
+    }
+    impl ComponentLogic for Backlog {
+        fn on_start(&mut self, out: &mut Outbox) {
+            out.call(0, Payload::new((), 1_000_000), 1);
+            out.call(0, Payload::new((), 1_000_000), 2);
+            out.timer(SimDuration::from_millis(50), 0);
+        }
+        fn on_request(&mut self, _out: &mut Outbox, _req: RequestHandle, _p: &Payload) {}
+        fn on_response(&mut self, _out: &mut Outbox, _token: u64, _p: &Payload) {}
+        fn on_timer(&mut self, out: &mut Outbox, _tag: u64) {
+            self.ticks += 1;
+            if self.ticks < 100 {
+                out.timer(SimDuration::from_millis(50), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_utilization_counts_only_work_done() {
+        let mut net = Network::new();
+        let a = net.add_node("a", "s", 1.0, Credentials::new());
+        let b = net.add_node("b", "t", 1.0, Credentials::new());
+        net.add_link(a, b, SimDuration::from_millis(400), 8e6, Credentials::new());
+        let mut world = World::new(net);
+        // 1.5 s of CPU per request: the second request queues behind the
+        // first, as the second message queued behind the first on the link.
+        let server = world.instantiate(
+            "Echo",
+            b,
+            ResolvedBindings::new(),
+            Behavior::new().cpu_per_request_ms(1_500.0),
+            Box::new(Echo),
+            SimTime::ZERO,
+        );
+        let client = world.instantiate(
+            "Client",
+            a,
+            ResolvedBindings::new(),
+            Behavior::new(),
+            Box::new(Backlog { ticks: 0 }),
+            SimTime::ZERO,
+        );
+        world.wire(client, vec![server]);
+        world.enable_sampler(SamplerConfig {
+            cadence_ns: 100_000_000,
+            retention: 256,
+        });
+        world.run();
+        world.sample_now();
+        let sampler = world.sampler().expect("enabled");
+        for name in [
+            "links.util_max",
+            "links.util_mean",
+            "cpus.util_max",
+            "cpus.util_mean",
+        ] {
+            let series = sampler.series(name).expect("series exists");
+            for (at_ns, u) in series.points() {
+                assert!((0.0..=1.0).contains(&u), "{name} = {u} at {at_ns} ns");
+            }
+            assert!(series.summary().max > 0.4, "{name} sampled mid-backlog");
+        }
+        // Both links sit idle from 2.0 s (requests serialized) to 2.9 s
+        // (first reply leaves the server's CPU): those windows read zero,
+        // where a cumulative ratio would still read over two thirds.
+        let links = sampler.series("links.util_max").expect("series exists");
+        assert!(links
+            .points()
+            .any(|(at_ns, u)| (2_100_000_000..2_900_000_000).contains(&at_ns) && u == 0.0));
     }
 
     #[test]

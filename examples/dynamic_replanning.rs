@@ -12,7 +12,7 @@ use partitionable_services::mail::{mail_spec, mail_translator};
 use partitionable_services::monitor::{affected_edges, NetworkMonitor, ReplanDecision, Replanner};
 use partitionable_services::net::casestudy::default_case_study;
 use partitionable_services::planner::{Planner, PlannerConfig, ServiceRequest};
-use partitionable_services::sim::SimDuration;
+use partitionable_services::sim::{SimDuration, SimTime};
 
 fn main() {
     let cs = default_case_study();
@@ -49,7 +49,7 @@ fn main() {
         "  affected plan edges: {:?}",
         affected_edges(&plan, &changes)
     );
-    match replanner.evaluate(&degraded, &translator, &request, &plan) {
+    match replanner.evaluate(SimTime::ZERO, &degraded, &translator, &request, &plan) {
         ReplanDecision::Keep => {
             println!("  decision: KEEP — the cache already amortizes the slower link\n")
         }
@@ -73,7 +73,7 @@ fn main() {
         "  affected plan edges: {:?}",
         affected_edges(&plan, &changes)
     );
-    match replanner.evaluate(&distrusted, &translator, &request, &plan) {
+    match replanner.evaluate(SimTime::ZERO, &distrusted, &translator, &request, &plan) {
         ReplanDecision::Redeploy {
             plan: new_plan,
             delta,
@@ -102,7 +102,13 @@ fn main() {
                 .pin(MAIL_SERVER, cs.mail_server)
                 .origin(cs.mail_server)
                 .require("TrustLevel", 1i64);
-            match replanner.evaluate(&distrusted, &translator, &partner_request, &plan) {
+            match replanner.evaluate(
+                SimTime::ZERO,
+                &distrusted,
+                &translator,
+                &partner_request,
+                &plan,
+            ) {
                 ReplanDecision::Redeploy {
                     plan: new_plan,
                     delta,

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full offline verification pipeline: formatting, lints (clippy +
 # ps-lint, the unsafe fence), build, tests (workspace, ps-mail again in
-# release, and the benchmark package), every ps-bench artifact run twice
-# in stable mode and compared byte for byte, the event streams against
-# their pinned digests, and two deterministic planner work guards.
+# release, and the benchmark package), the benchmark's repeat check with
+# its digests against their pin, every ps-bench artifact run twice in
+# stable mode and compared byte for byte, the event streams against their
+# pinned digests, and two deterministic planner work guards.
 # Everything runs without network access.
 #
 # Usage:
@@ -99,7 +100,17 @@ echo "==> benchmark package: cargo test --release --offline (compiles it, --quic
 # so a memo or cache that makes traced != untraced or run != run fails
 # here rather than in the next benchmark.
 echo "==> benchmark check-repeat --quick (digests + deterministic metrics, 2 untraced + 1 traced)"
-bash benchmark/run.sh check-repeat --quick --seconds 1
+repeat_log="$(mktemp)"
+bash benchmark/run.sh check-repeat --quick --seconds 1 | tee "$repeat_log"
+
+# Same seed => same benchmark digests across commits, as for the event
+# streams below: the `digests` line check-repeat printed for each
+# workload must match scripts/benchmark_digests.txt. A change that moves
+# a digest on purpose updates the pin and says why in CHANGES.md.
+echo "==> determinism: benchmark digests match scripts/benchmark_digests.txt"
+awk '/^# / { workload = $2 } /^digests / { print workload, $2, $3 }' "$repeat_log" \
+    | diff <(grep -v '^#' scripts/benchmark_digests.txt) -
+rm -f "$repeat_log"
 
 # Bench smoke and determinism gate in one. `ps-bench artifacts` runs
 # every BENCH_*.json writer with its event stream. Stable mode only

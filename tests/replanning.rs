@@ -7,7 +7,7 @@ use partitionable_services::monitor::{
 };
 use partitionable_services::net::casestudy::default_case_study;
 use partitionable_services::planner::{Planner, PlannerConfig, ServiceRequest};
-use partitionable_services::sim::SimDuration;
+use partitionable_services::sim::{SimDuration, SimTime};
 
 fn sd_request(cs: &partitionable_services::net::CaseStudy) -> ServiceRequest {
     ServiceRequest::new(CLIENT_INTERFACE, cs.sd_client)
@@ -34,7 +34,13 @@ fn small_changes_keep_the_plan() {
     degraded.link_mut(wan).latency = SimDuration::from_millis(450);
 
     let replanner = Replanner::new(planner);
-    let decision = replanner.evaluate(&degraded, &mail_translator(), &request, &plan);
+    let decision = replanner.evaluate(
+        SimTime::ZERO,
+        &degraded,
+        &mail_translator(),
+        &request,
+        &plan,
+    );
     assert!(matches!(decision, ReplanDecision::Keep));
 }
 
@@ -61,7 +67,7 @@ fn credential_loss_invalidates_and_redeploys() {
     // Trust 5 is outside the ViewMailServer's (1,3) installation window:
     // the deployed cache is no longer legal anywhere in San Diego.
     let replanner = Replanner::new(planner);
-    let decision = replanner.evaluate(&changed, &mail_translator(), &request, &plan);
+    let decision = replanner.evaluate(SimTime::ZERO, &changed, &mail_translator(), &request, &plan);
     match decision {
         ReplanDecision::Redeploy {
             plan: new_plan,

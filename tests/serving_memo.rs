@@ -566,7 +566,7 @@ fn heal_run(seed: u64) -> HealRun {
             healed.plan.expected_latency_ms >= optimum.expected_latency_ms - 1e-9,
             "seed {seed} connection {id}: healed below the cold optimum"
         );
-        let decision = flat.evaluate(net, &mail_translator(), r, &healed.plan);
+        let decision = flat.evaluate(SimTime::ZERO, net, &mail_translator(), r, &healed.plan);
         assert!(
             matches!(decision, ReplanDecision::Keep),
             "seed {seed} connection {id}: {} ms healed vs {} ms cold: {decision:?}",
@@ -660,7 +660,13 @@ fn the_consult_decides_like_the_flat_replanner_on_the_memos_routes() {
             bandwidth,
         );
         let old = fw.managed_connection(id).unwrap().plan.clone();
-        let expected = flat.evaluate(fw.world.network(), &mail_translator(), &r, &old);
+        let expected = flat.evaluate(
+            fw.world.now(),
+            fw.world.network(),
+            &mail_translator(),
+            &r,
+            &old,
+        );
         let report = fw.heal();
         match expected {
             ReplanDecision::Keep => {

@@ -95,7 +95,7 @@ fn replanner_keep_decision_is_traced() {
     let mut replanner = Replanner::new(planner);
     replanner.set_tracer(tracer.clone());
     let now = SimTime::from_nanos(42);
-    let decision = replanner.evaluate_at(now, &degraded, &mail_translator(), &request, &plan);
+    let decision = replanner.evaluate(now, &degraded, &mail_translator(), &request, &plan);
     assert!(matches!(decision, ReplanDecision::Keep));
 
     let events = sink.events();
@@ -133,7 +133,7 @@ fn replanner_redeploy_decision_traces_the_delta() {
     let mut replanner = Replanner::new(planner);
     replanner.set_tracer(tracer.clone());
     let now = SimTime::from_nanos(99);
-    let decision = replanner.evaluate_at(now, &changed, &mail_translator(), &request, &plan);
+    let decision = replanner.evaluate(now, &changed, &mail_translator(), &request, &plan);
     let delta = match &decision {
         ReplanDecision::Redeploy { delta, .. } => delta,
         other => panic!("expected redeploy, got {other:?}"),
@@ -177,7 +177,7 @@ fn degradation_threshold_flips_the_traced_decision() {
             Replanner::new(Planner::with_config(mail_spec(), PlannerConfig::default()));
         replanner.degradation_factor = factor;
         replanner.set_tracer(tracer.clone());
-        let decision = replanner.evaluate_at(
+        let decision = replanner.evaluate(
             SimTime::ZERO,
             &cs.network,
             &mail_translator(),
