@@ -623,6 +623,9 @@ pub struct MailClientLogic {
     pending: HashMap<u64, RequestHandle>,
     next_token: u64,
     bodies_decrypted: u64,
+    /// What the reader opens each fetched body into, kept between fetches
+    /// so opening one allocates nothing.
+    opened: Vec<u8>,
 }
 
 impl MailClientLogic {
@@ -643,6 +646,7 @@ impl MailClientLogic {
             pending: HashMap::new(),
             next_token: 1,
             bodies_decrypted: 0,
+            opened: Vec::new(),
         }
     }
 
@@ -710,7 +714,9 @@ impl ComponentLogic for MailClientLogic {
             for m in messages {
                 if let Some(user) = &m.encrypted_for {
                     let key = self.keyring.key(user, m.sensitivity);
-                    let _plain = chacha20::decrypt(&key, &Keyring::nonce(m.id), &m.body);
+                    self.opened.clear();
+                    self.opened.extend_from_slice(&m.body);
+                    chacha20::apply_in_place(&key, &Keyring::nonce(m.id), &mut self.opened);
                     self.bodies_decrypted += 1;
                 }
             }

@@ -7,12 +7,14 @@
 //!
 //! Every mail body is keyed eight times between the sending client and
 //! the reader, so [`apply_keystream`] is the hot spot of the mail
-//! workloads. It runs one of two bodies over the same bytes: the scalar
-//! block loop (the reference, and the only path off x86-64 or without
-//! AVX2), or a wide body computing [`LANES`] blocks side by side that is
-//! entered through the one `#[target_feature]` wrapper in this workspace.
-//! DESIGN.md "Mail data path budget" has the measurements behind that
-//! dispatch.
+//! workloads. It runs one of three bodies over the same bytes, each
+//! computing [`LANES`] blocks side by side but the last: an AVX-512 body
+//! written in intrinsics, one register per state word; a portable wide
+//! body compiled with AVX2; or the scalar block loop (the reference, and
+//! the only path off x86-64 or without AVX2). The first two are entered
+//! through the workspace's only `#[target_feature]` wrappers, in the one
+//! module that may use `unsafe`. DESIGN.md "Mail data path budget" has
+//! the measurements behind that dispatch.
 
 /// Key size in bytes.
 pub const KEY_LEN: usize = 32;
@@ -20,8 +22,9 @@ pub const KEY_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// Keystream block size in bytes.
 const BLOCK: usize = 64;
-/// Blocks the wide body computes side by side. 16 lanes are two AVX2
-/// registers per state word: 2 300 MB/s where 8 lanes measured 1 390.
+/// Blocks the wide and AVX-512 bodies compute side by side: one AVX-512
+/// register, or two AVX2 registers, per state word. Under AVX2, 16 lanes
+/// measured 2 300 MB/s where 8 measured 1 390.
 const LANES: usize = 16;
 /// Inputs and tails up to this long stay on the scalar loop: a wide step
 /// costs about four scalar blocks however little of it is used.
@@ -215,24 +218,205 @@ fn apply_keystream_wide(key: &Key, nonce: &Nonce, initial_counter: u32, data: &m
     }
 }
 
-/// [`apply_keystream_wide`] compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn apply_keystream_avx2(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
-    apply_keystream_wide(key, nonce, initial_counter, data);
-}
-
 /// Encrypts (or, identically, decrypts) `data` in place with the
 /// keystream starting at block `initial_counter`.
-#[allow(unsafe_code)]
 pub fn apply_keystream(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
+    let body = dispatch::select(data.len());
+    dispatch::run(body, key, nonce, initial_counter, data);
+}
+
+/// Which body runs, and the two bodies entered through `#[target_feature]`:
+/// the one module in the workspace allowed unsafe code. The AVX-512 body
+/// exists because the wide body does not vectorise for it: compiled with
+/// `avx512f`, its run-time-indexed quarter rounds become gathers and
+/// scatters and run no faster than under AVX2 (DESIGN.md "Mail data path
+/// budget").
+#[allow(unsafe_code)]
+mod dispatch {
+    use super::{apply_keystream_scalar, Key, Nonce, SCALAR_MAX};
     #[cfg(target_arch = "x86_64")]
-    if data.len() > SCALAR_MAX && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the only requirement of `apply_keystream_avx2` is a CPU
-        // with AVX2, which the detection two lines up has just confirmed.
-        return unsafe { apply_keystream_avx2(key, nonce, initial_counter, data) };
+    use super::{apply_keystream_wide, initial_state, BLOCK, LANES};
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// Proof that the CPU feature a body needs was detected at run time.
+    /// Its field is private, so only [`select`] makes one.
+    #[cfg(target_arch = "x86_64")]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Detected(());
+
+    /// The body [`run`] executes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Body {
+        /// [`avx512`]: one register per state word, 16 blocks in 16 registers.
+        #[cfg(target_arch = "x86_64")]
+        Avx512(Detected),
+        /// [`apply_keystream_wide`] compiled with AVX2 enabled.
+        #[cfg(target_arch = "x86_64")]
+        Avx2(Detected),
+        /// The block-at-a-time reference.
+        Scalar,
     }
-    apply_keystream_scalar(key, nonce, initial_counter, data);
+
+    /// The body for `len` bytes on this CPU: the widest one it supports,
+    /// and the scalar loop for inputs no longer than [`SCALAR_MAX`].
+    pub(super) fn select(len: usize) -> Body {
+        if len <= SCALAR_MAX {
+            return Body::Scalar;
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Body::Avx512(Detected(()));
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Body::Avx2(Detected(()));
+            }
+        }
+        Body::Scalar
+    }
+
+    /// Runs `body` over `data`. Every body gives the scalar loop's bytes.
+    pub(super) fn run(body: Body, key: &Key, nonce: &Nonce, counter: u32, data: &mut [u8]) {
+        match body {
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx512(Detected(())) => {
+                // SAFETY: `avx512` requires AVX-512F, and a `Detected` is
+                // made only by `select`, after `is_x86_feature_detected!`
+                // confirmed it.
+                unsafe { avx512(key, nonce, counter, data) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Body::Avx2(Detected(())) => {
+                // SAFETY: `avx2` requires AVX2, and a `Detected` is made
+                // only by `select`, after `is_x86_feature_detected!`
+                // confirmed it.
+                unsafe { avx2(key, nonce, counter, data) }
+            }
+            Body::Scalar => apply_keystream_scalar(key, nonce, counter, data),
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn avx2(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
+        apply_keystream_wide(key, nonce, initial_counter, data);
+    }
+
+    /// [`LANES`] blocks per step, as the wide body, but written in
+    /// intrinsics: register `w` holds state word `w` of all sixteen
+    /// blocks, so a quarter round is twelve vector instructions with the
+    /// rotates native, and an in-register transpose turns the sixteen
+    /// word registers into sixteen keystream blocks.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn avx512(key: &Key, nonce: &Nonce, initial_counter: u32, data: &mut [u8]) {
+        let words = initial_state(key, initial_counter, nonce);
+        let mut state = [_mm512_setzero_si512(); 16];
+        for (v, word) in state.iter_mut().zip(words) {
+            *v = _mm512_set1_epi32(word as i32);
+        }
+        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let mut counter = initial_counter;
+        for group in data.chunks_mut(BLOCK * LANES) {
+            if group.len() <= SCALAR_MAX {
+                return apply_keystream_scalar(key, nonce, counter, group);
+            }
+            state[12] = _mm512_add_epi32(_mm512_set1_epi32(counter as i32), lane);
+            let mut x = state;
+            for _ in 0..10 {
+                quarter_round(&mut x, 0, 4, 8, 12);
+                quarter_round(&mut x, 1, 5, 9, 13);
+                quarter_round(&mut x, 2, 6, 10, 14);
+                quarter_round(&mut x, 3, 7, 11, 15);
+                quarter_round(&mut x, 0, 5, 10, 15);
+                quarter_round(&mut x, 1, 6, 11, 12);
+                quarter_round(&mut x, 2, 7, 8, 13);
+                quarter_round(&mut x, 3, 4, 9, 14);
+            }
+            for (word, input) in x.iter_mut().zip(state) {
+                *word = _mm512_add_epi32(*word, input);
+            }
+            // Zipping the blocks first leaves `keystream` at the block a
+            // short last group ends inside.
+            let mut keystream = transpose(x).into_iter();
+            let mut blocks = group.chunks_exact_mut(BLOCK);
+            for (block, k) in (&mut blocks).zip(&mut keystream) {
+                let p = block.as_mut_ptr().cast::<__m512i>();
+                // SAFETY: `block` is `BLOCK` = 64 bytes, readable and
+                // writable, the size of one `__m512i`; the unaligned load
+                // and store need no alignment.
+                unsafe { _mm512_storeu_si512(p, _mm512_xor_si512(_mm512_loadu_si512(p), k)) };
+            }
+            let tail = blocks.into_remainder();
+            if let (false, Some(k)) = (tail.is_empty(), keystream.next()) {
+                let mut bytes = [0u8; BLOCK];
+                // SAFETY: `bytes` is 64 writable bytes, the size of one
+                // `__m512i`; the unaligned store needs no alignment.
+                unsafe { _mm512_storeu_si512(bytes.as_mut_ptr().cast(), k) };
+                for (b, k) in tail.iter_mut().zip(bytes) {
+                    *b ^= k;
+                }
+            }
+            counter = counter.wrapping_add(LANES as u32);
+        }
+    }
+
+    /// The RFC quarter round on four word registers, every block at once.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn quarter_round(x: &mut [__m512i; 16], a: usize, b: usize, c: usize, d: usize) {
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32(_mm512_xor_si512(x[d], x[a]), 16);
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32(_mm512_xor_si512(x[b], x[c]), 12);
+        x[a] = _mm512_add_epi32(x[a], x[b]);
+        x[d] = _mm512_rol_epi32(_mm512_xor_si512(x[d], x[a]), 8);
+        x[c] = _mm512_add_epi32(x[c], x[d]);
+        x[b] = _mm512_rol_epi32(_mm512_xor_si512(x[b], x[c]), 7);
+    }
+
+    /// Register `w` holding word `w` of blocks 0..16 in, register `n`
+    /// holding all sixteen words of block `n` out: a 16×16 transpose of
+    /// 32-bit words.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn transpose(x: [__m512i; 16]) -> [__m512i; 16] {
+        // 128-bit lane `j` of `t[2i]` holds words 2i, 2i + 1 of blocks
+        // 4j and 4j + 1; of `t[2i + 1]`, of blocks 4j + 2 and 4j + 3.
+        let mut t = x;
+        for i in (0..16).step_by(2) {
+            t[i] = _mm512_unpacklo_epi32(x[i], x[i + 1]);
+            t[i + 1] = _mm512_unpackhi_epi32(x[i], x[i + 1]);
+        }
+        // Lane `j` of `u[4g + r]` holds words 4g..4g + 4 of block 4j + r.
+        let mut u = t;
+        for g in (0..16).step_by(4) {
+            u[g] = _mm512_unpacklo_epi64(t[g], t[g + 2]);
+            u[g + 1] = _mm512_unpackhi_epi64(t[g], t[g + 2]);
+            u[g + 2] = _mm512_unpacklo_epi64(t[g + 1], t[g + 3]);
+            u[g + 3] = _mm512_unpackhi_epi64(t[g + 1], t[g + 3]);
+        }
+        // Block 4j + r is lane `j` of `u[r]`, `u[4 + r]`, `u[8 + r]` and
+        // `u[12 + r]`: 0x88 gathers lanes 0 and 2 of each operand, 0xdd
+        // lanes 1 and 3.
+        let mut out = u;
+        for r in 0..4 {
+            let (lo, hi) = (u[r], u[4 + r]);
+            let (lo2, hi2) = (u[8 + r], u[12 + r]);
+            let even = _mm512_shuffle_i32x4(lo, hi, 0x88);
+            let odd = _mm512_shuffle_i32x4(lo, hi, 0xdd);
+            let even2 = _mm512_shuffle_i32x4(lo2, hi2, 0x88);
+            let odd2 = _mm512_shuffle_i32x4(lo2, hi2, 0xdd);
+            out[r] = _mm512_shuffle_i32x4(even, even2, 0x88);
+            out[4 + r] = _mm512_shuffle_i32x4(odd, odd2, 0x88);
+            out[8 + r] = _mm512_shuffle_i32x4(even, even2, 0xdd);
+            out[12 + r] = _mm512_shuffle_i32x4(odd, odd2, 0xdd);
+        }
+        out
+    }
 }
 
 /// What [`encrypt`] and [`decrypt`] do to a copy, done to `data` itself:
@@ -302,12 +486,10 @@ mod tests {
         assert_eq!(encrypt(&key, &nonce, plaintext), expected);
     }
 
-    /// Every length that starts, ends or splits a wide step, at counters
-    /// that include a wrap in the middle of one: the wide body, called
-    /// directly so it is covered on hosts where the dispatcher would pick
-    /// the scalar loop, and the dispatcher both give the scalar bytes.
-    #[test]
-    fn wide_matches_scalar() {
+    /// Every length that starts, ends or splits a 16-block step, at
+    /// counters that include a wrap in the middle of one: `body` must give
+    /// the bytes of one [`block`] call per 64 bytes.
+    fn assert_matches_blocks(name: &str, body: impl Fn(&Key, &Nonce, u32, &mut [u8])) {
         let key = rfc_key();
         let nonce = Nonce([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
         let input: Vec<u8> = (0..2_200u32).map(|i| (i * 7 % 251) as u8).collect();
@@ -320,18 +502,65 @@ mod tests {
                 }
             }
             for len in 0..=input.len() {
-                let mut wide = input[..len].to_vec();
-                apply_keystream_wide(&key, &nonce, counter, &mut wide);
-                assert_eq!(wide, expected[..len], "wide, {len} bytes from {counter}");
-                let mut public = input[..len].to_vec();
-                apply_keystream(&key, &nonce, counter, &mut public);
-                assert_eq!(
-                    public,
-                    expected[..len],
-                    "public, {len} bytes from {counter}"
-                );
+                let mut out = input[..len].to_vec();
+                body(&key, &nonce, counter, &mut out);
+                assert_eq!(out, expected[..len], "{name}, {len} bytes from {counter}");
             }
         }
+    }
+
+    /// The wide body, called directly so it is covered on hosts where the
+    /// dispatcher picks another body, and the dispatcher both give the
+    /// scalar bytes.
+    #[test]
+    fn wide_matches_scalar() {
+        assert_matches_blocks("wide", apply_keystream_wide);
+        assert_matches_blocks("public", apply_keystream);
+    }
+
+    /// The AVX-512 body on the same grid, and on 1 MiB, the size of a
+    /// 500-message `SyncBatch`.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_matches_scalar() {
+        let body @ dispatch::Body::Avx512(_) = dispatch::select(SCALAR_MAX + 1) else {
+            println!("avx512_matches_scalar: this CPU lacks avx512f, nothing to test");
+            return;
+        };
+        let avx512 = |key: &Key, nonce: &Nonce, counter: u32, data: &mut [u8]| {
+            dispatch::run(body, key, nonce, counter, data)
+        };
+        assert_matches_blocks("avx512", avx512);
+
+        let key = Key([0x5a; KEY_LEN]);
+        let nonce = Nonce([0xa5; NONCE_LEN]);
+        let input: Vec<u8> = (0..1u32 << 20).map(|i| (i * 13 % 251) as u8).collect();
+        let mut expected = input.clone();
+        apply_keystream_scalar(&key, &nonce, 1, &mut expected);
+        let mut wide = input;
+        avx512(&key, &nonce, 1, &mut wide);
+        assert!(wide == expected, "avx512 differs from scalar on 1 MiB");
+    }
+
+    /// `apply_keystream` runs whatever `select` returns: on this CPU that
+    /// must be the widest body it supports, so a fall-back to a narrower
+    /// one fails here rather than only slowing the mail workloads.
+    #[test]
+    fn dispatcher_picks_widest_supported_body() {
+        assert_eq!(dispatch::select(SCALAR_MAX), dispatch::Body::Scalar);
+        let picked = dispatch::select(SCALAR_MAX + 1);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                assert!(matches!(picked, dispatch::Body::Avx512(_)), "{picked:?}");
+                return;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                assert!(matches!(picked, dispatch::Body::Avx2(_)), "{picked:?}");
+                return;
+            }
+        }
+        assert_eq!(picked, dispatch::Body::Scalar);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod accounts;
 pub mod components;

@@ -147,6 +147,12 @@ impl std::error::Error for CodecError {}
 struct Writer(Vec<u8>);
 
 impl Writer {
+    /// An empty writer with room for `wire_bytes`, which no encoding
+    /// exceeds unless a message's `encrypted_for` passes 34 bytes: a
+    /// 1 MiB `SyncBatch` is one allocation, not a run of doublings.
+    fn reserving(wire_bytes: u64) -> Writer {
+        Writer(Vec::with_capacity(wire_bytes as usize))
+    }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -244,7 +250,7 @@ fn read_message(r: &mut Reader<'_>) -> Result<MailMessage, CodecError> {
 
 /// Encodes an operation to bytes.
 pub fn encode_op(op: &MailOp) -> Vec<u8> {
-    let mut w = Writer(Vec::new());
+    let mut w = Writer::reserving(op.wire_bytes());
     match op {
         MailOp::Send(m) => {
             w.u8(0);
@@ -323,7 +329,7 @@ pub fn decode_op(bytes: &[u8]) -> Result<MailOp, CodecError> {
 
 /// Encodes a reply to bytes.
 pub fn encode_reply(reply: &MailReply) -> Vec<u8> {
-    let mut w = Writer(Vec::new());
+    let mut w = Writer::reserving(reply.wire_bytes());
     match reply {
         MailReply::Ack => w.u8(0),
         MailReply::NewMail { messages } => {
@@ -432,6 +438,10 @@ mod tests {
         ];
         for op in ops {
             let bytes = encode_op(&op);
+            assert!(
+                bytes.len() as u64 <= op.wire_bytes(),
+                "{op:?} outgrew its reserve"
+            );
             assert_eq!(decode_op(&bytes).unwrap(), op, "roundtrip failed");
         }
     }
@@ -457,6 +467,10 @@ mod tests {
         ];
         for reply in replies {
             let bytes = encode_reply(&reply);
+            assert!(
+                bytes.len() as u64 <= reply.wire_bytes(),
+                "{reply:?} outgrew its reserve"
+            );
             assert_eq!(decode_reply(&bytes).unwrap(), reply);
         }
     }
