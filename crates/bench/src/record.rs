@@ -23,7 +23,9 @@ pub enum Mode {
 
 impl Mode {
     /// [`Mode::Stable`] under `PS_STABLE_ARTIFACTS=1`, else
-    /// [`Mode::Measured`]. The only place the variable is read.
+    /// [`Mode::Measured`]. The only place `ps-bench` reads the variable;
+    /// `ps-lint --format json` reads it too, for its stage timings (the
+    /// linter has no dependencies, so it keeps its own read).
     pub fn from_env() -> Mode {
         if std::env::var("PS_STABLE_ARTIFACTS").is_ok_and(|v| v == "1") {
             Mode::Stable

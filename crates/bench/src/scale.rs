@@ -157,6 +157,10 @@ pub struct HierPlanMeasure {
     pub work_flat: u64,
     /// Deterministic search effort of the hierarchical cold path.
     pub work_hier: u64,
+    /// Deterministic search effort of the hierarchical warm path: its
+    /// memo's recent plans seed the incumbent, and its routing rows and
+    /// shortlists are built.
+    pub work_warm: u64,
     /// Region segments solved by the cold hierarchical plan.
     pub segments: u32,
     /// Memo hits observed by the warm hierarchical plan.
@@ -231,11 +235,12 @@ pub fn measure_hier_plan(
     let hier = hier.expect("at least one hier rep");
 
     let memo = HierMemo::new();
-    let warm_seed = hier_planner
+    let populating = hier_planner
         .plan_hierarchical(net, &translator, &request, &memo)
         .expect("memo-populating plan");
     let mut hier_warm_us = u64::MAX;
-    let mut warm_memo_hits = warm_seed.stats.hier_memo_hits;
+    let mut warm_memo_hits = populating.stats.hier_memo_hits;
+    let mut work_warm = populating.stats.work_units();
     for _ in 0..reps {
         let timer = WallTimer::start();
         let plan = hier_planner
@@ -243,6 +248,7 @@ pub fn measure_hier_plan(
             .expect("hier warm plan");
         hier_warm_us = hier_warm_us.min(timer.elapsed_micros());
         warm_memo_hits = plan.stats.hier_memo_hits;
+        work_warm = plan.stats.work_units();
     }
 
     // The flat exhaustive search is the optimum; composition can never
@@ -265,6 +271,7 @@ pub fn measure_hier_plan(
         hier_objective: hier.objective_value,
         work_flat: flat.stats.work_units(),
         work_hier: hier.stats.work_units(),
+        work_warm,
         segments: hier.stats.hier_segments,
         warm_memo_hits,
         universe: hier.stats.hier_universe,
@@ -423,6 +430,7 @@ fn world_record(hier: &HierPlanMeasure, links: usize) -> Record {
         .with("wall_speedup", wall_num(hier.wall_speedup(), 3))
         .with("work_flat", hier.work_flat)
         .with("work_hier", hier.work_hier)
+        .with("work_warm", hier.work_warm)
         .with("work_speedup", num(hier.work_speedup(), 3))
         .with("flat_objective", num(hier.flat_objective, 6))
         .with("hier_objective", num(hier.hier_objective, 6))

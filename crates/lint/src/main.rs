@@ -236,6 +236,8 @@ fn print_json(analysis: &ps_lint::WorkspaceAnalysis, unsuppressed: usize) {
     ));
     // Stable mode: zero the wall-clock stage timings so two runs over
     // the same tree produce byte-identical reports (`cmp`-able in CI).
+    // The same variable `ps-bench` reads through `Mode::from_env`, read
+    // here directly: the linter has no dependencies, not even ps-bench.
     let stable = std::env::var("PS_STABLE_ARTIFACTS").is_ok_and(|v| v == "1");
     let t = if stable {
         ps_lint::StageTimings {

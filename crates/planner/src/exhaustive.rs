@@ -37,11 +37,30 @@
 //!   a component more often than its candidates' factor classes admit
 //!   is never descended at all — both exact: every completion would be
 //!   rejected by the evaluator's identity rules;
+//! * a placement's cut also charges the
+//!   [`AVOID_PENALTY`](crate::AVOID_PENALTY) of every
+//!   avoided host placed so far (a running sum kept beside the partial;
+//!   the unplaced nodes' penalties are left out, which keeps it
+//!   admissible): `(partial + remaining + penalty) · CHAIN_MARGIN >
+//!   incumbent`. The evaluator adds the penalty after the other terms
+//!   and the descent before them, so the margin absorbs the rounding; a
+//!   request that avoids nothing compares exactly as without the term.
+//!   A redeploy off a suspect host otherwise walks every mapping through
+//!   it, each bound a million short;
 //! * pruning is *strict* (`partial + remaining > incumbent objective`):
 //!   a subtree is cut only when every completion is strictly worse than
 //!   the incumbent, so the surviving optimum — value *and* chosen
 //!   assignment — is identical to an unbounded descent's. For
-//!   `MaxCapacity` (non-additive, negated) bounding is disabled.
+//!   `MaxCapacity` (non-additive, negated) bounding is disabled;
+//! * the incumbent may start below +∞: a solve on the serving memo
+//!   offers it a *warm seed*, the objective of a recent plan moved to
+//!   this request's client that the solve's own mapper accepts
+//!   ([`Incumbent::offer_seed`]). A seed is the value of a mapping the
+//!   search itself could return, lifted by `CHAIN_MARGIN` so the
+//!   optimum's own path is never cut by an ulp: nothing at or below the
+//!   optimum is cut, and the result — value and placements — is the
+//!   unseeded one's. What changes is that the first graph's chain bound
+//!   is built, and its cuts bite, before its first complete mapping.
 //!
 //! This is the planner's only search. The unbounded, memo-free descent
 //! it must agree with — value *and* placements — lives with the tests
@@ -89,6 +108,16 @@ impl Incumbent {
             self.0.set(value);
         }
     }
+
+    /// Offers a warm seed: the objective [`Mapper::evaluate`] gives a
+    /// mapping found outside the search, lifted by `CHAIN_MARGIN`. The
+    /// descent sums the same terms in another order than the evaluator,
+    /// so a bare seed equal to the optimum could cut the optimum's own
+    /// path by an ulp. Meaningless for `MaxCapacity`, whose negated
+    /// objective nothing cuts against.
+    pub fn offer_seed(&self, value: f64) {
+        self.offer(value / CHAIN_MARGIN);
+    }
 }
 
 impl Default for Incumbent {
@@ -114,7 +143,7 @@ pub fn search(
         return None;
     }
     let mut state = State::new(mapper, graph, stats, incumbent)?;
-    state.recurse(0, 0.0);
+    state.recurse(0, 0.0, 0.0);
     state.best
 }
 
@@ -656,7 +685,23 @@ impl<'a, 'b> State<'a, 'b> {
         self.suffix_bound[pos + 1].max(chain)
     }
 
-    fn recurse(&mut self, pos: usize, partial: f64) {
+    /// What the descent compares against the threshold for placing
+    /// `idx` (position `pos`) on candidate `ci` at cost `inc`, with
+    /// `penalty` charged for the avoided hosts placed so far, this one
+    /// included. The penalty enters with `CHAIN_MARGIN` (module docs);
+    /// without one the bound is the bare sum.
+    fn cut_bound(&self, partial: f64, inc: f64, penalty: f64, pos: usize, ci: usize) -> f64 {
+        let bound = partial + inc + self.remaining(pos, self.order[pos], ci);
+        if penalty > 0.0 {
+            (bound + penalty) * CHAIN_MARGIN
+        } else {
+            bound
+        }
+    }
+
+    /// Descends from position `pos` with `partial` accumulated and
+    /// `penalty` charged for the avoided hosts placed so far.
+    fn recurse(&mut self, pos: usize, partial: f64, penalty: f64) {
         if self.bounding {
             // Strict comparison: cut only subtrees whose every completion
             // is strictly worse than a known feasible mapping (whose
@@ -733,8 +778,8 @@ impl<'a, 'b> State<'a, 'b> {
             if self.chain_bound.is_empty() && self.lp > 0.0 && threshold.is_finite() {
                 self.build_chain_bound(threshold);
             }
-            let bound = partial + inc + self.remaining(pos, idx, ci);
-            if self.bounding && bound > threshold {
+            let penalty = penalty + self.mapper.avoidance_penalty(node);
+            if self.bounding && self.cut_bound(partial, inc, penalty, pos, ci) > threshold {
                 // This placement already costs more than a known complete
                 // mapping — skip it before paying for property flow.
                 self.stats.bound_prunes += 1;
@@ -749,7 +794,7 @@ impl<'a, 'b> State<'a, 'b> {
             self.provided_id[idx] = outcome.provided_id;
             self.provided[idx] = Some(outcome.provided);
             self.factors[idx] = Some(outcome.factors);
-            self.recurse(pos + 1, partial + inc);
+            self.recurse(pos + 1, partial + inc, penalty);
             self.assignment[idx] = None;
             self.provided[idx] = None;
             self.factors[idx] = None;
@@ -903,10 +948,10 @@ mod tests {
             })
     }
 
-    /// `partial + remaining` as [`State::recurse`] computes it at every
-    /// depth of the descent path that ends in `hosts`.
+    /// The bound [`State::recurse`] cuts on at every depth of the
+    /// descent path that ends in `hosts`.
     fn bounds_along(state: &mut State<'_, '_>, hosts: &[NodeId]) -> Vec<f64> {
-        let mut partial = 0.0;
+        let (mut partial, mut penalty) = (0.0, 0.0);
         let mut bounds = Vec::new();
         for pos in 0..state.order.len() {
             let idx = state.order[pos];
@@ -917,7 +962,8 @@ mod tests {
                 .position(at)
                 .expect("candidate");
             let inc = state.child_edge_cost(idx, hosts[idx], state.static_cost[idx][ci]);
-            bounds.push(partial + inc + state.remaining(pos, idx, ci));
+            penalty += state.mapper.avoidance_penalty(hosts[idx]);
+            bounds.push(state.cut_bound(partial, inc, penalty, pos, ci));
             partial += inc;
             state.assignment[idx] = Some(hosts[idx]);
         }
@@ -987,12 +1033,14 @@ mod tests {
     /// The bound never overshoots: along the descent path of every
     /// feasible mapping — chains and fan-out trees, every bounded
     /// objective, rows built unfiltered and against the worst and the
-    /// best feasible objective — `partial + remaining` stays at or
-    /// below the mapping's objective at each depth. The requests carry
-    /// what makes the bound undershoot rather than match: an avoided
-    /// host (its penalty is in no bound), a live relay whose factors do
-    /// not match (attachable, so the bound charges it no deployment, yet
-    /// deployed), and the unreachable island among the candidates.
+    /// best feasible objective — the bound the descent cuts on stays at
+    /// or below the mapping's objective at each depth. The requests
+    /// carry what makes the bound undershoot rather than match, or sum
+    /// its terms in another order: an avoided host (its penalty is
+    /// charged once placed, after the other terms), a live relay whose
+    /// factors do not match (attachable, so the bound charges it no
+    /// deployment, yet deployed), and the unreachable island among the
+    /// candidates.
     #[test]
     fn the_bound_never_overshoots_a_feasible_mapping() {
         let objectives = [

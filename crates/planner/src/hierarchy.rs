@@ -52,6 +52,10 @@ const SHORTLIST: usize = 6;
 /// How many of a region's gateways participate in shortlist ranking
 /// (each ranked gateway costs one lazy Dijkstra row).
 const RANK_GATEWAYS: usize = 4;
+/// Recent plans the memo keeps as warm seeds. On the repo benchmark's
+/// `connect_storm` four and eight do the same search (35 813 work
+/// units over its cold connects), one does 2.8× more (101 598).
+const RECENT_PLANS: usize = 4;
 
 /// Work attributed to one region during a hierarchical solve, for the
 /// per-region trace metrics.
@@ -81,11 +85,19 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | completed plans | the request, by value, under one live-instance set | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
+/// | recent plans (warm seeds) | — | revalidated at use |
 ///
 /// Every entry point runs the same epoch check first, so a plan of an
 /// older epoch can never answer, and a route row answers
 /// only once certified exact for the new one; shortlists carry their
-/// region's epoch and outlive a change elsewhere in the fabric.
+/// region's epoch and outlive a change elsewhere in the fabric. The
+/// recent plans are the last [`RECENT_PLANS`] distinct (linkage graph,
+/// hosts) pairs solves on the memo returned, whatever their request or
+/// epoch: they never answer, they only seed a solve's incumbent, and a
+/// seed counts only once the solve's own mapper accepts it
+/// ([`Planner::solve`]). So they need no invalidation, and they survive
+/// the epoch change that empties the plan cache, which is exactly when
+/// a heal pass plans.
 #[derive(Debug, Default)]
 pub struct HierMemo {
     inner: Mutex<MemoInner>,
@@ -103,8 +115,18 @@ struct MemoInner {
     /// solve time, shortlist). Entries whose epoch no longer matches the
     /// live region are stale and recomputed on next use.
     shortlists: BTreeMap<ShortlistKey, (u64, Vec<NodeId>)>,
+    /// The last distinct solved (graph, hosts) pairs, newest first.
+    recent: Vec<Arc<RecentPlan>>,
     hits: u64,
     misses: u64,
+}
+
+/// A plan a solve on the memo returned, as a warm seed keeps it: its
+/// linkage graph and the host of each tree node.
+#[derive(Debug, PartialEq)]
+pub(crate) struct RecentPlan {
+    pub graph: LinkageGraph,
+    pub hosts: Vec<NodeId>,
 }
 
 type ShortlistKey = (u32, String, u32);
@@ -255,6 +277,24 @@ impl HierMemo {
     /// Number of cached plans.
     pub fn cached_plans(&self) -> usize {
         self.lock().plans.by_client.values().map(Vec::len).sum()
+    }
+
+    /// The recent plans, newest first (the table above).
+    pub(crate) fn recent_plans(&self) -> Vec<Arc<RecentPlan>> {
+        self.lock().recent.clone()
+    }
+
+    /// Records a solved plan as the newest recent plan, moving an equal
+    /// one to the front instead of keeping it twice.
+    pub(crate) fn remember_plan(&self, plan: &Plan) {
+        let recent = RecentPlan {
+            graph: plan.graph.clone(),
+            hosts: plan.placements.iter().map(|p| p.node).collect(),
+        };
+        let mut inner = self.lock();
+        inner.recent.retain(|kept| **kept != recent);
+        inner.recent.insert(0, Arc::new(recent));
+        inner.recent.truncate(RECENT_PLANS);
     }
 
     /// The index of `request`'s signature among those seen so far,

@@ -204,9 +204,9 @@ impl<'a> Mapper<'a> {
 
     /// The objective penalty for placing on `node`: [`AVOID_PENALTY`]
     /// when the request down-weights it, zero otherwise. Added per
-    /// placement by the evaluator, and omitted from branch-and-bound
-    /// *bounds* (which therefore undershoot —
-    /// still admissible).
+    /// placement by the evaluator; the search's cut charges it for every
+    /// node already placed and leaves the unplaced ones' out, so the
+    /// bound stays admissible ([`crate::exhaustive`]).
     pub fn avoidance_penalty(&self, node: NodeId) -> f64 {
         if self.request.avoided.contains(&node) {
             AVOID_PENALTY

@@ -2,7 +2,7 @@
 //! (Figure 1, step 4).
 
 use crate::exhaustive::{self, Incumbent};
-use crate::hierarchy::{HierConfig, HierMemo, RegionWorkMap};
+use crate::hierarchy::{HierConfig, HierMemo, RecentPlan, RegionWorkMap};
 use crate::linkage::{enumerate_linkages_multi, LinkageGraph, LinkageLimits};
 use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{Objective, Placement, Plan, PlanError, PlanStats, ServiceRequest};
@@ -133,6 +133,10 @@ impl Planner {
     /// answer — correctness over speed — so both fall through to the flat
     /// search over the whole network, on the same rows and carrying the
     /// statistics of the work already done.
+    ///
+    /// On a memo every sweep starts warm: its incumbent is seeded with
+    /// the memo's recent plans that its mapper accepts
+    /// ([`warm_incumbent`]), and the plan found joins them.
     fn solve<T: PropertyTranslator + ?Sized>(
         &self,
         net: &Network,
@@ -164,6 +168,7 @@ impl Planner {
             |memo| memo.scoped_routes(net),
         );
         let rows_before = routes.rows_built();
+        let seeds = memo.map_or_else(Vec::new, HierMemo::recent_plans);
 
         let mut regions = None;
         let mut found = None;
@@ -171,7 +176,7 @@ impl Planner {
             if let Some(setup) =
                 self.hier_setup(net, translator, request, &graphs, memo, &mut stats)
             {
-                found = self.sweep(&setup.mapper, &graphs, &mut stats);
+                found = self.sweep(&setup.mapper, &graphs, &seeds, &mut stats);
                 regions = Some(setup.per_region);
             }
         }
@@ -186,7 +191,10 @@ impl Planner {
                 self.config.objective,
                 Arc::clone(&routes),
             );
-            found = self.sweep(&mapper, &graphs, &mut stats);
+            found = self.sweep(&mapper, &graphs, &seeds, &mut stats);
+        }
+        if let (Some(memo), Some(plan)) = (memo, &found) {
+            memo.remember_plan(plan);
         }
         // The rows this solve added, not those earlier solves of the
         // epoch built or carried. (Solves racing on one memo may count
@@ -203,16 +211,21 @@ impl Planner {
     /// Searches every graph through `mapper` and keeps the
     /// objective-optimal mapping (the first found, on ties). The best
     /// objective found so far seeds each later graph's search, so later
-    /// graphs are cut against earlier graphs' optima; a graph repeating
-    /// a component more often than the instance-identity rules allow is
-    /// skipped by the search itself before any bound is built.
+    /// graphs are cut against earlier graphs' optima, and the first
+    /// graph's against the best of `seeds` `mapper` accepts; a graph
+    /// repeating a component more often than the instance-identity rules
+    /// allow is skipped by the search itself before any bound is built.
     fn sweep(
         &self,
         mapper: &Mapper<'_>,
         graphs: &[LinkageGraph],
+        seeds: &[Arc<RecentPlan>],
         stats: &mut PlanStats,
     ) -> Option<Plan> {
         let incumbent = Incumbent::new();
+        if let Some(seed) = warm_incumbent(mapper, graphs, seeds) {
+            incumbent.offer_seed(seed);
+        }
         let mut best: Option<Plan> = None;
         for graph in graphs {
             let Some((assignment, eval)) = exhaustive::search(mapper, graph, stats, &incumbent)
@@ -249,6 +262,45 @@ impl Planner {
         }
         plan
     }
+}
+
+/// The best objective among `seeds` that are mappings this solve's
+/// search could itself return: each seed whose graph is in `graphs` is
+/// moved to the request (its root onto the client under
+/// `colocate_root`) and counts only if every host is in `mapper`'s
+/// candidate set for its tree node — condition 1, liveness, pins, the
+/// colocated root and the hierarchical universe — and
+/// [`Mapper::evaluate`] accepts the whole — conditions 2–3, the
+/// identity rules, capacity and the avoidance penalty. A stale or
+/// foreign seed fails one of the two and is skipped. `None` for
+/// `MaxCapacity`, which cuts nothing.
+fn warm_incumbent(
+    mapper: &Mapper<'_>,
+    graphs: &[LinkageGraph],
+    seeds: &[Arc<RecentPlan>],
+) -> Option<f64> {
+    if matches!(mapper.objective, Objective::MaxCapacity) {
+        return None;
+    }
+    let request = mapper.request;
+    let accepted = seeds.iter().filter_map(|seed| {
+        let graph = graphs.iter().find(|graph| **graph == seed.graph)?;
+        let mut hosts = seed.hosts.clone();
+        if request.colocate_root {
+            hosts[0] = request.client_node;
+        }
+        let admitted = hosts
+            .iter()
+            .enumerate()
+            .all(|(idx, host)| mapper.candidate_set(graph, idx).nodes.contains(host));
+        if !admitted {
+            return None;
+        }
+        mapper
+            .evaluate(graph, &hosts)
+            .map(|eval| eval.objective_value)
+    });
+    accepted.reduce(f64::min)
 }
 
 /// Materializes a search result as a [`Plan`] (stats are attached by

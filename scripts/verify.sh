@@ -4,7 +4,7 @@
 # release, and the benchmark package), the benchmark's repeat check with
 # its digests against their pin, every ps-bench artifact run twice in
 # stable mode and compared byte for byte, the event streams against their
-# pinned digests, and two deterministic planner work guards.
+# pinned digests, and three deterministic planner work guards.
 # Everything runs without network access.
 #
 # Usage:
@@ -176,5 +176,17 @@ if [[ -z "$work_flat" ]] || (( work_flat > 82950 )); then
     exit 1
 fi
 echo "    flat work at 1013 nodes: ${work_flat}"
+
+# A warm hierarchical solve starts from its memo's recent plans: the
+# seeded incumbent may only cut, so at 1013 routers it does no more work
+# than the cold one.
+echo "==> perf guard: warm hierarchical work at 1013 nodes (<= cold)"
+work_warm="$(at_1013 work_warm)"
+work_hier="$(at_1013 work_hier)"
+if [[ -z "$work_warm" || -z "$work_hier" ]] || (( work_warm > work_hier )); then
+    echo "warm hierarchical work at 1013 nodes is '${work_warm}', above the cold solve's '${work_hier}'" >&2
+    exit 1
+fi
+echo "    warm / cold hierarchical work at 1013 nodes: ${work_warm} / ${work_hier}"
 
 echo "==> verify OK"

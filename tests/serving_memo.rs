@@ -14,7 +14,7 @@ use partitionable_services::net::{
     shortest_route, CaseStudy, Credentials, LinkId, Network, NodeId, PartitionView, RouteTable,
 };
 use partitionable_services::planner::{
-    ExistingInstance, HierConfig, HierMemo, Plan, Planner, PlannerConfig, ServiceRequest,
+    ExistingInstance, HierConfig, HierMemo, PlanStats, Planner, PlannerConfig, ServiceRequest,
 };
 use partitionable_services::sim::{ChaosConfig, FaultPlan, Rng, SimDuration, SimTime};
 use partitionable_services::smock::component::InstanceId;
@@ -848,12 +848,16 @@ fn live_instances(fw: &Framework) -> Vec<ExistingInstance> {
 /// The cold-connect work gate. With nine instances live, a cold connect
 /// from the farthest leaf searches 38 graphs over a 30-host universe;
 /// the instance-identity table and the chain bound keep that under
-/// [`COLD_WORK_CEILING`] deterministic work units (4 066 as written:
-/// 2 991 visits, 7 routing rows, and 2 508 chain-bound pair reads at a
+/// [`COLD_WORK_CEILING`] deterministic work units. That holds for the
+/// search with no recent plan to seed its incumbent, run on a fresh
+/// memo (4 066 as written over the serving memo's routing: 2 991
+/// visits, 7 routing rows, and 2 508 chain-bound pair reads at a
 /// quarter each; 9 836 under the corridor floor the chain bound
 /// replaced, 33 817 when identity was tested after the bound and the
-/// flow read). The same solve on a fresh memo does the same search, and
-/// the flat memo-less planner returns the same plan.
+/// flow read). It holds for the serving memo's solve too, whose warm-up
+/// connects left recent plans that seed the search, which then does no
+/// more work than the fresh one (3 evaluations against 9). Both solves
+/// and the flat memo-less planner return the same plan.
 #[test]
 fn a_cold_connect_over_live_instances_stays_under_the_work_ceiling() {
     const COLD_WORK_CEILING: u64 = 4_600;
@@ -886,11 +890,6 @@ fn a_cold_connect_over_live_instances_stays_under_the_work_ceiling() {
     let fresh = Planner::with_config(mail_spec(), hier)
         .plan_hierarchical(net, &mail_translator(), &resolved, &HierMemo::new())
         .expect("feasible");
-    let searched = |plan: &Plan| {
-        let s = plan.stats;
-        (s.mappings_evaluated, s.prunes, s.bound_prunes, s.flow_evals)
-    };
-    assert_eq!(searched(&plan), searched(&fresh));
     let flat = Planner::new(mail_spec())
         .plan(net, &mail_translator(), &resolved)
         .expect("feasible");
@@ -903,11 +902,24 @@ fn a_cold_connect_over_live_instances_stays_under_the_work_ceiling() {
     }
 
     assert!(resolved.existing.len() >= 8);
+    // The fresh memo holds no route rows, the serving one those its
+    // warm-up connects built: the unseeded search is charged the
+    // serving solve's rows, so both meet the ceiling over one routing.
+    let rows = |stats: &PlanStats| 64 * stats.route_rows_built;
+    let unseeded = fresh.stats.work_units() - rows(&fresh.stats) + rows(&plan.stats);
+    for (solve, work) in [("serving", plan.stats.work_units()), ("unseeded", unseeded)] {
+        assert!(
+            work < COLD_WORK_CEILING,
+            "{solve} cold connect over {} live instances: {work} work units ({:?}, fresh {:?})",
+            resolved.existing.len(),
+            plan.stats,
+            fresh.stats,
+        );
+    }
     assert!(
-        plan.stats.work_units() < COLD_WORK_CEILING,
-        "cold connect over {} live instances: {} work units ({:?})",
-        resolved.existing.len(),
-        plan.stats.work_units(),
-        plan.stats
+        plan.stats.work_units() <= fresh.stats.work_units(),
+        "the seeded serving solve did more work than the fresh one: {:?} vs {:?}",
+        plan.stats,
+        fresh.stats
     );
 }
