@@ -5,6 +5,10 @@
 //! downed link, in a loss window and after a crash, retries after
 //! timeouts, and requests orphaned by a crash of their caller's host.
 //!
+//! A second world pins the run-time around the transport: leases with
+//! renewal traffic charged to the links, the sampler, a crash detected
+//! by lease expiry, quarantine, restart, and a link flap.
+//!
 //! The trace stream's digest and the world's event and message counts
 //! are pinned, so a change to how messages are carried that moves an
 //! event time, an `(at, seq)` order or a count fails here.
@@ -12,10 +16,11 @@
 use partitionable_services::net::{Credentials, LinkId, Network, NodeId};
 use partitionable_services::sim::{FaultPlan, SimDuration, SimTime};
 use partitionable_services::smock::{
-    ComponentLogic, InstanceId, InvokeError, Outbox, Payload, RequestHandle, RetryPolicy, World,
+    ComponentLogic, InstanceId, InvokeError, LeaseConfig, LivenessKind, Outbox, Payload,
+    RequestHandle, RetryPolicy, World,
 };
 use partitionable_services::spec::{Behavior, ResolvedBindings};
-use partitionable_services::trace::{EventKind, Tracer};
+use partitionable_services::trace::{EventKind, SamplerConfig, Tracer};
 
 /// Replies with the request payload.
 struct Echo;
@@ -224,5 +229,119 @@ fn every_transport_path_replays_the_pinned_stream() {
             world.messages_sent()
         ),
         (0x3f46_b860_2928_54ed, 170, 42)
+    );
+}
+
+#[test]
+fn leases_faults_and_the_sampler_replay_the_pinned_stream() {
+    // a --L0-- b --L1-- c, b --L2-- d: 10 ms, 100 Mb/s each.
+    let mut net = Network::new();
+    let a = net.add_node("a", "s", 1.0, Credentials::new());
+    let b = net.add_node("b", "s", 1.0, Credentials::new());
+    let c = net.add_node("c", "s", 1.0, Credentials::new());
+    let d = net.add_node("d", "s", 1.0, Credentials::new());
+    let ten = SimDuration::from_millis(10);
+    net.add_link(a, b, ten, 1e8, Credentials::new());
+    let l1 = net.add_link(b, c, ten, 1e8, Credentials::new());
+    net.add_link(b, d, ten, 1e8, Credentials::new());
+
+    let mut world = World::new(net);
+    let (tracer, sink) = Tracer::memory();
+    world.set_tracer(tracer.clone());
+    world.enable_leases(LeaseConfig {
+        duration: SimDuration::from_secs(2),
+        heartbeat: SimDuration::from_millis(500),
+    });
+    // Renewals flow to a; everything hosted elsewhere crosses L0.
+    world.account_lease_traffic(a, 64);
+    world.enable_sampler(SamplerConfig {
+        cadence_ns: 100 * MS,
+        retention: 256,
+    });
+
+    let echo_c = place(&mut world, c, Box::new(Echo), 1.0, 0);
+    // Two instances on d, granted 300 ms apart: their leases run out at
+    // different instants, and d is down once the second one has.
+    let echo_d = place(&mut world, d, Box::new(Echo), 2.0, 0);
+    let late_d = place(&mut world, d, Box::new(Echo), 0.0, 300);
+    let busy = caller(&mut world, a, echo_c, 200, 0);
+    let to_d = caller(&mut world, a, echo_d, 40, 0);
+    let to_late = caller(&mut world, b, late_d, 1, 300);
+
+    let mut plan = FaultPlan::new();
+    plan.crash(at(1_000), d.0);
+    plan.link_down(at(4_500), l1.0);
+    plan.link_up(at(4_600), l1.0);
+    world.install_fault_plan(&plan);
+
+    let mut liveness = Vec::new();
+    world.run_until(at(3_500));
+    liveness.extend(world.take_liveness_events());
+    world.quarantine_node(d);
+    world.run_until(at(4_000));
+    world.restart_node(d);
+    // A replacement on the restarted host serves a fresh caller.
+    let fresh_d = place(&mut world, d, Box::new(Echo), 0.0, 4_000);
+    let after_restart = caller(&mut world, a, fresh_d, 3, 4_000);
+    world.run_until(at(4_200));
+    world.retire(to_late);
+    world.run();
+    world.charge_lease_renewals();
+    liveness.extend(world.take_liveness_events());
+
+    assert_eq!(outcome(&mut world, after_restart), (3, vec![]));
+    let (busy_replies, _) = outcome(&mut world, busy);
+    let (to_d_replies, _) = outcome(&mut world, to_d);
+    // With no retry policy a request lost to the crash of d or to L1's
+    // flap stalls its caller for good.
+    assert_eq!((busy_replies, to_d_replies), (110, 24));
+
+    let liveness: Vec<(u64, LivenessKind)> = liveness
+        .into_iter()
+        .map(|e| (e.at.as_nanos() / MS, e.kind))
+        .collect();
+    // Each crashed instance is detected a lease after its last renewal
+    // (1 000 and 800 ms), and d is down with the last of them.
+    assert_eq!(
+        liveness,
+        vec![
+            (
+                2_800,
+                LivenessKind::InstanceDown {
+                    instance: late_d,
+                    node: d
+                }
+            ),
+            (
+                3_000,
+                LivenessKind::InstanceDown {
+                    instance: echo_d,
+                    node: d
+                }
+            ),
+            (3_000, LivenessKind::NodeDown { node: d }),
+            (4_000, LivenessKind::NodeUp { node: d }),
+            (4_500, LivenessKind::LinkDown { link: l1 }),
+            (4_600, LivenessKind::LinkUp { link: l1 }),
+        ]
+    );
+
+    let sampler = world.sampler().expect("enabled");
+    let summaries = format!("{:?}", sampler.summaries());
+    assert_eq!(
+        (sampler.ticks(), fnv1a(summaries.as_bytes())),
+        (46, 0xbf2c_8884_cc75_87ba)
+    );
+    // 20 renewals of 64 bytes, every one sampled into the series.
+    assert_eq!(world.lease_renewal_bytes(), 1_280);
+    let renewals = sampler.series("lease.renewal_bytes").expect("sampled");
+    assert_eq!(renewals.summary().sum, 1_280.0);
+    assert_eq!(
+        (
+            fnv1a(sink.to_jsonl().as_bytes()),
+            world.events_processed(),
+            world.messages_sent()
+        ),
+        (0x556e_8123_3110_4c8d, 1_132, 282)
     );
 }
