@@ -30,7 +30,6 @@ use std::collections::BTreeSet;
 pub const HOT_PATH_ENTRIES: &[&str] = &[
     "Framework::heal",
     "GenericServer::connect",
-    "GenericServerPool::connect",
     "World::run",
     "World::run_until",
     "Planner::solve",

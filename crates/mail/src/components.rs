@@ -275,6 +275,13 @@ impl ViewMailServerLogic {
         out.linkage_count() == 0
     }
 
+    /// `user`'s new mail in the local cache (advancing its fetch cursor),
+    /// or `None` when the cache holds no account for them.
+    fn fetch_cached(&mut self, user: &str) -> Option<Vec<MailMessage>> {
+        let account = self.cached.account_mut(user)?;
+        Some(account.fetch_new().to_vec())
+    }
+
     fn ensure_scope(&mut self, out: &mut Outbox, user: &str) {
         if self.scope.contains(user) {
             return;
@@ -463,33 +470,25 @@ impl ComponentLogic for ViewMailServerLogic {
             }
             MailOp::Receive { user } => {
                 self.ensure_scope(out, user);
-                if Self::detached(out) {
-                    // The local cache is the only reachable truth;
-                    // staleness cannot be resolved across the cut.
-                    let messages = if self.cached.has_account(user) {
-                        self.cached
-                            .account_mut(user)
-                            .expect("checked")
-                            .fetch_new()
-                            .to_vec()
-                    } else {
-                        Vec::new()
-                    };
-                    out.reply(req, reply_payload(MailReply::NewMail { messages }));
-                } else if !self.stale.contains(user) && self.cached.has_account(user) {
-                    let messages = self
-                        .cached
-                        .account_mut(user)
-                        .expect("checked")
-                        .fetch_new()
-                        .to_vec();
-                    out.reply(req, reply_payload(MailReply::NewMail { messages }));
+                // Detached, the local cache is the only reachable truth:
+                // staleness cannot be resolved across the cut.
+                let detached = Self::detached(out);
+                let local = if detached || !self.stale.contains(user) {
+                    self.fetch_cached(user)
                 } else {
-                    let token = self.token(Pending::ReceivePull {
-                        req,
-                        user: user.clone(),
-                    });
-                    out.call(0, op_payload(op.clone()), token);
+                    None
+                };
+                match local.or_else(|| detached.then(Vec::new)) {
+                    Some(messages) => {
+                        out.reply(req, reply_payload(MailReply::NewMail { messages }));
+                    }
+                    None => {
+                        let token = self.token(Pending::ReceivePull {
+                            req,
+                            user: user.clone(),
+                        });
+                        out.call(0, op_payload(op.clone()), token);
+                    }
                 }
             }
             MailOp::SyncBatch { messages, .. } => {
@@ -576,16 +575,11 @@ impl ComponentLogic for ViewMailServerLogic {
                 self.arm_timer(out);
                 self.drain_blocked(out);
             }
-            Some(Pending::ReceivePull { req, user }) => {
-                if self.cached.has_account(&user) {
-                    let messages = self
-                        .cached
-                        .account_mut(&user)
-                        .expect("checked")
-                        .fetch_new()
-                        .to_vec();
+            Some(Pending::ReceivePull { req, user }) => match self.fetch_cached(&user) {
+                Some(messages) => {
                     out.reply(req, reply_payload(MailReply::NewMail { messages }));
-                } else {
+                }
+                None => {
                     out.reply(
                         req,
                         reply_payload(MailReply::Denied {
@@ -593,7 +587,7 @@ impl ComponentLogic for ViewMailServerLogic {
                         }),
                     );
                 }
-            }
+            },
             None => {}
         }
     }

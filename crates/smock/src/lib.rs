@@ -23,7 +23,12 @@
 //!   instance reuse, linkage wiring;
 //! * [`coherence`] — directory, conflict maps, and weak-consistency
 //!   policies at view granularity;
-//! * [`world`] / [`component`] — the simulated execution substrate.
+//! * [`world`] / [`component`] — the simulated execution substrate:
+//!   one event dispatch, with message transport, request retry, leases,
+//!   injected faults, sampling and migration each in a module of its
+//!   own;
+//! * [`fault`] — the liveness, retry and lease types the world reports
+//!   failures in.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,7 +53,7 @@ pub use fault::{
 pub use lookup::{LookupService, ServiceRegistration};
 pub use ps_trace::Tracer;
 pub use registry::{Blueprint, ComponentRegistry, Factory, FactoryArgs};
-pub use server::{ConnectError, Connection, GenericServer, GenericServerPool, OneTimeCosts};
+pub use server::{ConnectError, Connection, GenericServer, OneTimeCosts};
 pub use world::World;
 
 /// Convenience prelude for run-time users.

@@ -2,13 +2,12 @@
 //!
 //! Services register a meta-description (their specification) together
 //! with free-form attributes and a generic proxy; clients look services
-//! up by attribute match and download the proxy. As in Jini, a
-//! registration may carry a *lease*: unless renewed before it expires,
-//! the entry is evicted by [`LookupService::expire`], so a crashed
-//! provider disappears from discovery without an explicit unregister.
+//! up by attribute match and download the proxy. A registration records
+//! the node its provider runs on, so when that host crashes
+//! [`LookupService::purge_node`] evicts it and the provider disappears
+//! from discovery without an explicit unregister.
 
 use ps_net::NodeId;
-use ps_sim::{SimDuration, SimTime};
 use ps_spec::ServiceSpec;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,8 +27,6 @@ pub struct ServiceRegistration {
     /// The node the registering provider runs on, when known; lets
     /// [`LookupService::purge_node`] evict a crashed host's services.
     pub home_node: Option<NodeId>,
-    /// Lease expiry; `None` means the registration never expires.
-    pub lease_expires: Option<SimTime>,
 }
 
 impl ServiceRegistration {
@@ -43,7 +40,6 @@ impl ServiceRegistration {
             spec,
             proxy_code_size: 32 * 1024,
             home_node: None,
-            lease_expires: None,
         }
     }
 
@@ -62,12 +58,6 @@ impl ServiceRegistration {
     /// Records the node the provider runs on.
     pub fn home_node(mut self, node: NodeId) -> Self {
         self.home_node = Some(node);
-        self
-    }
-
-    /// Grants a lease valid for `duration` from `now`.
-    pub fn leased(mut self, now: SimTime, duration: SimDuration) -> Self {
-        self.lease_expires = Some(now + duration);
         self
     }
 
@@ -116,32 +106,6 @@ impl LookupService {
     /// Registration by exact name.
     pub fn by_name(&self, name: &str) -> Option<&ServiceRegistration> {
         self.entries.iter().find(|e| e.name == name)
-    }
-
-    /// Renews the lease of `name` to `now + duration`; returns whether
-    /// the entry existed and carried a lease.
-    pub fn renew_lease(&mut self, name: &str, now: SimTime, duration: SimDuration) -> bool {
-        match self.entries.iter_mut().find(|e| e.name == name) {
-            Some(entry) if entry.lease_expires.is_some() => {
-                entry.lease_expires = Some(now + duration);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Evicts every leased registration whose lease expired at or before
-    /// `now`; returns the evicted service names.
-    pub fn expire(&mut self, now: SimTime) -> Vec<String> {
-        let mut evicted = Vec::new();
-        self.entries.retain(|e| match e.lease_expires {
-            Some(expiry) if expiry <= now => {
-                evicted.push(e.name.clone());
-                false
-            }
-            _ => true,
-        });
-        evicted
     }
 
     /// Evicts every registration homed on `node` (the host crashed);
@@ -220,29 +184,6 @@ mod tests {
         assert!(ls.unregister("mail"));
         assert!(!ls.unregister("mail"));
         assert!(ls.is_empty());
-    }
-
-    #[test]
-    fn leases_expire_unless_renewed() {
-        let mut ls = LookupService::new();
-        let t0 = SimTime::ZERO;
-        let lease = SimDuration::from_secs(2);
-        ls.register(ServiceRegistration::new(spec("mail")).leased(t0, lease));
-        ls.register(ServiceRegistration::new(spec("video")).leased(t0, lease));
-        ls.register(ServiceRegistration::new(spec("eternal")));
-
-        // Renew mail at t=1s; at t=2s only video's lease has lapsed.
-        assert!(ls.renew_lease("mail", t0 + SimDuration::from_secs(1), lease));
-        let evicted = ls.expire(t0 + SimDuration::from_secs(2));
-        assert_eq!(evicted, vec!["video".to_string()]);
-        assert!(ls.by_name("mail").is_some());
-        assert!(ls.by_name("eternal").is_some());
-        // Unleased entries never expire, and renewing them fails.
-        assert!(!ls.renew_lease("eternal", t0, lease));
-        assert!(ls
-            .expire(SimTime::from_nanos(u64::MAX))
-            .contains(&"mail".to_string()));
-        assert!(ls.by_name("eternal").is_some());
     }
 
     #[test]

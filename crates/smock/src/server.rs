@@ -466,77 +466,6 @@ impl fmt::Debug for GenericServer {
     }
 }
 
-/// A pool of generic servers: the framework "ensures that the generic
-/// server does not become a bottleneck by spreading out requests for
-/// different services among multiple instances" — each service name
-/// hashes to one pool member, which handles its registrations and
-/// connections.
-#[derive(Default)]
-pub struct GenericServerPool {
-    members: Vec<GenericServer>,
-}
-
-impl GenericServerPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a member server.
-    pub fn add(&mut self, server: GenericServer) -> &mut Self {
-        self.members.push(server);
-        self
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    fn index_for(&self, service: &str) -> usize {
-        // FNV-1a over the service name, stable across runs.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in service.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (h % self.members.len() as u64) as usize
-    }
-
-    /// The member responsible for `service`.
-    pub fn member_for(&self, service: &str) -> &GenericServer {
-        &self.members[self.index_for(service)]
-    }
-
-    /// Mutable access to the member responsible for `service` (for
-    /// registration).
-    pub fn member_for_mut(&mut self, service: &str) -> &mut GenericServer {
-        let idx = self.index_for(service);
-        &mut self.members[idx]
-    }
-
-    /// Registers a service with its responsible member.
-    pub fn register_service(&mut self, registration: ServiceRegistration) {
-        let name = registration.name.clone();
-        self.member_for_mut(&name).register_service(registration);
-    }
-
-    /// Connects through the responsible member.
-    pub fn connect(
-        &self,
-        world: &mut World,
-        service: &str,
-        request: &ServiceRequest,
-    ) -> Result<Connection, ConnectError> {
-        self.member_for(service).connect(world, service, request)
-    }
-}
-
 /// Simulated transfer time of `bytes` between two nodes, memo-free: one
 /// Dijkstra per call ([`World::transfer_time`]). The serving path asks
 /// [`GenericServer::transfer_time`] instead; this is the independent

@@ -204,37 +204,6 @@ fn node_wrappers_cache_component_code() {
 }
 
 #[test]
-fn server_pool_spreads_services_deterministically() {
-    use ps_smock::GenericServerPool;
-    let (_, _, dc) = network();
-    let mut pool = GenericServerPool::new();
-    pool.add(server(dc));
-    pool.add(GenericServer::new(dc, Box::new(translator())));
-    pool.add(GenericServer::new(dc, Box::new(translator())));
-    assert_eq!(pool.len(), 3);
-    // Registration routes by name; lookups through the pool find it.
-    let mut extra = spec();
-    extra.name = "another".into();
-    pool.register_service(ServiceRegistration::new(extra));
-    assert!(pool
-        .member_for("another")
-        .lookup
-        .by_name("another")
-        .is_some());
-    // Stable assignment.
-    let a = pool.member_for("another") as *const GenericServer;
-    let b = pool.member_for("another") as *const GenericServer;
-    assert_eq!(a, b);
-    // Different services may land on different members (hash spread) —
-    // at minimum, the mapping covers the pool deterministically.
-    let mut seen = std::collections::BTreeSet::new();
-    for name in ["another", "svc", "video", "mail", "files", "chat"] {
-        seen.insert(pool.member_for(name) as *const GenericServer as usize);
-    }
-    assert!(seen.len() > 1, "hashing spreads services across members");
-}
-
-#[test]
 fn deployments_record_shipped_blueprints() {
     let (net, edge, dc) = network();
     let gs = server(dc);

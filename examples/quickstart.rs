@@ -33,11 +33,12 @@ impl ComponentLogic for Caller {
     }
     fn on_request(&mut self, _out: &mut Outbox, _req: RequestHandle, _payload: &Payload) {}
     fn on_response(&mut self, out: &mut Outbox, _token: u64, payload: &Payload) {
-        println!(
-            "reply after {:.3} ms of simulated time: {:?}",
-            out.now().as_millis_f64(),
-            payload.get::<String>().expect("string reply")
-        );
+        if let Some(reply) = payload.get::<String>() {
+            println!(
+                "reply after {:.3} ms of simulated time: {reply:?}",
+                out.now().as_millis_f64()
+            );
+        }
     }
 }
 

@@ -48,8 +48,16 @@ fi
 echo "==> ps-lint (token rules + call-graph semantic passes)"
 cargo run --release -q -p ps-lint
 
-echo "==> ps-lint --list-allows (suppression inventory audit)"
-cargo run --release -q -p ps-lint -- --list-allows
+# Every suppression must still cover a finding: an allow left behind by
+# moved or deleted code, or one the call graph no longer reaches, reads
+# [UNUSED] and fails here.
+echo "==> ps-lint --list-allows (suppression inventory audit, 0 unused)"
+allows="$(cargo run --release -q -p ps-lint -- --list-allows)"
+echo "$allows"
+if ! grep -q ', 0 unused$' <<< "$allows"; then
+    echo "ps-lint --list-allows reports unused suppressions" >&2
+    exit 1
+fi
 
 # The semantic analysis (parse -> call graph -> N001/P001/R001) must
 # stay cheap enough for a pre-commit loop: budget 5 s end-to-end as
