@@ -7,7 +7,7 @@
 //! This is the §6 loop as the benches drive it — monitoring reports a
 //! change, the planner re-runs, the run-time redeploys — on a fixed
 //! virtual-time cadence. What a scenario observes on top of the tally
-//! stays in the closure it hands to [`HealLoop::run`].
+//! stays in the closure it hands to `HealLoop::run`.
 
 use crate::record::{num, Record, Value};
 use ps_core::{Framework, HealReport, ManagedId};

@@ -38,7 +38,7 @@ const HOSTS_PER_SITE: usize = 6;
 /// the TrustRating 1–3 view server alike), so only the condition-free
 /// encryptor can roam the fabric and the search stays linear in world
 /// size. Hosting happens on dedicated *leaf hosts* hung off the first
-/// [`HOSTS_PER_SITE`] routers of `as0` (HQ, TrustRating 5, company)
+/// `HOSTS_PER_SITE` routers of `as0` (HQ, TrustRating 5, company)
 /// and `as1` (the branch office, TrustRating 3, company) over secure
 /// LAN links — the way a real deployment attaches datacenter machines
 /// to a transit fabric. Because hosts are leaves, a host crash dirties

@@ -209,12 +209,6 @@ impl HealReport {
     pub fn replans(&self) -> usize {
         self.recovered.len()
     }
-
-    /// Whether the pass left every managed connection either healthy or
-    /// deliberately abandoned.
-    pub fn fully_healed(&self) -> bool {
-        self.infeasible.is_empty() && self.failed.is_empty()
-    }
 }
 
 impl fmt::Display for HealReport {

@@ -258,19 +258,6 @@ impl TrustStore {
         proved
     }
 
-    /// All roles `entity` holds at `at` (over the roles mentioned in any
-    /// credential).
-    pub fn roles_of(&self, entity: &str, at: SimTime) -> Vec<Role> {
-        let mut roles: BTreeSet<Role> = BTreeSet::new();
-        for d in &self.delegations {
-            roles.insert(d.role.clone());
-        }
-        roles
-            .into_iter()
-            .filter(|r| self.holds(entity, r, at))
-            .collect()
-    }
-
     /// The service-property environment `entity` derives from its roles
     /// (the Section 6 replacement for hand-written translators).
     pub fn derive_env(&self, entity: &str, at: SimTime) -> Environment {
@@ -289,11 +276,6 @@ impl TrustStore {
             }
         }
         env
-    }
-
-    /// Number of live (unrevoked, unexpired) delegations at `at`.
-    pub fn live_count(&self, at: SimTime) -> usize {
-        self.delegations.iter().filter(|d| d.is_live(at)).count()
     }
 }
 
@@ -545,26 +527,6 @@ mod tests {
         store.map_property(officer, "TrustLevel", 5i64);
         let env = store.derive_env("ny-0", T0);
         assert_eq!(env.get("TrustLevel"), Some(&PropertyValue::Int(5)));
-    }
-
-    #[test]
-    fn roles_of_lists_held_roles() {
-        let mut store = TrustStore::new();
-        let member = Role::new("Company", "member");
-        let guest = Role::new("Company", "guest");
-        store
-            .delegate(
-                "Company",
-                Subject::Entity("alice".into()),
-                member.clone(),
-                None,
-                T0,
-            )
-            .unwrap();
-        store
-            .delegate("Company", Subject::Entity("bob".into()), guest, None, T0)
-            .unwrap();
-        assert_eq!(store.roles_of("alice", T0), vec![member]);
     }
 
     #[test]

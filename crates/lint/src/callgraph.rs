@@ -10,7 +10,7 @@
 //!   type name. No global name soup.
 //! * **Under-approximating on ambient method names.** A non-`self`
 //!   method call resolves to every workspace method of that name —
-//!   *except* names on the std-prelude deny list ([`STD_METHODS`]),
+//!   *except* names on the std-prelude deny list (`STD_METHODS`),
 //!   where a workspace match is overwhelmingly more likely to be a
 //!   false edge (`.len()`, `.get()`, …) than a real one. The passes
 //!   document this: a hot-path helper should not be named `get`.
@@ -630,6 +630,18 @@ fn extract_file_facts(unit: &FileUnit, nodes: &mut [Node], base: usize, index: &
         }
 
         let def = nodes[fi].def.clone();
+        // A plain name passed as an argument that the fn also uses as a
+        // value (`let plan = …`, `plan.graph`, a `plan: &Plan` parameter)
+        // is a local binding, not the workspace fn of that name.
+        let sig = (1..open)
+            .rev()
+            .find(|&k| toks[k - 1].is_ident("fn") && toks[k].is_ident(&def.name))
+            .unwrap_or(open);
+        facts.calls.retain(|(tok, _, kind, _)| {
+            !(matches!(kind, CallKind::Plain(_))
+                && !toks[tok + 1].is_punct('(')
+                && used_as_value(toks, sig, close, &toks[*tok].text))
+        });
         let calls: Vec<ResolvedCall> = facts
             .calls
             .into_iter()
@@ -791,6 +803,26 @@ fn scan_token(
         });
     }
 
+    // A fn passed by name: a bare ident or path in argument position
+    // (`.map(helper)`, `engine.run(&mut s, handle)`) is an edge to the fn
+    // it names, resolved like a call. A plain name on the std deny list
+    // is more likely a local binding (`len`, `next`) than a workspace fn.
+    if next.is_some_and(|n| n.is_punct(')') || n.is_punct(',')) {
+        let (segs, start) = path_back(toks, i);
+        let in_args = start
+            .checked_sub(1)
+            .is_some_and(|p| toks[p].is_punct('(') || toks[p].is_punct(','));
+        if in_args && !(segs.len() == 1 && STD_METHODS.contains(&segs[0].as_str())) {
+            let kind = if segs.len() == 1 {
+                CallKind::Plain(t.text.clone())
+            } else {
+                CallKind::Path(segs)
+            };
+            facts.calls.push((i, t.line, kind, false));
+        }
+        return;
+    }
+
     // Call sites: ident followed by `(`.
     if !next.is_some_and(|n| n.is_punct('(')) {
         return;
@@ -825,26 +857,7 @@ fn scan_token(
         let on_self = chain.last().is_some_and(|id| id == "self");
         CallKind::Method { name, on_self }
     } else if prev.is_some_and(|p| p.is_punct(':')) && i >= 2 && toks[i - 2].is_punct(':') {
-        // Walk the `::`-separated path backwards.
-        let mut segs = vec![name];
-        let mut j = i - 2;
-        loop {
-            if j == 0 {
-                break;
-            }
-            let seg = &toks[j - 1];
-            if seg.kind != TokenKind::Ident {
-                break;
-            }
-            segs.push(seg.text.clone());
-            if j >= 3 && toks[j - 2].is_punct(':') && toks[j - 3].is_punct(':') {
-                j -= 3;
-            } else {
-                break;
-            }
-        }
-        segs.reverse();
-        CallKind::Path(segs)
+        CallKind::Path(path_back(toks, i).0)
     } else {
         CallKind::Plain(name)
     };
@@ -853,6 +866,83 @@ fn scan_token(
     // the chain starts at a statement boundary.
     let bare_stmt = is_bare_statement(toks, i, close);
     facts.calls.push((i, t.line, kind, bare_stmt));
+}
+
+/// Whether `name` occurs in `toks[from..to]` other than as a call
+/// (`name(`), a bare argument (`(name)`, `, name,`), a path segment, a
+/// field or method (`.name`), or a fn's own name. A bare argument inside
+/// a pattern (`let (a, name) =`, `Some(name) =>`) binds it.
+fn used_as_value(toks: &[Token], from: usize, to: usize, name: &str) -> bool {
+    let punct = |k: usize, c: char| toks.get(k).is_some_and(|t| t.is_punct(c));
+    (from.max(2)..to).any(|k| {
+        let argument =
+            (punct(k - 1, '(') || punct(k - 1, ',')) && (punct(k + 1, ')') || punct(k + 1, ','));
+        let path =
+            (punct(k + 1, ':') && punct(k + 2, ':')) || (punct(k - 1, ':') && punct(k - 2, ':'));
+        toks[k].is_ident(name)
+            && (!argument || in_pattern(toks, from, k))
+            && !path
+            && !punct(k + 1, '(')
+            && !punct(k - 1, '.')
+            && !toks[k - 1].is_ident("fn")
+    })
+}
+
+/// Whether token `k` sits in a pattern: the outermost parenthesized
+/// group around it, back to the start of its statement or closure
+/// parameters, is followed by `=` or `=>` (not `==`), `in`, `|` (not
+/// `||`) or `:`.
+fn in_pattern(toks: &[Token], from: usize, k: usize) -> bool {
+    let mut depth = 0usize;
+    let mut outer = None;
+    for j in (from..k).rev() {
+        let t = &toks[j];
+        if t.is_punct(')') {
+            depth += 1;
+        } else if t.is_punct('(') {
+            if depth == 0 {
+                outer = Some(j);
+            } else {
+                depth -= 1;
+            }
+        } else if depth == 0 && [';', '{', '}', '|'].iter().any(|&c| t.is_punct(c)) {
+            break;
+        }
+    }
+    let Some(open) = outer else {
+        return false;
+    };
+    let mut depth = 0usize;
+    let close = (open..toks.len()).find(|&j| {
+        if toks[j].is_punct('(') {
+            depth += 1;
+        } else if toks[j].is_punct(')') {
+            depth -= 1;
+        }
+        depth == 0
+    });
+    let after = |d: usize| close.and_then(|c| toks.get(c + d));
+    let single = |c: char| {
+        after(1).is_some_and(|t| t.is_punct(c)) && !after(2).is_some_and(|t| t.is_punct(c))
+    };
+    single('=') || single('|') || after(1).is_some_and(|t| t.is_ident("in") || t.is_punct(':'))
+}
+
+/// The `::`-separated path ending at the ident token `i`, walked
+/// backwards, and the token index of its first segment.
+fn path_back(toks: &[Token], i: usize) -> (Vec<String>, usize) {
+    let mut segs = vec![toks[i].text.clone()];
+    let mut start = i;
+    while start >= 3
+        && toks[start - 1].is_punct(':')
+        && toks[start - 2].is_punct(':')
+        && toks[start - 3].kind == TokenKind::Ident
+    {
+        start -= 3;
+        segs.push(toks[start].text.clone());
+    }
+    segs.reverse();
+    (segs, start)
 }
 
 /// Whether the call at token `i` (ident, `(` next) is a whole statement

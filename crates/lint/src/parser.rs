@@ -650,9 +650,9 @@ mod tests {
         assert_eq!(k, "ps_net");
         assert_eq!(m, vec!["route_table"]);
         assert!(!t);
-        let (k, m, t) = path_context("crates/spec/src/parser/xml.rs");
+        let (k, m, t) = path_context("crates/spec/src/parser/dsl.rs");
         assert_eq!(k, "ps_spec");
-        assert_eq!(m, vec!["parser", "xml"]);
+        assert_eq!(m, vec!["parser", "dsl"]);
         assert!(!t);
         let (_, _, t) = path_context("tests/chaos_properties.rs");
         assert!(t);

@@ -36,7 +36,7 @@ pub const HOT_PATH_ENTRIES: &[&str] = &[
 ];
 
 /// Self types whose methods count as N001 sinks: trace emission
-/// ([`Tracer`]/`Span`/`Registry`/`TraceSink`) and virtual-time
+/// (`Tracer`/`Span`/`Registry`/`TraceSink`) and virtual-time
 /// scheduling (`Engine`). Artifact writers (`fs::write`/`File::create`
 /// in a body) are sinks by fact, not by type.
 const SINK_TYPES: &[&str] = &["Tracer", "Span", "Registry", "TraceSink", "Engine"];

@@ -165,10 +165,14 @@ fn p001_fires_reachable_panic_with_entry_chain() {
         .iter()
         .filter(|f| f.rule == "P001")
         .collect();
-    assert_eq!(p001.len(), 1, "only the reachable unwrap fires");
-    assert_eq!(p001[0].line, 14);
+    assert_eq!(p001.len(), 2, "only the reachable unwraps fire");
+    assert_eq!(p001[0].line, 20);
     assert_eq!(p001[0].chain, vec!["Framework::heal", "helper", "deep"]);
     assert!(p001[0].message.contains("Framework::heal → helper → deep"));
+    // `passed` is reached only as `.map(passed)`: a fn passed by name is
+    // an edge like a call.
+    assert_eq!(p001[1].line, 23);
+    assert_eq!(p001[1].chain, vec!["Framework::heal", "passed"]);
 }
 
 #[test]

@@ -65,11 +65,6 @@ impl MailServerLogic {
         &mut self.store
     }
 
-    /// Registered replica count.
-    pub fn replica_count(&self) -> usize {
-        self.directory.replicas().len()
-    }
-
     fn invalidate_conflicting(&self, out: &mut Outbox, user: &str, origin: Option<InstanceId>) {
         let keys = ViewScope::of([user]);
         let mut sent = 0u64;

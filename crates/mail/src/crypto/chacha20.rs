@@ -8,7 +8,7 @@
 //! Every mail body is keyed eight times between the sending client and
 //! the reader, so [`apply_keystream`] is the hot spot of the mail
 //! workloads. It runs one of three bodies over the same bytes, each
-//! computing [`LANES`] blocks side by side but the last: an AVX-512 body
+//! computing `LANES` blocks side by side but the last: an AVX-512 body
 //! written in intrinsics, one register per state word; a portable wide
 //! body compiled with AVX2; or the scalar block loop (the reference, and
 //! the only path off x86-64 or without AVX2). The first two are entered

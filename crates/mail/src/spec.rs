@@ -242,16 +242,3 @@ mod tests {
         assert_eq!(parse_spec("mail", &text).unwrap(), spec);
     }
 }
-
-#[cfg(test)]
-mod xml_tests {
-    use super::*;
-    use ps_spec::parser::{parse_spec_xml, print_spec_xml};
-
-    #[test]
-    fn xml_rendering_of_the_mail_spec_roundtrips() {
-        let spec = mail_spec();
-        let xml = print_spec_xml(&spec);
-        assert_eq!(parse_spec_xml("mail", &xml).unwrap(), spec);
-    }
-}

@@ -116,11 +116,6 @@ impl ClusterDriver {
         self.done
     }
 
-    /// Sends issued so far.
-    pub fn sends_issued(&self) -> u32 {
-        self.issued_sends
-    }
-
     fn sends_per_receive(&self) -> u32 {
         self.config
             .sends

@@ -7,21 +7,18 @@
 //! it decide whether an incremental or complete redeployment is called
 //! for. This crate implements that loop over the simulated network:
 //!
-//! * [`NetworkMonitor`] — snapshot-diffing change detection plus
-//!   Remos-like *flow* queries (latency/bottleneck between endpoints);
+//! * [`NetworkMonitor`] — snapshot-diffing change detection;
 //! * [`affected_edges`] — which linkages of a deployed plan a set of
 //!   changes touches;
 //! * [`Replanner`] — revalidates the current plan under the new network
 //!   and produces a replacement plan plus the [`PlanDelta`] (components
 //!   to add, keep, and retire) when the old one is invalid or has
-//!   degraded beyond a configurable factor.
+//!   degraded past 1.25 times the fresh optimum.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use ps_net::{
-    shortest_route, Link, LinkId, Network, Node, NodeId, PropertyTranslator, ScopedRoutes, Touch,
-};
+use ps_net::{Link, LinkId, Network, Node, NodeId, PropertyTranslator, ScopedRoutes, Touch};
 use ps_planner::{Mapper, Placement, Plan, PlanError, Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
 use ps_trace::Tracer;
@@ -112,18 +109,6 @@ impl fmt::Display for NetworkChange {
     }
 }
 
-/// A Remos-style flow answer: what the network currently offers between
-/// two endpoints.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlowInfo {
-    /// One-way latency along the selected route.
-    pub latency: SimDuration,
-    /// Bottleneck bandwidth along it (bits/s).
-    pub bottleneck_bps: f64,
-    /// Hop count.
-    pub hops: usize,
-}
-
 /// Snapshot-diffing network monitor.
 ///
 /// The baseline is a copy of the network's nodes and links as of the
@@ -162,16 +147,6 @@ impl NetworkMonitor {
     /// registry.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Remos-like flow query against a current network state.
-    pub fn flow(net: &Network, from: NodeId, to: NodeId) -> Option<FlowInfo> {
-        let route = shortest_route(net, from, to)?;
-        Some(FlowInfo {
-            latency: route.latency,
-            bottleneck_bps: route.bottleneck_bps,
-            hops: route.hops(),
-        })
     }
 
     /// Diffs `current` against the stored baseline, returning every
@@ -410,13 +385,14 @@ pub struct FreshOptimum {
     pub routes: Arc<ScopedRoutes>,
 }
 
+/// A still-valid plan is replaced when its current objective exceeds the
+/// fresh optimum by more than this factor.
+const DEGRADATION_FACTOR: f64 = 1.25;
+
 /// Re-planning policy: revalidate, then replace when invalid or degraded.
 pub struct Replanner {
     /// The planner used for replacement plans.
     pub planner: Planner,
-    /// Replace the plan when its current objective exceeds the fresh
-    /// optimum by this factor (1.0 = always chase the optimum).
-    pub degradation_factor: f64,
     /// Tracer receiving `replan.decision` events and `replan.*` counters.
     pub tracer: Tracer,
 }
@@ -426,7 +402,6 @@ impl Replanner {
     pub fn new(planner: Planner) -> Self {
         Replanner {
             planner,
-            degradation_factor: 1.25,
             tracer: Tracer::disabled(),
         }
     }
@@ -456,15 +431,13 @@ impl Replanner {
 
     /// The decision given the `fresh` optimum for `request` on `net`:
     /// `old` is revalidated on `fresh.routes` (current for `net`) and
-    /// kept while valid and within [`degradation_factor`] of the
-    /// optimum. The healer supplies an optimum priced on the serving
-    /// path that would redeploy the connection, with the serving memo's
-    /// rows, so its consult runs no Dijkstra of its own. With a tracer
+    /// kept while valid and within 1.25 times the optimum. The healer
+    /// supplies an optimum priced on the serving path that would
+    /// redeploy the connection, with the serving memo's rows, so its
+    /// consult runs no Dijkstra of its own. With a tracer
     /// installed, the decision is stamped as a `replan` instant at `now`
     /// and counted as `replan.keep` / `replan.redeploy` /
     /// `replan.infeasible`.
-    ///
-    /// [`degradation_factor`]: Self::degradation_factor
     pub fn decide<T: PropertyTranslator + ?Sized>(
         &self,
         now: SimTime,
@@ -486,7 +459,7 @@ impl Replanner {
         let still_valid = mapper.evaluate(&old.graph, &assignment);
         let decision = match (still_valid, fresh.plan) {
             (Some(current), Ok(better))
-                if current.objective_value <= better.objective_value * self.degradation_factor =>
+                if current.objective_value <= better.objective_value * DEGRADATION_FACTOR =>
             {
                 ReplanDecision::Keep
             }
@@ -773,14 +746,5 @@ mod tests {
         assert_eq!(poll(&net), [NetworkChange::NodeDown { node }]);
         net.set_node_up(node, true);
         assert_eq!(poll(&net), [NetworkChange::NodeUp { node }]);
-    }
-
-    #[test]
-    fn flow_queries_report_route_properties() {
-        let net = two_site_net(100);
-        let flow = NetworkMonitor::flow(&net, NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(flow.latency, SimDuration::from_millis(100));
-        assert_eq!(flow.bottleneck_bps, 1e7);
-        assert_eq!(flow.hops, 1);
     }
 }

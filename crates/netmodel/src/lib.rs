@@ -37,7 +37,7 @@ pub mod translate;
 pub use casestudy::{default_case_study, CaseStudy};
 pub use graph::{Credentials, Link, LinkId, Network, Node, NodeId, Touch};
 pub use partition::PartitionView;
-pub use path::{routes_from, shortest_route, Route, RouteMetrics};
+pub use path::{shortest_route, Route, RouteMetrics};
 pub use regions::{Region, RegionMap};
 pub use route_table::{RepairOutcome, RouteTable, ScopedRoutes};
 pub use translate::{Mapping, MappingTranslator, PropertyTranslator};
@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::casestudy::{build as build_case_study, default_case_study, CaseStudy};
     pub use crate::graph::{Credentials, Link, LinkId, Network, Node, NodeId, Touch};
     pub use crate::partition::PartitionView;
-    pub use crate::path::{routes_from, shortest_route, Route, RouteMetrics};
+    pub use crate::path::{shortest_route, Route, RouteMetrics};
     pub use crate::regions::{Region, RegionMap};
     pub use crate::route_table::{RepairOutcome, RouteTable, ScopedRoutes};
     pub use crate::translate::{Mapping, MappingTranslator, PropertyTranslator};

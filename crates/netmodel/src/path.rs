@@ -286,20 +286,6 @@ pub fn shortest_route(net: &Network, from: NodeId, to: NodeId) -> Option<Route> 
     reconstruct(net, from, to, &dist, &prev)
 }
 
-/// All-pairs minimum-latency routes from one source, returned as a
-/// routing table. Runs a single full Dijkstra and reconstructs each
-/// destination from the tree (identical results to per-destination
-/// [`shortest_route`] calls, one heap pass instead of `n`).
-pub fn routes_from(net: &Network, from: NodeId) -> Vec<Option<Route>> {
-    let n = net.node_count();
-    let mut dist = vec![UNREACHED; n];
-    let mut prev = vec![None; n];
-    dijkstra_tree(net, from, None, &mut dist, &mut prev);
-    net.node_ids()
-        .map(|to| reconstruct(net, from, to, &dist, &prev))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,13 +410,5 @@ mod tests {
         assert_eq!(net.epoch(), e0 + 1);
         net.set_link_up(LinkId(0), false);
         assert_eq!(net.epoch(), e0 + 2);
-    }
-
-    #[test]
-    fn routing_table_covers_all_nodes() {
-        let net = triangle();
-        let table = routes_from(&net, NodeId(0));
-        assert_eq!(table.len(), 3);
-        assert!(table.iter().all(|r| r.is_some()));
     }
 }

@@ -102,13 +102,6 @@ impl RegionMap {
         &self.regions[idx]
     }
 
-    /// Index of the region named `site`, if present.
-    pub fn index_of(&self, site: &str) -> Option<usize> {
-        self.regions
-            .binary_search_by(|r| r.name.as_str().cmp(site))
-            .ok()
-    }
-
     /// Number of regions.
     pub fn len(&self) -> usize {
         self.regions.len()
@@ -152,8 +145,6 @@ mod tests {
         assert_eq!(map.region(1).gateways, vec![NodeId(2)]);
         assert_eq!(map.region_of(NodeId(0)), 0);
         assert_eq!(map.region_of(NodeId(3)), 1);
-        assert_eq!(map.index_of("s2"), Some(1));
-        assert_eq!(map.index_of("s9"), None);
     }
 
     #[test]

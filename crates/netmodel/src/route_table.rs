@@ -435,7 +435,7 @@ impl RouteTable {
 /// pinned hosts, gateways of the regions a chain transits), so
 /// `ScopedRoutes` builds exactly those rows, on first use, behind a
 /// mutex. Each row is produced by the very same
-/// [`dijkstra_tree`] / [`reconstruct`] pair the full table uses, so
+/// `dijkstra_tree` / `reconstruct` pair the full table uses, so
 /// every answered query is bit-identical to [`RouteTable::route`] —
 /// including deterministic tie-breaks — just restricted to the sources
 /// actually touched.

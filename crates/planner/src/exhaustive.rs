@@ -26,7 +26,7 @@
 //!   *joint* placement of those ancestors: their node terms plus each
 //!   edge of the path, the lowest edge ending at `m`. That minimum is a
 //!   top-down min-plus pass over the candidate sets
-//!   ([`State::build_chain_bound`]) reading the very terms the descent
+//!   (`State::build_chain_bound`) reading the very terms the descent
 //!   charges. On a chain the ancestors are everything unplaced, so it is
 //!   the exact optimum of the problem with property flow, identity and
 //!   load relaxed; on a tree the off-path branches add ≥ 0, so it stays
@@ -226,9 +226,10 @@ fn multiplicity_feasible(mapper: &Mapper<'_>, graph: &LinkageGraph) -> bool {
     true
 }
 
-/// Lower bound of [`State::increment`] for tree node `idx` over its
-/// whole candidate set (children range over theirs too); `deploy_lb` is
-/// the node's row of weighted deployment-cost lower bounds.
+/// Lower bound of the increment `State::recurse` charges for tree node
+/// `idx`, over its whole candidate set (children range over theirs too);
+/// `deploy_lb` is the node's row of weighted deployment-cost lower
+/// bounds.
 fn min_increment(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,

@@ -29,14 +29,14 @@
 //! shortlist — but it equals it bit for bit on every fabric measured,
 //! which `tests/hier_equivalence.rs` and `ps-bench scale` assert (DESIGN.md
 //! "Exactness, measured"). When the universe holds *no* feasible mapping
-//! the solve falls back to the flat search ([`Planner::solve`]).
+//! the solve falls back to the flat search (`Planner::solve`).
 
 use crate::linkage::LinkageGraph;
 use crate::mapping::Mapper;
 use crate::plan::{ExistingInstance, Plan, PlanStats, ServiceRequest};
 use crate::planner::Planner;
 use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
-use ps_spec::{Environment, ResolvedBindings};
+use ps_spec::{Environment, ResolvedBindings, ServiceSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -82,7 +82,7 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | part | key | retired by |
 /// |---|---|---|
 /// | lazy route rows ([`ScopedRoutes`]) | source node | an epoch change that touched the row ([`ScopedRoutes::carried`]) |
-/// | completed plans | the request, by value, under one live-instance set | any epoch change; a plan stored under another live set |
+/// | completed plans | the registered spec (by `Arc` identity) and the request (by value), under one live-instance set | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
 /// | recent plans (warm seeds) | — | revalidated at use |
@@ -91,11 +91,11 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// older epoch can never answer, and a route row answers
 /// only once certified exact for the new one; shortlists carry their
 /// region's epoch and outlive a change elsewhere in the fabric. The
-/// recent plans are the last [`RECENT_PLANS`] distinct (linkage graph,
+/// recent plans are the last `RECENT_PLANS` distinct (linkage graph,
 /// hosts) pairs solves on the memo returned, whatever their request or
 /// epoch: they never answer, they only seed a solve's incumbent, and a
 /// seed counts only once the solve's own mapper accepts it
-/// ([`Planner::solve`]). So they need no invalidation, and they survive
+/// (`Planner::solve`). So they need no invalidation, and they survive
 /// the epoch change that empties the plan cache, which is exactly when
 /// a heal pass plans.
 #[derive(Debug, Default)]
@@ -133,8 +133,12 @@ type ShortlistKey = (u32, String, u32);
 
 /// Completed plans of the current network epoch and one live-instance
 /// set. A hit is exact: the planner is a pure function of the network
-/// (fixed for the epoch), the registered service, the request and the
-/// attachable instances, and the entry matches all of them by value.
+/// (fixed for the epoch), the registered spec, the request and the
+/// attachable instances. An entry matches the request and the live set
+/// by value and the spec by `Arc` identity: a spec behind an `Arc` is
+/// immutable, and the entry holds its `Arc`, so the address cannot be
+/// reused while the entry lives. A service re-registered under the same
+/// name brings a new `Arc` and misses, even when the spec is equal.
 #[derive(Debug, Default)]
 struct PlanCache {
     /// The attachable instances every entry was planned against.
@@ -146,7 +150,7 @@ struct PlanCache {
 
 #[derive(Debug)]
 struct CachedPlan {
-    service: String,
+    spec: Arc<ServiceSpec>,
     request: ServiceRequest,
     plan: Arc<Plan>,
 }
@@ -216,12 +220,12 @@ impl HierMemo {
         self.lock().scoped.as_ref().map_or(0, |s| s.rows_built())
     }
 
-    /// The plan stored for exactly this `service`, `request` and `live`
-    /// instance set at the network's current epoch.
+    /// The plan stored for exactly this registered `spec`, `request` and
+    /// `live` instance set at the network's current epoch.
     pub fn cached_plan(
         &self,
         net: &Network,
-        service: &str,
+        spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
         live: &[ExistingInstance],
     ) -> Option<Arc<Plan>> {
@@ -235,7 +239,7 @@ impl HierMemo {
             .by_client
             .get(&(request.client_node, request.rate.to_bits()))?
             .iter()
-            .find(|entry| entry.service == service && entry.request.same_as(request))
+            .find(|entry| Arc::ptr_eq(&entry.spec, spec) && entry.request.same_as(request))
             .map(|entry| Arc::clone(&entry.plan))
     }
 
@@ -246,7 +250,7 @@ impl HierMemo {
     pub fn store_plan(
         &self,
         net: &Network,
-        service: &str,
+        spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
         live: Vec<ExistingInstance>,
         plan: Arc<Plan>,
@@ -263,15 +267,10 @@ impl HierMemo {
             .entry((request.client_node, request.rate.to_bits()))
             .or_default()
             .push(CachedPlan {
-                service: service.to_owned(),
+                spec: Arc::clone(spec),
                 request: request.clone(),
                 plan,
             });
-    }
-
-    /// Drops every cached plan (routes and shortlists stay).
-    pub fn clear_plans(&self) {
-        self.lock().plans.by_client.clear();
     }
 
     /// Number of cached plans.

@@ -5,7 +5,7 @@
 //! up by attribute match and download the proxy. A registration records
 //! the node its provider runs on, so when that host crashes
 //! [`LookupService::purge_node`] evicts it and the provider disappears
-//! from discovery without an explicit unregister.
+//! from discovery.
 
 use ps_net::NodeId;
 use ps_spec::ServiceSpec;
@@ -90,13 +90,6 @@ impl LookupService {
         self.entries.push(registration);
     }
 
-    /// Removes a service by name; returns whether it existed.
-    pub fn unregister(&mut self, name: &str) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.name != name);
-        self.entries.len() != before
-    }
-
     /// All registrations whose attributes match every `(key, value)` pair
     /// in the query.
     pub fn lookup(&self, query: &[(&str, &str)]) -> Vec<&ServiceRegistration> {
@@ -175,15 +168,6 @@ mod tests {
         ls.register(ServiceRegistration::new(spec("mail")).proxy_code_size(2));
         assert_eq!(ls.len(), 1);
         assert_eq!(ls.by_name("mail").unwrap().proxy_code_size, 2);
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut ls = LookupService::new();
-        ls.register(ServiceRegistration::new(spec("mail")));
-        assert!(ls.unregister("mail"));
-        assert!(!ls.unregister("mail"));
-        assert!(ls.is_empty());
     }
 
     #[test]

@@ -180,14 +180,6 @@ impl GenericServer {
         &self.tracer
     }
 
-    /// Drops every cached plan. Staleness is already prevented by the
-    /// cache itself (network epoch + live-instance set); this is the
-    /// explicit hammer for callers that mutate state the planner cannot
-    /// see, e.g. swapping component factories in the registry.
-    pub fn invalidate_plans(&self) {
-        self.memo.clear_plans();
-    }
-
     /// Number of cached plans (test/diagnostic aid).
     pub fn cached_plan_count(&self) -> usize {
         self.memo.cached_plans()
@@ -313,7 +305,7 @@ impl GenericServer {
         let live = live_instances(world, &registration.spec);
         let cached = self
             .memo
-            .cached_plan(world.network(), service, request, &live);
+            .cached_plan(world.network(), &registration.spec, request, &live);
         let cache_hit = cached.is_some();
         let plan = match cached {
             // Planned against the identical network epoch and
@@ -326,7 +318,7 @@ impl GenericServer {
                 let net = world.network();
                 let plan = Arc::new(self.plan_uncached(net, &registration.spec, &resolved)?);
                 self.memo
-                    .store_plan(net, service, request, live, Arc::clone(&plan));
+                    .store_plan(net, &registration.spec, request, live, Arc::clone(&plan));
                 plan
             }
         };

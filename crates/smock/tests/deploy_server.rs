@@ -287,19 +287,30 @@ fn plan_cache_is_invalidated_by_instance_retirement() {
     assert_eq!(after.deployment.created, 1);
 }
 
+/// Plans are cached under the registration they were solved for: a
+/// service re-registered under the same name with a different spec is
+/// planned against the new spec, though network and live set are the
+/// same as when the old spec's plan was stored.
 #[test]
-fn explicit_invalidation_clears_cached_plans() {
+fn reregistered_service_is_planned_against_its_new_spec() {
     let (net, edge, dc) = network();
-    let gs = server(dc);
+    let mut gs = server(dc);
     let mut world = World::new(net);
     let request = ServiceRequest::new("Api", edge).rate(1.0);
     gs.connect(&mut world, "svc", &request).unwrap();
     gs.connect(&mut world, "svc", &request).unwrap();
     assert!(gs.cached_plan_count() > 0);
-    gs.invalidate_plans();
-    assert_eq!(gs.cached_plan_count(), 0);
+    let mut standalone = spec();
+    standalone.components.insert(
+        "Front".into(),
+        Component::new("Front")
+            .implements(InterfaceRef::plain("Api"))
+            .behavior(Behavior::new().code_size(80_000)),
+    );
+    gs.register_service(ServiceRegistration::new(standalone));
     let after = gs.connect(&mut world, "svc", &request).unwrap();
     assert_eq!(after.costs.plan_stats.plan_cache_hits, 0);
+    assert_eq!(after.plan.graph.to_string(), "Front");
 }
 
 /// Instance churn on a quiet network must not grow the plan cache: plans

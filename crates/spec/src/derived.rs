@@ -38,11 +38,6 @@ impl PropExpr {
         PropExpr::Ref(name.into())
     }
 
-    /// Literal shorthand.
-    pub fn lit(v: impl Into<PropertyValue>) -> Self {
-        PropExpr::Lit(v.into())
-    }
-
     /// Evaluates against an environment.
     pub fn eval(&self, env: &Environment) -> Result<PropertyValue, EvalError> {
         fn ints(args: &[PropExpr], env: &Environment) -> Result<Vec<i64>, EvalError> {

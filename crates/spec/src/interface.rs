@@ -171,14 +171,6 @@ impl ResolvedBindings {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Replaces the value bound to `prop`, if present, with the result of
-    /// `f`. Used by the property-modification engine.
-    pub fn map_value(&mut self, prop: &str, f: impl FnOnce(&PropertyValue) -> PropertyValue) {
-        if let Some(v) = self.entries.get_mut(prop) {
-            *v = f(v);
-        }
-    }
 }
 
 impl<S: Into<String>, V: Into<PropertyValue>> FromIterator<(S, V)> for ResolvedBindings {

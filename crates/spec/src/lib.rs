@@ -32,10 +32,10 @@
 //!   how the environment transforms implemented interface properties
 //!   (e.g. confidentiality does not survive an insecure link).
 //!
-//! Specifications can be written programmatically (builder methods), in
-//! the paper-style DSL ([`parse_spec`]), or in XML
-//! ([`parser::parse_spec_xml`]); [`parser::print_spec`] renders a spec
-//! back to the DSL.
+//! Specifications can be written programmatically
+//! (`ServiceSpec::new(..).property(..)…`) or in the paper-style DSL
+//! ([`parse_spec`]); [`parser::print_spec`] renders a spec back to the
+//! DSL.
 //!
 //! ```
 //! use ps_spec::prelude::*;

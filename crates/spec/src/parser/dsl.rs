@@ -1,9 +1,9 @@
 //! Mapping from parsed [`Block`] trees to [`ServiceSpec`] values.
 //!
-//! This module gives the tagged-block documents (and, via the XML reader,
-//! XML documents) their meaning: `<Property>`, `<Interface>`,
-//! `<Component>`, `<View>`, and `<PropertyModificationRule>` elements
-//! become the corresponding model types.
+//! This module gives the tagged-block documents their meaning:
+//! `<Property>`, `<Interface>`, `<Component>`, `<View>`, and
+//! `<PropertyModificationRule>` blocks become the corresponding model
+//! types.
 
 use crate::behavior::Behavior;
 use crate::component::{Component, InterfaceRef, ViewKind};
@@ -22,14 +22,8 @@ use crate::value::{PropertyValue, ValueExpr};
 /// takes precedence).
 pub fn parse_spec(name: &str, input: &str) -> Result<ServiceSpec, ParseError> {
     let blocks = parse_document(input)?;
-    spec_from_blocks(name, &blocks)
-}
-
-/// Builds a specification from already-parsed blocks (shared with the XML
-/// front-end).
-pub fn spec_from_blocks(name: &str, blocks: &[Block]) -> Result<ServiceSpec, ParseError> {
     let mut spec = ServiceSpec::new(name);
-    for block in blocks {
+    for block in &blocks {
         match block.tag.to_ascii_lowercase().as_str() {
             "service" => {
                 if let Some(n) = block.field("Name") {

@@ -1,14 +1,10 @@
-//! Specification parsers: the paper-style tagged-block DSL, an XML
-//! front-end, and a pretty-printer that inverts the DSL parser.
+//! Specification parsers: the paper-style tagged-block DSL and a
+//! pretty-printer that inverts it.
 
 pub mod block;
 pub mod dsl;
 pub mod printer;
-pub mod xml;
-pub mod xml_printer;
 
 pub use block::{Block, ParseError};
 pub use dsl::parse_spec;
 pub use printer::print_spec;
-pub use xml::{parse_spec_xml, parse_xml};
-pub use xml_printer::print_spec_xml;

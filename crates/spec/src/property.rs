@@ -173,12 +173,6 @@ impl Property {
             satisfaction: Satisfaction::Exact,
         }
     }
-
-    /// Overrides the satisfaction ordering.
-    pub fn with_satisfaction(mut self, satisfaction: Satisfaction) -> Self {
-        self.satisfaction = satisfaction;
-        self
-    }
 }
 
 #[cfg(test)]

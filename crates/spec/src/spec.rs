@@ -74,16 +74,6 @@ impl ServiceSpec {
         self.components.get(name)
     }
 
-    /// Looks an interface up.
-    pub fn get_interface(&self, name: &str) -> Option<&Interface> {
-        self.interfaces.get(name)
-    }
-
-    /// Looks a property up.
-    pub fn get_property(&self, name: &str) -> Option<&Property> {
-        self.properties.get(name)
-    }
-
     /// Satisfaction ordering for `property` (Exact when undeclared —
     /// undeclared properties are caught by [`validate`](Self::validate)).
     pub fn satisfaction(&self, property: &str) -> Satisfaction {

@@ -58,14 +58,6 @@ impl PropertyValue {
             _ => None,
         }
     }
-
-    /// Returns the inner text, if this is a `Text`.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            PropertyValue::Text(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for PropertyValue {
@@ -109,11 +101,6 @@ pub enum ValueExpr {
 }
 
 impl ValueExpr {
-    /// Literal shorthand.
-    pub fn lit(v: impl Into<PropertyValue>) -> Self {
-        ValueExpr::Lit(v.into())
-    }
-
     /// Environment-reference shorthand; `name` keeps its `Node.` prefix.
     pub fn env(name: impl Into<String>) -> Self {
         ValueExpr::EnvRef(name.into())

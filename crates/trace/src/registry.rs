@@ -26,7 +26,7 @@ const VALUE_SCALE: f64 = 1e6;
 ///
 /// Recording scales the (non-negative) value to an integer in `1e-6`
 /// units and drops it into a log-linear bucket: values below
-/// [`SUB_BUCKETS`] map to themselves; larger values map into one of 128
+/// `SUB_BUCKETS` map to themselves; larger values map into one of 128
 /// linear sub-buckets of their power-of-two block. Bucket membership is
 /// a pure function of the value, so bucket counts are independent of
 /// arrival order and two histograms can be [`merge`](Histogram::merge)d

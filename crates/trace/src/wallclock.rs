@@ -58,14 +58,6 @@ impl WallTimer {
     }
 }
 
-/// Runs `f`, returning its result plus the wall-clock microseconds it
-/// took.
-pub fn time_micros<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let timer = WallTimer::start();
-    let out = f();
-    (out, timer.elapsed_micros())
-}
-
 /// Whether a registry metric name is wall-clock accounting (carries the
 /// `_wall_` marker) and therefore excluded from deterministic artifacts.
 pub fn is_wall_metric(name: &str) -> bool {
@@ -83,13 +75,6 @@ mod tests {
         let b = t.elapsed_micros();
         assert!(b >= a);
         assert!(t.elapsed_ms() >= 0.0);
-    }
-
-    #[test]
-    fn time_micros_returns_result() {
-        let (v, us) = time_micros(|| 7);
-        assert_eq!(v, 7);
-        let _ = us; // any value is valid; only the plumbing is under test
     }
 
     #[test]

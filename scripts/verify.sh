@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Full offline verification pipeline: formatting, lints (clippy +
-# ps-lint, the unsafe fence), build, tests (workspace, ps-mail again in
-# release, and the benchmark package), the benchmark's repeat check with
-# its digests against their pin, every ps-bench artifact run twice in
-# stable mode and compared byte for byte, the event streams against their
-# pinned digests, and three deterministic planner work guards.
+# Full offline verification pipeline: formatting, lints (clippy, rustdoc
+# links, ps-lint, the unsafe fence), build, tests (workspace, ps-mail
+# again in release, and the benchmark package), the benchmark's repeat
+# check with its digests against their pin, every ps-bench artifact run
+# twice in stable mode and compared byte for byte, the event streams
+# against their pinned digests, and three deterministic planner work
+# guards.
 # Everything runs without network access.
 #
 # Usage:
 #   scripts/verify.sh              # full pipeline
-#   scripts/verify.sh --lint-only  # fmt + clippy + ps-lint, skip the rest
+#   scripts/verify.sh --lint-only  # fmt + clippy + rustdoc + ps-lint, skip the rest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo="$(pwd)"
@@ -24,6 +25,12 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Deleting or privatising an item leaves intra-doc links to it behind;
+# rustdoc reports them (unresolved, or public docs linking a private
+# item) and this step fails on any.
+echo "==> cargo doc -D warnings (intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The workspace's `unsafe` lives in one module: the body dispatch of
 # ps-mail's ChaCha20 (the two `#[target_feature]` calls and the AVX-512
