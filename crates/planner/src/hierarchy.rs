@@ -82,7 +82,7 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | part | key | retired by |
 /// |---|---|---|
 /// | lazy route rows ([`ScopedRoutes`]) | source node | an epoch change that touched the row ([`ScopedRoutes::carried`]) |
-/// | completed plans | the registered spec (by `Arc` identity) and the request (by value), under one live-instance set | any epoch change; a plan stored under another live set |
+/// | completed plans | the registered spec (by `Arc` identity) and the request (by value), under one live-instance set named by the caller's stamp | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
 /// | recent plans (warm seeds) | — | revalidated at use |
@@ -134,15 +134,24 @@ type ShortlistKey = (u32, String, u32);
 /// Completed plans of the current network epoch and one live-instance
 /// set. A hit is exact: the planner is a pure function of the network
 /// (fixed for the epoch), the registered spec, the request and the
-/// attachable instances. An entry matches the request and the live set
-/// by value and the spec by `Arc` identity: a spec behind an `Arc` is
-/// immutable, and the entry holds its `Arc`, so the address cannot be
-/// reused while the entry lives. A service re-registered under the same
-/// name brings a new `Arc` and misses, even when the spec is equal.
+/// attachable instances. An entry matches the request by value and the
+/// spec by `Arc` identity: a spec behind an `Arc` is immutable, and the
+/// entry holds its `Arc`, so the address cannot be reused while the
+/// entry lives. A service re-registered under the same name brings a
+/// new `Arc` and misses, even when the spec is equal.
+///
+/// The live set is named by the caller's *stamp*, a value that changes
+/// whenever the set may have changed and is never reused. While the
+/// (stamp, spec) pair equals `key`, the set is the one the entries were
+/// planned against and nothing is collected or compared. A new pair
+/// collects the set once and compares it by value: an equal set keeps
+/// the entries, another one drops them.
 #[derive(Debug, Default)]
 struct PlanCache {
+    /// The (stamp, registered spec) `live` was last collected for.
+    key: Option<(u64, Arc<ServiceSpec>)>,
     /// The attachable instances every entry was planned against.
-    live: Vec<ExistingInstance>,
+    live: Arc<[ExistingInstance]>,
     /// Entries bucketed by (client, rate bits) — a typed prefix of the
     /// request, so a lookup compares few whole requests.
     by_client: BTreeMap<(NodeId, u64), Vec<CachedPlan>>,
@@ -153,6 +162,18 @@ struct CachedPlan {
     spec: Arc<ServiceSpec>,
     request: ServiceRequest,
     plan: Arc<Plan>,
+}
+
+impl PlanCache {
+    /// Adopts `live`, collected for `spec` at `stamp`, as the set the
+    /// entries answer for, dropping them when it differs by value.
+    fn adopt(&mut self, stamp: u64, spec: &Arc<ServiceSpec>, live: Arc<[ExistingInstance]>) {
+        if !Arc::ptr_eq(&self.live, &live) && self.live != live {
+            self.by_client.clear();
+            self.live = live;
+        }
+        self.key = Some((stamp, Arc::clone(spec)));
+    }
 }
 
 impl MemoInner {
@@ -220,47 +241,58 @@ impl HierMemo {
         self.lock().scoped.as_ref().map_or(0, |s| s.rows_built())
     }
 
-    /// The plan stored for exactly this registered `spec`, `request` and
-    /// `live` instance set at the network's current epoch.
+    /// The plan stored for exactly this registered `spec` and `request`
+    /// at the network's current epoch, over the live-instance set the
+    /// caller names by `stamp`: equal stamps must mean equal sets, and a
+    /// stamp is never reused for another set. `live` collects the set;
+    /// it runs only when (`stamp`, `spec`) is not the pair the cache was
+    /// last stamped with. On a miss, returns the set to plan against
+    /// and hand to [`store_plan`](Self::store_plan).
     pub fn cached_plan(
         &self,
         net: &Network,
         spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
-        live: &[ExistingInstance],
-    ) -> Option<Arc<Plan>> {
+        stamp: u64,
+        live: impl FnOnce() -> Vec<ExistingInstance>,
+    ) -> Result<Arc<Plan>, Arc<[ExistingInstance]>> {
         let mut inner = self.lock();
         inner.sync(net);
-        if inner.plans.live != live {
-            return None;
+        let plans = &mut inner.plans;
+        let key = plans.key.as_ref();
+        if !key.is_some_and(|(at, under)| *at == stamp && Arc::ptr_eq(under, spec)) {
+            plans.adopt(stamp, spec, live().into());
         }
-        inner
-            .plans
+        plans
             .by_client
-            .get(&(request.client_node, request.rate.to_bits()))?
-            .iter()
-            .find(|entry| Arc::ptr_eq(&entry.spec, spec) && entry.request.same_as(request))
+            .get(&(request.client_node, request.rate.to_bits()))
+            .and_then(|entries| {
+                entries
+                    .iter()
+                    .find(|entry| Arc::ptr_eq(&entry.spec, spec) && entry.request.same_as(request))
+            })
             .map(|entry| Arc::clone(&entry.plan))
+            .ok_or_else(|| Arc::clone(&plans.live))
     }
 
-    /// Stores a completed plan. Plans stored under another live set
-    /// could only answer if that exact set came back, so they are
-    /// swept here: the cache holds one entry per distinct request of
-    /// the current epoch and live set, however instances churn.
+    /// Stores a plan solved over `live`, the set
+    /// [`cached_plan`](Self::cached_plan) returned for `stamp`. Plans
+    /// stored under another live set could only answer if that exact set
+    /// came back, so they are swept here: the cache holds one entry per
+    /// distinct request of the current epoch and live set, however
+    /// instances churn.
     pub fn store_plan(
         &self,
         net: &Network,
         spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
-        live: Vec<ExistingInstance>,
+        stamp: u64,
+        live: Arc<[ExistingInstance]>,
         plan: Arc<Plan>,
     ) {
         let mut inner = self.lock();
         inner.sync(net);
-        if inner.plans.live != live {
-            inner.plans.by_client.clear();
-            inner.plans.live = live;
-        }
+        inner.plans.adopt(stamp, spec, live);
         inner
             .plans
             .by_client

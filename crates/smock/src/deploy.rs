@@ -2,8 +2,9 @@
 //! (Figure 1, step 5).
 //!
 //! For every placement the engine either *reuses* an existing instance
-//! (same component, node, and factored configuration — this is how two
-//! client sites end up sharing one `ViewMailServer` replica), resolves a
+//! (same component, node, and factored configuration, deployed under the
+//! same registration — this is how two client sites end up sharing one
+//! `ViewMailServer` replica), resolves a
 //! *pinned* pre-existing instance (the primary server), or ships a
 //! [`crate::registry::Blueprint`] to the node wrapper: the blueprint transfer is charged
 //! on the simulated route from the code origin, and the instance starts
@@ -18,6 +19,7 @@ use ps_planner::Plan;
 use ps_sim::{SimDuration, SimTime};
 use ps_spec::ServiceSpec;
 use std::fmt;
+use std::sync::Arc;
 
 /// Fixed per-instance startup delay (initialization, verification —
 /// what the JVM spent installing and verifying downloaded classes).
@@ -80,6 +82,10 @@ impl fmt::Display for DeployError {
 impl std::error::Error for DeployError {}
 
 /// Executes `plan` in `world`, shipping blueprints from `origin`.
+/// `spec` is the registered spec the plan was solved for: the
+/// instances created are recorded as deployed under it, and only
+/// instances deployed under it (or installed outside any deploy) are
+/// reused.
 ///
 /// `translator` supplies the node environments handed to factories;
 /// `routes` (current for the world's network) prices each blueprint
@@ -90,7 +96,7 @@ pub fn execute<T: PropertyTranslator + ?Sized>(
     world: &mut World,
     registry: &ComponentRegistry,
     translator: &T,
-    spec: &ServiceSpec,
+    spec: &Arc<ServiceSpec>,
     plan: &Plan,
     origin: NodeId,
     routes: &ScopedRoutes,
@@ -106,25 +112,26 @@ pub fn execute<T: PropertyTranslator + ?Sized>(
 
     for placement in &plan.placements {
         let idx = placement.graph_index;
-        // Pinned components must already run on their node.
-        if placement.preexisting {
-            let existing = world
-                .find_instance(&placement.component, placement.node, &placement.factors)
-                .ok_or_else(|| DeployError::MissingPinned {
-                    component: placement.component.clone(),
-                    node: placement.node,
-                })?;
+        // Reuse an identical instance the registration may attach to;
+        // pinned components must already run on their node.
+        let existing = world
+            .attachable(spec)
+            .find(|info| {
+                info.component == placement.component
+                    && info.node == placement.node
+                    && info.factors == placement.factors
+            })
+            .map(|info| info.id);
+        if let Some(existing) = existing {
             instances[idx] = Some(existing);
             reused += 1;
             continue;
         }
-        // Reuse an identical instance when one exists.
-        if let Some(existing) =
-            world.find_instance(&placement.component, placement.node, &placement.factors)
-        {
-            instances[idx] = Some(existing);
-            reused += 1;
-            continue;
+        if placement.preexisting {
+            return Err(DeployError::MissingPinned {
+                component: placement.component.clone(),
+                node: placement.node,
+            });
         }
         // Ship a blueprint and instantiate. A node wrapper that already
         // holds the component's code (any configuration) skips the
@@ -163,6 +170,7 @@ pub fn execute<T: PropertyTranslator + ?Sized>(
             logic,
             start_at,
         );
+        world.set_deployed_under(id, spec);
         instances[idx] = Some(id);
         created += 1;
     }

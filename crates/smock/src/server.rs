@@ -138,8 +138,9 @@ pub struct GenericServer {
     pub home: NodeId,
     /// The serving memo, scoped to the network epoch: the lazy route
     /// rows that answer lookup, proxy-download and blueprint transfer
-    /// times, the completed plans (keyed by value on service, request
-    /// and live-instance set), and the hierarchical planner's region
+    /// times, the completed plans (keyed on the registration, the
+    /// request by value and the world's live-set stamp), and the
+    /// hierarchical planner's region
     /// map and segment shortlists. Shared by every connect this server
     /// runs, heal-pass redeploys included; one epoch check inside it
     /// retires whatever a network change made stale.
@@ -300,25 +301,27 @@ impl GenericServer {
         // virtual time or the event stream. Instances this server
         // already deployed are attachable — the paper's Seattle clients
         // chain onto San Diego's pre-deployed view server exactly this
-        // way — so they are part of what a plan is cached under.
+        // way — so they are part of what a plan is cached under. The
+        // world's live-set stamp names that set: while no instance is
+        // created or retired, a connect neither collects nor compares it.
         let started = ps_trace::WallTimer::start();
-        let live = live_instances(world, &registration.spec);
-        let cached = self
-            .memo
-            .cached_plan(world.network(), &registration.spec, request, &live);
-        let cache_hit = cached.is_some();
+        let (net, spec, stamp) = (world.network(), &registration.spec, world.live_stamp());
+        let cached = self.memo.cached_plan(net, spec, request, stamp, || {
+            self.tracer.count("server.live_set_scans", 1);
+            live_instances(world, spec)
+        });
+        let cache_hit = cached.is_ok();
         let plan = match cached {
             // Planned against the identical network epoch and
             // live-instance set, so deployment below reuses instances
             // exactly as the original did.
-            Some(plan) => plan,
-            None => {
+            Ok(plan) => plan,
+            Err(live) => {
                 let mut resolved = request.clone();
                 resolved.existing.extend(live.iter().cloned());
-                let net = world.network();
-                let plan = Arc::new(self.plan_uncached(net, &registration.spec, &resolved)?);
+                let plan = Arc::new(self.plan_uncached(net, spec, &resolved)?);
                 self.memo
-                    .store_plan(net, &registration.spec, request, live, Arc::clone(&plan));
+                    .store_plan(net, spec, request, stamp, live, Arc::clone(&plan));
                 plan
             }
         };
@@ -433,13 +436,12 @@ impl GenericServer {
     }
 }
 
-/// The instances of `spec`'s components running in `world`, in instance
-/// order: what a plan for the service may attach to.
-fn live_instances(world: &World, spec: &ServiceSpec) -> Vec<ExistingInstance> {
-    (0..world.instance_count())
-        .map(|idx| InstanceId(idx as u32))
-        .filter(|&id| !world.is_retired(id))
-        .map(|id| world.instance(id))
+/// The instances of `spec`'s components running in `world` that its
+/// registration may attach to, in instance order: what a plan for the
+/// service may attach to ([`World::attachable`]).
+fn live_instances(world: &World, spec: &Arc<ServiceSpec>) -> Vec<ExistingInstance> {
+    world
+        .attachable(spec)
         .filter(|info| spec.get_component(&info.component).is_some())
         .map(|info| ExistingInstance {
             component: info.component.clone(),

@@ -190,6 +190,9 @@ fn crash(engine: &mut Engine<Event>, state: &mut State, node: NodeId) -> Vec<Ins
             failed.push(slot.info.id);
         }
     }
+    if !failed.is_empty() {
+        state.live_set_changed();
+    }
     engine.tracer().count("world.crashes", 1);
     engine.tracer().instant(
         "smock.world",

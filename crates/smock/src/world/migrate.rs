@@ -35,12 +35,17 @@ impl World {
         let factors = slot.info.factors.clone();
         let behavior = slot.behavior.clone();
         let linkages = slot.info.linkages.clone();
+        let deployed_under = slot.deployed_under.clone();
 
         let live_at = self.now() + self.transfer_time(from_node, to_node, state_bytes);
         let new = self.instantiate(component, to_node, factors, behavior, logic, live_at);
-        self.state.instances[new.0 as usize].info.linkages = linkages;
+        let moved = &mut self.state.instances[new.0 as usize];
+        moved.info.linkages = linkages;
+        moved.deployed_under = deployed_under;
         let slot = &mut self.state.instances[old.0 as usize];
         slot.forward = Some(new);
+        // Retired without a stamp of its own: the instantiation above
+        // redrew the live-set stamp for the whole move.
         slot.retired = true;
         // Every consumer wired to the old instance now talks to the new
         // one directly (the forward covers messages already in flight).

@@ -29,9 +29,11 @@ use crate::component::{Action, ComponentLogic, InstanceId, InstanceInfo, Outbox}
 use crate::fault::LivenessEvent;
 use ps_net::{Network, NodeId};
 use ps_sim::{CpuModel, Engine, FaultKind, Percentiles, SimTime, Summary};
-use ps_spec::{Behavior, ResolvedBindings};
+use ps_spec::{Behavior, ResolvedBindings, ServiceSpec};
 use ps_trace::Tracer;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use transport::{Envelope, Kind};
 
 /// Events driving the world. A message in flight is owned by exactly one
@@ -68,6 +70,17 @@ struct InstanceSlot {
     /// When the instance's lease was granted (its start time): it renews
     /// every heartbeat after that while its host is up.
     lease_granted: SimTime,
+    /// The registered spec a deploy created the instance under; `None`
+    /// for an instance installed outside a deploy.
+    deployed_under: Option<Arc<ServiceSpec>>,
+}
+
+/// Live-set stamps, drawn from one counter for every world in the
+/// process, so two worlds never share one.
+static LIVE_STAMPS: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_stamp() -> u64 {
+    LIVE_STAMPS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Mutable world state (separated from the engine so event handlers can
@@ -86,6 +99,9 @@ struct State {
     faults: faults::Faults,
     /// Aggregate time-series sampling (see [`World::enable_sampler`]).
     sampler: Option<sampler::SamplerState>,
+    /// Redrawn whenever an instance is created or retired (see
+    /// [`World::live_stamp`]).
+    live_stamp: u64,
 }
 
 /// The simulated runtime.
@@ -116,6 +132,7 @@ impl World {
                 invoke: Default::default(),
                 lease: Default::default(),
                 sampler: None,
+                live_stamp: fresh_stamp(),
             },
         }
     }
@@ -170,10 +187,20 @@ impl World {
             forward: None,
             retired: host_down,
             lease_granted: start_at,
+            deployed_under: None,
         });
+        self.state.live_set_changed();
         self.engine
             .schedule_at(start_at, Event::Start { instance: id });
         id
+    }
+
+    /// Records the registered spec a deploy created `instance` under:
+    /// only that registration's deploys attach to it from then on. The
+    /// deploy calls it right after the instantiation, whose fresh
+    /// live-set stamp no one has read yet.
+    pub(crate) fn set_deployed_under(&mut self, instance: InstanceId, spec: &Arc<ServiceSpec>) {
+        self.state.instances[instance.0 as usize].deployed_under = Some(Arc::clone(spec));
     }
 
     /// Wires `instance`'s required linkages to provider instances.
@@ -222,6 +249,33 @@ impl World {
             .map(|s| s.info.id)
     }
 
+    /// The live instances a deploy of the service registered as `spec`
+    /// may attach to, in instance order: those a deploy created under
+    /// that very registration (by `Arc` identity), and those installed
+    /// outside any deploy.
+    pub(crate) fn attachable<'a>(
+        &'a self,
+        spec: &'a Arc<ServiceSpec>,
+    ) -> impl Iterator<Item = &'a InstanceInfo> + 'a {
+        self.state
+            .instances
+            .iter()
+            .filter(move |s| {
+                !s.retired
+                    && s.deployed_under
+                        .as_ref()
+                        .is_none_or(|under| Arc::ptr_eq(under, spec))
+            })
+            .map(|s| &s.info)
+    }
+
+    /// The live-set stamp: a value redrawn whenever an instance is
+    /// created or retired, and never shared with another world. Equal
+    /// stamps mean an unchanged set of live instances.
+    pub(crate) fn live_stamp(&self) -> u64 {
+        self.state.live_stamp
+    }
+
     /// Mutable access to an instance's logic, for test assertions and
     /// state inspection between runs.
     pub fn logic_mut(&mut self, id: InstanceId) -> &mut dyn ComponentLogic {
@@ -264,6 +318,7 @@ impl World {
         let slot = &mut self.state.instances[instance.0 as usize];
         slot.retired = true;
         slot.forward = None;
+        self.state.live_set_changed();
     }
 
     /// Whether an instance has been retired (or migrated away).
@@ -293,6 +348,13 @@ impl World {
 }
 
 impl State {
+    /// Redraws the live-set stamp. Called where an instance is created
+    /// ([`World::instantiate`], which a migration goes through) or
+    /// retired ([`World::retire`], a crash).
+    fn live_set_changed(&mut self) {
+        self.live_stamp = fresh_stamp();
+    }
+
     /// Event dispatch: the one match over [`Event`], one concern's
     /// handler per arm.
     fn handle(&mut self, engine: &mut Engine<Event>, event: Event) {

@@ -1,13 +1,14 @@
 //! Deployment-engine and generic-server tests over a minimal service.
 
 use ps_net::{Credentials, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::ServiceRequest;
+use ps_planner::{ExistingInstance, Plan, ServiceRequest};
 use ps_sim::SimDuration;
 use ps_smock::{
-    deploy, ComponentLogic, ConnectError, GenericServer, Outbox, Payload, RequestHandle,
-    ServiceRegistration, World,
+    deploy, ComponentLogic, ConnectError, Connection, GenericServer, InstanceId, Outbox, Payload,
+    RequestHandle, ServiceRegistration, World,
 };
 use ps_spec::prelude::*;
+use ps_spec::ResolvedBindings;
 
 struct Nop;
 impl ComponentLogic for Nop {
@@ -311,6 +312,150 @@ fn reregistered_service_is_planned_against_its_new_spec() {
     let after = gs.connect(&mut world, "svc", &request).unwrap();
     assert_eq!(after.costs.plan_stats.plan_cache_hits, 0);
     assert_eq!(after.plan.graph.to_string(), "Front");
+}
+
+/// Instances belong to the registration that deployed them: after the
+/// service is re-registered, a connect neither attaches the old spec's
+/// instances to its plan nor reuses and rewires them, so the first
+/// connection's root keeps its back end.
+#[test]
+fn reregistered_service_leaves_the_old_registrations_instances_alone() {
+    let (net, edge, dc) = network();
+    let mut gs = server(dc);
+    let mut world = World::new(net);
+    let request = ServiceRequest::new("Api", edge).rate(1.0);
+    let first = gs.connect(&mut world, "svc", &request).unwrap();
+    gs.connect(&mut world, "svc", &request).unwrap();
+    assert_eq!(world.instance(first.root).linkages, vec![InstanceId(1)]);
+    let mut standalone = spec();
+    standalone.components.insert(
+        "Front".into(),
+        Component::new("Front")
+            .implements(InterfaceRef::plain("Api"))
+            .behavior(Behavior::new().code_size(80_000)),
+    );
+    gs.register_service(ServiceRegistration::new(standalone));
+    let after = gs.connect(&mut world, "svc", &request).unwrap();
+    assert_eq!(after.plan.graph.to_string(), "Front");
+    assert_eq!((after.deployment.created, after.deployment.reused), (1, 0));
+    assert_ne!(after.root, first.root);
+    assert_eq!(world.instance(first.root).linkages, vec![InstanceId(1)]);
+}
+
+/// Connects until the plan cache answers, returning that connect.
+fn settle(gs: &GenericServer, world: &mut World, request: &ServiceRequest) -> Connection {
+    for _ in 0..4 {
+        let conn = gs.connect(world, "svc", request).unwrap();
+        if conn.costs.plan_stats.plan_cache_hits == 1 {
+            return conn;
+        }
+    }
+    panic!("the plan cache never answered");
+}
+
+/// The plan for `request` over `world`'s live instances as they are
+/// now, solved without the plan cache: every live instance, in instance
+/// order (each test's instances are all `svc`'s).
+fn planned_over_live_set(gs: &GenericServer, world: &World, request: &ServiceRequest) -> Plan {
+    let mut resolved = request.clone();
+    resolved.existing = (0..world.instance_count() as u32)
+        .map(InstanceId)
+        .filter(|&id| !world.is_retired(id))
+        .map(|id| world.instance(id))
+        .map(|info| ExistingInstance {
+            component: info.component.clone(),
+            node: info.node,
+            factors: info.factors.clone(),
+        })
+        .collect();
+    let spec = &gs.lookup.by_name("svc").unwrap().spec;
+    gs.plan_uncached(world.network(), spec, &resolved).unwrap()
+}
+
+/// Connects, asserting the plan cache did not answer and the plan is
+/// the one solved over the live set the connect found.
+fn assert_plans_against_live_set(
+    gs: &GenericServer,
+    world: &mut World,
+    request: &ServiceRequest,
+    what: &str,
+) {
+    let expected = planned_over_live_set(gs, world, request);
+    let conn = gs.connect(world, "svc", request).unwrap();
+    assert_eq!(
+        conn.costs.plan_stats.plan_cache_hits, 0,
+        "{what}: a stale hit"
+    );
+    assert_eq!(
+        (&conn.plan.graph, &conn.plan.placements),
+        (&expected.graph, &expected.placements),
+        "{what}"
+    );
+    assert_eq!(
+        conn.plan.deployment_cost_ms, expected.deployment_cost_ms,
+        "{what}"
+    );
+}
+
+/// Every way the world changes its live instances between two connects
+/// (an instantiation, a retirement, a host crash, a migration) makes
+/// the second connect plan against the new set, never answer from the
+/// plan cached for the old one.
+#[test]
+fn every_live_set_change_is_planned_against() {
+    /// Mutates a world settled by a connect from `edge` (`dc` hosts).
+    type Mutation = fn(&mut World, &Connection, NodeId, NodeId);
+    let mutations: [(&str, Mutation); 4] = [
+        ("instantiate", |world, _, _, dc| {
+            let now = world.now();
+            let (bindings, behavior) = (ResolvedBindings::new(), Behavior::new());
+            world.instantiate("Back", dc, bindings, behavior, Box::new(Nop), now);
+        }),
+        ("retire", |world, conn, _, _| world.retire(conn.root)),
+        ("crash", |world, _, edge, _| {
+            assert_eq!(world.crash_node(edge).len(), 1);
+        }),
+        ("migrate", |world, conn, _, dc| {
+            world.migrate(conn.root, dc);
+        }),
+    ];
+    for (what, mutate) in mutations {
+        let (net, edge, dc) = network();
+        let gs = server(dc);
+        let mut world = World::new(net);
+        let request = ServiceRequest::new("Api", edge).rate(1.0);
+        let settled = settle(&gs, &mut world, &request);
+        let epoch = world.network().epoch();
+        mutate(&mut world, &settled, edge, dc);
+        assert_eq!(
+            world.network().epoch(),
+            epoch,
+            "{what}: only the live set moved"
+        );
+        assert_plans_against_live_set(&gs, &mut world, &request, what);
+    }
+}
+
+/// One server serving two worlds with as many instances each, but not
+/// the same ones, hands neither world a plan cached for the other.
+#[test]
+fn two_worlds_never_share_a_cached_plan() {
+    let (net, edge, dc) = network();
+    let gs = server(dc);
+    let request = ServiceRequest::new("Api", edge).rate(1.0);
+    let mut deployed = World::new(net.clone());
+    settle(&gs, &mut deployed, &request);
+    // The same two components, installed by hand both on the data
+    // centre node.
+    let mut installed = World::new(net);
+    for component in ["Back", "Front"] {
+        let now = installed.now();
+        let (bindings, behavior) = (ResolvedBindings::new(), Behavior::new());
+        installed.instantiate(component, dc, bindings, behavior, Box::new(Nop), now);
+    }
+    assert_eq!(deployed.instance_count(), installed.instance_count());
+    assert_plans_against_live_set(&gs, &mut installed, &request, "installed");
+    assert_plans_against_live_set(&gs, &mut deployed, &request, "deployed");
 }
 
 /// Instance churn on a quiet network must not grow the plan cache: plans

@@ -22,6 +22,7 @@ use partitionable_services::smock::deploy::STARTUP_DELAY;
 use partitionable_services::smock::{
     CoherencePolicy, ConnectError, Connection, LeaseConfig, ServiceRegistration,
 };
+use partitionable_services::trace::Tracer;
 
 /// A leaf host hung off `uplink` by a secure 100 µs LAN hop.
 fn leaf(net: &mut Network, name: String, uplink: NodeId, trust: i64, domain: &str) -> NodeId {
@@ -280,13 +281,22 @@ fn memoized_route_answers_equal_the_shortest_route_references() {
 
 /// The machine-independent gate on the serving path: once every leaf's
 /// plan is cached, 1 000 repeat connects over 20 leaves are all
-/// plan-cache hits, return the settled roots, build no route row and
-/// leave one cached plan per leaf; 1 000 heal passes over the unchanged
-/// network report nothing and replan nothing.
+/// plan-cache hits, return the settled roots, build no route row,
+/// collect no live-instance list and leave one cached plan per leaf;
+/// 1 000 heal passes over the unchanged network report nothing and
+/// replan nothing.
 #[test]
 fn warm_connects_and_idle_heal_passes_do_no_routing_or_planning_work() {
     let (mut fw, leaves) = fabric(42, 4);
     assert_eq!(leaves.len(), 20);
+    let tracer = Tracer::null();
+    fw.set_tracer(tracer.clone());
+    let scans = || {
+        tracer
+            .registry()
+            .expect("enabled")
+            .counter("server.live_set_scans")
+    };
     let server = fw.server.home;
     let requests: Vec<ServiceRequest> = leaves.iter().map(|&n| request(server, n)).collect();
 
@@ -317,8 +327,9 @@ fn warm_connects_and_idle_heal_passes_do_no_routing_or_planning_work() {
 
     let rows = fw.server.route_rows_built();
     let plans = fw.server.cached_plan_count();
+    let scanned = scans();
     assert_eq!(plans, leaves.len(), "one cached plan per leaf");
-    assert!(rows > 0);
+    assert!(rows > 0 && scanned > 0);
     let mut rng = Rng::seed_from_u64(7).derive("repeat-draws");
     for k in 0..1000 {
         let at = rng.next_below(leaves.len() as u64) as usize;
@@ -336,6 +347,7 @@ fn warm_connects_and_idle_heal_passes_do_no_routing_or_planning_work() {
         rows,
         "a warm connect runs no Dijkstra"
     );
+    assert_eq!(scans(), scanned, "a warm connect collects no live set");
     assert_eq!(fw.server.cached_plan_count(), plans);
 
     for pass in 0..1000 {
