@@ -346,9 +346,10 @@ pub fn run_heal_workload(
     let timer = WallTimer::start();
     let nodes = net.node_count();
     let mut framework = healing_mail_framework(net, server, tracer, seed, LeaseConfig::default());
-    // Routes belong to the server's memo: lazy rows, flat or `hier`,
-    // shared by the connect and every heal-pass redeploy and carried
-    // across the epochs that left them exact.
+    // Routes belong to the world's memo: lazy rows, flat or `hier`,
+    // shared by the connect, every heal-pass redeploy and the world's
+    // message routing, and carried across the epochs that left them
+    // exact.
     framework.server.planner_config.hier = options.hier.then(HierConfig::default);
     enable_telemetry(&mut framework, options.sampler, options.lease_renewal_bytes);
 

@@ -136,7 +136,7 @@ pub struct HealReport {
     pub repair: PlacementChurn,
     /// Dijkstra source rows this pass caused: its planned redeploys'
     /// [`ps_planner::PlanStats::route_rows_built`] plus the rows its
-    /// consults added to the server memo; 0 for a pass that plans
+    /// consults added to the world's memo; 0 for a pass that plans
     /// nothing.
     pub route_rows_built: u64,
 }
@@ -650,10 +650,10 @@ impl Framework {
 
     /// Asks a [`Replanner`] whether a managed connection's plan should
     /// be replaced under the current network, charging the route rows
-    /// the consult added to the server memo to `report`. The fresh
+    /// the consult added to the world's memo to `report`. The fresh
     /// optimum is priced on the path that would redeploy the connection
     /// but never enters the plan cache: it is solved over the stored
-    /// request as the [`Replanner`] prices it, without the server's live
+    /// request as the [`Replanner`] prices it, without the world's live
     /// instances, so it is not the plan a connect of that request
     /// deploys. The old plan is revalidated on the memo's rows too.
     /// `None` when the service's registration disappeared (e.g. purged
@@ -661,10 +661,10 @@ impl Framework {
     fn consult_replanner(&self, report: &mut HealReport, m: &Managed) -> Option<ReplanDecision> {
         let spec = self.server.lookup.by_name(&m.service)?.spec.clone();
         let net = self.world.network();
-        let routes = self.server.routes(net);
+        let routes = self.world.routes();
         let rows_before = routes.rows_built();
         let fresh = FreshOptimum {
-            plan: self.server.plan_uncached(net, &spec, &m.request),
+            plan: self.server.plan_uncached(&self.world, &spec, &m.request),
             routes: Arc::clone(&routes),
         };
         let planner = Planner::with_config(spec, self.server.planner_config.clone());

@@ -10,7 +10,7 @@
 //!
 //! v2 is a two-layer analyzer:
 //!
-//! 1. **Token rules** (D001–D005, [`rules`]): per-file lexical hazards
+//! 1. **Token rules** (D001–D006, [`rules`]): per-file lexical hazards
 //!    over the hand-rolled lexer ([`lexer`]).
 //! 2. **Semantic rules** (N001/P001/R001, [`semantic`]): a lightweight
 //!    item parser ([`parser`]) feeds a workspace call graph
@@ -84,7 +84,7 @@ pub struct StageTimings {
     pub fns: usize,
     /// Read + lex + item-parse.
     pub read_parse_us: u64,
-    /// Token rules D001–D005.
+    /// Token rules D001–D006.
     pub token_rules_us: u64,
     /// Call-graph construction (symbol index + fact extraction +
     /// resolution).

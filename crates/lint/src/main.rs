@@ -58,7 +58,8 @@ fn main() -> ExitCode {
                      \n\
                      token rules: D001 hash-order iteration, D002 wall-clock reads,\n\
                      D003 unseeded randomness, D004 unordered parallel reduction,\n\
-                     D005 float accumulation order (D000 = malformed suppression)\n\
+                     D005 float accumulation order, D006 process-wide mutable\n\
+                     state (D000 = malformed suppression)\n\
                      \n\
                      semantic rules (workspace call graph, chain-printed):\n\
                      N001 nondeterminism taint reaching artifacts or trace sinks,\n\

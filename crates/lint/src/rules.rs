@@ -1,4 +1,4 @@
-//! The determinism rule engine: D001–D005 over a lexed token stream.
+//! The determinism rule engine: D001–D006 over a lexed token stream.
 //!
 //! Every rule is a lexical heuristic — deliberately simple, tuned so
 //! that the workspace's real hazards fire and ordinary ordered code does
@@ -13,6 +13,7 @@
 //! | D003 | unseeded randomness / ambient entropy |
 //! | D004 | unordered parallel reduction (spawns, channels) |
 //! | D005 | order-sensitive float accumulation over unordered iteration |
+//! | D006 | process-wide mutable state (`static mut`, `thread_local!`, atomic/lock/lazy-cell `static`s) |
 
 use crate::lexer::{lex, Allow, Token, TokenKind};
 use std::collections::BTreeSet;
@@ -61,10 +62,14 @@ const ENTROPY_IDENTS: &[&str] = &[
     "getrandom",
 ];
 
+/// Type names whose `static` items are process-wide mutable state
+/// (D006), besides every `Atomic*`.
+const PROCESS_STATE_TYPES: &[&str] = &["Mutex", "RwLock", "OnceLock", "OnceCell", "LazyLock"];
+
 /// One finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule ID (`D001`..`D005`, or `D000` for a malformed suppression).
+    /// Rule ID (`D001`..`D006`, or `D000` for a malformed suppression).
     pub rule: &'static str,
     /// 1-based line.
     pub line: u32,
@@ -147,6 +152,7 @@ pub(crate) fn token_findings(lexed: &crate::lexer::Lexed) -> Vec<Finding> {
     scan_wallclock(toks, &mut findings);
     scan_entropy(toks, &mut findings);
     scan_parallel(toks, &mut findings);
+    scan_process_state(toks, &mut findings);
     findings
 }
 
@@ -542,6 +548,47 @@ fn scan_parallel(toks: &[Token], findings: &mut Vec<Finding>) {
                 rule: "D004",
                 line: t.line,
                 message: "parallel iterator — reduction order is nondeterministic".to_owned(),
+                suppressed: false,
+                chain: Vec::new(),
+            });
+        }
+    }
+}
+
+/// D006: process-wide mutable state — `static mut`, `thread_local!`, and
+/// `static` items of an `Atomic*`, lock or lazily initialized cell type.
+/// What such state holds depends on what else ran in the process first,
+/// so one seed replayed twice in one process (a test binary's threads, a
+/// fuzzer's replays) stops producing the same bytes.
+fn scan_process_state(toks: &[Token], findings: &mut Vec<Finding>) {
+    for (i, t) in toks.iter().enumerate() {
+        let next = toks.get(i + 1);
+        let what = if t.is_ident("thread_local") && next.is_some_and(|n| n.is_punct('!')) {
+            Some("`thread_local!`".to_owned())
+        } else if t.is_ident("static") && next.is_some_and(|n| n.is_ident("mut")) {
+            Some("`static mut`".to_owned())
+        } else if t.is_ident("static") {
+            toks[i + 1..]
+                .iter()
+                .take_while(|n| !n.is_punct('=') && !n.is_punct(';'))
+                .find(|n| {
+                    n.kind == TokenKind::Ident
+                        && (n.text.starts_with("Atomic")
+                            || PROCESS_STATE_TYPES.contains(&n.text.as_str()))
+                })
+                .map(|n| format!("a `static` of type `{}`", n.text))
+        } else {
+            None
+        };
+        if let Some(what) = what {
+            findings.push(Finding {
+                rule: "D006",
+                line: t.line,
+                message: format!(
+                    "{what} is process-wide mutable state — what it holds depends on \
+                     what else ran in the process; keep the state in the value that \
+                     owns it (a world, a server, a memo)"
+                ),
                 suppressed: false,
                 chain: Vec::new(),
             });

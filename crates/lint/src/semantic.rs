@@ -1,6 +1,6 @@
 //! The inter-procedural passes over the workspace call graph: N001
 //! (nondeterminism taint), P001 (panic-path audit), R001 (dropped
-//! fallibility). Token rules D001–D005 catch hazards at the leaf site;
+//! fallibility). Token rules D001–D006 catch hazards at the leaf site;
 //! these passes catch them *flowing* — a wall-clock read laundered
 //! through a helper, an `unwrap` four calls below `Framework::heal`.
 //!

@@ -99,6 +99,33 @@ fn d005_allow_silences_chain_and_loop_accumulator() {
     assert!(report.allows.iter().all(|a| a.used == 1));
 }
 
+#[test]
+fn d006_fires_on_process_wide_mutable_state() {
+    let report = scan_fixture("d006_bad.rs");
+    // The atomic, `static mut`, lock, lazy cell and `thread_local!`
+    // (whose inner `static` of a `Cell` is not itself flagged); not the
+    // immutable `&str` static or the `'static` lifetime.
+    assert_eq!(
+        rule_lines(&report),
+        vec![
+            ("D006", 5),
+            ("D006", 6),
+            ("D006", 7),
+            ("D006", 8),
+            ("D006", 9)
+        ]
+    );
+    assert_eq!(report.unsuppressed().count(), 5);
+}
+
+#[test]
+fn d006_allow_silences_a_diagnostic_counter() {
+    let report = scan_fixture("d006_allow.rs");
+    assert_eq!(rule_lines(&report), vec![("D006", 4)]);
+    assert_eq!(report.unsuppressed().count(), 0);
+    assert!(report.allows[0].allow.reason.contains("diagnostic"));
+}
+
 /// Runs the full two-layer pipeline on one fixture. The label is placed
 /// under a fake `crates/fx/src/` path so the semantic passes do not
 /// treat the fixture as test code.

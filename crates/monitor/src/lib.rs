@@ -159,7 +159,7 @@ impl NetworkMonitor {
     /// [`Network::epoch`] and journals what it touched, so an unmoved
     /// epoch — with unmoved node and link counts — means nothing
     /// changed, and a moved one names the elements worth comparing.
-    /// The same contract [`ps_net::ScopedRoutes::carried`] relies on.
+    /// The same contract [`ps_net::ScopedRoutes`] rows rely on.
     pub fn observe(&mut self, current: &Network) -> Vec<NetworkChange> {
         if current.epoch() == self.epoch
             && current.node_count() == self.nodes.len()
@@ -424,7 +424,7 @@ impl Replanner {
     ) -> ReplanDecision {
         let fresh = FreshOptimum {
             plan: self.planner.plan(net, translator, request),
-            routes: Arc::new(ScopedRoutes::new(net)),
+            routes: Arc::new(ScopedRoutes::new()),
         };
         self.decide(now, net, translator, request, old, fresh)
     }

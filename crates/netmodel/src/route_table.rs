@@ -8,10 +8,11 @@
 //! every source at once; no client path reads it — it stays as the
 //! all-pairs reference for tests and the benchmark's route-table probes.
 //!
-//! Staleness is detected through the [`Network`] epoch counter: a table
-//! records `net.epoch()` at build time and `is_current` compares it
-//! against the live graph, so callers rebuild (or carry) exactly when
-//! the topology or a credential changed.
+//! Staleness is detected through the [`Network`] epoch counter: a
+//! [`RouteTable`] records `net.epoch()` at build time and `is_current`
+//! compares it against the live graph; a [`ScopedRoutes`] row records
+//! the epoch it was last exact at, and is carried or re-run on the first
+//! question of a later one.
 //!
 //! ## Carrying rows across a change
 //!
@@ -19,8 +20,9 @@
 //! fresh run would produce after it, or differs only at the entry of a
 //! host that went down or came back. `carry_row` is the one check of
 //! that, shared by [`RouteTable::repair`] (which names the touched
-//! elements itself) and [`ScopedRoutes::carried`] (which reads them off
-//! the network's journal, [`Network::touched_since`]). A row is exact
+//! elements itself) and [`ScopedRoutes`] (which reads them off the
+//! network's journal, [`Network::touched_since`], for every change since
+//! the row was last exact). A row is exact
 //! when every reached node's entry is its best offer from a live
 //! neighbour, ties going to the offer `dijkstra_tree` relaxes first —
 //! pop order `(cost, node id)` of the offering node, then the link's
@@ -50,6 +52,7 @@ use crate::path::{
     dijkstra_tree, reconstruct, tree_metrics, tree_via, Route, RouteCost, RouteMetrics, UNREACHED,
 };
 use ps_sim::SimDuration;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -440,17 +443,20 @@ impl RouteTable {
 /// including deterministic tie-breaks — just restricted to the sources
 /// actually touched.
 ///
-/// Staleness mirrors [`RouteTable::is_current`]: the structure records
-/// the epoch it reflects and must not answer once the network moved on.
-/// [`ScopedRoutes::carried`] then moves every row the changes provably
-/// left exact (the [module-level](self) certificate) into a table of the
-/// new epoch and drops the rest: on the heal path almost every row
-/// survives a host crash or link flap, at the cost of a check linear in
-/// the touched elements' degrees instead of a Dijkstra run.
-#[derive(Debug)]
+/// Each row records the network epoch it was last exact at. A question
+/// at a later epoch first carries the row across every change the
+/// network journaled since then, when the [module-level](self)
+/// certificate holds for their union, and re-runs its Dijkstra
+/// otherwise: on the heal path almost every row survives a host crash
+/// or link flap, at the cost of a check linear in the touched elements'
+/// degrees. A row asked rarely is carried once across all the changes
+/// it missed — a link that went down and came back leaves it exact —
+/// and a row nobody asks again costs nothing. One table therefore
+/// serves a network across all its epochs; the network must be the one
+/// the rows were built on or a descendant of it (the epoch is the only
+/// identity a row checks).
+#[derive(Debug, Default)]
 pub struct ScopedRoutes {
-    epoch: u64,
-    n: usize,
     rows: Mutex<Rows>,
 }
 
@@ -463,67 +469,20 @@ struct Rows {
 
 #[derive(Debug)]
 struct ScopedRow {
+    /// The network epoch the row was last exact at.
+    epoch: u64,
     dist: Vec<RouteCost>,
     prev: Vec<Pred>,
 }
 
 impl ScopedRoutes {
-    /// Creates an empty scoped table bound to the network's current
-    /// epoch. No Dijkstra runs until the first query.
-    pub fn new(net: &Network) -> Self {
-        ScopedRoutes {
-            epoch: net.epoch(),
-            n: net.node_count(),
-            rows: Mutex::new(Rows::default()),
-        }
+    /// Creates an empty table. No Dijkstra runs until the first query.
+    pub fn new() -> Self {
+        ScopedRoutes::default()
     }
 
-    /// This table moved to `net`'s current epoch: every row the changes
-    /// journaled since [`epoch`](Self::epoch) provably left equal to a
-    /// fresh Dijkstra run is kept (patched at touched nodes' own
-    /// entries), every other row is dropped and rebuilt on next use.
-    /// Nothing is kept when a node was added or the journal no longer
-    /// reaches back to this table's epoch. `net` must be the network
-    /// this table was built on, or a descendant of it.
-    pub fn carried(self, net: &Network) -> ScopedRoutes {
-        let mut carried = ScopedRoutes::new(net);
-        let damage = (self.n == net.node_count())
-            .then(|| Damage::since(net, self.epoch))
-            .flatten();
-        if let Some(damage) = damage {
-            let rows = self
-                .rows
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner);
-            carried
-                .rows
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .by_source = rows
-                .by_source
-                .into_iter()
-                .filter_map(|(src, mut row)| {
-                    let patches = carry_row(net, NodeId(src), &row.dist, &row.prev, &damage)?;
-                    apply(&patches, &mut row.dist, &mut row.prev);
-                    Some((src, row))
-                })
-                .collect();
-        }
-        carried
-    }
-
-    /// The network epoch this table reflects.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Whether the table still reflects `net` (same epoch).
-    pub fn is_current(&self, net: &Network) -> bool {
-        self.epoch == net.epoch() && self.n == net.node_count()
-    }
-
-    /// Dijkstra rows this table has run — rows it holds because they
-    /// were [carried](Self::carried) cost none and are not counted.
+    /// Dijkstra rows this table has run — a row carried into a later
+    /// epoch costs none and is not counted.
     /// Deterministic for a deterministic query sequence, so it doubles
     /// as the planner's routing-work metric in stable-mode artifacts.
     pub fn rows_built(&self) -> usize {
@@ -585,24 +544,45 @@ impl ScopedRoutes {
         self.with_row(net, from, |row| tree_via(from, to, &row.dist, &row.prev))
     }
 
-    /// Reads `from`'s routing row, running its Dijkstra on first use.
+    /// Reads `from`'s routing row for `net`'s epoch: carried from the
+    /// epoch it was last exact at when the changes since leave it exact,
+    /// its Dijkstra run otherwise (and on first use).
     fn with_row<R>(&self, net: &Network, from: NodeId, read: impl FnOnce(&ScopedRow) -> R) -> R {
-        debug_assert!(
-            self.is_current(net),
-            "scoped routes are stale: built at epoch {}, network at {}",
-            self.epoch,
-            net.epoch()
-        );
         let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
         let Rows { by_source, built } = &mut *rows;
-        let row = by_source.entry(from.0).or_insert_with(|| {
-            let mut dist = vec![UNREACHED; self.n];
-            let mut prev = vec![None; self.n];
-            dijkstra_tree(net, from, None, &mut dist, &mut prev);
-            *built += 1;
-            ScopedRow { dist, prev }
-        });
+        let epoch = net.epoch();
+        let row = match by_source.entry(from.0) {
+            Entry::Occupied(row) => row.into_mut(),
+            Entry::Vacant(slot) => slot.insert(ScopedRow::run(net, from, built)),
+        };
+        if row.epoch != epoch {
+            // A node added since leaves no row exact (`Damage::since`).
+            let patches = Damage::since(net, row.epoch)
+                .and_then(|damage| carry_row(net, from, &row.dist, &row.prev, &damage));
+            match patches {
+                Some(patches) => {
+                    apply(&patches, &mut row.dist, &mut row.prev);
+                    row.epoch = epoch;
+                }
+                None => *row = ScopedRow::run(net, from, built),
+            }
+        }
         read(row)
+    }
+}
+
+impl ScopedRow {
+    /// `from`'s Dijkstra row on `net`, counted in `built`.
+    fn run(net: &Network, from: NodeId, built: &mut usize) -> Self {
+        let n = net.node_count();
+        let (mut dist, mut prev) = (vec![UNREACHED; n], vec![None; n]);
+        dijkstra_tree(net, from, None, &mut dist, &mut prev);
+        *built += 1;
+        ScopedRow {
+            epoch: net.epoch(),
+            dist,
+            prev,
+        }
     }
 }
 
@@ -814,8 +794,7 @@ mod tests {
     fn scoped_routes_match_full_table_and_build_lazily() {
         let net = diamond();
         let table = RouteTable::build(&net);
-        let scoped = ScopedRoutes::new(&net);
-        assert!(scoped.is_current(&net));
+        let scoped = ScopedRoutes::new();
         assert_eq!(scoped.rows_built(), 0, "no rows before the first query");
         for from in [NodeId(0), NodeId(2)] {
             for to in net.node_ids() {
@@ -848,12 +827,19 @@ mod tests {
         assert_eq!(scoped.rows_built(), 2);
     }
 
+    /// A row asked after a change it cannot be carried across answers
+    /// for the changed network.
     #[test]
     fn scoped_routes_detect_staleness() {
         let mut net = diamond();
-        let scoped = ScopedRoutes::new(&net);
-        net.set_link_up(LinkId(0), false);
-        assert!(!scoped.is_current(&net));
+        let scoped = ScopedRoutes::new();
+        let (a, d) = (NodeId(0), NodeId(3));
+        let before = scoped.route(&net, a, d);
+        net.set_link_up(LinkId(2), false);
+        let after = scoped.route(&net, a, d);
+        assert_ne!(after, before, "a-c is on the secure route");
+        assert_eq!(after, RouteTable::build(&net).route(&net, a, d));
+        assert_eq!(scoped.rows_built(), 2, "the row was re-run");
     }
 
     #[test]

@@ -1089,7 +1089,7 @@ mod tests {
                 request = request.free_root();
             }
             let graphs = enumerate_linkages(&spec, "Api", &limits);
-            let routes = Arc::new(ScopedRoutes::new(&net));
+            let routes = Arc::new(ScopedRoutes::new());
             for (objective, graph) in objectives
                 .iter()
                 .flat_map(|o| graphs.iter().map(move |g| (*o, g)))

@@ -75,21 +75,22 @@ pub(crate) struct RegionWork {
 pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 
 /// The serving layer's one memo: everything a connect (a client's
-/// first, or a heal pass's redeploy) would otherwise re-derive against
-/// an unchanged network. One memo is owned by the generic server and
-/// shared by every connect it runs. Its parts and what retires them:
+/// first, or a heal pass's redeploy) or a message route would otherwise
+/// re-derive against an unchanged network. The run-time keeps one per
+/// simulated world, shared by every connect, heal pass and message
+/// route on it. Its parts and what retires them:
 ///
 /// | part | key | retired by |
 /// |---|---|---|
-/// | lazy route rows ([`ScopedRoutes`]) | source node | an epoch change that touched the row ([`ScopedRoutes::carried`]) |
+/// | lazy route rows ([`ScopedRoutes`]) | source node | carried to a later epoch on their next use, re-run when a change since touched them |
 /// | completed plans | the registered spec (by `Arc` identity) and the request (by value), under one live-instance set named by the caller's stamp | any epoch change; a plan stored under another live set |
-/// | segment shortlists | (region, component, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
+/// | segment shortlists | (region, component, registered spec by `Arc` identity, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | region map | — | a node or link count change |
 /// | recent plans (warm seeds) | — | revalidated at use |
 ///
 /// Every entry point runs the same epoch check first, so a plan of an
-/// older epoch can never answer, and a route row answers
-/// only once certified exact for the new one; shortlists carry their
+/// older epoch can never answer; a route row answers only once
+/// certified exact for the current epoch, and shortlists carry their
 /// region's epoch and outlive a change elsewhere in the fabric. The
 /// recent plans are the last `RECENT_PLANS` distinct (linkage graph,
 /// hosts) pairs solves on the memo returned, whatever their request or
@@ -106,11 +107,16 @@ pub struct HierMemo {
 #[derive(Debug, Default)]
 struct MemoInner {
     region_map: Option<Arc<RegionMap>>,
-    scoped: Option<Arc<ScopedRoutes>>,
+    /// The one route table, across every epoch: its rows carry
+    /// themselves.
+    scoped: Arc<ScopedRoutes>,
+    /// The (epoch, node count) the cached plans were solved at.
+    plans_at: Option<(u64, usize)>,
     plans: PlanCache,
-    /// Distinct request signatures seen, compared by value; a shortlist
-    /// key names one by its index here.
-    signatures: Vec<RequestSignature>,
+    /// Distinct (registered spec, request signature) pairs seen, the
+    /// spec compared by `Arc` identity and the signature by value; a
+    /// shortlist key names one by its index here.
+    signatures: Vec<(Arc<ServiceSpec>, RequestSignature)>,
     /// (region index, component, signature index) → (region epoch at
     /// solve time, shortlist). Entries whose epoch no longer matches the
     /// live region are stale and recomputed on next use.
@@ -178,26 +184,15 @@ impl PlanCache {
 
 impl MemoInner {
     /// The epoch check every entry point runs: when the network moved
-    /// on, the route rows the changes left exact are carried into a
-    /// table of the new epoch ([`ScopedRoutes::carried`]; all of them
-    /// are dropped if a solve still holds the old table), and every
-    /// cached plan is dropped.
+    /// on, every cached plan is dropped. The route rows need no step
+    /// here: each is carried, or re-run, on its own next use.
     fn sync(&mut self, net: &Network) -> Arc<ScopedRoutes> {
-        match self.scoped.take() {
-            Some(scoped) if scoped.is_current(net) => {
-                self.scoped = Some(Arc::clone(&scoped));
-                scoped
-            }
-            stale => {
-                let scoped = Arc::new(match stale.map(Arc::try_unwrap) {
-                    Some(Ok(stale)) => stale.carried(net),
-                    _ => ScopedRoutes::new(net),
-                });
-                self.scoped = Some(Arc::clone(&scoped));
-                self.plans.by_client.clear();
-                scoped
-            }
+        let at = (net.epoch(), net.node_count());
+        if self.plans_at != Some(at) {
+            self.plans_at = Some(at);
+            self.plans.by_client.clear();
         }
+        Arc::clone(&self.scoped)
     }
 }
 
@@ -225,20 +220,20 @@ impl HierMemo {
         }
     }
 
-    /// The lazy route rows for the network's current epoch. On an epoch
-    /// change the rows the change provably left exact are carried over
-    /// ([`ScopedRoutes::carried`]) and the rest are rebuilt on first use:
-    /// a host crash or link flap leaves most rows untouched.
+    /// The memo's lazy route rows. A row asked at a later epoch than it
+    /// was last exact at is carried across the changes since when they
+    /// provably leave it exact, and re-run otherwise: a host crash or
+    /// link flap leaves most rows untouched.
     pub fn scoped_routes(&self, net: &Network) -> Arc<ScopedRoutes> {
         self.lock().sync(net)
     }
 
-    /// Dijkstra source rows the memo ran for its epoch: the rows it
-    /// built, not those it carried from an earlier epoch (zero before the
-    /// first route question). Deterministic, so "a warm connect runs no
-    /// Dijkstra" is checkable as a count.
+    /// Dijkstra source rows the memo has run since it was created, over
+    /// every epoch: a row carried into a later epoch costs nothing.
+    /// Deterministic, so "a warm connect runs no Dijkstra" is checkable
+    /// as a count.
     pub fn route_rows_built(&self) -> usize {
-        self.lock().scoped.as_ref().map_or(0, |s| s.rows_built())
+        self.lock().scoped.rows_built()
     }
 
     /// The plan stored for exactly this registered `spec` and `request`
@@ -328,19 +323,21 @@ impl HierMemo {
         inner.recent.truncate(RECENT_PLANS);
     }
 
-    /// The index of `request`'s signature among those seen so far,
-    /// interning it on first sight. Identity is the signature's value:
-    /// two requests share shortlists only when every field the
-    /// signature carries is equal.
-    fn signature_id(&self, request: &ServiceRequest) -> u32 {
+    /// The index of (`spec`, `request`'s signature) among the pairs seen
+    /// so far, interning it on first sight. Two requests share
+    /// shortlists only when they plan the same registered spec (by `Arc`
+    /// identity: a re-registration may change which hosts fit) and
+    /// every field the signature carries is equal. The entry holds the
+    /// spec's `Arc`, so its address cannot be reused while it lives.
+    fn signature_id(&self, spec: &Arc<ServiceSpec>, request: &ServiceRequest) -> u32 {
         let signature = RequestSignature::of(request);
         let mut inner = self.lock();
         let at = inner
             .signatures
             .iter()
-            .position(|seen| *seen == signature)
+            .position(|(under, seen)| Arc::ptr_eq(under, spec) && *seen == signature)
             .unwrap_or_else(|| {
-                inner.signatures.push(signature);
+                inner.signatures.push((Arc::clone(spec), signature));
                 inner.signatures.len() - 1
             });
         at as u32
@@ -468,7 +465,7 @@ impl Planner {
             return None;
         }
         let scoped = memo.scoped_routes(net);
-        let sig = memo.signature_id(request);
+        let sig = memo.signature_id(&self.spec, request);
 
         // Anchors: nodes every candidate plan is tethered to.
         let mut anchors: Vec<NodeId> = vec![request.client_node, request.effective_origin()];
@@ -634,26 +631,36 @@ mod tests {
     }
 
     /// Shortlists are keyed on the signature's value, not on a hash of
-    /// it: requests that differ in any signature field get their own
-    /// entries, requests that differ only outside it share one.
+    /// it, and on the registered spec's identity: requests that differ
+    /// in any signature field, or plan another registration of an equal
+    /// spec, get their own entries; requests that differ only outside
+    /// the signature share one.
     #[test]
     fn shortlists_are_shared_by_equal_signatures_only() {
         let mut net = Network::new();
         let host = net.add_node("a", "as0", 1.0, ps_net::Credentials::new());
         let memo = HierMemo::new();
+        let spec = Arc::new(ServiceSpec::new("Mail"));
+        let reregistered = Arc::new(ServiceSpec::new("Mail"));
         let plain = ServiceRequest::new("Mail", NodeId(3));
         let strict = plain.clone().require("Confidential", true);
         let elsewhere = ServiceRequest::new("Mail", NodeId(9)).rate(7.5);
-        assert_ne!(memo.signature_id(&plain), memo.signature_id(&strict));
-        assert_eq!(memo.signature_id(&plain), memo.signature_id(&elsewhere));
+        let id = |spec, request| memo.signature_id(spec, request);
+        assert_ne!(id(&spec, &plain), id(&spec, &strict));
+        assert_eq!(id(&spec, &plain), id(&spec, &elsewhere));
+        assert_ne!(id(&spec, &plain), id(&reregistered, &plain));
 
-        let key = |request| (0, "MailServer".to_owned(), memo.signature_id(request));
-        memo.store_shortlist(&net, "as0", key(&plain), vec![host]);
-        assert_eq!(memo.shortlist(&net, "as0", &key(&strict)), None);
+        let key = |spec, request| (0, "MailServer".to_owned(), id(spec, request));
+        memo.store_shortlist(&net, "as0", key(&spec, &plain), vec![host]);
+        assert_eq!(memo.shortlist(&net, "as0", &key(&spec, &strict)), None);
         assert_eq!(
-            memo.shortlist(&net, "as0", &key(&elsewhere)),
+            memo.shortlist(&net, "as0", &key(&reregistered, &plain)),
+            None
+        );
+        assert_eq!(
+            memo.shortlist(&net, "as0", &key(&spec, &elsewhere)),
             Some(vec![host])
         );
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
+        assert_eq!((memo.hits(), memo.misses()), (1, 2));
     }
 }

@@ -133,7 +133,6 @@ impl<'a> Mapper<'a> {
         objective: Objective,
         routes: Arc<ScopedRoutes>,
     ) -> Self {
-        debug_assert!(routes.is_current(net), "scoped routes are stale");
         let translate = move |slot: EnvSlot| {
             let mut env = match slot {
                 EnvSlot::Host(node) => {

@@ -164,7 +164,7 @@ impl Planner {
             ..PlanStats::default()
         };
         let routes = memo.map_or_else(
-            || Arc::new(ScopedRoutes::new(net)),
+            || Arc::new(ScopedRoutes::new()),
             |memo| memo.scoped_routes(net),
         );
         let rows_before = routes.rows_built();

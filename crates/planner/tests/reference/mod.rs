@@ -86,7 +86,7 @@ pub fn plan<T: PropertyTranslator + ?Sized>(
     limits: &LinkageLimits,
     objective: Objective,
 ) -> Option<Optimum> {
-    let routes = Arc::new(ScopedRoutes::new(net));
+    let routes = Arc::new(ScopedRoutes::new());
     let mapper = Mapper::new(spec, net, translator, request, objective, routes);
     let mut best: Option<Optimum> = None;
     for graph in enumerate_linkages_multi(spec, &request.interfaces, limits) {

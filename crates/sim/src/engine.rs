@@ -115,6 +115,12 @@ impl<E> Engine<E> {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
+    ///
+    /// Always inlined into the run loops: left to the inliner, whether
+    /// it is inlined depends on how the caller's crate is split into
+    /// codegen units, and the outlined form cost the world's relay loop
+    /// 13 ns an event (86 against 73 ns on a 100-hop relay).
+    #[inline(always)]
     pub fn step(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.queue.pop()?;
         debug_assert!(entry.at >= self.now);

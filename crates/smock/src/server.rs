@@ -14,9 +14,9 @@ use crate::deploy::{self, DeployError, Deployment, STARTUP_DELAY};
 use crate::lookup::{LookupService, ServiceRegistration};
 use crate::registry::ComponentRegistry;
 use crate::world::World;
-use ps_net::{Network, NodeId, PropertyTranslator, ScopedRoutes};
+use ps_net::{shortest_route, NodeId, PropertyTranslator};
 use ps_planner::{
-    ExistingInstance, HierMemo, Plan, PlanError, PlanStats, Planner, PlannerConfig, ServiceRequest,
+    ExistingInstance, Plan, PlanError, PlanStats, Planner, PlannerConfig, ServiceRequest,
 };
 use ps_sim::{SimDuration, SimTime};
 use ps_spec::ServiceSpec;
@@ -123,6 +123,9 @@ impl From<DeployError> for ConnectError {
 }
 
 /// The generic server: lookup service + planner + deployment engine.
+/// It keeps no per-world state: the route rows, plan cache and
+/// shortlists a connect reads and fills are the world's own serving
+/// memo, so one server may serve several worlds.
 pub struct GenericServer {
     /// The attribute-based lookup service.
     pub lookup: LookupService,
@@ -136,15 +139,6 @@ pub struct GenericServer {
     /// The node hosting the generic server and lookup service (and the
     /// default code origin).
     pub home: NodeId,
-    /// The serving memo, scoped to the network epoch: the lazy route
-    /// rows that answer lookup, proxy-download and blueprint transfer
-    /// times, the completed plans (keyed on the registration, the
-    /// request by value and the world's live-set stamp), and the
-    /// hierarchical planner's region
-    /// map and segment shortlists. Shared by every connect this server
-    /// runs, heal-pass redeploys included; one epoch check inside it
-    /// retires whatever a network change made stale.
-    memo: HierMemo,
     /// Tracer for the request lifecycle (disabled by default). Each
     /// connection gets a `conn-<n>` scope tying its `lookup` / `plan` /
     /// `transfer` / `deploy` spans together for breakdown analysis.
@@ -162,7 +156,6 @@ impl GenericServer {
             translator,
             planner_config: PlannerConfig::default(),
             home,
-            memo: HierMemo::new(),
             tracer: Tracer::disabled(),
             next_conn: AtomicU64::new(0),
         }
@@ -181,60 +174,27 @@ impl GenericServer {
         &self.tracer
     }
 
-    /// Number of cached plans (test/diagnostic aid).
-    pub fn cached_plan_count(&self) -> usize {
-        self.memo.cached_plans()
-    }
-
-    /// Source rows (one Dijkstra each) the memo built for the current
-    /// network epoch, not counting rows carried from an earlier one
-    /// (test/diagnostic aid: a warm connect must leave it unchanged).
-    pub fn route_rows_built(&self) -> usize {
-        self.memo.route_rows_built()
-    }
-
-    /// The memo's route rows for `net`'s current epoch: the one route
-    /// source every plan, transfer time and plan revalidation of the
-    /// epoch reads.
-    pub fn routes(&self, net: &Network) -> Arc<ScopedRoutes> {
-        self.memo.scoped_routes(net)
-    }
-
-    /// Simulated transfer time of `bytes` between two nodes of `net`
-    /// (route latency + serialization at the bottleneck, zero when local
-    /// or unreachable), answered from the memo's route rows: `from`'s
-    /// row is built on first use and serves every later question of the
-    /// epoch. Equal to the memo-free [`transfer_time`] for every pair.
-    pub fn transfer_time(
-        &self,
-        net: &Network,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> SimDuration {
-        self.routes(net).transfer_time(net, from, to, bytes)
-    }
-
     /// Registers a service (Figure 1, step 1).
     pub fn register_service(&mut self, registration: ServiceRegistration) {
         self.lookup.register(registration);
     }
 
     /// One planning call on this server's configured path — hierarchical
-    /// or flat per [`PlannerConfig::hier`], on the memo's routes of the
-    /// current epoch — that neither reads nor stores the plan cache.
+    /// or flat per [`PlannerConfig::hier`], on the world memo's routes of
+    /// the current epoch — that neither reads nor stores the plan cache.
     /// [`connect`](Self::connect) runs it on a cache miss; the healer's
     /// keep/redeploy consult prices a fresh optimum with it — of the
     /// stored request, without the live instances a connect resolves
     /// into it, so not a plan the cache may hand to a connect.
     pub fn plan_uncached(
         &self,
-        net: &Network,
+        world: &World,
         spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
     ) -> Result<Plan, PlanError> {
         let planner = Planner::with_config(Arc::clone(spec), self.planner_config.clone());
-        planner.plan_hierarchical(net, self.translator.as_ref(), request, &self.memo)
+        let translator = self.translator.as_ref();
+        planner.plan_hierarchical(world.network(), translator, request, world.memo())
     }
 
     /// Serves a client connection end to end: proxy download, planning,
@@ -267,9 +227,9 @@ impl GenericServer {
             (scope, connect_span)
         });
 
-        // The memo's epoch check: rows, plans and shortlists that a
-        // network change made stale are gone past this point.
-        let routes = self.routes(world.network());
+        // The world memo's epoch check: rows, plans and shortlists that
+        // a network change made stale are gone past this point.
+        let routes = world.routes();
 
         // The client's attribute query against the lookup service: one
         // small request/response exchange, modelled like any other
@@ -305,8 +265,9 @@ impl GenericServer {
         // world's live-set stamp names that set: while no instance is
         // created or retired, a connect neither collects nor compares it.
         let started = ps_trace::WallTimer::start();
-        let (net, spec, stamp) = (world.network(), &registration.spec, world.live_stamp());
-        let cached = self.memo.cached_plan(net, spec, request, stamp, || {
+        let (net, memo, spec) = (world.network(), world.memo(), &registration.spec);
+        let stamp = world.live_stamp();
+        let cached = memo.cached_plan(net, spec, request, stamp, || {
             self.tracer.count("server.live_set_scans", 1);
             live_instances(world, spec)
         });
@@ -319,9 +280,8 @@ impl GenericServer {
             Err(live) => {
                 let mut resolved = request.clone();
                 resolved.existing.extend(live.iter().cloned());
-                let plan = Arc::new(self.plan_uncached(net, spec, &resolved)?);
-                self.memo
-                    .store_plan(net, spec, request, stamp, live, Arc::clone(&plan));
+                let plan = Arc::new(self.plan_uncached(world, spec, &resolved)?);
+                memo.store_plan(net, spec, request, stamp, live, Arc::clone(&plan));
                 plan
             }
         };
@@ -461,9 +421,11 @@ impl fmt::Debug for GenericServer {
 }
 
 /// Simulated transfer time of `bytes` between two nodes, memo-free: one
-/// Dijkstra per call ([`World::transfer_time`]). The serving path asks
-/// [`GenericServer::transfer_time`] instead; this is the independent
-/// reference its answers are checked against.
+/// Dijkstra per call. The serving path asks [`World::transfer_time`]
+/// instead; this is the independent reference its answers are checked
+/// against.
 pub fn transfer_time(world: &World, from: NodeId, to: NodeId, bytes: u64) -> SimDuration {
-    world.transfer_time(from, to, bytes)
+    shortest_route(world.network(), from, to).map_or(SimDuration::ZERO, |route| {
+        route.metrics().transfer_time(bytes)
+    })
 }

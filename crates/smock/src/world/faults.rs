@@ -1,7 +1,6 @@
 //! Injected faults: host crashes and restarts, link state and loss
 //! windows, applied directly or fired from an installed [`FaultPlan`].
 
-use super::transport::refresh_routes;
 use super::{dispatch, invoke, lease, Event, State, World};
 use crate::component::InstanceId;
 use crate::fault::{DetectionMode, FailReport, LivenessEvent, LivenessKind};
@@ -84,7 +83,6 @@ impl World {
     /// the network epoch, invalidating route tables and plan caches.
     pub fn quarantine_node(&mut self, node: NodeId) {
         self.state.net.set_node_up(node, false);
-        refresh_routes(&mut self.state);
     }
 
     /// Takes a link down or brings it back up. Unlike a host crash this
@@ -220,7 +218,6 @@ fn restart(engine: &mut Engine<Event>, state: &mut State, node: NodeId) {
     // an unconditional epoch event.
     state.net.set_node_up(node, true);
     state.net.touch();
-    refresh_routes(state);
     state.lease.down_pending.remove(&node.0);
     let (now, fields) = (engine.now(), vec![("node", node.0.into())]);
     engine
@@ -237,7 +234,6 @@ fn set_link_state(engine: &mut Engine<Event>, state: &mut State, link: LinkId, u
         return;
     }
     state.net.set_link_up(link, up);
-    refresh_routes(state);
     let kind = if up {
         LivenessKind::LinkUp { link }
     } else {

@@ -45,7 +45,7 @@ impl World {
         let slot = &mut self.state.instances[old.0 as usize];
         slot.forward = Some(new);
         // Retired without a stamp of its own: the instantiation above
-        // redrew the live-set stamp for the whole move.
+        // advanced the live-set stamp for the whole move.
         slot.retired = true;
         // Every consumer wired to the old instance now talks to the new
         // one directly (the forward covers messages already in flight).

@@ -11,7 +11,8 @@
 //! concern owns its part of the state, its handlers and its share of
 //! [`World`]'s methods in a module of its own:
 //!
-//! * `transport` — envelopes, hop-by-hop delivery, forwarding, routes;
+//! * `transport` — envelopes, hop-by-hop delivery, forwarding, routes
+//!   and the world's serving memo;
 //! * `invoke` — outstanding requests, timeouts and retry;
 //! * `lease` — lease expiry, crash detection, renewal traffic;
 //! * `faults` — crashes, restarts, link state, loss windows;
@@ -28,11 +29,11 @@ mod transport;
 use crate::component::{Action, ComponentLogic, InstanceId, InstanceInfo, Outbox};
 use crate::fault::LivenessEvent;
 use ps_net::{Network, NodeId};
+use ps_planner::HierMemo;
 use ps_sim::{CpuModel, Engine, FaultKind, Percentiles, SimTime, Summary};
 use ps_spec::{Behavior, ResolvedBindings, ServiceSpec};
 use ps_trace::Tracer;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use transport::{Envelope, Kind};
 
@@ -75,14 +76,6 @@ struct InstanceSlot {
     deployed_under: Option<Arc<ServiceSpec>>,
 }
 
-/// Live-set stamps, drawn from one counter for every world in the
-/// process, so two worlds never share one.
-static LIVE_STAMPS: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_stamp() -> u64 {
-    LIVE_STAMPS.fetch_add(1, Ordering::Relaxed)
-}
-
 /// Mutable world state (separated from the engine so event handlers can
 /// borrow both): what every concern reads, then one struct per concern.
 struct State {
@@ -93,13 +86,17 @@ struct State {
     /// Detected-but-undrained liveness events (lease expiries, restarts,
     /// link transitions).
     liveness: Vec<LivenessEvent>,
+    /// The serving memo over `net`: the one route table of every epoch
+    /// (message routes, transfer times, plans), the plan cache and the
+    /// hierarchical planner's shortlists ([`World::memo`]).
+    memo: HierMemo,
     transport: transport::Transport,
     invoke: invoke::Invoke,
     lease: lease::Leases,
     faults: faults::Faults,
     /// Aggregate time-series sampling (see [`World::enable_sampler`]).
     sampler: Option<sampler::SamplerState>,
-    /// Redrawn whenever an instance is created or retired (see
+    /// Advanced whenever an instance is created or retired (see
     /// [`World::live_stamp`]).
     live_stamp: u64,
 }
@@ -129,10 +126,11 @@ impl World {
                 instances: Vec::new(),
                 metrics: BTreeMap::new(),
                 liveness: Vec::new(),
+                memo: HierMemo::new(),
                 invoke: Default::default(),
                 lease: Default::default(),
                 sampler: None,
-                live_stamp: fresh_stamp(),
+                live_stamp: 0,
             },
         }
     }
@@ -197,7 +195,7 @@ impl World {
 
     /// Records the registered spec a deploy created `instance` under:
     /// only that registration's deploys attach to it from then on. The
-    /// deploy calls it right after the instantiation, whose fresh
+    /// deploy calls it right after the instantiation, whose new
     /// live-set stamp no one has read yet.
     pub(crate) fn set_deployed_under(&mut self, instance: InstanceId, spec: &Arc<ServiceSpec>) {
         self.state.instances[instance.0 as usize].deployed_under = Some(Arc::clone(spec));
@@ -269,9 +267,10 @@ impl World {
             .map(|s| &s.info)
     }
 
-    /// The live-set stamp: a value redrawn whenever an instance is
-    /// created or retired, and never shared with another world. Equal
-    /// stamps mean an unchanged set of live instances.
+    /// The live-set stamp: a counter advanced whenever an instance is
+    /// created or retired. Equal stamps mean an unchanged set of live
+    /// instances; the stamp keys the plan cache of this world's own
+    /// memo only, so no other world's stamps need to differ.
     pub(crate) fn live_stamp(&self) -> u64 {
         self.state.live_stamp
     }
@@ -348,11 +347,11 @@ impl World {
 }
 
 impl State {
-    /// Redraws the live-set stamp. Called where an instance is created
+    /// Advances the live-set stamp. Called where an instance is created
     /// ([`World::instantiate`], which a migration goes through) or
     /// retired ([`World::retire`], a crash).
     fn live_set_changed(&mut self) {
-        self.live_stamp = fresh_stamp();
+        self.live_stamp += 1;
     }
 
     /// Event dispatch: the one match over [`Event`], one concern's

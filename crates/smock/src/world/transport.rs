@@ -1,21 +1,25 @@
 //! Message transport: envelopes cross their route hop by hop, queue for
 //! the destination's CPU, and reach the handler, or are forwarded or
-//! dropped at a retired instance.
+//! dropped at a retired instance. Routes are read off the world's
+//! serving memo, the one route table every connect, heal pass and
+//! message of an epoch shares.
 
 use super::{dispatch, faults, invoke, Event, State, World};
 use crate::component::{InstanceId, Payload, RequestHandle};
-use ps_net::{shortest_route, Credentials, LinkId, Network, NodeId, ScopedRoutes};
+use ps_net::{Credentials, LinkId, Network, NodeId, ScopedRoutes};
+use ps_planner::HierMemo;
 use ps_sim::{Engine, LinkModel, SimDuration};
 use ps_trace::Fields;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// `(link, direction)` per hop of a route; direction 0 = a->b, 1 = b->a.
 /// Shared between the memo and every envelope travelling the route.
 type Hops = Rc<[(LinkId, u8)]>;
 
 /// Directed hop sequence memo per (from, to) node pair, read off the
-/// world's route rows.
+/// memo's route rows.
 type RouteMemo = HashMap<(u32, u32), Option<Hops>>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,14 +44,11 @@ pub(super) struct Envelope {
 pub(super) struct Transport {
     /// Full-duplex links: one shaping queue per direction.
     pub(super) links: Vec<[LinkModel; 2]>,
-    /// Shortest-path rows per sending node, carried across every network
-    /// change that leaves them exact ([`refresh_routes`]).
-    routes: ScopedRoutes,
-    /// Dijkstra rows earlier epochs' `routes` ran.
-    route_rows_retired: usize,
-    /// Memoized directed hop sequences per (from, to) node pair; re-read
-    /// off `routes` after every network change.
+    /// Memoized directed hop sequences per (from, to) node pair of the
+    /// network epoch `route_epoch`; emptied on the first send of a later
+    /// epoch and re-read off the memo's rows.
     route_cache: RouteMemo,
+    route_epoch: u64,
     /// The empty route every same-node delivery shares.
     no_hops: Hops,
     messages_sent: u64,
@@ -67,9 +68,8 @@ impl Transport {
             .collect();
         Transport {
             links,
-            routes: ScopedRoutes::new(net),
-            route_rows_retired: 0,
             route_cache: HashMap::new(),
+            route_epoch: net.epoch(),
             no_hops: Rc::new([]),
             messages_sent: 0,
         }
@@ -77,23 +77,44 @@ impl Transport {
 }
 
 impl World {
-    /// Simulated time to move `bytes` from `from` to `to` over the
-    /// current shortest route ([`ps_net::RouteMetrics::transfer_time`]),
-    /// zero when local or unreachable. Runs its own Dijkstra: the
-    /// reference for one-off questions (migration) and for checking the
-    /// generic server's memoized answers, not for a serving path.
-    pub fn transfer_time(&self, from: NodeId, to: NodeId, bytes: u64) -> SimDuration {
-        shortest_route(&self.state.net, from, to).map_or(SimDuration::ZERO, |route| {
-            route.metrics().transfer_time(bytes)
-        })
+    /// The world's serving memo ([`HierMemo`]): its route rows answer
+    /// every route question of an epoch — message hops, transfer times,
+    /// plans and their revalidation — and it holds the plan cache and
+    /// the hierarchical planner's shortlists. One per world, so a server
+    /// that serves several worlds never answers one from another's.
+    pub(crate) fn memo(&self) -> &HierMemo {
+        &self.state.memo
     }
 
-    /// Dijkstra rows the world's message routing has run since it was
-    /// built: one per sending node per epoch whose changes the node's
-    /// row did not survive (deterministic, so tests pin it as a count).
+    /// The memo's route rows: each row answers for the network's
+    /// current epoch, carried across the changes since its last use when
+    /// they left it exact and re-run otherwise.
+    pub fn routes(&self) -> Arc<ScopedRoutes> {
+        self.state.memo.scoped_routes(&self.state.net)
+    }
+
+    /// Simulated time to move `bytes` from `from` to `to` over the
+    /// current shortest route ([`ps_net::RouteMetrics::transfer_time`]),
+    /// zero when local or unreachable, answered from the memo's rows:
+    /// `from`'s row is built on first use and serves every later
+    /// question of the epoch. [`crate::server::transfer_time`] is the
+    /// memo-free reference.
+    pub fn transfer_time(&self, from: NodeId, to: NodeId, bytes: u64) -> SimDuration {
+        self.routes()
+            .transfer_time(&self.state.net, from, to, bytes)
+    }
+
+    /// Dijkstra rows the memo has run since the world was built, for
+    /// every asker and every epoch (deterministic, so tests pin it as a
+    /// count: a warm connect must leave it unchanged).
     pub fn route_rows_built(&self) -> usize {
-        let transport = &self.state.transport;
-        transport.route_rows_retired + transport.routes.rows_built()
+        self.state.memo.route_rows_built()
+    }
+
+    /// Number of plans the memo's plan cache holds (test/diagnostic
+    /// aid).
+    pub fn cached_plan_count(&self) -> usize {
+        self.state.memo.cached_plans()
     }
 
     /// Total messages sent so far.
@@ -113,22 +134,18 @@ impl World {
             direction.latency = latency;
             direction.bandwidth_bps = bandwidth_bps;
         }
-        refresh_routes(&mut self.state);
     }
 
     /// Changes a link's credentials mid-run (e.g. a secure leased line
     /// cut over to the public internet).
     pub fn update_link_credentials(&mut self, link: LinkId, credentials: Credentials) {
         self.state.net.link_mut(link).credentials = credentials;
-        // Security credentials participate in the routing metric.
-        refresh_routes(&mut self.state);
     }
 
     /// Changes a node's credentials mid-run (e.g. a trust revocation the
     /// monitoring layer reports).
     pub fn update_node_credentials(&mut self, node: NodeId, credentials: Credentials) {
         self.state.net.node_mut(node).credentials = credentials;
-        refresh_routes(&mut self.state);
     }
 }
 
@@ -278,32 +295,21 @@ fn dropped(engine: &Engine<Event>, counter: &str, fields: Fields) {
     tracer.instant("smock.world", "drop", engine.now().as_nanos(), fields);
 }
 
-/// Moves the world's routes to the network's current epoch: the one
-/// step every network mutation ends with. Rows the change provably left
-/// exact are carried ([`ScopedRoutes::carried`]); the pair memo is
-/// re-read off them on next use.
-pub(super) fn refresh_routes(state: &mut State) {
-    let transport = &mut state.transport;
-    let stale = std::mem::replace(&mut transport.routes, ScopedRoutes::new(&state.net));
-    transport.route_rows_retired += stale.rows_built();
-    transport.routes = stale.carried(&state.net);
-    transport.route_cache.clear();
-}
-
 /// The directed hops of the shortest route from `from` to `to`, `None`
-/// when unreachable: one memo lookup, walking `from`'s route row on a
-/// miss. Message sends and lease-renewal charging both route here.
+/// when unreachable: one pair-memo lookup, walking `from`'s row of the
+/// world's memo on a miss. Message sends and lease-renewal charging both
+/// route here.
 pub(super) fn hops_between(state: &mut State, from: NodeId, to: NodeId) -> Option<Hops> {
-    let net = &state.net;
-    let Transport {
-        routes,
-        route_cache,
-        ..
-    } = &mut state.transport;
-    route_cache
+    let (net, memo, transport) = (&state.net, &state.memo, &mut state.transport);
+    if transport.route_epoch != net.epoch() {
+        transport.route_cache.clear();
+        transport.route_epoch = net.epoch();
+    }
+    transport
+        .route_cache
         .entry((from.0, to.0))
         .or_insert_with(|| {
-            routes.route(net, from, to).map(|route| {
+            memo.scoped_routes(net).route(net, from, to).map(|route| {
                 // Annotate each link with its traversal direction so
                 // each direction of a full-duplex link queues
                 // independently.
@@ -330,7 +336,85 @@ pub(super) fn hops_between(state: &mut State, from: NodeId, to: NodeId) -> Optio
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::{client_server, place, two_nodes, Echo, OneShot};
+    use super::super::World;
+    use super::hops_between;
+    use ps_net::{shortest_route, Credentials, LinkId, Network, NodeId};
+    use ps_sim::SimDuration;
     use ps_spec::Behavior;
+
+    /// Asserts the hops a send between every ordered pair of nodes takes
+    /// are `shortest_route`'s links on the world's network as it is now,
+    /// and returns the links from node 0 to node 3.
+    fn assert_sends_take_the_shortest_routes(world: &mut World, context: &str) -> Vec<LinkId> {
+        let nodes: Vec<NodeId> = world.network().node_ids().collect();
+        for &from in &nodes {
+            for &to in nodes.iter().filter(|&&to| to != from) {
+                let hops = hops_between(&mut world.state, from, to);
+                let links = hops.map(|hops| hops.iter().map(|&(l, _)| l).collect::<Vec<_>>());
+                let reference = shortest_route(world.network(), from, to).map(|r| r.links);
+                assert_eq!(links, reference, "{context}: {from} -> {to}");
+            }
+        }
+        shortest_route(world.network(), NodeId(0), NodeId(3)).map_or(Vec::new(), |r| r.links)
+    }
+
+    /// Routes are read lazily off the memo and the pair memo empties on
+    /// the first send of a new epoch: after every kind of network change
+    /// the world makes, each send takes the route a fresh Dijkstra finds
+    /// on the changed network, whatever it sent along before.
+    #[test]
+    fn every_network_change_reroutes_the_next_send() {
+        // a - b - d at 10 ms a hop, a - c - d at 15 ms a hop.
+        let mut net = Network::new();
+        let secure = || Credentials::new().with("Secure", true);
+        let [a, b, c, d] =
+            ["a", "b", "c", "d"].map(|n| net.add_node(n, n, 1.0, Credentials::new()));
+        let ms = SimDuration::from_millis;
+        let ab = net.add_link(a, b, ms(10), 1e8, secure());
+        let bd = net.add_link(b, d, ms(10), 1e8, secure());
+        let ac = net.add_link(a, c, ms(15), 1e8, secure());
+        let cd = net.add_link(c, d, ms(15), 1e8, secure());
+        let mut world = World::new(net);
+        let (via_b, via_c) = (vec![ab, bd], vec![ac, cd]);
+        assert_eq!(
+            assert_sends_take_the_shortest_routes(&mut world, "cold"),
+            via_b
+        );
+
+        type Change = fn(&mut World, [LinkId; 4]);
+        let changes: [(&str, Change, &Vec<LinkId>); 7] = [
+            ("quarantine b", |w, _| w.quarantine_node(NodeId(1)), &via_c),
+            ("restart b", |w, _| w.restart_node(NodeId(1)), &via_b),
+            (
+                "a-b down",
+                |w, [ab, ..]| w.set_link_state(ab, false),
+                &via_c,
+            ),
+            ("a-b up", |w, [ab, ..]| w.set_link_state(ab, true), &via_b),
+            (
+                "a-b slowed",
+                |w, [ab, ..]| w.update_link(ab, SimDuration::from_millis(40), 1e8),
+                &via_c,
+            ),
+            (
+                "c-d insecure",
+                |w, [.., cd]| w.update_link_credentials(cd, Credentials::new()),
+                &via_b,
+            ),
+            (
+                "b re-credentialed",
+                |w, _| w.update_node_credentials(NodeId(1), Credentials::new().with("x", 1i64)),
+                &via_b,
+            ),
+        ];
+        for (what, change, expected) in changes {
+            let epoch = world.network().epoch();
+            change(&mut world, [ab, bd, ac, cd]);
+            assert!(world.network().epoch() > epoch, "{what} moves the epoch");
+            let route = assert_sends_take_the_shortest_routes(&mut world, what);
+            assert_eq!(&route, expected, "{what}");
+        }
+    }
 
     #[test]
     fn request_response_round_trip_times_are_physical() {

@@ -1,14 +1,15 @@
 //! Deployment-engine and generic-server tests over a minimal service.
 
 use ps_net::{Credentials, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::{ExistingInstance, Plan, ServiceRequest};
+use ps_planner::{ExistingInstance, HierConfig, Plan, PlannerConfig, ServiceRequest};
 use ps_sim::SimDuration;
 use ps_smock::{
-    deploy, ComponentLogic, ConnectError, Connection, GenericServer, InstanceId, Outbox, Payload,
-    RequestHandle, ServiceRegistration, World,
+    deploy, server, ComponentLogic, ConnectError, Connection, GenericServer, InstanceId, Outbox,
+    Payload, RequestHandle, ServiceRegistration, World,
 };
 use ps_spec::prelude::*;
 use ps_spec::ResolvedBindings;
+use std::sync::Arc;
 
 struct Nop;
 impl ComponentLogic for Nop {
@@ -38,13 +39,19 @@ fn spec() -> ServiceSpec {
 }
 
 fn network() -> (Network, NodeId, NodeId) {
+    network_at(20)
+}
+
+/// The edge and the data centre, one 10 Mb/s link of `latency_ms`
+/// between them.
+fn network_at(latency_ms: u64) -> (Network, NodeId, NodeId) {
     let mut net = Network::new();
     let edge = net.add_node("edge", "e", 1.0, Credentials::new());
     let dc = net.add_node("dc", "d", 1.0, Credentials::new().with("Hosting", true));
     net.add_link(
         edge,
         dc,
-        SimDuration::from_millis(20),
+        SimDuration::from_millis(latency_ms),
         1e7,
         Credentials::new().with("Secure", true),
     );
@@ -170,14 +177,12 @@ fn lookup_finds_services_by_attribute() {
 fn blueprint_transfer_time_scales_with_code_size() {
     let (net, edge, dc) = network();
     let world = World::new(net);
-    let gs = server(dc);
-    let net = world.network();
-    let small = gs.transfer_time(net, dc, edge, 10_000);
-    let large = gs.transfer_time(net, dc, edge, 1_000_000);
+    let small = world.transfer_time(dc, edge, 10_000);
+    let large = world.transfer_time(dc, edge, 1_000_000);
     assert!(large > small);
-    assert_eq!(large, world.transfer_time(dc, edge, 1_000_000));
-    assert_eq!(gs.route_rows_built(), 1, "both questions read dc's row");
-    assert_eq!(gs.transfer_time(net, dc, dc, 1_000_000), SimDuration::ZERO);
+    assert_eq!(large, server::transfer_time(&world, dc, edge, 1_000_000));
+    assert_eq!(world.route_rows_built(), 1, "both questions read dc's row");
+    assert_eq!(world.transfer_time(dc, dc, 1_000_000), SimDuration::ZERO);
 }
 
 #[test]
@@ -248,7 +253,7 @@ fn plan_cache_hits_on_identical_reconnect() {
     assert_eq!(third.costs.plan_stats.plan_cache_hits, 1);
     assert_eq!(third.root, second.root);
     assert_eq!(third.deployment.created, 0);
-    assert!(gs.cached_plan_count() > 0);
+    assert!(world.cached_plan_count() > 0);
 }
 
 #[test]
@@ -300,7 +305,7 @@ fn reregistered_service_is_planned_against_its_new_spec() {
     let request = ServiceRequest::new("Api", edge).rate(1.0);
     gs.connect(&mut world, "svc", &request).unwrap();
     gs.connect(&mut world, "svc", &request).unwrap();
-    assert!(gs.cached_plan_count() > 0);
+    assert!(world.cached_plan_count() > 0);
     let mut standalone = spec();
     standalone.components.insert(
         "Front".into(),
@@ -369,7 +374,7 @@ fn planned_over_live_set(gs: &GenericServer, world: &World, request: &ServiceReq
         })
         .collect();
     let spec = &gs.lookup.by_name("svc").unwrap().spec;
-    gs.plan_uncached(world.network(), spec, &resolved).unwrap()
+    gs.plan_uncached(world, spec, &resolved).unwrap()
 }
 
 /// Connects, asserting the plan cache did not answer and the plan is
@@ -437,14 +442,16 @@ fn every_live_set_change_is_planned_against() {
 }
 
 /// One server serving two worlds with as many instances each, but not
-/// the same ones, hands neither world a plan cached for the other.
+/// the same ones, hands neither world a plan cached for the other: the
+/// second world plans against its own live set, and the first is still
+/// answered from its own cache.
 #[test]
 fn two_worlds_never_share_a_cached_plan() {
     let (net, edge, dc) = network();
     let gs = server(dc);
     let request = ServiceRequest::new("Api", edge).rate(1.0);
     let mut deployed = World::new(net.clone());
-    settle(&gs, &mut deployed, &request);
+    let settled = settle(&gs, &mut deployed, &request);
     // The same two components, installed by hand both on the data
     // centre node.
     let mut installed = World::new(net);
@@ -455,7 +462,124 @@ fn two_worlds_never_share_a_cached_plan() {
     }
     assert_eq!(deployed.instance_count(), installed.instance_count());
     assert_plans_against_live_set(&gs, &mut installed, &request, "installed");
-    assert_plans_against_live_set(&gs, &mut deployed, &request, "deployed");
+    let again = gs.connect(&mut deployed, "svc", &request).unwrap();
+    assert_eq!(again.costs.plan_stats.plan_cache_hits, 1);
+    assert!(Arc::ptr_eq(&again.plan, &settled.plan));
+}
+
+/// A server keeps no per-world state: after a connect on one world, a
+/// connect on a second world — same shape, same network epoch, its one
+/// link ten times slower — reports what a fresh server reports there,
+/// not the first world's route or plan.
+#[test]
+fn a_second_world_is_served_as_a_fresh_server_serves_it() {
+    let (fast, edge, dc) = network_at(20);
+    let (slow, _, _) = network_at(200);
+    assert_eq!(fast.epoch(), slow.epoch());
+    let request = ServiceRequest::new("Api", edge).rate(1.0);
+    let gs = server(dc);
+    gs.connect(&mut World::new(fast), "svc", &request).unwrap();
+    let shared = gs
+        .connect(&mut World::new(slow.clone()), "svc", &request)
+        .unwrap();
+    let fresh = server(dc)
+        .connect(&mut World::new(slow), "svc", &request)
+        .unwrap();
+    for conn in [&shared, &fresh] {
+        // 200 ms + 10 kB over 10 Mb/s.
+        assert_eq!(conn.costs.proxy_download_ms, 208.0);
+        assert!((conn.plan.expected_latency_ms - 402.048).abs() < 1e-9);
+    }
+    assert_eq!(shared.plan.placements, fresh.plan.placements);
+    assert_eq!(shared.ready_at, fresh.ready_at);
+}
+
+/// A client edge, a transit router with an off-corridor host one
+/// millisecond away, and a data centre, each its own region; `Tier`
+/// credentials 0, 1 and 2 on the edge, the transit host and the data
+/// centre.
+fn tiered_network() -> (Network, NodeId, NodeId, NodeId) {
+    let mut net = Network::new();
+    let tier = |t: i64| Credentials::new().with("Tier", t);
+    let edge = net.add_node("edge", "e", 1.0, tier(0));
+    let router = net.add_node("router", "t", 1.0, tier(0));
+    let transit = net.add_node("transit-host", "t", 1.0, tier(1));
+    let dc = net.add_node("dc", "d", 1.0, tier(2));
+    let secure = || Credentials::new().with("Secure", true);
+    for (a, b, ms) in [(edge, router, 10), (router, dc, 10), (router, transit, 1)] {
+        net.add_link(a, b, SimDuration::from_millis(ms), 1e8, secure());
+    }
+    (net, edge, transit, dc)
+}
+
+/// [`spec`]'s two components, `Front` installable on tier-0 hosts only
+/// and `Back` on hosts of at least `min_tier`.
+fn tiered_spec(min_tier: i64) -> ServiceSpec {
+    ServiceSpec::new("svc")
+        .property(Property::interval("Tier", 0, 2))
+        .interface(Interface::new("Api", Vec::<String>::new()))
+        .interface(Interface::new("Backend", Vec::<String>::new()))
+        .component(
+            Component::new("Front")
+                .implements(InterfaceRef::plain("Api"))
+                .requires(InterfaceRef::plain("Backend"))
+                .condition(Condition::at_most("Tier", 0)),
+        )
+        .component(
+            Component::new("Back")
+                .implements(InterfaceRef::plain("Backend"))
+                .condition(Condition::at_least("Tier", min_tier)),
+        )
+}
+
+/// A hierarchical-planning server for [`tiered_spec`]`(min_tier)`.
+fn tiered_server(home: NodeId, min_tier: i64) -> GenericServer {
+    let translator = MappingTranslator::new().node_mapping(Mapping::Copy {
+        credential: "Tier".into(),
+        property: "Tier".into(),
+        default: ps_spec::PropertyValue::Int(0),
+    });
+    let mut gs = GenericServer::new(home, Box::new(translator));
+    gs.planner_config = PlannerConfig {
+        hier: Some(HierConfig::default()),
+        ..PlannerConfig::default()
+    };
+    gs.registry.register("Front", |_| Box::new(Nop));
+    gs.registry.register("Back", |_| Box::new(Nop));
+    gs.register_service(ServiceRegistration::new(tiered_spec(min_tier)));
+    gs
+}
+
+/// Segment shortlists are kept per registration: once the service is
+/// re-registered with `Back` installable one tier lower, the transit
+/// host — off the edge↔data-centre corridor, so only its region's
+/// shortlist can bring it into the plan — now fits, and the next
+/// connect places `Back` there, as a fresh world and server do, instead
+/// of answering from the shortlist the old registration left.
+#[test]
+fn a_reregistration_that_widens_a_condition_replans_its_shortlists() {
+    let (net, edge, transit, dc) = tiered_network();
+    let request = ServiceRequest::new("Api", edge).origin(dc).rate(1.0);
+    let back = |conn: &Connection| {
+        let placed = conn.plan.placements.iter().find(|p| p.component == "Back");
+        placed.expect("a Back placement").node
+    };
+    let mut gs = tiered_server(dc, 2);
+    let mut world = World::new(net.clone());
+    let before = gs.connect(&mut world, "svc", &request).unwrap();
+    assert_eq!(back(&before), dc);
+
+    gs.register_service(ServiceRegistration::new(tiered_spec(1)));
+    let after = gs.connect(&mut world, "svc", &request).unwrap();
+    let fresh = tiered_server(dc, 1)
+        .connect(&mut World::new(net), "svc", &request)
+        .unwrap();
+    assert_eq!(back(&fresh), transit);
+    assert_eq!(
+        (&after.plan.graph, &after.plan.placements),
+        (&fresh.plan.graph, &fresh.plan.placements)
+    );
+    assert_eq!(after.plan.objective_value, fresh.plan.objective_value);
 }
 
 /// Instance churn on a quiet network must not grow the plan cache: plans
@@ -505,9 +629,9 @@ fn plan_cache_stays_bounded_under_instance_churn_at_one_epoch() {
             gs.connect(&mut world, "svc", &requests[live]).unwrap();
         }
         assert!(
-            gs.cached_plan_count() <= CLIENTS,
+            world.cached_plan_count() <= CLIENTS,
             "cycle {cycle}: {} cached plans for {CLIENTS} clients",
-            gs.cached_plan_count()
+            world.cached_plan_count()
         );
     }
     assert_eq!(world.network().epoch(), epoch, "the network never moved");

@@ -1,11 +1,11 @@
 //! Route rows carried across network changes are the rows a fresh
-//! Dijkstra run would build: after every `ScopedRoutes::carried`, every
-//! pair's `route` and `metrics` equal those of a table built from
-//! scratch on the same network — on tie-heavy random graphs (equal
-//! latencies, parallel links, single-link leaf hosts) and on a BRITE
-//! fabric, under random up/down flips, latency and credential edits and
-//! added links, with reads interleaved so carried tables hold a mix of
-//! carried and rebuilt rows.
+//! Dijkstra run would build: a `ScopedRoutes` row asked after any run of
+//! changes answers every pair's `route` and `metrics` as a table built
+//! from scratch on the same network does — on tie-heavy random graphs
+//! (equal latencies, parallel links, single-link leaf hosts) and on a
+//! BRITE fabric, under random up/down flips, latency and credential
+//! edits and added links, with reads interleaved so some rows are
+//! carried change by change and others across many at once.
 
 use partitionable_services::net::brite::{hierarchical, FlatParams, HierParams};
 use partitionable_services::net::{Credentials, LinkId, Network, NodeId, ScopedRoutes};
@@ -112,7 +112,7 @@ fn mutate(rng: &mut Rng, net: &mut Network) {
 /// Asserts `routes` answers `sources`' questions exactly as a fresh
 /// table on `net` does.
 fn assert_fresh(routes: &ScopedRoutes, net: &Network, sources: &[NodeId], context: &str) {
-    let fresh = ScopedRoutes::new(net);
+    let fresh = ScopedRoutes::new();
     for &from in sources {
         for to in net.node_ids() {
             assert_eq!(
@@ -129,38 +129,39 @@ fn assert_fresh(routes: &ScopedRoutes, net: &Network, sources: &[NodeId], contex
     }
 }
 
-/// Runs `steps` batches of 1–3 changes over `net`, carrying the table
-/// after each batch (and sometimes after each change) and checking it
-/// against a fresh one — every source half the time, a few the rest.
-/// Returns (rows checked after a full-table carry, rows among them that
-/// were carried rather than rebuilt).
+/// Runs `steps` batches of 1–3 changes over `net`, sometimes reading a
+/// source's row after a single change, and checks the table against a
+/// fresh one after each batch — every source half the time, a few the
+/// rest. Returns (rows checked when every row was read at the previous
+/// check, rows among them that were carried rather than rebuilt).
 fn carry_and_check(rng: &mut Rng, mut net: Network, steps: usize, context: &str) -> (usize, usize) {
     let all: Vec<NodeId> = net.node_ids().collect();
-    let mut routes = ScopedRoutes::new(&net);
+    let routes = ScopedRoutes::new();
     assert_fresh(&routes, &net, &all, context);
     let mut full = true;
     let (mut checked, mut carried) = (0, 0);
+    let random_node =
+        |rng: &mut Rng, net: &Network| NodeId(rng.next_below(net.node_count() as u64) as u32);
     for step in 0..steps {
         for _ in 0..1 + rng.next_below(3) {
             mutate(rng, &mut net);
             if rng.next_below(4) == 0 {
-                routes = routes.carried(&net);
+                let (from, to) = (random_node(rng, &net), random_node(rng, &net));
+                routes.route(&net, from, to);
             }
         }
-        routes = routes.carried(&net);
         let context = format!("{context} step {step}");
+        let rows_before = routes.rows_built();
         if rng.next_below(2) == 0 {
             let sources: Vec<NodeId> = net.node_ids().collect();
             assert_fresh(&routes, &net, &sources, &context);
             if full {
                 checked += sources.len();
-                carried += sources.len() - routes.rows_built();
+                carried += sources.len() - (routes.rows_built() - rows_before);
             }
             full = true;
         } else {
-            let sources: Vec<NodeId> = (0..3)
-                .map(|_| NodeId(rng.next_below(net.node_count() as u64) as u32))
-                .collect();
+            let sources: Vec<NodeId> = (0..3).map(|_| random_node(rng, &net)).collect();
             assert_fresh(&routes, &net, &sources, &context);
             full = false;
         }
@@ -197,43 +198,37 @@ fn carried_rows_equal_fresh_rows_on_a_brite_fabric() {
     assert!(carried * 2 > checked, "{carried} of {checked} rows carried");
 }
 
-/// A table whose epoch the network's journal no longer reaches, or one
-/// from before a node was added, carries nothing: every row it answers
-/// afterwards is a new Dijkstra run.
+/// A row last exact at an epoch the network's journal no longer
+/// reaches, or at one from before a node was added, carries nothing:
+/// asked again, it is a new Dijkstra run.
 #[test]
 fn a_change_the_journal_cannot_name_carries_nothing() {
     let mut rng = Rng::seed_from_u64(7).derive("route-carry-overflow");
     let mut net = tie_heavy(&mut rng);
     let sources: Vec<NodeId> = net.node_ids().take(4).collect();
-    let warm = |net: &Network| {
-        let routes = ScopedRoutes::new(net);
-        assert_fresh(&routes, net, &sources, "warm-up");
-        assert_eq!(routes.rows_built(), sources.len());
-        routes
+    let routes = ScopedRoutes::new();
+    // The Dijkstra rows `assert_fresh` makes the table run.
+    let runs = |net: &Network, context: &str| {
+        let before = routes.rows_built();
+        assert_fresh(&routes, net, &sources, context);
+        routes.rows_built() - before
     };
+    assert_eq!(runs(&net, "warm-up"), sources.len());
 
     // A few bare bumps: every row carries, no Dijkstra runs.
-    let routes = warm(&net);
     for _ in 0..3 {
         net.touch();
     }
-    let routes = routes.carried(&net);
-    assert_fresh(&routes, &net, &sources, "after three bumps");
-    assert_eq!(routes.rows_built(), 0);
+    assert_eq!(runs(&net, "after three bumps"), 0);
 
-    // Far more bumps than the journal holds: an empty table.
+    // Far more bumps than the journal holds: every row is re-run.
     for _ in 0..1000 {
         net.touch();
     }
-    let routes = routes.carried(&net);
-    assert_fresh(&routes, &net, &sources, "after an overflow");
-    assert_eq!(routes.rows_built(), sources.len());
+    assert_eq!(runs(&net, "after an overflow"), sources.len());
 
-    // A node added: an empty table of the new size.
-    let routes = warm(&net);
+    // A node added: every row is re-run, at the new size.
     let host = net.add_node("late", "s", 1.0, Credentials::new());
     random_link(&mut rng, &mut net, sources[0], host);
-    let routes = routes.carried(&net);
-    assert_fresh(&routes, &net, &sources, "after an added node");
-    assert_eq!(routes.rows_built(), sources.len());
+    assert_eq!(runs(&net, "after an added node"), sources.len());
 }
