@@ -62,7 +62,6 @@ pub fn fig3(_: &Args) -> Result<Artifact, String> {
         max_repeats: 1,
         max_depth: 8,
         max_graphs: 10_000,
-        ..LinkageLimits::default()
     };
     let graphs = enumerate_linkages(&spec, "ClientInterface", &limits);
     for g in &graphs {

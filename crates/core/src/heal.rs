@@ -13,13 +13,12 @@
 
 use crate::Framework;
 use ps_monitor::{
-    affected_edges, plan_delta, FreshOptimum, NetworkChange, NetworkMonitor, ReplanDecision,
-    Replanner,
+    affected_edges, plan_delta, NetworkChange, NetworkMonitor, ReplanDecision, Replanner,
 };
 use ps_net::{NodeId, PartitionView};
-use ps_planner::{Planner, ServiceRequest};
+use ps_planner::{Mapper, Planner, ServiceRequest};
 use ps_sim::{SimDuration, SimTime};
-use ps_smock::{ConnectError, Connection, FailReport, InstanceId, LivenessEvent, LivenessKind};
+use ps_smock::{ConnectError, Connection, InstanceId, LivenessEvent, LivenessKind};
 use ps_spec::ServiceSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -299,16 +298,6 @@ impl Framework {
     pub fn managed_connection(&self, id: ManagedId) -> Option<&Connection> {
         let m = self.healer.as_ref()?.managed.get(id)?;
         (!m.abandoned).then_some(&m.connection)
-    }
-
-    /// Fails a node through the world *and* purges its lookup-service
-    /// registrations, returning the completed [`FailReport`] (the
-    /// world alone cannot fill `lookup_purged` — it does not own the
-    /// lookup service).
-    pub fn fail_node(&mut self, node: NodeId) -> FailReport {
-        let mut report = self.world.fail_node(node);
-        report.lookup_purged = self.server.lookup.purge_node(node);
-        report
     }
 
     /// One pass of the self-healing loop:
@@ -656,29 +645,26 @@ impl Framework {
     /// request as the [`Replanner`] prices it, without the world's live
     /// instances, so it is not the plan a connect of that request
     /// deploys. The old plan is revalidated on the memo's rows too.
-    /// `None` when the service's registration disappeared (e.g. purged
-    /// with its crashed home).
+    /// `None` when the lookup service holds no registration of the
+    /// connection's service.
     fn consult_replanner(&self, report: &mut HealReport, m: &Managed) -> Option<ReplanDecision> {
         let spec = self.server.lookup.by_name(&m.service)?.spec.clone();
         let net = self.world.network();
         let routes = self.world.routes();
         let rows_before = routes.rows_built();
-        let fresh = FreshOptimum {
-            plan: self.server.plan_uncached(&self.world, &spec, &m.request),
-            routes: Arc::clone(&routes),
-        };
+        let fresh = self.server.plan_uncached(&self.world, &spec, &m.request);
         let planner = Planner::with_config(spec, self.server.planner_config.clone());
         let mut replanner = Replanner::new(planner);
         replanner.set_tracer(self.server.tracer().clone());
-        let translator = self.server.translator.as_ref();
-        let decision = replanner.decide(
-            report.at,
+        let mapper = Mapper::new(
+            &replanner.planner.spec,
             net,
-            translator,
+            self.server.translator.as_ref(),
             &m.request,
-            &m.connection.plan,
-            fresh,
+            replanner.planner.config.objective,
+            Arc::clone(&routes),
         );
+        let decision = replanner.decide(report.at, &mapper, &m.connection.plan, fresh);
         report.route_rows_built += (routes.rows_built() - rows_before) as u64;
         Some(decision)
     }

@@ -374,17 +374,6 @@ pub enum ReplanDecision {
     Infeasible(PlanError),
 }
 
-/// A fresh optimum for a request and the routes it was priced on. The
-/// old plan is revalidated on the same routes, so both sides of the
-/// comparison read one network.
-#[derive(Debug)]
-pub struct FreshOptimum {
-    /// The optimum, or why there is none.
-    pub plan: Result<Plan, PlanError>,
-    /// The routes the optimum was priced on.
-    pub routes: Arc<ScopedRoutes>,
-}
-
 /// A still-valid plan is replaced when its current objective exceeds the
 /// fresh optimum by more than this factor.
 const DEGRADATION_FACTOR: f64 = 1.25;
@@ -422,42 +411,45 @@ impl Replanner {
         request: &ServiceRequest,
         old: &Plan,
     ) -> ReplanDecision {
-        let fresh = FreshOptimum {
-            plan: self.planner.plan(net, translator, request),
-            routes: Arc::new(ScopedRoutes::new()),
-        };
-        self.decide(now, net, translator, request, old, fresh)
-    }
-
-    /// The decision given the `fresh` optimum for `request` on `net`:
-    /// `old` is revalidated on `fresh.routes` (current for `net`) and
-    /// kept while valid and within 1.25 times the optimum. The healer
-    /// supplies an optimum priced on the serving path that would
-    /// redeploy the connection, with the serving memo's rows, so its
-    /// consult runs no Dijkstra of its own. With a tracer
-    /// installed, the decision is stamped as a `replan` instant at `now`
-    /// and counted as `replan.keep` / `replan.redeploy` /
-    /// `replan.infeasible`.
-    pub fn decide<T: PropertyTranslator + ?Sized>(
-        &self,
-        now: SimTime,
-        net: &Network,
-        translator: &T,
-        request: &ServiceRequest,
-        old: &Plan,
-        fresh: FreshOptimum,
-    ) -> ReplanDecision {
         let mapper = Mapper::new(
             &self.planner.spec,
             net,
             translator,
             request,
             self.planner.config.objective,
-            fresh.routes,
+            Arc::new(ScopedRoutes::new()),
         );
+        self.decide(
+            now,
+            &mapper,
+            old,
+            self.planner.plan(net, translator, request),
+        )
+    }
+
+    /// The decision given the `fresh` optimum for `old`'s request: `old`
+    /// is revalidated with `mapper`, which must be built over this
+    /// replanner's spec and objective for that request, on the network
+    /// and routes the optimum was priced on, so both sides of the
+    /// comparison read one network. `old` is kept while valid and within
+    /// 1.25 times the optimum. The healer supplies an optimum priced on
+    /// the serving path that would redeploy the connection, with a
+    /// mapper on the serving memo's rows, so its consult runs no
+    /// Dijkstra of its own. With a tracer installed, the decision is
+    /// stamped as a `replan` instant at `now` and counted as
+    /// `replan.keep` / `replan.redeploy` / `replan.infeasible`.
+    pub fn decide(
+        &self,
+        now: SimTime,
+        mapper: &Mapper<'_>,
+        old: &Plan,
+        fresh: Result<Plan, PlanError>,
+    ) -> ReplanDecision {
+        debug_assert!(std::ptr::eq(mapper.spec, &*self.planner.spec));
+        debug_assert_eq!(mapper.objective, self.planner.config.objective);
         let assignment: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
         let still_valid = mapper.evaluate(&old.graph, &assignment);
-        let decision = match (still_valid, fresh.plan) {
+        let decision = match (still_valid, fresh) {
             (Some(current), Ok(better))
                 if current.objective_value <= better.objective_value * DEGRADATION_FACTOR =>
             {

@@ -71,7 +71,7 @@
 //! the [`Mapper`]'s evaluator.
 
 use crate::linkage::LinkageGraph;
-use crate::mapping::{Evaluation, Mapper, STARTUP_COST_MS};
+use crate::mapping::{Evaluation, Mapper, LATENCY_TIE_BREAK, STARTUP_COST_MS};
 use crate::memo::{CandidateSet, FlowOutcome, Identity, Verdict};
 use crate::plan::{Objective, PlanStats};
 use ps_net::NodeId;
@@ -152,7 +152,7 @@ pub fn search(
 /// twelve digits of slack are ~10⁴ times that rounding, so the bound of
 /// a mapping can never be lifted past its own objective and cut a tie,
 /// and ~10⁵ times smaller than the closest objectives the planner tells
-/// apart (`MinLatency`'s `1e-9 · cost` tie-break).
+/// apart (`MinLatency`'s [`LATENCY_TIE_BREAK`] `· cost`).
 const CHAIN_MARGIN: f64 = 1.0 - 1e-12;
 
 fn latency_part(objective: Objective) -> f64 {
@@ -163,14 +163,13 @@ fn latency_part(objective: Objective) -> f64 {
     }
 }
 
-/// Weight of the deployment-cost term in the objective. `1e-9` is
-/// MinLatency's deterministic tie-break coefficient — it must match the
-/// evaluator's ([`Mapper::evaluate`]) so the accumulated partial at a
-/// complete assignment equals the full objective when no preexisting
-/// factor mismatch occurs.
+/// Weight of the deployment-cost term in the objective, as the
+/// evaluator weighs it ([`LATENCY_TIE_BREAK`] under `MinLatency`), so
+/// the accumulated partial at a complete assignment equals the full
+/// objective when no preexisting factor mismatch occurs.
 fn cost_part(objective: Objective) -> f64 {
     match objective {
-        Objective::MinLatency => 1e-9,
+        Objective::MinLatency => LATENCY_TIE_BREAK,
         Objective::MinCost => 1.0,
         Objective::MaxCapacity => 0.0,
         Objective::Weighted { cost_weight, .. } => cost_weight,
@@ -1056,7 +1055,6 @@ mod tests {
             max_repeats: 1,
             max_depth: 6,
             max_graphs: 64,
-            ..LinkageLimits::default()
         };
         let translator = translator();
         let (mut paths, mut exact, mut penalised, mut mismatched) = (0, 0, 0, 0);

@@ -26,12 +26,6 @@ pub struct LinkageLimits {
     pub max_depth: usize,
     /// Maximum number of graphs to produce (guards combinatorial specs).
     pub max_graphs: usize,
-    /// Also emit variants in which a data view with requirements appears
-    /// *without* its upstream subtree — the degraded-mode chains of
-    /// Section 5.2, where a partition-side view serves from its local
-    /// state while the represented component is unreachable. Off by
-    /// default; the planner turns it on for degraded-mode requests.
-    pub allow_detached_data_views: bool,
 }
 
 impl Default for LinkageLimits {
@@ -40,7 +34,6 @@ impl Default for LinkageLimits {
             max_repeats: 2,
             max_depth: 8,
             max_graphs: 4096,
-            allow_detached_data_views: false,
         }
     }
 }
@@ -176,6 +169,21 @@ pub fn enumerate_linkages_multi(
     interfaces: &[String],
     limits: &LinkageLimits,
 ) -> Vec<LinkageGraph> {
+    enumerate_for(spec, interfaces, limits, false)
+}
+
+/// [`enumerate_linkages_multi`] for a request that may be `degraded`:
+/// such a request also gets the variants in which a data view with
+/// requirements appears *without* its upstream subtree — the
+/// degraded-mode chains of Section 5.2, where a partition-side view
+/// serves from its local state while the represented component is
+/// unreachable.
+pub(crate) fn enumerate_for(
+    spec: &ServiceSpec,
+    interfaces: &[String],
+    limits: &LinkageLimits,
+    degraded: bool,
+) -> Vec<LinkageGraph> {
     let mut graphs = Vec::new();
     let Some(first) = interfaces.first() else {
         return graphs;
@@ -190,6 +198,7 @@ pub fn enumerate_linkages_multi(
         let mut ctx = Ctx {
             spec,
             limits,
+            degraded,
             interface,
             path: Vec::new(),
             nodes: Vec::new(),
@@ -209,6 +218,8 @@ pub fn enumerate_linkages_multi(
 struct Ctx<'a> {
     spec: &'a ServiceSpec,
     limits: &'a LinkageLimits,
+    /// Whether a data view may terminate a chain (a degraded request).
+    degraded: bool,
     interface: &'a str,
     /// Component names on the current root-to-leaf path.
     path: Vec<String>,
@@ -252,7 +263,7 @@ impl Ctx<'_> {
 
         let requires: Vec<String> = decl.requires.iter().map(|r| r.interface.clone()).collect();
         self.expand_requirements(&requires, 0, my_index, depth, done);
-        if self.limits.allow_detached_data_views && decl.is_data_view() && !requires.is_empty() {
+        if self.degraded && decl.is_data_view() && !requires.is_empty() {
             // Degraded-mode variant: the data view terminates the chain,
             // serving detached from whatever state it holds. Emitted
             // after the fully-linked expansions so graph order (and the
@@ -349,7 +360,6 @@ mod tests {
             max_repeats: 1,
             max_depth: 6,
             max_graphs: 1000,
-            ..LinkageLimits::default()
         };
         let graphs = enumerate_linkages(&spec, "ClientInterface", &limits);
         let rendered: Vec<String> = graphs.iter().map(|g| g.to_string()).collect();
@@ -380,7 +390,6 @@ mod tests {
                 max_repeats: 1,
                 max_depth: 8,
                 max_graphs: 10_000,
-                ..LinkageLimits::default()
             },
         );
         let two = enumerate_linkages(
@@ -390,7 +399,6 @@ mod tests {
                 max_repeats: 2,
                 max_depth: 10,
                 max_graphs: 10_000,
-                ..LinkageLimits::default()
             },
         );
         assert!(two.len() > one.len());
@@ -435,7 +443,6 @@ mod tests {
                 max_repeats: 3,
                 max_depth: 12,
                 max_graphs: 5,
-                ..LinkageLimits::default()
             },
         );
         assert_eq!(graphs.len(), 5);
@@ -483,21 +490,15 @@ mod tests {
     }
 
     #[test]
-    fn detached_data_views_are_gated_by_the_limit() {
+    fn detached_data_views_are_gated_by_the_degraded_flag() {
         let spec = mail_shape();
         let default = enumerate_linkages(&spec, "ClientInterface", &LinkageLimits::default());
         let rendered: Vec<String> = default.iter().map(|g| g.to_string()).collect();
         // Without the flag, a data view never terminates a chain.
         assert!(!rendered.contains(&"ViewMailClient -> ViewMailServer".to_owned()));
 
-        let degraded = enumerate_linkages(
-            &spec,
-            "ClientInterface",
-            &LinkageLimits {
-                allow_detached_data_views: true,
-                ..LinkageLimits::default()
-            },
-        );
+        let interfaces = ["ClientInterface".to_owned()];
+        let degraded = enumerate_for(&spec, &interfaces, &LinkageLimits::default(), true);
         let rendered: Vec<String> = degraded.iter().map(|g| g.to_string()).collect();
         // With it, the degraded-mode chain appears: the data view serves
         // detached, with no upstream MailServer.

@@ -34,6 +34,12 @@ use std::sync::Arc;
 /// startup share is on the order of a second per component.
 pub const STARTUP_COST_MS: f64 = 500.0;
 
+/// Weight of the deployment-cost term in the `MinLatency` objective: it
+/// breaks latency ties toward reusing existing instances and cheaper
+/// deployments, deterministically. The evaluator and the search's cut
+/// ([`crate::exhaustive`]) both read it.
+pub(crate) const LATENCY_TIE_BREAK: f64 = 1e-9;
+
 /// Objective penalty per placement on an avoided host
 /// ([`ServiceRequest::avoided`](crate::ServiceRequest)). Large enough to
 /// dominate any realistic latency/cost term, so an avoided host is
@@ -70,16 +76,6 @@ pub struct Evaluation {
     /// Plan edges (graph order, one per non-root node).
     pub edges: Vec<PlanEdge>,
 }
-
-/// Search-descent artifacts handed back to the evaluator: the per-node
-/// effective provided properties and resolved factors filled in during
-/// the search's bottom-up descent, plus the graph's rate plan the
-/// search computed once up front.
-type DescentArtifacts<'d> = (
-    &'d [Option<Rc<ResolvedBindings>>],
-    &'d [Option<Rc<ResolvedBindings>>],
-    &'d RatePlan,
-);
 
 /// One lazily translated environment of a [`Mapper`], by index into the
 /// network's node or link list.
@@ -344,22 +340,10 @@ impl<'a> Mapper<'a> {
 
     /// Computes the effective provided properties of graph node `idx`
     /// placed on `node`, given each child's effective provided map, and
-    /// checks condition 2 on every child edge. `None` means infeasible.
-    pub fn flow_at(
-        &self,
-        graph: &LinkageGraph,
-        idx: usize,
-        node: NodeId,
-        assignment: &[Option<NodeId>],
-        provided: &[Option<Rc<ResolvedBindings>>],
-    ) -> Option<ResolvedBindings> {
-        self.flow_and_factors_at(graph, idx, node, assignment, provided)
-            .map(|(flowed, _)| flowed)
-    }
-
-    /// [`flow_at`](Self::flow_at), additionally returning the resolved
-    /// factors of the placement — the search stashes them so the final
-    /// evaluation does not have to re-run configuration.
+    /// checks condition 2 on every child edge; also returns the resolved
+    /// factors of the placement, which the search stashes so the final
+    /// evaluation does not have to re-run configuration. `None` means
+    /// infeasible.
     pub fn flow_and_factors_at(
         &self,
         graph: &LinkageGraph,
@@ -396,21 +380,37 @@ impl<'a> Mapper<'a> {
     }
 
     /// Full evaluation of a complete assignment: all three conditions plus
-    /// the objective. `None` means the mapping is infeasible.
+    /// the objective. `None` means the mapping is infeasible. Checks
+    /// condition 1 on every placement, runs the bottom-up property flow
+    /// the search's descent runs, and hands both to the one evaluator
+    /// body, [`evaluate_reusing_flow`](Self::evaluate_reusing_flow).
     pub fn evaluate(&self, graph: &LinkageGraph, assignment: &[NodeId]) -> Option<Evaluation> {
-        self.evaluate_inner(graph, assignment, None)
+        for (tree_node, &node) in graph.nodes.iter().zip(assignment) {
+            if !self.component_fits(self.spec.get_component(&tree_node.component)?, node) {
+                return None;
+            }
+        }
+        let placed: Vec<Option<NodeId>> = assignment.iter().copied().map(Some).collect();
+        let mut provided = vec![None; graph.len()];
+        let mut factors = vec![None; graph.len()];
+        for idx in graph.bottom_up_order() {
+            let (flowed, resolved) =
+                self.flow_and_factors_at(graph, idx, assignment[idx], &placed, &provided)?;
+            provided[idx] = Some(Rc::new(flowed));
+            factors[idx] = Some(Rc::new(resolved));
+        }
+        self.evaluate_reusing_flow(graph, assignment, &provided, &factors, &self.rates(graph))
     }
 
-    /// Like [`evaluate`](Self::evaluate), but reuses what a search
-    /// already computed during its descent: the per-node effective
-    /// provided properties and resolved factors (one
-    /// [`Mapper::flow_and_factors_at`] call per node) and the graph's
-    /// [`RatePlan`] (from [`Mapper::rates`]), instead of re-running
-    /// configuration, the bottom-up property flow, and rate propagation.
-    /// The caller must have produced `provided`/`factors` by exactly
-    /// that flow for exactly this assignment, with every assigned node
-    /// drawn from [`Mapper::candidates`] (which enforces condition 1);
-    /// results are then identical to [`evaluate`](Self::evaluate).
+    /// The evaluator body: conditions 2 and 3 and the objective of a
+    /// complete assignment, given what a search already computed during
+    /// its descent: the per-node effective provided properties and
+    /// resolved factors (one [`Mapper::flow_and_factors_at`] call per
+    /// node) and the graph's [`RatePlan`] (from [`Mapper::rates`]). The
+    /// caller must have produced `provided`/`factors` by exactly that
+    /// flow for exactly this assignment, with every assigned node drawn
+    /// from [`Mapper::candidates`] (which enforces condition 1), as
+    /// [`evaluate`](Self::evaluate) does.
     pub fn evaluate_reusing_flow(
         &self,
         graph: &LinkageGraph,
@@ -419,64 +419,24 @@ impl<'a> Mapper<'a> {
         factors: &[Option<Rc<ResolvedBindings>>],
         rates: &RatePlan,
     ) -> Option<Evaluation> {
-        self.evaluate_inner(graph, assignment, Some((provided, factors, rates)))
-    }
-
-    fn evaluate_inner(
-        &self,
-        graph: &LinkageGraph,
-        assignment: &[NodeId],
-        precomputed: Option<DescentArtifacts<'_>>,
-    ) -> Option<Evaluation> {
         let n = graph.len();
         debug_assert_eq!(assignment.len(), n);
-        // The rate plan depends only on the graph, not the assignment —
-        // the search computes it once per graph and hands it back here.
-        let computed_rates;
-        let rates: &RatePlan = match precomputed {
-            Some((_, _, shared)) => {
-                debug_assert_eq!(shared.node_rate.len(), n);
-                shared
-            }
-            None => {
-                computed_rates = propagate_rates(self.spec, graph, self.request.rate.max(1.0));
-                &computed_rates
-            }
+        debug_assert_eq!(rates.node_rate.len(), n);
+        debug_assert!((0..n).all(|idx| {
+            let decl = self.spec.get_component(&graph.nodes[idx].component);
+            decl.is_some_and(|d| self.component_fits(d, assignment[idx]))
+        }));
+        // Every placement's flow ran before evaluating; `?` degrades a
+        // violated invariant to "infeasible" instead of panicking
+        // mid-plan (ps-lint P001).
+        let unshare = |artifacts: &[Option<Rc<ResolvedBindings>>]| {
+            debug_assert_eq!(artifacts.len(), n);
+            artifacts
+                .iter()
+                .map(|a| a.as_ref().map(|r| (**r).clone()))
+                .collect::<Option<Vec<_>>>()
         };
-
-        // Condition 1 + factors — reuses the factors the search resolved
-        // per placement during its descent when available (candidate sets
-        // guarantee condition 1 holds for every assigned node).
-        let factors: Vec<ResolvedBindings> = match precomputed {
-            Some((_, stash, _)) => {
-                debug_assert_eq!(stash.len(), n);
-                debug_assert!((0..n).all(|idx| {
-                    let decl = self.spec.get_component(&graph.nodes[idx].component);
-                    decl.is_some_and(|d| self.component_fits(d, assignment[idx]))
-                }));
-                // The search stashes factors for every placement before
-                // evaluating; `?` degrades a violated invariant to
-                // "infeasible" instead of panicking mid-plan (ps-lint
-                // P001).
-                stash
-                    .iter()
-                    .map(|f| f.as_ref().map(|r| (**r).clone()))
-                    .collect::<Option<Vec<_>>>()?
-            }
-            None => {
-                let mut computed = Vec::with_capacity(n);
-                for (idx, tree_node) in graph.nodes.iter().enumerate() {
-                    let decl = self.spec.get_component(&tree_node.component)?;
-                    let node = assignment[idx];
-                    if !self.component_fits(decl, node) {
-                        return None;
-                    }
-                    let config = decl.configure(self.node_env(node)).ok()?;
-                    computed.push(config.factors);
-                }
-                computed
-            }
-        };
+        let factors = unshare(factors)?;
 
         // Instance-identity rules. (a) Two graph nodes mapped onto the
         // same (component, node) would deploy as a single instance linked
@@ -526,30 +486,8 @@ impl<'a> Mapper<'a> {
             }
         }
 
-        // Condition 2 via bottom-up property flow — reused from the
-        // search's descent when it already ran the identical flow.
-        let provided: Vec<ResolvedBindings> = match precomputed.map(|(flow, _, _)| flow) {
-            Some(flow) => {
-                debug_assert_eq!(flow.len(), n);
-                flow.iter()
-                    .map(|p| p.as_ref().map(|r| (**r).clone()))
-                    .collect::<Option<Vec<_>>>()?
-            }
-            None => {
-                let opt_assignment: Vec<Option<NodeId>> =
-                    assignment.iter().copied().map(Some).collect();
-                let mut provided: Vec<Option<Rc<ResolvedBindings>>> = vec![None; n];
-                for idx in graph.bottom_up_order() {
-                    let flowed =
-                        self.flow_at(graph, idx, assignment[idx], &opt_assignment, &provided)?;
-                    provided[idx] = Some(Rc::new(flowed));
-                }
-                provided
-                    .into_iter()
-                    .map(|p| p.map(|r| (*r).clone()))
-                    .collect::<Option<Vec<_>>>()?
-            }
-        };
+        // Condition 2 held along the descent's property flow.
+        let provided = unshare(provided)?;
 
         // The client's own requirements on the requested interface are a
         // linkage like any other: the root's provided properties degrade
@@ -679,9 +617,7 @@ impl<'a> Mapper<'a> {
         }
 
         let objective_value = match self.objective {
-            // The tiny cost term breaks latency ties toward reusing
-            // existing instances / cheaper deployments, deterministically.
-            Objective::MinLatency => latency_ms + 1e-9 * cost_ms,
+            Objective::MinLatency => latency_ms + LATENCY_TIE_BREAK * cost_ms,
             Objective::MinCost => cost_ms,
             Objective::MaxCapacity => -sustainable,
             Objective::Weighted {

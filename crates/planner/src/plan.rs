@@ -95,11 +95,6 @@ impl ServiceRequest {
         self
     }
 
-    /// The primary requested interface.
-    pub fn interface(&self) -> &str {
-        self.interfaces.first().map(String::as_str).unwrap_or("")
-    }
-
     /// Adds request-scoped context.
     pub fn env(mut self, env: Environment) -> Self {
         self.request_env = env;

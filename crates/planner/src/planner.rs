@@ -3,7 +3,7 @@
 
 use crate::exhaustive::{self, Incumbent};
 use crate::hierarchy::{HierConfig, HierMemo, RecentPlan, RegionWorkMap};
-use crate::linkage::{enumerate_linkages_multi, LinkageGraph, LinkageLimits};
+use crate::linkage::{enumerate_for, LinkageGraph, LinkageLimits};
 use crate::mapping::{Evaluation, Mapper};
 use crate::plan::{Objective, Placement, Plan, PlanError, PlanStats, ServiceRequest};
 use ps_net::{Network, NodeId, PropertyTranslator, ScopedRoutes};
@@ -84,15 +84,6 @@ impl Planner {
         }
     }
 
-    /// Enumeration limits effective for one request: a degraded-mode
-    /// request (partition-side healing) may detach data views from
-    /// their unreachable upstream subtree.
-    fn effective_limits(&self, request: &ServiceRequest) -> LinkageLimits {
-        let mut limits = self.config.limits.clone();
-        limits.allow_detached_data_views |= request.degraded;
-        limits
-    }
-
     /// Plans a deployment satisfying `request` on `net` (Section 3.3's
     /// two logical steps: enumerate valid linkages, then map them onto
     /// the network discarding mappings that violate any constraint,
@@ -151,10 +142,13 @@ impl Planner {
         {
             return Err(PlanError::UnknownPinned(unknown.clone()));
         }
-        let graphs = enumerate_linkages_multi(
+        // A degraded-mode request (partition-side healing) may detach
+        // data views from their unreachable upstream subtree.
+        let graphs = enumerate_for(
             &self.spec,
             &request.interfaces,
-            &self.effective_limits(request),
+            &self.config.limits,
+            request.degraded,
         );
         if graphs.is_empty() {
             return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));

@@ -1,11 +1,11 @@
 //! The reference the planner's search core is held to: the paper's
 //! "exhaustively searches" taken literally. Bottom-up descent over the
-//! full candidate product, [`Mapper::flow_at`] pruning, [`Mapper::evaluate`]
-//! at the leaves — no bounds, no memoised verdicts, no incumbent, routes
-//! from a fresh table of its own; first strictly better mapping wins, in
-//! graph then candidate order. Shares nothing with `ps_planner::exhaustive` but the [`Mapper`],
-//! and lives with the tests (`#[path]`-included), unreachable from
-//! `PlannerConfig`.
+//! full candidate product, [`Mapper::flow_and_factors_at`] pruning,
+//! [`Mapper::evaluate`] at the leaves — no bounds, no memoised verdicts,
+//! no incumbent, routes from a fresh table of its own; first strictly
+//! better mapping wins, in graph then candidate order. Shares nothing
+//! with `ps_planner::exhaustive` but the [`Mapper`], and lives with the
+//! tests (`#[path]`-included), unreachable from `PlannerConfig`.
 
 use ps_net::{Network, NodeId, PropertyTranslator, ScopedRoutes};
 use ps_planner::{
@@ -45,10 +45,14 @@ impl Descent<'_> {
             return;
         };
         for &node in self.mapper.candidates(self.graph, idx).iter() {
-            let flowed =
-                self.mapper
-                    .flow_at(self.graph, idx, node, &self.assignment, &self.provided);
-            if let Some(flowed) = flowed {
+            let flowed = self.mapper.flow_and_factors_at(
+                self.graph,
+                idx,
+                node,
+                &self.assignment,
+                &self.provided,
+            );
+            if let Some((flowed, _)) = flowed {
                 self.assignment[idx] = Some(node);
                 self.provided[idx] = Some(Rc::new(flowed));
                 self.descend(pos + 1);

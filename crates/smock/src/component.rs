@@ -216,10 +216,12 @@ pub trait ComponentLogic {
     /// behaviour for components that do not opt in).
     fn on_error(&mut self, _out: &mut Outbox, _token: u64, _error: crate::fault::InvokeError) {}
 
-    /// Peer instances were declared dead (a host crash detected by
-    /// lease expiry, or an explicit `fail_node`). Components holding
-    /// references to other instances — a coherence directory's replica
-    /// set, for example — purge them here. Default: ignore.
+    /// Peer instances were declared dead: a host crash was detected, at
+    /// the instances' lease expiry or, with leases disabled, at once.
+    /// Only instances die with their host; the lookup service's
+    /// registrations are host-less and outlive every crash. Components
+    /// holding references to other instances — a coherence directory's
+    /// replica set, for example — purge them here. Default: ignore.
     fn on_peers_retired(&mut self, _out: &mut Outbox, _peers: &[InstanceId]) {}
 
     /// A one-way message arrived.

@@ -1,5 +1,5 @@
 //! Fault-handling types for the run-time: retry policies, typed invoke
-//! errors, lease-based liveness, and failure reports.
+//! errors, and lease-based liveness.
 //!
 //! The paper's Section 6 lists fault handling as a required integration
 //! for a complete system; its Jini-style lookup service implies
@@ -176,37 +176,6 @@ pub struct LivenessEvent {
     pub at: SimTime,
     /// What was detected.
     pub kind: LivenessKind,
-}
-
-/// How a node failure gets detected by the rest of the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectionMode {
-    /// No lease config installed: the failure was reported to the
-    /// liveness stream immediately.
-    Immediate,
-    /// Leases are active: detection completes when the last hosted
-    /// instance's lease expires, no later than this.
-    Leased {
-        /// Upper bound on when every hosted instance is declared dead.
-        detected_by: SimTime,
-    },
-}
-
-/// Typed report returned by `World::fail_node` / `Framework::fail_node`.
-#[derive(Debug, Clone)]
-pub struct FailReport {
-    /// The failed node.
-    pub node: NodeId,
-    /// Virtual time of the crash.
-    pub at: SimTime,
-    /// Instances retired by the crash (no graceful `on_retire`).
-    pub retired: Vec<InstanceId>,
-    /// How the failure reaches the liveness stream.
-    pub detection: DetectionMode,
-    /// Service registrations purged from the lookup service because they
-    /// were homed on the failed node (filled by the framework layer; the
-    /// world does not own the lookup service).
-    pub lookup_purged: Vec<String>,
 }
 
 #[cfg(test)]

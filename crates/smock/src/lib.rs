@@ -47,9 +47,7 @@ pub use component::{
     Action, ComponentLogic, InstanceId, InstanceInfo, Outbox, Payload, RequestHandle,
 };
 pub use deploy::{DeployError, Deployment};
-pub use fault::{
-    DetectionMode, FailReport, InvokeError, LeaseConfig, LivenessEvent, LivenessKind, RetryPolicy,
-};
+pub use fault::{InvokeError, LeaseConfig, LivenessEvent, LivenessKind, RetryPolicy};
 pub use lookup::{LookupService, ServiceRegistration};
 pub use ps_trace::Tracer;
 pub use registry::{Blueprint, ComponentRegistry, Factory, FactoryArgs};
@@ -63,7 +61,7 @@ pub mod prelude {
     };
     pub use crate::component::{ComponentLogic, InstanceId, Outbox, Payload, RequestHandle};
     pub use crate::deploy::Deployment;
-    pub use crate::fault::{FailReport, InvokeError, LeaseConfig, LivenessEvent, RetryPolicy};
+    pub use crate::fault::{InvokeError, LeaseConfig, LivenessEvent, RetryPolicy};
     pub use crate::lookup::{LookupService, ServiceRegistration};
     pub use crate::registry::{ComponentRegistry, FactoryArgs};
     pub use crate::server::{Connection, GenericServer, OneTimeCosts};

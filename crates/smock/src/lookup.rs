@@ -2,10 +2,9 @@
 //!
 //! Services register a meta-description (their specification) together
 //! with free-form attributes and a generic proxy; clients look services
-//! up by attribute match and download the proxy. A registration records
-//! the node its provider runs on, so when that host crashes
-//! [`LookupService::purge_node`] evicts it and the provider disappears
-//! from discovery.
+//! up by attribute match and download the proxy. The table is
+//! host-less: no crash reaches it, and a crashed provider's registration
+//! stays discoverable (a connect re-plans around the dead host instead).
 
 use ps_net::NodeId;
 use ps_spec::ServiceSpec;
@@ -24,8 +23,8 @@ pub struct ServiceRegistration {
     pub spec: Arc<ServiceSpec>,
     /// Size of the generic proxy the client downloads, bytes.
     pub proxy_code_size: u64,
-    /// The node the registering provider runs on, when known; lets
-    /// [`LookupService::purge_node`] evict a crashed host's services.
+    /// The node the registering provider runs on, when known. Recorded
+    /// only: no crash evicts a registration.
     pub home_node: Option<NodeId>,
 }
 
@@ -101,22 +100,6 @@ impl LookupService {
         self.entries.iter().find(|e| e.name == name)
     }
 
-    /// Evicts every registration homed on `node` (the host crashed);
-    /// returns the evicted service names. Entries without a recorded
-    /// home node are kept.
-    pub fn purge_node(&mut self, node: NodeId) -> Vec<String> {
-        let mut evicted = Vec::new();
-        self.entries.retain(|e| {
-            if e.home_node == Some(node) {
-                evicted.push(e.name.clone());
-                false
-            } else {
-                true
-            }
-        });
-        evicted
-    }
-
     /// Number of registered services.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -168,17 +151,5 @@ mod tests {
         ls.register(ServiceRegistration::new(spec("mail")).proxy_code_size(2));
         assert_eq!(ls.len(), 1);
         assert_eq!(ls.by_name("mail").unwrap().proxy_code_size, 2);
-    }
-
-    #[test]
-    fn purge_node_evicts_homed_entries_only() {
-        let mut ls = LookupService::new();
-        ls.register(ServiceRegistration::new(spec("mail")).home_node(NodeId(2)));
-        ls.register(ServiceRegistration::new(spec("video")).home_node(NodeId(3)));
-        ls.register(ServiceRegistration::new(spec("homeless")));
-        let evicted = ls.purge_node(NodeId(2));
-        assert_eq!(evicted, vec!["mail".to_string()]);
-        assert_eq!(ls.len(), 2);
-        assert!(ls.purge_node(NodeId(9)).is_empty());
     }
 }

@@ -3,7 +3,7 @@
 
 use super::{dispatch, invoke, lease, Event, State, World};
 use crate::component::InstanceId;
-use crate::fault::{DetectionMode, FailReport, LivenessEvent, LivenessKind};
+use crate::fault::{LivenessEvent, LivenessKind};
 use ps_net::{LinkId, Network, NodeId};
 use ps_sim::{Engine, FaultKind, FaultPlan, Rng};
 
@@ -91,37 +91,6 @@ impl World {
     /// drops in-flight traffic on the link while it is down.
     pub fn set_link_state(&mut self, link: LinkId, up: bool) {
         set_link_state(&mut self.engine, &mut self.state, link, up);
-    }
-
-    /// Fails a node abruptly and reports what happened: the typed
-    /// [`FailReport`] lists the retired instances and how detection
-    /// reaches the liveness stream, and surviving instances get their
-    /// [`on_peers_retired`](crate::component::ComponentLogic::on_peers_retired)
-    /// hook (so coherence directories purge dead replicas at once on this
-    /// manual path). The framework layer additionally purges lookup
-    /// registrations homed on the node.
-    pub fn fail_node(&mut self, node: NodeId) -> FailReport {
-        let at = self.now();
-        let failed = crash(&mut self.engine, &mut self.state, node);
-        let detection = match (self.state.lease.config, failed.is_empty()) {
-            (Some(lease), false) => {
-                // With leases active the crash path defers notification
-                // to lease expiry; the manual API notifies now as well
-                // (the later lease-driven pass is idempotent).
-                notify_survivors(&mut self.engine, &mut self.state, &failed);
-                DetectionMode::Leased {
-                    detected_by: at + lease.max_detection_latency(),
-                }
-            }
-            _ => DetectionMode::Immediate,
-        };
-        FailReport {
-            node,
-            at,
-            retired: failed,
-            detection,
-            lookup_purged: Vec::new(),
-        }
     }
 }
 
@@ -263,7 +232,7 @@ pub(super) fn notify_survivors(engine: &mut Engine<Event>, state: &mut State, de
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::{client_server, place, probe, probe_world, Echo, OneShot, Probe};
-    use crate::fault::{DetectionMode, LivenessKind, RetryPolicy};
+    use crate::fault::{LivenessKind, RetryPolicy};
     use ps_net::{LinkId, NodeId};
     use ps_sim::{FaultPlan, SimDuration, SimTime};
     use ps_spec::Behavior;
@@ -294,22 +263,6 @@ mod tests {
             world.network().epoch() > quarantined,
             "restart after quarantine"
         );
-    }
-
-    #[test]
-    fn fail_node_returns_typed_report() {
-        let (mut world, client, server) = probe_world(10);
-        world.run();
-        let report = world.fail_node(NodeId(1));
-        assert_eq!(report.node, NodeId(1));
-        assert_eq!(report.retired, vec![server]);
-        assert!(matches!(report.detection, DetectionMode::Immediate));
-        assert!(report.lookup_purged.is_empty());
-        // Survivors learned about the dead peer synchronously.
-        let p = probe(&mut world, client);
-        assert_eq!(p.dead_peers, vec![server]);
-        // Failing again is a no-op.
-        assert!(world.fail_node(NodeId(1)).retired.is_empty());
     }
 
     #[test]

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Full offline verification pipeline: formatting, lints (clippy, rustdoc
-# links, ps-lint, the unsafe fence), build, tests (the root package, then
-# every other workspace member, each test once; ps-mail again in release;
-# and the benchmark package), the benchmark's repeat
-# check with its digests against their pin, every ps-bench artifact run
-# twice in stable mode and compared byte for byte, the event streams
-# against their pinned digests, and three deterministic planner work
-# guards.
+# links, ps-lint, the unsafe fence, unused ps-* dependencies), build,
+# tests (the root package, then every other workspace member, each test
+# once; ps-mail again in release; and the benchmark package), the
+# benchmark's repeat check with its digests against their pin, every
+# ps-bench artifact run twice in stable mode and compared byte for byte,
+# the event streams against their pinned digests, and three
+# deterministic planner work guards.
 # Everything runs without network access.
 #
 # Usage:
 #   scripts/verify.sh              # full pipeline
-#   scripts/verify.sh --lint-only  # fmt + clippy + rustdoc + ps-lint, skip the rest
+#   scripts/verify.sh --lint-only  # fmt + clippy + rustdoc + fences + ps-lint, skip the rest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repo="$(pwd)"
@@ -50,6 +50,30 @@ done
 unsafe_allows="$(grep -r 'allow(unsafe_code)' crates src --include='*.rs' | wc -l)"
 if [[ "$unsafe_allows" -ne 1 ]]; then
     echo "allow(unsafe_code) occurs $unsafe_allows times under crates/ src/, expected exactly 1" >&2
+    exit 1
+fi
+
+# A `ps-*` dependency its crate never names only lengthens the build
+# graph and hides which layer uses which: every one a workspace manifest
+# declares (normal, dev or build) must be named as `ps_*` in that
+# crate's sources, tests, benches or examples.
+echo "==> dependency gate (every ps-* dependency named by its crate)"
+unused_deps=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    crate="$(dirname "$manifest")"
+    dirs=()
+    for d in src tests benches examples; do
+        if [[ -d "$crate/$d" ]]; then dirs+=("$crate/$d"); fi
+    done
+    for dep in $(awk '/^\[/ { deps = /dependencies\]$/ && !/^\[workspace/ }
+                      deps && /^ps-/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        if ! grep -rqw "${dep//-/_}" "${dirs[@]}"; then
+            echo "$manifest: $dep is never named as ${dep//-/_} in $crate" >&2
+            unused_deps=1
+        fi
+    done
+done
+if [[ "$unused_deps" -ne 0 ]]; then
     exit 1
 fi
 

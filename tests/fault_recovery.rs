@@ -1,9 +1,9 @@
 //! Fault handling across the stack: a host crash is *detected* by
 //! lease expiry, the healer quarantines the node and automatically
 //! re-plans the surviving connections (no manual `connect`), and the
-//! workload completes on the replacement chain. A second test guards
-//! the manual [`Framework::fail_node`] path, which retires instances
-//! and reports a typed [`FailReport`] immediately.
+//! workload completes on the replacement chain. A second test crashes a
+//! host with leases disabled, where detection is immediate, and
+//! reconnects around it.
 
 use partitionable_services::core::Framework;
 use partitionable_services::mail::spec::names::*;
@@ -13,7 +13,7 @@ use partitionable_services::net::casestudy::default_case_study;
 use partitionable_services::planner::ServiceRequest;
 use partitionable_services::sim::{FaultPlan, SimDuration, SimTime};
 use partitionable_services::smock::{
-    CoherencePolicy, DetectionMode, LeaseConfig, RetryPolicy, ServiceRegistration,
+    CoherencePolicy, LeaseConfig, LivenessKind, RetryPolicy, ServiceRegistration,
 };
 use partitionable_services::spec::Behavior;
 
@@ -146,11 +146,11 @@ fn lease_detection_auto_heals_the_partner_connection() {
     );
 }
 
-/// The legacy manual path: `fail_node` retires the host's instances at
-/// once, reports them in a typed [`FailReport`], and a fresh connection
+/// A crash without leases: `crash_node` retires the host's instances
+/// and the liveness stream reports them at once, and a fresh connection
 /// re-plans around the dead machine.
 #[test]
-fn manual_fail_node_reports_and_replans_around_the_host() {
+fn an_unleased_crash_is_detected_at_once_and_replanned_around() {
     let (cs, mut fw) = mail_framework();
 
     let request = ServiceRequest::new(CLIENT_INTERFACE, cs.sd_client)
@@ -168,20 +168,24 @@ fn manual_fail_node_reports_and_replans_around_the_host() {
     fw.run();
     assert!(driver_done(&mut fw, id1));
 
-    let report = fw.fail_node(vms_node);
-    assert_eq!(report.node, vms_node);
-    assert_eq!(
-        report.detection,
-        DetectionMode::Immediate,
-        "without leases the manual path reports synchronously"
-    );
+    let crashed_at = fw.world.now();
+    let retired = fw.world.crash_node(vms_node);
     assert!(
-        report.retired.len() >= 3,
-        "client, cache, encryptor died: {report:?}"
+        retired.len() >= 3,
+        "client, cache, encryptor died: {retired:?}"
     );
-    for id in &report.retired {
+    for id in &retired {
         assert!(fw.world.is_retired(*id));
     }
+    // Without leases the crash is detected synchronously: every retired
+    // instance and then the node itself, stamped with the crash time.
+    let detected: Vec<_> = fw.world.take_liveness_events();
+    assert_eq!(detected.len(), retired.len() + 1, "{detected:?}");
+    assert!(detected.iter().all(|e| e.at == crashed_at));
+    assert_eq!(
+        detected.last().map(|e| e.kind),
+        Some(LivenessKind::NodeDown { node: vms_node })
+    );
     // The primary (other node) survived.
     let primary = fw
         .world
