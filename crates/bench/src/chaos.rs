@@ -21,7 +21,7 @@
 use crate::cli::Args;
 use crate::harness::{
     at_ms, close_record, connect_pair, counters, drain, driver, driver_record, driver_stats,
-    enable_telemetry, healing_mail_framework, ms, span_ms, DriverStats, HealLoop,
+    enable_telemetry, healing_mail_framework, ms, span_ms, DriverStats, HealTally,
 };
 use crate::record::{num, Artifact, Record};
 use ps_net::{default_case_study, CaseStudy, NodeId};
@@ -31,8 +31,6 @@ use ps_trace::{SamplerConfig, SeriesSummary, Tracer};
 
 /// Give up waiting for the Seattle driver after this much virtual time.
 const HORIZON: SimTime = SimTime::from_nanos(300_000_000_000);
-/// Healing-pass cadence after the crash.
-const HEAL_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// Parameters of one chaos-recovery run.
 #[derive(Debug, Clone)]
@@ -232,28 +230,34 @@ pub fn run_chaos(config: &ChaosBenchConfig, tracer: &Tracer) -> ChaosOutcome {
     let sd_before_crash = driver(&mut framework.world, sd.driver).completed.len();
 
     // Phase 2: the healing loop until the Seattle driver finishes or the
-    // horizon runs out. No manual `connect`.
+    // horizon runs out. No manual `connect`. Each lease expiry and each
+    // link transition wakes one pass.
     //
-    // An early pass can see only part of the crashed node's lease
-    // expiries: the connection is then re-deployed on partial knowledge
-    // (the node is not yet quarantined, so the planner may pick it
-    // again); the born-dead replacements expire in turn and the next
-    // passes converge. `first_redeploy_at` records that first, possibly
-    // premature attempt; `recovered_at` records the first redeploy made
-    // at or after the `NodeDown` verdict, i.e. with the failed node
-    // quarantined.
+    // The first expiry's pass sees only part of the crashed node's
+    // leases: it re-deploys the implicated connections on partial
+    // knowledge, with the node suspect — down-weighted, not excluded.
+    // At seed 42 that alone moves Seattle's chain off the node. Had the
+    // planner picked the node anyway, the replacements there would be
+    // born dead: retired at birth, they schedule no lease expiry and
+    // raise no wake. What then moves the chain is the `NodeDown` pass:
+    // the quarantine's monitor diff reports the node down on the plan's
+    // edges, and the replanner consult redeploys. `first_redeploy_at`
+    // records the first, possibly premature attempt; `recovered_at` the
+    // first pass at or after the `NodeDown` verdict whose Seattle plan
+    // avoids every quarantined node.
     let mut first_redeploy_at = None;
     let mut recovered_at = None;
     let mut recovery_ready_at = None;
-    let mut heal = HealLoop::new(config.crash_at, HEAL_PERIOD);
-    heal.run(&mut framework, HORIZON, |framework, report, tally| {
+    let mut heal = HealTally::default();
+    while let Some(report) = framework.heal_next(HORIZON) {
+        heal.record(&report);
         if report.recovered.contains(&sea.handle) && first_redeploy_at.is_none() {
             first_redeploy_at = Some(report.at);
         }
         // Recovery is complete once the failed node is known-dead and
         // the (re-deployed) Seattle plan no longer touches any
         // quarantined node.
-        if tally.detected(cs.sd_client).is_some()
+        if heal.detected(cs.sd_client).is_some()
             && recovered_at.is_none()
             && first_redeploy_at.is_some()
         {
@@ -262,7 +266,7 @@ pub fn run_chaos(config: &ChaosBenchConfig, tracer: &Tracer) -> ChaosOutcome {
                     .plan
                     .placements
                     .iter()
-                    .all(|p| !tally.quarantined.contains(&p.node));
+                    .all(|p| !heal.quarantined.contains(&p.node));
                 if healthy {
                     recovered_at = Some(report.at);
                     recovery_ready_at = Some(c.ready_at);
@@ -273,8 +277,10 @@ pub fn run_chaos(config: &ChaosBenchConfig, tracer: &Tracer) -> ChaosOutcome {
         // AND its driver has finished: the crash guts Seattle's
         // mid-chain (its view path shares San Diego's instances), and
         // the run must demonstrate both detection and repair.
-        recovered_at.is_some() && driver(&mut framework.world, sea.driver).is_done()
-    });
+        if recovered_at.is_some() && driver(&mut framework.world, sea.driver).is_done() {
+            break;
+        }
+    }
     // Drain whatever is still in flight (stray retries, fault events).
     let (series, lease_renewal_bytes) = drain(&mut framework, None);
 

@@ -1,13 +1,15 @@
 //! The heal-scenario harness the fault scenarios share (`chaos`,
 //! `partition`, the scale heal workload) and the case-study commands reuse:
 //! one mail-service assembly, the case study's San Diego + Seattle pair,
-//! one `run_until; heal` loop with its pass tally, one cluster-driver
-//! accessor, and the counter dump and record helpers of the artifacts.
+//! one pass tally, one cluster-driver accessor, and the counter dump and
+//! record helpers of the artifacts.
 //!
-//! This is the §6 loop as the benches drive it — monitoring reports a
-//! change, the planner re-runs, the run-time redeploys — on a fixed
-//! virtual-time cadence. What a scenario observes on top of the tally
-//! stays in the closure it hands to `HealLoop::run`.
+//! The scenarios drive the §6 loop — monitoring reports a change, the
+//! planner re-runs, the run-time redeploys — through
+//! [`Framework::heal_next`]: a pass runs at each wake (a liveness event
+//! entering the world's stream) plus [`ps_core::HEAL_DEBOUNCE`], never
+//! on a tick, so a quiet stretch runs no pass and no recovery figure
+//! waits on a cadence.
 
 use crate::record::{num, Record, Value};
 use ps_core::{Framework, HealReport, ManagedId};
@@ -266,13 +268,9 @@ pub(crate) fn driver_stats(world: &mut World, id: InstanceId, before_fault: usiz
     }
 }
 
-/// The §6 loop on a fixed cadence — run the world one `period`, heal,
-/// repeat — and the tally of what its passes did.
-#[derive(Debug, Clone)]
-pub(crate) struct HealLoop {
-    /// Virtual time the loop has run the world to.
-    now: SimTime,
-    period: SimDuration,
+/// What a run's heal passes did, tallied pass by pass.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HealTally {
     /// Healing passes executed.
     pub passes: usize,
     /// Successful redeployments across all passes.
@@ -287,21 +285,7 @@ pub(crate) struct HealLoop {
     node_down: Vec<(NodeId, SimTime)>,
 }
 
-impl HealLoop {
-    /// A loop over a world already run to `now`, healing every `period`.
-    pub fn new(now: SimTime, period: SimDuration) -> Self {
-        HealLoop {
-            now,
-            period,
-            passes: 0,
-            replans: 0,
-            infeasible: 0,
-            retired: 0,
-            quarantined: Vec::new(),
-            node_down: Vec::new(),
-        }
-    }
-
+impl HealTally {
     /// When the lease detector first declared `node` down, if it has.
     pub fn detected(&self, node: NodeId) -> Option<SimTime> {
         self.node_down
@@ -310,37 +294,18 @@ impl HealLoop {
             .map(|&(_, at)| at)
     }
 
-    /// Runs the world to each `period` tick before `until` and heals
-    /// there, handing every pass's report and the tally so far to
-    /// `per_pass`; stops once `per_pass` returns `true`, or runs the
-    /// world to `until` (no pass there) when the ticks run out.
-    pub fn run(
-        &mut self,
-        framework: &mut Framework,
-        until: SimTime,
-        mut per_pass: impl FnMut(&mut Framework, &HealReport, &HealLoop) -> bool,
-    ) {
-        while self.now < until {
-            self.now = (self.now + self.period).min(until);
-            framework.run_until(self.now);
-            if self.now == until {
-                break;
-            }
-            let report = framework.heal();
-            self.passes += 1;
-            self.replans += report.recovered.len();
-            self.infeasible += report.infeasible.len();
-            self.retired += report.retired.len();
-            self.quarantined.extend(report.quarantined.iter().copied());
-            for event in &report.liveness {
-                if let LivenessKind::NodeDown { node } = event.kind {
-                    if self.detected(node).is_none() {
-                        self.node_down.push((node, event.at));
-                    }
+    /// Adds one pass's report.
+    pub fn record(&mut self, report: &HealReport) {
+        self.passes += 1;
+        self.replans += report.recovered.len();
+        self.infeasible += report.infeasible.len();
+        self.retired += report.retired.len();
+        self.quarantined.extend(report.quarantined.iter().copied());
+        for event in &report.liveness {
+            if let LivenessKind::NodeDown { node } = event.kind {
+                if self.detected(node).is_none() {
+                    self.node_down.push((node, event.at));
                 }
-            }
-            if per_pass(framework, &report, self) {
-                break;
             }
         }
     }

@@ -21,7 +21,7 @@
 use crate::cli::Args;
 use crate::harness::{
     at_ms, close_record, connect_pair, counters, driver, driver_record, driver_stats,
-    healing_mail_framework, ms, span_ms, DriverStats, HealLoop,
+    healing_mail_framework, ms, span_ms, DriverStats, HealTally,
 };
 use crate::record::{num, Artifact, Record, Value};
 use ps_core::Framework;
@@ -34,8 +34,6 @@ use ps_trace::Tracer;
 /// Give up waiting for reconciliation / drivers after this much virtual
 /// time.
 const HORIZON: SimTime = SimTime::from_nanos(300_000_000_000);
-/// Healing-pass cadence from the split onward.
-const HEAL_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// Parameters of one partition/reconcile run.
 #[derive(Debug, Clone)]
@@ -203,40 +201,42 @@ pub fn run_partition(config: &PartitionBenchConfig, tracer: &Tracer) -> Partitio
     framework.run_until(config.split_at);
     let [sea_at_split, sd_at_split] = completed(&mut framework);
 
-    // Phase 2: the split window. Healing passes recognize the cut and
-    // deploy the degraded per-component chain for Seattle; San Diego
-    // keeps its full chain (its routes never crossed the severed legs).
-    // The restore events fire *at* `restore_at`, so the loop takes no
-    // pass there: the pass that observes the merge belongs to phase 3.
+    // Phase 2: the split window. The split's link transitions wake the
+    // healer, whose pass recognizes the cut and deploys the degraded
+    // per-component chain for Seattle; San Diego keeps its full chain
+    // (its routes never crossed the severed legs). The restore events
+    // fire *at* `restore_at`, where `heal_next` runs no pass: the pass
+    // that observes the merge belongs to phase 3.
     let mut degraded_at = None;
     let mut degraded_epoch = None;
     let mut degraded_latency_ms = None;
-    let mut heal = HealLoop::new(config.split_at, HEAL_PERIOD);
-    heal.run(&mut framework, config.restore_at, |framework, report, _| {
+    let mut heal = HealTally::default();
+    while let Some(report) = framework.heal_next(config.restore_at) {
+        heal.record(&report);
         if report.degraded.contains(&sea.handle) && degraded_at.is_none() {
             degraded_at = Some(report.at);
             degraded_epoch = framework.managed_partition_epoch(sea.handle);
-            degraded_latency_ms = sea_latency(framework);
+            degraded_latency_ms = sea_latency(&framework);
         }
-        false
-    });
+    }
     let [sea_at_restore, sd_at_restore] = completed(&mut framework);
 
-    // Phase 3: the merge. The next healing pass sees the closed
-    // partition and reconciles Seattle back onto the cold-plan chain,
-    // draining the detached view's buffered writes before retiring it.
+    // Phase 3: the merge. The restore's undrained liveness events wake
+    // the first pass here, which sees the closed partition and
+    // reconciles Seattle back onto the cold-plan chain, draining the
+    // detached view's buffered writes before retiring it. The plan
+    // holds no fault after the restore, so nothing wakes the healer
+    // again and the drivers finish in the drain.
     let mut reconciled_at = None;
     let mut reconciled_latency_ms = None;
-    heal.run(&mut framework, HORIZON, |framework, report, _| {
-        if report.reconciled.contains(&sea.handle) && reconciled_at.is_none() {
+    while let Some(report) = framework.heal_next(HORIZON) {
+        heal.record(&report);
+        if report.reconciled.contains(&sea.handle) {
             reconciled_at = Some(report.at);
-            reconciled_latency_ms = sea_latency(framework);
+            reconciled_latency_ms = sea_latency(&framework);
+            break;
         }
-        reconciled_at.is_some()
-            && [sea.driver, sd.driver]
-                .iter()
-                .all(|&id| driver(&mut framework.world, id).is_done())
-    });
+    }
     // Drain whatever is still in flight.
     framework.run();
 

@@ -13,7 +13,9 @@
 //! seed.
 
 use crate::cli::Args;
-use crate::harness::{drain, enable_telemetry, healing_mail_framework, mail_request, ms, HealLoop};
+use crate::harness::{
+    drain, enable_telemetry, healing_mail_framework, mail_request, ms, HealTally,
+};
 use crate::record::{num, wall, wall_num, Artifact, Record};
 use ps_mail::{mail_spec, mail_translator};
 use ps_net::brite::{hierarchical, FlatParams, HierParams};
@@ -332,7 +334,7 @@ pub struct HealWorkloadOutcome {
 
 /// Runs the full self-healing stack on a scale topology: install the
 /// mail service, connect and manage one branch client, crash a
-/// mid-chain placement node at 1s virtual, then heal on a 1s cadence
+/// mid-chain placement node at 1s virtual, then heal at each wake
 /// until the plan avoids the crashed node. Leases are the failure
 /// detector; no manual reconnects.
 pub fn run_heal_workload(
@@ -380,22 +382,19 @@ pub fn run_heal_workload(
 
     let mut recovered_at = None;
     framework.run_until(crash_at);
-    let mut heal = HealLoop::new(crash_at, SimDuration::from_secs(1));
-    heal.run(
-        &mut framework,
-        SimTime::from_nanos(120_000_000_000),
-        |framework, report, tally| {
-            let recovered = tally.detected(victim).is_some()
-                && framework.managed_connection(handle).is_some_and(|c| {
-                    c.plan.placements.iter().all(|p| p.node != victim)
-                        && c.plan.edges.iter().all(|e| !e.route.via.contains(&victim))
-                });
-            if recovered {
-                recovered_at = Some(report.at);
-            }
-            recovered
-        },
-    );
+    let mut heal = HealTally::default();
+    while let Some(report) = framework.heal_next(SimTime::from_nanos(120_000_000_000)) {
+        heal.record(&report);
+        let recovered = heal.detected(victim).is_some()
+            && framework.managed_connection(handle).is_some_and(|c| {
+                c.plan.placements.iter().all(|p| p.node != victim)
+                    && c.plan.edges.iter().all(|e| !e.route.via.contains(&victim))
+            });
+        if recovered {
+            recovered_at = Some(report.at);
+            break;
+        }
+    }
     let (series, lease_renewal_bytes) = drain(&mut framework, options.settle);
 
     HealWorkloadOutcome {
@@ -478,7 +477,7 @@ pub fn command(_: &Args) -> Result<Artifact, String> {
     }
 
     // The full self-healing stack on the largest world: crash a
-    // mid-chain node, heal on a 1s cadence, leases as the detector.
+    // mid-chain node, heal at each wake, leases as the detector.
     let routers = WORLDS[WORLDS.len() - 1];
     eprintln!("[scale] {routers} routers: heal workload...");
     let (net, server, client) = scale_network(routers, SEED + routers as u64);

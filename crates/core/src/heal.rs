@@ -10,6 +10,15 @@
 //! touched — the same `GenericServer::connect` a client's first request
 //! runs, which reuses surviving instances and rewires their linkages, so
 //! service resumes without any manual `connect`.
+//!
+//! Passes run on events, not on a tick: [`Framework::heal_next`] runs
+//! one pass [`HEAL_DEBOUNCE`] after each *wake*, a liveness event (lease
+//! expiry, crash, restart, link transition) entering the world's stream.
+//! A redeploy a pass leaves owed is retried at the next wake, since all
+//! that can make it feasible arrives as one: `NodeUp` lifts a quarantine
+//! and reinstalls a missing pinned primary, `LinkUp` restores a link,
+//! and suspicion only down-weights a host. [`Framework::heal`] stays the
+//! pass primitive, which the `benchmark/` harness ticks every 100 ms.
 
 use crate::Framework;
 use ps_monitor::{
@@ -24,6 +33,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
+/// Virtual time from a wake to the pass it triggers. Zero: the events
+/// one cause raises share an instant, and running the world to an
+/// instant drains it whole (DESIGN.md, "Recovery state machine").
+pub const HEAL_DEBOUNCE: SimDuration = SimDuration::ZERO;
+
 /// Handle to a connection under self-healing management (index into the
 /// framework's managed list; stable for the framework's lifetime).
 pub type ManagedId = usize;
@@ -37,7 +51,7 @@ pub(crate) struct Managed {
     pub(crate) abandoned: bool,
     /// A liveness event implicated this connection (or a previous
     /// redeploy attempt failed); redeployment is owed until one
-    /// succeeds.
+    /// succeeds, and retried at each wake.
     pub(crate) degraded: bool,
     /// Set while the connection serves a degraded per-component chain
     /// behind a network partition; cleared by reconciliation.
@@ -318,9 +332,10 @@ impl Framework {
     /// expire, the planner will keep considering it, exactly as a real
     /// deployment would.
     ///
-    /// Safe to call at any cadence — a pass with nothing to report is a
-    /// no-op. Works (steps 1–2 only matter) even before any connection
-    /// is managed.
+    /// This is the pass primitive: [`heal_next`](Self::heal_next) runs
+    /// it at each wake, and a caller may also call it on a cadence of
+    /// its own — a pass with nothing to report is a no-op. Works (steps
+    /// 1–2 only matter) even before any connection is managed.
     pub fn heal(&mut self) -> HealReport {
         let now = self.world.now();
         let mut report = HealReport::new(now);
@@ -635,6 +650,46 @@ impl Framework {
             );
         }
         report
+    }
+
+    /// Runs the world to its next wake and one [`heal`](Self::heal) pass
+    /// [`HEAL_DEBOUNCE`] after it; `None` when the world reaches `until`
+    /// first, and then stands at `until`. No pass runs at `until`: a wake
+    /// there is left to the next call, which passes on entry.
+    ///
+    /// A wake is a liveness event entering the world's stream — from a
+    /// queued fault or lease expiry
+    /// ([`World::next_wake`](ps_smock::World::next_wake)), or from a
+    /// `crash_node`/`restart_node`/`set_link_state` call between runs —
+    /// and, on entry, undrained liveness events or a network epoch the
+    /// healer's monitor has not observed. A quiet world runs no pass.
+    pub fn heal_next(&mut self, until: SimTime) -> Option<HealReport> {
+        loop {
+            if self.wake_pending() {
+                let at = self.world.now() + HEAL_DEBOUNCE;
+                if at >= until {
+                    break;
+                }
+                self.world.run_until(at);
+                return Some(self.heal());
+            }
+            match self.world.next_wake(until) {
+                Some(at) => self.world.run_until(at),
+                None => break,
+            }
+        }
+        self.world.run_until(until);
+        None
+    }
+
+    /// Whether a pass is due now. A pass drains the liveness events and
+    /// observes the epoch, so it clears both conditions.
+    fn wake_pending(&self) -> bool {
+        self.world.has_liveness_events()
+            || self
+                .healer
+                .as_ref()
+                .is_some_and(|h| h.monitor.epoch() != self.world.network().epoch())
     }
 
     /// Asks a [`Replanner`] whether a managed connection's plan should

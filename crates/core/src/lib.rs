@@ -34,7 +34,7 @@
 
 mod heal;
 
-pub use heal::{HealError, HealReport, ManagedId, PlacementChurn};
+pub use heal::{HealError, HealReport, ManagedId, PlacementChurn, HEAL_DEBOUNCE};
 
 use ps_net::{Network, NodeId, PropertyTranslator};
 use ps_planner::{PlannerConfig, ServiceRequest};

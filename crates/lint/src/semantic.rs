@@ -29,6 +29,7 @@ use std::collections::BTreeSet;
 /// paper's "invoke" surface has no single fn in this codebase.)
 pub const HOT_PATH_ENTRIES: &[&str] = &[
     "Framework::heal",
+    "Framework::heal_next",
     "GenericServer::connect",
     "World::run",
     "World::run_until",

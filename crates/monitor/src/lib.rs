@@ -142,6 +142,12 @@ impl NetworkMonitor {
         }
     }
 
+    /// The network epoch the baseline reflects: the epoch of the last
+    /// poll, or of the snapshot when none ran yet.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Installs a tracer; detected changes become `monitor.change`
     /// events (via [`observe_at`](Self::observe_at)) and count into the
     /// registry.
@@ -402,7 +408,8 @@ impl Replanner {
 
     /// Evaluates `old` under the (possibly changed) network at virtual
     /// time `now` and decides, pricing the fresh optimum with a flat
-    /// [`Planner::plan`] and revalidating `old` on routes of its own.
+    /// [`Planner::plan_on`] and revalidating `old` on the same route
+    /// table, which the call owns: each source row is computed once.
     pub fn evaluate<T: PropertyTranslator + ?Sized>(
         &self,
         now: SimTime,
@@ -411,20 +418,31 @@ impl Replanner {
         request: &ServiceRequest,
         old: &Plan,
     ) -> ReplanDecision {
+        self.evaluate_on(now, net, translator, request, old, Arc::default())
+    }
+
+    /// [`evaluate`](Self::evaluate) on `routes`.
+    fn evaluate_on<T: PropertyTranslator + ?Sized>(
+        &self,
+        now: SimTime,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        old: &Plan,
+        routes: Arc<ScopedRoutes>,
+    ) -> ReplanDecision {
+        let fresh = self
+            .planner
+            .plan_on(net, translator, request, Arc::clone(&routes));
         let mapper = Mapper::new(
             &self.planner.spec,
             net,
             translator,
             request,
             self.planner.config.objective,
-            Arc::new(ScopedRoutes::new()),
+            routes,
         );
-        self.decide(
-            now,
-            &mapper,
-            old,
-            self.planner.plan(net, translator, request),
-        )
+        self.decide(now, &mapper, old, fresh)
     }
 
     /// The decision given the `fresh` optimum for `old`'s request: `old`
@@ -510,6 +528,77 @@ mod tests {
             Credentials::new().with("Secure", true),
         );
         net
+    }
+
+    /// One decision computes each source row once: the revalidation of
+    /// the old plan reads only rows the fresh search already built on
+    /// the decision's one table, where a table of its own would build
+    /// them again.
+    #[test]
+    fn one_decision_computes_each_source_row_once() {
+        use ps_net::{Mapping, MappingTranslator};
+        use ps_spec::prelude::*;
+        let spec = ServiceSpec::new("relay")
+            .property(Property::boolean("Host"))
+            .interface(Interface::new("Api", Vec::<String>::new()))
+            .interface(Interface::new("Mid", Vec::<String>::new()))
+            .interface(Interface::new("Backend", Vec::<String>::new()))
+            .component(
+                Component::new("Client")
+                    .implements(InterfaceRef::plain("Api"))
+                    .requires(InterfaceRef::plain("Mid")),
+            )
+            .component(
+                Component::new("Relay")
+                    .implements(InterfaceRef::plain("Mid"))
+                    .requires(InterfaceRef::plain("Backend")),
+            )
+            .component(
+                Component::new("Server")
+                    .implements(InterfaceRef::plain("Backend"))
+                    .condition(Condition::equals("Host", true)),
+            );
+        let translator = MappingTranslator::new().node_mapping(Mapping::Copy {
+            credential: "Host".into(),
+            property: "Host".into(),
+            default: ps_spec::PropertyValue::Bool(false),
+        });
+        let mut net = two_site_net(40);
+        let host = net.add_node("c", "s3", 1.0, Credentials::new().with("Host", true));
+        net.add_link(
+            NodeId(1),
+            host,
+            SimDuration::from_millis(5),
+            1e7,
+            Credentials::new(),
+        );
+        let request = ServiceRequest::new("Api", NodeId(0));
+        let planner = Planner::new(spec);
+        let old = planner.plan(&net, &translator, &request).unwrap();
+
+        let shared = Arc::new(ScopedRoutes::new());
+        let replanner = Replanner::new(planner.clone());
+        let decision = replanner.evaluate_on(
+            SimTime::ZERO,
+            &net,
+            &translator,
+            &request,
+            &old,
+            Arc::clone(&shared),
+        );
+        assert!(matches!(decision, ReplanDecision::Keep));
+        assert_eq!(shared.rows_built() as u64, old.stats.route_rows_built);
+
+        let apart = Arc::new(ScopedRoutes::new());
+        let objective = planner.config.objective;
+        let table = Arc::clone(&apart);
+        let mapper = Mapper::new(&planner.spec, &net, &translator, &request, objective, table);
+        let hosts: Vec<NodeId> = old.placements.iter().map(|p| p.node).collect();
+        assert!(mapper.evaluate(&old.graph, &hosts).is_some());
+        // The search read rows the revalidation does not: a table of the
+        // revalidation's own could not hold the search's count.
+        let revalidation = apart.rows_built() as u64;
+        assert!(0 < revalidation && revalidation < old.stats.route_rows_built);
     }
 
     #[test]

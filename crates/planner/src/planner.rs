@@ -94,7 +94,21 @@ impl Planner {
         translator: &T,
         request: &ServiceRequest,
     ) -> Result<Plan, PlanError> {
-        self.solve(net, translator, request, None)
+        self.plan_on(net, translator, request, Arc::new(ScopedRoutes::new()))
+    }
+
+    /// [`plan`](Self::plan) on a route table the caller owns, so that
+    /// later questions on the same network read the rows this search
+    /// built. The search is the flat one whatever
+    /// [`PlannerConfig::hier`] holds.
+    pub fn plan_on<T: PropertyTranslator + ?Sized>(
+        &self,
+        net: &Network,
+        translator: &T,
+        request: &ServiceRequest,
+        routes: Arc<ScopedRoutes>,
+    ) -> Result<Plan, PlanError> {
+        self.solve(net, translator, request, routes, None)
     }
 
     /// [`plan`](Self::plan) on a serving memo's routes: under
@@ -108,14 +122,20 @@ impl Planner {
         request: &ServiceRequest,
         memo: &HierMemo,
     ) -> Result<Plan, PlanError> {
-        self.solve(net, translator, request, Some(memo))
+        self.solve(
+            net,
+            translator,
+            request,
+            memo.scoped_routes(net),
+            Some(memo),
+        )
     }
 
     /// The one solve both entry points above are wrappers of.
     ///
-    /// Every route the solve reads comes from one [`ScopedRoutes`]: the
-    /// serving memo's rows of the epoch when there is a memo, a fresh
-    /// table otherwise, built a source row at a time as the search asks.
+    /// Every route the solve reads comes from `routes`: the serving
+    /// memo's rows of the epoch when there is a memo, the caller's table
+    /// otherwise, built a source row at a time as the search asks.
     /// With a memo and [`PlannerConfig::hier`] set, the search first runs
     /// on the hierarchical composition universe (shortlists from the
     /// memo); a fabric with fewer than two regions has nothing to
@@ -133,6 +153,7 @@ impl Planner {
         net: &Network,
         translator: &T,
         request: &ServiceRequest,
+        routes: Arc<ScopedRoutes>,
         memo: Option<&HierMemo>,
     ) -> Result<Plan, PlanError> {
         if let Some(unknown) = request
@@ -157,10 +178,6 @@ impl Planner {
             graphs_enumerated: graphs.len(),
             ..PlanStats::default()
         };
-        let routes = memo.map_or_else(
-            || Arc::new(ScopedRoutes::new()),
-            |memo| memo.scoped_routes(net),
-        );
         let rows_before = routes.rows_built();
         let seeds = memo.map_or_else(Vec::new, HierMemo::recent_plans);
 

@@ -5,7 +5,8 @@ use super::{dispatch, invoke, lease, Event, State, World};
 use crate::component::InstanceId;
 use crate::fault::{LivenessEvent, LivenessKind};
 use ps_net::{LinkId, Network, NodeId};
-use ps_sim::{Engine, FaultKind, FaultPlan, Rng};
+use ps_sim::{Engine, FaultKind, FaultPlan, Rng, SimTime};
+use std::cmp::Reverse;
 
 pub(super) struct Faults {
     /// Host liveness (false = crashed). Distinct from the *network*'s
@@ -38,9 +39,11 @@ impl World {
     }
 
     /// Schedules every event of a [`FaultPlan`] onto the engine; the
-    /// faults then fire interleaved with regular traffic.
+    /// faults then fire interleaved with regular traffic. Each is also a
+    /// wake ([`next_wake`](Self::next_wake)).
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         for ev in plan.events() {
+            self.state.wakes.push(Reverse(ev.at));
             self.engine
                 .schedule_at(ev.at, Event::Fault { kind: ev.kind });
         }
@@ -56,6 +59,30 @@ impl World {
     /// converts them into `ps-monitor` network changes.
     pub fn take_liveness_events(&mut self) -> Vec<LivenessEvent> {
         std::mem::take(&mut self.state.liveness)
+    }
+
+    /// Whether detected liveness events wait to be drained.
+    pub fn has_liveness_events(&self) -> bool {
+        !self.state.liveness.is_empty()
+    }
+
+    /// Removes and returns the earliest *wake* in `[now, until]`: an
+    /// instant at which a queued fault or lease expiry may add to the
+    /// liveness stream. The index is filled where those events are
+    /// scheduled, so the event loop carries no stop test; wakes the
+    /// clock has run past are dropped.
+    pub fn next_wake(&mut self, until: SimTime) -> Option<SimTime> {
+        let now = self.now();
+        while let Some(&Reverse(at)) = self.state.wakes.peek() {
+            if at > until {
+                return None;
+            }
+            self.state.wakes.pop();
+            if at >= now {
+                return Some(at);
+            }
+        }
+        None
     }
 
     /// Crashes a host: every instance there halts immediately (no

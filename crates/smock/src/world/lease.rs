@@ -8,6 +8,7 @@ use crate::component::InstanceId;
 use crate::fault::{LeaseConfig, LivenessEvent, LivenessKind};
 use ps_net::NodeId;
 use ps_sim::{Engine, SimDuration, SimTime};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Analytic lease-renewal traffic accounting: renewals are charged to
@@ -165,6 +166,7 @@ pub(super) fn detect_crash(
         let last_renewal =
             granted + SimDuration::from_nanos(renewals(lease, granted, now) * heartbeat);
         let expiry = (last_renewal + lease.duration).max(now);
+        state.wakes.push(Reverse(expiry));
         engine.schedule_at(expiry, Event::LeaseExpire { instance });
     }
 }

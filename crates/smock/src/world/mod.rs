@@ -33,7 +33,8 @@ use ps_planner::HierMemo;
 use ps_sim::{CpuModel, Engine, FaultKind, Percentiles, SimTime, Summary};
 use ps_spec::{Behavior, ResolvedBindings, ServiceSpec};
 use ps_trace::Tracer;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 use transport::{Envelope, Kind};
 
@@ -86,6 +87,9 @@ struct State {
     /// Detected-but-undrained liveness events (lease expiries, restarts,
     /// link transitions).
     liveness: Vec<LivenessEvent>,
+    /// The instants at which a queued event may add to `liveness`: one
+    /// per scheduled fault and lease expiry ([`World::next_wake`]).
+    wakes: BinaryHeap<Reverse<SimTime>>,
     /// The serving memo over `net`: the one route table of every epoch
     /// (message routes, transfer times, plans), the plan cache and the
     /// hierarchical planner's shortlists ([`World::memo`]).
@@ -126,6 +130,7 @@ impl World {
                 instances: Vec::new(),
                 metrics: BTreeMap::new(),
                 liveness: Vec::new(),
+                wakes: BinaryHeap::new(),
                 memo: HierMemo::new(),
                 invoke: Default::default(),
                 lease: Default::default(),

@@ -231,4 +231,27 @@ if [[ -z "$work_warm" || -z "$work_hier" ]] || (( work_warm > work_hier )); then
 fi
 echo "    warm / cold hierarchical work at 1013 nodes: ${work_warm} / ${work_hier}"
 
+# Event-driven healing guard: a heal pass runs at each wake (a liveness
+# event entering the world's stream) plus ps_core::HEAL_DEBOUNCE, never
+# on a tick, so the partition run degrades and reconciles within one
+# debounce of the split and of the restore. A polling loop creeping back
+# in would show here as its period.
+#
+#   partition_ms <object> <field>   a figure of the stable BENCH_partition.json
+partition_ms() {
+    grep -oz "\"$1\": {[^}]*}" "$tmpdir/a/BENCH_partition.json" \
+        | tr -d '\0' | grep -o "\"$2\": [0-9.]*" | grep -o '[0-9.]*$'
+}
+debounce_ms=0 # HEAL_DEBOUNCE in crates/core/src/heal.rs
+echo "==> heal guard: partition recovery within the heal debounce (<= ${debounce_ms} ms)"
+for figure in "degraded latency_after_split_ms" "reconcile latency_after_restore_ms"; do
+    # shellcheck disable=SC2086 # the object and the field, two words
+    value="$(partition_ms $figure)"
+    if [[ -z "$value" ]] || ! awk -v v="$value" -v d="$debounce_ms" 'BEGIN { exit !(v <= d) }'; then
+        echo "BENCH_partition.json ${figure/ /.} is '${value}' ms, above the ${debounce_ms} ms heal debounce" >&2
+        exit 1
+    fi
+    echo "    ${figure/ /.}: ${value} ms"
+done
+
 echo "==> verify OK"

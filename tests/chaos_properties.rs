@@ -12,14 +12,14 @@
 //!   produce byte-identical artifacts (the determinism contracts
 //!   behind `BENCH_chaos.json` and `BENCH_partition.json`).
 
-use partitionable_services::core::Framework;
+use partitionable_services::core::{Framework, HEAL_DEBOUNCE};
 use partitionable_services::mail::spec::names::*;
 use partitionable_services::mail::workload::{ClusterConfig, ClusterDriver};
 use partitionable_services::mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use partitionable_services::net::casestudy::{default_case_study, NEW_YORK, SAN_DIEGO, SEATTLE};
 use partitionable_services::net::{LinkId, NodeId};
 use partitionable_services::planner::ServiceRequest;
-use partitionable_services::sim::{FaultPlan, SimDuration, SimTime};
+use partitionable_services::sim::{FaultPlan, SimTime};
 use partitionable_services::smock::{
     CoherencePolicy, InstanceId, LeaseConfig, RetryPolicy, ServiceRegistration,
 };
@@ -51,10 +51,14 @@ struct ScenarioEnd {
     sea_degraded: bool,
     sd_reconciled: bool,
     sea_reconciled: bool,
+    /// Instants of the passes that degraded, and that reconciled, any
+    /// connection.
+    degraded_at: Vec<SimTime>,
+    reconciled_at: Vec<SimTime>,
 }
 
 /// Runs the two-client mail workload under one injected fault, healing
-/// every 500 ms of virtual time, then drains the world completely.
+/// at each wake up to 60 s, then drains the world completely.
 fn run_fault_scenario(fault: &Fault, seed: u64) -> ScenarioEnd {
     let cs = default_case_study();
     let mut fw = Framework::new(
@@ -135,21 +139,20 @@ fn run_fault_scenario(fault: &Fault, seed: u64) -> ScenarioEnd {
     let mut sea_degraded = false;
     let mut sd_reconciled = false;
     let mut sea_reconciled = false;
-    let mut note = |report: &partitionable_services::core::HealReport| {
+    let (mut degraded_at, mut reconciled_at) = (Vec::new(), Vec::new());
+    while let Some(report) = fw.heal_next(SimTime::from_nanos(60_000_000_000)) {
         sd_degraded |= report.degraded.contains(&sd_handle);
         sea_degraded |= report.degraded.contains(&sea_handle);
         sd_reconciled |= report.reconciled.contains(&sd_handle);
         sea_reconciled |= report.reconciled.contains(&sea_handle);
-    };
-    let mut now = fault_at;
-    let deadline = SimTime::from_nanos(60_000_000_000);
-    while now < deadline {
-        now += SimDuration::from_millis(500);
-        fw.run_until(now);
-        note(&fw.heal());
+        if !report.degraded.is_empty() {
+            degraded_at.push(report.at);
+        }
+        if !report.reconciled.is_empty() {
+            reconciled_at.push(report.at);
+        }
     }
     fw.run();
-    note(&fw.heal());
 
     let done = |fw: &mut Framework, id: InstanceId| {
         fw.world
@@ -167,6 +170,8 @@ fn run_fault_scenario(fault: &Fault, seed: u64) -> ScenarioEnd {
         sea_degraded,
         sd_reconciled,
         sea_reconciled,
+        degraded_at,
+        reconciled_at,
     }
 }
 
@@ -258,6 +263,11 @@ fn severing_any_sites_wan_legs_degrades_then_reconciles() {
                 "Seattle not reconciled after severing {site}"
             );
         }
+        // The split and the restore each wake one pass, a debounce after
+        // the links moved: no recovery waits on a tick.
+        let after = |ns| vec![SimTime::from_nanos(ns) + HEAL_DEBOUNCE];
+        assert_eq!(end.degraded_at, after(FAULT_AT_NS), "severing {site}");
+        assert_eq!(end.reconciled_at, after(RESTORE_AT_NS), "severing {site}");
     }
 }
 

@@ -11,7 +11,7 @@ use partitionable_services::mail::workload::{ClusterConfig, ClusterDriver};
 use partitionable_services::mail::{mail_spec, mail_translator, register_mail_components, Keyring};
 use partitionable_services::net::casestudy::default_case_study;
 use partitionable_services::planner::ServiceRequest;
-use partitionable_services::sim::{FaultPlan, SimDuration, SimTime};
+use partitionable_services::sim::{FaultPlan, SimTime};
 use partitionable_services::smock::{
     CoherencePolicy, LeaseConfig, LivenessKind, RetryPolicy, ServiceRegistration,
 };
@@ -108,22 +108,11 @@ fn lease_detection_auto_heals_the_partner_connection() {
     plan.crash(crash_at, cs.sd_client.0);
     fw.world.install_fault_plan(&plan);
 
-    // Healing loop: step virtual time, drain liveness, re-plan.
-    let mut now = crash_at;
+    // Healing: one pass at each lease expiry, re-planning what it hit.
     let mut recovered = false;
-    let deadline = SimTime::from_nanos(60_000_000_000);
-    while now < deadline {
-        now += SimDuration::from_millis(500);
-        fw.run_until(now);
-        let report = fw.heal();
-        if report.recovered.contains(&sea_handle) {
-            recovered = true;
-        }
-        if recovered && driver_done(&mut fw, sea_driver) {
-            break;
-        }
+    while let Some(report) = fw.heal_next(SimTime::from_nanos(60_000_000_000)) {
+        recovered |= report.recovered.contains(&sea_handle);
     }
-    fw.run();
 
     // The crashed client's own connection is abandoned...
     assert!(fw.managed_connection(sd_handle).is_none());
