@@ -139,6 +139,7 @@ pub fn command(_: &Args) -> Result<Artifact, String> {
                 .with("bound_prunes", m.stats.bound_prunes)
                 .with("flow_evals", m.stats.flow_evals)
                 .with("bound_cells", m.stats.bound_cells)
+                .with("bound_pairs", m.stats.bound_pairs)
                 .with("work_units", m.stats.work_units())
                 .with("route_rows_built", m.stats.route_rows_built),
         );

@@ -163,6 +163,9 @@ pub struct HierPlanMeasure {
     /// memo's recent plans seed the incumbent, and its routing rows and
     /// shortlists are built.
     pub work_warm: u64,
+    /// Least-RTT candidate pairs the hierarchical cold plan's suffix
+    /// bounds scanned ([`ps_planner::PlanStats::bound_pairs`]).
+    pub bound_pairs: u64,
     /// Region segments solved by the cold hierarchical plan.
     pub segments: u32,
     /// Memo hits observed by the warm hierarchical plan.
@@ -274,6 +277,7 @@ pub fn measure_hier_plan(
         work_flat: flat.stats.work_units(),
         work_hier: hier.stats.work_units(),
         work_warm,
+        bound_pairs: hier.stats.bound_pairs,
         segments: hier.stats.hier_segments,
         warm_memo_hits,
         universe: hier.stats.hier_universe,
@@ -431,6 +435,7 @@ fn world_record(hier: &HierPlanMeasure, links: usize) -> Record {
         .with("work_flat", hier.work_flat)
         .with("work_hier", hier.work_hier)
         .with("work_warm", hier.work_warm)
+        .with("bound_pairs", hier.bound_pairs)
         .with("work_speedup", num(hier.work_speedup(), 3))
         .with("flat_objective", num(hier.flat_objective, 6))
         .with("hier_objective", num(hier.hier_objective, 6))

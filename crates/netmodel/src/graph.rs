@@ -11,6 +11,7 @@ use ps_sim::SimDuration;
 use ps_spec::{Environment, PropertyValue};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Index of a node in a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -136,6 +137,45 @@ pub struct Network {
     /// a fault in one AS does not invalidate every other region's
     /// memoised segments.
     site_epochs: BTreeMap<String, u64>,
+    /// Every node and link as added, folded one addition at a time (see
+    /// [`Network::digest`]).
+    digest: u64,
+}
+
+/// The word-at-a-time multiply-rotate fold behind [`Network::digest`]:
+/// keyless, so one network digests alike in every process and run.
+struct Fold(u64);
+
+impl Hasher for Fold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let word = chunk
+                .iter()
+                .rev()
+                .fold(0, |word, &byte| word << 8 | u64::from(byte));
+            self.write_u64(word);
+        }
+    }
+
+    fn write_u8(&mut self, value: u8) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
+    }
 }
 
 impl PartialEq for Network {
@@ -171,6 +211,13 @@ impl Network {
             up: true,
         });
         self.adjacency.push(Vec::new());
+        let node = &self.nodes[id.0 as usize];
+        let mut fold = Fold(self.digest);
+        (0u8, &node.site, node.cpu_speed.to_bits()).hash(&mut fold);
+        node.credentials
+            .iter()
+            .for_each(|entry| entry.hash(&mut fold));
+        self.digest = fold.finish();
         self.bump(Touch::Structure);
         self.bump_node_site(id);
         id
@@ -200,6 +247,13 @@ impl Network {
         });
         self.adjacency[a.0 as usize].push((b, id));
         self.adjacency[b.0 as usize].push((a, id));
+        let link = &self.links[id.0 as usize];
+        let mut fold = Fold(self.digest);
+        (1u8, a.0, b.0, latency.as_nanos(), bandwidth_bps.to_bits()).hash(&mut fold);
+        link.credentials
+            .iter()
+            .for_each(|entry| entry.hash(&mut fold));
+        self.digest = fold.finish();
         self.bump(Touch::Link(id));
         self.bump_link_sites(id);
         id
@@ -209,6 +263,21 @@ impl Network {
     /// artifacts (route tables, plan caches) can detect staleness.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// A digest of every node and link as added, folded in by
+    /// `add_node` and `add_link` and read in O(1): a node's site, speed
+    /// and credentials (not its name, which no route or plan reads), a
+    /// link's endpoints, latency, bandwidth and credentials. It is what a
+    /// derived artifact that outlives one call (the serving memo) binds
+    /// itself to, since two networks built by the same number of
+    /// additions share their epochs. Changes after an addition — up
+    /// flags, `node_mut`, `link_mut` — are the epoch's business and leave
+    /// it alone, so a clone that then diverged from its original still
+    /// carries the original's digest; at equal epochs the two cannot be
+    /// told apart.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// What the epoch bumps after `epoch` touched, oldest first: one
@@ -464,6 +533,45 @@ mod tests {
         let net = simple();
         assert_eq!(net.site_nodes("s1").len(), 2);
         assert_eq!(net.site_nodes("s2").len(), 1);
+    }
+
+    /// The digest names what was added, in order, and nothing else: an
+    /// equal construction digests alike, one other link latency or
+    /// credential does not, and state changes leave it as it was.
+    #[test]
+    fn the_digest_folds_every_addition_and_no_state_change() {
+        let built = simple();
+        assert_eq!(built.digest(), simple().digest());
+        let relinked = |latency, credentials: Credentials| {
+            let mut net = Network::new();
+            for node in simple().nodes() {
+                let credentials = node.credentials.clone();
+                net.add_node(&node.name, &node.site, node.cpu_speed, credentials);
+            }
+            let secure = Credentials::new().with("Secure", true);
+            net.add_link(NodeId(0), NodeId(1), SimDuration::ZERO, 1e8, secure);
+            net.add_link(NodeId(1), NodeId(2), latency, 1e7, credentials);
+            net
+        };
+        let same = relinked(SimDuration::from_millis(100), Credentials::new());
+        assert_eq!(same.digest(), built.digest());
+        let slower = relinked(SimDuration::from_millis(101), Credentials::new());
+        let secured = relinked(
+            SimDuration::from_millis(100),
+            built.link(LinkId(0)).credentials.clone(),
+        );
+        for other in [&slower, &secured] {
+            assert_eq!(other.epoch(), built.epoch());
+            assert_ne!(other.digest(), built.digest());
+        }
+
+        let mut changed = built.clone();
+        changed.set_node_up(NodeId(0), false);
+        changed.link_mut(LinkId(1)).latency = SimDuration::from_millis(1);
+        changed.touch();
+        assert_eq!(changed.digest(), built.digest());
+        changed.add_node("d", "s2", 1.0, Credentials::new());
+        assert_ne!(changed.digest(), built.digest());
     }
 
     #[test]

@@ -195,34 +195,94 @@ fn multiplicity_feasible(mapper: &Mapper<'_>, graph: &LinkageGraph) -> bool {
         {
             continue;
         }
-        // The occurrences' sets differ only by forced placement; a host
-        // in several of them has one identity and counts once.
-        let mut hosts: Vec<(Identity, NodeId)> = Vec::new();
-        for idx in std::iter::once(first).chain(repeats.clone()) {
-            let set = mapper.candidate_set(graph, idx);
-            hosts.extend(set.identity.iter().copied().zip(set.nodes.iter().copied()));
-        }
-        hosts.sort_unstable();
-        hosts.dedup();
-        let data_view = mapper
-            .spec
-            .get_component(component(first))
-            .is_some_and(|c| c.is_data_view());
-        let capacity: usize = hosts
-            .chunk_by(|a, b| a.0.class == b.0.class)
-            .map(|class| match data_view {
-                true => 1,
-                false => {
-                    let preexisting = class.iter().filter(|(id, _)| id.preexisting).count();
-                    class.len().min(1 + preexisting)
-                }
-            })
-            .sum();
-        if 1 + repeats.count() > capacity {
+        let occurrences = std::iter::once(first).chain(repeats);
+        let sets: Vec<CandidateSet> = occurrences
+            .map(|idx| mapper.candidate_set(graph, idx))
+            .collect();
+        // The other graphs of the call repeat the component over the
+        // same sets: their capacity is worked out once.
+        let mut ids: Vec<u32> = sets.iter().map(|set| set.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let known = mapper.memo.borrow().capacity(&ids);
+        let capacity = known.unwrap_or_else(|| {
+            let capacity = capacity(mapper, component(first), &sets);
+            mapper.memo.borrow_mut().record_capacity(ids, capacity);
+            capacity
+        });
+        if sets.len() > capacity {
             return false;
         }
     }
     true
+}
+
+/// How many occurrences of `component` its candidate sets `sets` admit
+/// ([`multiplicity_feasible`]).
+fn capacity(mapper: &Mapper<'_>, component: &str, sets: &[CandidateSet]) -> usize {
+    // The occurrences' sets differ only by forced placement; a host in
+    // several of them has one identity and counts once.
+    let mut hosts: Vec<(Identity, NodeId)> = Vec::new();
+    for set in sets {
+        hosts.extend(set.identity.iter().copied().zip(set.nodes.iter().copied()));
+    }
+    hosts.sort_unstable();
+    hosts.dedup();
+    let data_view = mapper
+        .spec
+        .get_component(component)
+        .is_some_and(|c| c.is_data_view());
+    hosts
+        .chunk_by(|a, b| a.0.class == b.0.class)
+        .map(|class| match data_view {
+            true => 1,
+            false => {
+                let preexisting = class.iter().filter(|(id, _)| id.preexisting).count();
+                class.len().min(1 + preexisting)
+            }
+        })
+        .sum()
+}
+
+/// The least round trip of a `bytes`-sized exchange over every route
+/// from a host of `from` (`None`: the client) to one of set `to`, zero
+/// when none exists. Read from the plan memo's least-RTT table; scanned
+/// and recorded on the call's first question, each pair read counted in
+/// `stats.bound_pairs`.
+fn least_rtt(
+    mapper: &Mapper<'_>,
+    from: Option<&CandidateSet>,
+    to: &CandidateSet,
+    bytes: f64,
+    stats: &mut PlanStats,
+) -> f64 {
+    let parent = from.map(|set| set.id);
+    if let Some(rtt) = mapper.memo.borrow().least_rtt(parent, to.id) {
+        return rtt;
+    }
+    let client = [mapper.request.client_node];
+    let from_hosts = from.map_or(&client[..], |set| &set.nodes[..]);
+    let mut best = f64::INFINITY;
+    'scan: for &a in from_hosts {
+        for &b in to.nodes.iter() {
+            stats.bound_pairs += 1;
+            let rtt = match mapper.route_metrics(a, b) {
+                Some(route) if !route.is_local() => route.rtt_ms(bytes),
+                Some(_) => 0.0,
+                None => continue,
+            };
+            best = best.min(rtt);
+            if best == 0.0 {
+                break 'scan;
+            }
+        }
+    }
+    let rtt = if best.is_finite() { best } else { 0.0 };
+    mapper
+        .memo
+        .borrow_mut()
+        .record_least_rtt(parent, to.id, rtt);
+    rtt
 }
 
 /// Lower bound of the increment `State::recurse` charges for tree node
@@ -233,38 +293,19 @@ fn min_increment(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     rates: &crate::load::RatePlan,
-    candidates: &[&[NodeId]],
+    sets: &[CandidateSet],
     deploy_lb: &[f64],
     idx: usize,
-    lp: f64,
+    stats: &mut PlanStats,
 ) -> f64 {
-    let min_rtt = |from_set: &[NodeId], to_set: &[NodeId], bytes: f64| -> f64 {
-        let mut best = f64::INFINITY;
-        for &a in from_set {
-            for &b in to_set {
-                let rtt = match mapper.route_metrics(a, b) {
-                    Some(route) if !route.is_local() => route.rtt_ms(bytes),
-                    Some(_) => 0.0,
-                    None => continue,
-                };
-                best = best.min(rtt);
-                if best == 0.0 {
-                    return 0.0;
-                }
-            }
-        }
-        if best.is_finite() {
-            best
-        } else {
-            0.0
-        }
-    };
+    let lp = latency_part(mapper.objective);
     let behavior = mapper.spec.behavior_of(&graph.nodes[idx].component);
     let frac = rates.fraction(idx);
     // The CPU and deployment-cost terms both depend only on the chosen
     // node, so minimising their *sum* over the candidate set stays
     // admissible and is tighter than summing independent minima.
-    let min_node = candidates[idx]
+    let min_node = sets[idx]
+        .nodes
         .iter()
         .zip(deploy_lb)
         .map(|(&node, &deploy)| {
@@ -276,15 +317,135 @@ fn min_increment(
         for &(_, child) in &graph.nodes[idx].children {
             let cb = mapper.spec.behavior_of(&graph.nodes[child].component);
             let bytes = (cb.bytes_per_request + cb.bytes_per_response) as f64;
-            bound +=
-                lp * rates.fraction(child) * min_rtt(candidates[idx], candidates[child], bytes);
+            let rtt = least_rtt(mapper, Some(&sets[idx]), &sets[child], bytes, stats);
+            bound += lp * rates.fraction(child) * rtt;
         }
         if idx == 0 {
             let bytes = (behavior.bytes_per_request + behavior.bytes_per_response) as f64;
-            bound += lp * min_rtt(&[mapper.request.client_node], candidates[0], bytes);
+            bound += lp * least_rtt(mapper, None, &sets[0], bytes, stats);
         }
     }
     bound
+}
+
+/// A partial assignment as the property flow reads it, filled bottom-up
+/// by the descent and by a warm seed's evaluation alike: per tree node
+/// its host and, once placed, the plan memo's id of its provided
+/// bindings (its part of its parent's flow context), the bindings and
+/// its resolved factors.
+struct Assignment {
+    hosts: Vec<Option<NodeId>>,
+    provided_id: Vec<u32>,
+    provided: Vec<Option<Rc<ResolvedBindings>>>,
+    factors: Vec<Option<Rc<ResolvedBindings>>>,
+    /// Scratch for a flow-context key, reused across placements.
+    context_key: Vec<u64>,
+}
+
+impl Assignment {
+    fn new(n: usize) -> Self {
+        Assignment {
+            hosts: vec![None; n],
+            provided_id: vec![0; n],
+            provided: vec![None; n],
+            factors: vec![None; n],
+            context_key: Vec::new(),
+        }
+    }
+
+    /// Interns the flow context of tree node `idx` — its candidate set
+    /// `set` and each child's `(host, provided)` pair, the only placement
+    /// state the flow reads — and returns the verdict cell of the set's
+    /// first candidate; candidate `ci` reads cell `+ ci`. `None` while a
+    /// child is unplaced.
+    fn flow_context(
+        &mut self,
+        mapper: &Mapper<'_>,
+        graph: &LinkageGraph,
+        idx: usize,
+        set: &CandidateSet,
+    ) -> Option<usize> {
+        self.context_key.clear();
+        self.context_key.push(u64::from(set.id));
+        for &(_, child) in &graph.nodes[idx].children {
+            let child_node = self.hosts[child]?;
+            self.context_key
+                .push((u64::from(child_node.0) << 32) | u64::from(self.provided_id[child]));
+        }
+        let mut memo = mapper.memo.borrow_mut();
+        Some(memo.flow_context(&self.context_key, set.nodes.len()))
+    }
+
+    /// Property flow for `idx` at `node`: read from verdict cell `cell`
+    /// of the plan memo, computed (counted in `stats.flow_evals`) and
+    /// recorded there on first sight. The flow is a pure function of
+    /// (component, host, children's hosts and provided bindings), and
+    /// the descent re-derives identical verdicts across every variation
+    /// of the *deeper* — already placed, irrelevant — subtree and across
+    /// the plan's other graphs, so nearly every visit is a table read.
+    fn flow(
+        &self,
+        mapper: &Mapper<'_>,
+        graph: &LinkageGraph,
+        idx: usize,
+        node: NodeId,
+        cell: usize,
+        stats: &mut PlanStats,
+    ) -> Option<FlowOutcome> {
+        match mapper.memo.borrow().verdict(cell) {
+            Verdict::Infeasible => return None,
+            Verdict::Feasible(outcome) => return Some(outcome.clone()),
+            Verdict::Unknown => {}
+        }
+        stats.flow_evals += 1;
+        let computed = mapper.flow_and_factors_at(graph, idx, node, &self.hosts, &self.provided);
+        mapper.memo.borrow_mut().record_flow(cell, computed)
+    }
+
+    fn place(&mut self, idx: usize, node: NodeId, outcome: FlowOutcome) {
+        self.hosts[idx] = Some(node);
+        self.provided_id[idx] = outcome.provided_id;
+        self.provided[idx] = Some(outcome.provided);
+        self.factors[idx] = Some(outcome.factors);
+    }
+
+    fn unplace(&mut self, idx: usize) {
+        self.hosts[idx] = None;
+        self.provided[idx] = None;
+        self.factors[idx] = None;
+    }
+}
+
+/// The objective [`Mapper::evaluate`] gives `hosts` on `graph`, or
+/// `None` when a host lies outside its tree node's candidate set or the
+/// evaluator rejects the mapping: a warm seed's value. Set membership is
+/// condition 1 (what `evaluate` checks first), each node's property flow
+/// is read from or recorded in the plan memo's verdict table — the cells
+/// the descent reads — and the one evaluator body,
+/// [`Mapper::evaluate_reusing_flow`], prices the whole.
+pub(crate) fn seed_value(
+    mapper: &Mapper<'_>,
+    graph: &LinkageGraph,
+    hosts: &[NodeId],
+    stats: &mut PlanStats,
+) -> Option<f64> {
+    let mut cells = Vec::with_capacity(hosts.len());
+    for (idx, host) in hosts.iter().enumerate() {
+        let set = mapper.candidate_set(graph, idx);
+        let ci = set.nodes.iter().position(|node| node == host)?;
+        cells.push((set, ci));
+    }
+    let mut assignment = Assignment::new(hosts.len());
+    for idx in graph.bottom_up_order() {
+        let (set, ci) = &cells[idx];
+        let row = assignment.flow_context(mapper, graph, idx, set)?;
+        let outcome = assignment.flow(mapper, graph, idx, hosts[idx], row + ci, stats)?;
+        assignment.place(idx, hosts[idx], outcome);
+    }
+    let rates = mapper.rates(graph);
+    let (provided, factors) = (&assignment.provided, &assignment.factors);
+    let eval = mapper.evaluate_reusing_flow(graph, hosts, provided, factors, &rates)?;
+    Some(eval.objective_value)
 }
 
 struct State<'a, 'b> {
@@ -320,16 +481,9 @@ struct State<'a, 'b> {
     /// Per tree node, whether its component is a data view.
     data_view: Vec<bool>,
     incumbent: &'a Incumbent,
-    /// Scratch for a flow-context key, reused across `recurse` calls.
-    context_key: Vec<u64>,
-    /// Per placed tree node, the memo's id of its provided bindings —
-    /// its part of its parent's flow context.
-    provided_id: Vec<u32>,
-    assignment: Vec<Option<NodeId>>,
+    assignment: Assignment,
     /// Per placed tree node, the identity entry of its host.
     placed: Vec<Identity>,
-    provided: Vec<Option<Rc<ResolvedBindings>>>,
-    factors: Vec<Option<Rc<ResolvedBindings>>>,
     best: Option<(Vec<NodeId>, Evaluation)>,
     stats: &'a mut PlanStats,
 }
@@ -365,21 +519,32 @@ impl<'a, 'b> State<'a, 'b> {
         // might attach to a pinned/existing instance (`attachable`;
         // whether the factors match too is the evaluator's question),
         // else exactly its term — code transfer from the effective
-        // origin plus startup.
+        // origin plus startup. A function of the candidate set alone,
+        // so worked out once per call.
         let origin = mapper.request.effective_origin();
-        let deploy_lb: Vec<Vec<f64>> = (0..n)
+        let deploy_lb: Vec<Rc<[f64]>> = (0..n)
             .map(|idx| {
+                let set = &sets[idx];
+                if let Some(floors) = mapper.memo.borrow().deploy_floors(set.id) {
+                    return floors;
+                }
                 let size = mapper
                     .spec
                     .behavior_of(&graph.nodes[idx].component)
                     .code_size;
-                let hosts = candidates[idx].iter().zip(&sets[idx].identity[..]);
-                hosts
+                let hosts = set.nodes.iter().zip(&set.identity[..]);
+                let floors: Rc<[f64]> = hosts
                     .map(|(&node, id)| match bounding && cp > 0.0 && !id.attachable {
                         true => cp * (mapper.transfer_ms(origin, node, size) + STARTUP_COST_MS),
                         false => 0.0,
                     })
-                    .collect()
+                    .collect();
+                let recorded = Rc::clone(&floors);
+                mapper
+                    .memo
+                    .borrow_mut()
+                    .record_deploy_floors(set.id, recorded);
+                floors
             })
             .collect();
 
@@ -390,9 +555,7 @@ impl<'a, 'b> State<'a, 'b> {
         let mut placed_bound = vec![0.0; n + 1];
         if bounding && (lp > 0.0 || cp > 0.0) {
             let least: Vec<f64> = (0..n)
-                .map(|idx| {
-                    min_increment(mapper, graph, &rates, &candidates, &deploy_lb[idx], idx, lp)
-                })
+                .map(|idx| min_increment(mapper, graph, &rates, &sets, &deploy_lb[idx], idx, stats))
                 .collect();
             for pos in (0..n).rev() {
                 suffix_bound[pos] = suffix_bound[pos + 1] + least[order[pos]];
@@ -414,7 +577,7 @@ impl<'a, 'b> State<'a, 'b> {
             .map(|idx| {
                 let behavior = mapper.spec.behavior_of(&graph.nodes[idx].component);
                 let frac = rates.fraction(idx);
-                let hosts = candidates[idx].iter().zip(&deploy_lb[idx]);
+                let hosts = candidates[idx].iter().zip(deploy_lb[idx].iter());
                 hosts
                     .map(|(&node, &deploy)| {
                         let mut cost = deploy;
@@ -484,12 +647,8 @@ impl<'a, 'b> State<'a, 'b> {
             same_component,
             data_view,
             incumbent,
-            context_key: Vec::new(),
-            provided_id: vec![0; n],
-            assignment: vec![None; n],
+            assignment: Assignment::new(n),
             placed: vec![Identity::default(); n],
-            provided: vec![None; n],
-            factors: vec![None; n],
             best: None,
             stats,
         })
@@ -513,7 +672,7 @@ impl<'a, 'b> State<'a, 'b> {
         // running partial stays bit-identical to the pre-split math.
         let mut cost = base;
         for &(_, child) in &self.graph.nodes[idx].children {
-            let Some(child_node) = self.assignment[child] else {
+            let Some(child_node) = self.assignment.hosts[child] else {
                 continue;
             };
             if let Some(route) = self.mapper.route_metrics(node, child_node) {
@@ -532,55 +691,13 @@ impl<'a, 'b> State<'a, 'b> {
     /// in every completion of the current partial assignment.
     fn identity_clash(&self, idx: usize, node: NodeId, id: Identity) -> bool {
         self.same_component[idx].iter().any(|&j| {
-            self.assignment[j].is_some_and(|other| {
+            self.assignment.hosts[j].is_some_and(|other| {
                 let placed = self.placed[j];
                 other == node
                     || (placed.class == id.class
                         && (self.data_view[idx] || !(placed.preexisting || id.preexisting)))
             })
         })
-    }
-
-    /// Interns the flow context of tree node `idx` — its candidate set
-    /// and each child's `(host, provided)` pair, the only descent state
-    /// the flow reads — and returns the verdict cell of the set's first
-    /// candidate; candidate `ci` reads cell `+ ci`. Bottom-up order
-    /// guarantees all children are placed.
-    fn flow_context(&mut self, idx: usize) -> Option<usize> {
-        let set = &self.sets[idx];
-        self.context_key.clear();
-        self.context_key.push(u64::from(set.id));
-        for &(_, child) in &self.graph.nodes[idx].children {
-            let child_node = self.assignment[child]?;
-            self.context_key
-                .push((u64::from(child_node.0) << 32) | u64::from(self.provided_id[child]));
-        }
-        let mut memo = self.mapper.memo.borrow_mut();
-        Some(memo.flow_context(&self.context_key, set.nodes.len()))
-    }
-
-    /// Property flow for `idx` at `node`: read from verdict cell `cell`
-    /// of the plan memo, computed and recorded there on first sight. The
-    /// flow is a pure function of (component, host, children's hosts and
-    /// provided bindings), and the descent re-derives identical verdicts
-    /// across every variation of the *deeper* — already placed,
-    /// irrelevant — subtree and across the plan's other graphs, so
-    /// nearly every visit is a table read.
-    fn flow(&mut self, idx: usize, node: NodeId, cell: usize) -> Option<FlowOutcome> {
-        match self.mapper.memo.borrow().verdict(cell) {
-            Verdict::Infeasible => return None,
-            Verdict::Feasible(outcome) => return Some(outcome.clone()),
-            Verdict::Unknown => {}
-        }
-        self.stats.flow_evals += 1;
-        let computed = self.mapper.flow_and_factors_at(
-            self.graph,
-            idx,
-            node,
-            &self.assignment,
-            &self.provided,
-        );
-        self.mapper.memo.borrow_mut().record_flow(cell, computed)
     }
 
     /// Best objective known anywhere: this graph's own best, improved by
@@ -721,6 +838,7 @@ impl<'a, 'b> State<'a, 'b> {
             // infeasible rather than panic on the hot path (ps-lint P001).
             let Some(assignment) = self
                 .assignment
+                .hosts
                 .iter()
                 .copied()
                 .collect::<Option<Vec<NodeId>>>()
@@ -736,8 +854,8 @@ impl<'a, 'b> State<'a, 'b> {
             let eval = self.mapper.evaluate_reusing_flow(
                 self.graph,
                 &assignment,
-                &self.provided,
-                &self.factors,
+                &self.assignment.provided,
+                &self.assignment.factors,
                 &self.rates,
             );
             if let Some(eval) = eval {
@@ -756,7 +874,10 @@ impl<'a, 'b> State<'a, 'b> {
         // The children are placed, so their context is the same for
         // every candidate below: intern it once and each candidate's
         // verdict is an array read.
-        let Some(row) = self.flow_context(idx) else {
+        let Some(row) = self
+            .assignment
+            .flow_context(self.mapper, self.graph, idx, &self.sets[idx])
+        else {
             debug_assert!(false, "child placed before parent");
             return;
         };
@@ -785,19 +906,18 @@ impl<'a, 'b> State<'a, 'b> {
                 self.stats.bound_prunes += 1;
                 continue;
             }
-            let Some(outcome) = self.flow(idx, node, row + ci) else {
+            let cell = row + ci;
+            let flow = self
+                .assignment
+                .flow(self.mapper, self.graph, idx, node, cell, self.stats);
+            let Some(outcome) = flow else {
                 self.stats.prunes += 1;
                 continue;
             };
-            self.assignment[idx] = Some(node);
+            self.assignment.place(idx, node, outcome);
             self.placed[idx] = id;
-            self.provided_id[idx] = outcome.provided_id;
-            self.provided[idx] = Some(outcome.provided);
-            self.factors[idx] = Some(outcome.factors);
             self.recurse(pos + 1, partial + inc, penalty);
-            self.assignment[idx] = None;
-            self.provided[idx] = None;
-            self.factors[idx] = None;
+            self.assignment.unplace(idx);
         }
     }
 }
@@ -965,9 +1085,9 @@ mod tests {
             penalty += state.mapper.avoidance_penalty(hosts[idx]);
             bounds.push(state.cut_bound(partial, inc, penalty, pos, ci));
             partial += inc;
-            state.assignment[idx] = Some(hosts[idx]);
+            state.assignment.hosts[idx] = Some(hosts[idx]);
         }
-        state.assignment.fill(None);
+        state.assignment.hosts.fill(None);
         bounds
     }
 
@@ -1028,6 +1148,164 @@ mod tests {
             exact += usize::from(bounds[0] >= value * (1.0 - 1e-9));
         }
         exact
+    }
+
+    /// Every host tuple over the candidate sets, feasible or not.
+    fn host_tuples(sets: &[CandidateSet]) -> Vec<Vec<NodeId>> {
+        let mut tuples = vec![Vec::new()];
+        for set in sets {
+            tuples = tuples
+                .iter()
+                .flat_map(|tuple| {
+                    set.nodes.iter().map(move |&host| {
+                        let mut longer = tuple.clone();
+                        longer.push(host);
+                        longer
+                    })
+                })
+                .collect();
+        }
+        tuples
+    }
+
+    /// A warm seed priced through the plan memo has exactly the value the
+    /// memo-free [`Mapper::evaluate`] gives it, bit for bit, and is
+    /// rejected exactly when the evaluator rejects it: on a cold memo,
+    /// where the seed computes and records each flow, and again after
+    /// every graph was searched, where it reads the cells the descents
+    /// left. Half the networks carry an insecure WAN link, so a flow
+    /// depends on its host. A host outside its candidate set, such as a
+    /// pinned server moved off its pin, is no seed.
+    #[test]
+    fn a_seed_priced_through_the_memo_is_the_evaluators_value() {
+        let limits = LinkageLimits {
+            max_repeats: 1,
+            max_depth: 6,
+            max_graphs: 64,
+        };
+        let translator = translator();
+        let (mut compared, mut feasible, mut read_back) = (0, 0, 0);
+        for case in 0..8u64 {
+            let mut rng = Rng::seed_from_u64(case).derive("seed-value");
+            let (mut net, hosts) = island_net(&mut rng);
+            if case % 2 == 0 {
+                // The first WAN link turns insecure: a relay's flow then
+                // depends on which side of it the relay sits.
+                net.link_mut(ps_net::LinkId(2)).credentials = Credentials::new();
+            }
+            let spec = match case % 4 == 3 {
+                true => tree_spec(0.5),
+                false => chain_spec(1 + (case % 2) as usize, *rng.choose(&[0.1, 1.0])),
+            };
+            let mut other_factors = ps_spec::ResolvedBindings::new();
+            other_factors.insert("Level", ps_spec::PropertyValue::Int(7));
+            let mut request = ServiceRequest::new("Api", *hosts.last().expect("hosts"))
+                .rate(2.0)
+                .pin("Server", hosts[0])
+                .origin(hosts[0])
+                .avoid(*rng.choose(&hosts))
+                .existing_instance("Relay0", *rng.choose(&hosts), other_factors);
+            if case % 4 == 3 {
+                request = request.pin("StoreServer", hosts[2]);
+            }
+            if case % 2 == 1 {
+                request = request.free_root();
+            }
+            let graphs = enumerate_linkages(&spec, "Api", &limits);
+            let routes = Arc::new(ScopedRoutes::new());
+            let objective = Objective::MinLatency;
+            let mapper = Mapper::new(&spec, &net, &translator, &request, objective, routes);
+            let fresh = || {
+                let routes = Arc::new(ScopedRoutes::new());
+                Mapper::new(&spec, &net, &translator, &request, objective, routes)
+            };
+            let tuples: Vec<(&LinkageGraph, Vec<NodeId>)> = graphs
+                .iter()
+                .flat_map(|graph| {
+                    let sets: Vec<CandidateSet> = (0..graph.len())
+                        .map(|i| mapper.candidate_set(graph, i))
+                        .collect();
+                    host_tuples(&sets)
+                        .into_iter()
+                        .map(move |hosts| (graph, hosts))
+                })
+                .collect();
+            let mut stats = PlanStats::default();
+            for searched in [false, true] {
+                if searched {
+                    let incumbent = Incumbent::new();
+                    for graph in &graphs {
+                        search(&mapper, graph, &mut stats, &incumbent);
+                    }
+                }
+                let evals_before = stats.flow_evals;
+                for (graph, hosts) in &tuples {
+                    let seeded = seed_value(&mapper, graph, hosts, &mut stats);
+                    let evaluated = fresh().evaluate(graph, hosts).map(|e| e.objective_value);
+                    assert_eq!(
+                        seeded.map(f64::to_bits),
+                        evaluated.map(f64::to_bits),
+                        "case {case} {graph} {hosts:?} (searched first: {searched})"
+                    );
+                    compared += 1;
+                    feasible += usize::from(seeded.is_some());
+                }
+                if searched {
+                    // Every cell the seeds ask for is already known.
+                    assert_eq!(stats.flow_evals, evals_before, "case {case}");
+                    read_back += tuples.len();
+                }
+            }
+            // The pinned server moved off its pin: no seed.
+            let (graph, hosts_of) = &tuples[0];
+            let server = graph.nodes.iter().position(|n| n.component == "Server");
+            let mut moved = hosts_of.clone();
+            moved[server.expect("every graph ends in the server")] = hosts[1];
+            assert_eq!(seed_value(&mapper, graph, &moved, &mut stats), None);
+        }
+        assert!(
+            compared > 500 && feasible > 100 && read_back > 200,
+            "the generator went vacuous: {compared} seeds, {feasible} feasible, \
+             {read_back} read back"
+        );
+    }
+
+    /// The cut charges the avoidance penalty under `CHAIN_MARGIN`. The
+    /// descent sums a mapping's terms in another order than the
+    /// evaluator, so its partial can sit an ulp above the evaluator's
+    /// sum; added to a penalty of 10⁶ that ulp can round up to the next
+    /// representable value where the evaluator's sum rounds down. Here
+    /// the same three terms, summed `(a + b) + c` by a descent and `a +
+    /// (b + c)` by an evaluator, do: without the margin a placement whose
+    /// completion only ties the incumbent at the evaluator's own value
+    /// would be cut.
+    #[test]
+    fn the_penalty_margin_absorbs_the_ulp_a_penalty_rounds_up() {
+        let (a, b, c) = (19.86602279112022, 6.306720956152541, 0.571878593211297);
+        let objective = a + (b + c) + crate::AVOID_PENALTY;
+        assert!(
+            (a + b) + c + crate::AVOID_PENALTY > objective,
+            "the terms no longer round apart across the penalty"
+        );
+
+        let mut rng = Rng::seed_from_u64(0).derive("chain-bound");
+        let (net, hosts) = island_net(&mut rng);
+        let spec = chain_spec(1, 0.5);
+        let request = ServiceRequest::new("Api", hosts[1]).pin("Server", hosts[0]);
+        let graphs = enumerate_linkages(&spec, "Api", &LinkageLimits::default());
+        let (translator, routes) = (translator(), Arc::new(ScopedRoutes::new()));
+        let objective_kind = Objective::MinLatency;
+        let mapper = Mapper::new(&spec, &net, &translator, &request, objective_kind, routes);
+        let (mut stats, incumbent) = (PlanStats::default(), Incumbent::new());
+        let state = State::new(&mapper, &graphs[0], &mut stats, &incumbent).expect("candidates");
+        // The root is placed last, with nothing left to bound.
+        let root = state.order.len() - 1;
+        assert!(state.chain_bound.is_empty() && state.remaining(root, 0, 0) == 0.0);
+        let bound = state.cut_bound(a + b, c, crate::AVOID_PENALTY, root, 0);
+        assert!(
+            bound <= objective,
+            "a completion tying the incumbent is cut: bound {bound} > {objective}"
+        );
     }
 
     /// The bound never overshoots: along the descent path of every

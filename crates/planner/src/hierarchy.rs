@@ -31,14 +31,14 @@
 //! "Exactness, measured"). When the universe holds *no* feasible mapping
 //! the solve falls back to the flat search (`Planner::solve`).
 
-use crate::linkage::LinkageGraph;
+use crate::linkage::{enumerate_for, LinkageGraph, LinkageLimits};
 use crate::mapping::Mapper;
 use crate::plan::{ExistingInstance, Plan, PlanStats, ServiceRequest};
 use crate::planner::Planner;
 use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
 use ps_spec::{Environment, ResolvedBindings, ServiceSpec};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Turns on the hierarchical planning path
 /// ([`PlannerConfig::hier`](crate::PlannerConfig)). A marker: the path
@@ -85,6 +85,8 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | lazy route rows ([`ScopedRoutes`]) | source node | carried to a later epoch on their next use, re-run when a change since touched them |
 /// | completed plans | the registered spec (by `Arc` identity) and the request (by value), under one live-instance set named by the caller's stamp | any epoch change; a plan stored under another live set |
 /// | segment shortlists | (region, component, registered spec by `Arc` identity, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
+/// | linkage graphs | (registered spec by `Arc` identity, interfaces, [`LinkageLimits`], degraded flag) | nothing: the enumeration reads no network |
+/// | condition-1 admissions | (registered spec by `Arc` identity, request signature by value, component), then the host | that host's region epoch |
 /// | region map | — | a node or link count change |
 /// | recent plans (warm seeds) | — | revalidated at use |
 ///
@@ -99,6 +101,17 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// (`Planner::solve`). So they need no invalidation, and they survive
 /// the epoch change that empties the plan cache, which is exactly when
 /// a heal pass plans.
+///
+/// Epochs tell apart the states of one network, not two networks: every
+/// network starts at epoch 0 and bumps once per addition. So the memo is
+/// bound to the first network it is handed by that network's
+/// [`digest`](Network::digest), and a network of another digest — one
+/// built otherwise, or grown by an addition since — starts it over. The
+/// check is one comparison per entry point. What it cannot see is a
+/// clone that diverged from its original by state changes alone (an up
+/// flag, `node_mut`): same digest, and at an equal epoch the memo would
+/// answer one from the other's rows. The run-time never does that: each
+/// world owns its network and its memo.
 #[derive(Debug, Default)]
 pub struct HierMemo {
     inner: Mutex<MemoInner>,
@@ -106,6 +119,9 @@ pub struct HierMemo {
 
 #[derive(Debug, Default)]
 struct MemoInner {
+    /// The [`digest`](Network::digest) of the network every other part
+    /// was derived from; `None` until the memo first meets one.
+    network: Option<u64>,
     region_map: Option<Arc<RegionMap>>,
     /// The one route table, across every epoch: its rows carry
     /// themselves.
@@ -123,8 +139,38 @@ struct MemoInner {
     shortlists: BTreeMap<ShortlistKey, (u64, Vec<NodeId>)>,
     /// The last distinct solved (graph, hosts) pairs, newest first.
     recent: Vec<Arc<RecentPlan>>,
+    /// Every enumeration solves on the memo asked for, by its key.
+    linkages: Vec<Linkages>,
+    /// Condition-1 verdicts, per (signature index, component).
+    admissions: Vec<Admissions>,
     hits: u64,
     misses: u64,
+}
+
+/// Condition 1 for one component under one signature, per host: the
+/// host's region epoch when decided, and the factors the component
+/// resolves to there (`None`: a condition fails or the factors do not
+/// resolve). The verdict reads the registered spec and the request
+/// environment (both in the signature), the component, and the host's
+/// credentials as the registration's translator reads them; every change
+/// to a host bumps its region epoch. Like the shortlists, the memo takes
+/// a registration to be planned with one translator, and keys on the
+/// whole signature: a request with other pins or live instances decides
+/// afresh, though condition 1 reads neither.
+#[derive(Debug)]
+struct Admissions {
+    signature: u32,
+    component: String,
+    by_node: Vec<Option<(u64, Option<ResolvedBindings>)>>,
+}
+
+/// A serving memo as one solve reads it: with the index of the solve's
+/// (registered spec, request signature) pair, the key of the memo's
+/// per-signature tables (shortlists, condition-1 admissions).
+#[derive(Clone, Copy)]
+pub(crate) struct SignedMemo<'a> {
+    pub memo: &'a HierMemo,
+    pub signature: u32,
 }
 
 /// A plan a solve on the memo returned, as a warm seed keeps it: its
@@ -136,6 +182,19 @@ pub(crate) struct RecentPlan {
 }
 
 type ShortlistKey = (u32, String, u32);
+
+/// The linkage graphs a registered spec offers one request shape: what
+/// `enumerate_for` returns for the key's four parts, a pure function of
+/// them. The spec is compared by `Arc` identity and held, so its
+/// address cannot be reused while the entry lives.
+#[derive(Debug)]
+struct Linkages {
+    spec: Arc<ServiceSpec>,
+    interfaces: Vec<String>,
+    limits: LinkageLimits,
+    degraded: bool,
+    graphs: Arc<[LinkageGraph]>,
+}
 
 /// Completed plans of the current network epoch and one live-instance
 /// set. A hit is exact: the planner is a pure function of the network
@@ -183,6 +242,16 @@ impl PlanCache {
 }
 
 impl MemoInner {
+    /// Binds an unbound memo to the network of `digest`, and starts a
+    /// memo bound to another one over.
+    #[cold]
+    fn bind(&mut self, digest: u64) {
+        if self.network.is_some() {
+            *self = MemoInner::default();
+        }
+        self.network = Some(digest);
+    }
+
     /// The epoch check every entry point runs: when the network moved
     /// on, every cached plan is dropped. The route rows need no step
     /// here: each is carried, or re-run, on its own next use.
@@ -202,14 +271,26 @@ impl HierMemo {
         HierMemo::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemoInner> {
+    fn lock(&self) -> MutexGuard<'_, MemoInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memo bound to `net`: on its first network it records the
+    /// network's [`digest`](Network::digest); a network of another
+    /// digest starts it over, empty, as a new memo would be. O(1), so
+    /// every entry point that is handed a network runs it.
+    fn lock_on(&self, net: &Network) -> MutexGuard<'_, MemoInner> {
+        let mut inner = self.lock();
+        if inner.network != Some(net.digest()) {
+            inner.bind(net.digest());
+        }
+        inner
     }
 
     /// The cached region decomposition, rebuilt when the network's
     /// structure (node/link counts) changed.
     pub fn region_map(&self, net: &Network) -> Arc<RegionMap> {
-        let mut inner = self.lock();
+        let mut inner = self.lock_on(net);
         match &inner.region_map {
             Some(map) if map.is_current(net) => Arc::clone(map),
             _ => {
@@ -225,7 +306,7 @@ impl HierMemo {
     /// provably leave it exact, and re-run otherwise: a host crash or
     /// link flap leaves most rows untouched.
     pub fn scoped_routes(&self, net: &Network) -> Arc<ScopedRoutes> {
-        self.lock().sync(net)
+        self.lock_on(net).sync(net)
     }
 
     /// Dijkstra source rows the memo has run since it was created, over
@@ -251,7 +332,7 @@ impl HierMemo {
         stamp: u64,
         live: impl FnOnce() -> Vec<ExistingInstance>,
     ) -> Result<Arc<Plan>, Arc<[ExistingInstance]>> {
-        let mut inner = self.lock();
+        let mut inner = self.lock_on(net);
         inner.sync(net);
         let plans = &mut inner.plans;
         let key = plans.key.as_ref();
@@ -285,7 +366,7 @@ impl HierMemo {
         live: Arc<[ExistingInstance]>,
         plan: Arc<Plan>,
     ) {
-        let mut inner = self.lock();
+        let mut inner = self.lock_on(net);
         inner.sync(net);
         inner.plans.adopt(stamp, spec, live);
         inner
@@ -323,6 +404,87 @@ impl HierMemo {
         inner.recent.truncate(RECENT_PLANS);
     }
 
+    /// The linkage graphs of registered `spec` for a request naming
+    /// `interfaces`, `degraded` or not, within `limits`: enumerated on
+    /// the first such request and shared by every later one.
+    pub(crate) fn linkage_graphs(
+        &self,
+        spec: &Arc<ServiceSpec>,
+        interfaces: &[String],
+        limits: &LinkageLimits,
+        degraded: bool,
+    ) -> Arc<[LinkageGraph]> {
+        let mut inner = self.lock();
+        let known = inner.linkages.iter().find(|seen| {
+            Arc::ptr_eq(&seen.spec, spec)
+                && seen.degraded == degraded
+                && seen.interfaces == interfaces
+                && seen.limits == *limits
+        });
+        if let Some(seen) = known {
+            return Arc::clone(&seen.graphs);
+        }
+        let graphs: Arc<[LinkageGraph]> = enumerate_for(spec, interfaces, limits, degraded).into();
+        inner.linkages.push(Linkages {
+            spec: Arc::clone(spec),
+            interfaces: interfaces.to_vec(),
+            limits: limits.clone(),
+            degraded,
+            graphs: Arc::clone(&graphs),
+        });
+        graphs
+    }
+
+    /// The memo under (`spec`, `request`'s signature).
+    pub(crate) fn signed(
+        &self,
+        spec: &Arc<ServiceSpec>,
+        request: &ServiceRequest,
+    ) -> SignedMemo<'_> {
+        SignedMemo {
+            memo: self,
+            signature: self.signature_id(spec, request),
+        }
+    }
+
+    /// Condition 1 for `component` under signature index `signature` on
+    /// each of `hosts`: the hosts it admits, in order, with the factors it
+    /// resolves to there. A verdict decided at the host's current region
+    /// epoch is read back; any other is `decide`d and recorded.
+    pub(crate) fn admitted(
+        &self,
+        net: &Network,
+        signature: u32,
+        component: &str,
+        hosts: &[NodeId],
+        mut decide: impl FnMut(NodeId) -> Option<ResolvedBindings>,
+    ) -> Vec<(NodeId, ResolvedBindings)> {
+        let mut inner = self.lock_on(net);
+        let known = inner
+            .admissions
+            .iter()
+            .position(|seen| seen.signature == signature && seen.component == component);
+        let at = known.unwrap_or_else(|| {
+            inner.admissions.push(Admissions {
+                signature,
+                component: component.to_owned(),
+                by_node: vec![None; net.node_count()],
+            });
+            inner.admissions.len() - 1
+        });
+        let by_node = &mut inner.admissions[at].by_node;
+        let admit = |&node: &NodeId| {
+            let epoch = net.region_epoch(&net.node(node).site);
+            let factors = match by_node.get_mut(node.0 as usize) {
+                Some(Some((at, factors))) if *at == epoch => factors.clone(),
+                Some(cell) => cell.insert((epoch, decide(node))).1.clone(),
+                None => decide(node),
+            };
+            Some((node, factors?))
+        };
+        hosts.iter().filter_map(admit).collect()
+    }
+
     /// The index of (`spec`, `request`'s signature) among the pairs seen
     /// so far, interning it on first sight. Two requests share
     /// shortlists only when they plan the same registered spec (by `Arc`
@@ -351,7 +513,7 @@ impl HierMemo {
         region_name: &str,
         key: &ShortlistKey,
     ) -> Option<Vec<NodeId>> {
-        let mut inner = self.lock();
+        let mut inner = self.lock_on(net);
         let live = net.region_epoch(region_name);
         match inner.shortlists.get(key) {
             Some((epoch, nodes)) if *epoch == live => {
@@ -374,7 +536,7 @@ impl HierMemo {
         nodes: Vec<NodeId>,
     ) {
         let epoch = net.region_epoch(region_name);
-        self.lock().shortlists.insert(key, (epoch, nodes));
+        self.lock_on(net).shortlists.insert(key, (epoch, nodes));
     }
 
     /// Shortlist lookups answered from the memo since construction.
@@ -395,7 +557,7 @@ impl HierMemo {
     /// Stored entries still valid against the live per-region epochs —
     /// the complement is what region-local damage invalidated.
     pub fn live_entries(&self, net: &Network, map: &RegionMap) -> usize {
-        self.lock()
+        self.lock_on(net)
             .shortlists
             .iter()
             .filter(|((region, _, _), (epoch, _))| {
@@ -457,15 +619,15 @@ impl Planner {
         translator: &'a T,
         request: &'a ServiceRequest,
         graphs: &[LinkageGraph],
-        memo: &HierMemo,
+        signed: SignedMemo<'a>,
         stats: &mut PlanStats,
     ) -> Option<HierSetup<'a>> {
+        let (memo, sig) = (signed.memo, signed.signature);
         let map = memo.region_map(net);
         if map.len() < 2 {
             return None;
         }
         let scoped = memo.scoped_routes(net);
-        let sig = memo.signature_id(&self.spec, request);
 
         // Anchors: nodes every candidate plan is tethered to.
         let mut anchors: Vec<NodeId> = vec![request.client_node, request.effective_origin()];
@@ -505,7 +667,8 @@ impl Planner {
             request,
             self.config.objective,
             Arc::clone(&scoped),
-        );
+        )
+        .with_admissions(Some(signed));
 
         let mut components: BTreeSet<&str> = BTreeSet::new();
         for graph in graphs {
@@ -628,6 +791,42 @@ mod tests {
             sig(&vms(vms(base.clone(), 5), 4))
         );
         assert_ne!(sig(&vms(base.clone(), 4)), sig(&vms(base.clone(), 5)));
+    }
+
+    /// Condition-1 verdicts are read back under their own signature and
+    /// component only, and only while the host's region epoch is the one
+    /// they were decided at: a credential change re-decides the hosts of
+    /// its region and no other.
+    #[test]
+    fn admissions_are_read_back_only_at_their_region_epoch() {
+        let mut net = Network::new();
+        let none = ps_net::Credentials::new;
+        let (a, b) = (
+            net.add_node("a", "as0", 1.0, none()),
+            net.add_node("b", "as1", 1.0, none()),
+        );
+        let memo = HierMemo::new();
+        let decided = std::cell::RefCell::new(Vec::new());
+        let admitted = |net: &Network, signature, component| {
+            let decide = |node| {
+                decided.borrow_mut().push(node);
+                (node == a).then(ResolvedBindings::new)
+            };
+            let hosts = memo.admitted(net, signature, component, &[a, b], decide);
+            hosts.into_iter().map(|(node, _)| node).collect::<Vec<_>>()
+        };
+        let decisions = || std::mem::take(&mut *decided.borrow_mut());
+        assert_eq!(admitted(&net, 0, "MailServer"), vec![a]);
+        assert_eq!(decisions(), vec![a, b]);
+        assert_eq!(admitted(&net, 0, "MailServer"), vec![a]);
+        assert_eq!(decisions(), vec![]);
+        admitted(&net, 1, "MailServer");
+        admitted(&net, 0, "ViewMailServer");
+        assert_eq!(decisions(), vec![a, b, a, b]);
+
+        net.node_mut(b).credentials = none().with("Hosting", true);
+        assert_eq!(admitted(&net, 0, "MailServer"), vec![a]);
+        assert_eq!(decisions(), vec![b]);
     }
 
     /// Shortlists are keyed on the signature's value, not on a hash of

@@ -18,7 +18,7 @@ use ps_spec::ServiceSpec;
 use std::fmt;
 
 /// Limits for the enumeration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkageLimits {
     /// Maximum occurrences of one component along a root-to-leaf path.
     pub max_repeats: usize,
@@ -316,6 +316,7 @@ impl Ctx<'_> {
 mod tests {
     use super::*;
     use ps_spec::prelude::*;
+    use std::sync::Arc;
 
     /// The mail application's component structure (Figure 2 shape).
     fn mail_shape() -> ServiceSpec {
@@ -487,6 +488,34 @@ mod tests {
         }
         assert!(graphs.iter().any(|g| g.to_string() == "Root -> (B1, C1)"));
         assert!(graphs.iter().any(|g| g.to_string() == "Root -> (B2, C1)"));
+    }
+
+    /// The serving memo enumerates once per key and hands every later
+    /// solve of that key the same graphs. Each key part is its own: a
+    /// re-registered spec (an equal spec behind a new `Arc`) enumerates
+    /// afresh, and a degraded request and a tighter limit get what a
+    /// fresh enumeration gives them, not the graphs cached for the other.
+    #[test]
+    fn the_memo_shares_linkage_graphs_between_equal_keys_only() {
+        let memo = crate::HierMemo::new();
+        let interfaces = ["ClientInterface".to_owned()];
+        let (spec, reregistered) = (Arc::new(mail_shape()), Arc::new(mail_shape()));
+        let loose = LinkageLimits::default();
+        let tight = LinkageLimits {
+            max_repeats: 1,
+            ..LinkageLimits::default()
+        };
+        let graphs = |spec: &Arc<ServiceSpec>, limits: &LinkageLimits, degraded| {
+            let shared = memo.linkage_graphs(spec, &interfaces, limits, degraded);
+            let fresh = enumerate_for(spec, &interfaces, limits, degraded);
+            assert_eq!(*shared, fresh[..], "degraded {degraded}, {limits:?}");
+            shared
+        };
+        let first = graphs(&spec, &loose, false);
+        assert!(Arc::ptr_eq(&first, &graphs(&spec, &loose, false)));
+        assert!(!Arc::ptr_eq(&first, &graphs(&reregistered, &loose, false)));
+        let (degraded, tighter) = (graphs(&spec, &loose, true), graphs(&spec, &tight, false));
+        assert!(degraded.len() > first.len() && tighter.len() < first.len());
     }
 
     #[test]

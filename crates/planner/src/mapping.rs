@@ -16,6 +16,7 @@
 //! sustainable rate).
 
 use crate::compat::{effective_provided, satisfies, transform_along};
+use crate::hierarchy::SignedMemo;
 use crate::linkage::LinkageGraph;
 use crate::load::{propagate_rates, RatePlan};
 use crate::memo::{CandidateSet, Identity, PlanMemo};
@@ -115,6 +116,10 @@ pub struct Mapper<'a> {
     /// planner's composition universe). Must stay fixed for the
     /// mapper's lifetime — the memo assumes it.
     universe: Option<Vec<NodeId>>,
+    /// Where condition-1 verdicts outlive the call: the serving memo's
+    /// admissions under the solve's signature. `None` for a standalone
+    /// plan, which decides every host afresh.
+    admissions: Option<SignedMemo<'a>>,
 }
 
 impl<'a> Mapper<'a> {
@@ -155,7 +160,15 @@ impl<'a> Mapper<'a> {
             memo: RefCell::new(PlanMemo::new(net.node_count())),
             routes,
             universe: None,
+            admissions: None,
         }
+    }
+
+    /// Reads and records condition-1 verdicts in `signed`'s memo, under
+    /// its signature, instead of deciding every candidate afresh.
+    pub(crate) fn with_admissions(mut self, signed: Option<SignedMemo<'a>>) -> Self {
+        self.admissions = signed;
+        self
     }
 
     /// Restricts condition-1 candidate enumeration to `nodes` (the
@@ -288,18 +301,26 @@ impl<'a> Mapper<'a> {
         }
         // Down nodes never host components: a pinned-on-down-node
         // request yields no candidates and the plan comes back infeasible.
-        let decl = self.spec.get_component(name);
-        let admit = |node: NodeId| {
-            if !self.net.node(node).up {
-                return None;
-            }
-            Some((node, self.factors_on(decl?, node)?))
+        let up = |node: &NodeId| self.net.node(*node).up;
+        let hosts: Vec<NodeId> = match (forced, &self.universe) {
+            (Some(node), _) => std::iter::once(node).filter(up).collect(),
+            (None, Some(universe)) => universe.iter().copied().filter(up).collect(),
+            (None, None) => self.net.node_ids().filter(up).collect(),
         };
-        let admitted: Vec<(NodeId, ResolvedBindings)> = match (forced, &self.universe) {
-            (Some(node), _) => admit(node).into_iter().collect(),
-            (None, Some(universe)) => universe.iter().copied().filter_map(admit).collect(),
-            (None, None) => self.net.node_ids().filter_map(admit).collect(),
-        };
+        let admitted: Vec<(NodeId, ResolvedBindings)> =
+            match (self.spec.get_component(name), self.admissions) {
+                (None, _) => Vec::new(),
+                (Some(decl), Some(signed)) => {
+                    let decide = |node| self.factors_on(decl, node);
+                    signed
+                        .memo
+                        .admitted(self.net, signed.signature, name, &hosts, decide)
+                }
+                (Some(decl), None) => hosts
+                    .into_iter()
+                    .filter_map(|node| Some((node, self.factors_on(decl, node)?)))
+                    .collect(),
+            };
         let request = self.request;
         let pinned = request.pinned.get(name);
         let mut memo = self.memo.borrow_mut();

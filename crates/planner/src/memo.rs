@@ -4,14 +4,17 @@
 //! A [`Mapper`](crate::Mapper) lives for exactly one planning call and
 //! is shared by all of that call's graph searches, so the memo it owns has the same lifetime and needs no
 //! invalidation: spec, request, node environments and routes are fixed
-//! for as long as it exists. Five tables, each keyed on exactly the
+//! for as long as it exists. Eight tables, each keyed on exactly the
 //! inputs its value is a pure function of:
 //!
 //! | table | key | value |
 //! |---|---|---|
 //! | candidate sets | (component, forced host) | hosts passing condition 1, as a shared slice |
 //! | instance identity | candidate-set id × candidate index | the candidate's factor class (equal factors share one id) + preexisting and attachable bits |
+//! | multiplicity capacity | the sorted ids of one component's candidate sets | how many occurrences of the component their factor classes admit |
+//! | deployment-cost floors | candidate-set id | per candidate, the weighted deployment cost the search's bound charges |
 //! | routes | (from, to), dense by slot | [`RouteMetrics`]; the full [`RouteInfo`] only once a flow check or the evaluator asks |
+//! | least edge RTT | (parent candidate-set id or the client, child candidate-set id), dense | the least round trip over every host pair of the two sets, for the child's message bytes |
 //! | provided bindings | the bindings value itself | a small id (equal values share one id) |
 //! | flow verdicts | (candidate set, children's (host, provided id)) × candidate index | infeasible, or the provided id + bindings + factors |
 //!
@@ -21,6 +24,12 @@
 //! full equality) — and nothing about the linkage graph, so a verdict
 //! learned while searching one graph answers every other graph of the
 //! plan that places the same component over the same children.
+//!
+//! A set id stands for its component too, so the least-RTT key needs no
+//! bytes (the child's component fixes the request and response sizes
+//! its edge carries), a capacity no data-view flag and a floor no code
+//! size; the client, the code origin and the objective are fixed for the
+//! call.
 
 use crate::mapping::RouteInfo;
 use ps_net::{NodeId, RouteMetrics};
@@ -103,6 +112,13 @@ pub(crate) struct PlanMemo {
     side: usize,
     /// Route rows by source slot, allocated on a source's first query.
     routes: Vec<Option<Box<[RouteCell]>>>,
+    /// Least edge RTT by parent row (the client is row 0, set `id` row
+    /// `id + 1`) and child set id; `NaN` until scanned.
+    least_rtt: Vec<Vec<f64>>,
+    /// Multiplicity capacities by sorted candidate-set ids.
+    capacities: Vec<(Vec<u32>, usize)>,
+    /// Deployment-cost floors by candidate-set id.
+    deploy_floors: Vec<Option<Rc<[f64]>>>,
     provided: Vec<Rc<ResolvedBindings>>,
     /// Flow context → base of its row in `verdicts`.
     contexts: HashMap<Vec<u64>, usize>,
@@ -121,6 +137,9 @@ impl PlanMemo {
             slot: (0..nodes as u32).collect(),
             side: nodes,
             routes: vec![None; nodes],
+            least_rtt: Vec::new(),
+            capacities: Vec::new(),
+            deploy_floors: Vec::new(),
             provided: Vec::new(),
             contexts: HashMap::new(),
             verdicts: Vec::new(),
@@ -197,6 +216,53 @@ impl PlanMemo {
         let row = self.routes[row as usize]
             .get_or_insert_with(|| vec![RouteCell::default(); side].into_boxed_slice());
         Some(&mut row[column as usize])
+    }
+
+    /// The least edge RTT between candidate sets `parent` (`None`: the
+    /// client) and `child`, when one was recorded.
+    pub fn least_rtt(&self, parent: Option<u32>, child: u32) -> Option<f64> {
+        let row = self.least_rtt.get(parent.map_or(0, |id| id as usize + 1))?;
+        row.get(child as usize).copied().filter(|rtt| !rtt.is_nan())
+    }
+
+    /// Records the least edge RTT between candidate sets `parent`
+    /// (`None`: the client) and `child`.
+    pub fn record_least_rtt(&mut self, parent: Option<u32>, child: u32, rtt: f64) {
+        let (row, column) = (parent.map_or(0, |id| id as usize + 1), child as usize);
+        if self.least_rtt.len() <= row {
+            self.least_rtt.resize_with(row + 1, Vec::new);
+        }
+        let row = &mut self.least_rtt[row];
+        if row.len() <= column {
+            row.resize(column + 1, f64::NAN);
+        }
+        row[column] = rtt;
+    }
+
+    /// The multiplicity capacity recorded for the component whose
+    /// candidate sets are `sets` (sorted, deduplicated ids).
+    pub fn capacity(&self, sets: &[u32]) -> Option<usize> {
+        let known = self.capacities.iter().find(|(ids, _)| ids == sets);
+        known.map(|&(_, capacity)| capacity)
+    }
+
+    /// Records the multiplicity capacity of `sets` (sorted, deduplicated).
+    pub fn record_capacity(&mut self, sets: Vec<u32>, capacity: usize) {
+        self.capacities.push((sets, capacity));
+    }
+
+    /// The deployment-cost floors recorded for candidate set `set`.
+    pub fn deploy_floors(&self, set: u32) -> Option<Rc<[f64]>> {
+        self.deploy_floors.get(set as usize)?.clone()
+    }
+
+    /// Records the deployment-cost floors of candidate set `set`.
+    pub fn record_deploy_floors(&mut self, set: u32, floors: Rc<[f64]>) {
+        let at = set as usize;
+        if self.deploy_floors.len() <= at {
+            self.deploy_floors.resize(at + 1, None);
+        }
+        self.deploy_floors[at] = Some(floors);
     }
 
     /// Interns a flow context — `key` is the candidate-set id followed

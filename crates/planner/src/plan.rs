@@ -317,14 +317,20 @@ pub struct PlanStats {
     pub prunes: u64,
     /// Subtrees cut by the admissible objective bound.
     pub bound_prunes: u64,
-    /// Property-flow computations the search descents actually ran
-    /// (plan-memo misses). Deterministic, so it gates the memo layer
-    /// machine-independently.
+    /// Property-flow computations the solve actually ran: plan-memo
+    /// misses of the search descents and of the warm seeds' pricing.
+    /// Deterministic, so it gates the memo layer machine-independently.
     pub flow_evals: u64,
     /// Route-pair reads made while building the searches' chain-bound
     /// rows ([`crate::exhaustive`]) — the bound's own work, deterministic
     /// like the visits it saves.
     pub bound_cells: u64,
+    /// Candidate host pairs the suffix bound's least-RTT scans read: one
+    /// scan per (parent candidate set, child candidate set) edge and per
+    /// root set's client edge, the first time the call meets it; later
+    /// graphs read the plan memo's table ([`crate::exhaustive`]).
+    /// Deterministic; not part of [`work_units`](Self::work_units).
+    pub bound_pairs: u64,
     /// Plan-cache hits recorded by the serving layer (zero inside the
     /// planner itself; `GenericServer` fills it in on a cache hit).
     pub plan_cache_hits: u64,

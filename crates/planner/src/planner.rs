@@ -164,13 +164,13 @@ impl Planner {
             return Err(PlanError::UnknownPinned(unknown.clone()));
         }
         // A degraded-mode request (partition-side healing) may detach
-        // data views from their unreachable upstream subtree.
-        let graphs = enumerate_for(
-            &self.spec,
-            &request.interfaces,
-            &self.config.limits,
-            request.degraded,
-        );
+        // data views from their unreachable upstream subtree. On a memo
+        // the graphs are enumerated once per registration.
+        let (interfaces, limits) = (&request.interfaces, &self.config.limits);
+        let graphs: Arc<[LinkageGraph]> = match memo {
+            Some(memo) => memo.linkage_graphs(&self.spec, interfaces, limits, request.degraded),
+            None => enumerate_for(&self.spec, interfaces, limits, request.degraded).into(),
+        };
         if graphs.is_empty() {
             return Err(PlanError::NoImplementers(request.interfaces.join(" + ")));
         }
@@ -180,12 +180,13 @@ impl Planner {
         };
         let rows_before = routes.rows_built();
         let seeds = memo.map_or_else(Vec::new, HierMemo::recent_plans);
+        let signed = memo.map(|memo| memo.signed(&self.spec, request));
 
         let mut regions = None;
         let mut found = None;
-        if let Some(memo) = memo.filter(|_| self.config.hier.is_some()) {
+        if let Some(signed) = signed.filter(|_| self.config.hier.is_some()) {
             if let Some(setup) =
-                self.hier_setup(net, translator, request, &graphs, memo, &mut stats)
+                self.hier_setup(net, translator, request, &graphs, signed, &mut stats)
             {
                 found = self.sweep(&setup.mapper, &graphs, &seeds, &mut stats);
                 regions = Some(setup.per_region);
@@ -201,7 +202,8 @@ impl Planner {
                 request,
                 self.config.objective,
                 Arc::clone(&routes),
-            );
+            )
+            .with_admissions(signed);
             found = self.sweep(&mapper, &graphs, &seeds, &mut stats);
         }
         if let (Some(memo), Some(plan)) = (memo, &found) {
@@ -234,7 +236,7 @@ impl Planner {
         stats: &mut PlanStats,
     ) -> Option<Plan> {
         let incumbent = Incumbent::new();
-        if let Some(seed) = warm_incumbent(mapper, graphs, seeds) {
+        if let Some(seed) = warm_incumbent(mapper, graphs, seeds, stats) {
             incumbent.offer_seed(seed);
         }
         let mut best: Option<Plan> = None;
@@ -268,6 +270,7 @@ impl Planner {
         tracer.count("planner.bound_prunes", stats.bound_prunes);
         tracer.count("planner.flow_evals", stats.flow_evals);
         tracer.count("planner.bound_cells", stats.bound_cells);
+        tracer.count("planner.bound_pairs", stats.bound_pairs);
         if let Some(regions) = regions {
             self.publish_hier(&stats, regions);
         }
@@ -280,15 +283,18 @@ impl Planner {
 /// moved to the request (its root onto the client under
 /// `colocate_root`) and counts only if every host is in `mapper`'s
 /// candidate set for its tree node — condition 1, liveness, pins, the
-/// colocated root and the hierarchical universe — and
-/// [`Mapper::evaluate`] accepts the whole — conditions 2–3, the
-/// identity rules, capacity and the avoidance penalty. A stale or
-/// foreign seed fails one of the two and is skipped. `None` for
-/// `MaxCapacity`, which cuts nothing.
+/// colocated root and the hierarchical universe — and the evaluator
+/// accepts the whole — conditions 2–3, the identity rules, capacity and
+/// the avoidance penalty. A stale or foreign seed fails one of the two
+/// and is skipped. The value is [`Mapper::evaluate`]'s, its property
+/// flows read from and left in the plan memo's verdict table for the
+/// search ([`exhaustive::seed_value`]). `None` for `MaxCapacity`, which
+/// cuts nothing.
 fn warm_incumbent(
     mapper: &Mapper<'_>,
     graphs: &[LinkageGraph],
     seeds: &[Arc<RecentPlan>],
+    stats: &mut PlanStats,
 ) -> Option<f64> {
     if matches!(mapper.objective, Objective::MaxCapacity) {
         return None;
@@ -300,16 +306,7 @@ fn warm_incumbent(
         if request.colocate_root {
             hosts[0] = request.client_node;
         }
-        let admitted = hosts
-            .iter()
-            .enumerate()
-            .all(|(idx, host)| mapper.candidate_set(graph, idx).nodes.contains(host));
-        if !admitted {
-            return None;
-        }
-        mapper
-            .evaluate(graph, &hosts)
-            .map(|eval| eval.objective_value)
+        exhaustive::seed_value(mapper, graph, &hosts, stats)
     });
     accepted.reduce(f64::min)
 }

@@ -483,3 +483,51 @@ fn flat_solves_on_a_memo_rebuild_no_row_a_change_left_exact() {
     net.set_node_up(leaf, false);
     assert_eq!(solve(&net), 0, "a leaf crash leaves every other row exact");
 }
+
+/// A memo is bound to the network it first planned on. Handed another
+/// network of the same epoch and node count whose links differ — the
+/// first fabric rebuilt with every link three times slower — it starts
+/// over, so a solve through it equals a fresh memo's, flat and
+/// hierarchical alike, instead of pricing the second network on the
+/// first one's routes.
+#[test]
+fn a_memo_handed_another_network_of_equal_epoch_plans_like_a_fresh_one() {
+    let translator = translator();
+    let (net, client, server) = world(4200);
+    let mut slower = Network::new();
+    for node in net.nodes() {
+        let credentials = node.credentials.clone();
+        slower.add_node(&node.name, &node.site, node.cpu_speed, credentials);
+    }
+    for link in net.links() {
+        let (latency, credentials) = (link.latency.mul_f64(3.0), link.credentials.clone());
+        slower.add_link(link.a, link.b, latency, link.bandwidth_bps, credentials);
+    }
+    while slower.epoch() < net.epoch() {
+        slower.touch();
+    }
+    assert_eq!(
+        (slower.epoch(), slower.node_count()),
+        (net.epoch(), net.node_count())
+    );
+    let request = request(client, server);
+    for planner in [flat_planner(), hier_planner()] {
+        let memo = HierMemo::new();
+        let first = planner.plan_hierarchical(&net, &translator, &request, &memo);
+        let reused = planner.plan_hierarchical(&slower, &translator, &request, &memo);
+        let fresh = planner.plan_hierarchical(&slower, &translator, &request, &HierMemo::new());
+        let summary = |plan: Result<ps_planner::Plan, _>| {
+            let plan = plan.expect("feasible");
+            let hosts: Vec<NodeId> = plan.placements.iter().map(|p| p.node).collect();
+            (plan.objective_value.to_bits(), hosts)
+        };
+        let (first, reused, fresh) = (summary(first), summary(reused), summary(fresh));
+        assert_ne!(first.0, fresh.0, "the slower links must cost more");
+        assert_eq!(
+            reused,
+            fresh,
+            "hierarchical: {}",
+            planner.config.hier.is_some()
+        );
+    }
+}

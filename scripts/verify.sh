@@ -231,6 +231,18 @@ if [[ -z "$work_warm" || -z "$work_hier" ]] || (( work_warm > work_hier )); then
 fi
 echo "    warm / cold hierarchical work at 1013 nodes: ${work_warm} / ${work_hier}"
 
+# The suffix bound scans each (parent set, child set) edge's host pairs
+# once per solve; the plan memo's least-RTT table answers every later
+# graph. The cold hierarchical plan at 1013 routers scans 573 pairs; a
+# lost or mis-keyed table multiplies that, and the guard allows 10 %.
+echo "==> perf guard: least-RTT pairs of the cold hierarchical plan at 1013 nodes (<= 630)"
+bound_pairs="$(at_1013 bound_pairs)"
+if [[ -z "$bound_pairs" ]] || (( bound_pairs > 630 )); then
+    echo "the cold hierarchical plan at 1013 nodes scanned '${bound_pairs}' least-RTT pairs, more than 10 % above the 573 pinned" >&2
+    exit 1
+fi
+echo "    least-RTT pairs at 1013 nodes: ${bound_pairs}"
+
 # Event-driven healing guard: a heal pass runs at each wake (a liveness
 # event entering the world's stream) plus ps_core::HEAL_DEBOUNCE, never
 # on a tick, so the partition run degrades and reconciles within one
