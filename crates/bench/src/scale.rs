@@ -326,6 +326,9 @@ pub struct HealWorkloadOutcome {
     /// The managed connection's plan when the run ended (`None` once
     /// abandoned).
     pub plan: Option<Arc<Plan>>,
+    /// Times the world's route rows built their routing view over the
+    /// run rather than patching it (`net.routing_view.builds`).
+    pub view_builds: usize,
     /// Wall time of the whole run, milliseconds.
     pub wall_ms: f64,
     /// Lease-renewal bytes charged to the network (0 when accounting
@@ -410,6 +413,7 @@ pub fn run_heal_workload(
         detected_ms: heal.detected(victim).map(ms),
         recovered_ms: recovered_at.map(ms),
         plan: framework.managed_connection(handle).map(|c| c.plan.clone()),
+        view_builds: framework.world.routing_view_builds(),
         wall_ms: timer.elapsed_ms(),
         lease_renewal_bytes,
         series,
@@ -507,6 +511,7 @@ pub fn command(_: &Args) -> Result<Artifact, String> {
         .with("infeasible", heal.infeasible)
         .with("detected_ms", opt_ms(heal.detected_ms))
         .with("recovered_ms", opt_ms(heal.recovered_ms))
+        .with("view_builds", heal.view_builds)
         .with("wall_ms", wall_num(heal.wall_ms, 3));
 
     let record = Record::new()

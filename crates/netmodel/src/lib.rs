@@ -32,6 +32,7 @@ pub mod partition;
 pub mod path;
 pub mod regions;
 pub mod route_table;
+mod routing_view;
 pub mod translate;
 
 pub use casestudy::{default_case_study, CaseStudy};
@@ -39,7 +40,7 @@ pub use graph::{Credentials, Link, LinkId, Network, Node, NodeId, Touch};
 pub use partition::PartitionView;
 pub use path::{shortest_route, Route, RouteMetrics};
 pub use regions::{Region, RegionMap};
-pub use route_table::{RepairOutcome, RouteTable, ScopedRoutes};
+pub use route_table::{RepairOutcome, RouteTable, RowReader, ScopedRoutes};
 pub use translate::{Mapping, MappingTranslator, PropertyTranslator};
 
 /// Convenience prelude for network-model users.

@@ -11,6 +11,7 @@
 //! latency wins, with hop count as a deterministic tie-break.
 
 use crate::graph::{LinkId, Network, NodeId};
+use crate::routing_view::{heap_key, unpack, RoutingView};
 use ps_sim::SimDuration;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -67,8 +68,9 @@ impl Route {
 }
 
 /// What a cost model reads off a [`Route`] — latency, bottleneck and
-/// locality — without the per-hop link and node lists. The routing
-/// tables answer it by walking a predecessor row, allocating nothing.
+/// locality — without the per-hop link and node lists. A
+/// [`ScopedRoutes`](crate::ScopedRoutes) row answers it by index — its
+/// cost entry and its memoised bottleneck column — allocating nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteMetrics {
     /// Total one-way propagation latency.
@@ -124,14 +126,16 @@ pub(crate) type RouteCost = (u32, u64, u32);
 /// Sentinel cost for unreachable nodes.
 pub(crate) const UNREACHED: RouteCost = (u32::MAX, u64::MAX, u32::MAX);
 
-/// Runs Dijkstra from `from` over the lexicographic metric, filling
-/// `dist` and `prev` (both sized `net.node_count()`). When `stop_at` is
-/// set, the search exits early once that destination is finalized —
-/// every entry already finalized at that point (including `stop_at`
-/// itself) is identical to what the full run would produce, because a
-/// popped node's cost can never improve afterwards.
+/// Runs Dijkstra from `from` over the lexicographic metric on `view`,
+/// filling `dist` and `prev` (both sized `view.node_count()`). Nodes pop
+/// in `(cost, node id)` order and a popped node relaxes its links in
+/// adjacency order, so among equal offers the first relaxed wins. When
+/// `stop_at` is set, the search exits early once that destination is
+/// finalized — every entry already finalized at that point (including
+/// `stop_at` itself) is identical to what the full run would produce,
+/// because a popped node's cost can never improve afterwards.
 pub(crate) fn dijkstra_tree(
-    net: &Network,
+    view: &RoutingView,
     from: NodeId,
     stop_at: Option<NodeId>,
     dist: &mut [RouteCost],
@@ -139,14 +143,15 @@ pub(crate) fn dijkstra_tree(
 ) {
     dist.fill(UNREACHED);
     prev.fill(None);
-    if !net.node(from).up {
+    if !view.up(from) {
         return;
     }
-    let mut heap = BinaryHeap::new();
+    let mut heap = BinaryHeap::with_capacity(view.node_count());
     dist[from.0 as usize] = (0, 0, 0);
-    heap.push(Reverse(((0u32, 0u64, 0u32), from)));
+    heap.push(Reverse(heap_key((0, 0, 0), from)));
 
-    while let Some(Reverse((cost, node))) = heap.pop() {
+    while let Some(Reverse(key)) = heap.pop() {
+        let (cost, node) = unpack(key);
         if cost > dist[node.0 as usize] {
             continue;
         }
@@ -154,18 +159,19 @@ pub(crate) fn dijkstra_tree(
             break;
         }
         let (wan, d, hops) = cost;
-        for &(next, link_id) in net.neighbours(node) {
-            let link = net.link(link_id);
-            if !link.up || !net.node(next).up {
+        for next in view.neighbours(node) {
+            if !next.up || !view.up(next.node) {
                 continue;
             }
-            let nw = wan + u32::from(!net.link_secure(link_id));
-            let nd = d.saturating_add(link.latency.as_nanos());
-            let nh = hops + 1;
-            if (nw, nd, nh) < dist[next.0 as usize] {
-                dist[next.0 as usize] = (nw, nd, nh);
-                prev[next.0 as usize] = Some((node, link_id));
-                heap.push(Reverse(((nw, nd, nh), next)));
+            let offer = (
+                wan + u32::from(next.insecure),
+                d.saturating_add(next.nanos),
+                hops + 1,
+            );
+            if offer < dist[next.node.0 as usize] {
+                dist[next.node.0 as usize] = offer;
+                prev[next.node.0 as usize] = Some((node, next.link));
+                heap.push(Reverse(heap_key(offer, next.node)));
             }
         }
     }
@@ -282,7 +288,7 @@ pub fn shortest_route(net: &Network, from: NodeId, to: NodeId) -> Option<Route> 
     let n = net.node_count();
     let mut dist = vec![UNREACHED; n];
     let mut prev = vec![None; n];
-    dijkstra_tree(net, from, Some(to), &mut dist, &mut prev);
+    dijkstra_tree(&RoutingView::of(net), from, Some(to), &mut dist, &mut prev);
     reconstruct(net, from, to, &dist, &prev)
 }
 

@@ -2,11 +2,12 @@
 //!
 //! [`ScopedRoutes`] is the one route source of the planner and the
 //! serving path: it runs a source's shortest-path tree on the source's
-//! first question, stores the predecessor links, and answers route
-//! queries by walking the predecessor chain (allocation happens only for
-//! a returned [`Route`]). [`RouteTable`] is the same rows built for
-//! every source at once; no client path reads it — it stays as the
-//! all-pairs reference for tests and the benchmark's route-table probes.
+//! first question, on a compact routing view it keeps patched from the
+//! network's journal, and answers a pair's latency, hops and bottleneck
+//! by index into the source's row (allocation happens only for a
+//! returned [`Route`]). [`RouteTable`] is the same rows built for every
+//! source at once; no client path reads it — it stays as the all-pairs
+//! reference for tests and the benchmark's route-table probes.
 //!
 //! Staleness is detected through the [`Network`] epoch counter: a
 //! [`RouteTable`] records `net.epoch()` at build time and `is_current`
@@ -51,10 +52,9 @@ use crate::graph::{LinkId, Network, NodeId, Touch};
 use crate::path::{
     dijkstra_tree, reconstruct, tree_metrics, tree_via, Route, RouteCost, RouteMetrics, UNREACHED,
 };
+use crate::routing_view::RoutingView;
 use ps_sim::SimDuration;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One predecessor-row entry: the last tree edge into a node.
 type Pred = Option<(NodeId, LinkId)>;
@@ -101,12 +101,13 @@ impl Damage {
 
 /// The cost `dijkstra_tree` would offer across `link` from a node
 /// reached at `from` (`None` when that node is unreached).
-fn relax(net: &Network, from: RouteCost, link: LinkId) -> Option<RouteCost> {
+fn relax(view: &RoutingView, from: RouteCost, link: LinkId) -> Option<RouteCost> {
     let (wan, nanos, hops) = from;
+    let terms = view.link(link);
     (nanos != u64::MAX).then(|| {
         (
-            wan + u32::from(!net.link_secure(link)),
-            nanos.saturating_add(net.link(link).latency.as_nanos()),
+            wan + u32::from(terms.insecure),
+            nanos.saturating_add(terms.nanos),
             hops + 1,
         )
     })
@@ -116,27 +117,22 @@ fn relax(net: &Network, from: RouteCost, link: LinkId) -> Option<RouteCost> {
 /// `cost`): nodes pop in `(cost, id)` order, and a popped node relaxes
 /// its links in adjacency order. The first of equal offers wins.
 fn relax_order(
-    net: &Network,
+    view: &RoutingView,
     cost: RouteCost,
     node: NodeId,
     link: LinkId,
-) -> (RouteCost, u32, usize) {
-    let position = net
-        .neighbours(node)
-        .iter()
-        .position(|&(_, l)| l == link)
-        .unwrap_or(usize::MAX);
-    (cost, node.0, position)
+) -> (RouteCost, u32, u32) {
+    (cost, node.0, view.position(node, link))
 }
 
 /// Whether the Dijkstra row rooted at `src` — exact on the network as
-/// it stood before `damage` — can be carried onto `net`, the network
+/// it stood before `damage` — can be carried onto `view`, the network
 /// after it: the entry rewrites that make it exactly what
 /// `dijkstra_tree` would now produce, or `None` when that cannot be
 /// certified and the row must be re-run. The rules are in the module
 /// documentation.
 fn carry_row(
-    net: &Network,
+    view: &RoutingView,
     src: NodeId,
     dist: &[RouteCost],
     prev: &[Pred],
@@ -145,7 +141,7 @@ fn carry_row(
     if damage.touched(src).is_some() {
         return None;
     }
-    let up = |node: NodeId| net.node(node).up;
+    let up = |node: NodeId| view.up(node);
     let mut patches = Vec::with_capacity(damage.nodes.len());
     for &node in &damage.nodes {
         if !up(node) {
@@ -154,19 +150,20 @@ fn carry_row(
             patches.push((node, UNREACHED, None));
             continue;
         }
-        let mut best: Option<(RouteCost, (RouteCost, u32, usize), Pred)> = None;
-        for &(from, link) in net.neighbours(node) {
-            if !net.link(link).up || !up(from) {
+        let mut best: Option<(RouteCost, (RouteCost, u32, u32), Pred)> = None;
+        for offerer in view.neighbours(node) {
+            let (from, link) = (offerer.node, offerer.link);
+            if !offerer.up || !up(from) {
                 continue;
             }
             if damage.touched(from).is_some() {
                 return None;
             }
             let cost = dist[from.0 as usize];
-            let Some(offer) = relax(net, cost, link) else {
+            let Some(offer) = relax(view, cost, link) else {
                 continue;
             };
-            let order = relax_order(net, cost, from, link);
+            let order = relax_order(view, cost, from, link);
             if best.is_none_or(|(c, o, _)| (offer, order) < (c, o)) {
                 best = Some((offer, order, Some((from, link))));
             }
@@ -184,8 +181,8 @@ fn carry_row(
     let edge_holds = |from: NodeId, to: NodeId, link: LinkId| {
         let (to_cost, to_pred) = entry(to);
         let (from_cost, _) = entry(from);
-        let offer = if net.link(link).up && up(from) && up(to) {
-            relax(net, from_cost, link)
+        let offer = if view.link(link).up && up(from) && up(to) {
+            relax(view, from_cost, link)
         } else {
             None
         };
@@ -200,22 +197,21 @@ fn carry_row(
                 offer > to_cost
                     || (offer == to_cost
                         && to_pred.is_some_and(|(p, pl)| {
-                            relax_order(net, entry(p).0, p, pl)
-                                < relax_order(net, from_cost, from, link)
+                            relax_order(view, entry(p).0, p, pl)
+                                < relax_order(view, from_cost, from, link)
                         }))
             }
         }
     };
     let link_holds = |link: LinkId| {
-        let l = net.link(link);
-        edge_holds(l.a, l.b, link) && edge_holds(l.b, l.a, link)
+        let terms = view.link(link);
+        edge_holds(terms.a, terms.b, link) && edge_holds(terms.b, terms.a, link)
     };
     let holds = damage.links.iter().all(|&link| link_holds(link))
-        && damage.nodes.iter().all(|&node| {
-            net.neighbours(node)
-                .iter()
-                .all(|&(_, link)| link_holds(link))
-        });
+        && damage
+            .nodes
+            .iter()
+            .all(|&node| view.neighbours(node).iter().all(|n| link_holds(n.link)));
     holds.then_some(patches)
 }
 
@@ -275,12 +271,13 @@ impl RouteTable {
         let n = net.node_count();
         let mut prev = vec![None; n * n];
         let mut dist = vec![UNREACHED; n * n];
+        let view = RoutingView::of(net);
         for src in 0..n {
             let (d, p) = (
                 &mut dist[src * n..(src + 1) * n],
                 &mut prev[src * n..(src + 1) * n],
             );
-            dijkstra_tree(net, NodeId(src as u32), None, d, p);
+            dijkstra_tree(&view, NodeId(src as u32), None, d, p);
         }
         RouteTable {
             epoch: net.epoch(),
@@ -334,12 +331,13 @@ impl RouteTable {
             return self.rebuild_all(net, started);
         }
         let damage = Damage::new(touched_nodes.to_vec(), touched_links.to_vec());
+        let view = RoutingView::of(net);
         let carried: Vec<Option<Vec<Patch>>> = self
             .dist
             .chunks(n.max(1))
             .zip(self.prev.chunks(n.max(1)))
             .enumerate()
-            .map(|(s, (dist, prev))| carry_row(net, NodeId(s as u32), dist, prev, &damage))
+            .map(|(s, (dist, prev))| carry_row(&view, NodeId(s as u32), dist, prev, &damage))
             .collect();
 
         let sources_rebuilt = carried.iter().filter(|c| c.is_none()).count();
@@ -355,7 +353,7 @@ impl RouteTable {
         for (s, (patches, (d, p))) in carried.into_iter().zip(rows).enumerate() {
             match patches {
                 Some(patches) => apply(&patches, d, p),
-                None => dijkstra_tree(net, NodeId(s as u32), None, d, p),
+                None => dijkstra_tree(&view, NodeId(s as u32), None, d, p),
             }
         }
         self.epoch = net.epoch();
@@ -437,11 +435,19 @@ impl RouteTable {
 /// only ever asks for routes *from* a handful of sources (the client,
 /// pinned hosts, gateways of the regions a chain transits), so
 /// `ScopedRoutes` builds exactly those rows, on first use, behind a
-/// mutex. Each row is produced by the very same
-/// `dijkstra_tree` / `reconstruct` pair the full table uses, so
-/// every answered query is bit-identical to [`RouteTable::route`] —
-/// including deterministic tie-breaks — just restricted to the sources
-/// actually touched.
+/// mutex. Each row is produced by the very same `dijkstra_tree` the full
+/// table uses, so every answered query is bit-identical to
+/// [`RouteTable::route`] — including deterministic tie-breaks — just
+/// restricted to the sources actually touched.
+///
+/// Every row runs and is carried on the table's one compact routing
+/// view (CSR adjacency and per-link terms, built at the first row
+/// question), which the first row question of each later epoch patches
+/// from the network's journal; it is rebuilt only when a link or node
+/// was added or the journal no longer reaches back
+/// ([`view_builds`](Self::view_builds) counts the builds). A row answers
+/// latency and hop count by index, and the bottleneck from a column
+/// filled on first read and refreshed whenever the row is carried.
 ///
 /// Each row records the network epoch it was last exact at. A question
 /// at a later epoch first carries the row across every change the
@@ -462,9 +468,17 @@ pub struct ScopedRoutes {
 
 #[derive(Debug, Default)]
 struct Rows {
-    by_source: BTreeMap<u32, ScopedRow>,
+    /// What every row runs and is carried on: built at the table's first
+    /// row question, patched to the network's epoch at each later one.
+    view: Option<RoutingView>,
+    /// Rows by source node id.
+    by_source: Vec<Option<Box<ScopedRow>>>,
     /// Dijkstra runs this table made; carried rows are not counted.
     built: usize,
+    /// Times the view was built rather than patched.
+    view_builds: usize,
+    /// A bottleneck read's walk up the tree, kept between reads.
+    walk: Vec<NodeId>,
 }
 
 #[derive(Debug)]
@@ -473,6 +487,10 @@ struct ScopedRow {
     epoch: u64,
     dist: Vec<RouteCost>,
     prev: Vec<Pred>,
+    /// Bottleneck bandwidth of the tree path to each node, filled on
+    /// first read at the row's epoch (`NaN` until then). Routing ignores
+    /// bandwidth, so a carried row's column is refilled, not patched.
+    bottleneck: Vec<f64>,
 }
 
 impl ScopedRoutes {
@@ -481,23 +499,30 @@ impl ScopedRoutes {
         ScopedRoutes::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Rows> {
+        self.rows.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Dijkstra rows this table has run — a row carried into a later
     /// epoch costs none and is not counted.
     /// Deterministic for a deterministic query sequence, so it doubles
     /// as the planner's routing-work metric in stable-mode artifacts.
     pub fn rows_built(&self) -> usize {
-        self.rows
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .built
+        self.lock().built
+    }
+
+    /// Times this table built its routing view: once at its first row
+    /// question, and again only after a link or node was added or more
+    /// changes than the network's journal holds went unread. Every other
+    /// epoch patches the view in place.
+    pub fn view_builds(&self) -> usize {
+        self.lock().view_builds
     }
 
     /// The route from `from` to `to`, building `from`'s row on first
     /// use. Identical to [`RouteTable::route`] for every pair.
     pub fn route(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Route> {
-        self.with_row(net, from, |row| {
-            reconstruct(net, from, to, &row.dist, &row.prev)
-        })
+        self.read_row(net, from, |row| row.route(to))
     }
 
     /// One-way propagation latency from `from` to `to` (`None` when
@@ -506,18 +531,14 @@ impl ScopedRoutes {
         if from == to {
             return Some(SimDuration::ZERO);
         }
-        self.with_row(net, from, |row| {
-            let ns = row.dist[to.0 as usize].1;
-            (ns != u64::MAX).then(|| SimDuration::from_nanos(ns))
-        })
+        self.read_row(net, from, |row| row.latency(to))
     }
 
     /// Latency, bottleneck and hop count of [`route`](Self::route)'s
-    /// answer, building `from`'s row on first use but not the route.
+    /// answer, building `from`'s row on first use but not the route:
+    /// read by index off the row ([`RowReader::metrics`]).
     pub fn metrics(&self, net: &Network, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
-        self.with_row(net, from, |row| {
-            tree_metrics(net, from, to, &row.dist, &row.prev)
-        })
+        self.read_row(net, from, |row| row.metrics(to))
     }
 
     /// Virtual time to move `bytes` from `from` to `to`
@@ -538,52 +559,206 @@ impl ScopedRoutes {
     }
 
     /// Intermediate nodes (excluding endpoints) on the shortest path
-    /// from `from` to `to`, or `None` when unreachable: a walk of
-    /// `from`'s predecessor row, no [`Route`] is materialized.
+    /// from `from` to `to`, or `None` when unreachable: the one question
+    /// that walks `from`'s predecessor row, one entry per hop; no
+    /// [`Route`] is materialized.
     pub fn via_nodes(&self, net: &Network, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
-        self.with_row(net, from, |row| tree_via(from, to, &row.dist, &row.prev))
+        self.read_row(net, from, |row| row.via(to))
     }
 
-    /// Reads `from`'s routing row for `net`'s epoch: carried from the
-    /// epoch it was last exact at when the changes since leave it exact,
-    /// its Dijkstra run otherwise (and on first use).
-    fn with_row<R>(&self, net: &Network, from: NodeId, read: impl FnOnce(&ScopedRow) -> R) -> R {
-        let mut rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
-        let Rows { by_source, built } = &mut *rows;
-        let epoch = net.epoch();
-        let row = match by_source.entry(from.0) {
-            Entry::Occupied(row) => row.into_mut(),
-            Entry::Vacant(slot) => slot.insert(ScopedRow::run(net, from, built)),
+    /// Reads `from`'s routing row for `net`'s epoch under one lock, for
+    /// as many destinations as `read` asks: carried from the epoch it
+    /// was last exact at when the changes since leave it exact, its
+    /// Dijkstra run otherwise (and on first use). The view is patched to
+    /// the epoch first.
+    pub fn read_row<R>(
+        &self,
+        net: &Network,
+        from: NodeId,
+        read: impl FnOnce(&mut RowReader<'_>) -> R,
+    ) -> R {
+        read(&mut self.lock().current(net, from))
+    }
+}
+
+impl Rows {
+    /// `from`'s row for `net`'s epoch, as [`ScopedRoutes::read_row`]
+    /// describes. Not generic, so the row's upkeep — a Dijkstra run or
+    /// carry, a view patch — is compiled once rather than into every
+    /// reader, which keeps each `read_row` instantiation, the pair-read
+    /// path, small (DESIGN.md "What survives an epoch" has the
+    /// measurement).
+    fn current<'a>(&'a mut self, net: &'a Network, from: NodeId) -> RowReader<'a> {
+        let Rows {
+            view,
+            by_source,
+            built,
+            view_builds,
+            walk,
+        } = self;
+        let view = match view {
+            Some(view) => {
+                *view_builds += usize::from(view.sync(net));
+                view
+            }
+            None => {
+                *view_builds += 1;
+                view.insert(RoutingView::of(net))
+            }
         };
+        if by_source.len() < view.node_count() {
+            by_source.resize_with(view.node_count(), || None);
+        }
+        let epoch = net.epoch();
+        let row = by_source[from.0 as usize]
+            .get_or_insert_with(|| Box::new(ScopedRow::run(view, from, epoch, built)));
         if row.epoch != epoch {
             // A node added since leaves no row exact (`Damage::since`).
             let patches = Damage::since(net, row.epoch)
-                .and_then(|damage| carry_row(net, from, &row.dist, &row.prev, &damage));
+                .and_then(|damage| carry_row(view, from, &row.dist, &row.prev, &damage));
             match patches {
-                Some(patches) => {
-                    apply(&patches, &mut row.dist, &mut row.prev);
-                    row.epoch = epoch;
-                }
-                None => *row = ScopedRow::run(net, from, built),
+                Some(patches) => row.carry(from, &patches, epoch),
+                None => **row = ScopedRow::run(view, from, epoch, built),
             }
         }
-        read(row)
+        RowReader {
+            net,
+            from,
+            row,
+            walk,
+        }
+    }
+}
+
+/// One source's routing row at the network's current epoch, as
+/// [`ScopedRoutes::read_row`] hands it out: each question is an index
+/// into the row.
+pub struct RowReader<'a> {
+    net: &'a Network,
+    from: NodeId,
+    row: &'a mut ScopedRow,
+    walk: &'a mut Vec<NodeId>,
+}
+
+impl RowReader<'_> {
+    fn route(&self, to: NodeId) -> Option<Route> {
+        let ScopedRow { dist, prev, .. } = &*self.row;
+        reconstruct(self.net, self.from, to, dist, prev)
+    }
+
+    fn via(&self, to: NodeId) -> Option<Vec<NodeId>> {
+        tree_via(self.from, to, &self.row.dist, &self.row.prev)
+    }
+
+    /// One-way propagation latency to `to`, `None` when unreachable.
+    pub fn latency(&self, to: NodeId) -> Option<SimDuration> {
+        if to == self.from {
+            return Some(SimDuration::ZERO);
+        }
+        let nanos = self.row.dist[to.0 as usize].1;
+        (nanos != u64::MAX).then(|| SimDuration::from_nanos(nanos))
+    }
+
+    /// Latency, bottleneck and hop count of the route to `to` — the
+    /// figures [`ScopedRoutes::route`] would report — `None` when
+    /// unreachable. Latency and hops are the row's cost entry; the
+    /// bottleneck is the row's column, filled on its first read at this
+    /// epoch for `to` and every node on the way.
+    pub fn metrics(&mut self, to: NodeId) -> Option<RouteMetrics> {
+        if to == self.from {
+            return Some(Route::local(to).metrics());
+        }
+        let (_, nanos, hops) = self.row.dist[to.0 as usize];
+        if nanos == u64::MAX {
+            return None;
+        }
+        Some(RouteMetrics {
+            latency: SimDuration::from_nanos(nanos),
+            bottleneck_bps: self.bottleneck(to)?,
+            hops,
+        })
+    }
+
+    /// The bottleneck column's entry for reached node `to`: up the tree
+    /// to the nearest filled entry (the source's is infinite), then back
+    /// down, filling each entry on the way. `None` only if a reached
+    /// node had no tree edge, which would mean a corrupt row.
+    fn bottleneck(&mut self, to: NodeId) -> Option<f64> {
+        let ScopedRow {
+            prev, bottleneck, ..
+        } = &mut *self.row;
+        self.walk.clear();
+        let mut cursor = to;
+        while bottleneck[cursor.0 as usize].is_nan() {
+            self.walk.push(cursor);
+            cursor = prev[cursor.0 as usize]?.0;
+        }
+        let mut bps = bottleneck[cursor.0 as usize];
+        while let Some(node) = self.walk.pop() {
+            let (_, link) = prev[node.0 as usize]?;
+            bps = bps.min(self.net.link(link).bandwidth_bps);
+            bottleneck[node.0 as usize] = bps;
+        }
+        Some(bps)
     }
 }
 
 impl ScopedRow {
-    /// `from`'s Dijkstra row on `net`, counted in `built`.
-    fn run(net: &Network, from: NodeId, built: &mut usize) -> Self {
-        let n = net.node_count();
+    /// `from`'s Dijkstra row on `view` (current at `epoch`), counted in
+    /// `built`.
+    fn run(view: &RoutingView, from: NodeId, epoch: u64, built: &mut usize) -> Self {
+        let n = view.node_count();
         let (mut dist, mut prev) = (vec![UNREACHED; n], vec![None; n]);
-        dijkstra_tree(net, from, None, &mut dist, &mut prev);
+        dijkstra_tree(view, from, None, &mut dist, &mut prev);
         *built += 1;
-        ScopedRow {
-            epoch: net.epoch(),
+        let mut row = ScopedRow {
+            epoch,
             dist,
             prev,
+            bottleneck: vec![f64::NAN; n],
+        };
+        row.bottleneck[from.0 as usize] = f64::INFINITY;
+        row
+    }
+
+    /// Writes a carry's entry rewrites and moves the row to `epoch`. The
+    /// certificate does not look at bandwidth, so every bottleneck the
+    /// column holds is dropped: the next read refills it.
+    fn carry(&mut self, from: NodeId, patches: &[Patch], epoch: u64) {
+        apply(patches, &mut self.dist, &mut self.prev);
+        self.epoch = epoch;
+        self.bottleneck.fill(f64::NAN);
+        self.bottleneck[from.0 as usize] = f64::INFINITY;
+    }
+}
+
+#[cfg(test)]
+impl ScopedRoutes {
+    /// `from`'s row as [`read_row`](Self::read_row) leaves it for
+    /// `net`, its metrics to every node, and the view it ran on.
+    pub(crate) fn row_snapshot(&self, net: &Network, from: NodeId) -> RowSnapshot {
+        let metrics = net
+            .node_ids()
+            .map(|to| self.metrics(net, from, to))
+            .collect();
+        let rows = self.lock();
+        let row = rows.by_source[from.0 as usize].as_ref().expect("just read");
+        RowSnapshot {
+            dist: row.dist.clone(),
+            prev: row.prev.clone(),
+            metrics,
+            view: rows.view.clone().expect("just read"),
         }
     }
+}
+
+/// A copy of one row and the view it was read on (test-only).
+#[cfg(test)]
+pub(crate) struct RowSnapshot {
+    pub dist: Vec<RouteCost>,
+    pub prev: Vec<Pred>,
+    pub metrics: Vec<Option<RouteMetrics>>,
+    pub view: RoutingView,
 }
 
 #[cfg(test)]

@@ -247,7 +247,8 @@ fn capacity(mapper: &Mapper<'_>, component: &str, sets: &[CandidateSet]) -> usiz
 /// The least round trip of a `bytes`-sized exchange over every route
 /// from a host of `from` (`None`: the client) to one of set `to`, zero
 /// when none exists. Read from the plan memo's least-RTT table; scanned
-/// and recorded on the call's first question, each pair read counted in
+/// and recorded on the call's first question — each source host's row
+/// read once for all its pairs — each pair read counted in
 /// `stats.bound_pairs`.
 fn least_rtt(
     mapper: &Mapper<'_>,
@@ -263,18 +264,19 @@ fn least_rtt(
     let client = [mapper.request.client_node];
     let from_hosts = from.map_or(&client[..], |set| &set.nodes[..]);
     let mut best = f64::INFINITY;
-    'scan: for &a in from_hosts {
-        for &b in to.nodes.iter() {
+    for &a in from_hosts {
+        mapper.route_metrics_from(a, &to.nodes, |route| {
             stats.bound_pairs += 1;
-            let rtt = match mapper.route_metrics(a, b) {
+            let rtt = match route {
                 Some(route) if !route.is_local() => route.rtt_ms(bytes),
                 Some(_) => 0.0,
-                None => continue,
+                None => return true,
             };
             best = best.min(rtt);
-            if best == 0.0 {
-                break 'scan;
-            }
+            best != 0.0
+        });
+        if best == 0.0 {
+            break;
         }
     }
     let rtt = if best.is_finite() { best } else { 0.0 };

@@ -317,6 +317,14 @@ impl HierMemo {
         self.lock().scoped.rows_built()
     }
 
+    /// Times the memo's route rows built their routing view rather than
+    /// patching it from the network's journal
+    /// ([`ScopedRoutes::view_builds`]): one for a network whose changes
+    /// are all state changes read within the journal's reach.
+    pub fn routing_view_builds(&self) -> usize {
+        self.lock().scoped.view_builds()
+    }
+
     /// The plan stored for exactly this registered `spec` and `request`
     /// at the network's current epoch, over the live-instance set the
     /// caller names by `stamp`: equal stamps must mean equal sets, and a
@@ -744,18 +752,29 @@ fn segment_shortlist(
         .iter()
         .copied()
         .filter(|&node| net.node(node).up && mapper.component_fits(decl, node))
-        .map(|node| {
-            let proximity = region
-                .gateways
-                .iter()
-                .take(RANK_GATEWAYS)
-                .filter_map(|&gw| scoped.latency(net, gw, node))
-                .map(|latency| latency.as_nanos())
-                .min()
-                .unwrap_or(0);
-            (proximity, node)
-        })
+        .map(|node| (u64::MAX, node))
         .collect();
+    // One row read per gateway for every host. A gateway asked only
+    // about itself answers zero without its row.
+    for &gw in region.gateways.iter().take(RANK_GATEWAYS) {
+        if fitting.iter().all(|&(_, node)| node == gw) {
+            fitting.iter_mut().for_each(|(proximity, _)| *proximity = 0);
+            continue;
+        }
+        scoped.read_row(net, gw, |row| {
+            for (proximity, node) in &mut fitting {
+                if let Some(latency) = row.latency(*node) {
+                    *proximity = (*proximity).min(latency.as_nanos());
+                }
+            }
+        });
+    }
+    // A host no ranking gateway reaches ranks as zero.
+    for (proximity, _) in &mut fitting {
+        if *proximity == u64::MAX {
+            *proximity = 0;
+        }
+    }
     fitting.sort_unstable();
     fitting.truncate(SHORTLIST);
     fitting.into_iter().map(|(_, node)| node).collect()

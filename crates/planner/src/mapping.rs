@@ -225,8 +225,8 @@ impl<'a> Mapper<'a> {
 
     /// Latency, bottleneck and locality of the route between two nodes —
     /// all the cost models read — memoized in the plan memo's dense
-    /// table. Read off `from`'s [`ScopedRoutes`] row by a
-    /// predecessor-chain walk that materializes nothing.
+    /// table. Read by index off `from`'s [`ScopedRoutes`] row, which
+    /// materializes nothing.
     pub fn route_metrics(&self, from: NodeId, to: NodeId) -> Option<RouteMetrics> {
         let lookup = || self.routes.metrics(self.net, from, to);
         let mut memo = self.memo.borrow_mut();
@@ -234,6 +234,44 @@ impl<'a> Mapper<'a> {
             Some(cell) => *cell.metrics.get_or_insert_with(lookup),
             None => lookup(),
         }
+    }
+
+    /// [`route_metrics`](Self::route_metrics) from `from` to each of
+    /// `targets` in order, handed to `visit` until it returns `false`.
+    /// The plan memo's cells answer first; at the first pair they cannot
+    /// answer, `from`'s row is read once — one lock — for that pair and
+    /// every later one, filling their cells.
+    pub(crate) fn route_metrics_from(
+        &self,
+        from: NodeId,
+        targets: &[NodeId],
+        mut visit: impl FnMut(Option<RouteMetrics>) -> bool,
+    ) {
+        let mut memo = self.memo.borrow_mut();
+        let mut rest = targets;
+        while let Some((&to, tail)) = rest.split_first() {
+            let Some(Some(metrics)) = memo.route_cell(from, to).map(|cell| cell.metrics) else {
+                break;
+            };
+            if !visit(metrics) {
+                return;
+            }
+            rest = tail;
+        }
+        if rest.is_empty() {
+            return;
+        }
+        self.routes.read_row(self.net, from, |row| {
+            for &to in rest {
+                let metrics = match memo.route_cell(from, to) {
+                    Some(cell) => *cell.metrics.get_or_insert_with(|| row.metrics(to)),
+                    None => row.metrics(to),
+                };
+                if !visit(metrics) {
+                    return;
+                }
+            }
+        });
     }
 
     /// The materialized route between two nodes together with the

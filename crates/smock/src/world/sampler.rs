@@ -21,7 +21,8 @@ pub(super) struct SamplerState {
 
 impl World {
     /// Publishes resource-occupancy gauges (per-direction link busy time,
-    /// bytes carried, transmissions; per-node CPU busy time) into the
+    /// bytes carried, transmissions; per-node CPU busy time) and the
+    /// route rows' view builds (`net.routing_view.builds`) into the
     /// tracer's registry. Link directions that never carried a
     /// transmission and CPUs that never ran a job are skipped entirely —
     /// at thousand-node scale most of both are idle, and emitting their
@@ -59,6 +60,7 @@ impl World {
         if let Some(bytes) = self.state.lease.renewal_bytes() {
             tracer.gauge("lease.renewal_bytes", bytes as f64);
         }
+        tracer.gauge("net.routing_view.builds", self.routing_view_builds() as f64);
     }
 
     /// Enables the time-series sampler: aggregate world metrics (link

@@ -111,6 +111,13 @@ impl World {
         self.state.memo.route_rows_built()
     }
 
+    /// Times the memo built its routing view rather than patching it
+    /// (published as `net.routing_view.builds`): one over a run whose
+    /// network changes are faults and link updates.
+    pub fn routing_view_builds(&self) -> usize {
+        self.state.memo.routing_view_builds()
+    }
+
     /// Number of plans the memo's plan cache holds (test/diagnostic
     /// aid).
     pub fn cached_plan_count(&self) -> usize {

@@ -185,6 +185,35 @@ fn blueprint_transfer_time_scales_with_code_size() {
     assert_eq!(world.transfer_time(dc, dc, 1_000_000), SimDuration::ZERO);
 }
 
+/// Routing ignores bandwidth, so a bandwidth-only update of a tree link
+/// carries the row rather than re-running it; the carried row must still
+/// answer with the new bottleneck.
+#[test]
+fn a_bandwidth_update_reaches_a_carried_rows_metrics() {
+    let mut net = Network::new();
+    let secure = || Credentials::new().with("Secure", true);
+    let [edge, hub, dc] =
+        ["edge", "hub", "dc"].map(|n| net.add_node(n, "s", 1.0, Credentials::new()));
+    net.add_link(edge, hub, SimDuration::from_millis(5), 1e8, secure());
+    let tree_link = net.add_link(hub, dc, SimDuration::from_millis(5), 1e7, secure());
+    let mut world = World::new(net);
+    let metrics = |world: &World| {
+        world
+            .routes()
+            .metrics(world.network(), dc, edge)
+            .expect("connected")
+    };
+    assert_eq!(metrics(&world).bottleneck_bps, 1e7);
+    let slow = world.transfer_time(dc, edge, 1_000_000);
+
+    world.update_link(tree_link, SimDuration::from_millis(5), 1e6);
+    assert_eq!(metrics(&world).bottleneck_bps, 1e6);
+    let slower = world.transfer_time(dc, edge, 1_000_000);
+    assert_eq!(slower, server::transfer_time(&world, dc, edge, 1_000_000));
+    assert!(slower > slow);
+    assert_eq!(world.route_rows_built(), 1, "the row was carried");
+}
+
 #[test]
 fn node_wrappers_cache_component_code() {
     // Two differently-factored instances of one component on one node:

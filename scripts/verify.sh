@@ -243,6 +243,23 @@ if [[ -z "$bound_pairs" ]] || (( bound_pairs > 630 )); then
 fi
 echo "    least-RTT pairs at 1013 nodes: ${bound_pairs}"
 
+# Route rows run on one compact routing view per route table, patched
+# from the network's journal at each epoch's first row question and
+# rebuilt only for an added link or node or a journal gap. The 1013-node
+# heal workload's world builds the view once, at its first connect; a
+# second route table or view per connect, pass or redeploy shows here.
+# It reads all its rows at one network epoch, so a view rebuilt at
+# every epoch is caught by tests/serving_memo.rs::heal_run, whose
+# schedule crosses epochs, not here.
+echo "==> perf guard: routing view builds of the 1013-node heal workload (== 1)"
+view_builds="$(grep -oz '"heal_1000": {[^}]*}' "$tmpdir/a/BENCH_scale.json" \
+    | tr -d '\0' | grep -o '"view_builds": [0-9]*' | grep -o '[0-9]*$')"
+if [[ "$view_builds" != 1 ]]; then
+    echo "the 1013-node heal workload built its routing view '${view_builds}' times, not once" >&2
+    exit 1
+fi
+echo "    routing view builds of the heal workload: ${view_builds}"
+
 # Event-driven healing guard: a heal pass runs at each wake (a liveness
 # event entering the world's stream) plus ps_core::HEAL_DEBOUNCE, never
 # on a tick, so the partition run degrades and reconciles within one

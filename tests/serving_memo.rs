@@ -576,6 +576,15 @@ fn heal_run(seed: u64) -> HealRun {
     // replanner would keep: still valid, within its degradation factor.
     assert!(fw.suspected_hosts().is_empty());
     run.rows_total = fw.world.route_rows_built() - rows_at_start;
+    // Crashes, restarts and flaps are state changes the journal names,
+    // and the world routes between every two of them: the memo's
+    // routing view is built at the first connect and patched from then
+    // on.
+    assert_eq!(
+        fw.world.routing_view_builds(),
+        1,
+        "seed {seed}: the routing view is patched across the whole schedule"
+    );
     let net = fw.world.network();
     let flat = Replanner::new(Planner::new(mail_spec()));
     for (&id, r) in managed.iter().zip(&requests) {
