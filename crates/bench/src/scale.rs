@@ -329,6 +329,9 @@ pub struct HealWorkloadOutcome {
     /// Times the world's route rows built their routing view over the
     /// run rather than patching it (`net.routing_view.builds`).
     pub view_builds: usize,
+    /// Segment shortlists the world's memo computed over the run's
+    /// connect and heal replans (0 on the flat path).
+    pub segments: u64,
     /// Wall time of the whole run, milliseconds.
     pub wall_ms: f64,
     /// Lease-renewal bytes charged to the network (0 when accounting
@@ -414,6 +417,7 @@ pub fn run_heal_workload(
         recovered_ms: recovered_at.map(ms),
         plan: framework.managed_connection(handle).map(|c| c.plan.clone()),
         view_builds: framework.world.routing_view_builds(),
+        segments: framework.world.shortlists_computed(),
         wall_ms: timer.elapsed_ms(),
         lease_renewal_bytes,
         series,
@@ -496,7 +500,10 @@ pub fn command(_: &Args) -> Result<Artifact, String> {
         client,
         SEED,
         &Tracer::disabled(),
-        &HealWorkloadOptions::default(),
+        &HealWorkloadOptions {
+            hier: true,
+            ..HealWorkloadOptions::default()
+        },
     );
     assert!(
         heal.recovered_ms.is_some(),
@@ -512,6 +519,7 @@ pub fn command(_: &Args) -> Result<Artifact, String> {
         .with("detected_ms", opt_ms(heal.detected_ms))
         .with("recovered_ms", opt_ms(heal.recovered_ms))
         .with("view_builds", heal.view_builds)
+        .with("segments", heal.segments)
         .with("wall_ms", wall_num(heal.wall_ms, 3));
 
     let record = Record::new()

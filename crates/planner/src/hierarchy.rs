@@ -15,11 +15,15 @@
 //! 3. **Segment shortlists** — per transit region and per component, the
 //!    best few installable hosts ranked by proximity to the region's
 //!    gateways. Shortlists are *client-independent* and memoized in a
-//!    [`HierMemo`] keyed by (region, component, request signature),
-//!    validated against the region's epoch
+//!    [`HierMemo`] keyed by (region, component, signature), validated
+//!    against the region's epoch
 //!    ([`Network::region_epoch`]) — a fault in one AS invalidates only
 //!    that AS's entries, and concurrent connects / heal passes share
-//!    the memo.
+//!    the memo. The signature is what a shortlist reads of the solve:
+//!    the registered spec and the request environment. Pins, the
+//!    attachable instances and the client are not in it, so every
+//!    connect of a registration shares the shortlists, however many
+//!    instances earlier connects deployed.
 //!
 //! The union of those sets is the *composition universe*; the exact
 //! branch-and-bound search then runs restricted to it (same evaluator,
@@ -84,9 +88,9 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// |---|---|---|
 /// | lazy route rows ([`ScopedRoutes`]) | source node | carried to a later epoch on their next use, re-run when a change since touched them |
 /// | completed plans | the registered spec (by `Arc` identity) and the request (by value), under one live-instance set named by the caller's stamp | any epoch change; a plan stored under another live set |
-/// | segment shortlists | (region, component, registered spec by `Arc` identity, request signature by value) | that region's epoch ([`Network::region_epoch`]) |
+/// | segment shortlists | (region, component, registered spec by `Arc` identity, request environment by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | linkage graphs | (registered spec by `Arc` identity, interfaces, [`LinkageLimits`], degraded flag) | nothing: the enumeration reads no network |
-/// | condition-1 admissions | (registered spec by `Arc` identity, request signature by value, component), then the host | that host's region epoch |
+/// | condition-1 admissions | (registered spec by `Arc` identity, request environment by value, component), then the host | that host's region epoch |
 /// | region map | — | a node or link count change |
 /// | recent plans (warm seeds) | — | revalidated at use |
 ///
@@ -129,10 +133,10 @@ struct MemoInner {
     /// The (epoch, node count) the cached plans were solved at.
     plans_at: Option<(u64, usize)>,
     plans: PlanCache,
-    /// Distinct (registered spec, request signature) pairs seen, the
-    /// spec compared by `Arc` identity and the signature by value; a
-    /// shortlist key names one by its index here.
-    signatures: Vec<(Arc<ServiceSpec>, RequestSignature)>,
+    /// Distinct signatures seen: (registered spec, request environment)
+    /// pairs, the spec compared by `Arc` identity and the environment by
+    /// value. A shortlist or admissions key names one by its index here.
+    signatures: Vec<(Arc<ServiceSpec>, Environment)>,
     /// (region index, component, signature index) → (region epoch at
     /// solve time, shortlist). Entries whose epoch no longer matches the
     /// live region are stale and recomputed on next use.
@@ -151,12 +155,12 @@ struct MemoInner {
 /// host's region epoch when decided, and the factors the component
 /// resolves to there (`None`: a condition fails or the factors do not
 /// resolve). The verdict reads the registered spec and the request
-/// environment (both in the signature), the component, and the host's
+/// environment (the signature), the component, and the host's
 /// credentials as the registration's translator reads them; every change
 /// to a host bumps its region epoch. Like the shortlists, the memo takes
-/// a registration to be planned with one translator, and keys on the
-/// whole signature: a request with other pins or live instances decides
-/// afresh, though condition 1 reads neither.
+/// a registration to be planned with one translator. Pins, requirements
+/// and the attachable instances are read by neither, so requests that
+/// differ only there share the verdicts.
 #[derive(Debug)]
 struct Admissions {
     signature: u32,
@@ -165,8 +169,8 @@ struct Admissions {
 }
 
 /// A serving memo as one solve reads it: with the index of the solve's
-/// (registered spec, request signature) pair, the key of the memo's
-/// per-signature tables (shortlists, condition-1 admissions).
+/// signature (registered spec, request environment), the key of the
+/// memo's per-signature tables (shortlists, condition-1 admissions).
 #[derive(Clone, Copy)]
 pub(crate) struct SignedMemo<'a> {
     pub memo: &'a HierMemo,
@@ -443,15 +447,17 @@ impl HierMemo {
         graphs
     }
 
-    /// The memo under (`spec`, `request`'s signature).
+    /// The memo bound to `net`, under the signature of (`spec`,
+    /// `request`).
     pub(crate) fn signed(
         &self,
+        net: &Network,
         spec: &Arc<ServiceSpec>,
         request: &ServiceRequest,
     ) -> SignedMemo<'_> {
         SignedMemo {
             memo: self,
-            signature: self.signature_id(spec, request),
+            signature: self.signature_id(net, spec, request),
         }
     }
 
@@ -493,23 +499,31 @@ impl HierMemo {
         hosts.iter().filter_map(admit).collect()
     }
 
-    /// The index of (`spec`, `request`'s signature) among the pairs seen
-    /// so far, interning it on first sight. Two requests share
-    /// shortlists only when they plan the same registered spec (by `Arc`
-    /// identity: a re-registration may change which hosts fit) and
-    /// every field the signature carries is equal. The entry holds the
-    /// spec's `Arc`, so its address cannot be reused while it lives.
-    fn signature_id(&self, spec: &Arc<ServiceSpec>, request: &ServiceRequest) -> u32 {
-        let signature = RequestSignature::of(request);
-        let mut inner = self.lock();
-        let at = inner
+    /// The index of the signature of (`spec`, `request`) among those
+    /// seen on `net`, interning it on first sight. A signature is the
+    /// registered spec, by `Arc` identity (a re-registration may change
+    /// which hosts fit), and the request environment, by value: all a
+    /// shortlist or a condition-1 verdict reads of the solve besides the
+    /// network. The entry holds the spec's `Arc`, so its address cannot
+    /// be reused while it lives. Interned under [`lock_on`](Self::lock_on),
+    /// so an index is never handed out from a memo that the same solve
+    /// then starts over for another network.
+    fn signature_id(
+        &self,
+        net: &Network,
+        spec: &Arc<ServiceSpec>,
+        request: &ServiceRequest,
+    ) -> u32 {
+        let mut inner = self.lock_on(net);
+        let env = &request.request_env;
+        let known = inner
             .signatures
             .iter()
-            .position(|(under, seen)| Arc::ptr_eq(under, spec) && *seen == signature)
-            .unwrap_or_else(|| {
-                inner.signatures.push((Arc::clone(spec), signature));
-                inner.signatures.len() - 1
-            });
+            .position(|(under, seen)| Arc::ptr_eq(under, spec) && seen == env);
+        let at = known.unwrap_or_else(|| {
+            inner.signatures.push((Arc::clone(spec), env.clone()));
+            inner.signatures.len() - 1
+        });
         at as u32
     }
 
@@ -574,39 +588,6 @@ impl HierMemo {
                     .is_some_and(|r| net.region_epoch(&r.name) == *epoch)
             })
             .count()
-    }
-}
-
-/// Client-independent identity of a request for shortlist keying:
-/// interfaces, request environment, requirements, degraded flag,
-/// pinning, and the attachable existing instances, compared by value.
-/// The client node and request rate are deliberately excluded —
-/// shortlist membership does not depend on them, so a whole client
-/// population shares one signature.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct RequestSignature {
-    interfaces: Vec<String>,
-    request_env: Environment,
-    required: ResolvedBindings,
-    degraded: bool,
-    pinned: BTreeMap<String, NodeId>,
-    /// Sorted: the attachable instances are a set, the order they were
-    /// declared in carries nothing.
-    existing: Vec<ExistingInstance>,
-}
-
-impl RequestSignature {
-    fn of(request: &ServiceRequest) -> Self {
-        let mut existing = request.existing.clone();
-        existing.sort_unstable();
-        RequestSignature {
-            interfaces: request.interfaces.clone(),
-            request_env: request.request_env.clone(),
-            required: request.required.clone(),
-            degraded: request.degraded,
-            pinned: request.pinned.clone(),
-            existing,
-        }
     }
 }
 
@@ -784,32 +765,59 @@ fn segment_shortlist(
 mod tests {
     use super::*;
 
+    /// A signature is the registered spec and the request environment:
+    /// requests that differ in client, rate, pins, interfaces,
+    /// requirements, degraded flag or attachable instances share one,
+    /// another environment or a re-registered spec gets its own.
     #[test]
     fn signature_ignores_client_and_rate_but_not_env() {
-        let sig = RequestSignature::of;
+        let net = Network::new();
+        let memo = HierMemo::new();
+        let spec = Arc::new(ServiceSpec::new("Mail"));
+        let reregistered = Arc::new(ServiceSpec::new("Mail"));
+        let sig = |spec, request| memo.signature_id(&net, spec, request);
         let base = ServiceRequest::new("Mail", NodeId(3)).rate(2.0);
-        let other_client = ServiceRequest::new("Mail", NodeId(9)).rate(7.5);
-        assert_eq!(sig(&base), sig(&other_client));
-
-        let degraded = ServiceRequest::new("Mail", NodeId(3)).degraded_mode();
-        assert_ne!(sig(&base), sig(&degraded));
-
-        let pinned = ServiceRequest::new("Mail", NodeId(3)).pin("MailServer", NodeId(1));
-        assert_ne!(sig(&base), sig(&pinned));
-
-        let required = ServiceRequest::new("Mail", NodeId(3)).require("Confidential", true);
-        assert_ne!(sig(&base), sig(&required));
-
-        // Attachable instances are a set: declaration order is not
-        // part of the identity, membership is.
         let vms = |r: ServiceRequest, n| {
             r.existing_instance("ViewMailServer", NodeId(n), ResolvedBindings::new())
         };
-        assert_eq!(
-            sig(&vms(vms(base.clone(), 4), 5)),
-            sig(&vms(vms(base.clone(), 5), 4))
-        );
-        assert_ne!(sig(&vms(base.clone(), 4)), sig(&vms(base.clone(), 5)));
+        let shared = [
+            ServiceRequest::new("Mail", NodeId(9)).rate(7.5),
+            base.clone().pin("MailServer", NodeId(1)),
+            base.clone().also_needs("Admin"),
+            base.clone().require("Confidential", true),
+            base.clone().degraded_mode(),
+            vms(base.clone(), 4),
+            vms(vms(base.clone(), 5), 4),
+        ];
+        for request in &shared {
+            assert_eq!(sig(&spec, &base), sig(&spec, request), "{request:?}");
+        }
+
+        let env = Environment::new().with("TrustLevel", 2i64);
+        let elsewhere = base.clone().env(env.clone());
+        assert_ne!(sig(&spec, &base), sig(&spec, &elsewhere));
+        let attached = vms(elsewhere.clone(), 4);
+        assert_eq!(sig(&spec, &elsewhere), sig(&spec, &attached));
+        assert_ne!(sig(&spec, &base), sig(&reregistered, &base));
+        assert_ne!(sig(&spec, &elsewhere), sig(&reregistered, &elsewhere));
+    }
+
+    /// A signature is numbered on the memo bound to the solve's network:
+    /// a network of another digest starts the memo over first, so an
+    /// index handed out there never names another signature's
+    /// shortlists and verdicts once the memo is rebound.
+    #[test]
+    fn signatures_are_numbered_on_the_rebound_memo() {
+        let a = Network::new();
+        let mut b = Network::new();
+        b.add_node("a", "as0", 1.0, ps_net::Credentials::new());
+        let memo = HierMemo::new();
+        let specs: Vec<_> = (0..3).map(|_| Arc::new(ServiceSpec::new("Mail"))).collect();
+        let request = ServiceRequest::new("Mail", NodeId(0));
+        let id = |net, spec| memo.signature_id(net, spec, &request);
+        assert_eq!([id(&a, &specs[0]), id(&a, &specs[1])], [0, 1]);
+        let on_b = [id(&b, &specs[1]), id(&b, &specs[0]), id(&b, &specs[2])];
+        assert_eq!(on_b, [0, 1, 2]);
     }
 
     /// Condition-1 verdicts are read back under their own signature and
@@ -849,10 +857,10 @@ mod tests {
     }
 
     /// Shortlists are keyed on the signature's value, not on a hash of
-    /// it, and on the registered spec's identity: requests that differ
-    /// in any signature field, or plan another registration of an equal
-    /// spec, get their own entries; requests that differ only outside
-    /// the signature share one.
+    /// it: requests with another request environment, or planning
+    /// another registration of an equal spec, get their own entries;
+    /// requests that differ only outside the signature (client, rate,
+    /// pins, requirements, attachable instances) share one.
     #[test]
     fn shortlists_are_shared_by_equal_signatures_only() {
         let mut net = Network::new();
@@ -861,16 +869,22 @@ mod tests {
         let spec = Arc::new(ServiceSpec::new("Mail"));
         let reregistered = Arc::new(ServiceSpec::new("Mail"));
         let plain = ServiceRequest::new("Mail", NodeId(3));
-        let strict = plain.clone().require("Confidential", true);
-        let elsewhere = ServiceRequest::new("Mail", NodeId(9)).rate(7.5);
-        let id = |spec, request| memo.signature_id(spec, request);
-        assert_ne!(id(&spec, &plain), id(&spec, &strict));
+        let trusted = plain
+            .clone()
+            .env(Environment::new().with("TrustLevel", 4i64));
+        let elsewhere = ServiceRequest::new("Mail", NodeId(9))
+            .rate(7.5)
+            .pin("MailServer", host)
+            .require("Confidential", true)
+            .existing_instance("ViewMailServer", host, ResolvedBindings::new());
+        let id = |spec, request| memo.signature_id(&net, spec, request);
+        assert_ne!(id(&spec, &plain), id(&spec, &trusted));
         assert_eq!(id(&spec, &plain), id(&spec, &elsewhere));
         assert_ne!(id(&spec, &plain), id(&reregistered, &plain));
 
         let key = |spec, request| (0, "MailServer".to_owned(), id(spec, request));
         memo.store_shortlist(&net, "as0", key(&spec, &plain), vec![host]);
-        assert_eq!(memo.shortlist(&net, "as0", &key(&spec, &strict)), None);
+        assert_eq!(memo.shortlist(&net, "as0", &key(&spec, &trusted)), None);
         assert_eq!(
             memo.shortlist(&net, "as0", &key(&reregistered, &plain)),
             None

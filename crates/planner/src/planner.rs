@@ -180,7 +180,7 @@ impl Planner {
         };
         let rows_before = routes.rows_built();
         let seeds = memo.map_or_else(Vec::new, HierMemo::recent_plans);
-        let signed = memo.map(|memo| memo.signed(&self.spec, request));
+        let signed = memo.map(|memo| memo.signed(net, &self.spec, request));
 
         let mut regions = None;
         let mut found = None;

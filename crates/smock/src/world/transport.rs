@@ -124,6 +124,20 @@ impl World {
         self.state.memo.cached_plans()
     }
 
+    /// Segment shortlists the memo has computed since the world was
+    /// built (its shortlist misses, every connect and heal pass counted):
+    /// deterministic, so tests and `ps-bench scale` pin it as a count.
+    pub fn shortlists_computed(&self) -> u64 {
+        self.state.memo.misses()
+    }
+
+    /// Segment shortlists the memo holds, live and stale (test aid: the
+    /// table grows with regions, components and signatures, never with
+    /// the live instances).
+    pub fn shortlist_entries(&self) -> usize {
+        self.state.memo.total_entries()
+    }
+
     /// Total messages sent so far.
     pub fn messages_sent(&self) -> u64 {
         self.state.transport.messages_sent

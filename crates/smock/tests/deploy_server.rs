@@ -1,7 +1,9 @@
 //! Deployment-engine and generic-server tests over a minimal service.
 
 use ps_net::{Credentials, Mapping, MappingTranslator, Network, NodeId};
-use ps_planner::{ExistingInstance, HierConfig, Plan, PlannerConfig, ServiceRequest};
+use ps_planner::{
+    ExistingInstance, HierConfig, HierMemo, Plan, Planner, PlannerConfig, ServiceRequest,
+};
 use ps_sim::SimDuration;
 use ps_smock::{
     deploy, server, ComponentLogic, ConnectError, Connection, GenericServer, InstanceId, Outbox,
@@ -561,18 +563,26 @@ fn tiered_spec(min_tier: i64) -> ServiceSpec {
         )
 }
 
-/// A hierarchical-planning server for [`tiered_spec`]`(min_tier)`.
-fn tiered_server(home: NodeId, min_tier: i64) -> GenericServer {
-    let translator = MappingTranslator::new().node_mapping(Mapping::Copy {
+/// Reads the `Tier` credential as the `Tier` property.
+fn tier_translator() -> MappingTranslator {
+    MappingTranslator::new().node_mapping(Mapping::Copy {
         credential: "Tier".into(),
         property: "Tier".into(),
         default: ps_spec::PropertyValue::Int(0),
-    });
-    let mut gs = GenericServer::new(home, Box::new(translator));
-    gs.planner_config = PlannerConfig {
+    })
+}
+
+fn hier_config() -> PlannerConfig {
+    PlannerConfig {
         hier: Some(HierConfig::default()),
         ..PlannerConfig::default()
-    };
+    }
+}
+
+/// A hierarchical-planning server for [`tiered_spec`]`(min_tier)`.
+fn tiered_server(home: NodeId, min_tier: i64) -> GenericServer {
+    let mut gs = GenericServer::new(home, Box::new(tier_translator()));
+    gs.planner_config = hier_config();
     gs.registry.register("Front", |_| Box::new(Nop));
     gs.registry.register("Back", |_| Box::new(Nop));
     gs.register_service(ServiceRegistration::new(tiered_spec(min_tier)));
@@ -609,6 +619,40 @@ fn a_reregistration_that_widens_a_condition_replans_its_shortlists() {
         (&fresh.plan.graph, &fresh.plan.placements)
     );
     assert_eq!(after.plan.objective_value, fresh.plan.objective_value);
+}
+
+/// A memo handed a network of another digest starts over before it
+/// numbers the solve's signature, so no registration is planned from
+/// another's shortlists or condition-1 verdicts: registrations `s1` and
+/// `s2` planned on one network, then `s2`, `s1` and `s3` — `Back` one
+/// tier wider, so it fits the transit host — on a grown copy of it, each
+/// plan what a fresh memo plans.
+#[test]
+fn a_memo_rebound_to_another_network_plans_each_registration_afresh() {
+    let (a, edge, transit, dc) = tiered_network();
+    let mut b = a.clone();
+    b.add_node("spare", "t", 1.0, Credentials::new());
+    assert_ne!(a.digest(), b.digest());
+    let request = ServiceRequest::new("Api", edge).origin(dc).rate(1.0);
+    let (s1, s2, s3) = (tiered_spec(2), tiered_spec(2), tiered_spec(1));
+    let (s1, s2, s3) = (Arc::new(s1), Arc::new(s2), Arc::new(s3));
+    let memo = HierMemo::new();
+    let plan = |net: &Network, spec: &Arc<ServiceSpec>, memo: &HierMemo| {
+        Planner::with_config(Arc::clone(spec), hier_config())
+            .plan_hierarchical(net, &tier_translator(), &request, memo)
+            .unwrap()
+    };
+    for (net, spec) in [(&a, &s1), (&a, &s2), (&b, &s2), (&b, &s1), (&b, &s3)] {
+        let shared = plan(net, spec, &memo);
+        let fresh = plan(net, spec, &HierMemo::new());
+        assert_eq!(
+            (&shared.graph, &shared.placements),
+            (&fresh.graph, &fresh.placements)
+        );
+        assert_eq!(shared.objective_value, fresh.objective_value);
+    }
+    let wide = plan(&b, &s3, &memo);
+    assert_eq!(wide.placement_of("Back").map(|p| p.node), Some(transit));
 }
 
 /// Instance churn on a quiet network must not grow the plan cache: plans

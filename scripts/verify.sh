@@ -260,6 +260,21 @@ if [[ "$view_builds" != 1 ]]; then
 fi
 echo "    routing view builds of the heal workload: ${view_builds}"
 
+# Region shortlists and condition-1 admissions are keyed on what they
+# read: the registration and the request environment, never the live
+# instances. The 1013-node heal workload plans hierarchically; its
+# connect computes 12 shortlists and its heal replan, over a live set
+# the connect never saw, reuses every one. A key that holds the live
+# instances again recomputes them all at the replan (24).
+echo "==> perf guard: shortlists computed by the 1013-node heal workload (<= 12)"
+segments="$(grep -oz '"heal_1000": {[^}]*}' "$tmpdir/a/BENCH_scale.json" \
+    | tr -d '\0' | grep -o '"segments": [0-9]*' | grep -o '[0-9]*$')"
+if [[ -z "$segments" ]] || (( segments > 12 )); then
+    echo "the 1013-node heal workload computed '${segments}' region shortlists, more than the 12 pinned" >&2
+    exit 1
+fi
+echo "    shortlists computed by the heal workload: ${segments}"
+
 # Event-driven healing guard: a heal pass runs at each wake (a liveness
 # event entering the world's stream) plus ps_core::HEAL_DEBOUNCE, never
 # on a tick, so the partition run degrades and reconciles within one

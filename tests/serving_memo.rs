@@ -965,3 +965,66 @@ fn a_cold_connect_over_live_instances_stays_under_the_work_ceiling() {
         fresh.stats
     );
 }
+
+/// Shortlists and condition-1 verdicts read the registration, the
+/// request environment and the hosts, never the live instances, so the
+/// instances a connect deploys leave them warm. On the branch AS, the
+/// first client's connect computes the shortlists of every region it
+/// transits; each later branch client's connect deploys instances of
+/// its own, plans over a live set no earlier connect saw, and computes
+/// none: it returns the plan a fresh memo returns, and the memo's
+/// shortlist table stays the size the first connect left it.
+#[test]
+fn connects_after_a_deployment_reuse_the_shortlists() {
+    let (mut fw, leaves) = fabric(42, 4);
+    let server = fw.server.home;
+    let branch: Vec<NodeId> = leaves
+        .iter()
+        .copied()
+        .filter(|&leaf| fw.world.network().node(leaf).site == "as1")
+        .collect();
+    assert_eq!(branch.len(), 4);
+    let first = fw
+        .connect("mail", &request(server, branch[0]))
+        .expect("feasible");
+    assert!(first.plan.stats.hier_segments > 0);
+    let entries = fw.world.shortlist_entries();
+    let computed = fw.world.shortlists_computed();
+
+    let hier = PlannerConfig {
+        hier: Some(HierConfig::default()),
+        ..PlannerConfig::default()
+    };
+    for &leaf in &branch[1..] {
+        let live = live_instances(&fw);
+        let conn = fw
+            .connect("mail", &request(server, leaf))
+            .expect("feasible");
+        assert_eq!(
+            conn.costs.plan_stats.plan_cache_hits, 0,
+            "{leaf:?}: a cold connect"
+        );
+        assert!(conn.deployment.created > 0, "{leaf:?} deploys");
+        assert_eq!(conn.plan.stats.hier_segments, 0, "{leaf:?}");
+        assert_eq!(fw.world.shortlists_computed(), computed, "{leaf:?}");
+        assert_eq!(fw.world.shortlist_entries(), entries, "{leaf:?}");
+
+        let mut resolved = request(server, leaf);
+        resolved.existing.extend(live);
+        let fresh = Planner::with_config(mail_spec(), hier.clone())
+            .plan_hierarchical(
+                fw.world.network(),
+                &mail_translator(),
+                &resolved,
+                &HierMemo::new(),
+            )
+            .expect("feasible");
+        assert!(fresh.stats.hier_segments > 0);
+        assert!((conn.plan.objective_value - fresh.objective_value).abs() <= 1e-9);
+        assert_eq!(
+            (&conn.plan.graph, &conn.plan.placements),
+            (&fresh.graph, &fresh.placements),
+            "{leaf:?}"
+        );
+    }
+}
