@@ -8,13 +8,17 @@
 //!    full self-healing stack on the same topology, all outcomes
 //!    virtual-time derived, driven by the shared heal loop
 //!    ([`crate::harness`]).
+//! 3. **Sibling connect** — a connect from a second workstation on the
+//!    branch client's uplink, after the client's: the property flows it
+//!    computes and the Dijkstra rows it runs, against a world that
+//!    already holds its sibling's.
 //!
 //! Everything but the wall-clock figures is deterministic for a fixed
 //! seed.
 
 use crate::cli::Args;
 use crate::harness::{
-    drain, enable_telemetry, healing_mail_framework, mail_request, ms, HealTally,
+    drain, enable_telemetry, healing_mail_framework, mail_framework, mail_request, ms, HealTally,
 };
 use crate::record::{num, wall, wall_num, Artifact, Record};
 use ps_mail::{mail_spec, mail_translator};
@@ -424,6 +428,44 @@ pub fn run_heal_workload(
     }
 }
 
+/// What a connect from a sibling of the scale client costs
+/// ([`measure_sibling_connect`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiblingConnect {
+    /// Property flows the sibling's plan computed
+    /// ([`ps_planner::PlanStats::flow_evals`]).
+    pub flows: u64,
+    /// Dijkstra rows the world's memo ran for the sibling's connect.
+    pub dijkstra_rows: usize,
+}
+
+/// Adds a second partner-grade workstation on `client`'s uplink of
+/// [`scale_network`]'s world, connects `client` and then the sibling
+/// (hierarchical planning, one world memo), and reports what the
+/// sibling's connect computed: the flows and Dijkstra rows its sibling's
+/// connect left in the memo at the same epoch are read, not redone.
+pub fn measure_sibling_connect(mut net: Network, server: NodeId, client: NodeId) -> SiblingConnect {
+    let &(uplink, link) = net.neighbours(client).first().expect("the client's uplink");
+    let (latency, bandwidth) = (net.link(link).latency, net.link(link).bandwidth_bps);
+    let credentials = net.node(client).credentials.clone();
+    let sibling = net.add_node("as1-client-sibling", "as1", 1.0, credentials);
+    let secure = net.link(link).credentials.clone();
+    net.add_link(uplink, sibling, latency, bandwidth, secure);
+    let mut framework = mail_framework(net, server, &Tracer::disabled());
+    framework.server.planner_config.hier = Some(HierConfig::default());
+    framework
+        .connect("mail", &scale_request(server, client))
+        .expect("the client connects");
+    let runs = framework.world.route_dijkstra_runs();
+    let conn = framework
+        .connect("mail", &scale_request(server, sibling))
+        .expect("the sibling connects");
+    SiblingConnect {
+        flows: conn.plan.stats.flow_evals,
+        dijkstra_rows: framework.world.route_dijkstra_runs() - runs,
+    }
+}
+
 /// Total routers per scaling step.
 const WORLDS: [usize; 4] = [100, 250, 500, 1000];
 /// Timed repetitions per measurement (fastest run reported).
@@ -459,7 +501,8 @@ fn world_record(hier: &HierPlanMeasure, links: usize) -> Record {
 /// `ps-bench scale`: flat vs hierarchical cold planning at 100–1000
 /// routers (identical objectives asserted, and a ≥ 5× cold wall speedup
 /// at 1000), then the full self-healing stack through a crash on the
-/// 1000-router world. Writes `BENCH_scale.json`.
+/// 1000-router world, then a sibling connect there. Writes
+/// `BENCH_scale.json`.
 pub fn command(_: &Args) -> Result<Artifact, String> {
     let mut worlds = Vec::new();
     for &routers in &WORLDS {
@@ -522,10 +565,20 @@ pub fn command(_: &Args) -> Result<Artifact, String> {
         .with("segments", heal.segments)
         .with("wall_ms", wall_num(heal.wall_ms, 3));
 
+    // A connect from the branch client's sibling on the same world.
+    let (net, server, client) = scale_network(routers, SEED + routers as u64);
+    let nodes = net.node_count() + 1;
+    let sibling = measure_sibling_connect(net, server, client);
+    let sibling = Record::new()
+        .with("nodes", nodes)
+        .with("flows", sibling.flows)
+        .with("dijkstra_rows", sibling.dijkstra_rows);
+
     let record = Record::new()
         .with("bench", "scale")
         .with("worlds", worlds)
-        .with("heal_1000", heal);
+        .with("heal_1000", heal)
+        .with("sibling_connect", sibling);
     let mut artifact = Artifact::new("Thousand-node scaling: hierarchical planning");
     artifact.file("BENCH_scale.json", record);
     Ok(artifact)

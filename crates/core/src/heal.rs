@@ -147,7 +147,8 @@ pub struct HealReport {
     /// field exists for the frozen `benchmark/` package, which reads it
     /// into `planner.repair_chains_reused_ratio`.
     pub repair: PlacementChurn,
-    /// Dijkstra source rows this pass caused: its planned redeploys'
+    /// Source rows this pass caused, run or derived from a stub
+    /// source's neighbour: its planned redeploys'
     /// [`ps_planner::PlanStats::route_rows_built`] plus the rows its
     /// consults added to the world's memo; 0 for a pass that plans
     /// nothing.

@@ -438,7 +438,12 @@ impl RouteTable {
 /// mutex. Each row is produced by the very same `dijkstra_tree` the full
 /// table uses, so every answered query is bit-identical to
 /// [`RouteTable::route`] — including deterministic tie-breaks — just
-/// restricted to the sources actually touched.
+/// restricted to the sources actually touched. A *stub* source — every
+/// live link of it leads to one neighbour, as a leaf host's to its
+/// uplink — asked while that neighbour's row is exact at the epoch
+/// takes the neighbour's row shifted by the best link instead of a heap
+/// pass: the same row, bit for bit. [`rows_built`](Self::rows_built)
+/// counts rows added either way.
 ///
 /// Every row runs and is carried on the table's one compact routing
 /// view (CSR adjacency and per-link terms, built at the first row
@@ -473,8 +478,11 @@ struct Rows {
     view: Option<RoutingView>,
     /// Rows by source node id.
     by_source: Vec<Option<Box<ScopedRow>>>,
-    /// Dijkstra runs this table made; carried rows are not counted.
+    /// Rows this table added: Dijkstra runs and rows derived from a stub
+    /// source's neighbour; carried rows are not counted.
     built: usize,
+    /// Of `built`, the rows derived from a stub source's neighbour.
+    derived: usize,
     /// Times the view was built rather than patched.
     view_builds: usize,
     /// A bottleneck read's walk up the tree, kept between reads.
@@ -503,12 +511,30 @@ impl ScopedRoutes {
         self.rows.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Dijkstra rows this table has run — a row carried into a later
-    /// epoch costs none and is not counted.
+    /// Rows this table has added: Dijkstra rows run, and rows derived
+    /// from a stub source's neighbour (see [`dijkstra_runs`](Self::dijkstra_runs));
+    /// a row carried into a later epoch costs none and is not counted.
     /// Deterministic for a deterministic query sequence, so it doubles
     /// as the planner's routing-work metric in stable-mode artifacts.
     pub fn rows_built(&self) -> usize {
         self.lock().built
+    }
+
+    /// Of [`rows_built`](Self::rows_built), the rows that ran Dijkstra.
+    /// The rest were derived: a source whose every live adjacency entry
+    /// leads to one neighbour (a leaf host on its uplink, over one link
+    /// or parallel ones), asked while that neighbour's row is exact at
+    /// the epoch, takes the neighbour's row shifted by the best link
+    /// instead of a heap pass — bit for bit what Dijkstra returns.
+    pub fn dijkstra_runs(&self) -> usize {
+        let rows = self.lock();
+        rows.built - rows.derived
+    }
+
+    /// Rows derived from a stub source's neighbour.
+    #[cfg(test)]
+    pub(crate) fn rows_derived(&self) -> usize {
+        self.lock().derived
     }
 
     /// Times this table built its routing view: once at its first row
@@ -593,6 +619,7 @@ impl Rows {
             view,
             by_source,
             built,
+            derived,
             view_builds,
             walk,
         } = self;
@@ -609,18 +636,17 @@ impl Rows {
         if by_source.len() < view.node_count() {
             by_source.resize_with(view.node_count(), || None);
         }
-        let epoch = net.epoch();
-        let row = by_source[from.0 as usize]
-            .get_or_insert_with(|| Box::new(ScopedRow::run(view, from, epoch, built)));
-        if row.epoch != epoch {
-            // A node added since leaves no row exact (`Damage::since`).
-            let patches = Damage::since(net, row.epoch)
-                .and_then(|damage| carry_row(view, from, &row.dist, &row.prev, &damage));
-            match patches {
-                Some(patches) => row.carry(from, &patches, epoch),
-                None => **row = ScopedRow::run(view, from, epoch, built),
-            }
+        let (at, epoch) = (from.0 as usize, net.epoch());
+        if by_source[at].as_ref().is_none_or(|row| row.epoch != epoch) {
+            let stale = by_source[at].take();
+            let row = ScopedRow::exact(view, net, by_source, from, stale, built, derived);
+            by_source[at] = Some(row);
         }
+        // Filled just above when it was missing or stale.
+        let row = by_source[at].get_or_insert_with(|| {
+            *built += 1;
+            Box::new(ScopedRow::run(view, from, epoch))
+        });
         RowReader {
             net,
             from,
@@ -628,6 +654,29 @@ impl Rows {
             walk,
         }
     }
+}
+
+/// The one neighbour every live adjacency entry of `from` leads to, with
+/// the link `dijkstra_tree` relaxes to it — the least cost, the first in
+/// `from`'s adjacency order on ties — and that cost: `None` when `from`
+/// is down or has no live neighbour or more than one.
+fn stub_neighbour(view: &RoutingView, from: NodeId) -> Option<(NodeId, LinkId, RouteCost)> {
+    if !view.up(from) {
+        return None;
+    }
+    let mut best: Option<(NodeId, LinkId, RouteCost)> = None;
+    for next in view.neighbours(from) {
+        if !next.up || !view.up(next.node) || next.node == from {
+            continue;
+        }
+        let cost = (u32::from(next.insecure), next.nanos, 1);
+        match best {
+            Some((neighbour, _, _)) if neighbour != next.node => return None,
+            Some((_, _, least)) if least <= cost => {}
+            _ => best = Some((next.node, next.link, cost)),
+        }
+    }
+    best
 }
 
 /// One source's routing row at the network's current epoch, as
@@ -704,21 +753,84 @@ impl RowReader<'_> {
 }
 
 impl ScopedRow {
-    /// `from`'s Dijkstra row on `view` (current at `epoch`), counted in
-    /// `built`.
-    fn run(view: &RoutingView, from: NodeId, epoch: u64, built: &mut usize) -> Self {
+    /// `from`'s row at `net`'s epoch in place of `stale`, its row of an
+    /// older epoch if any: carried across the changes since when they
+    /// leave it exact (a node added since leaves no row exact,
+    /// `Damage::since`), else derived from a stub source's neighbour row
+    /// in `by_source` or run, and counted in `built` (and `derived`).
+    #[cold]
+    fn exact(
+        view: &RoutingView,
+        net: &Network,
+        by_source: &[Option<Box<ScopedRow>>],
+        from: NodeId,
+        stale: Option<Box<ScopedRow>>,
+        built: &mut usize,
+        derived: &mut usize,
+    ) -> Box<Self> {
+        let epoch = net.epoch();
+        let carried = stale.and_then(|mut row| {
+            let damage = Damage::since(net, row.epoch)?;
+            let patches = carry_row(view, from, &row.dist, &row.prev, &damage)?;
+            row.carry(from, &patches, epoch);
+            Some(row)
+        });
+        carried.unwrap_or_else(|| {
+            let stub = stub_neighbour(view, from).and_then(|(neighbour, link, cost)| {
+                let row = by_source[neighbour.0 as usize].as_deref();
+                row.filter(|row| row.epoch == epoch)
+                    .map(|row| ScopedRow::derive(row, from, neighbour, link, cost))
+            });
+            *derived += usize::from(stub.is_some());
+            *built += 1;
+            Box::new(stub.unwrap_or_else(|| ScopedRow::run(view, from, epoch)))
+        })
+    }
+
+    /// `from`'s Dijkstra row on `view` (current at `epoch`).
+    fn run(view: &RoutingView, from: NodeId, epoch: u64) -> Self {
         let n = view.node_count();
         let (mut dist, mut prev) = (vec![UNREACHED; n], vec![None; n]);
         dijkstra_tree(view, from, None, &mut dist, &mut prev);
-        *built += 1;
-        let mut row = ScopedRow {
+        ScopedRow::at(epoch, from, dist, prev)
+    }
+
+    /// The row of stub source `from` ([`stub_neighbour`]), derived from
+    /// its neighbour's exact row. Dijkstra from `from` pops `from`,
+    /// relaxes `link` to `neighbour` at `cost`, and then runs exactly the
+    /// neighbour's own Dijkstra with every cost shifted by `cost` — a
+    /// shift that keeps the pop order and every tie — except that `from`
+    /// is the root: a path through it would leave and re-enter
+    /// `neighbour`, so it is a leaf of the neighbour's tree and nobody's
+    /// parent.
+    fn derive(
+        row: &ScopedRow,
+        from: NodeId,
+        neighbour: NodeId,
+        link: LinkId,
+        (wan, nanos, hops): RouteCost,
+    ) -> Self {
+        let shift = |cost: &RouteCost| match *cost {
+            UNREACHED => UNREACHED,
+            (w, d, h) => (w + wan, d.saturating_add(nanos), h + hops),
+        };
+        let mut dist: Vec<RouteCost> = row.dist.iter().map(shift).collect();
+        let mut prev = row.prev.clone();
+        dist[from.0 as usize] = (0, 0, 0);
+        prev[from.0 as usize] = None;
+        prev[neighbour.0 as usize] = Some((from, link));
+        ScopedRow::at(row.epoch, from, dist, prev)
+    }
+
+    fn at(epoch: u64, from: NodeId, dist: Vec<RouteCost>, prev: Vec<Pred>) -> Self {
+        let mut bottleneck = vec![f64::NAN; dist.len()];
+        bottleneck[from.0 as usize] = f64::INFINITY;
+        ScopedRow {
             epoch,
             dist,
             prev,
-            bottleneck: vec![f64::NAN; n],
-        };
-        row.bottleneck[from.0 as usize] = f64::INFINITY;
-        row
+            bottleneck,
+        }
     }
 
     /// Writes a carry's entry rewrites and moves the row to `epoch`. The
@@ -734,6 +846,13 @@ impl ScopedRow {
 
 #[cfg(test)]
 impl ScopedRoutes {
+    /// The epoch `from`'s row was last exact at, without reading it.
+    pub(crate) fn row_epoch(&self, from: NodeId) -> Option<u64> {
+        let rows = self.lock();
+        let row = rows.by_source.get(from.0 as usize)?.as_ref()?;
+        Some(row.epoch)
+    }
+
     /// `from`'s row as [`read_row`](Self::read_row) leaves it for
     /// `net`, its metrics to every node, and the view it ran on.
     pub(crate) fn row_snapshot(&self, net: &Network, from: NodeId) -> RowSnapshot {

@@ -388,15 +388,51 @@ mod tests {
         }
     }
 
-    /// Rows run and carried on the patched view equal the reference on
-    /// random graphs with parallel equal-cost links, under random runs
-    /// of every mutation — added links and nodes included, and runs
-    /// longer than the journal between two reads.
+    /// Stub hosts on `net`: one hung off a random node by one link, one
+    /// by two parallel links, one by three parallel links of which one
+    /// is down, and a two-node island whose nodes reach only each
+    /// other.
+    fn add_stubs(rng: &mut Rng, net: &mut Network) {
+        for (i, links) in [1, 2, 3].into_iter().enumerate() {
+            let uplink = NodeId(rng.next_below(net.node_count() as u64) as u32);
+            let stub = net.add_node(format!("stub{i}"), "s", 1.0, Credentials::new());
+            for _ in 0..links {
+                random_link(rng, net, uplink, stub);
+            }
+            if links == 3 {
+                net.set_link_up(LinkId(net.link_count() as u32 - 2), false);
+            }
+        }
+        let a = net.add_node("island-a", "s", 1.0, Credentials::new());
+        let b = net.add_node("island-b", "s", 1.0, Credentials::new());
+        random_link(rng, net, a, b);
+    }
+
+    /// The one neighbour every live link of `node` leads to, if any.
+    fn stub_neighbour(net: &Network, node: NodeId) -> Option<NodeId> {
+        let mut live = net.neighbours(node).iter().filter(|&&(next, link)| {
+            net.node(node).up && net.link(link).up && net.node(next).up && next != node
+        });
+        let (neighbour, _) = *live.next()?;
+        live.all(|&(next, _)| next == neighbour)
+            .then_some(neighbour)
+    }
+
+    /// Rows run, carried and derived on the patched view equal the
+    /// reference on random graphs with parallel equal-cost links and
+    /// stub hosts ([`add_stubs`]), under random runs of every mutation —
+    /// added links and nodes included, and runs longer than the journal
+    /// between two reads. Each round reads a stub after its neighbour,
+    /// so its row is derived from the neighbour's at the round's epoch,
+    /// and a stub alone, whose neighbour's row may be of an older epoch
+    /// and must then not be derived from.
     #[test]
     fn rows_on_the_patched_view_equal_the_reference() {
+        let (mut derived, mut older) = (0, 0);
         for seed in 0..40u64 {
             let mut rng = Rng::seed_from_u64(seed).derive("routing-view");
             let mut net = random_graph(&mut rng);
+            add_stubs(&mut rng, &mut net);
             let routes = ScopedRoutes::new();
             let all: Vec<NodeId> = net.node_ids().collect();
             assert_reference(&routes, &net, &all, &format!("seed {seed} fresh"));
@@ -408,9 +444,20 @@ mod tests {
                 for _ in 0..changes {
                     mutate(&mut rng, &mut net);
                 }
-                let sources: Vec<NodeId> = (0..3)
+                let mut sources: Vec<NodeId> = (0..3)
                     .map(|_| NodeId(rng.next_below(net.node_count() as u64) as u32))
                     .collect();
+                let stubs: Vec<(NodeId, NodeId)> = net
+                    .node_ids()
+                    .filter_map(|node| Some((node, stub_neighbour(&net, node)?)))
+                    .collect();
+                if !stubs.is_empty() {
+                    let (alone, neighbour) = stubs[rng.next_below(stubs.len() as u64) as usize];
+                    let stale = |node| routes.row_epoch(node).is_some_and(|e| e != net.epoch());
+                    older += usize::from(stale(neighbour) && routes.row_epoch(alone).is_none());
+                    let (stub, neighbour) = stubs[rng.next_below(stubs.len() as u64) as usize];
+                    sources.extend([alone, neighbour, stub]);
+                }
                 assert_reference(
                     &routes,
                     &net,
@@ -418,7 +465,13 @@ mod tests {
                     &format!("seed {seed} round {round}"),
                 );
             }
+            derived += routes.rows_derived();
         }
+        assert!(
+            derived > 500 && older > 5,
+            "the generator went vacuous: {derived} rows derived, {older} stubs first read \
+             beside an older neighbour row"
+        );
     }
 
     /// A view is built once and patched across state changes; an added

@@ -23,6 +23,7 @@
 //! superset rule).
 
 use ps_spec::{Environment, ResolvedBindings, ServiceSpec};
+use std::borrow::Cow;
 
 /// Folds the spec's modification rules over a sequence of environments
 /// (the links and intermediate nodes of a route, in order), transforming
@@ -30,41 +31,51 @@ use ps_spec::{Environment, ResolvedBindings, ServiceSpec};
 ///
 /// A property absent from an environment is untouched by that
 /// environment; a property with no modification rule passes through
-/// unchanged everywhere.
-pub fn transform_along(
+/// unchanged everywhere. When nothing along the route changes a value
+/// the input is handed back as it is, uncloned; otherwise one copy of
+/// it is rewritten in place.
+pub fn transform_along<'v, 'e>(
     spec: &ServiceSpec,
-    values: &ResolvedBindings,
-    envs: &[Environment],
-) -> ResolvedBindings {
-    let mut out = ResolvedBindings::new();
+    values: &'v ResolvedBindings,
+    envs: impl IntoIterator<Item = &'e Environment> + Clone,
+) -> Cow<'v, ResolvedBindings> {
+    let mut out: Option<ResolvedBindings> = None;
     for (prop, value) in values.iter() {
-        let mut v = value.clone();
-        for env in envs {
+        let Some(rule) = spec.rules.get(prop) else {
+            continue;
+        };
+        let mut v = Cow::Borrowed(value);
+        for env in envs.clone() {
             if let Some(env_value) = env.get(prop) {
-                v = spec.rules.apply(prop, &v, env_value);
+                v = Cow::Owned(rule.apply(&v, env_value));
             }
         }
-        out.insert(prop, v);
+        if let Cow::Owned(v) = v {
+            if v != *value {
+                let out = out.get_or_insert_with(|| values.clone());
+                if let Some(slot) = out.get_mut(prop) {
+                    *slot = v;
+                }
+            }
+        }
     }
-    out
+    out.map_or(Cow::Borrowed(values), Cow::Owned)
 }
 
 /// Merges transformed upstream property maps (in linkage order, later
 /// wins) and overrides with the component's explicit bindings, yielding
-/// the component's effective provided properties.
+/// the component's effective provided properties. The first upstream
+/// map is taken over as the result rather than copied.
 pub fn effective_provided(
     explicit: &ResolvedBindings,
-    upstream: &[ResolvedBindings],
+    upstream: impl IntoIterator<Item = ResolvedBindings>,
 ) -> ResolvedBindings {
-    let mut out = ResolvedBindings::new();
+    let mut upstream = upstream.into_iter();
+    let mut out = upstream.next().unwrap_or_default();
     for up in upstream {
-        for (prop, value) in up.iter() {
-            out.insert(prop, value.clone());
-        }
+        out.overlay(&up);
     }
-    for (prop, value) in explicit.iter() {
-        out.insert(prop, value.clone());
-    }
+    out.overlay(explicit);
     out
 }
 
@@ -122,7 +133,7 @@ mod tests {
     fn insecure_link_degrades_confidentiality() {
         let spec = spec();
         let insecure = Environment::new().with("Confidentiality", false);
-        let out = transform_along(&spec, &provided(true, 5), &[insecure]);
+        let out = transform_along(&spec, &provided(true, 5), &[insecure]).into_owned();
         assert_eq!(
             out.get("Confidentiality"),
             Some(&PropertyValue::Bool(false))
@@ -135,7 +146,8 @@ mod tests {
     fn secure_route_preserves_confidentiality() {
         let spec = spec();
         let secure = Environment::new().with("Confidentiality", true);
-        let out = transform_along(&spec, &provided(true, 5), &[secure.clone(), secure]);
+        let out =
+            transform_along(&spec, &provided(true, 5), &[secure.clone(), secure]).into_owned();
         assert_eq!(out.get("Confidentiality"), Some(&PropertyValue::Bool(true)));
     }
 
@@ -148,7 +160,8 @@ mod tests {
             &spec,
             &provided(true, 5),
             &[secure.clone(), insecure, secure],
-        );
+        )
+        .into_owned();
         assert_eq!(
             out.get("Confidentiality"),
             Some(&PropertyValue::Bool(false))
@@ -161,7 +174,7 @@ mod tests {
         // overrides while TrustLevel flows through.
         let explicit = ResolvedBindings::new().with("Confidentiality", true);
         let upstream = provided(false, 5);
-        let eff = effective_provided(&explicit, &[upstream]);
+        let eff = effective_provided(&explicit, [upstream]);
         assert_eq!(eff.get("Confidentiality"), Some(&PropertyValue::Bool(true)));
         assert_eq!(eff.get("TrustLevel"), Some(&PropertyValue::Int(5)));
     }
@@ -201,7 +214,7 @@ mod tests {
     fn later_upstreams_win_merges() {
         let a = ResolvedBindings::new().with("TrustLevel", 2i64);
         let b = ResolvedBindings::new().with("TrustLevel", 5i64);
-        let eff = effective_provided(&ResolvedBindings::new(), &[a, b]);
+        let eff = effective_provided(&ResolvedBindings::new(), [a, b]);
         assert_eq!(eff.get("TrustLevel"), Some(&PropertyValue::Int(5)));
     }
 }

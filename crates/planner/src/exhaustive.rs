@@ -71,13 +71,15 @@
 //! the [`Mapper`]'s evaluator.
 
 use crate::linkage::LinkageGraph;
-use crate::mapping::{Evaluation, Mapper, LATENCY_TIE_BREAK, STARTUP_COST_MS};
-use crate::memo::{CandidateSet, FlowOutcome, Identity, Verdict};
+use crate::load::RatePlan;
+use crate::mapping::{Evaluation, Mapper, Price, LATENCY_TIE_BREAK, STARTUP_COST_MS};
+use crate::memo::{CandidateSet, FlowContext, Identity, Verdict};
 use crate::plan::{Objective, PlanStats};
 use ps_net::NodeId;
 use ps_spec::ResolvedBindings;
 use std::cell::Cell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A monotonically decreasing objective value shared by every graph
 /// search of one planning call: the best complete mapping found so far.
@@ -144,7 +146,13 @@ pub fn search(
     }
     let mut state = State::new(mapper, graph, stats, incumbent)?;
     state.recurse(0, 0.0, 0.0);
-    state.best
+    // Priced at every improvement, materialized once.
+    let best = state.best?;
+    let eval = best
+        .assignment
+        .evaluation(mapper, graph, &state.sets, &best.hosts, &state.rates);
+    debug_assert!(eval.is_some(), "a priced mapping failed its evaluation");
+    Some((best.hosts, eval?))
 }
 
 /// Scale of every chain-bound value. The bound sums a mapping's
@@ -294,7 +302,7 @@ fn least_rtt(
 fn min_increment(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
-    rates: &crate::load::RatePlan,
+    rates: &RatePlan,
     sets: &[CandidateSet],
     deploy_lb: &[f64],
     idx: usize,
@@ -332,14 +340,14 @@ fn min_increment(
 
 /// A partial assignment as the property flow reads it, filled bottom-up
 /// by the descent and by a warm seed's evaluation alike: per tree node
-/// its host and, once placed, the plan memo's id of its provided
-/// bindings (its part of its parent's flow context), the bindings and
-/// its resolved factors.
+/// its host, its index in the node's candidate set and, once placed, the
+/// flow book's id of its provided bindings (its part of its parent's
+/// flow context).
+#[derive(Clone)]
 struct Assignment {
     hosts: Vec<Option<NodeId>>,
+    candidate: Vec<usize>,
     provided_id: Vec<u32>,
-    provided: Vec<Option<Rc<ResolvedBindings>>>,
-    factors: Vec<Option<Rc<ResolvedBindings>>>,
     /// Scratch for a flow-context key, reused across placements.
     context_key: Vec<u64>,
 }
@@ -348,25 +356,22 @@ impl Assignment {
     fn new(n: usize) -> Self {
         Assignment {
             hosts: vec![None; n],
+            candidate: vec![0; n],
             provided_id: vec![0; n],
-            provided: vec![None; n],
-            factors: vec![None; n],
             context_key: Vec::new(),
         }
     }
 
     /// Interns the flow context of tree node `idx` — its candidate set
     /// `set` and each child's `(host, provided)` pair, the only placement
-    /// state the flow reads — and returns the verdict cell of the set's
-    /// first candidate; candidate `ci` reads cell `+ ci`. `None` while a
-    /// child is unplaced.
+    /// state the flow reads. `None` while a child is unplaced.
     fn flow_context(
         &mut self,
         mapper: &Mapper<'_>,
         graph: &LinkageGraph,
         idx: usize,
         set: &CandidateSet,
-    ) -> Option<usize> {
+    ) -> Option<FlowContext> {
         self.context_key.clear();
         self.context_key.push(u64::from(set.id));
         for &(_, child) in &graph.nodes[idx].children {
@@ -378,43 +383,109 @@ impl Assignment {
         Some(memo.flow_context(&self.context_key, set.nodes.len()))
     }
 
-    /// Property flow for `idx` at `node`: read from verdict cell `cell`
-    /// of the plan memo, computed (counted in `stats.flow_evals`) and
-    /// recorded there on first sight. The flow is a pure function of
-    /// (component, host, children's hosts and provided bindings), and
-    /// the descent re-derives identical verdicts across every variation
-    /// of the *deeper* — already placed, irrelevant — subtree and across
-    /// the plan's other graphs, so nearly every visit is a table read.
+    /// Property flow for `idx` on candidate `ci` of `set`, in `context`:
+    /// the provided id, or `None` when condition 2 fails. Read from the
+    /// plan memo's verdict cell, else from the flow book the call reads,
+    /// else computed (counted in `stats.flow_evals`) and recorded in
+    /// both. The flow is a pure function of (component, host, children's
+    /// hosts and provided bindings), and the descent re-derives identical
+    /// verdicts across every variation of the *deeper* — already placed,
+    /// irrelevant — subtree and across the plan's other graphs, so nearly
+    /// every visit is a table read.
+    #[allow(clippy::too_many_arguments)]
     fn flow(
         &self,
         mapper: &Mapper<'_>,
         graph: &LinkageGraph,
         idx: usize,
-        node: NodeId,
-        cell: usize,
+        set: &CandidateSet,
+        ci: usize,
+        context: FlowContext,
         stats: &mut PlanStats,
-    ) -> Option<FlowOutcome> {
-        match mapper.memo.borrow().verdict(cell) {
+    ) -> Option<u32> {
+        let (cell, node) = (context.base + ci, set.nodes[ci]);
+        let verdict = mapper.memo.borrow().verdict(cell);
+        let known = match verdict {
+            Verdict::Unknown => mapper
+                .memo
+                .borrow_mut()
+                .book_verdict(context, cell, set, node),
+            verdict => verdict,
+        };
+        match known {
             Verdict::Infeasible => return None,
-            Verdict::Feasible(outcome) => return Some(outcome.clone()),
+            Verdict::Feasible(provided_id) => return Some(provided_id),
             Verdict::Unknown => {}
         }
         stats.flow_evals += 1;
-        let computed = mapper.flow_and_factors_at(graph, idx, node, &self.hosts, &self.provided);
-        mapper.memo.borrow_mut().record_flow(cell, computed)
+        let children: Option<Vec<(NodeId, Arc<ResolvedBindings>)>> = {
+            let memo = mapper.memo.borrow();
+            let child = |&(_, child): &(String, usize)| {
+                Some((
+                    self.hosts[child]?,
+                    Arc::clone(memo.provided(self.provided_id[child])),
+                ))
+            };
+            graph.nodes[idx].children.iter().map(child).collect()
+        };
+        let computed = children.and_then(|children| {
+            let children = children
+                .iter()
+                .map(|(host, provided)| Some((*host, &**provided)));
+            mapper.flow(node, &set.configs[ci], children)
+        });
+        let mut memo = mapper.memo.borrow_mut();
+        memo.record_flow(context, cell, set, node, computed)
     }
 
-    fn place(&mut self, idx: usize, node: NodeId, outcome: FlowOutcome) {
+    fn place(&mut self, idx: usize, node: NodeId, ci: usize, provided_id: u32) {
         self.hosts[idx] = Some(node);
-        self.provided_id[idx] = outcome.provided_id;
-        self.provided[idx] = Some(outcome.provided);
-        self.factors[idx] = Some(outcome.factors);
+        self.candidate[idx] = ci;
+        self.provided_id[idx] = provided_id;
     }
 
     fn unplace(&mut self, idx: usize) {
         self.hosts[idx] = None;
-        self.provided[idx] = None;
-        self.factors[idx] = None;
+    }
+
+    /// Each tree node's resolved factors, read off its candidate set.
+    fn factors<'s>(&self, sets: &'s [CandidateSet]) -> Vec<&'s ResolvedBindings> {
+        let configs = sets.iter().zip(&self.candidate);
+        configs
+            .map(|(set, &ci)| &set.configs[ci].config.factors)
+            .collect()
+    }
+
+    /// The evaluator's [`Price`] of this complete assignment, on `hosts`.
+    fn price(
+        &self,
+        mapper: &Mapper<'_>,
+        graph: &LinkageGraph,
+        sets: &[CandidateSet],
+        hosts: &[NodeId],
+        rates: &RatePlan,
+    ) -> Option<Price> {
+        let root = Arc::clone(mapper.memo.borrow().provided(self.provided_id[0]));
+        mapper.price(graph, hosts, &root, &self.factors(sets), rates)
+    }
+
+    /// The [`Evaluation`] of this complete assignment, on `hosts`.
+    fn evaluation(
+        &self,
+        mapper: &Mapper<'_>,
+        graph: &LinkageGraph,
+        sets: &[CandidateSet],
+        hosts: &[NodeId],
+        rates: &RatePlan,
+    ) -> Option<Evaluation> {
+        let provided: Vec<Arc<ResolvedBindings>> = {
+            let memo = mapper.memo.borrow();
+            let ids = self.provided_id.iter();
+            ids.map(|&id| Arc::clone(memo.provided(id))).collect()
+        };
+        let provided: Vec<&ResolvedBindings> = provided.iter().map(|p| &**p).collect();
+        let factors = self.factors(sets);
+        mapper.evaluate_reusing_flow(graph, hosts, &provided, &factors, rates)
     }
 }
 
@@ -423,31 +494,37 @@ impl Assignment {
 /// evaluator rejects the mapping: a warm seed's value. Set membership is
 /// condition 1 (what `evaluate` checks first), each node's property flow
 /// is read from or recorded in the plan memo's verdict table — the cells
-/// the descent reads — and the one evaluator body,
-/// [`Mapper::evaluate_reusing_flow`], prices the whole.
+/// the descent reads — and the evaluator body the descent's completions
+/// run, [`Mapper::price`], prices the whole.
 pub(crate) fn seed_value(
     mapper: &Mapper<'_>,
     graph: &LinkageGraph,
     hosts: &[NodeId],
     stats: &mut PlanStats,
 ) -> Option<f64> {
-    let mut cells = Vec::with_capacity(hosts.len());
-    for (idx, host) in hosts.iter().enumerate() {
-        let set = mapper.candidate_set(graph, idx);
-        let ci = set.nodes.iter().position(|node| node == host)?;
-        cells.push((set, ci));
-    }
+    let sets: Vec<CandidateSet> = (0..hosts.len())
+        .map(|idx| mapper.candidate_set(graph, idx))
+        .collect();
     let mut assignment = Assignment::new(hosts.len());
+    for (idx, (set, host)) in sets.iter().zip(hosts).enumerate() {
+        assignment.candidate[idx] = set.nodes.iter().position(|node| node == host)?;
+    }
     for idx in graph.bottom_up_order() {
-        let (set, ci) = &cells[idx];
-        let row = assignment.flow_context(mapper, graph, idx, set)?;
-        let outcome = assignment.flow(mapper, graph, idx, hosts[idx], row + ci, stats)?;
-        assignment.place(idx, hosts[idx], outcome);
+        let (set, ci) = (&sets[idx], assignment.candidate[idx]);
+        let context = assignment.flow_context(mapper, graph, idx, set)?;
+        let provided_id = assignment.flow(mapper, graph, idx, set, ci, context, stats)?;
+        assignment.place(idx, hosts[idx], ci, provided_id);
     }
     let rates = mapper.rates(graph);
-    let (provided, factors) = (&assignment.provided, &assignment.factors);
-    let eval = mapper.evaluate_reusing_flow(graph, hosts, provided, factors, &rates)?;
-    Some(eval.objective_value)
+    let price = assignment.price(mapper, graph, &sets, hosts, &rates)?;
+    Some(price.objective_value)
+}
+
+/// The best complete mapping a graph search has priced.
+struct Best {
+    hosts: Vec<NodeId>,
+    objective_value: f64,
+    assignment: Assignment,
 }
 
 struct State<'a, 'b> {
@@ -457,7 +534,7 @@ struct State<'a, 'b> {
     /// Per tree node, its candidate set as the plan memo holds it: the
     /// set's id, the hosts, and per host its instance-identity entry.
     sets: Vec<CandidateSet>,
-    rates: crate::load::RatePlan,
+    rates: RatePlan,
     suffix_bound: Vec<f64>,
     /// Per descent position, the summed minimum increments of the tree
     /// nodes placed before it: the least partial that can arrive there.
@@ -486,7 +563,7 @@ struct State<'a, 'b> {
     assignment: Assignment,
     /// Per placed tree node, the identity entry of its host.
     placed: Vec<Identity>,
-    best: Option<(Vec<NodeId>, Evaluation)>,
+    best: Option<Best>,
     stats: &'a mut PlanStats,
 }
 
@@ -707,7 +784,7 @@ impl<'a, 'b> State<'a, 'b> {
     fn threshold(&self) -> f64 {
         self.best
             .as_ref()
-            .map_or(f64::INFINITY, |(_, b)| b.objective_value)
+            .map_or(f64::INFINITY, |best| best.objective_value)
             .min(self.incumbent.get())
     }
 
@@ -851,23 +928,24 @@ impl<'a, 'b> State<'a, 'b> {
             self.stats.mappings_evaluated += 1;
             // The descent's property flow, resolved factors, and the
             // per-graph rate plan go to the evaluator as they are (one
-            // flow/configure per node already ran, rates were computed
-            // once up front).
-            let eval = self.mapper.evaluate_reusing_flow(
-                self.graph,
-                &assignment,
-                &self.assignment.provided,
-                &self.assignment.factors,
-                &self.rates,
-            );
-            if let Some(eval) = eval {
+            // flow per node already ran, rates were computed once up
+            // front); only the price is read until the search returns.
+            let (mapper, graph, sets) = (self.mapper, self.graph, &self.sets[..]);
+            let price = self
+                .assignment
+                .price(mapper, graph, sets, &assignment, &self.rates);
+            if let Some(price) = price {
                 let better = self
                     .best
                     .as_ref()
-                    .is_none_or(|(_, b)| eval.objective_value < b.objective_value);
+                    .is_none_or(|best| price.objective_value < best.objective_value);
                 if better {
-                    self.incumbent.offer(eval.objective_value);
-                    self.best = Some((assignment, eval));
+                    self.incumbent.offer(price.objective_value);
+                    self.best = Some(Best {
+                        hosts: assignment,
+                        objective_value: price.objective_value,
+                        assignment: self.assignment.clone(),
+                    });
                 }
             }
             return;
@@ -876,9 +954,9 @@ impl<'a, 'b> State<'a, 'b> {
         // The children are placed, so their context is the same for
         // every candidate below: intern it once and each candidate's
         // verdict is an array read.
-        let Some(row) = self
-            .assignment
-            .flow_context(self.mapper, self.graph, idx, &self.sets[idx])
+        let Some(context) =
+            self.assignment
+                .flow_context(self.mapper, self.graph, idx, &self.sets[idx])
         else {
             debug_assert!(false, "child placed before parent");
             return;
@@ -908,15 +986,15 @@ impl<'a, 'b> State<'a, 'b> {
                 self.stats.bound_prunes += 1;
                 continue;
             }
-            let cell = row + ci;
-            let flow = self
-                .assignment
-                .flow(self.mapper, self.graph, idx, node, cell, self.stats);
-            let Some(outcome) = flow else {
+            let set = &self.sets[idx];
+            let flow =
+                self.assignment
+                    .flow(self.mapper, self.graph, idx, set, ci, context, self.stats);
+            let Some(provided_id) = flow else {
                 self.stats.prunes += 1;
                 continue;
             };
-            self.assignment.place(idx, node, outcome);
+            self.assignment.place(idx, node, ci, provided_id);
             self.placed[idx] = id;
             self.recurse(pos + 1, partial + inc, penalty);
             self.assignment.unplace(idx);

@@ -36,11 +36,12 @@
 //! the solve falls back to the flat search (`Planner::solve`).
 
 use crate::linkage::{enumerate_for, LinkageGraph, LinkageLimits};
-use crate::mapping::Mapper;
+use crate::mapping::{Configured, Mapper};
+use crate::memo::FlowBook;
 use crate::plan::{ExistingInstance, Plan, PlanStats, ServiceRequest};
 use crate::planner::Planner;
 use ps_net::{Network, NodeId, PropertyTranslator, RegionMap, ScopedRoutes};
-use ps_spec::{Environment, ResolvedBindings, ServiceSpec};
+use ps_spec::{Environment, ServiceSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -91,8 +92,15 @@ pub(crate) type RegionWorkMap = BTreeMap<String, RegionWork>;
 /// | segment shortlists | (region, component, registered spec by `Arc` identity, request environment by value) | that region's epoch ([`Network::region_epoch`]) |
 /// | linkage graphs | (registered spec by `Arc` identity, interfaces, [`LinkageLimits`], degraded flag) | nothing: the enumeration reads no network |
 /// | condition-1 admissions | (registered spec by `Arc` identity, request environment by value, component), then the host | that host's region epoch |
+/// | flow book (property-flow outcomes) | (signature, network epoch, node count), then (component, host, each child's (host, provided-bindings id)) | any epoch change; a solve under another signature |
 /// | region map | — | a node or link count change |
 /// | recent plans (warm seeds) | — | revalidated at use |
+///
+/// The flow book holds one signature's outcomes at one epoch: a solve
+/// takes it for its duration, and one under another signature or at
+/// another epoch starts it over. So a flow outcome answers only the
+/// solves that would compute it, with no invalidation beyond the
+/// epoch, like a plan.
 ///
 /// Every entry point runs the same epoch check first, so a plan of an
 /// older epoch can never answer; a route row answers only once
@@ -147,14 +155,17 @@ struct MemoInner {
     linkages: Vec<Linkages>,
     /// Condition-1 verdicts, per (signature index, component).
     admissions: Vec<Admissions>,
+    /// Flow outcomes of one (signature, epoch, node count); taken by a
+    /// solve for its duration.
+    book: FlowBook,
     hits: u64,
     misses: u64,
 }
 
 /// Condition 1 for one component under one signature, per host: the
-/// host's region epoch when decided, and the factors the component
-/// resolves to there (`None`: a condition fails or the factors do not
-/// resolve). The verdict reads the registered spec and the request
+/// host's region epoch when decided, and what the component resolves
+/// to there, its configuration and factors (`None`: a condition fails
+/// or the configuration does not resolve). The verdict reads the registered spec and the request
 /// environment (the signature), the component, and the host's
 /// credentials as the registration's translator reads them; every change
 /// to a host bumps its region epoch. Like the shortlists, the memo takes
@@ -165,7 +176,7 @@ struct MemoInner {
 struct Admissions {
     signature: u32,
     component: String,
-    by_node: Vec<Option<(u64, Option<ResolvedBindings>)>>,
+    by_node: Vec<Option<(u64, Option<Arc<Configured>>)>>,
 }
 
 /// A serving memo as one solve reads it: with the index of the solve's
@@ -313,12 +324,19 @@ impl HierMemo {
         self.lock_on(net).sync(net)
     }
 
-    /// Dijkstra source rows the memo has run since it was created, over
-    /// every epoch: a row carried into a later epoch costs nothing.
-    /// Deterministic, so "a warm connect runs no Dijkstra" is checkable
-    /// as a count.
+    /// Source rows the memo has added since it was created, over every
+    /// epoch — Dijkstra rows run and rows derived from a stub source's
+    /// neighbour ([`ScopedRoutes::rows_built`]); a row carried into a
+    /// later epoch costs nothing. Deterministic, so "a warm connect runs
+    /// no Dijkstra" is checkable as a count.
     pub fn route_rows_built(&self) -> usize {
         self.lock().scoped.rows_built()
+    }
+
+    /// Of [`route_rows_built`](Self::route_rows_built), the rows that ran
+    /// Dijkstra ([`ScopedRoutes::dijkstra_runs`]).
+    pub fn route_dijkstra_runs(&self) -> usize {
+        self.lock().scoped.dijkstra_runs()
     }
 
     /// Times the memo's route rows built their routing view rather than
@@ -462,7 +480,7 @@ impl HierMemo {
     }
 
     /// Condition 1 for `component` under signature index `signature` on
-    /// each of `hosts`: the hosts it admits, in order, with the factors it
+    /// each of `hosts`: the hosts it admits, in order, with what it
     /// resolves to there. A verdict decided at the host's current region
     /// epoch is read back; any other is `decide`d and recorded.
     pub(crate) fn admitted(
@@ -471,8 +489,8 @@ impl HierMemo {
         signature: u32,
         component: &str,
         hosts: &[NodeId],
-        mut decide: impl FnMut(NodeId) -> Option<ResolvedBindings>,
-    ) -> Vec<(NodeId, ResolvedBindings)> {
+        mut decide: impl FnMut(NodeId) -> Option<Arc<Configured>>,
+    ) -> Vec<(NodeId, Arc<Configured>)> {
         let mut inner = self.lock_on(net);
         let known = inner
             .admissions
@@ -489,14 +507,30 @@ impl HierMemo {
         let by_node = &mut inner.admissions[at].by_node;
         let admit = |&node: &NodeId| {
             let epoch = net.region_epoch(&net.node(node).site);
-            let factors = match by_node.get_mut(node.0 as usize) {
-                Some(Some((at, factors))) if *at == epoch => factors.clone(),
+            let configured = match by_node.get_mut(node.0 as usize) {
+                Some(Some((at, configured))) if *at == epoch => configured.clone(),
                 Some(cell) => cell.insert((epoch, decide(node))).1.clone(),
                 None => decide(node),
             };
-            Some((node, factors?))
+            Some((node, configured?))
         };
         hosts.iter().filter_map(admit).collect()
+    }
+
+    /// The flow book for the solve under signature index `signature` on
+    /// `net`, taken out of the memo for the solve's duration: the one the
+    /// memo holds when it was filled at this signature, network epoch and
+    /// node count, an empty one otherwise. A solve taking it meanwhile
+    /// gets an empty one; [`put_book`](Self::put_book) hands it back.
+    pub(crate) fn take_book(&self, net: &Network, signature: u32) -> FlowBook {
+        let mut inner = self.lock_on(net);
+        let key = (net.digest(), signature, net.epoch(), net.node_count());
+        std::mem::take(&mut inner.book).for_key(key)
+    }
+
+    /// Hands a solve's flow book back to the memo.
+    pub(crate) fn put_book(&self, book: FlowBook) {
+        self.lock().book = book;
     }
 
     /// The index of the signature of (`spec`, `request`) among those
@@ -764,6 +798,7 @@ fn segment_shortlist(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ps_spec::ResolvedBindings;
 
     /// A signature is the registered spec and the request environment:
     /// requests that differ in client, rate, pins, interfaces,
@@ -834,10 +869,16 @@ mod tests {
         );
         let memo = HierMemo::new();
         let decided = std::cell::RefCell::new(Vec::new());
+        let fits = Arc::new(Configured::new(ps_spec::ComponentConfig {
+            component: "MailServer".into(),
+            implements: Vec::new(),
+            requires: Vec::new(),
+            factors: ResolvedBindings::new(),
+        }));
         let admitted = |net: &Network, signature, component| {
             let decide = |node| {
                 decided.borrow_mut().push(node);
-                (node == a).then(ResolvedBindings::new)
+                (node == a).then(|| Arc::clone(&fits))
             };
             let hosts = memo.admitted(net, signature, component, &[a, b], decide);
             hosts.into_iter().map(|(node, _)| node).collect::<Vec<_>>()

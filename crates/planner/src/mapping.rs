@@ -19,13 +19,12 @@ use crate::compat::{effective_provided, satisfies, transform_along};
 use crate::hierarchy::SignedMemo;
 use crate::linkage::LinkageGraph;
 use crate::load::{propagate_rates, RatePlan};
-use crate::memo::{CandidateSet, Identity, PlanMemo};
+use crate::memo::{CandidateSet, FlowBook, Identity, PlanMemo};
 use crate::plan::{Objective, PlanEdge, ServiceRequest};
 use ps_net::{Network, NodeId, PropertyTranslator, Route, RouteMetrics, ScopedRoutes};
 use ps_spec::condition::all_hold;
-use ps_spec::{Component, Environment, ResolvedBindings, ServiceSpec};
+use ps_spec::{Component, ComponentConfig, Environment, ResolvedBindings, ServiceSpec};
 use std::cell::{OnceCell, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -48,13 +47,45 @@ pub(crate) const LATENCY_TIE_BREAK: f64 = 1e-9;
 /// not exclusion (pinned components on avoided hosts still plan).
 pub const AVOID_PENALTY: f64 = 1e6;
 
-/// A route together with the environment sequence its traffic traverses.
+/// A route together with the environment sequence its traffic
+/// traverses, read through the [`Mapper`] that made it
+/// ([`Mapper::envs_along`]).
 #[derive(Debug, Clone)]
 pub struct RouteInfo {
     /// The network route.
     pub route: Route,
-    /// Environments (links + intermediate nodes) along it, in order.
-    pub envs: Vec<Environment>,
+    /// The mapper's slots of the environments (links and intermediate
+    /// nodes) along it, in order.
+    envs: Vec<EnvSlot>,
+}
+
+/// What condition 1 resolved of a component on a host: its
+/// configuration there, and the bindings of its implements clauses
+/// merged, which its effective provided properties end with.
+#[derive(Debug)]
+pub(crate) struct Configured {
+    pub config: ComponentConfig,
+    pub explicit: ResolvedBindings,
+}
+
+impl Configured {
+    pub fn new(config: ComponentConfig) -> Self {
+        let mut explicit = ResolvedBindings::new();
+        for clause in &config.implements {
+            explicit.overlay(&clause.values);
+        }
+        Configured { config, explicit }
+    }
+}
+
+/// What the evaluator charges a complete, feasible mapping: the
+/// objective and the figures it is made of.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Price {
+    pub objective_value: f64,
+    latency_ms: f64,
+    cost_ms: f64,
+    sustainable_rate: f64,
 }
 
 /// The evaluation result for a complete, feasible mapping.
@@ -80,7 +111,7 @@ pub struct Evaluation {
 
 /// One lazily translated environment of a [`Mapper`], by index into the
 /// network's node or link list.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum EnvSlot {
     Host(usize),
     Hop(usize),
@@ -169,6 +200,21 @@ impl<'a> Mapper<'a> {
     pub(crate) fn with_admissions(mut self, signed: Option<SignedMemo<'a>>) -> Self {
         self.admissions = signed;
         self
+    }
+
+    /// Reads and records flow verdicts in `book` besides the plan
+    /// memo's own table (`None`: this call's table only). Must precede
+    /// the first candidate query.
+    pub(crate) fn with_book(mut self, book: Option<FlowBook>) -> Self {
+        if let Some(book) = book {
+            self.memo.get_mut().read_book(book);
+        }
+        self
+    }
+
+    /// The flow book this mapper read and filled, taken out of it.
+    pub(crate) fn take_book(&self) -> FlowBook {
+        self.memo.borrow_mut().take_book()
     }
 
     /// Restricts condition-1 candidate enumeration to `nodes` (the
@@ -289,7 +335,7 @@ impl<'a> Mapper<'a> {
         }
         let info = self.routes.route(self.net, from, to).map(|route| {
             Rc::new(RouteInfo {
-                envs: self.envs_along(&route),
+                envs: env_slots(&route),
                 route,
             })
         });
@@ -300,16 +346,13 @@ impl<'a> Mapper<'a> {
         info
     }
 
-    fn envs_along(&self, route: &Route) -> Vec<Environment> {
-        let mut envs = Vec::with_capacity(route.links.len() + route.via.len());
-        let mut via = route.via.iter();
-        for &link in &route.links {
-            envs.push(self.env(EnvSlot::Link(link.0 as usize)).clone());
-            if let Some(&mid) = via.next() {
-                envs.push(self.env(EnvSlot::Hop(mid.0 as usize)).clone());
-            }
-        }
-        envs
+    /// The environments along `info`'s route, in order: what a
+    /// property-flow check transforms bindings through.
+    pub fn envs_along<'s>(
+        &'s self,
+        info: &'s RouteInfo,
+    ) -> impl Iterator<Item = &'s Environment> + Clone {
+        info.envs.iter().map(|&slot| self.env(slot))
     }
 
     /// Condition 1: nodes where `component` may be instantiated for this
@@ -345,64 +388,66 @@ impl<'a> Mapper<'a> {
             (None, Some(universe)) => universe.iter().copied().filter(up).collect(),
             (None, None) => self.net.node_ids().filter(up).collect(),
         };
-        let admitted: Vec<(NodeId, ResolvedBindings)> =
+        let admitted: Vec<(NodeId, Arc<Configured>)> =
             match (self.spec.get_component(name), self.admissions) {
                 (None, _) => Vec::new(),
                 (Some(decl), Some(signed)) => {
-                    let decide = |node| self.factors_on(decl, node);
+                    let decide = |node| self.configured_on(decl, node).map(Arc::new);
                     signed
                         .memo
                         .admitted(self.net, signed.signature, name, &hosts, decide)
                 }
                 (Some(decl), None) => hosts
                     .into_iter()
-                    .filter_map(|node| Some((node, self.factors_on(decl, node)?)))
+                    .filter_map(|node| Some((node, Arc::new(self.configured_on(decl, node)?))))
                     .collect(),
             };
         let request = self.request;
         let pinned = request.pinned.get(name);
         let mut memo = self.memo.borrow_mut();
-        let (nodes, identity) = admitted
-            .into_iter()
-            .map(|(node, factors)| {
-                let attachable = pinned == Some(&node)
-                    || request
-                        .existing
-                        .iter()
-                        .any(|e| e.node == node && e.component == *name);
-                let identity = Identity {
-                    // Only an attachable host can match factors too.
-                    preexisting: attachable && request.is_preexisting(name, node, &factors),
-                    attachable,
-                    class: memo.factor_class(factors),
-                };
-                (node, identity)
-            })
-            .unzip();
-        memo.add_candidate_set(name, forced, nodes, identity)
+        let mut nodes = Vec::with_capacity(admitted.len());
+        let mut identity = Vec::with_capacity(admitted.len());
+        let mut configs = Vec::with_capacity(admitted.len());
+        for (node, configured) in admitted {
+            let factors = &configured.config.factors;
+            let attachable = pinned == Some(&node)
+                || request
+                    .existing
+                    .iter()
+                    .any(|e| e.node == node && e.component == *name);
+            identity.push(Identity {
+                // Only an attachable host can match factors too.
+                preexisting: attachable && request.is_preexisting(name, node, factors),
+                attachable,
+                class: memo.factor_class(factors),
+            });
+            nodes.push(node);
+            configs.push(configured);
+        }
+        memo.add_candidate_set(name, forced, nodes, identity, configs)
     }
 
-    /// The factors `decl` resolves to on `node`, when its conditions
-    /// hold there and its configuration resolves (condition 1).
-    fn factors_on(&self, decl: &Component, node: NodeId) -> Option<ResolvedBindings> {
+    /// What `decl` resolves to on `node`, when its conditions hold there
+    /// and its configuration resolves (condition 1).
+    fn configured_on(&self, decl: &Component, node: NodeId) -> Option<Configured> {
         let env = self.node_env(node);
         if !all_hold(&decl.conditions, env) {
             return None;
         }
-        decl.configure(env).ok().map(|config| config.factors)
+        decl.configure(env).ok().map(Configured::new)
     }
 
     /// Whether `decl`'s conditions hold and its factors resolve on `node`.
     pub fn component_fits(&self, decl: &Component, node: NodeId) -> bool {
-        self.factors_on(decl, node).is_some()
+        self.configured_on(decl, node).is_some()
     }
 
     /// Computes the effective provided properties of graph node `idx`
     /// placed on `node`, given each child's effective provided map, and
     /// checks condition 2 on every child edge; also returns the resolved
-    /// factors of the placement, which the search stashes so the final
-    /// evaluation does not have to re-run configuration. `None` means
-    /// infeasible.
+    /// factors of the placement. `None` means infeasible. Configures the
+    /// component on `node` afresh; the search reads the configuration
+    /// condition 1 resolved instead.
     pub fn flow_and_factors_at(
         &self,
         graph: &LinkageGraph,
@@ -412,30 +457,40 @@ impl<'a> Mapper<'a> {
         provided: &[Option<Rc<ResolvedBindings>>],
     ) -> Option<(ResolvedBindings, ResolvedBindings)> {
         let decl = self.spec.get_component(&graph.nodes[idx].component)?;
-        let env = self.node_env(node);
-        let config = decl.configure(env).ok()?;
+        let configured = Configured::new(decl.configure(self.node_env(node)).ok()?);
+        let children = graph.nodes[idx]
+            .children
+            .iter()
+            .map(|&(_, child)| Some((assignment[child]?, &**provided[child].as_ref()?)));
+        let flowed = self.flow(node, &configured, children)?;
+        Some((flowed, configured.config.factors))
+    }
 
-        let mut upstream = Vec::with_capacity(graph.nodes[idx].children.len());
-        for (req_idx, &(_, child)) in graph.nodes[idx].children.iter().enumerate() {
-            let child_node = assignment[child]?;
-            let child_provided = provided[child].as_ref()?;
+    /// Condition 2 for a placement on `node` configured as `configured`,
+    /// over its children's `(host, effective provided)` in requirement
+    /// order (`None`: the child is unplaced, and so is the flow): each
+    /// child's bindings, transformed along the route up to `node`, must
+    /// satisfy the requirement they serve. Returns the placement's
+    /// effective provided properties: the transformed bindings merged,
+    /// later linkages winning, under the component's explicit ones.
+    pub(crate) fn flow<'c>(
+        &self,
+        node: NodeId,
+        configured: &Configured,
+        children: impl IntoIterator<Item = Option<(NodeId, &'c ResolvedBindings)>>,
+    ) -> Option<ResolvedBindings> {
+        let mut upstream = Vec::new();
+        for (req_idx, child) in children.into_iter().enumerate() {
+            let (child_node, child_provided) = child?;
             let info = self.route(node, child_node)?;
-            let transformed = transform_along(self.spec, child_provided, &info.envs);
-            let required = config.requires.get(req_idx)?;
+            let transformed = transform_along(self.spec, child_provided, self.envs_along(&info));
+            let required = configured.config.requires.get(req_idx)?;
             if !satisfies(self.spec, &transformed, &required.values) {
                 return None;
             }
-            upstream.push(transformed);
+            upstream.push(transformed.into_owned());
         }
-
-        // Merge all implements clauses' explicit bindings.
-        let mut explicit = ResolvedBindings::new();
-        for clause in &config.implements {
-            for (prop, value) in clause.values.iter() {
-                explicit.insert(prop, value.clone());
-            }
-        }
-        Some((effective_provided(&explicit, &upstream), config.factors))
+        Some(effective_provided(&configured.explicit, upstream))
     }
 
     /// Full evaluation of a complete assignment: all three conditions plus
@@ -444,58 +499,120 @@ impl<'a> Mapper<'a> {
     /// the search's descent runs, and hands both to the one evaluator
     /// body, [`evaluate_reusing_flow`](Self::evaluate_reusing_flow).
     pub fn evaluate(&self, graph: &LinkageGraph, assignment: &[NodeId]) -> Option<Evaluation> {
-        for (tree_node, &node) in graph.nodes.iter().zip(assignment) {
-            if !self.component_fits(self.spec.get_component(&tree_node.component)?, node) {
-                return None;
-            }
-        }
-        let placed: Vec<Option<NodeId>> = assignment.iter().copied().map(Some).collect();
-        let mut provided = vec![None; graph.len()];
-        let mut factors = vec![None; graph.len()];
+        let configured = graph
+            .nodes
+            .iter()
+            .zip(assignment)
+            .map(|(tree_node, &node)| {
+                self.configured_on(self.spec.get_component(&tree_node.component)?, node)
+            })
+            .collect::<Option<Vec<Configured>>>()?;
+        let mut provided: Vec<Option<ResolvedBindings>> = vec![None; graph.len()];
         for idx in graph.bottom_up_order() {
-            let (flowed, resolved) =
-                self.flow_and_factors_at(graph, idx, assignment[idx], &placed, &provided)?;
-            provided[idx] = Some(Rc::new(flowed));
-            factors[idx] = Some(Rc::new(resolved));
+            let children = graph.nodes[idx]
+                .children
+                .iter()
+                .map(|&(_, child)| Some((assignment[child], provided[child].as_ref()?)));
+            provided[idx] = Some(self.flow(assignment[idx], &configured[idx], children)?);
         }
+        let provided: Vec<&ResolvedBindings> = provided.iter().flatten().collect();
+        let factors: Vec<&ResolvedBindings> =
+            configured.iter().map(|c| &c.config.factors).collect();
         self.evaluate_reusing_flow(graph, assignment, &provided, &factors, &self.rates(graph))
     }
 
-    /// The evaluator body: conditions 2 and 3 and the objective of a
-    /// complete assignment, given what a search already computed during
-    /// its descent: the per-node effective provided properties and
-    /// resolved factors (one [`Mapper::flow_and_factors_at`] call per
-    /// node) and the graph's [`RatePlan`] (from [`Mapper::rates`]). The
-    /// caller must have produced `provided`/`factors` by exactly that
-    /// flow for exactly this assignment, with every assigned node drawn
-    /// from [`Mapper::candidates`] (which enforces condition 1), as
-    /// [`evaluate`](Self::evaluate) does.
+    /// The evaluator: conditions 2 and 3 and the objective of a complete
+    /// assignment, given what a search already computed during its
+    /// descent: the per-node effective provided properties and resolved
+    /// factors (one [`Mapper::flow_and_factors_at`] call per node) and the
+    /// graph's [`RatePlan`] (from [`Mapper::rates`]). The caller must have
+    /// produced `provided`/`factors` by exactly that flow for exactly this
+    /// assignment, with every assigned node drawn from
+    /// [`Mapper::candidates`] (which enforces condition 1), as
+    /// [`evaluate`](Self::evaluate) does. It prices the mapping and then
+    /// assembles the evaluation: plan edges, the preexisting flags and
+    /// owned copies of the bindings.
     pub fn evaluate_reusing_flow(
         &self,
         graph: &LinkageGraph,
         assignment: &[NodeId],
-        provided: &[Option<Rc<ResolvedBindings>>],
-        factors: &[Option<Rc<ResolvedBindings>>],
+        provided: &[&ResolvedBindings],
+        factors: &[&ResolvedBindings],
         rates: &RatePlan,
     ) -> Option<Evaluation> {
+        debug_assert_eq!(provided.len(), graph.len());
+        let price = self.price(graph, assignment, provided.first()?, factors, rates)?;
+        let parents = graph.parents();
+        let mut edges = Vec::with_capacity(graph.len().saturating_sub(1));
+        for (idx, &node) in assignment.iter().enumerate() {
+            let Some(parent) = parents[idx] else {
+                continue;
+            };
+            let info = self.route(assignment[parent], node)?;
+            let interface = graph.nodes[parent]
+                .children
+                .iter()
+                .find(|&&(_, c)| c == idx)
+                .map(|(i, _)| i.clone())
+                .unwrap_or_default();
+            edges.push(PlanEdge {
+                from: parent,
+                to: idx,
+                interface,
+                route: info.route.clone(),
+                rate: rates.edge_rate[idx],
+            });
+        }
+        let preexisting = (0..graph.len())
+            .map(|idx| self.preexisting(graph, assignment, factors, idx))
+            .collect();
+        Some(Evaluation {
+            objective_value: price.objective_value,
+            latency_ms: price.latency_ms,
+            cost_ms: price.cost_ms,
+            sustainable_rate: price.sustainable_rate,
+            provided: provided.iter().map(|&p| p.clone()).collect(),
+            factors: factors.iter().map(|&f| f.clone()).collect(),
+            preexisting,
+            edges,
+        })
+    }
+
+    /// Whether tree node `idx` maps onto a pinned/existing instance.
+    fn preexisting(
+        &self,
+        graph: &LinkageGraph,
+        assignment: &[NodeId],
+        factors: &[&ResolvedBindings],
+        idx: usize,
+    ) -> bool {
+        let component = &graph.nodes[idx].component;
+        self.request
+            .is_preexisting(component, assignment[idx], factors[idx])
+    }
+
+    /// The evaluator body [`evaluate_reusing_flow`](Self::evaluate_reusing_flow)
+    /// and a search's completions share: feasibility and objective of a
+    /// complete assignment whose property flow ran (the root providing
+    /// `root_provided`), with nothing materialized — no plan edge, no
+    /// copy of a binding or a route.
+    pub(crate) fn price(
+        &self,
+        graph: &LinkageGraph,
+        assignment: &[NodeId],
+        root_provided: &ResolvedBindings,
+        factors: &[&ResolvedBindings],
+        rates: &RatePlan,
+    ) -> Option<Price> {
         let n = graph.len();
         debug_assert_eq!(assignment.len(), n);
+        debug_assert_eq!(factors.len(), n);
         debug_assert_eq!(rates.node_rate.len(), n);
         debug_assert!((0..n).all(|idx| {
             let decl = self.spec.get_component(&graph.nodes[idx].component);
             decl.is_some_and(|d| self.component_fits(d, assignment[idx]))
         }));
-        // Every placement's flow ran before evaluating; `?` degrades a
-        // violated invariant to "infeasible" instead of panicking
-        // mid-plan (ps-lint P001).
-        let unshare = |artifacts: &[Option<Rc<ResolvedBindings>>]| {
-            debug_assert_eq!(artifacts.len(), n);
-            artifacts
-                .iter()
-                .map(|a| a.as_ref().map(|r| (**r).clone()))
-                .collect::<Option<Vec<_>>>()
-        };
-        let factors = unshare(factors)?;
+        let preexisting = |idx| self.preexisting(graph, assignment, factors, idx);
 
         // Instance-identity rules. (a) Two graph nodes mapped onto the
         // same (component, node) would deploy as a single instance linked
@@ -506,15 +623,6 @@ impl<'a> Mapper<'a> {
         // only valid as attachments to pinned/existing instances (which
         // is exactly how the paper's Seattle deployment chains onto San
         // Diego's pre-deployed view server).
-        let preexisting: Vec<bool> = (0..n)
-            .map(|idx| {
-                self.request.is_preexisting(
-                    &graph.nodes[idx].component,
-                    assignment[idx],
-                    &factors[idx],
-                )
-            })
-            .collect();
         for i in 0..n {
             for j in (i + 1)..n {
                 if graph.nodes[i].component != graph.nodes[j].component {
@@ -526,7 +634,7 @@ impl<'a> Mapper<'a> {
                 if factors[i] == factors[j] {
                     // Two fresh same-configured instances never make
                     // sense (nothing distinguishes them to the planner).
-                    if !preexisting[i] && !preexisting[j] {
+                    if !preexisting(i) && !preexisting(j) {
                         return None;
                     }
                     // For *data views*, even an existing same-configured
@@ -545,32 +653,26 @@ impl<'a> Mapper<'a> {
             }
         }
 
-        // Condition 2 held along the descent's property flow.
-        let provided = unshare(provided)?;
-
-        // The client's own requirements on the requested interface are a
+        // Condition 2 held along the descent's property flow. The
+        // client's own requirements on the requested interface are a
         // linkage like any other: the root's provided properties degrade
         // over the client -> root route before the check (a remote root
         // across an insecure link cannot satisfy a confidentiality
         // requirement).
         {
             let info = self.route(self.request.client_node, assignment[0])?;
-            let at_client = transform_along(self.spec, &provided[0], &info.envs);
+            let at_client = transform_along(self.spec, root_provided, self.envs_along(&info));
             if !satisfies(self.spec, &at_client, &self.request.required) {
                 return None;
             }
         }
 
-        // Edges, loads, latency.
+        // Loads and latency. A link's load sums every edge crossing it,
+        // in tree order; the few (link, bits) pairs of one mapping are
+        // kept in a short list.
         let parents = graph.parents();
-        let mut edges = Vec::new();
         let mut latency_ms = 0.0;
-        // BTreeMaps (not HashMaps): the capacity checks below iterate
-        // them, and keyed ordering keeps the walk deterministic
-        // (ps-lint D001). They stay tiny — one entry per touched
-        // node/link of a single candidate mapping.
-        let mut link_bits: BTreeMap<u32, f64> = BTreeMap::new();
-        let mut node_cpu: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut link_bits: Vec<(u32, f64)> = Vec::new();
         let mut sustainable = f64::INFINITY;
         let root_rate = rates.node_rate[0];
 
@@ -590,10 +692,6 @@ impl<'a> Mapper<'a> {
                     sustainable = sustainable.min(cap / frac);
                 }
             }
-            // Node CPU load: accumulates across every component mapped
-            // to the node, checked once the whole mapping is charged.
-            *node_cpu.entry(node.0).or_insert(0.0) +=
-                rates.node_rate[idx] * comp.cpu_per_request_ms / 1000.0;
             if frac > 0.0 && comp.cpu_per_request_ms > 0.0 {
                 sustainable = sustainable.min(speed * 1000.0 / (frac * comp.cpu_per_request_ms));
             }
@@ -604,7 +702,10 @@ impl<'a> Mapper<'a> {
                 let bits =
                     rates.edge_bits_per_sec(idx, comp.bytes_per_request, comp.bytes_per_response);
                 for &l in &info.route.links {
-                    *link_bits.entry(l.0).or_insert(0.0) += bits;
+                    match link_bits.iter_mut().find(|(link, _)| *link == l.0) {
+                        Some((_, sum)) => *sum += bits,
+                        None => link_bits.push((l.0, 0.0 + bits)),
+                    }
                 }
                 if frac > 0.0 && info.route.bottleneck_bps.is_finite() {
                     let per_req_bits =
@@ -616,19 +717,6 @@ impl<'a> Mapper<'a> {
                 }
                 let bytes = (comp.bytes_per_request + comp.bytes_per_response) as f64;
                 latency_ms += frac * info.route.metrics().rtt_ms(bytes);
-                let interface = graph.nodes[parent]
-                    .children
-                    .iter()
-                    .find(|&&(_, c)| c == idx)
-                    .map(|(i, _)| i.clone())
-                    .unwrap_or_default();
-                edges.push(PlanEdge {
-                    from: parent,
-                    to: idx,
-                    interface,
-                    route: info.route.clone(),
-                    rate: rates.edge_rate[idx],
-                });
             }
         }
 
@@ -648,13 +736,23 @@ impl<'a> Mapper<'a> {
             }
         }
 
-        // Accumulated capacity checks.
-        for (&node, &load) in &node_cpu {
-            if load > self.net.node(NodeId(node)).cpu_speed {
+        // Node CPU load: accumulates across every component mapped to
+        // the node, in tree order, checked once per node.
+        for (first, &node) in assignment.iter().enumerate() {
+            if assignment[..first].contains(&node) {
+                continue;
+            }
+            let mut load = 0.0;
+            let sharing = assignment.iter().enumerate().skip(first);
+            for (idx, _) in sharing.filter(|&(_, &at)| at == node) {
+                let comp = self.spec.behavior_of(&graph.nodes[idx].component);
+                load += rates.node_rate[idx] * comp.cpu_per_request_ms / 1000.0;
+            }
+            if load > self.net.node(node).cpu_speed {
                 return None;
             }
         }
-        for (&link, &bits) in &link_bits {
+        for &(link, bits) in &link_bits {
             if bits > self.net.link(ps_net::LinkId(link)).bandwidth_bps {
                 return None;
             }
@@ -667,7 +765,7 @@ impl<'a> Mapper<'a> {
         let origin = self.request.effective_origin();
         let mut cost_ms = 0.0;
         for (idx, tree_node) in graph.nodes.iter().enumerate() {
-            if preexisting[idx] {
+            if preexisting(idx) {
                 continue;
             }
             let comp = self.spec.behavior_of(&tree_node.component);
@@ -688,15 +786,11 @@ impl<'a> Mapper<'a> {
             .map(|node| self.avoidance_penalty(*node))
             .sum::<f64>();
 
-        Some(Evaluation {
+        Some(Price {
             objective_value,
             latency_ms,
             cost_ms,
             sustainable_rate: sustainable,
-            provided,
-            factors,
-            preexisting,
-            edges,
         })
     }
 
@@ -712,4 +806,18 @@ impl<'a> Mapper<'a> {
     pub fn rates(&self, graph: &LinkageGraph) -> RatePlan {
         propagate_rates(self.spec, graph, self.request.rate.max(1.0))
     }
+}
+
+/// The slots of the environments along `route`: each link, and between
+/// two links the intermediate node as a hop.
+fn env_slots(route: &Route) -> Vec<EnvSlot> {
+    let mut envs = Vec::with_capacity(route.links.len() + route.via.len());
+    let mut via = route.via.iter();
+    for &link in &route.links {
+        envs.push(EnvSlot::Link(link.0 as usize));
+        if let Some(&mid) = via.next() {
+            envs.push(EnvSlot::Hop(mid.0 as usize));
+        }
+    }
+    envs
 }

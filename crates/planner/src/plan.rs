@@ -343,10 +343,12 @@ pub struct PlanStats {
     /// Candidate-universe size the hierarchical composition searched
     /// over (the flat path searches every node; zero there).
     pub hier_universe: u32,
-    /// Per-source routing rows (one Dijkstra each) this plan paid for:
-    /// the rows *this* call added to the [`ScopedRoutes`](ps_net::ScopedRoutes)
-    /// it read, flat or hierarchical — not the rows earlier plans of the
-    /// epoch had already built or carried.
+    /// Per-source routing rows this plan paid for: the rows *this* call
+    /// added to the [`ScopedRoutes`](ps_net::ScopedRoutes) it read, flat
+    /// or hierarchical, whether run (one Dijkstra each) or derived from a
+    /// stub source's neighbour ([`ScopedRoutes::rows_built`](ps_net::ScopedRoutes::rows_built))
+    /// — not the rows earlier plans of the epoch had already added or
+    /// carried.
     pub route_rows_built: u64,
 }
 

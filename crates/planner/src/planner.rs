@@ -181,6 +181,8 @@ impl Planner {
         let rows_before = routes.rows_built();
         let seeds = memo.map_or_else(Vec::new, HierMemo::recent_plans);
         let signed = memo.map(|memo| memo.signed(net, &self.spec, request));
+        // The memo's flow book, held by whichever mapper sweeps.
+        let mut book = signed.map(|signed| signed.memo.take_book(net, signed.signature));
 
         let mut regions = None;
         let mut found = None;
@@ -188,13 +190,16 @@ impl Planner {
             if let Some(setup) =
                 self.hier_setup(net, translator, request, &graphs, signed, &mut stats)
             {
-                found = self.sweep(&setup.mapper, &graphs, &seeds, &mut stats);
+                let mapper = setup.mapper.with_book(book.take());
+                found = self.sweep(&mapper, &graphs, &seeds, &mut stats);
+                book = Some(mapper.take_book());
                 regions = Some(setup.per_region);
             }
         }
         if found.is_none() {
             // One mapper shared across every candidate graph: credential
             // translation and the plan memo amortize over the whole search.
+            let reads_book = book.is_some();
             let mapper = Mapper::new(
                 &self.spec,
                 net,
@@ -203,11 +208,18 @@ impl Planner {
                 self.config.objective,
                 Arc::clone(&routes),
             )
-            .with_admissions(signed);
+            .with_admissions(signed)
+            .with_book(book.take());
             found = self.sweep(&mapper, &graphs, &seeds, &mut stats);
+            book = reads_book.then(|| mapper.take_book());
         }
-        if let (Some(memo), Some(plan)) = (memo, &found) {
-            memo.remember_plan(plan);
+        if let Some(memo) = memo {
+            if let Some(plan) = &found {
+                memo.remember_plan(plan);
+            }
+            if let Some(book) = book {
+                memo.put_book(book);
+            }
         }
         // The rows this solve added, not those earlier solves of the
         // epoch built or carried. (Solves racing on one memo may count

@@ -104,11 +104,18 @@ impl World {
             .transfer_time(&self.state.net, from, to, bytes)
     }
 
-    /// Dijkstra rows the memo has run since the world was built, for
-    /// every asker and every epoch (deterministic, so tests pin it as a
-    /// count: a warm connect must leave it unchanged).
+    /// Route rows the memo has added since the world was built — run,
+    /// or derived from a stub source's neighbour — for every asker and
+    /// every epoch (deterministic, so tests pin it as a count: a warm
+    /// connect must leave it unchanged).
     pub fn route_rows_built(&self) -> usize {
         self.state.memo.route_rows_built()
+    }
+
+    /// Of [`route_rows_built`](Self::route_rows_built), the rows that ran
+    /// Dijkstra.
+    pub fn route_dijkstra_runs(&self) -> usize {
+        self.state.memo.route_dijkstra_runs()
     }
 
     /// Times the memo built its routing view rather than patching it

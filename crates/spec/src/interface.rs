@@ -157,6 +157,24 @@ impl ResolvedBindings {
         self.entries.get(prop)
     }
 
+    /// Looks a value up for rewriting in place.
+    pub fn get_mut(&mut self, prop: &str) -> Option<&mut PropertyValue> {
+        self.entries.get_mut(prop)
+    }
+
+    /// Writes every entry of `other` over this set's: its values win, and
+    /// properties only this set carries stay.
+    pub fn overlay(&mut self, other: &ResolvedBindings) {
+        for (prop, value) in &other.entries {
+            match self.entries.get_mut(prop) {
+                Some(slot) => slot.clone_from(value),
+                None => {
+                    self.entries.insert(prop.clone(), value.clone());
+                }
+            }
+        }
+    }
+
     /// Iterates in deterministic (name-sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &PropertyValue)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))

@@ -275,6 +275,29 @@ if [[ -z "$segments" ]] || (( segments > 12 )); then
 fi
 echo "    shortlists computed by the heal workload: ${segments}"
 
+# Flow outcomes are facts of the world's memo at a network epoch, and a
+# leaf host's route row is its uplink's shifted by one link. At 1013
+# routers a second workstation on the branch client's uplink, connecting
+# after the client, computes 3 property flows (17 with no flow outcome
+# kept between solves) and runs no Dijkstra row (1 when its row is run
+# rather than derived from its uplink's).
+#
+#   sibling <field>   a figure of the stable sibling_connect object
+sibling() {
+    grep -oz '"sibling_connect": {[^}]*}' "$tmpdir/a/BENCH_scale.json" \
+        | tr -d '\0' | grep -o "\"$1\": [0-9]*" | grep -o '[0-9]*$'
+}
+echo "==> perf guard: a sibling connect at 1013 nodes (flows <= 3, Dijkstra rows <= 0)"
+for pin in flows:3 dijkstra_rows:0; do
+    field="${pin%%:*}" limit="${pin#*:}"
+    value="$(sibling "$field")"
+    if [[ -z "$value" ]] || (( value > limit )); then
+        echo "BENCH_scale.json sibling_connect.${field} is '${value}', above the ${limit} pinned" >&2
+        exit 1
+    fi
+    echo "    sibling_connect.${field}: ${value}"
+done
+
 # Event-driven healing guard: a heal pass runs at each wake (a liveness
 # event entering the world's stream) plus ps_core::HEAL_DEBOUNCE, never
 # on a tick, so the partition run degrades and reconciles within one

@@ -23,7 +23,9 @@ use partitionable_services::smock::deploy::STARTUP_DELAY;
 use partitionable_services::smock::{
     CoherencePolicy, ConnectError, Connection, LeaseConfig, ServiceRegistration,
 };
+use partitionable_services::spec::{Environment, ServiceSpec};
 use partitionable_services::trace::Tracer;
+use std::sync::Arc;
 
 /// A leaf host hung off `uplink` by a secure 100 µs LAN hop.
 fn leaf(net: &mut Network, name: String, uplink: NodeId, trust: i64, domain: &str) -> NodeId {
@@ -50,6 +52,12 @@ fn leaf(net: &mut Network, name: String, uplink: NodeId, trust: i64, domain: &st
 /// on the first HQ host, hierarchical exhaustive planner) and the
 /// leaves.
 fn fabric(seed: u64, leaves_per_as: usize) -> (Framework, Vec<NodeId>) {
+    fabric_with(seed, leaves_per_as, 1)
+}
+
+/// [`fabric`] with `siblings` client leaves on each of those routers,
+/// returned router by router.
+fn fabric_with(seed: u64, leaves_per_as: usize, siblings: usize) -> (Framework, Vec<NodeId>) {
     let mut rng = Rng::seed_from_u64(seed).derive("serving-memo");
     let params = HierParams {
         as_count: 5,
@@ -97,13 +105,13 @@ fn fabric(seed: u64, leaves_per_as: usize) -> (Framework, Vec<NodeId>) {
             .take(leaves_per_as)
             .enumerate()
         {
-            leaves.push(leaf(
-                &mut net,
-                format!("{site}-leaf-{i}"),
-                router,
-                4,
-                "partner",
-            ));
+            for sibling in 0..siblings {
+                let name = match sibling {
+                    0 => format!("{site}-leaf-{i}"),
+                    _ => format!("{site}-leaf-{i}-{sibling}"),
+                };
+                leaves.push(leaf(&mut net, name, router, 4, "partner"));
+            }
         }
     }
 
@@ -1027,4 +1035,118 @@ fn connects_after_a_deployment_reuse_the_shortlists() {
             "{leaf:?}"
         );
     }
+}
+
+/// Property-flow outcomes are facts of the world's memo at a network
+/// epoch: a connect reads the ones earlier connects of the epoch
+/// computed. Two client leaves on each of the fabric's last routers
+/// connect in turn; each connect returns the plan a fresh memo returns,
+/// the first one's sibling computes fewer flows than the first, and
+/// every connect after the first fewer than the same solve on a fresh
+/// memo.
+#[test]
+fn sibling_connects_read_the_flow_outcomes_of_the_epoch() {
+    let (mut fw, leaves) = fabric_with(42, 1, 2);
+    let server = fw.server.home;
+    let hier = PlannerConfig {
+        hier: Some(HierConfig::default()),
+        ..PlannerConfig::default()
+    };
+    let mut flows = Vec::new();
+    for &leaf in &leaves {
+        let mut resolved = request(server, leaf);
+        resolved.existing.extend(live_instances(&fw));
+        let conn = fw
+            .connect("mail", &request(server, leaf))
+            .expect("feasible");
+        assert_eq!(conn.costs.plan_stats.plan_cache_hits, 0, "a cold connect");
+        let fresh = Planner::with_config(mail_spec(), hier.clone())
+            .plan_hierarchical(
+                fw.world.network(),
+                &mail_translator(),
+                &resolved,
+                &HierMemo::new(),
+            )
+            .expect("feasible");
+        assert!(
+            (conn.plan.objective_value - fresh.objective_value).abs() <= 1e-9,
+            "{leaf:?}"
+        );
+        assert_eq!(
+            (&conn.plan.graph, &conn.plan.placements),
+            (&fresh.graph, &fresh.placements),
+            "{leaf:?}"
+        );
+        flows.push((conn.plan.stats.flow_evals, fresh.stats.flow_evals));
+    }
+    println!("flows per connect (memo, fresh): {flows:?}");
+    assert!(flows[1].0 < flows[0].0, "{flows:?}");
+    assert!(
+        flows[1..].iter().all(|(memo, fresh)| memo < fresh),
+        "{flows:?}"
+    );
+}
+
+/// A memo's flow outcomes answer only the solves that would compute
+/// them: at the network epoch and under the signature (registered spec,
+/// request environment) they were computed at. A sibling planned after
+/// its neighbour on one memo computes fewer flows than after a bare
+/// epoch change (`touch`), which leaves everything else the solve reads
+/// as it was; after a link flap — the network as before, at a later
+/// epoch — it computes as many as after the touch. Under another request
+/// environment or another registration of the spec it computes as many
+/// flows at the epoch of its neighbour's solve as after a touch. Every
+/// plan is a fresh memo's.
+#[test]
+fn flow_outcomes_answer_only_their_epoch_and_signature() {
+    let (fw, leaves) = fabric_with(42, 1, 2);
+    let (net, server) = (fw.world.network().clone(), fw.server.home);
+    let (first, sibling) = (leaves[0], leaves[1]);
+    let hier = PlannerConfig {
+        hier: Some(HierConfig::default()),
+        ..PlannerConfig::default()
+    };
+    let spec = Arc::new(mail_spec());
+    let translator = mail_translator();
+    // The sibling's flows on a memo that planned `first` under `spec`,
+    // with `between` applied to the network in between.
+    let sibling_flows = |between: fn(&mut Network), env: Environment, under: &Arc<ServiceSpec>| {
+        let (mut net, memo) = (net.clone(), HierMemo::new());
+        Planner::with_config(Arc::clone(&spec), hier.clone())
+            .plan_hierarchical(&net, &translator, &request(server, first), &memo)
+            .expect("feasible");
+        between(&mut net);
+        let planner = Planner::with_config(Arc::clone(under), hier.clone());
+        let r = request(server, sibling).env(env);
+        let plan = planner
+            .plan_hierarchical(&net, &translator, &r, &memo)
+            .expect("feasible");
+        let fresh = planner
+            .plan_hierarchical(&net, &translator, &r, &HierMemo::new())
+            .expect("feasible");
+        assert!((plan.objective_value - fresh.objective_value).abs() <= 1e-9);
+        assert_eq!(
+            (&plan.graph, &plan.placements),
+            (&fresh.graph, &fresh.placements)
+        );
+        plan.stats.flow_evals
+    };
+    let still: fn(&mut Network) = |_| {};
+    let touch: fn(&mut Network) = Network::touch;
+    let flap: fn(&mut Network) = |net| {
+        net.set_link_up(LinkId(0), false);
+        net.set_link_up(LinkId(0), true);
+    };
+    let plain = Environment::new;
+    let same_epoch = sibling_flows(still, plain(), &spec);
+    let afresh = sibling_flows(touch, plain(), &spec);
+    assert!(same_epoch < afresh, "{same_epoch} flows, {afresh} afresh");
+    assert_eq!(sibling_flows(flap, plain(), &spec), afresh, "after a flap");
+
+    let other = || Environment::new().with("Locale", "fr");
+    let elsewhere = sibling_flows(touch, other(), &spec);
+    assert_eq!(sibling_flows(still, other(), &spec), elsewhere);
+    let reregistered = Arc::new(mail_spec());
+    let afresh = sibling_flows(touch, plain(), &reregistered);
+    assert_eq!(sibling_flows(still, plain(), &reregistered), afresh);
 }
